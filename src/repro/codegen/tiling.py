@@ -26,10 +26,9 @@ from ..ir.analysis import (
     read_halos,
 )
 from ..ir.folding import apply_folding
+from ..ir.memo import OwnerMemo
 from ..ir.stencil import ProgramIR, StencilInstance
 from ..ir.types import sizeof
-from ..obs import counter as _counter, metrics_enabled as _metrics_enabled
-from ..obs import span as _span
 from .plan import (
     GMEM,
     KernelPlan,
@@ -47,14 +46,16 @@ Halo = Tuple[Tuple[int, int], ...]  # per-axis (lo, hi)
 # Every geometric quantity below is a pure function of (IR, plan) — and
 # none of them depend on ``plan.max_registers``, so all the register-
 # escalation rungs of one candidate share the same *plan family* and the
-# same cached geometry.  Results are keyed by IR identity (strong ref
-# held, as in ir.analysis) plus the canonical register-independent plan
-# key.  The cache can be disabled wholesale (benchmarks compare against
-# the uncached seed path; tests verify cached == uncached).
+# same cached geometry.  Results are cached per IR (see ``repro.ir.memo``)
+# under the canonical register-independent plan key: a cache entry lives
+# as long as its IR, and a cached value must not reference the IR.  The
+# cache can be disabled wholesale (benchmarks compare against the
+# uncached seed path; tests verify cached == uncached).
 # ---------------------------------------------------------------------------
 
-_PLAN_MEMO: dict = {}
-_PLAN_MEMO_ENABLED = True
+_PLAN_MEMO = OwnerMemo(
+    miss_prefix="tiling.plan_cache_miss.", span_prefix="planning."
+)
 
 
 def plan_family_key(plan: KernelPlan) -> tuple:
@@ -122,21 +123,12 @@ def plan_structural_key(plan: KernelPlan) -> tuple:
 
 def _plan_memoized(tag: str, ir: ProgramIR, plan: KernelPlan, compute,
                    extra: tuple = ()):
-    if not _PLAN_MEMO_ENABLED:
-        return compute()
-    key = (tag, id(ir), plan_family_key(plan)) + extra
-    hit = _PLAN_MEMO.get(key)
-    if hit is not None and hit[0] is ir:
-        return hit[1]
-    # Only cache misses are worth observing: they are where geometry is
-    # actually computed, and they are rare enough (one per plan family)
-    # that instrumentation cannot perturb the hit fast-path.
-    if _metrics_enabled():
-        _counter(f"tiling.plan_cache_miss.{tag}").add()
-    with _span(f"planning.{tag}"):
-        value = compute()
-    _PLAN_MEMO[key] = (ir, value)
-    return value
+    # Only cache misses are observed: they are where geometry is actually
+    # computed, and they are rare enough (one per plan family) that
+    # instrumentation cannot perturb the hit fast-path.
+    return _PLAN_MEMO.get(
+        ir, (tag, plan_family_key(plan)) + extra, tag, compute
+    )
 
 
 def _ir_memoized(tag: str, ir: ProgramIR, key: tuple, compute):
@@ -149,29 +141,13 @@ def _ir_memoized(tag: str, ir: ProgramIR, key: tuple, compute):
     enable switch, so seed-equivalence benchmarks still disable
     everything at once.
     """
-    if not _PLAN_MEMO_ENABLED:
-        return compute()
-    full_key = (tag, id(ir)) + key
-    hit = _PLAN_MEMO.get(full_key)
-    if hit is not None and hit[0] is ir:
-        return hit[1]
-    if _metrics_enabled():
-        _counter(f"tiling.plan_cache_miss.{tag}").add()
-    with _span(f"planning.{tag}"):
-        value = compute()
-    _PLAN_MEMO[full_key] = (ir, value)
-    return value
+    return _PLAN_MEMO.get(ir, (tag,) + key, tag, compute)
 
 
 def set_plan_cache_enabled(enabled: bool) -> None:
     """Toggle the (ir, plan-family) geometry cache; clears it on change."""
-    global _PLAN_MEMO_ENABLED
-    _PLAN_MEMO_ENABLED = bool(enabled)
+    _PLAN_MEMO.enabled = bool(enabled)
     _PLAN_MEMO.clear()
-
-
-def plan_cache_enabled() -> bool:
-    return _PLAN_MEMO_ENABLED
 
 
 def clear_plan_cache() -> None:

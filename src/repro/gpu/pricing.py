@@ -67,6 +67,7 @@ from ..codegen.tiling import (
     stream_window,
 )
 from ..ir.analysis import access_summary, read_halos
+from ..ir.memo import OwnerMemo
 from ..ir.stencil import ProgramIR, StencilInstance
 from ..ir.types import sizeof
 from ..obs import counter as _obs_counter, metrics_enabled as _metrics_enabled
@@ -192,6 +193,9 @@ class _StageInfo:
 
     stage: Stage
     halos: Dict[str, tuple]
+    #: per read array: the axes its footprint spans (a lower-rank array
+    #: skips the axes it does not index)
+    foot_axes: Dict[str, Tuple[int, ...]]
     flops_pp: int
     summary: Dict[str, Any]  # the memoized access summary (shared object)
     reads: List[dict]  # ordered read-side term descriptors
@@ -204,10 +208,14 @@ class FamilyStructure:
     Built once per (IR, :func:`plan_structural_key`) and cached by
     :func:`family_structure`; :meth:`demand` and :meth:`price` then run
     the whole model over lane arrays.
+
+    The cache entry lives as long as its IR, so a structure must not
+    reference the IR: everything pricing needs from it (the array map,
+    footprint axes, read offsets) is captured at build time.
     """
 
     def __init__(self, ir: ProgramIR, proto: KernelPlan):
-        self.ir = ir
+        self.array_map = ir.array_map
         self.key = plan_structural_key(proto)
         self.ndim = ir.ndim
         self.domain = ir.domain_shape()
@@ -224,15 +232,16 @@ class FamilyStructure:
         self.sweep_length = geo.sweep_length  # structural: chunks fixed
         self.intermediates = intermediate_arrays(ir, proto)
         self.externally_visible = externally_visible(ir, proto)
-        self._build_buffer_candidates(proto)
-        self._build_inter_specs(proto)
-        self._build_stage_infos(proto)
-        self._build_register_model(proto)
+        self._build_buffer_candidates(ir, proto)
+        self._build_inter_specs(ir, proto)
+        self._build_stage_infos(ir, proto)
+        self._build_register_model(ir, proto)
 
     # -- buffer winner candidates (mirrors tiling._buffer_requirements) --
 
-    def _build_buffer_candidates(self, proto: KernelPlan) -> None:
-        ir = self.ir
+    def _build_buffer_candidates(
+        self, ir: ProgramIR, proto: KernelPlan
+    ) -> None:
         self.buffer_arrays: List[str] = []  # first-encounter order
         self.candidates: Dict[str, List[dict]] = {}
         self.buffer_sizeof: Dict[str, int] = {}
@@ -292,8 +301,9 @@ class FamilyStructure:
 
     # -- inter-stage specs (mirrors tiling._intermediate_specs) ----------
 
-    def _build_inter_specs(self, proto: KernelPlan) -> None:
-        ir = self.ir
+    def _build_inter_specs(
+        self, ir: ProgramIR, proto: KernelPlan
+    ) -> None:
         self.inter_specs: List[dict] = []
         if len(self.stages) > 1:
             for stage, consumer in zip(self.stages[:-1], self.stages[1:]):
@@ -352,13 +362,24 @@ class FamilyStructure:
 
     # -- per-stage read/store term descriptors (mirrors simulator._count)
 
-    def _build_stage_infos(self, proto: KernelPlan) -> None:
-        ir = self.ir
+    def _build_stage_infos(
+        self, ir: ProgramIR, proto: KernelPlan
+    ) -> None:
         self.stage_infos: List[_StageInfo] = []
         for stage in self.stages:
             instance = stage.instance
             summary = access_summary(ir, instance)
             halos = read_halos(ir, instance)
+            foot_axes = {
+                array: tuple(
+                    axis
+                    for axis in range(self.ndim)
+                    if array not in self.array_map
+                    or self.array_map[array].ndim >= self.ndim
+                    or _array_indexes_axis(ir, instance, array, axis)
+                )
+                for array in halos
+            }
             written_here = set(instance.arrays_written())
             reads: List[dict] = []
             # Iterating the memoized summary dict object itself keeps
@@ -420,6 +441,7 @@ class FamilyStructure:
                         unique=_unique_bytes_const(ir, array, arr_esize, proto),
                         gcoal=_gmem_coalescing_const(ir, stage.instance, array),
                         instance=stage.instance,
+                        offsets=distinct_read_offsets(ir, stage.instance, array),
                     )
                 reads.append(item)
             stores: List[dict] = []
@@ -448,6 +470,7 @@ class FamilyStructure:
                 _StageInfo(
                     stage=stage,
                     halos=halos,
+                    foot_axes=foot_axes,
                     flops_pp=stage.flops_per_point,
                     summary=summary,
                     reads=reads,
@@ -457,8 +480,9 @@ class FamilyStructure:
 
     # -- register-model structural constants (mirrors registers.py) ------
 
-    def _build_register_model(self, proto: KernelPlan) -> None:
-        ir = self.ir
+    def _build_register_model(
+        self, ir: ProgramIR, proto: KernelPlan
+    ) -> None:
         self.expr_regs = max(
             expression_registers(s.instance) for s in self.stages
         )
@@ -489,15 +513,16 @@ class FamilyStructure:
         )
         self.prefetch_regs = max(fetched, 1) if self.prefetch else 0
         # Blocked-unroll live loads: the per-stage gmem (unbuffered)
-        # read sets are structural; the load counts per lane are not.
-        self.gmem_read_sets: List[List[Tuple[StencilInstance, str]]] = []
+        # read sets and their read offsets are structural; the load
+        # counts per lane are not.
+        self.gmem_read_sets: List[List[Tuple[StencilInstance, str, list]]] = []
         for stage in self.stages:
-            entries: List[Tuple[StencilInstance, str]] = []
+            entries: List[Tuple[StencilInstance, str, list]] = []
             for array in stage.instance.arrays_read():
-                if not self.buffered.get(array, False) and array in self.candidates:
-                    entries.append((stage.instance, array))
-                elif array not in self.candidates:
-                    entries.append((stage.instance, array))
+                if array in self.candidates and self.buffered.get(array, False):
+                    continue
+                offsets = distinct_read_offsets(ir, stage.instance, array)
+                entries.append((stage.instance, array, offsets))
             self.gmem_read_sets.append(entries)
 
     # ------------------------------------------------------------------
@@ -616,16 +641,10 @@ class FamilyStructure:
             if halo is None:
                 cached = np.zeros(base["n"], _I8)
             else:
-                arr_info = self.ir.array_map.get(array)
                 total = np.ones(base["n"], _I8)
-                for axis in range(self.ndim):
+                for axis in info.foot_axes[array]:
                     exp_lo, exp_hi = info.stage.expand[axis]
                     h_lo, h_hi = halo[axis]
-                    if arr_info is not None and arr_info.ndim < self.ndim:
-                        if not _array_indexes_axis(
-                            self.ir, info.stage.instance, array, axis
-                        ):
-                            continue
                     span = base["tile"][axis] + (exp_lo + exp_hi + h_lo + h_hi)
                     total = total * np.minimum(
                         span, self.domain[axis] + (h_lo + h_hi)
@@ -667,13 +686,12 @@ class FamilyStructure:
         return cached
 
     def _gmem_lpp(
-        self, base: dict, instance: StencilInstance, array: str
+        self, base: dict, instance: StencilInstance, array: str, offsets: list
     ) -> np.ndarray:
         """Vectorized :func:`tiling.gmem_loads_per_point`."""
         key = (id(instance), array)
         cached = base["lpp"].get(key)
         if cached is None:
-            offsets = distinct_read_offsets(self.ir, instance, array)
             n = base["n"]
             if not offsets:
                 cached = np.zeros(n, _F8)
@@ -775,9 +793,9 @@ class FamilyStructure:
             live = np.zeros(base["n"], _F8)
             for entries in self.gmem_read_sets:
                 stage_loads = np.zeros(base["n"], _F8)
-                for instance, array in entries:
+                for instance, array, offsets in entries:
                     stage_loads = stage_loads + self._gmem_lpp(
-                        base, instance, array
+                        base, instance, array, offsets
                     )
                 live = np.maximum(live, stage_loads)
             extra = 2 * (base["tunroll"] - 1) + (
@@ -803,8 +821,8 @@ class FamilyStructure:
                 if halo is None:
                     continue
                 size = sizeof(
-                    self.ir.array_map[array].dtype
-                    if array in self.ir.array_map
+                    self.array_map[array].dtype
+                    if array in self.array_map
                     else "double"
                 )
                 plane = np.ones(base["n"], _I8)
@@ -834,7 +852,7 @@ class FamilyStructure:
                 continue
             if self.buffered[array]:
                 continue
-            info = self.ir.array_map.get(array)
+            info = self.array_map.get(array)
             arr_esize = sizeof(info.dtype) if info is not None else 8
             plane = winners[array]["plane"]
             total = total + (plane * arr_esize).astype(_F8)
@@ -1128,7 +1146,9 @@ class FamilyStructure:
                         )
                     )
                 else:  # gmem
-                    per_point = self._gmem_lpp(base, item["instance"], array)
+                    per_point = self._gmem_lpp(
+                        base, item["instance"], array, item["offsets"]
+                    )
                     loads = per_point * pts.astype(_F8) * blocks_f
                     tex_t.append(loads * esize * item["gcoal"])
                     footprint = self._footprint(base, sidx, array)
@@ -1397,22 +1417,15 @@ def _acc(terms: List[np.ndarray], n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_STRUCT_CACHE: Dict[tuple, Tuple[ProgramIR, FamilyStructure]] = {}
+_STRUCTURES = OwnerMemo()
 
 
 def family_structure(ir: ProgramIR, plan: KernelPlan) -> FamilyStructure:
-    """The (memoized) :class:`FamilyStructure` for a plan's family."""
-    key = (id(ir), plan_structural_key(plan))
-    hit = _STRUCT_CACHE.get(key)
-    if hit is not None and hit[0] is ir:
-        return hit[1]
-    structure = FamilyStructure(ir, plan)
-    _STRUCT_CACHE[key] = (ir, structure)
-    return structure
-
-
-def clear_structure_cache() -> None:
-    _STRUCT_CACHE.clear()
+    """The :class:`FamilyStructure` for a plan's family, memoized per IR."""
+    return _STRUCTURES.get(
+        ir, plan_structural_key(plan), "structure",
+        lambda: FamilyStructure(ir, plan),
+    )
 
 
 def _expand_grid(family: KernelPlan, grid: Dict[str, Sequence]) -> List[KernelPlan]:

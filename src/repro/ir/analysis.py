@@ -21,54 +21,37 @@ from ..dsl.ast import (
     UnaryOp,
     array_accesses,
 )
-from ..obs import counter as _counter, metrics_enabled as _metrics_enabled
 from ..obs import span as _span
+from .memo import OwnerMemo
 from .stencil import ProgramIR, Statement, StencilInstance
 from .types import sizeof
 
 # ---------------------------------------------------------------------------
-# identity-keyed memoization
+# per-object memoization
 #
 # Analyses walk (potentially enormous) expression ASTs; the simulator and
 # autotuner call them thousands of times on the same immutable kernel
-# instances.  Results are cached by object identity, keeping a strong
-# reference to the key so ids are never recycled while cached.
+# instances.  Results are cached per object (see ``repro.ir.memo``): a
+# cache entry lives as long as its owner object, and a cached value must
+# not reference its owner.
 # ---------------------------------------------------------------------------
 
-_MEMO: dict = {}
+_MEMO = OwnerMemo(miss_prefix="analysis.cache_miss.", span_prefix="analysis.")
 
 
 def _memoized(tag: str, obj, compute):
-    key = (tag, id(obj))
-    hit = _MEMO.get(key)
-    if hit is not None and hit[0] is obj:
-        return hit[1]
-    if _metrics_enabled():
-        _counter(f"analysis.cache_miss.{tag}").add()
-    with _span(f"analysis.{tag}"):
-        value = compute()
-    _MEMO[key] = (obj, value)
-    return value
+    return _MEMO.get(obj, tag, tag, compute)
 
 
 def memoized_kv(tag: str, obj, key, compute):
-    """Identity-keyed memoization with an extra hashable sub-key.
+    """Per-object memoization with an extra hashable sub-key.
 
     Like :func:`_memoized` but for analyses parameterized beyond the
     object itself (e.g. per-array or per-plan-shape results).  ``key``
-    must be hashable and, together with ``tag`` and the object identity,
-    fully determine the computed value.
+    must be hashable and, together with ``tag`` and the object, fully
+    determine the computed value.
     """
-    full = (tag, id(obj), key)
-    hit = _MEMO.get(full)
-    if hit is not None and hit[0] is obj:
-        return hit[1]
-    if _metrics_enabled():
-        _counter(f"analysis.cache_miss.{tag}").add()
-    with _span(f"analysis.{tag}"):
-        value = compute()
-    _MEMO[full] = (obj, value)
-    return value
+    return _MEMO.get(obj, (tag, key), tag, compute)
 
 
 def clear_analysis_cache() -> None:

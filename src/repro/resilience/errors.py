@@ -24,6 +24,7 @@ Design constraints:
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict
 
 __all__ = [
@@ -65,6 +66,18 @@ class ReproError(Exception):
             if value is not None and key not in self.context:
                 self.context[key] = value
         return self
+
+    def clone(self) -> "ReproError":
+        """A fresh copy to raise again: same class, message and context.
+
+        The copy has its own ``context`` dict and no traceback, cause or
+        chained exception, so a memoized failure neither keeps the
+        frames that first raised it alive nor shares context that one
+        caller attaches with the next.
+        """
+        fresh = copy.copy(self)
+        fresh.context = dict(self.context)
+        return fresh
 
     def describe(self) -> str:
         """One-line message with the diagnostic context appended."""

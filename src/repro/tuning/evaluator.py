@@ -393,10 +393,17 @@ def evaluation_caches_disabled():
 class PlanEvaluator:
     """Single evaluation front-end for every tuner and baseline.
 
-    One evaluator serves any number of programs (results are keyed by IR
-    identity, with a strong reference held so ids are never recycled)
-    but exactly one device.  Failures are memoized alongside successes,
-    so repeatedly probing an infeasible configuration costs one lookup.
+    One evaluator serves any number of programs but exactly one device.
+    Results are keyed by IR identity, and each entry holds its IR, so an
+    id cannot be recycled while the evaluator lives.  Failures are
+    memoized alongside successes, so repeatedly probing an infeasible
+    configuration costs one lookup.
+
+    The cache lives as long as the evaluator, and a cached value must
+    not reference the evaluator.  A failure is therefore memoized
+    without its traceback (whose frames hold the evaluator), and each
+    hit raises a fresh copy with its own ``context``.  A finished job's
+    evaluator is freed by reference counting alone.
 
     Thread-safe: batch evaluation may run requests concurrently; the
     result cache is guarded and the underlying model is pure, so
@@ -667,7 +674,7 @@ class PlanEvaluator:
                 self._log_candidate(
                     plan, "cache-hit-infeasible", reason=str(value)
                 )
-                raise value
+                raise value.clone()
         self.stats.misses += 1
         screened = False
         try:
@@ -726,7 +733,7 @@ class PlanEvaluator:
             self.stats.infeasible += 1
             if self.memoize:
                 with self._lock:
-                    self._cache[key] = (ir, ("fail", exc))
+                    self._cache[key] = (ir, ("fail", exc.clone()))
             self._log_candidate(
                 plan,
                 "screened" if screened else "infeasible",
@@ -1047,10 +1054,10 @@ class PlanEvaluator:
             try:
                 validate_plan(ir, proto)
             except INFEASIBLE as exc:
-                invalid = exc
+                invalid = exc.clone()
         if invalid is not None:
             def reject(plan, exc=invalid):
-                raise exc
+                raise exc.clone()
 
             return [
                 (

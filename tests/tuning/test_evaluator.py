@@ -28,6 +28,13 @@ def sampled_plans(ir, kernel_name, count, seed=7):
     return [_sample_plan(rng, ir, kernel_name) for _ in range(count)]
 
 
+def _traceback_depth(exc):
+    depth, tb = 0, exc.__traceback__
+    while tb is not None:
+        depth, tb = depth + 1, tb.tb_next
+    return depth
+
+
 def direct_result(ir, plan, device):
     """The seed evaluation path: validate + simulate, None if infeasible."""
     try:
@@ -89,6 +96,46 @@ class TestMemoization:
         assert evaluator.stats.misses == 1
         assert evaluator.stats.hits == 1
         assert evaluator.stats.infeasible == 2
+
+    def test_memoized_failure_raises_fresh_copies(self, smoother_ir, base_plan):
+        # Each hit raises a new copy of the cached failure: re-raising one
+        # shared object would grow its traceback on every hit, and keep
+        # the evaluator alive through the frames it holds.
+        bad = base_plan.replace(block=(1024, 1024))
+        evaluator = PlanEvaluator()
+        raised = []
+        for attempt in range(4):  # one miss, then three hits
+            with pytest.raises(PlanInfeasible) as info:
+                evaluator.evaluate(smoother_ir, bad)
+            raised.append(
+                (info.value, _traceback_depth(info.value), info.value.describe())
+            )
+            info.value.with_context(attempt=attempt)
+        assert evaluator.stats.hits == 3
+        hits = raised[1:]
+        assert len({id(exc) for exc, _, _ in raised}) == len(raised)
+        assert len({depth for _, depth, _ in hits}) == 1
+        # Context one caller attaches never reaches the next copy.
+        assert {described for _, _, described in raised} == {raised[0][2]}
+        assert "attempt=" not in raised[0][2]
+
+    def test_family_validation_failure_not_shared(self, smoother_ir, base_plan):
+        # A family whose prototype fails validation rejects every lane;
+        # each lane must memoize its own copy of that failure.
+        blocks = [(32, 4), (32, 8), (16, 8), (64, 4), (16, 16)]
+        plans = [base_plan.replace(block=b, stream_axis=7) for b in blocks]
+        evaluator = PlanEvaluator(vectorize=True)
+        assert evaluator.evaluate_batch(smoother_ir, plans) == [None] * len(plans)
+        raised = []
+        for plan in plans:
+            with pytest.raises(InvalidPlan) as info:
+                evaluator.evaluate(smoother_ir, plan)
+            raised.append((info.value, info.value.describe()))
+            info.value.with_context(lane=plan.block)
+        assert evaluator.stats.hits == len(plans)
+        assert len({id(exc) for exc, _ in raised}) == len(plans)
+        assert {described for _, described in raised} == {raised[0][1]}
+        assert "lane=" not in raised[0][1]
 
     def test_memoize_off_always_simulates(self, smoother_ir, base_plan):
         evaluator = PlanEvaluator(memoize=False)
