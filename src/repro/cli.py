@@ -25,7 +25,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Any, Dict, Optional
 
 from .codegen.generator import generate_baseline, lower
 from .gpu.device import DEVICES, DeviceSpec, P100, device_names, get_device
@@ -53,7 +53,7 @@ from .resilience import (
     atomic_write_text,
 )
 from .suite import BENCHMARKS, get as get_benchmark
-from .tuning import EXECUTOR_MODES, PlanEvaluator
+from .tuning import PlanEvaluator
 
 
 def _load(source: str):
@@ -95,7 +95,6 @@ def _obs_finish(args) -> None:
             trace_path,
             fmt=getattr(args, "trace_format", "chrome"),
             search_events=getattr(args, "_search_events", None),
-            stitch_root=getattr(args, "_stitch_root", None),
         )
         spans = len(get_tracer().finished())
         print(f"trace: {spans} spans written to {trace_path}", file=sys.stderr)
@@ -131,34 +130,45 @@ def _print_metrics() -> None:
             print(f"  {name:36s} {rendered}")
 
 
-def _start_metrics_server(args, coordinator=None, engine=None):
+def publish_stats_dict(
+    registry, stats: Dict[str, Any], prefix: str = "eval"
+) -> None:
+    """Publish an ``EvalStats.as_dict()`` into an explicit registry.
+
+    Unlike :meth:`EvalStats.publish` this bypasses the global
+    enabled-flag: the ``/metrics`` collector owns the registry it
+    builds for each scrape.
+    """
+    for name, value in stats.items():
+        if name in ("wall_s", "cpu_s"):
+            if value:
+                registry.histogram(f"{prefix}.{name}").observe(value)
+        else:
+            registry.counter(f"{prefix}.{name}").add(value)
+
+
+def _start_metrics_server(args, engine=None):
     """Serve ``/metrics`` for the run's duration when --metrics-port asks.
 
-    Distributed runs expose the coordinator's dedup-aware merged view.
-    Single-process runs expose the live global registry overlaid with
-    the engine's *current* EvalStats — the engine only publishes its
-    totals at shutdown, and a live endpoint that can't see evaluation
-    traffic mid-run would be pointless.
+    Each scrape exposes the global registry overlaid with the engine's
+    *current* EvalStats — the engine only publishes its totals at
+    shutdown, and a live endpoint that can't see evaluation traffic
+    mid-run would be pointless.
     """
     port = getattr(args, "metrics_port", None)
     if port is None:
         return None
     from .obs import MetricsHTTPServer, MetricsRegistry
-    from .obs.live import publish_stats_dict
     from .obs.prom import prometheus_text
 
-    if coordinator is not None:
-        collect = lambda: prometheus_text(coordinator.merged_registry())
-    else:
-
-        def collect():
-            registry = MetricsRegistry()
-            registry.merge_snapshot(
-                get_metrics().snapshot(), exclude_prefixes=("eval.",)
-            )
-            if engine is not None:
-                publish_stats_dict(registry, engine.stats.as_dict())
-            return prometheus_text(registry)
+    def collect():
+        registry = MetricsRegistry()
+        registry.merge_snapshot(
+            get_metrics().snapshot(), exclude_prefixes=("eval.",)
+        )
+        if engine is not None:
+            publish_stats_dict(registry, engine.stats.as_dict())
+        return prometheus_text(registry)
 
     server = MetricsHTTPServer(collect=collect, port=port).start()
     print(f"metrics: serving {server.url}", file=sys.stderr)
@@ -225,14 +235,12 @@ def _resilience_engine(args, device: DeviceSpec) -> PlanEvaluator:
         raise UsageError("--retries must be non-negative")
     return PlanEvaluator(
         device=device,
-        workers=getattr(args, "workers", None),
         on_error=getattr(args, "on_error", "fail-fast"),
         retry=RetryPolicy(max_retries=retries) if retries else None,
         timeout_s=getattr(args, "eval_timeout", None),
         failure_budget=getattr(args, "failure_budget", None),
         fault_injector=_fault_injector_from_env(),
         vectorize=_vectorize_choice(args),
-        executor=getattr(args, "executor", None) or "thread",
     )
 
 
@@ -266,93 +274,6 @@ def _open_journal(args, device: DeviceSpec) -> Optional[TuningJournal]:
             file=sys.stderr,
         )
     return journal
-
-
-def _open_coordinator(args, device: DeviceSpec, engine, journal):
-    """Build the distributed coordinator when --distributed N asks for it.
-
-    The merged journal is the user's --checkpoint journal when given
-    (distributed resume composes with checkpointing for free), else a
-    fresh ``merged.jsonl`` inside the run directory.  ``REPRO_DISTRIB_*``
-    env knobs arm the chaos harness for CI: a deterministic straggler
-    (``STRAGGLE_S``/``STRAGGLE_WORKER``), a mid-shard SIGKILL
-    (``KILL_WORKER``/``KILL_AFTER``) and a lease-TTL override
-    (``LEASE_TTL``) — all parsed with exit-2 error hygiene.
-    """
-    workers = getattr(args, "distributed", None)
-    if not workers:
-        return None
-    from .distrib import DistributedCoordinator, KillPolicy
-
-    root = getattr(args, "distrib_dir", None)
-    if root is None:
-        import tempfile
-
-        root = tempfile.mkdtemp(prefix="repro-distrib-")
-    lease_ttl = _env_float(
-        "REPRO_DISTRIB_LEASE_TTL", getattr(args, "lease_ttl", None) or 2.0
-    )
-    kill_worker = _env_int("REPRO_DISTRIB_KILL_WORKER")
-    kill = (
-        KillPolicy(
-            victim=kill_worker,
-            after_records=_env_int("REPRO_DISTRIB_KILL_AFTER", 1),
-        )
-        if kill_worker is not None
-        else None
-    )
-    straggle_s = _env_float("REPRO_DISTRIB_STRAGGLE_S", 0.0)
-    straggle_worker = _env_int("REPRO_DISTRIB_STRAGGLE_WORKER")
-    chaos = None
-    rate = _env_float("REPRO_CHAOS_RATE")
-    if rate:
-        chaos = {
-            "rate": rate,
-            "seed": _env_int("REPRO_CHAOS_SEED", 0),
-            "kind": os.environ.get("REPRO_CHAOS_KIND", "error"),
-            "transient": _env_int("REPRO_CHAOS_TRANSIENT", 0),
-        }
-    coordinator = DistributedCoordinator(
-        root,
-        workers=workers,
-        device=device,
-        engine=engine,
-        journal=journal,
-        lease_ttl=lease_ttl,
-        vectorize=_vectorize_choice(args),
-        chaos=chaos,
-        straggle_s=straggle_s,
-        straggle_worker=straggle_worker,
-        partition_claims=kill is not None or straggle_worker is not None,
-        kill=kill,
-    )
-    print(
-        f"distrib: {workers} worker(s), journal directory {root}",
-        file=sys.stderr,
-    )
-    return coordinator
-
-
-def _finish_coordinator(coordinator) -> None:
-    """Tear the pool down and print the one-line distributed summary."""
-    if coordinator is None:
-        return
-    coordinator.close()
-    stats = coordinator.stats
-    print(
-        f"distrib: {stats.records_merged} record(s) merged from "
-        f"{stats.shards_published} shard(s) "
-        f"({stats.shards_claimed} claimed, {stats.shards_stolen} stolen, "
-        f"{stats.lease_expiries} lease expiries, "
-        f"{stats.dedup_hits} dedup hit(s), {stats.takeovers} takeover(s)"
-        + (
-            f", {stats.workers_killed} worker(s) killed"
-            if stats.workers_killed
-            else ""
-        )
-        + ")",
-        file=sys.stderr,
-    )
 
 
 def _warn_failures(stats, args) -> None:
@@ -447,12 +368,7 @@ def cmd_optimize(args) -> int:
     device = _device(args.device)
     engine = _resilience_engine(args, device)
     journal = _open_journal(args, device)
-    coordinator = _open_coordinator(args, device, engine, journal)
-    if coordinator is not None:
-        journal = coordinator.journal
-        if getattr(args, "trace", None):
-            args._stitch_root = coordinator.paths.root
-    server = _start_metrics_server(args, coordinator, engine=engine)
+    server = _start_metrics_server(args, engine=engine)
     log = _open_search_log(args, engine, device)
     try:
         outcome = optimize(
@@ -462,14 +378,10 @@ def cmd_optimize(args) -> int:
             top_k=args.top_k,
             evaluator=engine,
             journal=journal,
-            make_tuner=coordinator.make_tuner if coordinator else None,
         )
         if log is not None and outcome.eval_stats is not None:
             log.summary(outcome.eval_stats)
     finally:
-        # The coordinator's final drain appends to the merged journal,
-        # so it must shut down before the journal closes.
-        _finish_coordinator(coordinator)
         _stop_metrics_server(server)
         if journal is not None:
             journal.close()
@@ -483,8 +395,6 @@ def cmd_optimize(args) -> int:
         _print_eval_stats(outcome.eval_stats)
     if args.json:
         payload = _optimize_json_payload(args, device, outcome, log)
-        if coordinator is not None:
-            payload["distrib"] = coordinator.stats.as_dict()
         atomic_write_json(args.json, payload, indent=2)
         print(f"json: outcome written to {args.json}", file=sys.stderr)
     if args.search_log:
@@ -586,21 +496,10 @@ def cmd_deep_tune(args) -> int:
     device = _device(args.device)
     engine = _resilience_engine(args, device)
     journal = _open_journal(args, device)
-    coordinator = _open_coordinator(args, device, engine, journal)
-    if coordinator is not None:
-        journal = coordinator.journal
-        if getattr(args, "trace", None):
-            args._stitch_root = coordinator.paths.root
-    server = _start_metrics_server(args, coordinator, engine=engine)
+    server = _start_metrics_server(args, engine=engine)
     try:
-        result = deep_tune(
-            ir,
-            evaluator=engine,
-            journal=journal,
-            make_tuner=coordinator.make_tuner if coordinator else None,
-        )
+        result = deep_tune(ir, evaluator=engine, journal=journal)
     finally:
-        _finish_coordinator(coordinator)
         _stop_metrics_server(server)
         if journal is not None:
             journal.close()
@@ -625,33 +524,6 @@ def cmd_deep_tune(args) -> int:
         f"({schedule.total_time_s * 1e3:.2f} ms)"
     )
     return 0
-
-
-def cmd_shard_status(args) -> int:
-    """Inspect a distributed-run directory (``repro shard-status DIR``)."""
-    import json as _json
-
-    from .distrib import format_status, scan_status
-
-    try:
-        info = scan_status(args.dir)
-    except FileNotFoundError as exc:
-        raise UsageError(str(exc)) from None
-    if args.json:
-        print(_json.dumps(info, indent=2, sort_keys=True))
-    else:
-        print(format_status(info))
-    return 0
-
-
-def cmd_top(args) -> int:
-    """Live per-worker view of a distributed run (``repro top DIR``)."""
-    from .distrib import run_top
-
-    try:
-        return run_top(args.dir, interval_s=args.interval, once=args.once)
-    except FileNotFoundError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def cmd_report(args) -> int:
@@ -937,7 +809,6 @@ def cmd_bench(args) -> int:
         names,
         device=_device(args.device),
         vectorize=_vectorize_choice(args),
-        executor=getattr(args, "executor", None) or "thread",
     )
     problems = None
     if args.check or args.baseline:
@@ -992,17 +863,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_eval_flags(p):
         p.add_argument(
-            "--workers", type=int, default=None,
-            help="threads for parallel candidate evaluation",
-        )
-        p.add_argument(
             "--eval-stats", action="store_true",
             help="print evaluation-engine cache/throughput statistics",
-        )
-        p.add_argument(
-            "--executor", choices=EXECUTOR_MODES, default="thread",
-            help="batch executor: 'thread' pool (default) or a 'process' "
-                 "pool that sidesteps the GIL for scalar pricing",
         )
         p.add_argument(
             "--pricing", choices=("vector", "scalar"), default=None,
@@ -1040,26 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--failure-budget", type=int, default=None, metavar="N",
             help="abort once more than N candidates were skipped/degraded "
                  "(a systemic-breakage tripwire)",
-        )
-        return p
-
-    def add_distrib_flags(p):
-        p.add_argument(
-            "--distributed", type=int, default=None, metavar="N",
-            help="evaluate candidate batches on N worker processes with "
-                 "journal leases and work-stealing (results bit-identical "
-                 "to a single-process run; see docs/robustness.md)",
-        )
-        p.add_argument(
-            "--distrib-dir", metavar="DIR", default=None,
-            help="shared journal directory for the distributed run "
-                 "(default: a fresh temp directory; inspect with "
-                 "'repro shard-status DIR')",
-        )
-        p.add_argument(
-            "--lease-ttl", type=float, default=None, metavar="SECONDS",
-            help="shard lease time-to-live: a lease not heartbeaten for "
-                 "this long is stolen by another worker (default 2.0)",
         )
         return p
 
@@ -1110,7 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_eval_flags(p)
     add_resilience_flags(p)
-    add_distrib_flags(p)
     add_obs_flags(p)
     add_metrics_port_flag(p)
     p.set_defaults(func=cmd_optimize)
@@ -1142,37 +983,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-T", "--iterations", type=int, default=12)
     add_eval_flags(p)
     add_resilience_flags(p)
-    add_distrib_flags(p)
     add_obs_flags(p)
     add_metrics_port_flag(p)
     p.set_defaults(func=cmd_deep_tune)
-
-    p = sub.add_parser(
-        "shard-status",
-        help="inspect a distributed-run journal directory",
-    )
-    p.add_argument("dir", help="the --distrib-dir of a distributed run")
-    p.add_argument(
-        "--json", action="store_true",
-        help="emit the full shard/lease/journal snapshot as JSON",
-    )
-    p.set_defaults(func=cmd_shard_status)
-
-    p = sub.add_parser(
-        "top",
-        help="live per-worker view of a distributed run (htop-style)",
-    )
-    p.add_argument("dir", help="the --distrib-dir of a distributed run")
-    p.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
-        help="refresh interval (default 1.0)",
-    )
-    p.add_argument(
-        "--once", action="store_true",
-        help="print one snapshot and exit (automatic when stdout is "
-             "not a terminal)",
-    )
-    p.set_defaults(func=cmd_top)
 
     p = sub.add_parser(
         "report", help="render a search log as a standalone HTML report"
@@ -1286,10 +1099,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also gate wall_s: fail when it grows more than TOL "
              "(relative) over the baseline; off by default because CI "
              "machines are noisy",
-    )
-    p.add_argument(
-        "--executor", choices=EXECUTOR_MODES, default="thread",
-        help="evaluation-engine batch executor (thread or process pool)",
     )
     p.add_argument(
         "--pricing", choices=("vector", "scalar"), default=None,

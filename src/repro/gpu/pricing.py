@@ -126,8 +126,7 @@ class PricedLane:
     ``simulate`` would return, or the occupancy screen rejected the lane
     and ``occ_message`` / ``occ_context`` / ``occ_code`` carry exactly
     what :func:`repro.gpu.simulator.plan_occupancy` would raise and how
-    the lint layer classifies it.  Holds only picklable primitives so
-    process-pool workers can ship lanes back to the parent.
+    the lint layer classifies it.
     """
 
     demand: int

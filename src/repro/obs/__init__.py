@@ -11,17 +11,13 @@ standard to the pipeline itself.  Three pieces:
   gauges and histograms that the evaluation engine, simulator and
   tuners feed;
 * :mod:`~repro.obs.export` — chrome://tracing and flat-JSON export,
-  multi-process trace stitching for distributed runs, plus the
-  per-phase aggregation behind the report's timing table;
-* :mod:`~repro.obs.live` — periodic atomic metric/span snapshots per
-  process, merged across a distributed run's workers;
+  plus the per-phase aggregation behind the report's timing table;
 * :mod:`~repro.obs.prom` — Prometheus text exposition and the
   ``/metrics`` + ``/healthz`` HTTP endpoint.
 
 Surfaced on the CLI as ``--trace out.json`` / ``--metrics`` /
 ``--metrics-port`` on the ``optimize``, ``deep-tune`` and ``profile``
-subcommands, and as ``repro top`` for live distributed-run views.  See
-``docs/observability.md``.
+subcommands.  See ``docs/observability.md``.
 """
 
 from .metrics import (
@@ -50,17 +46,7 @@ from .export import (
     aggregate_phases,
     chrome_trace,
     flat_json,
-    stitch_chrome_traces,
-    stitch_run_trace,
     write_trace,
-)
-from .live import (
-    SnapshotFlusher,
-    build_snapshot,
-    load_snapshots,
-    merge_snapshots,
-    publish_stats_dict,
-    write_snapshot,
 )
 from .prom import MetricsHTTPServer, prometheus_name, prometheus_text
 from .search import SearchLog, log_context, read_events
@@ -73,11 +59,9 @@ __all__ = [
     "MetricsRegistry",
     "PhaseTotal",
     "SearchLog",
-    "SnapshotFlusher",
     "Span",
     "Tracer",
     "aggregate_phases",
-    "build_snapshot",
     "chrome_trace",
     "configure_metrics",
     "configure_tracing",
@@ -87,20 +71,14 @@ __all__ = [
     "get_metrics",
     "get_tracer",
     "histogram",
-    "load_snapshots",
     "log_context",
-    "merge_snapshots",
     "metrics_enabled",
     "prometheus_name",
     "prometheus_text",
-    "publish_stats_dict",
     "read_events",
     "span",
-    "stitch_chrome_traces",
-    "stitch_run_trace",
     "traced",
     "tracing_enabled",
-    "write_snapshot",
     "write_trace",
 ]
 

@@ -6,7 +6,8 @@ Two formats serve two audiences:
   events (``ph: "X"``) — the JSON object form with a ``traceEvents``
   list — which chrome://tracing, Perfetto (ui.perfetto.dev) and
   ``about:tracing`` open directly.  Thread-name metadata events put each
-  worker thread of a parallel tuning batch on its own labelled track,
+  thread (the main thread, an evaluation-timeout watchdog) on its own
+  labelled track,
   and the metrics snapshot rides along under ``otherData`` (the spec's
   extension point; trace viewers ignore it).
 * :func:`flat_json` is the machine-readable form: one JSON object per
@@ -19,8 +20,7 @@ are small and stable regardless of process start time.
 from __future__ import annotations
 
 import json
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..resilience.atomic import atomic_write_text
 from ..resilience.errors import UsageError
@@ -32,8 +32,6 @@ __all__ = [
     "aggregate_phases",
     "chrome_trace",
     "flat_json",
-    "stitch_chrome_traces",
-    "stitch_run_trace",
     "write_trace",
 ]
 
@@ -207,22 +205,16 @@ def write_trace(
     metrics: Optional[MetricsRegistry] = None,
     fmt: str = "chrome",
     search_events: Optional[Sequence[dict]] = None,
-    stitch_root: Optional[str] = None,
 ) -> dict:
     """Serialize the trace to ``path``; returns the written document.
 
     ``fmt="chrome"`` (default) writes the chrome://tracing object form;
     ``fmt="flat"`` writes the flat span/metrics JSON.  ``search_events``
-    (chrome format only) adds the candidate instant track.
-    ``stitch_root`` (chrome format only) names a distributed-run
-    directory whose worker snapshots are stitched into the document as
-    separate processes.  The write is atomic
-    (write-tmp-then-rename), so a crash mid-export can never truncate
-    an existing trace file.
+    (chrome format only) adds the candidate instant track.  The write
+    is atomic (write-tmp-then-rename), so a crash mid-export can never
+    truncate an existing trace file.
     """
-    if fmt == "chrome" and stitch_root is not None:
-        document = stitch_run_trace(stitch_root, tracer, metrics)
-    elif fmt == "chrome":
+    if fmt == "chrome":
         document = chrome_trace(tracer, metrics, search_events=search_events)
     elif fmt == "flat":
         document = flat_json(tracer, metrics)
@@ -232,168 +224,6 @@ def write_trace(
         path, json.dumps(document, indent=1, default=str) + "\n"
     )
     return document
-
-
-# ---------------------------------------------------------------------------
-# multi-process stitching (distributed runs)
-# ---------------------------------------------------------------------------
-
-#: pid of the coordinator process in a stitched trace; workers map to
-#: ``worker_id + _WORKER_PID_BASE`` — a stable assignment so traces of
-#: the same run directory always render identically, dead workers
-#: included.
-COORDINATOR_PID = 1
-_WORKER_PID_BASE = 2
-
-
-def _meta(name: str, pid: int, tid: int, label: str) -> dict:
-    return {
-        "name": name,
-        "ph": "M",
-        "pid": pid,
-        "tid": tid,
-        "args": {"name": label},
-    }
-
-
-def stitch_chrome_traces(
-    snapshots: Sequence[Dict[str, Any]],
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    process_name: str = "coordinator",
-) -> dict:
-    """One chrome://tracing document spanning coordinator + workers.
-
-    ``snapshots`` are :mod:`repro.obs.live` worker snapshot documents
-    (``include_spans`` variants); the local tracer contributes the
-    coordinator's own spans.  Each worker renders as its own *process*
-    (stable ``pid = worker_id + 2``; the coordinator is pid 1) with its
-    real thread ids as tids, so the viewer shows one timeline with one
-    track group per OS process.
-
-    Timestamps are aligned through each snapshot's wall/perf clock
-    anchor, so spans recorded by different processes land at their true
-    relative positions.  Open spans (a worker SIGKILLed mid-evaluation)
-    render as complete events ending at the snapshot's flush time,
-    marked ``"open": true`` — a partial trace still renders.
-    """
-    from .live import span_wall_ts
-
-    local_spans = (tracer or get_tracer()).finished()
-    local_anchor = {"wall_ts": time.time(), "perf_s": time.perf_counter()}
-
-    # (wall_start_s, wall_end_s, pid, tid, span-dict) for every event.
-    rows: List[Tuple[float, float, int, int, Dict[str, Any]]] = []
-    metas: List[dict] = [
-        _meta("process_name", COORDINATOR_PID, 0, process_name)
-    ]
-    named_threads = {(COORDINATOR_PID, 0)}
-    for item in local_spans:
-        start = span_wall_ts(item.start_s, local_anchor)
-        end = span_wall_ts(item.end_s, local_anchor)
-        args = dict(item.attributes)
-        args["span_id"] = item.span_id
-        if item.parent_id is not None:
-            args["parent_id"] = item.parent_id
-        rows.append(
-            (
-                start,
-                end,
-                COORDINATOR_PID,
-                item.thread_id,
-                {"name": item.name, "thread_name": item.thread_name,
-                 "args": args},
-            )
-        )
-
-    latest_by_worker: Dict[int, Dict[str, Any]] = {}
-    for snapshot in snapshots:
-        worker = int(snapshot.get("worker", 0))
-        best = latest_by_worker.get(worker)
-        if best is None or snapshot.get("seq", 0) >= best.get("seq", 0):
-            latest_by_worker[worker] = snapshot
-    for worker in sorted(latest_by_worker):
-        snapshot = latest_by_worker[worker]
-        pid = worker + _WORKER_PID_BASE
-        anchor = snapshot.get("anchor", {})
-        flush_wall = float(snapshot.get("ts", anchor.get("wall_ts", 0.0)))
-        metas.append(_meta("process_name", pid, 0, f"worker-{worker:02d}"))
-        for span_data, is_open in [
-            (s, False) for s in snapshot.get("spans", ())
-        ] + [(s, True) for s in snapshot.get("open_spans", ())]:
-            start = span_wall_ts(span_data.get("start_s", 0.0), anchor)
-            if is_open or span_data.get("end_s") is None:
-                end = flush_wall
-            else:
-                end = span_wall_ts(span_data["end_s"], anchor)
-            args = dict(span_data.get("attributes") or {})
-            args["span_id"] = span_data.get("span_id")
-            if span_data.get("parent_id") is not None:
-                args["parent_id"] = span_data["parent_id"]
-            if is_open:
-                args["open"] = True
-            rows.append(
-                (
-                    start,
-                    max(start, end),
-                    pid,
-                    int(span_data.get("thread_id") or 0),
-                    {
-                        "name": span_data.get("name", "?"),
-                        "thread_name": span_data.get("thread_name", "?"),
-                        "args": args,
-                    },
-                )
-            )
-
-    base = min((row[0] for row in rows), default=0.0)
-    events: List[dict] = list(metas)
-    for start, end, pid, tid, payload in sorted(
-        rows, key=lambda row: (row[0], row[2], row[3])
-    ):
-        if (pid, tid) not in named_threads:
-            named_threads.add((pid, tid))
-            events.append(_meta("thread_name", pid, tid,
-                                payload["thread_name"]))
-        events.append(
-            {
-                "name": payload["name"],
-                "cat": payload["name"].split(".", 1)[0],
-                "ph": "X",
-                "pid": pid,
-                "tid": tid,
-                "ts": (start - base) * 1e6,
-                "dur": (end - start) * 1e6,
-                "args": payload["args"],
-            }
-        )
-    registry = metrics or get_metrics()
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "metrics": registry.snapshot(),
-            "workers": sorted(latest_by_worker),
-        },
-    }
-
-
-def stitch_run_trace(
-    root: str,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> dict:
-    """Stitch a distributed-run directory's worker snapshots + the
-    local tracer into one chrome trace document."""
-    import os
-
-    from .live import load_snapshots
-
-    return stitch_chrome_traces(
-        load_snapshots(os.path.join(root, "obs")),
-        tracer=tracer,
-        metrics=metrics,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,15 @@ whole picture of a run.
 Collection is off by default and every hot-path instrumentation site
 guards with :func:`metrics_enabled`, so the disabled cost is a global
 flag check.  All metric types are thread-safe (one lock per metric;
-increments from ``evaluate_batch`` worker threads are exact, not
+increments from an evaluation-timeout watchdog thread are exact, not
 last-writer-wins).
 
 Snapshots (``as_dict``/``MetricsRegistry.snapshot``) are plain JSON
 and *mergeable*: :meth:`MetricsRegistry.merge_snapshot` folds another
-process's snapshot into this registry — counters summed, gauges
+registry's snapshot into this one — counters summed, gauges
 last-writer-wins by timestamp, histograms bucket-merged — which is how
-the distributed coordinator assembles one run-level registry from the
-per-worker snapshot files (:mod:`repro.obs.live`).
+each ``--metrics-port`` scrape overlays the engine's live statistics
+on a copy of the process registry.
 
 API::
 
@@ -57,7 +57,7 @@ Number = Union[int, float]
 #: to cover everything the pipeline observes in one ladder: microsecond
 #: simulator calls up to multi-minute tuning walls.  A final implicit
 #: +Inf bucket catches the overflow.  Shared bounds are what make
-#: cross-process bucket-merging exact.
+#: bucket-merging exact.
 DEFAULT_BUCKETS = (
     1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 300.0,
@@ -88,15 +88,15 @@ class Counter:
         return {"type": "counter", "value": self._value}
 
     def merge_dict(self, data: Dict[str, Any]) -> None:
-        """Fold another process's snapshot of this counter: values sum."""
+        """Fold another registry's snapshot of this counter: values sum."""
         self.add(data.get("value", 0))
 
 
 class Gauge:
     """Last-set point-in-time value.
 
-    Each write records a wall-clock timestamp so cross-process merges
-    can apply last-writer-wins semantics deterministically.
+    Each write records a wall-clock timestamp so snapshot merges can
+    apply last-writer-wins semantics deterministically.
     """
 
     __slots__ = ("name", "_value", "_ts", "_lock")
@@ -138,7 +138,7 @@ class Histogram:
 
     Observations are also folded into a fixed ladder of ``le`` buckets
     (:data:`DEFAULT_BUCKETS` + an implicit +Inf overflow), which is what
-    makes histograms *mergeable across processes* (bucket counts sum)
+    makes histograms *mergeable* across registries (bucket counts sum)
     and gives :meth:`quantile` its estimate.  A fixed-size reservoir of
     the most recent observations rides along so exports can show a
     coarse distribution without unbounded memory.
@@ -346,14 +346,13 @@ class MetricsRegistry:
         Merge semantics per type: **counters sum**, **gauges take the
         newest write** (by recorded timestamp), **histograms merge
         bucket-wise** (requiring identical bucket ladders).  The fold is
-        commutative and associative, so the distributed coordinator can
-        absorb worker snapshots in any order and any number of times —
-        as long as each snapshot is folded once.
+        commutative and associative, so snapshots may be absorbed in any
+        order — as long as each is folded once.
 
         ``exclude_prefixes`` skips metric families the caller bills
-        through a deduplicating channel instead (e.g. ``eval.`` in the
-        distributed merge, where raw per-worker counts would re-bill
-        stolen shards).
+        through another channel (``eval.`` in the ``/metrics``
+        collector, which publishes the engine's live ``EvalStats``
+        instead of its end-of-run totals).
         """
         getters = {
             "counter": self.counter,

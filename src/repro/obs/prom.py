@@ -13,9 +13,13 @@ The registry's snapshot maps onto the Prometheus exposition format
 
 :class:`MetricsHTTPServer` serves ``/metrics`` and ``/healthz`` from a
 stdlib ``http.server`` on a background thread — no third-party client
-library, no new dependencies.  It binds ``127.0.0.1`` by default; the
-exposition is an unauthenticated read of run internals, so exposing it
-beyond the local host is an explicit opt-in (``host="0.0.0.0"``).  This
+library, no new dependencies.  ``http.server`` (and the
+``http.client``, ``ssl``, ``socketserver`` and ``mimetypes`` modules it
+pulls in) is imported only when a server starts, so runs without
+``--metrics-port`` never pay for it.  It binds ``127.0.0.1`` by
+default; the exposition is an unauthenticated read of run internals,
+so exposing it beyond the local host is an explicit opt-in
+(``host="0.0.0.0"``).  This
 endpoint is the seed of the future ``repro serve`` daemon the ROADMAP
 names: the handler takes a *collect callback* returning a registry, so
 a long-running server can swap in whatever aggregation it needs.
@@ -25,10 +29,12 @@ from __future__ import annotations
 
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Union
 
 from .metrics import MetricsRegistry, get_metrics
+
+if TYPE_CHECKING:  # pragma: no cover
+    from http.server import ThreadingHTTPServer
 
 __all__ = [
     "MetricsHTTPServer",
@@ -104,7 +110,7 @@ def prometheus_text(
 ) -> str:
     """Render a registry (or a snapshot dict) as Prometheus exposition.
 
-    ``labels`` are attached to every sample (e.g. ``{"worker": 3}``),
+    ``labels`` are attached to every sample (e.g. ``{"device": "P100"}``),
     merged under any histogram ``le`` label.  Output order is
     deterministic: one ``# HELP``/``# TYPE`` header pair per metric,
     metrics sorted by exposition name.
@@ -178,41 +184,50 @@ def prometheus_text(
 Collect = Callable[[], Union[MetricsRegistry, Dict[str, Dict[str, Any]], str]]
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """``/metrics`` + ``/healthz``; anything else is a 404."""
+def _handler_class():
+    """The request handler, built on first use to keep ``http.server``
+    out of every import of the package."""
+    from http.server import BaseHTTPRequestHandler
 
-    server_version = "repro-metrics/1"
+    class _Handler(BaseHTTPRequestHandler):
+        """``/metrics`` + ``/healthz``; anything else is a 404."""
 
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        path = self.path.split("?", 1)[0]
-        if path == "/metrics":
-            try:
-                collected = self.server.collect()  # type: ignore[attr-defined]
-                body = (
-                    collected
-                    if isinstance(collected, str)
-                    else prometheus_text(collected)
-                ).encode("utf-8")
-            except Exception as exc:  # collection must never kill the run
-                self._respond(500, f"collect failed: {exc}\n".encode("utf-8"))
-                return
-            self._respond(200, body, CONTENT_TYPE)
-        elif path == "/healthz":
-            self._respond(200, b"ok\n")
-        else:
-            self._respond(404, b"not found\n")
+        server_version = "repro-metrics/1"
 
-    def _respond(
-        self, status: int, body: bytes, content_type: str = "text/plain"
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+            path = self.path.split("?", 1)[0]
+            if path == "/metrics":
+                try:
+                    collected = self.server.collect()  # type: ignore[attr-defined]
+                    body = (
+                        collected
+                        if isinstance(collected, str)
+                        else prometheus_text(collected)
+                    ).encode("utf-8")
+                except Exception as exc:  # collection must never kill the run
+                    self._respond(
+                        500, f"collect failed: {exc}\n".encode("utf-8")
+                    )
+                    return
+                self._respond(200, body, CONTENT_TYPE)
+            elif path == "/healthz":
+                self._respond(200, b"ok\n")
+            else:
+                self._respond(404, b"not found\n")
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # scrapes are routine; stay silent on stderr
+        def _respond(
+            self, status: int, body: bytes, content_type: str = "text/plain"
+        ) -> None:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, format: str, *args) -> None:  # noqa: A002
+            pass  # scrapes are routine; stay silent on stderr
+
+    return _Handler
 
 
 class MetricsHTTPServer:
@@ -249,8 +264,10 @@ class MetricsHTTPServer:
     def start(self) -> "MetricsHTTPServer":
         if self._httpd is not None:
             return self
+        from http.server import ThreadingHTTPServer
+
         httpd = ThreadingHTTPServer(
-            (self._host, self._requested_port), _Handler
+            (self._host, self._requested_port), _handler_class()
         )
         httpd.daemon_threads = True
         httpd.collect = self._collect  # type: ignore[attr-defined]

@@ -2,9 +2,9 @@
 
 The tracer records *spans* — named, timed intervals with attributes —
 organized into a per-thread hierarchy: a span started while another span
-is open on the same thread becomes its child.  Worker threads (e.g. the
-evaluation engine's ``evaluate_batch`` pool) each get their own root
-stack, so concurrent evaluation interleaves cleanly instead of producing
+is open on the same thread becomes its child.  Other threads (e.g. the
+evaluation engine's per-evaluation timeout watchdogs) each get their own
+root stack, so concurrent spans interleave cleanly instead of producing
 a scrambled tree.
 
 Design constraints, in priority order:
@@ -83,7 +83,6 @@ class Tracer:
         self.max_spans = max_spans
         self.dropped = 0
         self._finished: List[Span] = []
-        self._open: Dict[int, Span] = {}
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -139,13 +138,8 @@ class Tracer:
         if current is not None:
             current.attributes.update(attributes)
 
-    def _opened(self, item: Span) -> None:
-        with self._lock:
-            self._open[item.span_id] = item
-
     def _finish(self, item: Span) -> None:
         with self._lock:
-            self._open.pop(item.span_id, None)
             if len(self._finished) >= self.max_spans:
                 self.dropped += 1
                 return
@@ -158,22 +152,9 @@ class Tracer:
         with self._lock:
             return tuple(self._finished)
 
-    def open_spans(self) -> Tuple[Span, ...]:
-        """Currently-open spans across *all* threads, oldest first.
-
-        This is what the live snapshot flusher serializes: a worker
-        SIGKILLed mid-evaluation leaves its last flushed open-span set
-        as the record of what it was doing when it died.
-        """
-        with self._lock:
-            return tuple(
-                sorted(self._open.values(), key=lambda s: s.span_id)
-            )
-
     def clear(self) -> None:
         with self._lock:
             self._finished.clear()
-            self._open.clear()
             self.dropped = 0
 
 
@@ -204,7 +185,6 @@ class _SpanContext:
             attributes=self._attributes,
         )
         stack.append(opened)
-        tracer._opened(opened)
         self._span = opened
         return opened
 

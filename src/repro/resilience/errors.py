@@ -160,9 +160,8 @@ class CheckpointLockedError(CheckpointError, UsageError):
 
     Two processes appending to the same JSONL file would interleave
     (and tear) each other's records, silently corrupting the very
-    history the journal exists to protect.  Distributed runs give each
-    worker its own sibling journal and merge afterwards; pointing two
-    runs at one ``--checkpoint`` path is caller-correctable misuse, so
+    history the journal exists to protect.  Pointing two runs at one
+    ``--checkpoint`` path is caller-correctable misuse, so
     this exits with the usage code ``2`` while remaining catchable as
     :class:`CheckpointError`.
     """

@@ -9,8 +9,8 @@ evaluations.
 Injection decisions are **content-addressed, not sequence-addressed**:
 whether a candidate faults is a pure function of ``(seed, candidate
 fingerprint)``, so the same candidates fault regardless of evaluation
-order, worker count, or memoization — chaos runs are reproducible even
-under parallel batch evaluation.
+order or memoization — chaos runs are reproducible even when a
+checkpointed run resumes and replays candidates in a different order.
 
 Fault kinds:
 

@@ -18,7 +18,8 @@ Tuning runs in steps instead of searching the full cross-product:
 All measurement flows through a shared :class:`PlanEvaluator`
 (``repro.tuning.evaluator``), which memoizes simulation results,
 collapses the register-escalation ladder via the register-independent
-simulation prefix, and can evaluate candidate batches on a thread pool.
+simulation prefix, and prices large candidate batches family-wise in one
+vectorized pass.
 
 **Evaluation accounting** is uniform: ``evaluations`` counts one per
 candidate plan submitted for measurement — feasible, spilling and
@@ -50,6 +51,7 @@ from ..ir.stencil import ProgramIR
 from ..obs import counter as _counter, metrics_enabled as _metrics_enabled
 from ..obs import span as _span
 from ..obs.search import log_context as _log_context
+from ..resilience import UsageError
 from ..resilience.checkpoint import (
     TuningJournal,
     ir_fingerprint,
@@ -119,12 +121,15 @@ class HierarchicalTuner:
         hierarchy: Optional[Sequence[VariantGenerator]] = None,
         keep_trace: bool = False,
         evaluator: Optional[PlanEvaluator] = None,
-        workers: Optional[int] = None,
         journal: Optional[TuningJournal] = None,
         lint_prune: bool = False,
     ):
+        if top_k < 1:
+            raise UsageError(
+                f"top_k must keep at least one stage-1 survivor, not {top_k}"
+            )
         self.ir = ir
-        self.evaluator = evaluator or PlanEvaluator(device=device, workers=workers)
+        self.evaluator = evaluator or PlanEvaluator(device=device)
         self.device = self.evaluator.device
         self.use_unrolling = use_unrolling
         self.use_register_opts = use_register_opts
@@ -140,7 +145,6 @@ class HierarchicalTuner:
         #: it only when saved simulations matter more than exhaustive
         #: fidelity to the model.
         self.lint_prune = lint_prune
-        self.workers = workers if workers is not None else self.evaluator.workers
         #: checkpoint journal: measured candidates are appended as they
         #: complete, and journaled outcomes replay instead of
         #: re-evaluating (see ``repro.resilience.checkpoint``).
@@ -209,9 +213,9 @@ class HierarchicalTuner:
     def _journal_on_result(self, tag: str):
         """Per-completion callback journaling batch jobs as they finish.
 
-        Runs inside the evaluator's batch loop (possibly on worker
-        threads — the journal appends under its own lock), so a crash
-        mid-batch preserves every candidate that already completed.
+        Runs inside the evaluator's batch loop as each job finishes, so
+        a crash mid-batch preserves every candidate that already
+        completed.
         """
         if self.journal is None:
             return None
@@ -262,7 +266,7 @@ class HierarchicalTuner:
     def _measure_batch(
         self, plans: Sequence[KernelPlan]
     ) -> List[Optional[Measurement]]:
-        """Measure candidates (possibly in parallel), input-ordered.
+        """Measure candidates as one evaluator batch, input-ordered.
 
         Accounting and trace entries are identical to calling
         :meth:`measure` serially on each plan.
@@ -283,7 +287,6 @@ class HierarchicalTuner:
         found = self.evaluator.evaluate_spill_free_batch(
             self.ir,
             [plan for _, plan in fresh],
-            workers=self.workers,
             on_result=self._journal_on_result("sf"),
         )
         for (position, _), item in zip(fresh, found):

@@ -1,11 +1,11 @@
-"""Certification purity under distribution.
+"""Certification purity.
 
 The certifier is a pure function of (IR, plan-family): every
-evaluation context — the coordinator certifying directly, a worker's
-engine prescreen, a memo-cache replay of the same family, even a
-process with a different hash seed — must derive *byte-identical*
-diagnostics, and rejection counters must merge to the single-process
-truth even when a worker is SIGKILLed mid-shard and its lease stolen.
+evaluation context — certifying directly, the engine prescreen, a
+memo-cache replay of the same family, even a process with a different
+hash seed — must derive *byte-identical* diagnostics, and rejection
+counters of a batch split across engines must sum to those of one
+engine evaluating everything.
 """
 
 import json
@@ -14,14 +14,13 @@ import subprocess
 import sys
 
 from repro.codegen.plan import KernelPlan
-from repro.distrib import DistributedCoordinator, KillPolicy
 from repro.dsl import parse
-from repro.gpu.device import P100, get_device
+from repro.gpu.device import P100
 from repro.gpu.simulator import PlanInfeasible
 from repro.ir import build_ir
 from repro.lint import certify_plan_transformations, check_plan, plan_rejection
 from repro.obs import configure_metrics, get_metrics
-from repro.tuning import PlanEvaluator, deep_tune
+from repro.tuning import PlanEvaluator
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
@@ -54,17 +53,16 @@ def diagnostics_payload(diags):
 
 
 class TestDiagnosticPurity:
-    def test_coordinator_worker_and_memo_views_agree(self):
+    def test_direct_prescreen_and_memo_views_agree(self):
         ir = build_ir(parse(PROGRAM))
         plan = refuted_plan()
-        # Coordinator view: direct certification.
         direct = diagnostics_payload(certify_plan_transformations(ir, plan))
-        # Worker view: the engine prescreen's rejection diagnostic.
-        worker = diagnostics_payload([plan_rejection(ir, plan, P100)])
+        # The engine prescreen's rejection diagnostic.
+        prescreen = diagnostics_payload([plan_rejection(ir, plan, P100)])
         # Memo-cache replay: the second probe of the same plan family
         # answers from the family memo, and must not drift.
         replay = diagnostics_payload([plan_rejection(ir, plan, P100)])
-        assert direct == worker == replay
+        assert direct == prescreen == replay
 
     def test_family_siblings_share_identical_diagnostics(self):
         # max_registers/block/unroll are structurally exempt: siblings
@@ -131,9 +129,9 @@ class TestCounterParity:
         }
 
     def test_split_evaluation_counts_like_single(self):
-        # A "distributed" batch — refuted fused plans among feasible
-        # singles — split across two worker engines must emit exactly
-        # the per-rule counters of one engine evaluating everything.
+        # A batch — refuted fused plans among feasible singles — split
+        # across two engines must emit exactly the per-rule counters of
+        # one engine evaluating everything.
         ir = build_ir(parse(PROGRAM))
         plans = [
             refuted_plan(),
@@ -163,65 +161,7 @@ class TestCounterParity:
         )
         assert split_counters == single_counters
         assert single_counters.get("lint.reject.RL301") == 2
-        # EvalStats invariant holds per worker: every screened
+        # EvalStats invariant holds per engine: every screened
         # candidate is a counted lint rejection.
         for screened, lint_rejections in single_stats + split_stats:
             assert lint_rejections == screened
-
-    def test_sigkilled_worker_preserves_lint_counters(
-        self, smoother_ir, tmp_path
-    ):
-        # Full distributed chaos run: a SIGKILLed worker's shard is
-        # stolen and re-evaluated, yet the dedup-billed engine reports
-        # the single-process lint-rejection truth, the EvalStats
-        # invariant holds, and no RL3xx counter appears on either side
-        # (tuners emit single-kernel launches only — the certifier can
-        # never reject a tuner-generated candidate).
-        single_engine = PlanEvaluator(device=get_device("P100"))
-        configure_metrics(True, reset=True)
-        try:
-            deep_tune(smoother_ir, evaluator=single_engine)
-            single_counters = self._lint_counters(get_metrics().snapshot())
-        finally:
-            configure_metrics(False, reset=True)
-
-        dist_engine = PlanEvaluator(device=get_device("P100"))
-        configure_metrics(True, reset=True)
-        try:
-            with DistributedCoordinator(
-                str(tmp_path / "dist"),
-                workers=3,
-                lease_ttl=0.25,
-                poll_s=0.02,
-                straggle_s=0.8,
-                straggle_worker=0,
-                partition_claims=True,
-                kill=KillPolicy(victim=0, after_records=1),
-            ) as coordinator:
-                deep_tune(
-                    smoother_ir,
-                    evaluator=dist_engine,
-                    make_tuner=coordinator.make_tuner,
-                )
-                stats = coordinator.stats
-                merged = coordinator.merged_registry().snapshot()
-        finally:
-            configure_metrics(False, reset=True)
-
-        assert stats.workers_killed == 1
-        assert (
-            dist_engine.stats.lint_rejections
-            == single_engine.stats.lint_rejections
-        )
-        assert dist_engine.stats.lint_rejections > 0
-        assert (
-            dist_engine.stats.lint_rejections == dist_engine.stats.screened
-        )
-        merged_lint = self._lint_counters(merged)
-        rl3 = {
-            name
-            for counters in (single_counters, merged_lint)
-            for name in counters
-            if name.startswith("lint.reject.RL3")
-        }
-        assert rl3 == set()

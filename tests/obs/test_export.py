@@ -228,121 +228,3 @@ class TestSearchInstants:
         )
         doc = _json.loads(path.read_text())
         assert [e for e in doc["traceEvents"] if e["ph"] == "i"]
-
-
-class TestStitchChromeTraces:
-    """Multi-worker stitching: stable pids, anchors, open spans."""
-
-    @staticmethod
-    def _worker_snapshot(worker, seq=1, open_span=False):
-        from repro.obs import Tracer, build_snapshot
-
-        tracer = Tracer(enabled=True)
-        if open_span:
-            context = tracer.span("evaluate", shard=f"s{worker}")
-            context.__enter__()  # never exited: SIGKILL mid-evaluation
-        else:
-            with tracer.span("evaluate", shard=f"s{worker}"):
-                pass
-        return build_snapshot(
-            worker, registry=MetricsRegistry(), tracer=tracer,
-            seq=seq, include_spans=True,
-        )
-
-    def test_stable_pid_mapping(self):
-        from repro.obs import stitch_chrome_traces
-
-        doc = stitch_chrome_traces(
-            [self._worker_snapshot(0), self._worker_snapshot(1)],
-            tracer=populated_tracer(),
-            metrics=MetricsRegistry(),
-        )
-        names = {
-            (m["pid"], m["args"]["name"])
-            for m in doc["traceEvents"]
-            if m["ph"] == "M" and m["name"] == "process_name"
-        }
-        assert names == {
-            (1, "coordinator"), (2, "worker-00"), (3, "worker-01"),
-        }
-        assert doc["otherData"]["workers"] == [0, 1]
-
-    def test_latest_snapshot_per_worker_wins(self):
-        from repro.obs import stitch_chrome_traces
-
-        doc = stitch_chrome_traces(
-            [self._worker_snapshot(0, seq=1), self._worker_snapshot(0, seq=5)],
-            tracer=Tracer(enabled=True),
-            metrics=MetricsRegistry(),
-        )
-        worker_spans = [
-            e for e in doc["traceEvents"]
-            if e["ph"] == "X" and e["pid"] == 2
-        ]
-        assert len(worker_spans) == 1  # not both snapshots' copies
-
-    def test_open_span_renders_ending_at_flush(self):
-        from repro.obs import stitch_chrome_traces
-
-        doc = stitch_chrome_traces(
-            [self._worker_snapshot(3, open_span=True)],
-            tracer=Tracer(enabled=True),
-            metrics=MetricsRegistry(),
-        )
-        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert len(spans) == 1
-        (span,) = spans
-        assert span["pid"] == 5  # worker 3 + base 2
-        assert span["args"]["open"] is True
-        assert span["dur"] >= 0.0
-
-    def test_timestamps_nonnegative_and_json_ready(self):
-        from repro.obs import stitch_chrome_traces
-
-        doc = stitch_chrome_traces(
-            [self._worker_snapshot(0)],
-            tracer=populated_tracer(),
-            metrics=MetricsRegistry(),
-        )
-        for event in doc["traceEvents"]:
-            if event["ph"] == "X":
-                assert event["ts"] >= 0.0
-        json.dumps(doc)
-
-    def test_stitch_run_trace_reads_obs_dir(self, tmp_path):
-        from repro.obs import stitch_run_trace, write_snapshot
-        from repro.obs.live import snapshot_path
-
-        obs = tmp_path / "obs"
-        obs.mkdir()
-        write_snapshot(
-            snapshot_path(str(obs), 0), self._worker_snapshot(0)
-        )
-        doc = stitch_run_trace(
-            str(tmp_path),
-            tracer=Tracer(enabled=True),
-            metrics=MetricsRegistry(),
-        )
-        assert doc["otherData"]["workers"] == [0]
-
-    def test_write_trace_routes_stitch_root(self, tmp_path):
-        from repro.obs import write_snapshot
-        from repro.obs.live import snapshot_path
-
-        obs = tmp_path / "obs"
-        obs.mkdir()
-        write_snapshot(
-            snapshot_path(str(obs), 1), self._worker_snapshot(1)
-        )
-        out = tmp_path / "stitched.json"
-        write_trace(
-            str(out),
-            populated_tracer(),
-            MetricsRegistry(),
-            fmt="chrome",
-            stitch_root=str(tmp_path),
-        )
-        doc = json.loads(out.read_text())
-        assert doc["otherData"]["workers"] == [1]
-        pids = {e["pid"] for e in doc["traceEvents"]}
-        assert {1, 3} <= pids

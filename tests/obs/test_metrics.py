@@ -1,8 +1,11 @@
 """Unit tests for the metrics registry."""
 
+import random
 import threading
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.obs import (
     Counter,
@@ -158,6 +161,65 @@ class TestMergeDicts:
         target.merge_snapshot(source.snapshot(), exclude_prefixes=("eval.",))
         assert "eval.requests" not in target.snapshot()
         assert target.counter("distrib.steals").value == 1
+
+
+# Exact-in-float values: sums of multiples of 0.25 carry no rounding,
+# so merges in any order produce bit-identical sums and means.
+_exact = st.integers(min_value=0, max_value=40).map(lambda n: n * 0.25)
+
+
+@st.composite
+def _registry_snapshots(draw):
+    count = draw(st.integers(min_value=1, max_value=4))
+    gauge_ts = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=10**6),
+            min_size=count, max_size=count, unique=True,
+        )
+    )
+    snapshots = []
+    for index in range(count):
+        reg = MetricsRegistry()
+        counters = draw(
+            st.dictionaries(
+                st.sampled_from(["a", "b", "c"]),
+                st.integers(min_value=0, max_value=100),
+                max_size=3,
+            )
+        )
+        for name, value in counters.items():
+            reg.counter(name).add(value)
+        reg.gauge("g").set(draw(_exact), ts=float(gauge_ts[index]))
+        for value in draw(st.lists(_exact, max_size=6)):
+            reg.histogram("h").observe(value)
+        snapshots.append(reg.snapshot())
+    return snapshots
+
+
+def _fold(snapshots):
+    reg = MetricsRegistry()
+    for snapshot in snapshots:
+        reg.merge_snapshot(snapshot)
+    return reg.snapshot()
+
+
+class TestMergeLaws:
+    """``merge_snapshot`` promises a commutative, associative fold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(snapshots=_registry_snapshots(), seed=st.integers(0, 2**16))
+    def test_fold_order_never_changes_the_result(self, snapshots, seed):
+        shuffled = list(snapshots)
+        random.Random(seed).shuffle(shuffled)
+        assert _fold(snapshots) == _fold(shuffled)
+
+    @settings(max_examples=30, deadline=None)
+    @given(snapshots=_registry_snapshots())
+    def test_fold_is_associative(self, snapshots):
+        # Folding a pre-merged prefix equals folding one at a time.
+        split = len(snapshots) // 2
+        grouped = [_fold(snapshots[:split]), _fold(snapshots[split:])]
+        assert _fold(grouped) == _fold(snapshots)
 
 
 class TestRegistry:

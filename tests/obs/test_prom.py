@@ -1,5 +1,8 @@
 """Prometheus exposition contract and the /metrics endpoint."""
 
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
@@ -147,3 +150,24 @@ class TestEndpoint:
     def test_binds_loopback_by_default(self):
         server = MetricsHTTPServer()
         assert server.url.startswith("http://127.0.0.1:")
+
+
+def test_cli_import_leaves_http_server_unloaded():
+    # ``http.server`` is imported only when a metrics server starts, so
+    # a plain ``import repro.cli`` must not pay for it.
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli; print('http.server' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -202,10 +202,21 @@ class TestAccountingInvariant:
         if engine.stats.degraded:
             assert log.counts().get("degraded", 0) == engine.stats.degraded
 
-    def test_invariant_with_parallel_workers(self, smoother_ir):
-        log, engine = _tuned(smoother_ir, workers=4)
+    def test_invariant_with_watchdog_threads(self, smoother_ir, monkeypatch):
+        # With a per-evaluation timeout every evaluation runs on its own
+        # watchdog thread, which inherits the caller's context tags.
+        threads = set()
+        emit = SearchLog.emit
+
+        def spy(self, kind, **fields):
+            if kind == "candidate":
+                threads.add(threading.current_thread().name)
+            return emit(self, kind, **fields)
+
+        monkeypatch.setattr(SearchLog, "emit", spy)
+        log, engine = _tuned(smoother_ir, timeout_s=30.0)
+        assert threads == {"eval-watchdog"}
         assert log.candidate_count() == engine.stats.requests
-        # batch workers inherit the spawning thread's context tags
         stages = {
             e["context"].get("stage")
             for e in log.events()

@@ -169,14 +169,19 @@ class TestThreading:
             base.replace(block=block)
             for block in [(32, 8), (32, 16), (16, 8), (16, 16), (8, 8), (64, 4)]
         ]
-        evaluator = PlanEvaluator()
-        results = evaluator.evaluate_batch(ir, plans, workers=4)
+        # Scalar pricing, so every ``simulate`` span opens inside a
+        # thunk; the timeout runs each thunk on its own watchdog thread.
+        evaluator = PlanEvaluator(vectorize=False, timeout_s=30.0)
+        results = evaluator.evaluate_batch(ir, plans)
         assert any(r is not None for r in results)
         spans = global_tracing.finished()
         batch = [s for s in spans if s.name == "eval.batch"]
         assert len(batch) == 1
-        assert batch[0].attributes["workers"] == 4
         assert batch[0].attributes["candidates"] == len(plans)
+        simulated = [s for s in spans if s.name == "simulate"]
+        assert simulated
+        assert all(s.thread_name == "eval-watchdog" for s in simulated)
+        assert all(s.thread_id != batch[0].thread_id for s in simulated)
         # Per-thread hierarchies stay well-formed: every parented span's
         # parent lives on the same thread and encloses it in time.
         by_id = {s.span_id: s for s in spans}

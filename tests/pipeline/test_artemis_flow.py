@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import run_global, run_ppcg, run_stencilgen
 from repro.pipeline import format_report, optimize
+from repro.resilience import UsageError
 from repro.suite import load_ir
 
 
@@ -27,6 +28,11 @@ class TestIterativeFlow:
 
     def test_tipping_point_under_four(self, smoother_outcome):
         assert smoother_outcome.deep_tuning.tipping_point <= 4
+
+    @pytest.mark.parametrize("name", ["7pt-smoother", "rhs4center"])
+    def test_top_k_below_one_is_usage_error(self, name):
+        with pytest.raises(UsageError, match="top_k"):
+            optimize(load_ir(name), top_k=0)
 
     def test_custom_iteration_count(self):
         outcome = optimize(load_ir("7pt-smoother"), iterations=13)

@@ -20,6 +20,7 @@ from repro.resilience import (
     InjectedFault,
     RetryPolicy,
     TuningJournal,
+    UsageError,
 )
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
 
@@ -150,6 +151,20 @@ class TestTimeouts:
         assert engine.stats.timeouts >= injector.injected
         assert engine.stats.failures == engine.stats.timeouts
 
+    @pytest.mark.parametrize(
+        "timeout_s", [0, -1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_timeout_must_be_positive_and_finite(self, timeout_s):
+        with pytest.raises(UsageError, match="timeout_s"):
+            PlanEvaluator(timeout_s=timeout_s)
+
+    def test_generous_timeout_changes_nothing(self, smoother_ir, reference):
+        base, ref, _ = reference
+        result, engine = _tune(smoother_ir, base, timeout_s=30.0)
+        assert result.best.plan == ref.best.plan
+        assert result.best.time_s == ref.best.time_s
+        assert engine.stats.timeouts == 0
+
 
 class TestCheckpointResume:
     def test_interrupted_run_resumes_to_identical_best_plan(
@@ -263,28 +278,3 @@ class TestDeepTuningResume:
             )
         assert replayed.tipping_point == first.tipping_point
         assert engine.stats.requests == 0
-
-
-class TestParallelChaos:
-    def test_parallel_workers_same_faults_same_answer(
-        self, smoother_ir, reference
-    ):
-        """Content-addressed injection + per-job guards: a parallel
-        chaos run quarantines the same candidates as a serial one."""
-        base, _, _ = reference
-        serial, serial_engine = _tune(
-            smoother_ir,
-            base,
-            fault_injector=FaultInjector(rate=0.1, seed=11),
-            on_error="skip",
-        )
-        parallel, parallel_engine = _tune(
-            smoother_ir,
-            base,
-            fault_injector=FaultInjector(rate=0.1, seed=11),
-            workers=4,
-            on_error="skip",
-        )
-        assert parallel.best.plan == serial.best.plan
-        assert parallel.best.time_s == serial.best.time_s
-        assert parallel_engine.stats.failures == serial_engine.stats.failures

@@ -1,6 +1,8 @@
 """The crash-safe JSONL tuning journal: round-trips and torn writes."""
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -14,6 +16,22 @@ from repro.resilience import (
     plan_from_dict,
     plan_to_dict,
 )
+
+
+def _open_expecting_lock(path):
+    """Child-process body: exit 0 iff the journal is locked."""
+    try:
+        TuningJournal(path, device="P100").close()
+    except CheckpointLockedError:
+        os._exit(0)
+    os._exit(1)
+
+
+def _open_and_record(path, prefix, count):
+    """Child-process body: journal ``count`` candidates."""
+    with TuningJournal(path, device="P100") as journal:
+        for index in range(count):
+            journal.record_candidate(f"{prefix}{index}", {"index": index})
 
 
 class TestPlanSerialization:
@@ -83,6 +101,43 @@ class TestJournalRoundTrip:
         assert reopened.lookup("k1")["plan"] == {"v": 1}
         reopened.close()
 
+    def test_candidate_after_failure_replays(self, tmp_path):
+        # A retried candidate that succeeded after a logged failure
+        # replays on resume; the failure stays as a diagnostic.
+        path = str(tmp_path / "journal.jsonl")
+        with TuningJournal(path) as journal:
+            journal.record_failure("k1", RuntimeError("flaky"))
+            journal.record_candidate("k1", {"v": 1})
+        reopened = TuningJournal(path)
+        assert reopened.lookup("k1")["plan"] == {"v": 1}
+        assert reopened.failure("k1")["message"] == "flaky"
+        assert reopened.replayable == 1
+        reopened.close()
+
+    def test_records_view_filters_by_kind(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        with TuningJournal(path) as journal:
+            journal.record_candidate("k1", {"v": 1})
+            journal.record_degree("ir:degree:1", {"degree": 1})
+            journal.record_failure("k2", RuntimeError("flaky"))
+        reopened = TuningJournal(path)
+        assert [r["key"] for r in reopened.records("candidate")] == ["k1"]
+        assert [r["key"] for r in reopened.records("degree")] == [
+            "ir:degree:1"
+        ]
+        assert len(reopened.records()) == 2  # failures are not records
+        reopened.close()
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        with TuningJournal(path) as journal:
+            journal.record_candidate("k1", {"v": 1})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("\n   \n")
+        reopened = TuningJournal(path)
+        assert reopened.lookup("k1")["plan"] == {"v": 1}
+        reopened.close()
+
     def test_degree_records(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path) as journal:
@@ -118,6 +173,63 @@ class TestCrashRecovery:
         final = TuningJournal(path, device="P100")
         assert final.lookup("k3")["plan"] == {"v": 3}
         final.close()
+
+    @pytest.mark.parametrize("keep", [1, 17, -1])
+    def test_torn_tail_of_any_length_is_dropped(self, tmp_path, keep):
+        # keep=-1 leaves a complete JSON object without its newline:
+        # an append is committed only by its terminating newline.
+        path = self._journal_with_records(tmp_path)
+        torn = json.dumps({"kind": "candidate", "key": "k3", "plan": None})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(torn[:keep] if keep > 0 else torn)
+        journal = TuningJournal(path, device="P100")
+        assert journal.lookup("k3") is None
+        assert journal.replayable == 2
+        journal.close()
+        with open(path, "rb") as handle:
+            assert handle.read().endswith(b"\n")
+
+    def test_torn_header_is_rewritten(self, tmp_path):
+        # A crash inside the very first append leaves no complete line;
+        # the reopened journal must start over with a header, so the
+        # device check keeps working for later resumes.
+        path = str(tmp_path / "journal.jsonl")
+        TuningJournal(path, device="P100").close()
+        raw = open(path, encoding="utf-8").read()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(raw[: len(raw) // 2])
+        with TuningJournal(path, device="P100") as journal:
+            journal.record_candidate("k1", {"v": 1})
+        first = json.loads(open(path, encoding="utf-8").readline())
+        assert first["kind"] == "header"
+        assert first["device"] == "P100"
+        with pytest.raises(CheckpointError):
+            TuningJournal(path, device="V100")
+
+    def test_refused_writer_leaves_the_live_tail_alone(self, tmp_path):
+        # While one run holds the journal, its last line may be an
+        # append in flight; a second opener is refused *before* it
+        # would repair (truncate) that tail.
+        path = self._journal_with_records(tmp_path)
+        live = TuningJournal(path, device="P100")
+        try:
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write('{"kind": "candidate", "key": "k3"')
+            before = open(path, "rb").read()
+            with pytest.raises(CheckpointLockedError):
+                TuningJournal(path, device="P100")
+            assert open(path, "rb").read() == before
+        finally:
+            live.close()
+
+    def test_failed_load_releases_the_lock(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("not json\n")
+        with pytest.raises(CheckpointCorruptError):
+            TuningJournal(path)
+        os.remove(path)
+        TuningJournal(path).close()  # the refused open held no lock
 
     def test_corrupt_middle_line_refuses_to_load(self, tmp_path):
         path = self._journal_with_records(tmp_path)
@@ -170,9 +282,43 @@ class TestWriterLock:
         assert reopened.lookup("k1")["plan"] == {"v": 1}
         reopened.close()
 
+    def test_second_process_is_refused(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        ctx = multiprocessing.get_context("fork")
+        with TuningJournal(path, device="P100"):
+            child = ctx.Process(target=_open_expecting_lock, args=(path,))
+            child.start()
+            child.join(timeout=30.0)
+            assert child.exitcode == 0
+        # Once the holder closes, another process may open it.
+        child = ctx.Process(target=_open_and_record, args=(path, "k", 2))
+        child.start()
+        child.join(timeout=30.0)
+        assert child.exitcode == 0
+        with TuningJournal(path, device="P100") as journal:
+            assert journal.lookup("k1")["plan"] == {"index": 1}
+
+    def test_sibling_journals_of_two_processes_reload_intact(self, tmp_path):
+        ctx = multiprocessing.get_context("fork")
+        paths = [str(tmp_path / f"run-{n}.jsonl") for n in (0, 1)]
+        children = [
+            ctx.Process(target=_open_and_record, args=(path, "k", 25))
+            for path in paths
+        ]
+        for child in children:
+            child.start()
+        for child in children:
+            child.join(timeout=30.0)
+            assert child.exitcode == 0
+        for path in paths:
+            journal = TuningJournal(path, device="P100")
+            assert journal.replayable == 25
+            assert journal.lookup("k24")["plan"] == {"index": 24}
+            journal.close()
+
     def test_sibling_paths_do_not_conflict(self, tmp_path):
-        # The distributed layout: one journal per worker, same
-        # directory.  Locks are per-file, not per-directory.
+        # Two runs journaling side by side in one directory: locks
+        # are per-file, not per-directory.
         first = TuningJournal(str(tmp_path / "worker-00.jsonl"))
         second = TuningJournal(str(tmp_path / "worker-01.jsonl"))
         first.close()

@@ -76,6 +76,34 @@ class TestExitCodes:
         assert "injected fault" in err
         assert "fault_seed=42" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--top-k", "0"],
+            ["--top-k", "-1"],
+            ["--top-k", "-2"],
+            ["--eval-timeout", "nan"],
+            ["--eval-timeout", "0"],
+            ["--eval-timeout", "-1"],
+            ["--eval-timeout", "inf"],
+            ["--eval-timeout=-inf"],  # "-inf" alone parses as a flag
+        ],
+    )
+    def test_out_of_range_tuning_flags_are_exit_2(self, spec, flags, capsys):
+        code = main(["optimize", spec, *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert ("top_k" if flags[0] == "--top-k" else "timeout_s") in err
+
+    @pytest.mark.parametrize("timeout", ["nan", "0", "-inf"])
+    def test_deep_tune_eval_timeout_is_validated(self, timeout, capsys):
+        code = main(["deep-tune", "7pt-smoother", f"--eval-timeout={timeout}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "timeout_s" in err
+
     def test_argparse_usage_is_exit_2(self):
         with pytest.raises(SystemExit) as info:
             main(["optimize"])  # missing spec positional

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.codegen.resources import auto_assign, seed_plan_from_pragma
+
+
+def seed_plan(ir):
+    return auto_assign(ir, seed_plan_from_pragma(ir, ir.kernels[0])).plan
 
 
 class TestParser:
@@ -404,7 +409,7 @@ class TestBenchCli:
 
 
 class TestLiveObservatory:
-    """--metrics-port, p50/p95 metric columns, and `repro top`."""
+    """--metrics-port and the p50/p95 metric columns."""
 
     @staticmethod
     def _free_port():
@@ -469,41 +474,70 @@ class TestLiveObservatory:
         )
         assert args.metrics_port == 0
 
-    def _fake_run_dir(self, tmp_path):
-        from repro.distrib import DistribPaths
-        from repro.obs import MetricsRegistry, build_snapshot, write_snapshot
-        from repro.resilience.atomic import atomic_write_json
+    def test_publish_stats_counters_and_timing_histograms(self):
+        from repro.cli import publish_stats_dict
+        from repro.obs import MetricsRegistry
 
-        paths = DistribPaths(str(tmp_path)).ensure()
-        atomic_write_json(
-            paths.config_path,
-            {"device": "P100", "workers": 1, "lease_ttl": 2.0,
-             "created_ts": 0.0},
+        reg = MetricsRegistry()
+        publish_stats_dict(
+            reg, {"requests": 4, "hits": 1, "wall_s": 0.5, "cpu_s": 0.0}
         )
-        registry = MetricsRegistry()
-        registry.counter("eval.requests").add(10)
-        write_snapshot(
-            paths.worker_metrics_path(0),
-            build_snapshot(0, registry=registry, seq=1),
-        )
-        return paths
+        snap = reg.snapshot()
+        assert snap["eval.requests"]["value"] == 4
+        assert snap["eval.hits"]["value"] == 1
+        assert snap["eval.wall_s"]["count"] == 1
+        assert "eval.cpu_s" not in snap  # zero timing -> no observation
 
-    def test_top_once_exits_zero_with_worker_rows(self, tmp_path, capsys):
-        self._fake_run_dir(tmp_path)
-        assert main(["top", str(tmp_path), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "repro top" in out
-        assert "ev/s" in out
+    def test_publish_stats_covers_every_eval_stats_field(self):
+        from repro.cli import publish_stats_dict
+        from repro.obs import MetricsRegistry
+        from repro.suite import load_ir
+        from repro.tuning import PlanEvaluator
 
-    def test_top_missing_directory_is_usage_error(self, tmp_path, capsys):
-        assert main(["top", str(tmp_path / "nowhere")]) == 2
-        assert "error:" in capsys.readouterr().err
+        ir = load_ir("7pt-smoother")
+        engine = PlanEvaluator()
+        for block in ((32, 16), (32, 8), (64, 4)):
+            plan = seed_plan(ir).replace(block=block)
+            engine.try_evaluate(ir, plan, catch=(Exception,))
+        stats = engine.stats.as_dict()
+        assert stats["requests"] == 3
+        reg = MetricsRegistry()
+        publish_stats_dict(reg, stats, prefix="live")
+        snap = reg.snapshot()
+        for name, value in stats.items():
+            if name in ("wall_s", "cpu_s"):
+                assert snap[f"live.{name}"]["sum"] == pytest.approx(value)
+            else:
+                assert snap[f"live.{name}"]["value"] == value
 
-    def test_shard_status_json_has_iso_timestamps(self, tmp_path, capsys):
-        import json
 
-        self._fake_run_dir(tmp_path)
-        assert main(["shard-status", str(tmp_path), "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert info["scanned_iso"].endswith("Z")
-        assert info["created_iso"] == "1970-01-01T00:00:00Z"
+class TestRemovedExecutors:
+    """The thread pool, process pool and distributed coordinator are
+    gone: their flags and subcommands are argparse usage errors."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "7pt-smoother", "--workers", "2"],
+            ["optimize", "7pt-smoother", "--executor", "process"],
+            ["optimize", "7pt-smoother", "--distributed", "2"],
+            ["optimize", "7pt-smoother", "--distrib-dir", "run"],
+            ["optimize", "7pt-smoother", "--lease-ttl", "1"],
+            ["deep-tune", "7pt-smoother", "--workers", "2"],
+            ["deep-tune", "7pt-smoother", "--executor", "thread"],
+            ["deep-tune", "7pt-smoother", "--distributed", "2"],
+            ["optimize", "7pt-smoother", "--executor", "thread"],
+            ["deep-tune", "7pt-smoother", "--executor", "process"],
+            ["deep-tune", "7pt-smoother", "--distrib-dir", "run"],
+            ["deep-tune", "7pt-smoother", "--lease-ttl", "1"],
+            ["bench", "--executor", "process"],
+            ["bench", "--executor", "thread"],
+            ["shard-status", "run"],
+            ["top", "run"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2

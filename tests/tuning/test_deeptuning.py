@@ -14,6 +14,7 @@ from repro.gpu.executor import (
 )
 from repro.dsl import parse
 from repro.ir import build_ir
+from repro.resilience import UsageError
 from repro.tuning import (
     DeepTuningResult,
     deep_tune,
@@ -80,6 +81,11 @@ class TestDeepTune:
         ir = build_ir(parse(src))
         with pytest.raises(ValueError):
             deep_tune(ir)
+
+    def test_top_k_below_one_is_usage_error(self, tuned):
+        ir, _result = tuned
+        with pytest.raises(UsageError, match="top_k"):
+            deep_tune(ir, top_k=0)
 
 
 def _fake_result(times):

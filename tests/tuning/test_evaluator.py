@@ -1,11 +1,12 @@
 """Tests for the shared plan-evaluation engine.
 
-The engine's contract is *bit-for-bit equivalence*: memoized, batched,
-parallel and incrementally-escalated evaluation must return exactly what
+The engine's contract is *bit-for-bit equivalence*: memoized, batched
+and incrementally-escalated evaluation must return exactly what
 the direct ``validate_plan`` + ``simulate`` path returns.
 """
 
 import random
+import threading
 import time
 
 import pytest
@@ -14,6 +15,8 @@ from repro.codegen.plan import REGISTER_LEVELS
 from repro.codegen.resources import InvalidPlan, validate_plan
 from repro.codegen.tiling import plan_family_key
 from repro.gpu.simulator import PlanInfeasible, simulate
+from repro.resilience import UsageError
+from repro.suite import BENCHMARKS, load_ir
 from repro.tuning import (
     HierarchicalTuner,
     PlanEvaluator,
@@ -170,11 +173,10 @@ class TestBatch:
             )
             for p in plans
         ]
-        parallel_eval = PlanEvaluator()
-        batched = parallel_eval.evaluate_batch(
+        batch_eval = PlanEvaluator()
+        batched = batch_eval.evaluate_batch(
             smoother_ir,
             plans,
-            workers=4,
             catch=(PlanInfeasible, InvalidPlan, ValueError),
         )
         assert len(batched) == len(plans)
@@ -183,6 +185,49 @@ class TestBatch:
             if ser is not None:
                 assert par.counters == ser.counters
                 assert par.timing == ser.timing
+
+    @pytest.mark.parametrize("name", list(BENCHMARKS))
+    def test_batch_matches_one_at_a_time_on_suite(self, name):
+        # One batch and the same plans submitted one by one go through
+        # the same serial path: identical results, identical accounting.
+        ir = load_ir(name)
+        catch = (PlanInfeasible, InvalidPlan, ValueError)
+        for instance in ir.kernels:
+            plans = sampled_plans(ir, instance.name, 24, seed=5)
+            single = PlanEvaluator()
+            one_by_one = [single.try_evaluate(ir, p, catch=catch) for p in plans]
+            batch = PlanEvaluator()
+            batched = batch.evaluate_batch(ir, plans, catch=catch)
+            assert len(batched) == len(plans)
+            for ser, bat in zip(one_by_one, batched):
+                assert (ser is None) == (bat is None)
+                if ser is not None:
+                    assert bat.counters == ser.counters
+                    assert bat.timing == ser.timing
+            for field in ("requests", "misses", "infeasible", "screened"):
+                assert getattr(batch.stats, field) == getattr(
+                    single.stats, field
+                ), field
+
+    def test_batch_runs_on_the_calling_thread(
+        self, smoother_ir, monkeypatch
+    ):
+        import repro.tuning.evaluator as evaluator_mod
+
+        threads = set()
+        real_simulate = evaluator_mod.simulate
+
+        def recording_simulate(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real_simulate(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator_mod, "simulate", recording_simulate)
+        kernel = smoother_ir.kernels[0].name
+        plans = sampled_plans(smoother_ir, kernel, 40, seed=3)
+        PlanEvaluator(vectorize=False).evaluate_batch(
+            smoother_ir, plans, catch=(PlanInfeasible, InvalidPlan, ValueError)
+        )
+        assert threads == {threading.get_ident()}
 
     def test_spill_free_batch_matches_serial(self, smoother_ir, base_plan):
         variants = [
@@ -193,9 +238,7 @@ class TestBatch:
             serial_eval.evaluate_spill_free(smoother_ir, v) for v in variants
         ]
         batch_eval = PlanEvaluator()
-        batched = batch_eval.evaluate_spill_free_batch(
-            smoother_ir, variants, workers=4
-        )
+        batched = batch_eval.evaluate_spill_free_batch(smoother_ir, variants)
         for ser, par in zip(serial, batched):
             assert (ser is None) == (par is None)
             if ser is not None:
@@ -289,12 +332,18 @@ class TestTunerIntegration:
         # The re-run is served almost entirely from the memo cache.
         assert shared.stats.hits > hits_before
 
-    def test_parallel_tuning_identical_to_serial(self, smoother_ir, base_plan):
-        serial = HierarchicalTuner(smoother_ir).tune(base_plan)
-        threaded = HierarchicalTuner(smoother_ir, workers=4).tune(base_plan)
-        assert threaded.best.plan == serial.best.plan
-        assert threaded.best.time_s == serial.best.time_s
-        assert threaded.evaluations == serial.evaluations
+    @pytest.mark.parametrize("top_k", [0, -1, -2])
+    def test_top_k_below_one_is_usage_error(self, smoother_ir, top_k):
+        with pytest.raises(UsageError, match="top_k"):
+            HierarchicalTuner(smoother_ir, top_k=top_k)
+
+    def test_top_k_of_one_keeps_one_survivor(self, smoother_ir, base_plan):
+        narrow = HierarchicalTuner(smoother_ir, top_k=1).tune(base_plan)
+        wide = HierarchicalTuner(smoother_ir).tune(base_plan)
+        assert narrow.best is not None
+        # Fewer stage-1 survivors can only shrink stage 2.
+        assert narrow.evaluations <= wide.evaluations
+        assert narrow.best.time_s >= wide.best.time_s
 
 
 BLOCKS = [
@@ -307,7 +356,7 @@ class TestTimingAccounting:
     """``wall_s`` vs ``cpu_s`` semantics.
 
     Historically ``wall_s`` summed each thread's time inside the engine,
-    so a 4-worker batch reported up to 4x the real elapsed time (and
+    so four concurrent callers reported up to 4x the real elapsed time (and
     nested ``evaluate_spill_free`` -> ``evaluate`` frames double-billed
     even serially).  Now ``wall_s`` merges overlapping busy intervals
     and ``cpu_s`` carries the per-thread sum.
@@ -357,14 +406,25 @@ class TestTimingAccounting:
     ):
         delay = 0.05
         self._patch_sleepy_simulate(monkeypatch, delay)
-        # Scalar path: vectorized batches price whole families in one
-        # pass on the submitting thread, which is exactly what this
-        # thread-timing test must not exercise.
-        evaluator = PlanEvaluator(vectorize=False)
+        # Batches run serially, so drive the engine from four caller
+        # threads at once — the overlap a timed-out evaluation still
+        # running on its watchdog thread produces.
+        evaluator = PlanEvaluator()
         plans = [base_plan.replace(block=block) for block in BLOCKS]
+        results = [None] * len(plans)
+
+        def run(offset):
+            for index in range(offset, len(plans), 4):
+                results[index] = evaluator.evaluate(smoother_ir, plans[index])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
         start = time.perf_counter()
-        results = evaluator.evaluate_batch(smoother_ir, plans, workers=4)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
         elapsed = time.perf_counter() - start
+        assert not any(thread.is_alive() for thread in threads)
         stats = evaluator.stats
         assert all(r is not None for r in results)
         assert stats.simulations == len(BLOCKS)
@@ -372,7 +432,7 @@ class TestTimingAccounting:
         assert stats.cpu_s >= len(BLOCKS) * delay
         # wall_s is real elapsed engine time: bounded by the clock ...
         assert stats.wall_s <= elapsed * 1.05 + 1e-3
-        # ... and, with 4 workers over 8 sleepy jobs, well under the
+        # ... and, with 4 threads over 8 sleepy jobs, well under the
         # thread-sum the old accounting would have reported.
         assert stats.wall_s < stats.cpu_s * 0.7
 
