@@ -46,7 +46,6 @@ from .profiling import classify_result, profile
 from .resilience import (
     ON_ERROR_POLICIES,
     ReproError,
-    RetryPolicy,
     TuningJournal,
     UsageError,
     atomic_write_json,
@@ -140,7 +139,7 @@ def publish_stats_dict(
     builds for each scrape.
     """
     for name, value in stats.items():
-        if name in ("wall_s", "cpu_s"):
+        if name == "wall_s":
             if value:
                 registry.histogram(f"{prefix}.{name}").observe(value)
         else:
@@ -209,10 +208,10 @@ def _env_int(name: str, default: Optional[int] = None) -> Optional[int]:
 def _fault_injector_from_env():
     """Chaos-mode fault injector, armed by environment variables.
 
-    ``REPRO_CHAOS_RATE`` (a fraction) turns injection on;
-    ``REPRO_CHAOS_SEED``, ``REPRO_CHAOS_KIND`` and
-    ``REPRO_CHAOS_TRANSIENT`` refine it.  CI's chaos job drives seeded
-    fault injection through real CLI runs this way (``docs/robustness.md``).
+    ``REPRO_CHAOS_RATE`` (a fraction) turns injection on and
+    ``REPRO_CHAOS_SEED`` picks the faulted candidates.  CI's chaos job
+    drives seeded fault injection through real CLI runs this way
+    (``docs/robustness.md``).
     Malformed values raise :class:`UsageError` naming the variable.
     """
     rate = _env_float("REPRO_CHAOS_RATE")
@@ -220,24 +219,14 @@ def _fault_injector_from_env():
         return None
     from .resilience import FaultInjector
 
-    return FaultInjector(
-        rate=rate,
-        seed=_env_int("REPRO_CHAOS_SEED", 0),
-        kind=os.environ.get("REPRO_CHAOS_KIND", "error"),
-        transient_failures=_env_int("REPRO_CHAOS_TRANSIENT", 0),
-    )
+    return FaultInjector(rate=rate, seed=_env_int("REPRO_CHAOS_SEED", 0))
 
 
 def _resilience_engine(args, device: DeviceSpec) -> PlanEvaluator:
     """Build the evaluation engine from the resilience flags."""
-    retries = getattr(args, "retries", 0) or 0
-    if retries < 0:
-        raise UsageError("--retries must be non-negative")
     return PlanEvaluator(
         device=device,
         on_error=getattr(args, "on_error", "fail-fast"),
-        retry=RetryPolicy(max_retries=retries) if retries else None,
-        timeout_s=getattr(args, "eval_timeout", None),
         failure_budget=getattr(args, "failure_budget", None),
         fault_injector=_fault_injector_from_env(),
         vectorize=_vectorize_choice(args),
@@ -886,22 +875,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--on-error", choices=ON_ERROR_POLICIES, default="fail-fast",
-            help="persistent evaluation failures: abort the run, skip the "
-                 "candidate, or retry it on the degraded path",
-        )
-        p.add_argument(
-            "--retries", type=int, default=0, metavar="N",
-            help="retry failed evaluations up to N times with exponential "
-                 "backoff",
-        )
-        p.add_argument(
-            "--eval-timeout", type=float, default=None, metavar="SECONDS",
-            help="per-evaluation deadline; overruns count as failures",
+            help="failed candidate evaluations: abort the run, or skip "
+                 "the candidate",
         )
         p.add_argument(
             "--failure-budget", type=int, default=None, metavar="N",
-            help="abort once more than N candidates were skipped/degraded "
-                 "(a systemic-breakage tripwire)",
+            help="with --on-error skip, abort once more than N candidates "
+                 "were skipped (a systemic-breakage tripwire)",
         )
         return p
 

@@ -65,7 +65,6 @@ class CandidateView:
     counters: Dict[str, float] = field(default_factory=dict)
     context: Dict[str, Any] = field(default_factory=dict)
     reason: Optional[str] = None
-    degraded: bool = False
 
     @property
     def measured(self) -> bool:
@@ -91,8 +90,6 @@ class CandidateView:
             )
         if self.reason:
             out["reason"] = self.reason
-        if self.degraded:
-            out["degraded"] = True
         if self.context:
             out["context"] = self.context
         return out
@@ -129,7 +126,7 @@ class ExplainReport:
     advice: Tuple[Dict[str, Any], ...]
     convergence: Tuple[Tuple[int, float], ...]  # (seq, best-so-far GFLOPS)
     dispositions: Dict[str, int]
-    markers: Dict[str, int]  # retry/timeout/skip/degraded/failure/prune/replay
+    markers: Dict[str, int]  # skip/failure/prune/replay
     phases: Tuple[Dict[str, Any], ...]
     stats: Optional[Dict[str, Any]]
     candidates: int = 0
@@ -177,13 +174,10 @@ def _candidate_view(event: Dict[str, Any]) -> CandidateView:
         counters=dict(counters),
         context=dict(event.get("context") or {}),
         reason=event.get("reason"),
-        degraded=bool(event.get("degraded", False)),
     )
 
 
-MARKER_KINDS = (
-    "prune", "replay", "retry", "timeout", "skip", "degraded", "failure",
-)
+MARKER_KINDS = ("prune", "replay", "skip", "failure")
 
 
 def build_explain(

@@ -6,10 +6,9 @@ Two formats serve two audiences:
   events (``ph: "X"``) — the JSON object form with a ``traceEvents``
   list — which chrome://tracing, Perfetto (ui.perfetto.dev) and
   ``about:tracing`` open directly.  Thread-name metadata events put each
-  thread (the main thread, an evaluation-timeout watchdog) on its own
-  labelled track,
-  and the metrics snapshot rides along under ``otherData`` (the spec's
-  extension point; trace viewers ignore it).
+  thread that recorded spans on its own labelled track, and the metrics
+  snapshot rides along under ``otherData`` (the spec's extension point;
+  trace viewers ignore it).
 * :func:`flat_json` is the machine-readable form: one JSON object per
   span, plus the metrics snapshot — easy to load into pandas or jq.
 

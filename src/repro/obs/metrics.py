@@ -9,9 +9,9 @@ whole picture of a run.
 
 Collection is off by default and every hot-path instrumentation site
 guards with :func:`metrics_enabled`, so the disabled cost is a global
-flag check.  All metric types are thread-safe (one lock per metric;
-increments from an evaluation-timeout watchdog thread are exact, not
-last-writer-wins).
+flag check.  All metric types are thread-safe (one lock per metric), so
+the ``--metrics-port`` server thread reads consistent values while the
+run updates them.
 
 Snapshots (``as_dict``/``MetricsRegistry.snapshot``) are plain JSON
 and *mergeable*: :meth:`MetricsRegistry.merge_snapshot` folds another

@@ -21,8 +21,8 @@ The log is a JSONL stream (one self-contained JSON object per line):
 * ``prune`` records for candidates the incremental escalation resolved
   without ever entering the model (infeasible at validation, or
   spilling even at the top register level);
-* ``retry`` / ``timeout`` / ``skip`` / ``degraded`` / ``failure``
-  markers mirroring the resilience engine's fault handling;
+* ``skip`` / ``failure`` markers mirroring the engine's ``on_error``
+  policy;
 * ``replay`` records for candidates served from a checkpoint journal;
 * ``advice`` / ``fission`` / ``winner`` records from the pipeline (which
   advisor rules fired, which fission variants were generated, which
@@ -32,8 +32,8 @@ The log is a JSONL stream (one self-contained JSON object per line):
 
 Accounting invariant (pinned by ``tests/obs/test_search.py``): the
 number of ``candidate`` records equals ``EvalStats.requests`` exactly —
-cache hits, screened, infeasible, degraded re-runs and injected faults
-included — so the log never under- or over-reports what the engine did.
+cache hits, screened, infeasible and injected faults included — so the
+log never under- or over-reports what the engine did.
 
 Writing is crash-safe: events accumulate in memory and the whole stream
 is serialized through :func:`repro.resilience.atomic_write_text` on
@@ -45,7 +45,6 @@ snapshot stays on disk.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from contextlib import contextmanager, nullcontext
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -154,10 +153,8 @@ class SearchLog:
     """Collects candidate-level search events; optionally streams JSONL.
 
     One log serves one search run (typically one ``optimize`` or
-    ``deep-tune`` invocation).  Thread-safe: with a per-evaluation
-    timeout the engine emits from watchdog threads; context tags are
-    tracked per thread and handed to each watchdog via
-    :meth:`capture`/:meth:`use`.
+    ``deep-tune`` invocation) on one thread, like the evaluator that
+    feeds it.
 
     With ``path=None`` the log is in-memory only (``--explain`` without
     ``--search-log`` uses this); with a path, :meth:`flush` serializes
@@ -175,8 +172,8 @@ class SearchLog:
         self.flush_every = max(1, int(flush_every))
         self._events: List[Dict[str, Any]] = []
         self._counts: Dict[str, int] = {}
-        self._lock = threading.Lock()
-        self._local = threading.local()
+        #: merged context tags, innermost scope last
+        self._stack: List[Dict[str, Any]] = []
         self._seq = 0
         self._t0 = time.perf_counter()
         self._unflushed = 0
@@ -192,64 +189,39 @@ class SearchLog:
 
     # -- context tags --------------------------------------------------------
 
-    def _stack(self) -> List[Dict[str, Any]]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
     @contextmanager
     def context(self, **tags):
-        """Attach tags to every event emitted in this (thread's) scope."""
-        stack = self._stack()
-        merged = dict(stack[-1]) if stack else {}
+        """Attach tags to every event emitted in this scope."""
+        merged = dict(self._stack[-1]) if self._stack else {}
         merged.update(tags)
-        stack.append(merged)
+        self._stack.append(merged)
         try:
             yield
         finally:
-            stack.pop()
-
-    def capture(self) -> Dict[str, Any]:
-        """The calling thread's merged tags (for handoff to another)."""
-        stack = self._stack()
-        return dict(stack[-1]) if stack else {}
-
-    @contextmanager
-    def use(self, tags: Dict[str, Any]):
-        """Install captured tags on the current thread."""
-        stack = self._stack()
-        stack.append(dict(tags))
-        try:
-            yield
-        finally:
-            stack.pop()
+            self._stack.pop()
 
     # -- emission ------------------------------------------------------------
 
     def emit(self, kind: str, **fields) -> Dict[str, Any]:
         """Record one event; auto-stamps seq, relative time and context."""
-        context = self.capture()
-        event: Dict[str, Any] = {"kind": kind}
-        with self._lock:
-            self._seq += 1
-            event["seq"] = self._seq
-            event["t_ms"] = (time.perf_counter() - self._t0) * 1e3
-            event.update(fields)
-            if context:
-                event["context"] = context
-            self._events.append(event)
-            self._counts[kind] = self._counts.get(kind, 0) + 1
-            if kind == "candidate":
-                disposition = fields.get("disposition", "?")
-                key = f"candidate.{disposition}"
-                self._counts[key] = self._counts.get(key, 0) + 1
-            self._unflushed += 1
-            flush_now = (
-                self.path is not None and self._unflushed >= self.flush_every
-            )
-        if flush_now:
+        self._seq += 1
+        event: Dict[str, Any] = {
+            "kind": kind,
+            "seq": self._seq,
+            "t_ms": (time.perf_counter() - self._t0) * 1e3,
+        }
+        event.update(fields)
+        context = self._stack[-1] if self._stack else None
+        if context:
+            event["context"] = dict(context)
+        self._events.append(event)
+        self._counts[kind] = self._counts.get(kind, 0) + 1
+        if kind == "candidate":
+            disposition = fields.get("disposition", "?")
+            key = f"candidate.{disposition}"
+            self._counts[key] = self._counts.get(key, 0) + 1
+        self._unflushed += 1
+        if self.path is not None and self._unflushed >= self.flush_every:
             self.flush()
         return event
 
@@ -261,7 +233,6 @@ class SearchLog:
         disposition: str,
         reason: Optional[str] = None,
         result=None,
-        degraded: bool = False,
         device: Optional[str] = None,
     ) -> None:
         """One evaluation-engine request (the core telemetry record).
@@ -284,8 +255,6 @@ class SearchLog:
             fields["device"] = device
         if reason:
             fields["reason"] = reason
-        if degraded:
-            fields["degraded"] = True
         if result is not None:
             fields.update(_result_payload(result, self.device))
         self.emit("candidate", **fields)
@@ -301,7 +270,7 @@ class SearchLog:
         )
 
     def marker(self, kind: str, plan, **fields) -> None:
-        """Resilience markers: retry / timeout / skip / degraded / failure."""
+        """``on_error`` markers: skip / failure."""
         described = plan.describe() if hasattr(plan, "describe") else str(plan)
         self.emit(kind, plan=described, **fields)
 
@@ -382,13 +351,11 @@ class SearchLog:
     # -- reading / persistence ----------------------------------------------
 
     def events(self) -> Tuple[Dict[str, Any], ...]:
-        with self._lock:
-            return tuple(self._events)
+        return tuple(self._events)
 
     def counts(self) -> Dict[str, int]:
         """Event counts by kind, plus ``candidate.<disposition>`` splits."""
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
     def candidate_count(self) -> int:
         return self.counts().get("candidate", 0)
@@ -397,11 +364,8 @@ class SearchLog:
         """Atomically write the complete JSONL stream (if a path is set)."""
         if self.path is None:
             return
-        with self._lock:
-            lines = [
-                json.dumps(event, default=str) for event in self._events
-            ]
-            self._unflushed = 0
+        lines = [json.dumps(event, default=str) for event in self._events]
+        self._unflushed = 0
         atomic_write_text(self.path, "\n".join(lines) + "\n")
 
     def close(self) -> None:

@@ -2,10 +2,9 @@
 
 The tracer records *spans* — named, timed intervals with attributes —
 organized into a per-thread hierarchy: a span started while another span
-is open on the same thread becomes its child.  Other threads (e.g. the
-evaluation engine's per-evaluation timeout watchdogs) each get their own
-root stack, so concurrent spans interleave cleanly instead of producing
-a scrambled tree.
+is open on the same thread becomes its child.  Other threads each get
+their own root stack, so concurrent spans interleave cleanly instead of
+producing a scrambled tree.
 
 Design constraints, in priority order:
 

@@ -68,8 +68,7 @@ def format_report(
         )
         lines.append(
             f"                 {stats.simulations_avoided} simulations "
-            f"avoided, {stats.wall_s * 1e3:.1f} ms wall "
-            f"({stats.cpu_s * 1e3:.1f} ms cpu-sum) in evaluation"
+            f"avoided, {stats.wall_s * 1e3:.1f} ms wall in evaluation"
         )
     spans = phase_spans
     if spans is None and tracing_enabled():

@@ -1,18 +1,17 @@
 """Fault tolerance for the ARTEMIS pipeline.
 
 A production autotuner evaluates thousands of candidate plans per run;
-a single malformed candidate, a hung evaluation, or a crashed process
-must not destroy hours of search.  This package holds the four pieces
-that make the pipeline survivable:
+a single malformed candidate or a crashed process must not destroy the
+search.  This package holds the pieces that make the pipeline
+survivable:
 
 * :mod:`~repro.resilience.errors` — the unified exception taxonomy
   (:class:`ReproError` and friends) with structured diagnostic context
   and CLI exit-code mapping;
 * :mod:`~repro.resilience.faults` — a deterministic, seedable
-  fault-injection harness for exercising every recovery path;
-* :mod:`~repro.resilience.retry` — retry/backoff policies, the
-  ``on_error`` policy names and the failure budget used by
-  ``PlanEvaluator``;
+  fault-injection harness for exercising the failure paths;
+* :mod:`~repro.resilience.retry` — the ``on_error`` policy names and
+  the failure budget used by ``PlanEvaluator``;
 * :mod:`~repro.resilience.checkpoint` — the crash-safe JSONL tuning
   journal behind ``--checkpoint`` / ``--resume``;
 * :mod:`~repro.resilience.atomic` — write-tmp-then-rename helpers used
@@ -27,7 +26,6 @@ from .errors import (
     CheckpointError,
     CheckpointLockedError,
     EvaluationError,
-    EvaluationTimeout,
     FailureBudgetExceeded,
     InfeasiblePlanError,
     InjectedFault,
@@ -35,8 +33,8 @@ from .errors import (
     UsageError,
 )
 from .atomic import atomic_write_bytes, atomic_write_json, atomic_write_text
-from .retry import ON_ERROR_POLICIES, FailureBudget, RetryPolicy
-from .faults import FAULT_KINDS, FaultInjector
+from .retry import ON_ERROR_POLICIES, FailureBudget
+from .faults import FaultInjector
 from .checkpoint import (
     JOURNAL_VERSION,
     TuningJournal,
@@ -51,8 +49,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointLockedError",
     "EvaluationError",
-    "EvaluationTimeout",
-    "FAULT_KINDS",
     "FailureBudget",
     "FailureBudgetExceeded",
     "FaultInjector",
@@ -61,7 +57,6 @@ __all__ = [
     "JOURNAL_VERSION",
     "ON_ERROR_POLICIES",
     "ReproError",
-    "RetryPolicy",
     "TuningJournal",
     "UsageError",
     "atomic_write_bytes",

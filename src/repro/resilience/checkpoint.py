@@ -23,8 +23,9 @@ Crash model and recovery:
 Record kinds: ``header`` (version/device sanity), ``candidate`` (one
 priced plan: the escalated plan chosen plus its time/TFLOPS, or
 ``null`` for infeasible), ``failure`` (diagnostic only — failed
-candidates are *re-evaluated* on resume, since their failure may have
-been transient), and ``degree`` (a completed deep-tuning fusion
+candidates are *re-evaluated* on resume, since a failure belongs to the
+run that raised it, such as its fault injector or a since-fixed bug,
+not to the model's answer), and ``degree`` (a completed deep-tuning fusion
 degree, including its roofline classification).
 """
 
@@ -334,8 +335,8 @@ class TuningJournal:
         """The journaled record for ``key``, or None.
 
         Failure records never satisfy lookups: a candidate that failed
-        in the previous run is re-evaluated, since the failure may have
-        been transient.
+        in the previous run is re-evaluated, since the failure belongs
+        to that run, not to the model's answer.
         """
         with self._lock:
             return self._records.get(key)

@@ -33,7 +33,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointLockedError",
     "EvaluationError",
-    "EvaluationTimeout",
     "FailureBudgetExceeded",
     "InfeasiblePlanError",
     "InjectedFault",
@@ -46,7 +45,7 @@ class ReproError(Exception):
     """Root of the repro exception taxonomy.
 
     ``context`` holds structured diagnostic key/values (``stencil``,
-    ``plan``, ``phase``, ``attempts``, ...).  :meth:`describe` renders
+    ``plan``, ``phase``, ``candidate``, ...).  :meth:`describe` renders
     the one-line operator-facing message the CLI prints.
     """
 
@@ -115,15 +114,11 @@ class EvaluationError(ReproError, RuntimeError):
     """A candidate evaluation failed for a non-infeasibility reason.
 
     Wraps the original exception (``__cause__``) and carries the
-    candidate's plan description, phase and attempt count in
+    candidate's plan description, batch index and phase in
     ``context``.
     """
 
     exit_code = 4
-
-
-class EvaluationTimeout(EvaluationError):
-    """A single candidate evaluation exceeded its deadline."""
 
 
 class InjectedFault(EvaluationError):

@@ -1,96 +1,38 @@
-"""Retry, backoff and failure-budget policies for candidate evaluation.
+"""The ``on_error`` policies and the failure budget for candidate evaluation.
 
-The evaluation engine treats three classes of outcomes differently:
+The evaluation engine treats two classes of outcomes differently:
 
 * *infeasible* — the candidate cannot run at all; deterministic, never
-  retried, never a failure;
-* *transient failures* — an evaluation raised unexpectedly (or timed
-  out); retried up to :attr:`RetryPolicy.max_retries` times with
-  exponential backoff;
-* *persistent failures* — still failing after the retries; resolved by
-  the evaluator's ``on_error`` policy and charged against the
-  :class:`FailureBudget`.
-
-All delays are deterministic (no jitter): chaos tests must reproduce
-bit-for-bit, and the analytical evaluator has no thundering-herd
-problem for jitter to solve.
+  a failure;
+* *failures* — an evaluation raised unexpectedly.  The model is a pure
+  function, so the same candidate would fail the same way again: each
+  failure is resolved at once by the evaluator's ``on_error`` policy
+  and, under ``skip``, charged against the :class:`FailureBudget`.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Optional
 
 from .errors import FailureBudgetExceeded, UsageError
 
 __all__ = [
     "ON_ERROR_POLICIES",
     "FailureBudget",
-    "RetryPolicy",
 ]
 
 #: Batch-evaluation error policies:
 #:
-#: * ``fail-fast`` — the first persistent failure aborts the batch
-#:   (wrapped as :class:`~repro.resilience.errors.EvaluationError` with
-#:   the candidate attached);
+#: * ``fail-fast`` — the first failure aborts the batch (wrapped as
+#:   :class:`~repro.resilience.errors.EvaluationError` with the
+#:   candidate attached);
 #: * ``skip``      — the failing candidate is quarantined (reported as
-#:   infeasible) and the search continues;
-#: * ``degrade``   — one more attempt runs on the degraded path (memo
-#:   cache bypassed, occupancy prescreen off, fault injection disarmed)
-#:   before the candidate is quarantined.
-ON_ERROR_POLICIES = ("fail-fast", "skip", "degrade")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with deterministic exponential backoff.
-
-    ``delay(n)`` for retry *n* (0-based) is
-    ``min(base_delay_s * factor**n, max_delay_s)``; total added latency
-    is therefore bounded by ``sum(delay(n) for n in range(max_retries))``
-    per candidate, which :meth:`total_delay` exposes so callers (and the
-    property-based tests) can budget worst-case batch latency.
-    """
-
-    max_retries: int = 2
-    base_delay_s: float = 0.01
-    factor: float = 2.0
-    max_delay_s: float = 1.0
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise UsageError("max_retries must be >= 0")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise UsageError("backoff delays must be >= 0")
-        if self.factor < 1.0:
-            raise UsageError("backoff factor must be >= 1")
-
-    def delay(self, retry_index: int) -> float:
-        """Backoff before retry ``retry_index`` (0-based), in seconds."""
-        return min(
-            self.base_delay_s * (self.factor ** retry_index), self.max_delay_s
-        )
-
-    def delays(self) -> List[float]:
-        """Every backoff this policy can sleep, in order."""
-        return [self.delay(n) for n in range(self.max_retries)]
-
-    def total_delay(self) -> float:
-        """Worst-case backoff added per candidate."""
-        return sum(self.delays())
-
-    def sleep(self, retry_index: int, sleep: Callable[[float], None] = time.sleep):
-        """Back off before retry ``retry_index`` (injectable for tests)."""
-        delay = self.delay(retry_index)
-        if delay > 0:
-            sleep(delay)
+#:   infeasible) and the search continues.
+ON_ERROR_POLICIES = ("fail-fast", "skip")
 
 
 class FailureBudget:
-    """Thread-safe cap on persistent evaluation failures.
+    """Cap on quarantined evaluation failures.
 
     ``charge()`` records one failure and raises
     :class:`FailureBudgetExceeded` once more than ``limit`` failures
@@ -105,25 +47,15 @@ class FailureBudget:
             raise UsageError("failure budget must be >= 0")
         self.limit = limit
         self.spent = 0
-        self._lock = threading.Lock()
 
     def charge(self, **context) -> None:
-        """Record one persistent failure; raise once over budget."""
-        with self._lock:
-            self.spent += 1
-            spent = self.spent
-        if self.limit is not None and spent > self.limit:
+        """Record one failure; raise once over budget."""
+        self.spent += 1
+        if self.limit is not None and self.spent > self.limit:
             raise FailureBudgetExceeded(
                 f"evaluation failure budget exhausted "
-                f"({spent} failures > limit {self.limit})",
+                f"({self.spent} failures > limit {self.limit})",
                 limit=self.limit,
-                failures=spent,
+                failures=self.spent,
                 **context,
             )
-
-    @property
-    def remaining(self) -> Optional[int]:
-        if self.limit is None:
-            return None
-        with self._lock:
-            return max(0, self.limit - self.spent)

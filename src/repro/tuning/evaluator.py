@@ -31,33 +31,28 @@ size, so all search code routes measurements through one
 * **batch evaluation** — :meth:`PlanEvaluator.evaluate_batch` runs a
   batch serially on the calling thread with input-ordered results.  A
   search prices its candidates in about a second, so no worker pool
-  has a workload to hide; the only other threads in the engine are the
-  per-evaluation timeout watchdogs.
-* **fault tolerance** — every batch job is guarded: an unexpected
-  (non-infeasibility) exception in one candidate is captured per-job
-  and resolved by the engine's ``on_error`` policy (``fail-fast`` |
-  ``skip`` | ``degrade``) instead of killing the whole batch;
-  per-evaluation timeouts, bounded retry-with-backoff and a failure
-  budget bound the blast radius of bad candidates, and a seedable
-  :class:`~repro.resilience.FaultInjector` can be attached to exercise
-  each of those paths deterministically (``docs/robustness.md``).
+  has a workload to hide, and the engine starts no thread.
+* **failure handling** — every batch job is one attempt.  The model is
+  deterministic, so a candidate that raised once would raise again: an
+  unexpected (non-infeasibility) exception goes straight to the
+  engine's ``on_error`` policy (``fail-fast`` | ``skip``), and under
+  ``skip`` a failure budget bounds how many candidates a run may
+  quarantine.  A seedable :class:`~repro.resilience.FaultInjector` can
+  be attached to exercise both paths deterministically
+  (``docs/robustness.md``).
 * **cache / throughput statistics** — hits, misses, simulations avoided
-  wall-clock, plus failure/retry/timeout counters, surfaced through
-  tuning results, ``pipeline.report`` and the ``--eval-stats`` CLI flag.
+  wall-clock, plus the failure counter, surfaced through tuning
+  results, ``pipeline.report`` and the ``--eval-stats`` CLI flag.
 
 Evaluation accounting is uniform: one *request* per candidate plan
 submitted (feasible, spilling or infeasible alike), independent of how
 many register rungs the escalation needed.  Tuners count evaluations the
-same way.  (Retries and degraded-mode re-runs do add extra requests —
-they are extra trips into the model — but are tallied separately in
-``retries``/``degraded``.)
+same way.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -85,10 +80,8 @@ from ..obs.search import SearchLog
 from ..resilience import (
     ON_ERROR_POLICIES,
     EvaluationError,
-    EvaluationTimeout,
     FailureBudget,
     FaultInjector,
-    RetryPolicy,
     UsageError,
 )
 
@@ -97,7 +90,7 @@ INFEASIBLE = (PlanInfeasible, InvalidPlan)
 
 
 def _obs_count(name: str, value: int = 1) -> None:
-    """Live resilience counters (distinct from ``EvalStats.publish``'s
+    """Live engine counters (distinct from ``EvalStats.publish``'s
     ``eval.*`` prefix, so end-of-run publication never double-counts)."""
     from ..obs import counter, metrics_enabled
 
@@ -119,8 +112,8 @@ MIN_FAMILY = 4
 def _pricing_module():
     """The vectorized pricing backend, or None when NumPy is absent.
 
-    Resolved lazily and cached so environments without NumPy degrade to
-    the scalar path instead of failing at import time.
+    Resolved lazily and cached so environments without NumPy fall back
+    to the scalar path instead of failing at import time.
     """
     global _PRICING
     if _PRICING is _UNRESOLVED:
@@ -163,14 +156,9 @@ class FailureRecord:
 class EvalStats:
     """Cache and throughput statistics of one evaluation engine.
 
-    Two time counters with distinct semantics:
-
-    * ``wall_s`` — real elapsed time during which *at least one* thread
-      was inside the engine (overlapping busy intervals are merged);
-    * ``cpu_s`` — per-thread time summed over every thread inside the
-      engine.  Batches run on the calling thread, so the two differ
-      only while an abandoned, timed-out evaluation is still running
-      on its watchdog thread next to the next one.
+    ``wall_s`` is the real time spent inside the engine's outermost
+    frames; nested calls (``evaluate_spill_free`` invoking
+    ``evaluate``) are billed once.
     """
 
     requests: int = 0  # candidate evaluations requested
@@ -181,12 +169,8 @@ class EvalStats:
     screened: int = 0  # rejected by the occupancy screen, not simulated
     lint_rejections: int = 0  # screened rejections carrying a lint rule code
     vectorized: int = 0  # priced via the vectorized family backend
-    failures: int = 0  # candidates that failed persistently (non-infeasible)
-    retries: int = 0  # transient-failure retries performed
-    timeouts: int = 0  # evaluations that exceeded the per-eval deadline
-    degraded: int = 0  # candidates recovered via the degraded path
-    wall_s: float = 0.0  # real time the engine was busy (intervals merged)
-    cpu_s: float = 0.0  # summed per-thread time inside the engine
+    failures: int = 0  # candidates that raised unexpectedly (non-infeasible)
+    wall_s: float = 0.0  # real time the engine was busy
 
     @property
     def simulations(self) -> int:
@@ -214,11 +198,7 @@ class EvalStats:
             lint_rejections=self.lint_rejections,
             vectorized=self.vectorized,
             failures=self.failures,
-            retries=self.retries,
-            timeouts=self.timeouts,
-            degraded=self.degraded,
             wall_s=self.wall_s,
-            cpu_s=self.cpu_s,
         )
 
     def since(self, before: "EvalStats") -> "EvalStats":
@@ -233,11 +213,7 @@ class EvalStats:
             lint_rejections=self.lint_rejections - before.lint_rejections,
             vectorized=self.vectorized - before.vectorized,
             failures=self.failures - before.failures,
-            retries=self.retries - before.retries,
-            timeouts=self.timeouts - before.timeouts,
-            degraded=self.degraded - before.degraded,
             wall_s=self.wall_s - before.wall_s,
-            cpu_s=self.cpu_s - before.cpu_s,
         )
 
     def add(self, other: "EvalStats") -> None:
@@ -251,11 +227,7 @@ class EvalStats:
         self.lint_rejections += other.lint_rejections
         self.vectorized += other.vectorized
         self.failures += other.failures
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.degraded += other.degraded
         self.wall_s += other.wall_s
-        self.cpu_s += other.cpu_s
 
     @property
     def hit_rate(self) -> float:
@@ -273,13 +245,9 @@ class EvalStats:
             "lint_rejections": self.lint_rejections,
             "vectorized": self.vectorized,
             "failures": self.failures,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "degraded": self.degraded,
             "simulations": self.simulations,
             "simulations_avoided": self.simulations_avoided,
             "wall_s": self.wall_s,
-            "cpu_s": self.cpu_s,
         }
 
     def publish(self, prefix: str = "eval") -> None:
@@ -289,7 +257,7 @@ class EvalStats:
         if not metrics_enabled():
             return
         for name, value in self.as_dict().items():
-            if name in ("wall_s", "cpu_s"):
+            if name == "wall_s":
                 histogram(f"{prefix}.{name}").observe(value)
             else:
                 counter(f"{prefix}.{name}").add(value)
@@ -302,15 +270,10 @@ class EvalStats:
             f"skipped, {self.screened} screened "
             f"[{self.lint_rejections} by lint rule] "
             f"({self.simulations_avoided} simulations avoided), "
-            f"{self.wall_s * 1e3:.1f} ms wall "
-            f"({self.cpu_s * 1e3:.1f} ms cpu-sum)"
+            f"{self.wall_s * 1e3:.1f} ms wall"
         )
-        if self.failures or self.retries or self.timeouts or self.degraded:
-            text += (
-                f"; {self.failures} failures ({self.retries} retries, "
-                f"{self.timeouts} timeouts, {self.degraded} degraded "
-                f"recoveries)"
-            )
+        if self.failures:
+            text += f"; {self.failures} failures"
         return text
 
 
@@ -357,11 +320,11 @@ class PlanEvaluator:
     hit raises a fresh copy with its own ``context``.  A finished job's
     evaluator is freed by reference counting alone.
 
-    Batches run serially on the calling thread.  The result cache is
-    still guarded by a lock: with ``timeout_s`` set, each evaluation
-    runs on a watchdog thread, and one that overran its deadline keeps
-    running beside the next.  The model is pure, so duplicated
-    in-flight work is harmless and deterministic.
+    One evaluator serves one thread.  Batches run serially on the
+    calling thread, every candidate is one attempt, and the engine
+    starts no thread of its own, so its cache and counters take no
+    lock.  A caller that wants concurrency gives each thread its own
+    evaluator.
     """
 
     def __init__(
@@ -372,8 +335,6 @@ class PlanEvaluator:
         validate: bool = True,
         prescreen: bool = True,
         on_error: str = "fail-fast",
-        retry: Optional[RetryPolicy] = None,
-        timeout_s: Optional[float] = None,
         failure_budget: Optional[object] = None,
         fault_injector: Optional[FaultInjector] = None,
         search_log: Optional[SearchLog] = None,
@@ -389,12 +350,11 @@ class PlanEvaluator:
                 f"unknown on_error policy {on_error!r}; "
                 f"expected one of {ON_ERROR_POLICIES}"
             )
-        if timeout_s is not None and not (
-            timeout_s > 0 and math.isfinite(timeout_s)
-        ):
+        if failure_budget is not None and on_error != "skip":
+            # Only ``skip`` survives a failure; under ``fail-fast`` the
+            # first one aborts the run before a budget could be charged.
             raise UsageError(
-                f"timeout_s must be a positive number of seconds, "
-                f"not {timeout_s!r}"
+                f"a failure budget needs on_error='skip', not {on_error!r}"
             )
         self.device = device
         self.memoize = memoize
@@ -406,12 +366,10 @@ class PlanEvaluator:
         #: reject launch-infeasible candidates from the occupancy screen
         #: without running the full counter/timing model.
         self.prescreen = prescreen
-        #: what a persistent (post-retry) unexpected failure does to a
-        #: batch: abort it, quarantine the candidate, or first try the
-        #: degraded path.  See ``repro.resilience.ON_ERROR_POLICIES``.
+        #: what an unexpected failure does to a batch: abort it or
+        #: quarantine the candidate.  See
+        #: ``repro.resilience.ON_ERROR_POLICIES``.
         self.on_error = on_error
-        self.retry = retry
-        self.timeout_s = timeout_s
         if failure_budget is None or isinstance(failure_budget, FailureBudget):
             self.failure_budget = failure_budget or FailureBudget(None)
         else:
@@ -440,18 +398,8 @@ class PlanEvaluator:
         self.failure_records: List[FailureRecord] = []
         #: key -> (ir, ("ok", SimulationResult) | ("fail", exception))
         self._cache: Dict[tuple, tuple] = {}
-        self._lock = threading.Lock()
-        # Busy-interval tracking for honest wall-clock accounting: the
-        # number of threads currently inside the engine and when the
-        # current busy interval opened.  ``wall_s`` accumulates merged
-        # intervals; ``cpu_s`` sums each thread's outermost frame.
-        self._busy = 0
-        self._busy_open = 0.0
-        self._depth = threading.local()
-        # Degraded-mode flag (per thread): when set, the memo-cache read
-        # and the occupancy prescreen are bypassed and fault injection
-        # is disarmed — the slow-but-conservative path.
-        self._degraded = threading.local()
+        #: nesting depth of :meth:`_timed` frames; only the outermost bills
+        self._depth = 0
 
     @classmethod
     def seed_mode(cls, device: DeviceSpec = P100) -> "PlanEvaluator":
@@ -486,9 +434,7 @@ class PlanEvaluator:
             yield
         finally:
             delta = self.stats.since(before)
-            with self._lock:
-                bucket = self.phase_stats.setdefault(name, EvalStats())
-            bucket.add(delta)
+            self.phase_stats.setdefault(name, EvalStats()).add(delta)
 
     def phase_dict(self) -> Dict[str, Dict[str, float]]:
         """``phase -> as_dict()`` for reports and benchmark baselines."""
@@ -500,37 +446,19 @@ class PlanEvaluator:
 
     @contextmanager
     def _timed(self):
-        """Account engine time: merged-interval wall + per-thread cpu sum.
+        """Bill the outermost engine frame's elapsed time to ``wall_s``.
 
-        Only a thread's *outermost* engine frame participates (nested
-        calls — ``evaluate_spill_free`` invoking ``evaluate`` — must not
-        double-bill), and overlapping frames from several threads (a
-        timed-out evaluation still running on its watchdog) extend one
-        shared busy interval instead of each adding their own delta.
+        Nested calls (``evaluate_spill_free`` invoking ``evaluate``)
+        must not double-bill, so only the outermost frame reads the clock.
         """
-        depth = getattr(self._depth, "value", 0)
-        self._depth.value = depth + 1
-        if depth > 0:
-            try:
-                yield
-            finally:
-                self._depth.value = depth
-            return
-        start = time.perf_counter()
-        with self._lock:
-            if self._busy == 0:
-                self._busy_open = start
-            self._busy += 1
+        self._depth += 1
+        start = time.perf_counter() if self._depth == 1 else None
         try:
             yield
         finally:
-            end = time.perf_counter()
-            self._depth.value = depth
-            with self._lock:
-                self.stats.cpu_s += end - start
-                self._busy -= 1
-                if self._busy == 0:
-                    self.stats.wall_s += end - self._busy_open
+            self._depth -= 1
+            if start is not None:
+                self.stats.wall_s += time.perf_counter() - start
 
     # -- single evaluation -----------------------------------------------------
 
@@ -550,16 +478,12 @@ class PlanEvaluator:
         with self._timed():
             return self._evaluate(ir, plan)
 
-    def _in_degraded_mode(self) -> bool:
-        return getattr(self._degraded, "value", False)
-
     def _log_candidate(
         self,
         plan: KernelPlan,
         disposition: str,
         reason: Optional[str] = None,
         result: Optional[SimulationResult] = None,
-        degraded: bool = False,
     ) -> None:
         if self.search_log is None:
             return
@@ -570,7 +494,6 @@ class PlanEvaluator:
             disposition=disposition,
             reason=reason,
             result=result,
-            degraded=degraded,
             device=self.device.name,
         )
 
@@ -591,19 +514,12 @@ class PlanEvaluator:
         replay a validation failure) and ``produce_fn(plan)`` replaces
         the ``simulate`` call.  Everything observable — request/hit/
         miss/screen/infeasible accounting, memoization, candidate
-        telemetry, fault injection — is identical in both modes, and
-        degraded mode always drops the hooks and re-runs the scalar
-        conservative path.
+        telemetry, fault injection — is identical in both modes.
         """
         self.stats.requests += 1
-        degraded = self._in_degraded_mode()
-        if degraded:
-            rejection_fn = None
-            produce_fn = None
         key = self._key(ir, plan)
-        if self.memoize and not degraded:
-            with self._lock:
-                hit = self._cache.get(key)
+        if self.memoize:
+            hit = self._cache.get(key)
             if hit is not None and hit[0] is ir:
                 self.stats.hits += 1
                 status, value = hit[1]
@@ -633,7 +549,7 @@ class PlanEvaluator:
             else:
                 if self.validate:
                     validate_plan(ir, plan)
-                if self.prescreen and not degraded:
+                if self.prescreen:
                     diag = plan_rejection(
                         ir, plan, self.device, assume_validated=True
                     )
@@ -657,9 +573,7 @@ class PlanEvaluator:
                     ),
                 )
             if self.fault_injector is not None:
-                self.fault_injector.invoke(
-                    plan_fingerprint(plan), degraded=degraded
-                )
+                self.fault_injector.invoke(plan_fingerprint(plan))
             if produce_fn is not None:
                 result = produce_fn(plan)
             else:
@@ -667,30 +581,24 @@ class PlanEvaluator:
         except INFEASIBLE as exc:
             self.stats.infeasible += 1
             if self.memoize:
-                with self._lock:
-                    self._cache[key] = (ir, ("fail", exc.clone()))
+                self._cache[key] = (ir, ("fail", exc.clone()))
             self._log_candidate(
                 plan,
                 "screened" if screened else "infeasible",
                 reason=str(exc),
-                degraded=degraded,
             )
             raise
         except Exception as exc:  # noqa: BLE001 — telemetry, then re-raise
             # Unexpected (injected or real) fault: still one request, so
-            # still one candidate event; the resilience machinery decides
+            # still one candidate event; the ``on_error`` policy decides
             # what happens to the candidate next.
             self._log_candidate(
-                plan,
-                "error",
-                reason=f"{type(exc).__name__}: {exc}",
-                degraded=degraded,
+                plan, "error", reason=f"{type(exc).__name__}: {exc}"
             )
             raise
         if self.memoize:
-            with self._lock:
-                self._cache[key] = (ir, ("ok", result))
-        self._log_candidate(plan, "simulated", result=result, degraded=degraded)
+            self._cache[key] = (ir, ("ok", result))
+        self._log_candidate(plan, "simulated", result=result)
         return result
 
     def try_evaluate(
@@ -1026,8 +934,7 @@ class PlanEvaluator:
     def _memo_has(self, ir: ProgramIR, key: tuple) -> bool:
         if not self.memoize:
             return False
-        with self._lock:
-            hit = self._cache.get(key)
+        hit = self._cache.get(key)
         return hit is not None and hit[0] is ir
 
     def _prune_job(self, plan: KernelPlan, reason: str) -> None:
@@ -1093,8 +1000,8 @@ class PlanEvaluator:
 
         ``lane`` may be None when the memo pre-check expected a cache
         hit (or the family was fusion-rejected before pricing); the
-        produce hook then falls back to a scalar ``simulate`` so a
-        cache race or memoize=False still yields a correct result.
+        produce hook then falls back to a scalar ``simulate`` so a cache
+        cleared in between still yields a correct result.
         """
 
         def rejection_fn(plan):
@@ -1131,139 +1038,46 @@ class PlanEvaluator:
             counter(f"lint.reject.{code}").add()
 
     def _run_batch(self, jobs, on_result=None) -> List:
-        """Run ``(plan, thunk)`` jobs, input-ordered, under the guard.
+        """Run ``(plan, thunk)`` jobs, input-ordered, one attempt each.
 
-        Every job runs inside :meth:`_guarded`, which enforces the
-        per-evaluation timeout, the retry policy and the ``on_error``
-        policy — an unexpected exception in one job is captured and
-        resolved per-candidate instead of propagating out and killing
-        the whole batch (unless the policy is ``fail-fast``, in which
-        case it propagates *wrapped*, carrying the candidate context).
+        An infeasible candidate yields None.  Any other exception goes
+        to :meth:`_resolve_failure`, which applies the ``on_error``
+        policy: ``fail-fast`` propagates it *wrapped*, carrying the
+        candidate context; ``skip`` quarantines the candidate.
 
         ``on_result(index, plan, outcome, error)`` fires as each job
         completes — even if a later job aborts the batch — which is
         what lets the tuning journal checkpoint mid-batch progress.
         """
+        results: List = []
         with _span("eval.batch", candidates=len(jobs)):
-            return [
-                self._guarded(plan, thunk, index, on_result)
-                for index, (plan, thunk) in enumerate(jobs)
-            ]
-
-    # -- fault tolerance -------------------------------------------------------
-
-    def _guarded(self, plan, thunk, index: int = 0, on_result=None):
-        """Run one batch job under timeout/retry/on_error protection."""
-        try:
-            try:
-                result = self._attempt_with_retries(thunk, plan)
-            except INFEASIBLE:
-                result = None
-        except Exception as exc:  # noqa: BLE001 — resolved by policy
-            return self._resolve_failure(plan, thunk, exc, index, on_result)
-        if on_result is not None:
-            on_result(index, plan, result, None)
-        return result
-
-    def _attempt_with_retries(self, thunk, plan=None):
-        """One evaluation attempt plus the retry policy's re-attempts."""
-        max_retries = self.retry.max_retries if self.retry else 0
-        attempt = 0
-        while True:
-            try:
-                return self._attempt(thunk)
-            except INFEASIBLE:
-                raise
-            except Exception as exc:  # noqa: BLE001
-                if isinstance(exc, EvaluationTimeout):
-                    with self._lock:
-                        self.stats.timeouts += 1
-                    _obs_count("resilience.timeouts")
-                    if self.search_log is not None and plan is not None:
-                        self.search_log.marker(
-                            "timeout", plan, timeout_s=self.timeout_s
-                        )
-                if attempt >= max_retries:
-                    raise
-                with self._lock:
-                    self.stats.retries += 1
-                _obs_count("resilience.retries")
-                if self.search_log is not None and plan is not None:
-                    self.search_log.marker(
-                        "retry", plan, attempt=attempt + 1,
-                        error=type(exc).__name__,
-                    )
-                self.retry.sleep(attempt)
-                attempt += 1
-
-    def _attempt(self, thunk):
-        """Run a thunk, bounded by the per-evaluation timeout.
-
-        With a timeout configured the thunk runs on a daemon watchdog
-        thread so a hung evaluation cannot wedge the batch (or block
-        interpreter exit); its result is simply abandoned.
-        """
-        timeout = self.timeout_s
-        if timeout is None:
-            return thunk()
-        box: dict = {}
-        done = threading.Event()
-        # The watchdog thread starts with an empty tag stack: hand the
-        # caller's search-log context across so telemetry stays attributed.
-        tags = self.search_log.capture() if self.search_log else None
-
-        def run():
-            try:
-                if tags is None:
-                    box["value"] = thunk()
-                else:
-                    with self.search_log.use(tags):
-                        box["value"] = thunk()
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                box["error"] = exc
-            finally:
-                done.set()
-
-        worker = threading.Thread(target=run, daemon=True, name="eval-watchdog")
-        worker.start()
-        if not done.wait(timeout):
-            raise EvaluationTimeout(
-                f"evaluation exceeded {timeout}s deadline", timeout_s=timeout
-            )
-        if "error" in box:
-            raise box["error"]
-        return box["value"]
-
-    def _resolve_failure(self, plan, thunk, exc, index: int, on_result):
-        """Apply the ``on_error`` policy to a persistent failure."""
-        described = plan.describe() if hasattr(plan, "describe") else str(plan)
-        if self.on_error == "degrade":
-            try:
+            for index, (plan, thunk) in enumerate(jobs):
                 try:
-                    result = self._attempt_degraded(thunk)
+                    result = thunk()
                 except INFEASIBLE:
                     result = None
-            except Exception as degraded_exc:  # noqa: BLE001
-                exc = degraded_exc
-            else:
-                with self._lock:
-                    self.stats.degraded += 1
-                _obs_count("resilience.degraded")
-                if self.search_log is not None:
-                    self.search_log.marker("degraded", plan)
+                except Exception as exc:  # noqa: BLE001 — resolved by policy
+                    results.append(
+                        self._resolve_failure(plan, exc, index, on_result)
+                    )
+                    continue
                 if on_result is not None:
                     on_result(index, plan, result, None)
-                return result
-        with self._lock:
-            self.stats.failures += 1
-            if len(self.failure_records) < MAX_FAILURE_RECORDS:
-                self.failure_records.append(
-                    FailureRecord(
-                        plan=described,
-                        error=type(exc).__name__,
-                        message=str(exc),
-                    )
+                results.append(result)
+        return results
+
+    def _resolve_failure(self, plan, exc, index: int, on_result):
+        """Apply the ``on_error`` policy to a failed candidate."""
+        described = plan.describe() if hasattr(plan, "describe") else str(plan)
+        self.stats.failures += 1
+        if len(self.failure_records) < MAX_FAILURE_RECORDS:
+            self.failure_records.append(
+                FailureRecord(
+                    plan=described,
+                    error=type(exc).__name__,
+                    message=str(exc),
                 )
+            )
         _obs_count("resilience.failures")
         if self.on_error == "fail-fast":
             if self.search_log is not None:
@@ -1279,8 +1093,8 @@ class PlanEvaluator:
                 candidate=index,
                 phase="evaluate",
             ) from exc
-        # skip / degrade: quarantine the candidate and keep searching,
-        # unless the failure budget says the run is systemically broken.
+        # skip: quarantine the candidate and keep searching, unless the
+        # failure budget says the run is systemically broken.
         if self.search_log is not None:
             self.search_log.marker(
                 "skip", plan, error=type(exc).__name__, message=str(exc)
@@ -1290,26 +1104,10 @@ class PlanEvaluator:
             on_result(index, plan, None, exc)
         return None
 
-    def _attempt_degraded(self, thunk):
-        """Re-run a failed thunk on the conservative path.
-
-        Degraded mode bypasses the memo-cache read and the occupancy
-        prescreen and disarms fault injection — everything optional
-        between the caller and the model — while still honouring the
-        per-evaluation timeout.
-        """
-        self._degraded.value = True
-        try:
-            return self._attempt(thunk)
-        finally:
-            self._degraded.value = False
-
     # -- maintenance -----------------------------------------------------------
 
     def cache_size(self) -> int:
-        with self._lock:
-            return len(self._cache)
+        return len(self._cache)
 
     def clear(self) -> None:
-        with self._lock:
-            self._cache.clear()
+        self._cache.clear()

@@ -288,7 +288,7 @@ class TestGlobalRegistry:
     def test_eval_stats_publish_respects_flag(self):
         from repro.tuning.evaluator import EvalStats
 
-        stats = EvalStats(requests=3, hits=1, misses=2, wall_s=0.5, cpu_s=0.5)
+        stats = EvalStats(requests=3, hits=1, misses=2, wall_s=0.5)
         stats.publish()  # disabled: must record nothing
         assert len(get_metrics()) == 0
         configure_metrics(True, reset=True)

@@ -2,13 +2,11 @@
 
 The headline guarantee: the number of ``candidate`` records in a search
 log equals ``EvalStats.requests`` *exactly* — cache hits, prescreen
-rejections, infeasible plans, injected faults, retries and degraded
-re-runs included.  Demonstrated on a clean full-pipeline run and under
-seeded chaos.
+rejections, infeasible plans and injected faults included.
+Demonstrated on a clean full-pipeline run and under seeded chaos.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -17,7 +15,7 @@ from repro.dsl import parse
 from repro.ir import build_ir
 from repro.obs.search import SearchLog, log_context, read_events
 from repro.pipeline import optimize
-from repro.resilience import FaultInjector, RetryPolicy, UsageError
+from repro.resilience import FaultInjector, UsageError
 from repro.tuning import HierarchicalTuner, PlanEvaluator
 
 SMOOTHER_SRC = """
@@ -84,21 +82,6 @@ class TestSearchLogBasics:
         assert events["inner"]["context"] == {"a": 1, "b": 2}
         assert events["outer"]["context"] == {"a": 1}
         assert "context" not in events["bare"]
-
-    def test_capture_use_hands_tags_to_worker_threads(self):
-        log = SearchLog()
-        with log.context(stage="stage2"):
-            tags = log.capture()
-
-        def worker():
-            with log.use(tags):
-                log.emit("from-worker")
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        (event,) = [e for e in log.events() if e["kind"] == "from-worker"]
-        assert event["context"] == {"stage": "stage2"}
 
     def test_log_context_is_noop_without_log(self):
         with log_context(None, stage="x"):
@@ -171,19 +154,13 @@ class TestAccountingInvariant:
         kinds = {e["kind"] for e in log.events()}
         assert "winner" in kinds
 
-    def test_invariant_under_chaos_with_retries(self, smoother_ir):
-        injector = FaultInjector(rate=0.2, seed=3, transient_failures=1)
-        log, engine = _tuned(
-            smoother_ir,
-            fault_injector=injector,
-            retry=RetryPolicy(max_retries=2, base_delay_s=0.0),
-        )
-        assert injector.injected > 0
-        assert log.candidate_count() == engine.stats.requests
-        assert log.counts().get("retry", 0) >= injector.injected
-
-    def test_invariant_under_persistent_faults_skip(self, smoother_ir):
-        injector = FaultInjector(rate=0.1, seed=11)
+    @pytest.mark.parametrize(
+        "rate, seed", [(0.1, 11), (0.2, 3)], ids=["seed11", "seed3"]
+    )
+    def test_invariant_under_persistent_faults_skip(
+        self, smoother_ir, rate, seed
+    ):
+        injector = FaultInjector(rate=rate, seed=seed)
         log, engine = _tuned(
             smoother_ir, fault_injector=injector, on_error="skip"
         )
@@ -192,31 +169,8 @@ class TestAccountingInvariant:
         counts = log.counts()
         assert counts.get("candidate.error", 0) > 0
         assert counts.get("skip", 0) == engine.stats.failures
-
-    def test_invariant_under_degraded_mode(self, smoother_ir):
-        injector = FaultInjector(rate=0.1, seed=11)
-        log, engine = _tuned(
-            smoother_ir, fault_injector=injector, on_error="degrade"
-        )
-        assert log.candidate_count() == engine.stats.requests
-        if engine.stats.degraded:
-            assert log.counts().get("degraded", 0) == engine.stats.degraded
-
-    def test_invariant_with_watchdog_threads(self, smoother_ir, monkeypatch):
-        # With a per-evaluation timeout every evaluation runs on its own
-        # watchdog thread, which inherits the caller's context tags.
-        threads = set()
-        emit = SearchLog.emit
-
-        def spy(self, kind, **fields):
-            if kind == "candidate":
-                threads.add(threading.current_thread().name)
-            return emit(self, kind, **fields)
-
-        monkeypatch.setattr(SearchLog, "emit", spy)
-        log, engine = _tuned(smoother_ir, timeout_s=30.0)
-        assert threads == {"eval-watchdog"}
-        assert log.candidate_count() == engine.stats.requests
+        # Every event is emitted on the calling thread, inside the
+        # tuner's context scopes.
         stages = {
             e["context"].get("stage")
             for e in log.events()

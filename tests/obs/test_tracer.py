@@ -145,7 +145,7 @@ class TestThreading:
             assert parent.thread_id == child.thread_id
             assert parent.name == f"root.{child.name.split('.', 1)[1]}"
 
-    def test_interleaved_spans_from_evaluate_batch(self, global_tracing):
+    def test_simulate_spans_nest_inside_evaluate_batch(self, global_tracing):
         from repro.dsl import parse
         from repro.ir import build_ir
         from repro.codegen import seed_plan_from_pragma
@@ -170,21 +170,28 @@ class TestThreading:
             for block in [(32, 8), (32, 16), (16, 8), (16, 16), (8, 8), (64, 4)]
         ]
         # Scalar pricing, so every ``simulate`` span opens inside a
-        # thunk; the timeout runs each thunk on its own watchdog thread.
-        evaluator = PlanEvaluator(vectorize=False, timeout_s=30.0)
+        # thunk, which runs on the calling thread inside ``eval.batch``.
+        evaluator = PlanEvaluator(vectorize=False)
         results = evaluator.evaluate_batch(ir, plans)
         assert any(r is not None for r in results)
         spans = global_tracing.finished()
         batch = [s for s in spans if s.name == "eval.batch"]
         assert len(batch) == 1
         assert batch[0].attributes["candidates"] == len(plans)
+        by_id = {s.span_id: s for s in spans}
+
+        def ancestors(item):
+            while item.parent_id is not None:
+                item = by_id[item.parent_id]
+                yield item
+
         simulated = [s for s in spans if s.name == "simulate"]
         assert simulated
-        assert all(s.thread_name == "eval-watchdog" for s in simulated)
-        assert all(s.thread_id != batch[0].thread_id for s in simulated)
-        # Per-thread hierarchies stay well-formed: every parented span's
-        # parent lives on the same thread and encloses it in time.
-        by_id = {s.span_id: s for s in spans}
+        for item in simulated:
+            assert item.thread_id == batch[0].thread_id
+            assert batch[0].span_id in {a.span_id for a in ancestors(item)}
+        # The hierarchy stays well-formed: every parented span's parent
+        # lives on the same thread and encloses it in time.
         for item in spans:
             if item.parent_id is None:
                 continue

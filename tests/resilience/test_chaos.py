@@ -2,15 +2,17 @@
 
 The headline guarantees, each demonstrated end to end:
 
-* transient faults + retry, and persistent faults + degraded mode, both
-  recover to the *bit-identical* best plan of a fault-free run;
-* ``on_error=skip`` with a 10% persistent fault rate completes and
-  reports every quarantined candidate through the engine statistics and
-  the ``repro.obs`` counters;
+* ``on_error=skip`` with a 10% fault rate completes on the calling
+  thread and reports every quarantined candidate through the engine
+  statistics and the ``repro.obs`` counters;
+* a failure budget only exists under ``skip``, and aborts a run whose
+  failures exceed it;
 * an interrupted hierarchical-tuning run resumed from its checkpoint
   journal produces the same best plan as an uninterrupted run, paying
   only for the candidates the first run never reached.
 """
+
+import threading
 
 import pytest
 
@@ -18,7 +20,6 @@ from repro.resilience import (
     FailureBudgetExceeded,
     FaultInjector,
     InjectedFault,
-    RetryPolicy,
     TuningJournal,
     UsageError,
 )
@@ -43,32 +44,6 @@ def reference(smoother_ir):
     return base, result, engine.stats.snapshot()
 
 
-class TestTransientFaultsWithRetry:
-    def test_identical_best_plan(self, smoother_ir, reference):
-        base, ref, _ = reference
-        injector = FaultInjector(rate=0.2, seed=3, transient_failures=1)
-        result, engine = _tune(
-            smoother_ir,
-            base,
-            fault_injector=injector,
-            retry=RetryPolicy(max_retries=2, base_delay_s=0.0),
-        )
-        assert result.best.plan == ref.best.plan
-        assert result.best.time_s == ref.best.time_s
-        assert result.evaluations == ref.evaluations
-        assert injector.injected > 0
-        assert engine.stats.retries >= injector.injected
-        assert engine.stats.failures == 0
-
-    def test_without_retry_the_same_faults_kill_the_run(
-        self, smoother_ir, reference
-    ):
-        base, _, _ = reference
-        injector = FaultInjector(rate=0.2, seed=3, transient_failures=1)
-        with pytest.raises(InjectedFault):
-            _tune(smoother_ir, base, fault_injector=injector)
-
-
 class TestSkipPolicy:
     def test_ten_percent_fault_rate_completes_and_reports(
         self, smoother_ir, reference
@@ -76,7 +51,7 @@ class TestSkipPolicy:
         from repro.obs import configure_metrics, get_metrics
 
         base, ref, _ = reference
-        injector = FaultInjector(rate=0.1, seed=11)  # persistent faults
+        injector = FaultInjector(rate=0.1, seed=11)
         configure_metrics(True, reset=True)
         try:
             result, engine = _tune(
@@ -113,57 +88,70 @@ class TestSkipPolicy:
                 failure_budget=3,
             )
 
+    def test_failure_budget_requires_skip(self):
+        # Under fail-fast the first failure aborts the run before any
+        # budget is charged, so a budget there would be silently ignored.
+        with pytest.raises(UsageError, match="failure budget"):
+            PlanEvaluator(failure_budget=3)
 
-class TestDegradePolicy:
-    def test_degraded_mode_recovers_identical_results(
-        self, smoother_ir, reference
+    def test_faulted_skip_tune_starts_no_thread(
+        self, smoother_ir, reference, monkeypatch
     ):
-        base, ref, _ = reference
-        # Persistent faults that live in the fast path: degraded-mode
-        # re-evaluation (spare_degraded) bypasses them.
-        injector = FaultInjector(rate=0.15, seed=5)
-        result, engine = _tune(
-            smoother_ir, base, fault_injector=injector, on_error="degrade"
-        )
-        assert result.best.plan == ref.best.plan
-        assert result.best.time_s == ref.best.time_s
-        assert engine.stats.degraded == injector.injected > 0
-        assert engine.stats.failures == 0
+        def refuse(thread):
+            raise AssertionError(f"engine started thread {thread.name!r}")
 
-
-class TestTimeouts:
-    def test_hung_evaluation_times_out_and_is_skipped(
-        self, smoother_ir, reference
-    ):
         base, ref, _ = reference
-        injector = FaultInjector(
-            rate=0.02, seed=9, kind="hang", hang_s=0.75
-        )
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        injector = FaultInjector(rate=0.1, seed=11)
         result, engine = _tune(
-            smoother_ir,
-            base,
-            fault_injector=injector,
-            timeout_s=0.05,
-            on_error="skip",
+            smoother_ir, base, fault_injector=injector, on_error="skip"
         )
+        assert engine.stats.failures == injector.injected > 0
         assert result.evaluations == ref.evaluations
+
+
+class TestOneAttemptPerCandidate:
+    def test_fail_fast_aborts_on_the_first_fault(self, smoother_ir, reference):
+        base, _, _ = reference
+        injector = FaultInjector(rate=0.2, seed=3)
+        engine = PlanEvaluator(fault_injector=injector)
+        with pytest.raises(InjectedFault):
+            HierarchicalTuner(smoother_ir, evaluator=engine).tune(base)
+        # Nothing re-ran the faulted candidate: one fault, one failure.
+        assert injector.injected == 1
+        assert engine.stats.failures == 1
+
+    @pytest.mark.parametrize("seed", [3, 11, 2024])
+    def test_each_candidate_is_attempted_once(
+        self, smoother_ir, reference, seed
+    ):
+        base, ref, ref_stats = reference
+        injector = FaultInjector(rate=0.2, seed=seed)
+        result, engine = _tune(
+            smoother_ir, base, fault_injector=injector, on_error="skip"
+        )
+        # The injector sits in front of the model, so it sees every
+        # unscreened miss, faulted or not, exactly once: a fault is
+        # never followed by a second attempt at the same plan.
         assert injector.injected > 0
-        assert engine.stats.timeouts >= injector.injected
-        assert engine.stats.failures == engine.stats.timeouts
+        assert engine.stats.failures == injector.injected
+        assert engine.stats.requests == ref_stats.requests
+        assert injector.invocations == engine.stats.simulations
+        assert result.evaluations == ref.evaluations
 
-    @pytest.mark.parametrize(
-        "timeout_s", [0, -1.0, float("nan"), float("inf"), float("-inf")]
-    )
-    def test_timeout_must_be_positive_and_finite(self, timeout_s):
-        with pytest.raises(UsageError, match="timeout_s"):
-            PlanEvaluator(timeout_s=timeout_s)
-
-    def test_generous_timeout_changes_nothing(self, smoother_ir, reference):
+    def test_infeasible_candidates_are_not_failures(
+        self, smoother_ir, reference
+    ):
         base, ref, _ = reference
-        result, engine = _tune(smoother_ir, base, timeout_s=30.0)
+        # A zero budget aborts on the first charged failure; infeasible
+        # and screened candidates are results, so the run completes.
+        result, engine = _tune(
+            smoother_ir, base, on_error="skip", failure_budget=0
+        )
+        assert engine.stats.infeasible > 0
+        assert engine.stats.failures == 0
+        assert engine.failure_budget.spent == 0
         assert result.best.plan == ref.best.plan
-        assert result.best.time_s == ref.best.time_s
-        assert engine.stats.timeouts == 0
 
 
 class TestCheckpointResume:

@@ -82,11 +82,8 @@ class TestExitCodes:
             ["--top-k", "0"],
             ["--top-k", "-1"],
             ["--top-k", "-2"],
-            ["--eval-timeout", "nan"],
-            ["--eval-timeout", "0"],
-            ["--eval-timeout", "-1"],
-            ["--eval-timeout", "inf"],
-            ["--eval-timeout=-inf"],  # "-inf" alone parses as a flag
+            ["--on-error", "skip", "--failure-budget", "-1"],
+            ["--on-error", "skip", "--failure-budget=-5"],
         ],
     )
     def test_out_of_range_tuning_flags_are_exit_2(self, spec, flags, capsys):
@@ -94,15 +91,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ")
-        assert ("top_k" if flags[0] == "--top-k" else "timeout_s") in err
+        assert ("top_k" if flags[0] == "--top-k" else "failure budget") in err
 
-    @pytest.mark.parametrize("timeout", ["nan", "0", "-inf"])
-    def test_deep_tune_eval_timeout_is_validated(self, timeout, capsys):
-        code = main(["deep-tune", "7pt-smoother", f"--eval-timeout={timeout}"])
+    @pytest.mark.parametrize("budget", ["-1", "-3"])
+    def test_deep_tune_failure_budget_is_validated(self, budget, capsys):
+        code = main(
+            [
+                "deep-tune", "7pt-smoother", "--on-error", "skip",
+                f"--failure-budget={budget}",
+            ]
+        )
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ")
-        assert "timeout_s" in err
+        assert "failure budget must be >= 0" in err
+
+    @pytest.mark.parametrize("command", ["optimize", "deep-tune"])
+    def test_failure_budget_without_skip_is_exit_2(
+        self, command, capsys, monkeypatch
+    ):
+        # The default --on-error fail-fast aborts on the first fault, so
+        # a budget there would never be consulted: refuse it up front.
+        monkeypatch.setenv("REPRO_CHAOS_RATE", "0.1")
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "2024")
+        code = main([command, "7pt-smoother", "--failure-budget", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "on_error='skip'" in err
 
     def test_argparse_usage_is_exit_2(self):
         with pytest.raises(SystemExit) as info:
@@ -132,14 +148,6 @@ class TestChaosEnvHygiene:
         assert code == 2
         assert "REPRO_CHAOS_SEED" in err
         assert "not an integer" in err
-
-    def test_bad_transient_is_exit_2(self, spec, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_RATE", "0.1")
-        monkeypatch.setenv("REPRO_CHAOS_TRANSIENT", "lots")
-        code = main(["optimize", spec, "--top-k", "1"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "REPRO_CHAOS_TRANSIENT" in err
 
 
 class TestDebugFlag:
@@ -175,17 +183,6 @@ class TestChaosRecovery:
         assert code == 0
         assert "warning:" in captured.err
         assert "failed persistently" in captured.err
-
-    def test_transient_chaos_with_retries_is_clean(
-        self, spec, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CHAOS_RATE", "0.1")
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "42")
-        monkeypatch.setenv("REPRO_CHAOS_TRANSIENT", "1")
-        code = main(["optimize", spec, "--top-k", "1", "--retries", "2"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "warning:" not in captured.err
 
 
 def _stable_report_lines(text):

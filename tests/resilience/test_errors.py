@@ -9,7 +9,6 @@ from repro.resilience import (
     CheckpointCorruptError,
     CheckpointError,
     EvaluationError,
-    EvaluationTimeout,
     FailureBudgetExceeded,
     InfeasiblePlanError,
     InjectedFault,
@@ -24,7 +23,6 @@ class TestHierarchy:
             UsageError,
             InfeasiblePlanError,
             EvaluationError,
-            EvaluationTimeout,
             InjectedFault,
             FailureBudgetExceeded,
             CheckpointError,
@@ -39,7 +37,6 @@ class TestHierarchy:
         assert issubclass(InfeasiblePlanError, ValueError)
         assert issubclass(UsageError, ValueError)
         assert issubclass(EvaluationError, RuntimeError)
-        assert issubclass(EvaluationTimeout, EvaluationError)
         assert issubclass(InjectedFault, EvaluationError)
         assert issubclass(FailureBudgetExceeded, EvaluationError)
         assert issubclass(CheckpointCorruptError, CheckpointError)
@@ -91,4 +88,4 @@ class TestContext:
         with pytest.raises(ValueError):
             raise InfeasiblePlanError("nope")
         with pytest.raises(RuntimeError):
-            raise EvaluationTimeout("slow")
+            raise InjectedFault("boom")

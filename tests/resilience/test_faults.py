@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.resilience import (
-    FAULT_KINDS,
-    FaultInjector,
-    InjectedFault,
-    UsageError,
-)
+from repro.resilience import FaultInjector, InjectedFault, UsageError
 
 
 class TestSelection:
@@ -38,7 +33,7 @@ class TestSelection:
 
     def test_order_independence(self):
         """Content-addressing: the faulted set does not depend on the
-        order candidates are drawn in (the parallel-batch guarantee)."""
+        order candidates are drawn in (what a resumed run relies on)."""
         keys = [f"candidate-{i}" for i in range(200)]
         forward = FaultInjector(rate=0.3, seed=5)
         backward = FaultInjector(rate=0.3, seed=5)
@@ -61,41 +56,6 @@ class TestInjection:
         assert info.value.context["fault_seed"] == 0
         assert injector.injected == 1
 
-    def test_latency_kind_sleeps(self):
-        slept = []
-        injector = FaultInjector(
-            rate=1.0, seed=0, kind="latency", latency_s=0.5, sleep=slept.append
-        )
-        injector.invoke("k1")
-        assert slept == [0.5]
-
-    def test_hang_kind_sleeps_hang_duration(self):
-        slept = []
-        injector = FaultInjector(
-            rate=1.0, seed=0, kind="hang", hang_s=30.0, sleep=slept.append
-        )
-        injector.invoke("k1")
-        assert slept == [30.0]
-
-    def test_transient_faults_clear_after_n_failures(self):
-        injector = FaultInjector(rate=1.0, seed=0, transient_failures=2)
-        for _ in range(2):
-            with pytest.raises(InjectedFault):
-                injector.invoke("k1")
-        injector.invoke("k1")  # third attempt succeeds
-        injector.invoke("k1")
-        assert injector.injected == 2
-        assert injector.recovered == 2
-
-    def test_transient_state_is_per_candidate(self):
-        injector = FaultInjector(rate=1.0, seed=0, transient_failures=1)
-        with pytest.raises(InjectedFault):
-            injector.invoke("k1")
-        with pytest.raises(InjectedFault):
-            injector.invoke("k2")
-        injector.invoke("k1")
-        injector.invoke("k2")
-
     def test_after_defers_injection(self):
         injector = FaultInjector(rate=1.0, seed=0, after=3)
         for _ in range(3):
@@ -111,16 +71,27 @@ class TestInjection:
         injector.invoke("k1")
         assert injector.injected == 2
 
-    def test_degraded_attempts_are_spared_by_default(self):
-        injector = FaultInjector(rate=1.0, seed=0)
-        injector.invoke("k1", degraded=True)
-        with pytest.raises(InjectedFault):
-            injector.invoke("k1", degraded=False)
+    def test_max_faults_zero_never_injects(self):
+        injector = FaultInjector(rate=1.0, seed=0, max_faults=0)
+        for _ in range(5):
+            injector.invoke("k1")
+        assert injector.injected == 0
 
-    def test_spare_degraded_can_be_disabled(self):
-        injector = FaultInjector(rate=1.0, seed=0, spare_degraded=False)
+    def test_match_restricts_injection(self):
+        injector = FaultInjector(rate=1.0, seed=0, match=lambda k: "x" in k)
+        injector.invoke("abc")
         with pytest.raises(InjectedFault):
-            injector.invoke("k1", degraded=True)
+            injector.invoke("axb")
+        assert injector.invocations == 2
+        assert injector.injected == 1
+
+    def test_injected_fault_is_an_exit_4_evaluation_error(self):
+        from repro.resilience import EvaluationError
+
+        injector = FaultInjector(rate=1.0, seed=0)
+        with pytest.raises(EvaluationError) as info:
+            injector.invoke("k1")
+        assert info.value.exit_code == 4
 
     def test_invocation_counter(self):
         injector = FaultInjector(rate=0.0, seed=0)
@@ -131,22 +102,11 @@ class TestInjection:
 
 
 class TestValidation:
-    def test_known_kinds(self):
-        assert FAULT_KINDS == ("error", "latency", "hang")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(UsageError):
-            FaultInjector(kind="gamma-ray")
-
     def test_rate_out_of_range_rejected(self):
         with pytest.raises(UsageError):
             FaultInjector(rate=1.5)
         with pytest.raises(UsageError):
             FaultInjector(rate=-0.1)
-
-    def test_negative_transients_rejected(self):
-        with pytest.raises(UsageError):
-            FaultInjector(transient_failures=-1)
 
 
 class TestObsIntegration:

@@ -1,4 +1,4 @@
-"""Retry/backoff policies and the failure budget (incl. properties)."""
+"""The ``on_error`` policy names and the failure budget (incl. properties)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,70 +7,8 @@ from repro.resilience import (
     FailureBudget,
     FailureBudgetExceeded,
     ON_ERROR_POLICIES,
-    RetryPolicy,
     UsageError,
 )
-
-
-class TestRetryPolicy:
-    def test_defaults(self):
-        policy = RetryPolicy()
-        assert policy.max_retries == 2
-        assert policy.delay(0) == pytest.approx(0.01)
-        assert policy.delay(1) == pytest.approx(0.02)
-
-    def test_delay_caps_at_max(self):
-        policy = RetryPolicy(
-            max_retries=10, base_delay_s=0.5, factor=2.0, max_delay_s=1.0
-        )
-        assert policy.delay(0) == pytest.approx(0.5)
-        assert policy.delay(5) == pytest.approx(1.0)
-
-    def test_total_delay_is_sum_of_delays(self):
-        policy = RetryPolicy(max_retries=3, base_delay_s=0.1, factor=3.0)
-        assert policy.total_delay() == pytest.approx(sum(policy.delays()))
-        assert len(policy.delays()) == 3
-
-    def test_sleep_uses_injected_callable(self):
-        slept = []
-        RetryPolicy(base_delay_s=0.25).sleep(0, sleep=slept.append)
-        assert slept == [0.25]
-
-    def test_zero_delay_skips_sleep(self):
-        slept = []
-        RetryPolicy(base_delay_s=0.0).sleep(0, sleep=slept.append)
-        assert slept == []
-
-    def test_validation(self):
-        with pytest.raises(UsageError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(UsageError):
-            RetryPolicy(base_delay_s=-0.1)
-        with pytest.raises(UsageError):
-            RetryPolicy(factor=0.5)
-
-    @given(
-        max_retries=st.integers(min_value=0, max_value=20),
-        base=st.floats(min_value=0.0, max_value=2.0),
-        factor=st.floats(min_value=1.0, max_value=8.0),
-        cap=st.floats(min_value=0.0, max_value=5.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_backoff_bounds_property(self, max_retries, base, factor, cap):
-        """Every delay respects the cap; the sequence is monotone
-        non-decreasing; the worst-case total is exactly their sum."""
-        policy = RetryPolicy(
-            max_retries=max_retries,
-            base_delay_s=base,
-            factor=factor,
-            max_delay_s=cap,
-        )
-        delays = policy.delays()
-        assert len(delays) == max_retries
-        for value in delays:
-            assert 0.0 <= value <= cap
-        assert all(a <= b + 1e-12 for a, b in zip(delays, delays[1:]))
-        assert policy.total_delay() == pytest.approx(sum(delays))
 
 
 class TestFailureBudget:
@@ -79,13 +17,12 @@ class TestFailureBudget:
         for _ in range(1000):
             budget.charge()
         assert budget.spent == 1000
-        assert budget.remaining is None
 
     def test_raises_past_limit(self):
         budget = FailureBudget(2)
         budget.charge()
         budget.charge()
-        assert budget.remaining == 0
+        assert budget.spent == 2
         with pytest.raises(FailureBudgetExceeded) as info:
             budget.charge(plan="p3")
         assert info.value.context["failures"] == 3
@@ -110,90 +47,6 @@ class TestFailureBudget:
             budget.charge()
 
 
-class TestEngineRetryIntegration:
-    """The evaluator's retry loop honours the policy's attempt bound."""
-
-    def _engine(self, **kwargs):
-        from repro.tuning import PlanEvaluator
-
-        return PlanEvaluator(**kwargs)
-
-    def test_attempts_bounded_by_policy(self):
-        calls = []
-
-        def always_fails():
-            calls.append(1)
-            raise RuntimeError("flaky")
-
-        engine = self._engine(
-            retry=RetryPolicy(max_retries=3, base_delay_s=0.0)
-        )
-        with pytest.raises(RuntimeError):
-            engine._attempt_with_retries(always_fails)
-        assert len(calls) == 4  # 1 attempt + 3 retries
-        assert engine.stats.retries == 3
-
-    def test_transient_failure_recovers(self):
-        state = {"failures": 0}
-
-        def flaky():
-            if state["failures"] < 2:
-                state["failures"] += 1
-                raise RuntimeError("transient")
-            return "ok"
-
-        engine = self._engine(
-            retry=RetryPolicy(max_retries=2, base_delay_s=0.0)
-        )
-        assert engine._attempt_with_retries(flaky) == "ok"
-        assert engine.stats.retries == 2
-
-    def test_infeasible_is_never_retried(self):
-        from repro.gpu.simulator import PlanInfeasible
-
-        calls = []
-
-        def infeasible():
-            calls.append(1)
-            raise PlanInfeasible("cannot launch")
-
-        engine = self._engine(
-            retry=RetryPolicy(max_retries=5, base_delay_s=0.0)
-        )
-        with pytest.raises(PlanInfeasible):
-            engine._attempt_with_retries(infeasible)
-        assert len(calls) == 1
-        assert engine.stats.retries == 0
-
-    def test_no_policy_means_single_attempt(self):
-        calls = []
-
-        def fails():
-            calls.append(1)
-            raise RuntimeError("boom")
-
-        engine = self._engine()
-        with pytest.raises(RuntimeError):
-            engine._attempt_with_retries(fails)
-        assert len(calls) == 1
-
-    @given(max_retries=st.integers(min_value=0, max_value=6))
-    @settings(max_examples=20, deadline=None)
-    def test_attempt_count_property(self, max_retries):
-        calls = []
-
-        def always_fails():
-            calls.append(1)
-            raise RuntimeError("flaky")
-
-        engine = self._engine(
-            retry=RetryPolicy(max_retries=max_retries, base_delay_s=0.0)
-        )
-        with pytest.raises(RuntimeError):
-            engine._attempt_with_retries(always_fails)
-        assert len(calls) == max_retries + 1
-
-
 def test_policy_names_are_stable():
     # The CLI, docs and journal records reference these names.
-    assert ON_ERROR_POLICIES == ("fail-fast", "skip", "degrade")
+    assert ON_ERROR_POLICIES == ("fail-fast", "skip")

@@ -479,14 +479,15 @@ class TestLiveObservatory:
         from repro.obs import MetricsRegistry
 
         reg = MetricsRegistry()
-        publish_stats_dict(
-            reg, {"requests": 4, "hits": 1, "wall_s": 0.5, "cpu_s": 0.0}
-        )
+        publish_stats_dict(reg, {"requests": 4, "hits": 1, "wall_s": 0.5})
         snap = reg.snapshot()
         assert snap["eval.requests"]["value"] == 4
         assert snap["eval.hits"]["value"] == 1
         assert snap["eval.wall_s"]["count"] == 1
-        assert "eval.cpu_s" not in snap  # zero timing -> no observation
+        # Zero timing records no observation.
+        idle = MetricsRegistry()
+        publish_stats_dict(idle, {"requests": 0, "wall_s": 0.0})
+        assert "eval.wall_s" not in idle.snapshot()
 
     def test_publish_stats_covers_every_eval_stats_field(self):
         from repro.cli import publish_stats_dict
@@ -505,7 +506,7 @@ class TestLiveObservatory:
         publish_stats_dict(reg, stats, prefix="live")
         snap = reg.snapshot()
         for name, value in stats.items():
-            if name in ("wall_s", "cpu_s"):
+            if name == "wall_s":
                 assert snap[f"live.{name}"]["sum"] == pytest.approx(value)
             else:
                 assert snap[f"live.{name}"]["value"] == value
@@ -513,7 +514,9 @@ class TestLiveObservatory:
 
 class TestRemovedExecutors:
     """The thread pool, process pool and distributed coordinator are
-    gone: their flags and subcommands are argparse usage errors."""
+    gone, and so are retries, the per-evaluation timeout and the
+    degraded path: their flags, choices and subcommands are argparse
+    usage errors."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -530,6 +533,12 @@ class TestRemovedExecutors:
             ["deep-tune", "7pt-smoother", "--executor", "process"],
             ["deep-tune", "7pt-smoother", "--distrib-dir", "run"],
             ["deep-tune", "7pt-smoother", "--lease-ttl", "1"],
+            ["optimize", "7pt-smoother", "--retries", "1"],
+            ["optimize", "7pt-smoother", "--eval-timeout", "5"],
+            ["optimize", "7pt-smoother", "--on-error", "degrade"],
+            ["deep-tune", "7pt-smoother", "--retries", "1"],
+            ["deep-tune", "7pt-smoother", "--eval-timeout", "5"],
+            ["deep-tune", "7pt-smoother", "--on-error", "degrade"],
             ["bench", "--executor", "process"],
             ["bench", "--executor", "thread"],
             ["shard-status", "run"],

@@ -346,21 +346,9 @@ class TestTunerIntegration:
         assert narrow.best.time_s >= wide.best.time_s
 
 
-BLOCKS = [
-    (32, 16), (32, 8), (16, 16), (16, 8),
-    (64, 8), (64, 4), (8, 8), (8, 16),
-]
-
-
 class TestTimingAccounting:
-    """``wall_s`` vs ``cpu_s`` semantics.
-
-    Historically ``wall_s`` summed each thread's time inside the engine,
-    so four concurrent callers reported up to 4x the real elapsed time (and
-    nested ``evaluate_spill_free`` -> ``evaluate`` frames double-billed
-    even serially).  Now ``wall_s`` merges overlapping busy intervals
-    and ``cpu_s`` carries the per-thread sum.
-    """
+    """``wall_s`` is the elapsed time of the engine's outermost frames:
+    nested ``evaluate_spill_free`` -> ``evaluate`` frames bill once."""
 
     def _patch_sleepy_simulate(self, monkeypatch, delay):
         import repro.tuning.evaluator as evaluator_module
@@ -373,18 +361,6 @@ class TestTimingAccounting:
 
         monkeypatch.setattr(evaluator_module, "simulate", sleepy)
 
-    def test_serial_wall_matches_cpu(self, smoother_ir, base_plan, monkeypatch):
-        delay = 0.01
-        self._patch_sleepy_simulate(monkeypatch, delay)
-        evaluator = PlanEvaluator()
-        for block in BLOCKS[:4]:
-            evaluator.evaluate(smoother_ir, base_plan.replace(block=block))
-        stats = evaluator.stats
-        assert stats.simulations >= 4
-        assert stats.cpu_s >= stats.simulations * delay
-        # One thread: the merged busy interval equals the per-thread sum.
-        assert abs(stats.wall_s - stats.cpu_s) < 1e-6
-
     def test_nested_calls_bill_outermost_frame_once(
         self, smoother_ir, base_plan, monkeypatch
     ):
@@ -396,50 +372,16 @@ class TestTimingAccounting:
         elapsed = time.perf_counter() - start
         stats = evaluator.stats
         assert stats.simulations >= 1
-        # The nested evaluate() frames must not add their own deltas on
-        # top of the evaluate_spill_free() frame.
-        assert stats.cpu_s <= elapsed * 1.05 + 1e-3
+        # Every sleeping simulation shows, but the nested evaluate()
+        # frames must not add their own deltas on top of the
+        # evaluate_spill_free() frame.
+        assert stats.wall_s >= stats.simulations * delay
         assert stats.wall_s <= elapsed * 1.05 + 1e-3
 
-    def test_concurrent_wall_is_elapsed_not_thread_sum(
-        self, smoother_ir, base_plan, monkeypatch
-    ):
-        delay = 0.05
-        self._patch_sleepy_simulate(monkeypatch, delay)
-        # Batches run serially, so drive the engine from four caller
-        # threads at once — the overlap a timed-out evaluation still
-        # running on its watchdog thread produces.
-        evaluator = PlanEvaluator()
-        plans = [base_plan.replace(block=block) for block in BLOCKS]
-        results = [None] * len(plans)
-
-        def run(offset):
-            for index in range(offset, len(plans), 4):
-                results[index] = evaluator.evaluate(smoother_ir, plans[index])
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        elapsed = time.perf_counter() - start
-        assert not any(thread.is_alive() for thread in threads)
-        stats = evaluator.stats
-        assert all(r is not None for r in results)
-        assert stats.simulations == len(BLOCKS)
-        # cpu_s is the honest thread-sum: every sleeping simulation shows.
-        assert stats.cpu_s >= len(BLOCKS) * delay
-        # wall_s is real elapsed engine time: bounded by the clock ...
-        assert stats.wall_s <= elapsed * 1.05 + 1e-3
-        # ... and, with 4 threads over 8 sleepy jobs, well under the
-        # thread-sum the old accounting would have reported.
-        assert stats.wall_s < stats.cpu_s * 0.7
-
-    def test_report_and_dict_carry_both_counters(self, smoother_ir, base_plan):
+    def test_report_and_dict_carry_wall_time(self, smoother_ir, base_plan):
         evaluator = PlanEvaluator()
         evaluator.evaluate(smoother_ir, base_plan)
         as_dict = evaluator.stats.as_dict()
-        assert "wall_s" in as_dict and "cpu_s" in as_dict
+        assert "wall_s" in as_dict and "cpu_s" not in as_dict
         described = evaluator.stats.describe()
-        assert "ms wall" in described and "ms cpu-sum" in described
+        assert "ms wall" in described and "cpu-sum" not in described

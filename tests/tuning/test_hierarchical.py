@@ -83,4 +83,4 @@ class TestCustomHierarchy:
         tuner = HierarchicalTuner(smoother_ir, hierarchy=[level1, level2])
         result = tuner.tune(base)
         assert result.best.time_s > 0
-        assert result.evaluations <= 8  # 2 + top_k*1 at most (plus retries)
+        assert result.evaluations <= 8  # 2 + top_k*1 at most

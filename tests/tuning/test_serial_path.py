@@ -1,9 +1,13 @@
-"""Batches have one execution path: the serial evaluator.
+"""Batches have one execution path: the serial evaluator, one attempt
+per candidate.
 
 The thread pool, the fork pool and the multi-process coordinator were
 removed because none of them beat the serial evaluator on any suite
-workload.  These tests pin that removal at the library surface, so a
-second executor cannot creep back in through a keyword argument.
+workload.  Retries, the per-evaluation timeout watchdog and the
+degraded path were removed because the model is deterministic: they
+could only recover faults the repository injected into itself.  These
+tests pin both removals at the library surface, so a second executor
+or a second attempt cannot creep back in through a keyword argument.
 """
 
 import importlib
@@ -12,12 +16,15 @@ import inspect
 import pytest
 
 from repro.obs import Tracer
+from repro import resilience
 from repro.obs import export
+from repro.obs.search import SearchLog
 from repro.pipeline import optimize
-from repro.resilience import TuningJournal
+from repro.resilience import FaultInjector, TuningJournal
 from repro.suite.bench import run_bench
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
 from repro.tuning import evaluator
+from repro.tuning.evaluator import EvalStats
 from repro.tuning.random_search import random_search
 
 ENTRY_POINTS = {
@@ -34,12 +41,21 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("parameter", ["workers", "executor"])
+@pytest.mark.parametrize(
+    "parameter", ["workers", "executor", "retry", "timeout_s"]
+)
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_no_executor_parameters(entry, parameter):
     params = inspect.signature(ENTRY_POINTS[entry]).parameters
     assert parameter not in params
     assert all(p.kind is not p.VAR_KEYWORD for p in params.values())
+
+
+@pytest.mark.parametrize(
+    "parameter", ["kind", "transient_failures", "spare_degraded"]
+)
+def test_fault_injector_raises_errors_only(parameter):
+    assert parameter not in inspect.signature(FaultInjector).parameters
 
 
 def test_optimize_takes_no_tuner_factory():
@@ -64,6 +80,15 @@ def test_removed_modules_are_gone(module):
         (TuningJournal, "merge_record"),
         (Tracer, "open_spans"),
         (evaluator, "EXECUTOR_MODES"),
+        (resilience, "RetryPolicy"),
+        (resilience, "EvaluationTimeout"),
+        (resilience, "FAULT_KINDS"),
+        (SearchLog, "capture"),
+        (SearchLog, "use"),
+        (EvalStats, "retries"),
+        (EvalStats, "timeouts"),
+        (EvalStats, "degraded"),
+        (EvalStats, "cpu_s"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
