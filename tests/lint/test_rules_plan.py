@@ -138,6 +138,10 @@ class TestRL206FusionOrder:
             assert "RL206" in report.codes()
             rejection = plan_rejection(two_kernel_ir, plan, P100)
         assert rejection is not None and rejection.code == "RL206"
+        assert rejection.message == (
+            "plan fuses 'consume.0' before 'produce.0', but the dependence "
+            "DAG requires 'produce.0' to run first"
+        )
 
     def test_legacy_mode_is_distance_aware(self, two_kernel_ir):
         # Satellite fix: a DAG-consistent fusion that chunk-races the

@@ -23,6 +23,18 @@ def codes_of(source):
     return lint_source(source).codes()
 
 
+def rl104_message(source):
+    (finding,) = [d for d in lint_source(source) if d.rule.code == "RL104"]
+    return finding.message
+
+
+def cycle_message(chain):
+    return (
+        f"array dataflow between kernels is circular: {chain} \u2014 the "
+        "stencil DAG cannot be scheduled"
+    )
+
+
 def test_valid_program_is_clean():
     assert codes_of(VALID) == ()
 
@@ -118,6 +130,25 @@ copyout X;
         report = lint_source(src)
         assert "RL104" in report.codes()
         assert report.has_errors
+        assert rl104_message(src) == cycle_message("X -> Y -> X")
+
+    def test_two_kernel_cycle_message(self):
+        assert rl104_message(self.SRC) == cycle_message("B -> A -> B")
+
+    def test_three_kernel_cycle_message(self):
+        src = """
+parameter N=64;
+iterator k, j, i;
+double A[N,N,N], B[N,N,N], C[N,N,N], D[N,N,N];
+copyin A, D;
+stencil f (Y, X) { Y[k][j][i] = X[k][j][i+1]; }
+stencil g (Y, X, Z) { Y[k][j][i] = X[k][j][i] + Z[k][j][i]; }
+f (B, A);
+g (C, B, D);
+f (A, C);
+copyout A, B, C;
+"""
+        assert rl104_message(src) == cycle_message("A -> B -> C -> A")
 
     def test_exclusive_in_place_writer_stays_silent(self):
         # The legal accumulate idiom (up += ...) must not read as a
