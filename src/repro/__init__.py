@@ -12,28 +12,41 @@ Public API highlights::
     from repro.suite import load_ir       # the 11 paper benchmarks
 """
 
-from .codegen import (
-    GeneratedProgram,
-    KernelPlan,
-    ProgramPlan,
-    emit_cuda,
-    generate_baseline,
-    lower,
-    realize,
+from ._lazy import lazy_attributes
+
+__getattr__ = lazy_attributes(
+    __name__,
+    {
+        ".codegen": (
+            "GeneratedProgram",
+            "KernelPlan",
+            "ProgramPlan",
+            "emit_cuda",
+            "generate_baseline",
+            "lower",
+            "realize",
+        ),
+        ".dsl": ("parse",),
+        ".gpu": (
+            "DeviceSpec",
+            "P100",
+            "V100",
+            "SimulationResult",
+            "simulate",
+        ),
+        ".gpu.executor": (
+            "allocate_inputs",
+            "default_scalars",
+            "execute_plan",
+            "execute_program_plan",
+            "execute_reference",
+        ),
+        ".ir": ("ProgramIR", "build_ir", "characteristics"),
+        ".pipeline": ("OptimizationOutcome", "format_report", "optimize"),
+        ".profiling": ("advise", "classify_result", "profile"),
+        ".tuning": ("deep_tune", "fusion_schedule", "tune_kernel"),
+    },
 )
-from .dsl import parse
-from .gpu import DeviceSpec, P100, V100, SimulationResult, simulate
-from .gpu.executor import (
-    allocate_inputs,
-    default_scalars,
-    execute_plan,
-    execute_program_plan,
-    execute_reference,
-)
-from .ir import ProgramIR, build_ir, characteristics
-from .pipeline import OptimizationOutcome, format_report, optimize
-from .profiling import advise, classify_result, profile
-from .tuning import deep_tune, fusion_schedule, tune_kernel
 
 __version__ = "1.0.0"
 

@@ -39,7 +39,6 @@ from .obs import (
     write_trace,
 )
 from .obs.explain import build_explain, format_explain
-from .obs.report_html import render_html
 from .obs.search import SearchLog, read_events
 from .pipeline import format_report, optimize
 from .profiling import classify_result, profile
@@ -516,6 +515,8 @@ def cmd_deep_tune(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .obs.report_html import render_html
+
     events = read_events(args.log)
     out = args.output or str(Path(args.log).with_suffix(".html"))
     document = render_html(events, title=args.title, top_k=args.top_k)

@@ -10,7 +10,7 @@ and render CUDA plus a simulated performance report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from ..dsl.ast import Program
 from ..dsl.parser import parse
@@ -18,9 +18,11 @@ from ..gpu.counters import SimulationResult
 from ..gpu.device import DeviceSpec, P100
 from ..gpu.simulator import simulate
 from ..ir.stencil import ProgramIR, build_ir
-from .cuda_emitter import GeneratedKernel, emit_cuda
 from .plan import KernelPlan, ProgramPlan
 from .resources import auto_assign, seed_plan_from_pragma, validate_plan
+
+if TYPE_CHECKING:
+    from .cuda_emitter import GeneratedKernel
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,8 @@ def realize(
     ir: ProgramIR, schedule: ProgramPlan, device: DeviceSpec = P100
 ) -> GeneratedProgram:
     """Emit CUDA and simulate every launch of a schedule."""
+    from .cuda_emitter import emit_cuda
+
     kernels = tuple(emit_cuda(ir, plan) for plan in schedule.plans)
     simulations = tuple(simulate(ir, plan, device) for plan in schedule.plans)
     return GeneratedProgram(

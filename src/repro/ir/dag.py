@@ -11,22 +11,133 @@ Two granularities are used by the optimizer:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
-
-import networkx as nx
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 from ..dsl.ast import ArrayAccess, array_accesses, scalar_names
 from .stencil import ProgramIR, Statement, StencilInstance
 
 
-def kernel_dag(ir: ProgramIR) -> nx.DiGraph:
+class DiGraph:
+    """A small directed graph over adjacency dicts.
+
+    Nodes and edges keep insertion order, and every edge has one data
+    dict that ``graph[u][v]`` returns.  Adding an edge that exists
+    updates its data; adding an edge adds its missing endpoints.
+    """
+
+    def __init__(self) -> None:
+        #: node -> attribute dict
+        self.nodes: Dict[Hashable, Dict[str, Any]] = {}
+        self._succ: Dict[Hashable, Dict[Hashable, Dict[str, Any]]] = {}
+        self._pred: Dict[Hashable, Dict[Hashable, Dict[str, Any]]] = {}
+
+    def add_node(self, node: Hashable, **attr: Any) -> None:
+        if node not in self.nodes:
+            self.nodes[node] = {}
+            self._succ[node] = {}
+            self._pred[node] = {}
+        self.nodes[node].update(attr)
+
+    def add_edge(self, u: Hashable, v: Hashable, **attr: Any) -> None:
+        self.add_node(u)
+        self.add_node(v)
+        data = self._succ[u].setdefault(v, {})
+        data.update(attr)
+        self._pred[v][u] = data
+
+    def has_edge(self, u: Hashable, v: Hashable) -> bool:
+        return v in self._succ.get(u, ())
+
+    def successors(self, node: Hashable) -> Iterator[Hashable]:
+        return iter(self._succ[node])
+
+    def predecessors(self, node: Hashable) -> Iterator[Hashable]:
+        return iter(self._pred[node])
+
+    def edges(self, data: Any = False) -> Iterator[tuple]:
+        """``(u, v)`` pairs; ``(u, v, d)`` with ``data=True``, or
+        ``(u, v, d.get(data))`` when ``data`` names an attribute."""
+        for u, targets in self._succ.items():
+            for v, attrs in targets.items():
+                if data is False:
+                    yield u, v
+                elif data is True:
+                    yield u, v, attrs
+                else:
+                    yield u, v, attrs.get(data)
+
+    def number_of_edges(self) -> int:
+        return sum(len(targets) for targets in self._succ.values())
+
+    def __getitem__(self, node: Hashable) -> Dict[Hashable, Dict[str, Any]]:
+        return self._succ[node]
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self.nodes)
+
+
+def has_path(graph: DiGraph, source: Hashable, target: Hashable) -> bool:
+    """True when ``target`` is reachable from ``source`` (a node always
+    reaches itself)."""
+    seen = {source}
+    frontier = [source]
+    while frontier:
+        node = frontier.pop()
+        if node == target:
+            return True
+        for succ in graph.successors(node):
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    return False
+
+
+def find_cycle(graph: DiGraph) -> Optional[List[Tuple[Hashable, Hashable]]]:
+    """The edges of one directed cycle, or ``None`` when there is none.
+
+    Depth-first from each unvisited node in insertion order, following
+    successors in insertion order; the first edge back onto the current
+    path closes the cycle, which is returned starting at that edge's
+    head.  RL104's message names this cycle, so the order is part of
+    the output.
+    """
+    visited: Set[Hashable] = set()
+    for start in graph:
+        if start in visited:
+            continue
+        visited.add(start)
+        path: List[Hashable] = [start]
+        on_path = {start}
+        stack = [graph.successors(start)]
+        while stack:
+            for succ in stack[-1]:
+                if succ in on_path:
+                    cycle = path[path.index(succ):] + [succ]
+                    return list(zip(cycle, cycle[1:]))
+                if succ not in visited:
+                    visited.add(succ)
+                    path.append(succ)
+                    on_path.add(succ)
+                    stack.append(graph.successors(succ))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
+    return None
+
+
+def is_directed_acyclic_graph(graph: DiGraph) -> bool:
+    return find_cycle(graph) is None
+
+
+def kernel_dag(ir: ProgramIR) -> DiGraph:
     """Build the kernel-level dependence DAG.
 
     Nodes are kernel instance names; an edge u -> v means v reads an
     array that u wrote (RAW), or overwrites data u produced (WAW/WAR),
     so u must execute first.
     """
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for kernel in ir.kernels:
         graph.add_node(kernel.name, instance=kernel)
     last_writer: Dict[str, str] = {}
@@ -49,14 +160,14 @@ def kernel_dag(ir: ProgramIR) -> nx.DiGraph:
     return graph
 
 
-def statement_dag(instance: StencilInstance) -> nx.DiGraph:
+def statement_dag(instance: StencilInstance) -> DiGraph:
     """Build the statement-level dependence DAG within one kernel.
 
     Nodes are statement indices.  Edges capture RAW dependences through
     local scalars and through arrays (any offset — within a kernel a
     producing statement must run before a consumer at the same point).
     """
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for index, stmt in enumerate(instance.statements):
         graph.add_node(index, statement=stmt)
     scalar_writer: Dict[str, int] = {}
@@ -131,6 +242,6 @@ def is_pipeline(ir: ProgramIR) -> bool:
     raw_edges = [
         (u, v) for u, v, d in graph.edges(data=True) if d.get("kind") == "RAW"
     ]
-    return len(raw_edges) >= len(ir.kernels) - 1 and nx.is_directed_acyclic_graph(
+    return len(raw_edges) >= len(ir.kernels) - 1 and is_directed_acyclic_graph(
         graph
     )

@@ -13,6 +13,7 @@ turns error-severity plan findings into counted ``lint.*`` rejections
 (``docs/lint.md`` has the full rule catalog).
 """
 
+from .._lazy import lazy_attributes
 from .diagnostics import (
     ERROR,
     INFO,
@@ -31,7 +32,7 @@ from .dependence import (
     edges_between,
     kernel_dependences,
 )
-from .engine import extract_dsl_blocks, lint_program, lint_source
+from . import rules_program  # registers the RL1xx rules in RULES
 from .rules_plan import check_plan, classify_occupancy_failure, plan_rejection
 from .rules_transform import (
     certification_advisories,
@@ -40,8 +41,15 @@ from .rules_transform import (
     certify_plan_transformations,
     set_certification_enabled,
 )
-from .sarif import sarif_log, write_sarif
-from .witness import WitnessReplay, replay_witness
+
+__getattr__ = lazy_attributes(
+    __name__,
+    {
+        ".engine": ("extract_dsl_blocks", "lint_program", "lint_source"),
+        ".sarif": ("sarif_log", "write_sarif"),
+        ".witness": ("WitnessReplay", "replay_witness"),
+    },
+)
 
 __all__ = [
     "ERROR",

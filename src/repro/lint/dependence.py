@@ -39,9 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..ir.analysis import array_offset_sets, memoized_kv
+from ..ir.dag import DiGraph, has_path
 from ..ir.stencil import ProgramIR
 
 FLOW = "flow"
@@ -234,13 +233,13 @@ def _kernel_dependences(ir: ProgramIR) -> Tuple[DependenceEdge, ...]:
     return tuple(edges)
 
 
-def dependence_graph(ir: ProgramIR) -> nx.DiGraph:
+def dependence_graph(ir: ProgramIR) -> DiGraph:
     """Kernel-level digraph over :func:`kernel_dependences` edges.
 
     Structurally equivalent to :func:`repro.ir.dag.kernel_dag`; edge
     data carries the :class:`DependenceEdge` list for each pair.
     """
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for kernel in ir.kernels:
         graph.add_node(kernel.name)
     for edge in kernel_dependences(ir):
@@ -283,7 +282,7 @@ def interposed_kernels(
             for outsider in (k.name for k in ir.kernels):
                 if outsider in members:
                     continue
-                if nx.has_path(graph, a, outsider) and nx.has_path(
+                if has_path(graph, a, outsider) and has_path(
                     graph, outsider, b
                 ):
                     chains.append((a, outsider, b))
@@ -291,7 +290,7 @@ def interposed_kernels(
     return tuple(chains)
 
 
-def array_flow_graph(ir: ProgramIR) -> nx.DiGraph:
+def array_flow_graph(ir: ProgramIR) -> DiGraph:
     """Array-level dataflow graph (``source array -> written array``).
 
     Used by RL104's cycle detection.  A read of an array the kernel
@@ -307,7 +306,7 @@ def array_flow_graph(ir: ProgramIR) -> nx.DiGraph:
     for kernel in ir.kernels:
         for array in kernel.arrays_written():
             writers.setdefault(array, set()).add(kernel.name)
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for kernel in ir.kernels:
         written = set(kernel.arrays_written())
         for source in kernel.arrays_read():

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import networkx as nx
-
 from ..codegen.plan import KernelPlan
 from ..ir.stencil import ProgramIR
 from .diagnostics import Diagnostic, ERROR, INFO, WARNING, rule
@@ -197,12 +195,12 @@ def _legacy_fusion_findings(
         except KeyError:
             order = []
         if order:
-            from ..ir.dag import kernel_dag
+            from ..ir.dag import has_path, kernel_dag
 
             dag = kernel_dag(ir)
             for i in range(len(order)):
                 for j in range(i + 1, len(order)):
-                    if nx.has_path(dag, order[j], order[i]):
+                    if has_path(dag, order[j], order[i]):
                         out.append(
                             Diagnostic(
                                 RL206,

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-import networkx as nx
-
 from ..dsl.ast import (
     ArrayAccess,
     Assignment,
@@ -250,12 +248,11 @@ def _check_dependence_cycle(
     # in-place idiom, see RL103).  The earlier pure-input-only graph
     # dropped every self-written read, so a cycle routed through an
     # array that a *third* kernel also writes went undetected.
+    from ..ir.dag import find_cycle
     from .dependence import array_flow_graph
 
-    graph = array_flow_graph(ir)
-    try:
-        cycle = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
+    cycle = find_cycle(array_flow_graph(ir))
+    if cycle is None:
         return []
     chain = " -> ".join([edge[0] for edge in cycle] + [cycle[0][0]])
     return [

@@ -20,6 +20,7 @@ Surfaced on the CLI as ``--trace out.json`` / ``--metrics`` /
 subcommands.  See ``docs/observability.md``.
 """
 
+from .._lazy import lazy_attributes
 from .metrics import (
     Counter,
     Gauge,
@@ -48,8 +49,14 @@ from .export import (
     flat_json,
     write_trace,
 )
-from .prom import MetricsHTTPServer, prometheus_name, prometheus_text
 from .search import SearchLog, log_context, read_events
+
+__getattr__ = lazy_attributes(
+    __name__,
+    {
+        ".prom": ("MetricsHTTPServer", "prometheus_name", "prometheus_text"),
+    },
+)
 
 __all__ = [
     "Counter",

@@ -1,5 +1,6 @@
 """Autotuning: pruned spaces, hierarchical tuning, deep tuning, fission."""
 
+from .._lazy import lazy_attributes
 from .deeptuning import (
     DeepTuningEntry,
     DeepTuningResult,
@@ -36,12 +37,18 @@ from .space import (
     exhaustive_space_size,
     seed_variants,
 )
-from .transfer import (
-    TransferSeed,
-    WarmStartTuner,
-    journaled_winners,
-    transfer_deep_tune,
-    transfer_tune,
+
+__getattr__ = lazy_attributes(
+    __name__,
+    {
+        ".transfer": (
+            "TransferSeed",
+            "WarmStartTuner",
+            "journaled_winners",
+            "transfer_deep_tune",
+            "transfer_tune",
+        ),
+    },
 )
 
 __all__ = [

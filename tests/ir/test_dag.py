@@ -1,7 +1,5 @@
 """Tests for dependence DAG construction."""
 
-import networkx as nx
-
 from repro.dsl import parse
 from repro.ir import (
     build_ir,
@@ -11,14 +9,15 @@ from repro.ir import (
     statement_dag,
     statements_for_output,
 )
+from repro.ir.dag import is_directed_acyclic_graph
 
 
 class TestKernelDag:
     def test_raw_edge(self, pipeline_ir):
         graph = kernel_dag(pipeline_ir)
         assert graph.has_edge("blur.0", "sharpen.0")
-        assert graph.edges["blur.0", "sharpen.0"]["kind"] == "RAW"
-        assert graph.edges["blur.0", "sharpen.0"]["array"] == "b"
+        assert graph["blur.0"]["sharpen.0"]["kind"] == "RAW"
+        assert graph["blur.0"]["sharpen.0"]["array"] == "b"
 
     def test_independent_kernels_no_edge(self):
         src = """
@@ -45,7 +44,7 @@ class TestKernelDag:
         """
         ir = build_ir(parse(src))
         graph = kernel_dag(ir)
-        assert graph.edges["cp.0", "dbl.0"]["kind"] == "WAW"
+        assert graph["cp.0"]["dbl.0"]["kind"] == "WAW"
 
     def test_war_edge(self):
         src = """
@@ -59,10 +58,10 @@ class TestKernelDag:
         ir = build_ir(parse(src))
         graph = kernel_dag(ir)
         assert graph.has_edge("cp.0", "cp.1")
-        assert graph.edges["cp.0", "cp.1"]["kind"] == "WAR"
+        assert graph["cp.0"]["cp.1"]["kind"] == "WAR"
 
     def test_is_dag(self, pipeline_ir):
-        assert nx.is_directed_acyclic_graph(kernel_dag(pipeline_ir))
+        assert is_directed_acyclic_graph(kernel_dag(pipeline_ir))
 
     def test_pipeline_detection(self, pipeline_ir):
         assert is_pipeline(pipeline_ir)

@@ -7,12 +7,9 @@ adversarial coverage — plus agreement with the fusion DAG
 (:func:`repro.ir.dag.kernel_dag`), which the engine's sweep mirrors.
 """
 
-import networkx as nx
-import pytest
-
 from repro.dsl import parse
 from repro.ir import build_ir
-from repro.ir.dag import kernel_dag
+from repro.ir.dag import find_cycle, kernel_dag
 from repro.lint import (
     array_flow_graph,
     dependence_graph,
@@ -137,14 +134,14 @@ class TestGraphs:
         dep = dependence_graph(ir)
         dag = kernel_dag(ir)
         assert set(dep.nodes) == set(dag.nodes)
-        assert set(dep.edges) == set(dag.edges)
+        assert set(dep.edges()) == set(dag.edges())
 
     def test_matches_kernel_dag_on_suite(self, smoother_ir, hypterm_ir):
         for ir in (smoother_ir, hypterm_ir):
             dep = dependence_graph(ir)
             dag = kernel_dag(ir)
             assert set(dep.nodes) == set(dag.nodes)
-            assert set(dep.edges) == set(dag.edges)
+            assert set(dep.edges()) == set(dag.edges())
 
     def test_edge_data_carries_edges(self):
         ir = ir_of(PRODUCER_CONSUMER)
@@ -216,8 +213,7 @@ class TestArrayFlowGraph:
             """
         )
         graph = array_flow_graph(ir)
-        with pytest.raises(nx.NetworkXNoCycle):
-            nx.find_cycle(graph)
+        assert find_cycle(graph) is None
 
     def test_shared_writer_read_edge_is_kept(self):
         # RL104 regression: k1 reads X and writes {X, Y}; k2 reads Y and
@@ -238,10 +234,10 @@ class TestArrayFlowGraph:
             """
         )
         graph = array_flow_graph(ir)
-        cycle = nx.find_cycle(graph)
+        cycle = find_cycle(graph)
         nodes = {edge[0] for edge in cycle}
         assert nodes == {"X", "Y"}
 
     def test_no_self_edges(self, smoother_ir):
         graph = array_flow_graph(smoother_ir)
-        assert not any(u == v for u, v in graph.edges)
+        assert not any(u == v for u, v in graph.edges())

@@ -87,8 +87,10 @@ JOBS = {
 @pytest.mark.parametrize("name", list(JOBS))
 def test_job_heap_dies_by_reference_counting(name, tmp_path):
     run, expected_status = JOBS[name]
-    # Warm up: first use of some dependencies builds cyclic objects
-    # once per process (networkx compiles its dispatch wrappers).
+    # Warm up: the first job in a process imports what pricing needs
+    # (NumPy loads at first pricing), and an import can leave cyclic
+    # garbage behind (NumPy's first import drops pickle's pure-Python
+    # exception classes).
     warm = tmp_path / "warm"
     warm.mkdir()
     run(warm)
