@@ -43,7 +43,6 @@ from .obs.search import SearchLog, read_events
 from .pipeline import format_report, optimize
 from .profiling import classify_result, profile
 from .resilience import (
-    ON_ERROR_POLICIES,
     ReproError,
     TuningJournal,
     UsageError,
@@ -178,67 +177,6 @@ def _stop_metrics_server(server) -> None:
         server.stop()
 
 
-def _env_float(name: str, default: Optional[float] = None) -> Optional[float]:
-    """Parse a float environment variable; misuse exits 2, not a traceback."""
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise UsageError(
-            f"environment variable {name}={raw!r} is not a number"
-        ) from None
-
-
-def _env_int(name: str, default: Optional[int] = None) -> Optional[int]:
-    """Parse an integer environment variable; misuse exits 2."""
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(
-            f"environment variable {name}={raw!r} is not an integer"
-        ) from None
-
-
-def _fault_injector_from_env():
-    """Chaos-mode fault injector, armed by environment variables.
-
-    ``REPRO_CHAOS_RATE`` (a fraction) turns injection on and
-    ``REPRO_CHAOS_SEED`` picks the faulted candidates.  CI's chaos job
-    drives seeded fault injection through real CLI runs this way
-    (``docs/robustness.md``).
-    Malformed values raise :class:`UsageError` naming the variable.
-    """
-    rate = _env_float("REPRO_CHAOS_RATE")
-    if not rate:
-        return None
-    from .resilience import FaultInjector
-
-    return FaultInjector(rate=rate, seed=_env_int("REPRO_CHAOS_SEED", 0))
-
-
-def _resilience_engine(args, device: DeviceSpec) -> PlanEvaluator:
-    """Build the evaluation engine from the resilience flags."""
-    return PlanEvaluator(
-        device=device,
-        on_error=getattr(args, "on_error", "fail-fast"),
-        failure_budget=getattr(args, "failure_budget", None),
-        fault_injector=_fault_injector_from_env(),
-        vectorize=_vectorize_choice(args),
-    )
-
-
-def _vectorize_choice(args):
-    """Map the --pricing flag onto the evaluator's vectorize knob."""
-    return {"vector": True, "scalar": False}.get(
-        getattr(args, "pricing", None)
-    )
-
-
 def _open_journal(args, device: DeviceSpec) -> Optional[TuningJournal]:
     """Open the checkpoint journal named by --checkpoint/--resume."""
     path = getattr(args, "checkpoint", None)
@@ -262,16 +200,6 @@ def _open_journal(args, device: DeviceSpec) -> Optional[TuningJournal]:
             file=sys.stderr,
         )
     return journal
-
-
-def _warn_failures(stats, args) -> None:
-    if stats is not None and stats.failures:
-        print(
-            f"warning: {stats.failures} candidate evaluation(s) failed "
-            f"persistently (on-error={getattr(args, 'on_error', 'fail-fast')}; "
-            f"see --eval-stats)",
-            file=sys.stderr,
-        )
 
 
 def cmd_characteristics(args) -> int:
@@ -354,7 +282,7 @@ def _optimize_json_payload(args, device, outcome, log) -> dict:
 def cmd_optimize(args) -> int:
     ir = _load(args.spec)
     device = _device(args.device)
-    engine = _resilience_engine(args, device)
+    engine = PlanEvaluator(device=device)
     journal = _open_journal(args, device)
     server = _start_metrics_server(args, engine=engine)
     log = _open_search_log(args, engine, device)
@@ -391,7 +319,6 @@ def cmd_optimize(args) -> int:
             f"written to {args.search_log}",
             file=sys.stderr,
         )
-    _warn_failures(outcome.eval_stats, args)
     return 0
 
 
@@ -482,7 +409,7 @@ def cmd_deep_tune(args) -> int:
 
         ir = maxfuse(ir)
     device = _device(args.device)
-    engine = _resilience_engine(args, device)
+    engine = PlanEvaluator(device=device)
     journal = _open_journal(args, device)
     server = _start_metrics_server(args, engine=engine)
     try:
@@ -495,7 +422,6 @@ def cmd_deep_tune(args) -> int:
         result.eval_stats.publish()
     if args.eval_stats and result.eval_stats is not None:
         _print_eval_stats(result.eval_stats)
-    _warn_failures(result.eval_stats, args)
     for entry in result.entries:
         marker = (
             "  <-- tipping point"
@@ -795,11 +721,7 @@ def cmd_bench(args) -> int:
         from .suite.bench import DEFAULT_BENCHMARKS
 
         names = list(DEFAULT_BENCHMARKS)
-    results = run_bench(
-        names,
-        device=_device(args.device),
-        vectorize=_vectorize_choice(args),
-    )
+    results = run_bench(names, device=_device(args.device))
     problems = None
     if args.check or args.baseline:
         baseline_path = args.baseline or "BENCH_search.json"
@@ -856,15 +778,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--eval-stats", action="store_true",
             help="print evaluation-engine cache/throughput statistics",
         )
-        p.add_argument(
-            "--pricing", choices=("vector", "scalar"), default=None,
-            help="force the family-pricing backend on ('vector') or off "
-                 "('scalar'); default: vectorize when NumPy is available. "
-                 "Results are bit-identical either way",
-        )
         return p
 
-    def add_resilience_flags(p):
+    def add_checkpoint_flags(p):
         p.add_argument(
             "--checkpoint", metavar="PATH", default=None,
             help="journal every evaluated candidate to PATH (crash-safe "
@@ -873,16 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--resume", action="store_true",
             help="resume an interrupted run from the --checkpoint journal",
-        )
-        p.add_argument(
-            "--on-error", choices=ON_ERROR_POLICIES, default="fail-fast",
-            help="failed candidate evaluations: abort the run, or skip "
-                 "the candidate",
-        )
-        p.add_argument(
-            "--failure-budget", type=int, default=None, metavar="N",
-            help="with --on-error skip, abort once more than N candidates "
-                 "were skipped (a systemic-breakage tripwire)",
         )
         return p
 
@@ -932,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the outcome (schedule, stats, explanation) as JSON",
     )
     add_eval_flags(p)
-    add_resilience_flags(p)
+    add_checkpoint_flags(p)
     add_obs_flags(p)
     add_metrics_port_flag(p)
     p.set_defaults(func=cmd_optimize)
@@ -963,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
     ))
     p.add_argument("-T", "--iterations", type=int, default=12)
     add_eval_flags(p)
-    add_resilience_flags(p)
+    add_checkpoint_flags(p)
     add_obs_flags(p)
     add_metrics_port_flag(p)
     p.set_defaults(func=cmd_deep_tune)
@@ -1080,11 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also gate wall_s: fail when it grows more than TOL "
              "(relative) over the baseline; off by default because CI "
              "machines are noisy",
-    )
-    p.add_argument(
-        "--pricing", choices=("vector", "scalar"), default=None,
-        help="force the family-pricing backend on or off "
-             "(default: vectorize when NumPy is available)",
     )
     p.set_defaults(func=cmd_bench)
 

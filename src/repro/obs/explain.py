@@ -126,7 +126,7 @@ class ExplainReport:
     advice: Tuple[Dict[str, Any], ...]
     convergence: Tuple[Tuple[int, float], ...]  # (seq, best-so-far GFLOPS)
     dispositions: Dict[str, int]
-    markers: Dict[str, int]  # skip/failure/prune/replay
+    markers: Dict[str, int]  # failure/prune/replay
     phases: Tuple[Dict[str, Any], ...]
     stats: Optional[Dict[str, Any]]
     candidates: int = 0
@@ -177,7 +177,7 @@ def _candidate_view(event: Dict[str, Any]) -> CandidateView:
     )
 
 
-MARKER_KINDS = ("prune", "replay", "skip", "failure")
+MARKER_KINDS = ("prune", "replay", "failure")
 
 
 def build_explain(

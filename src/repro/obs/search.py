@@ -21,8 +21,7 @@ The log is a JSONL stream (one self-contained JSON object per line):
 * ``prune`` records for candidates the incremental escalation resolved
   without ever entering the model (infeasible at validation, or
   spilling even at the top register level);
-* ``skip`` / ``failure`` markers mirroring the engine's ``on_error``
-  policy;
+* a ``failure`` marker naming the candidate that ended the run;
 * ``replay`` records for candidates served from a checkpoint journal;
 * ``advice`` / ``fission`` / ``winner`` records from the pipeline (which
   advisor rules fired, which fission variants were generated, which
@@ -32,7 +31,7 @@ The log is a JSONL stream (one self-contained JSON object per line):
 
 Accounting invariant (pinned by ``tests/obs/test_search.py``): the
 number of ``candidate`` records equals ``EvalStats.requests`` exactly —
-cache hits, screened, infeasible and injected faults included — so the
+cache hits, screened, infeasible and errors included — so the
 log never under- or over-reports what the engine did.
 
 Writing is crash-safe: events accumulate in memory and the whole stream
@@ -65,8 +64,8 @@ SEARCH_LOG_VERSION = 1
 #: records).  ``simulated`` went to the full model; ``cache-hit`` /
 #: ``cache-hit-infeasible`` were answered by the memo cache; ``screened``
 #: was rejected by the occupancy prescreen; ``infeasible`` failed
-#: validation or simulation; ``error`` is an unexpected (injected or
-#: real) fault, resolved by the resilience policy.
+#: validation or simulation; ``error`` is an unexpected exception,
+#: which ends the run.
 DISPOSITIONS = (
     "simulated",
     "cache-hit",
@@ -270,7 +269,7 @@ class SearchLog:
         )
 
     def marker(self, kind: str, plan, **fields) -> None:
-        """``on_error`` markers: skip / failure."""
+        """A ``failure`` marker: the candidate that ended the run."""
         described = plan.describe() if hasattr(plan, "describe") else str(plan)
         self.emit(kind, plan=described, **fields)
 

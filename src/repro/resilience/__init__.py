@@ -1,17 +1,13 @@
 """Fault tolerance for the ARTEMIS pipeline.
 
-A production autotuner evaluates thousands of candidate plans per run;
-a single malformed candidate or a crashed process must not destroy the
-search.  This package holds the pieces that make the pipeline
-survivable:
+A production autotuner evaluates thousands of candidate plans per run.
+A failed candidate must end the run with an error that names it, and a
+crashed process must not lose the work it finished.  This package holds
+the pieces that make that so:
 
 * :mod:`~repro.resilience.errors` — the unified exception taxonomy
   (:class:`ReproError` and friends) with structured diagnostic context
   and CLI exit-code mapping;
-* :mod:`~repro.resilience.faults` — a deterministic, seedable
-  fault-injection harness for exercising the failure paths;
-* :mod:`~repro.resilience.retry` — the ``on_error`` policy names and
-  the failure budget used by ``PlanEvaluator``;
 * :mod:`~repro.resilience.checkpoint` — the crash-safe JSONL tuning
   journal behind ``--checkpoint`` / ``--resume``;
 * :mod:`~repro.resilience.atomic` — write-tmp-then-rename helpers used
@@ -26,15 +22,11 @@ from .errors import (
     CheckpointError,
     CheckpointLockedError,
     EvaluationError,
-    FailureBudgetExceeded,
     InfeasiblePlanError,
-    InjectedFault,
     ReproError,
     UsageError,
 )
 from .atomic import atomic_write_bytes, atomic_write_json, atomic_write_text
-from .retry import ON_ERROR_POLICIES, FailureBudget
-from .faults import FaultInjector
 from .checkpoint import (
     JOURNAL_VERSION,
     TuningJournal,
@@ -49,13 +41,8 @@ __all__ = [
     "CheckpointError",
     "CheckpointLockedError",
     "EvaluationError",
-    "FailureBudget",
-    "FailureBudgetExceeded",
-    "FaultInjector",
     "InfeasiblePlanError",
-    "InjectedFault",
     "JOURNAL_VERSION",
-    "ON_ERROR_POLICIES",
     "ReproError",
     "TuningJournal",
     "UsageError",

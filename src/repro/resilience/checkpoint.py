@@ -22,11 +22,14 @@ Crash model and recovery:
 
 Record kinds: ``header`` (version/device sanity), ``candidate`` (one
 priced plan: the escalated plan chosen plus its time/TFLOPS, or
-``null`` for infeasible), ``failure`` (diagnostic only — failed
-candidates are *re-evaluated* on resume, since a failure belongs to the
-run that raised it, such as its fault injector or a since-fixed bug,
-not to the model's answer), and ``degree`` (a completed deep-tuning fusion
-degree, including its roofline classification).
+``null`` for infeasible) and ``degree`` (a completed deep-tuning fusion
+degree, including its roofline classification).  A failed candidate is
+never journaled: it ends the run, and a resume evaluates it again.
+
+Every record is validated as it loads: an unknown kind, a plan that
+:func:`plan_from_dict` refuses, or a missing field that a replay reads
+is refused with :class:`CheckpointCorruptError` naming the line, so a
+damaged journal can never crash a resumed run halfway through.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ __all__ = [
 ]
 
 JOURNAL_VERSION = 1
+
+#: Fields a deep-tuning replay reads from a ``degree`` record, besides
+#: its plan and timing, with the type each must have.
+DEGREE_FIELDS = (("bandwidth_bound", bool), ("bound_level", str))
 
 
 def ir_fingerprint(ir) -> str:
@@ -121,6 +128,39 @@ def plan_from_dict(data: Dict[str, Any]):
     )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _record_problem(record: Dict[str, Any]) -> Optional[str]:
+    """Why a non-header record cannot be replayed, or None if it can."""
+    kind = record["kind"]
+    if kind == "failure":
+        return (
+            "is a 'failure' record; that kind is no longer written, "
+            "since a failed candidate ends the run"
+        )
+    if kind not in ("candidate", "degree"):
+        return f"has unknown record kind {kind!r}"
+    if not isinstance(record.get("key"), str):
+        return "has no record key"
+    plan = record.get("plan")
+    if plan is None and kind == "candidate":
+        return None  # an infeasible candidate
+    try:
+        plan_from_dict(plan)
+    except (KeyError, TypeError, ValueError):
+        return f"has a malformed {kind} plan"
+    for field in ("time_s", "tflops"):
+        if not _is_number(record.get(field)):
+            return f"has no numeric {field!r}"
+    if kind == "degree":
+        for field, expected in DEGREE_FIELDS:
+            if not isinstance(record.get(field), expected):
+                return f"has no {expected.__name__} {field!r}"
+    return None
+
+
 class TuningJournal:
     """Append-only JSONL checkpoint of evaluated tuning candidates.
 
@@ -141,8 +181,7 @@ class TuningJournal:
         self.recorded_device: Optional[str] = device
         self._lock = threading.Lock()
         self._records: Dict[str, Dict[str, Any]] = {}
-        self._failures: Dict[str, Dict[str, Any]] = {}
-        self.replayable = 0  # non-failure records loaded from disk
+        self.replayable = 0  # records loaded from disk
         # Lock before reading: a refused second writer must not repair
         # (truncate) the tail the live writer is appending to.
         self._handle = open(self.path, "a", encoding="utf-8")
@@ -254,19 +293,16 @@ class TuningJournal:
                     requested=self.device,
                 )
             return
-        key = record.get("key")
-        if not isinstance(key, str):
+        problem = _record_problem(record)
+        if problem is not None:
             raise CheckpointCorruptError(
                 f"checkpoint journal {self.path} is corrupt: line "
-                f"{number} has no record key",
+                f"{number} {problem}",
                 path=self.path,
                 line=number,
             )
-        if kind == "failure":
-            self._failures[key] = record
-        else:
-            self._records[key] = record
-            self.replayable += 1
+        self._records[record["key"]] = record
+        self.replayable += 1
 
     # -- writing ----------------------------------------------------------------
 
@@ -296,18 +332,6 @@ class TuningJournal:
             self._records[key] = record
         self._append(record)
 
-    def record_failure(self, key: str, error: BaseException) -> None:
-        """Journal a persistent failure (diagnostic; re-tried on resume)."""
-        record = {
-            "kind": "failure",
-            "key": key,
-            "error": type(error).__name__,
-            "message": str(error),
-        }
-        with self._lock:
-            self._failures[key] = record
-        self._append(record)
-
     def record_degree(self, key: str, payload: Dict[str, Any]) -> None:
         """Journal a completed deep-tuning fusion degree."""
         record = {"kind": "degree", "key": key}
@@ -319,7 +343,7 @@ class TuningJournal:
     # -- lookup -----------------------------------------------------------------
 
     def records(self, kind: Optional[str] = None) -> list:
-        """Snapshot of the non-failure records (optionally one ``kind``).
+        """Snapshot of the records (optionally of one ``kind``).
 
         A read-only view for offline consumers: transfer tuning mines a
         foreign journal's ``candidate``/``degree`` records for winners
@@ -332,18 +356,9 @@ class TuningJournal:
         return items
 
     def lookup(self, key: str) -> Optional[Dict[str, Any]]:
-        """The journaled record for ``key``, or None.
-
-        Failure records never satisfy lookups: a candidate that failed
-        in the previous run is re-evaluated, since the failure belongs
-        to that run, not to the model's answer.
-        """
+        """The journaled record for ``key``, or None."""
         with self._lock:
             return self._records.get(key)
-
-    def failure(self, key: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            return self._failures.get(key)
 
     def __len__(self) -> int:
         with self._lock:

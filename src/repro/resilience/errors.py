@@ -33,9 +33,7 @@ __all__ = [
     "CheckpointError",
     "CheckpointLockedError",
     "EvaluationError",
-    "FailureBudgetExceeded",
     "InfeasiblePlanError",
-    "InjectedFault",
     "ReproError",
     "UsageError",
 ]
@@ -121,15 +119,6 @@ class EvaluationError(ReproError, RuntimeError):
     exit_code = 4
 
 
-class InjectedFault(EvaluationError):
-    """Synthetic failure raised by the fault-injection harness."""
-
-
-class FailureBudgetExceeded(EvaluationError):
-    """Too many candidates failed; the run aborts instead of degrading
-    silently into a search over whatever happened to survive."""
-
-
 class CheckpointError(ReproError):
     """A checkpoint journal could not be used (wrong device, version)."""
 
@@ -168,6 +157,7 @@ class CheckpointCorruptError(CheckpointError):
     """A checkpoint journal is damaged beyond automatic repair.
 
     Torn trailing writes are repaired silently (the partial record is
-    dropped); this error means a *middle* record failed to parse, so
-    the journal's history cannot be trusted.
+    dropped); this error means a *middle* record failed to parse or is
+    not a well-formed record of a known kind, so the journal's history
+    cannot be trusted.
     """

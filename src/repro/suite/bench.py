@@ -67,15 +67,14 @@ def run_bench(
     benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
     device: DeviceSpec = P100,
     top_k: int = 2,
-    vectorize: Optional[bool] = None,
+    vectorize: bool = True,
 ) -> Dict[str, Any]:
     """Run the suite and collect the search-cost profile per benchmark.
 
     ``vectorize`` configures the shared :class:`PlanEvaluator` (the
-    default matches production: family pricing on when numpy is
-    available) — the before/after comparison artifact
-    runs the same suite with ``vectorize=False`` to measure the scalar
-    path on the same machine.
+    default matches production: family pricing on) — the before/after
+    comparison artifact runs the same suite with ``vectorize=False`` to
+    measure the scalar path on the same machine.
     """
     from ..pipeline import optimize
     from . import get as get_benchmark

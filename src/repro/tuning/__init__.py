@@ -12,7 +12,6 @@ from .deeptuning import (
 )
 from .evaluator import (
     EvalStats,
-    FailureRecord,
     PlanEvaluator,
     evaluation_caches_disabled,
     plan_fingerprint,
@@ -55,7 +54,6 @@ __all__ = [
     "DeepTuningEntry",
     "DeepTuningResult",
     "EvalStats",
-    "FailureRecord",
     "FissionCandidate",
     "FusionSchedule",
     "HierarchicalTuner",

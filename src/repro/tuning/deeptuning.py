@@ -275,10 +275,7 @@ def fusion_schedule(result: DeepTuningResult, iterations: int) -> FusionSchedule
     f_vals = [result.f(x) for x in range(1, k + 1)]
     np = None
     if iterations * k >= VECTOR_DP_MIN_OPS:
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a runtime dep
-            np = None
+        import numpy as np
     choice: List[int] = [0] * (iterations + 1)
     if np is not None:
         f_arr = np.asarray(f_vals, dtype=np.float64)

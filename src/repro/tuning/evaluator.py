@@ -32,17 +32,15 @@ size, so all search code routes measurements through one
   batch serially on the calling thread with input-ordered results.  A
   search prices its candidates in about a second, so no worker pool
   has a workload to hide, and the engine starts no thread.
-* **failure handling** — every batch job is one attempt.  The model is
+* **fail-fast** — every batch job is one attempt.  The model is
   deterministic, so a candidate that raised once would raise again: an
-  unexpected (non-infeasibility) exception goes straight to the
-  engine's ``on_error`` policy (``fail-fast`` | ``skip``), and under
-  ``skip`` a failure budget bounds how many candidates a run may
-  quarantine.  A seedable :class:`~repro.resilience.FaultInjector` can
-  be attached to exercise both paths deterministically
+  unexpected (non-infeasibility) exception, whether raised by one
+  candidate or while pricing its whole family, ends the batch as an
+  :class:`~repro.resilience.EvaluationError` naming the candidate
   (``docs/robustness.md``).
 * **cache / throughput statistics** — hits, misses, simulations avoided
-  wall-clock, plus the failure counter, surfaced through tuning
-  results, ``pipeline.report`` and the ``--eval-stats`` CLI flag.
+  and wall-clock, surfaced through tuning results, ``pipeline.report``
+  and the ``--eval-stats`` CLI flag.
 
 Evaluation accounting is uniform: one *request* per candidate plan
 submitted (feasible, spilling or infeasible alike), independent of how
@@ -56,7 +54,7 @@ import hashlib
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
 from ..codegen.plan import KernelPlan, REGISTER_LEVELS
 from ..codegen.resources import InvalidPlan, validate_plan
@@ -77,25 +75,11 @@ from ..ir.stencil import ProgramIR
 from ..lint.rules_plan import _count_rejection, fusion_rejection, plan_rejection
 from ..obs import span as _span
 from ..obs.search import SearchLog
-from ..resilience import (
-    ON_ERROR_POLICIES,
-    EvaluationError,
-    FailureBudget,
-    FaultInjector,
-    UsageError,
-)
+from ..resilience import EvaluationError, UsageError
 
 #: Exceptions that mark a candidate as infeasible rather than a bug.
 INFEASIBLE = (PlanInfeasible, InvalidPlan)
 
-
-def _obs_count(name: str, value: int = 1) -> None:
-    """Live engine counters (distinct from ``EvalStats.publish``'s
-    ``eval.*`` prefix, so end-of-run publication never double-counts)."""
-    from ..obs import counter, metrics_enabled
-
-    if metrics_enabled():
-        counter(name).add(value)
 
 #: Escalation strategies: ``incremental`` uses the cached register
 #: demand to jump straight to the first non-spilling rung; ``ladder``
@@ -109,26 +93,6 @@ ESCALATION_MODES = ("incremental", "ladder")
 MIN_FAMILY = 4
 
 
-def _pricing_module():
-    """The vectorized pricing backend, or None when NumPy is absent.
-
-    Resolved lazily and cached so environments without NumPy fall back
-    to the scalar path instead of failing at import time.
-    """
-    global _PRICING
-    if _PRICING is _UNRESOLVED:
-        try:
-            from ..gpu import pricing as _mod
-
-            _PRICING = _mod
-        except Exception:  # pragma: no cover - no-numpy environments
-            _PRICING = None
-    return _PRICING
-
-
-_UNRESOLVED = object()
-_PRICING = _UNRESOLVED
-
 @dataclass(frozen=True)
 class Measurement:
     """One evaluated candidate."""
@@ -136,20 +100,6 @@ class Measurement:
     plan: KernelPlan
     time_s: float
     tflops: float
-
-
-#: Retained :class:`FailureRecord` entries per engine (diagnostics only;
-#: the ``failures`` counter stays exact past the cap).
-MAX_FAILURE_RECORDS = 100
-
-
-@dataclass(frozen=True)
-class FailureRecord:
-    """One persistently failed candidate evaluation."""
-
-    plan: str  # plan.describe() of the failing candidate
-    error: str  # exception class name
-    message: str
 
 
 @dataclass
@@ -169,7 +119,6 @@ class EvalStats:
     screened: int = 0  # rejected by the occupancy screen, not simulated
     lint_rejections: int = 0  # screened rejections carrying a lint rule code
     vectorized: int = 0  # priced via the vectorized family backend
-    failures: int = 0  # candidates that raised unexpectedly (non-infeasible)
     wall_s: float = 0.0  # real time the engine was busy
 
     @property
@@ -197,7 +146,6 @@ class EvalStats:
             screened=self.screened,
             lint_rejections=self.lint_rejections,
             vectorized=self.vectorized,
-            failures=self.failures,
             wall_s=self.wall_s,
         )
 
@@ -212,7 +160,6 @@ class EvalStats:
             screened=self.screened - before.screened,
             lint_rejections=self.lint_rejections - before.lint_rejections,
             vectorized=self.vectorized - before.vectorized,
-            failures=self.failures - before.failures,
             wall_s=self.wall_s - before.wall_s,
         )
 
@@ -226,7 +173,6 @@ class EvalStats:
         self.screened += other.screened
         self.lint_rejections += other.lint_rejections
         self.vectorized += other.vectorized
-        self.failures += other.failures
         self.wall_s += other.wall_s
 
     @property
@@ -244,7 +190,6 @@ class EvalStats:
             "screened": self.screened,
             "lint_rejections": self.lint_rejections,
             "vectorized": self.vectorized,
-            "failures": self.failures,
             "simulations": self.simulations,
             "simulations_avoided": self.simulations_avoided,
             "wall_s": self.wall_s,
@@ -263,7 +208,7 @@ class EvalStats:
                 counter(f"{prefix}.{name}").add(value)
 
     def describe(self) -> str:
-        text = (
+        return (
             f"{self.requests} requests, {self.hits} cache hits, "
             f"{self.simulations} priced "
             f"[{self.vectorized} vectorized], {self.rungs_skipped} rungs "
@@ -272,9 +217,6 @@ class EvalStats:
             f"({self.simulations_avoided} simulations avoided), "
             f"{self.wall_s * 1e3:.1f} ms wall"
         )
-        if self.failures:
-            text += f"; {self.failures} failures"
-        return text
 
 
 def plan_fingerprint(plan: KernelPlan, include_registers: bool = True) -> str:
@@ -334,27 +276,13 @@ class PlanEvaluator:
         escalation: str = "incremental",
         validate: bool = True,
         prescreen: bool = True,
-        on_error: str = "fail-fast",
-        failure_budget: Optional[object] = None,
-        fault_injector: Optional[FaultInjector] = None,
         search_log: Optional[SearchLog] = None,
-        vectorize: Optional[bool] = None,
+        vectorize: bool = True,
     ):
         if escalation not in ESCALATION_MODES:
             raise UsageError(
                 f"unknown escalation mode {escalation!r}; "
                 f"expected one of {ESCALATION_MODES}"
-            )
-        if on_error not in ON_ERROR_POLICIES:
-            raise UsageError(
-                f"unknown on_error policy {on_error!r}; "
-                f"expected one of {ON_ERROR_POLICIES}"
-            )
-        if failure_budget is not None and on_error != "skip":
-            # Only ``skip`` survives a failure; under ``fail-fast`` the
-            # first one aborts the run before a budget could be charged.
-            raise UsageError(
-                f"a failure budget needs on_error='skip', not {on_error!r}"
             )
         self.device = device
         self.memoize = memoize
@@ -366,36 +294,22 @@ class PlanEvaluator:
         #: reject launch-infeasible candidates from the occupancy screen
         #: without running the full counter/timing model.
         self.prescreen = prescreen
-        #: what an unexpected failure does to a batch: abort it or
-        #: quarantine the candidate.  See
-        #: ``repro.resilience.ON_ERROR_POLICIES``.
-        self.on_error = on_error
-        if failure_budget is None or isinstance(failure_budget, FailureBudget):
-            self.failure_budget = failure_budget or FailureBudget(None)
-        else:
-            self.failure_budget = FailureBudget(int(failure_budget))
-        self.fault_injector = fault_injector
         #: candidate-level telemetry sink (``repro.obs.search``): when
         #: set, every request resolved by this engine — cache hits,
-        #: screens, infeasibilities, faults included — emits exactly one
+        #: screens, infeasibilities, errors included — emits exactly one
         #: ``candidate`` event, so the log mirrors ``stats.requests``.
         self.search_log = search_log
         #: route batch evaluation through the vectorized family-pricing
         #: backend (``repro.gpu.pricing``) when structural groups are
-        #: large enough.  Defaults to "whenever NumPy is importable";
-        #: results are bit-for-bit identical either way, so this is a
-        #: pure throughput knob.
-        if vectorize is None:
-            vectorize = _pricing_module() is not None
-        self.vectorize = bool(vectorize)
+        #: large enough.  Results are bit-for-bit identical either way;
+        #: the scalar path exists for the parity tests and the
+        #: scalar-vs-vector benchmark.
+        self.vectorize = vectorize
         #: per-phase activity, accumulated by :meth:`phase` — tuners
         #: wrap their stages so cache behaviour can be reported per
         #: phase instead of as one misleading whole-run ratio.
         self.phase_stats: Dict[str, EvalStats] = {}
         self.stats = EvalStats()
-        #: most recent persistent failures, for post-mortem reporting
-        #: (bounded; counters in ``stats`` are exact).
-        self.failure_records: List[FailureRecord] = []
         #: key -> (ir, ("ok", SimulationResult) | ("fail", exception))
         self._cache: Dict[tuple, tuple] = {}
         #: nesting depth of :meth:`_timed` frames; only the outermost bills
@@ -514,7 +428,7 @@ class PlanEvaluator:
         replay a validation failure) and ``produce_fn(plan)`` replaces
         the ``simulate`` call.  Everything observable — request/hit/
         miss/screen/infeasible accounting, memoization, candidate
-        telemetry, fault injection — is identical in both modes.
+        telemetry — is identical in both modes.
         """
         self.stats.requests += 1
         key = self._key(ir, plan)
@@ -572,8 +486,6 @@ class PlanEvaluator:
                         witness.describe() if witness is not None else None
                     ),
                 )
-            if self.fault_injector is not None:
-                self.fault_injector.invoke(plan_fingerprint(plan))
             if produce_fn is not None:
                 result = produce_fn(plan)
             else:
@@ -589,9 +501,8 @@ class PlanEvaluator:
             )
             raise
         except Exception as exc:  # noqa: BLE001 — telemetry, then re-raise
-            # Unexpected (injected or real) fault: still one request, so
-            # still one candidate event; the ``on_error`` policy decides
-            # what happens to the candidate next.
+            # Unexpected error: still one request, so still one
+            # candidate event; a batch then fails fast on it.
             self._log_candidate(
                 plan, "error", reason=f"{type(exc).__name__}: {exc}"
             )
@@ -698,22 +609,19 @@ class PlanEvaluator:
     ) -> List[Optional[SimulationResult]]:
         """Evaluate many plans, results in input order (None = infeasible).
 
-        Structural groups large enough for the
-        vectorized backend are priced whole-axis in one NumPy pass;
-        small groups (and any group the vector path cannot handle) run
-        the scalar route — results are bit-for-bit identical either way.
+        Structural groups large enough for the vectorized backend are
+        priced whole-axis in one NumPy pass; small groups run the scalar
+        route — results are bit-for-bit identical either way.
         """
         plans = list(plans)
-        jobs = None
         if self._vector_eligible(len(plans)):
             jobs = self._family_jobs(
                 ir, plans, spill_free=False, catch=catch
             )
-        if jobs is None:
-            jobs = [
-                (p, lambda p=p: self.try_evaluate(ir, p, catch=catch))
-                for p in plans
-            ]
+        else:
+            jobs = self._scalar_jobs(
+                ir, plans, spill_free=False, levels=(), catch=catch
+            )
         return self._run_batch(jobs, on_result=on_result)
 
     def evaluate_spill_free_batch(
@@ -726,26 +634,39 @@ class PlanEvaluator:
         """Batch variant of :meth:`evaluate_spill_free`, input-ordered."""
         plans = list(plans)
         levels = tuple(levels)
-        jobs = None
         if self._vector_eligible(len(plans)) and self.escalation == "incremental":
             jobs = self._family_jobs(
                 ir, plans, spill_free=True, levels=levels
             )
-        if jobs is None:
-            jobs = [
-                (p, lambda p=p: self.evaluate_spill_free(ir, p, levels=levels))
-                for p in plans
-            ]
+        else:
+            jobs = self._scalar_jobs(
+                ir, plans, spill_free=True, levels=levels, catch=INFEASIBLE
+            )
         return self._run_batch(jobs, on_result=on_result)
 
     # -- vectorized family pricing ---------------------------------------------
 
     def _vector_eligible(self, count: int) -> bool:
-        return (
-            self.vectorize
-            and count >= MIN_FAMILY
-            and _pricing_module() is not None
-        )
+        return self.vectorize and count >= MIN_FAMILY
+
+    def _scalar_jobs(
+        self,
+        ir: ProgramIR,
+        plans: List[KernelPlan],
+        spill_free: bool,
+        levels: Tuple[int, ...],
+        catch: tuple,
+    ) -> List[tuple]:
+        """``(plan, thunk)`` jobs that each run one scalar request."""
+        if spill_free:
+            return [
+                (p, lambda p=p: self.evaluate_spill_free(ir, p, levels=levels))
+                for p in plans
+            ]
+        return [
+            (p, lambda p=p: self.try_evaluate(ir, p, catch=catch))
+            for p in plans
+        ]
 
     def _family_jobs(
         self,
@@ -754,31 +675,29 @@ class PlanEvaluator:
         spill_free: bool,
         levels: Tuple[int, ...] = REGISTER_LEVELS,
         catch: tuple = INFEASIBLE,
-    ) -> Optional[List[tuple]]:
+    ) -> List[tuple]:
         """Build input-ordered ``(plan, thunk)`` jobs with family pricing.
 
         Plans are grouped by structural key; groups of ``MIN_FAMILY`` or
         more are priced in one vectorized pass (eagerly, on the
         submitting thread, under the engine timer) and their thunks
         merely *finalize* the pre-priced lane through the normal
-        accounting.  Small groups — and any group whose vector pricing
-        fails for an unexpected reason — keep scalar thunks.  Returns
-        None when grouping itself fails, meaning "use the scalar batch".
+        accounting.  Small groups keep scalar thunks.  An exception
+        while pricing a family fails fast, naming the family's first
+        candidate.
         """
         with self._timed():
-            try:
-                groups: Dict[tuple, List[int]] = {}
-                for index, plan in enumerate(plans):
-                    groups.setdefault(
-                        plan_structural_key(plan), []
-                    ).append(index)
-            except Exception:  # noqa: BLE001 — odd plan: scalar batch
-                return None
+            groups: Dict[tuple, List[int]] = {}
+            for index, plan in enumerate(plans):
+                groups.setdefault(plan_structural_key(plan), []).append(index)
             jobs: List[Optional[tuple]] = [None] * len(plans)
             for indexes in groups.values():
                 members = [plans[i] for i in indexes]
-                thunks = None
-                if len(indexes) >= MIN_FAMILY:
+                if len(indexes) < MIN_FAMILY:
+                    group_jobs = self._scalar_jobs(
+                        ir, members, spill_free, levels, catch
+                    )
+                else:
                     try:
                         if spill_free:
                             thunks = self._price_spill_free_group(
@@ -786,26 +705,11 @@ class PlanEvaluator:
                             )
                         else:
                             thunks = self._price_group(ir, members, catch)
-                    except Exception:  # noqa: BLE001 — fall back to scalar
-                        _obs_count("pricing.scalar_fallbacks")
-                        thunks = None
-                if thunks is None:
-                    if spill_free:
-                        thunks = [
-                            (
-                                lambda p=p: self.evaluate_spill_free(
-                                    ir, p, levels=levels
-                                )
-                            )
-                            for p in members
-                        ]
-                    else:
-                        thunks = [
-                            (lambda p=p: self.try_evaluate(ir, p, catch=catch))
-                            for p in members
-                        ]
-                for i, thunk in zip(indexes, thunks):
-                    jobs[i] = (plans[i], thunk)
+                    except Exception as exc:  # noqa: BLE001 — fail fast
+                        self._fail_fast(members[0], exc, indexes[0])
+                    group_jobs = list(zip(members, thunks))
+                for i, job in zip(indexes, group_jobs):
+                    jobs[i] = job
             return jobs  # type: ignore[return-value]
 
     def _price_spill_free_group(
@@ -818,7 +722,8 @@ class PlanEvaluator:
         everything else resolves to the first non-spilling rung and
         finalizes the pre-priced lane through :meth:`_evaluate`.
         """
-        pricing = _pricing_module()
+        from ..gpu import pricing
+
         proto = group[0]
         if self.validate:
             try:
@@ -883,7 +788,8 @@ class PlanEvaluator:
         in-request infeasibility (request + miss + memoized exception),
         exactly as the scalar ``_evaluate`` raises it.
         """
-        pricing = _pricing_module()
+        from ..gpu import pricing
+
         proto = group[0]
         invalid: Optional[BaseException] = None
         if self.validate:
@@ -1040,14 +946,12 @@ class PlanEvaluator:
     def _run_batch(self, jobs, on_result=None) -> List:
         """Run ``(plan, thunk)`` jobs, input-ordered, one attempt each.
 
-        An infeasible candidate yields None.  Any other exception goes
-        to :meth:`_resolve_failure`, which applies the ``on_error``
-        policy: ``fail-fast`` propagates it *wrapped*, carrying the
-        candidate context; ``skip`` quarantines the candidate.
+        An infeasible candidate yields None.  Any other exception fails
+        fast (:meth:`_fail_fast`).
 
-        ``on_result(index, plan, outcome, error)`` fires as each job
-        completes — even if a later job aborts the batch — which is
-        what lets the tuning journal checkpoint mid-batch progress.
+        ``on_result(index, plan, outcome)`` fires as each job completes
+        — even if a later job aborts the batch — which is what lets the
+        tuning journal checkpoint mid-batch progress.
         """
         results: List = []
         with _span("eval.batch", candidates=len(jobs)):
@@ -1056,53 +960,29 @@ class PlanEvaluator:
                     result = thunk()
                 except INFEASIBLE:
                     result = None
-                except Exception as exc:  # noqa: BLE001 — resolved by policy
-                    results.append(
-                        self._resolve_failure(plan, exc, index, on_result)
-                    )
-                    continue
+                except Exception as exc:  # noqa: BLE001 — fail fast
+                    self._fail_fast(plan, exc, index)
                 if on_result is not None:
-                    on_result(index, plan, result, None)
+                    on_result(index, plan, result)
                 results.append(result)
         return results
 
-    def _resolve_failure(self, plan, exc, index: int, on_result):
-        """Apply the ``on_error`` policy to a failed candidate."""
-        described = plan.describe() if hasattr(plan, "describe") else str(plan)
-        self.stats.failures += 1
-        if len(self.failure_records) < MAX_FAILURE_RECORDS:
-            self.failure_records.append(
-                FailureRecord(
-                    plan=described,
-                    error=type(exc).__name__,
-                    message=str(exc),
-                )
-            )
-        _obs_count("resilience.failures")
-        if self.on_error == "fail-fast":
-            if self.search_log is not None:
-                self.search_log.marker(
-                    "failure", plan, error=type(exc).__name__,
-                    message=str(exc),
-                )
-            if isinstance(exc, EvaluationError):
-                raise exc.with_context(plan=described, candidate=index)
-            raise EvaluationError(
-                f"evaluation of candidate failed: {exc}",
-                plan=described,
-                candidate=index,
-                phase="evaluate",
-            ) from exc
-        # skip: quarantine the candidate and keep searching, unless the
-        # failure budget says the run is systemically broken.
+    def _fail_fast(self, plan, exc: Exception, index: int) -> NoReturn:
+        """End the batch: raise ``exc`` as an :class:`EvaluationError`
+        carrying the candidate's plan and batch index."""
+        described = plan.describe()
         if self.search_log is not None:
             self.search_log.marker(
-                "skip", plan, error=type(exc).__name__, message=str(exc)
+                "failure", plan, error=type(exc).__name__, message=str(exc)
             )
-        self.failure_budget.charge(plan=described)
-        if on_result is not None:
-            on_result(index, plan, None, exc)
-        return None
+        if isinstance(exc, EvaluationError):
+            raise exc.with_context(plan=described, candidate=index)
+        raise EvaluationError(
+            f"evaluation of candidate failed: {exc}",
+            plan=described,
+            candidate=index,
+            phase="evaluate",
+        ) from exc
 
     # -- maintenance -----------------------------------------------------------
 

@@ -220,13 +220,9 @@ class HierarchicalTuner:
         if self.journal is None:
             return None
 
-        def on_result(index, plan, outcome, error):
+        def on_result(index, plan, outcome):
             key = self._journal_key(tag, plan)
-            if error is not None:
-                # Quarantined by the on_error policy: diagnostic record
-                # only — the candidate is re-evaluated on resume.
-                self.journal.record_failure(key, error)
-            elif outcome is None:
+            if outcome is None:
                 self.journal.record_candidate(key, None)
             else:
                 resolved, sim = outcome
@@ -253,15 +249,7 @@ class HierarchicalTuner:
 
         Counts exactly one evaluation per call, feasible or not.
         """
-        self.evaluations += 1
-        self._measured_families.add(plan_family_key(plan))
-        replayed = self._journal_replay("sf", plan)
-        if replayed is not _MISS:
-            return replayed
-        found = self.evaluator.evaluate_spill_free(self.ir, plan)
-        measurement = self._record(found)
-        self._journal_record("sf", plan, measurement)
-        return measurement
+        return self._measure_batch([plan])[0]
 
     def _measure_batch(
         self, plans: Sequence[KernelPlan]
@@ -269,7 +257,9 @@ class HierarchicalTuner:
         """Measure candidates as one evaluator batch, input-ordered.
 
         Accounting and trace entries are identical to calling
-        :meth:`measure` serially on each plan.
+        :meth:`measure` serially on each plan.  Every measurement goes
+        through an evaluator batch, so an unexpected error fails fast
+        as an :class:`~repro.resilience.EvaluationError` naming the plan.
         """
         self.evaluations += len(plans)
         for plan in plans:
@@ -315,7 +305,7 @@ class HierarchicalTuner:
         replayed = self._journal_replay("ms", candidate)
         if replayed is not _MISS:
             return replayed
-        result = self.evaluator.try_evaluate(self.ir, candidate)
+        (result,) = self.evaluator.evaluate_batch(self.ir, [candidate])
         if result is None:
             self._journal_record("ms", candidate, None)
             return None

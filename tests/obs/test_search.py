@@ -2,8 +2,8 @@
 
 The headline guarantee: the number of ``candidate`` records in a search
 log equals ``EvalStats.requests`` *exactly* — cache hits, prescreen
-rejections, infeasible plans and injected faults included.
-Demonstrated on a clean full-pipeline run and under seeded chaos.
+rejections, infeasible plans and errors included.  Demonstrated on a
+clean full-pipeline run and on a run a planted model bug ends.
 """
 
 import json
@@ -15,8 +15,9 @@ from repro.dsl import parse
 from repro.ir import build_ir
 from repro.obs.search import SearchLog, log_context, read_events
 from repro.pipeline import optimize
-from repro.resilience import FaultInjector, UsageError
+from repro.resilience import EvaluationError, UsageError
 from repro.tuning import HierarchicalTuner, PlanEvaluator
+from repro.tuning import evaluator as evaluator_module
 
 SMOOTHER_SRC = """
 parameter L=128, M=128, N=128;
@@ -154,21 +155,37 @@ class TestAccountingInvariant:
         kinds = {e["kind"] for e in log.events()}
         assert "winner" in kinds
 
-    @pytest.mark.parametrize(
-        "rate, seed", [(0.1, 11), (0.2, 3)], ids=["seed11", "seed3"]
-    )
-    def test_invariant_under_persistent_faults_skip(
-        self, smoother_ir, rate, seed
+    @pytest.mark.parametrize("failing_call", [1, 40])
+    def test_invariant_when_an_error_ends_the_run(
+        self, smoother_ir, monkeypatch, failing_call
     ):
-        injector = FaultInjector(rate=rate, seed=seed)
-        log, engine = _tuned(
-            smoother_ir, fault_injector=injector, on_error="skip"
-        )
-        assert engine.stats.failures > 0
+        simulate = evaluator_module.simulate
+        calls = []
+
+        def fails_once(ir, plan, device):
+            calls.append(plan)
+            if len(calls) == failing_call:
+                raise RuntimeError("model bug")
+            return simulate(ir, plan, device)
+
+        monkeypatch.setattr(evaluator_module, "simulate", fails_once)
+        log = SearchLog()
+        engine = PlanEvaluator(search_log=log, vectorize=False)
+        base = seed_plan_from_pragma(
+            smoother_ir, smoother_ir.kernels[0]
+        ).replace(placements=(("in", "shmem"),))
+        with pytest.raises(EvaluationError):
+            HierarchicalTuner(smoother_ir, evaluator=engine).tune(base)
+        assert len(calls) == failing_call
         assert log.candidate_count() == engine.stats.requests
         counts = log.counts()
-        assert counts.get("candidate.error", 0) > 0
-        assert counts.get("skip", 0) == engine.stats.failures
+        # The failed request is one candidate event, and the batch it
+        # ended leaves exactly one ``failure`` marker.
+        assert counts.get("candidate.error", 0) == 1
+        assert counts.get("failure", 0) == 1
+        (marker,) = [e for e in log.events() if e["kind"] == "failure"]
+        assert marker["error"] == "RuntimeError"
+        assert marker["message"] == "model bug"
         # Every event is emitted on the calling thread, inside the
         # tuner's context scopes.
         stages = {

@@ -1,15 +1,18 @@
 """Fixtures for the resilience/chaos test suite.
 
 A reduced-domain Jacobi smoother keeps each full hierarchical tuning
-run cheap enough that chaos tests can afford several of them (fault-free
-reference, faulted run, interrupted run, resumed run).
+run cheap enough that the crash/resume tests can afford several of them
+(reference run, interrupted run, resumed run).
 """
+
+import itertools
 
 import pytest
 
 from repro.codegen import seed_plan_from_pragma
 from repro.dsl import parse
 from repro.ir import build_ir
+from repro.tuning import PlanEvaluator
 
 SMOOTHER_SRC = """
 parameter L=128, M=128, N=128;
@@ -39,3 +42,30 @@ def base_plan(smoother_ir):
     return seed_plan_from_pragma(smoother_ir, smoother_ir.kernels[0]).replace(
         placements=(("in", "shmem"),)
     )
+
+
+@pytest.fixture
+def crashing_engine():
+    """Factory for an engine that raises on its Nth request.
+
+    ``crashing_engine(n)`` returns a :class:`PlanEvaluator` whose
+    ``n``-th request raises a plain ``RuntimeError`` — a bug planted in
+    one candidate evaluation, which fail-fast turns into an
+    :class:`EvaluationError` that ends the run, like a crash would.
+    Requests after the ``n``-th evaluate normally.
+    """
+
+    def make(request_number, **engine_kwargs):
+        engine = PlanEvaluator(**engine_kwargs)
+        evaluate = engine._evaluate
+        seen = itertools.count(1)
+
+        def crash_on_nth(ir, plan, *args, **kwargs):
+            if next(seen) == request_number:
+                raise RuntimeError(f"planted crash at request {request_number}")
+            return evaluate(ir, plan, *args, **kwargs)
+
+        engine._evaluate = crash_on_nth
+        return engine
+
+    return make

@@ -1,29 +1,31 @@
-"""Chaos suite: whole tuning runs under injected faults.
+"""Fail-fast and crash/resume, end to end.
 
-The headline guarantees, each demonstrated end to end:
+The headline guarantees, each demonstrated on whole tuning runs:
 
-* ``on_error=skip`` with a 10% fault rate completes on the calling
-  thread and reports every quarantined candidate through the engine
-  statistics and the ``repro.obs`` counters;
-* a failure budget only exists under ``skip``, and aborts a run whose
-  failures exceed it;
+* an unexpected exception — raised by the model for one candidate, or
+  while pricing a whole plan family — ends the run as an
+  :class:`EvaluationError` that names the candidate's plan, after one
+  attempt and on the calling thread;
+* infeasible candidates are results, not failures: a run full of them
+  completes;
 * an interrupted hierarchical-tuning run resumed from its checkpoint
   journal produces the same best plan as an uninterrupted run, paying
   only for the candidates the first run never reached.
+
+Failures are planted by monkeypatching inside each test (the
+``crashing_engine`` fixture, or a broken ``simulate`` /
+``FamilyStructure`` method); nothing in the engine exists to inject them.
 """
 
 import threading
 
 import pytest
 
-from repro.resilience import (
-    FailureBudgetExceeded,
-    FaultInjector,
-    InjectedFault,
-    TuningJournal,
-    UsageError,
-)
+from repro.gpu.pricing import FamilyStructure
+from repro.resilience import EvaluationError, TuningJournal
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
+from repro.tuning import evaluator as evaluator_module
+from repro.tuning.evaluator import MIN_FAMILY
 
 
 def _tune(ir, base, **evaluator_kwargs):
@@ -34,7 +36,7 @@ def _tune(ir, base, **evaluator_kwargs):
 
 @pytest.fixture(scope="module")
 def reference(smoother_ir):
-    """Fault-free tuning run every chaos scenario is compared against."""
+    """Clean tuning run every scenario is compared against."""
     from repro.codegen import seed_plan_from_pragma
 
     base = seed_plan_from_pragma(
@@ -44,132 +46,103 @@ def reference(smoother_ir):
     return base, result, engine.stats.snapshot()
 
 
-class TestSkipPolicy:
-    def test_ten_percent_fault_rate_completes_and_reports(
-        self, smoother_ir, reference
-    ):
-        from repro.obs import configure_metrics, get_metrics
+def _broken(*args, **kwargs):
+    raise RuntimeError("model bug")
 
-        base, ref, _ = reference
-        injector = FaultInjector(rate=0.1, seed=11)
-        configure_metrics(True, reset=True)
-        try:
-            result, engine = _tune(
-                smoother_ir, base, fault_injector=injector, on_error="skip"
-            )
-            snapshot = get_metrics().snapshot()
-        finally:
-            configure_metrics(False)
-        # The run completed, every faulted candidate was quarantined and
-        # accounted for, and the per-candidate failures surfaced through
-        # the obs counters.
-        assert result.evaluations == ref.evaluations
-        assert injector.injected > 0
-        assert engine.stats.failures == injector.injected
-        assert len(engine.failure_records) == min(engine.stats.failures, 100)
-        assert engine.failure_records[0].error == "InjectedFault"
-        assert snapshot["resilience.failures"]["value"] == engine.stats.failures
-        assert snapshot["faults.injected"]["value"] == injector.injected
-        # Quarantined candidates can only remove options: the surviving
-        # best is never better than the fault-free best.
-        assert result.best.time_s >= ref.best.time_s
 
-    def test_failure_budget_aborts_systemic_breakage(
-        self, smoother_ir, reference
+class TestFailFast:
+    def test_model_error_names_the_plan_after_one_attempt(
+        self, smoother_ir, reference, monkeypatch
     ):
         base, _, _ = reference
-        injector = FaultInjector(rate=0.5, seed=1)
-        with pytest.raises(FailureBudgetExceeded):
-            _tune(
-                smoother_ir,
-                base,
-                fault_injector=injector,
-                on_error="skip",
-                failure_budget=3,
-            )
+        attempted = []
 
-    def test_failure_budget_requires_skip(self):
-        # Under fail-fast the first failure aborts the run before any
-        # budget is charged, so a budget there would be silently ignored.
-        with pytest.raises(UsageError, match="failure budget"):
-            PlanEvaluator(failure_budget=3)
+        def broken_simulate(ir, plan, device):
+            attempted.append(plan)
+            raise RuntimeError("model bug")
 
-    def test_faulted_skip_tune_starts_no_thread(
-        self, smoother_ir, reference, monkeypatch
+        monkeypatch.setattr(evaluator_module, "simulate", broken_simulate)
+        engine = PlanEvaluator(vectorize=False)
+        with pytest.raises(EvaluationError) as info:
+            HierarchicalTuner(smoother_ir, evaluator=engine).tune(base)
+        # The first failure ends the run: nothing re-ran the failed
+        # candidate, and nothing went on to the next one.
+        assert len(attempted) == 1
+        error = info.value
+        assert error.exit_code == 4
+        # The error names the candidate as it was submitted, before
+        # the engine escalated its register cap.
+        submitted = attempted[0].replace(max_registers=base.max_registers)
+        assert error.context["plan"] == submitted.describe()
+        assert "candidate" in error.context
+        assert isinstance(error.__cause__, RuntimeError)
+        assert "model bug" in error.describe()
+
+    @pytest.mark.parametrize(
+        "method, batch",
+        [
+            ("price", "evaluate_batch"),
+            ("price_spill_free", "evaluate_spill_free_batch"),
+        ],
+    )
+    def test_family_pricing_error_names_the_plan(
+        self, smoother_ir, reference, monkeypatch, method, batch
+    ):
+        # Once absorbed by a silent re-pricing with scalar simulate;
+        # now the error ends the batch like any other.
+        base, _, _ = reference
+        family = [
+            base.replace(block=(32, 16), unroll=(1, 1, unroll))
+            for unroll in (1, 2, 4, 8)
+        ]
+        assert len(family) >= MIN_FAMILY
+        monkeypatch.setattr(FamilyStructure, method, _broken)
+        engine = PlanEvaluator()
+        with pytest.raises(EvaluationError) as info:
+            getattr(engine, batch)(smoother_ir, family)
+        assert info.value.exit_code == 4
+        assert info.value.context["plan"] == family[0].describe()
+        assert info.value.context["candidate"] == 0
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+    def test_failing_tune_starts_no_thread(
+        self, smoother_ir, reference, crashing_engine, monkeypatch
     ):
         def refuse(thread):
             raise AssertionError(f"engine started thread {thread.name!r}")
 
-        base, ref, _ = reference
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        injector = FaultInjector(rate=0.1, seed=11)
-        result, engine = _tune(
-            smoother_ir, base, fault_injector=injector, on_error="skip"
-        )
-        assert engine.stats.failures == injector.injected > 0
-        assert result.evaluations == ref.evaluations
-
-
-class TestOneAttemptPerCandidate:
-    def test_fail_fast_aborts_on_the_first_fault(self, smoother_ir, reference):
         base, _, _ = reference
-        injector = FaultInjector(rate=0.2, seed=3)
-        engine = PlanEvaluator(fault_injector=injector)
-        with pytest.raises(InjectedFault):
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        engine = crashing_engine(25)
+        with pytest.raises(EvaluationError):
             HierarchicalTuner(smoother_ir, evaluator=engine).tune(base)
-        # Nothing re-ran the faulted candidate: one fault, one failure.
-        assert injector.injected == 1
-        assert engine.stats.failures == 1
-
-    @pytest.mark.parametrize("seed", [3, 11, 2024])
-    def test_each_candidate_is_attempted_once(
-        self, smoother_ir, reference, seed
-    ):
-        base, ref, ref_stats = reference
-        injector = FaultInjector(rate=0.2, seed=seed)
-        result, engine = _tune(
-            smoother_ir, base, fault_injector=injector, on_error="skip"
-        )
-        # The injector sits in front of the model, so it sees every
-        # unscreened miss, faulted or not, exactly once: a fault is
-        # never followed by a second attempt at the same plan.
-        assert injector.injected > 0
-        assert engine.stats.failures == injector.injected
-        assert engine.stats.requests == ref_stats.requests
-        assert injector.invocations == engine.stats.simulations
-        assert result.evaluations == ref.evaluations
 
     def test_infeasible_candidates_are_not_failures(
         self, smoother_ir, reference
     ):
         base, ref, _ = reference
-        # A zero budget aborts on the first charged failure; infeasible
-        # and screened candidates are results, so the run completes.
-        result, engine = _tune(
-            smoother_ir, base, on_error="skip", failure_budget=0
-        )
+        # Infeasible and screened candidates are results, so a run
+        # full of them completes under fail-fast.
+        result, engine = _tune(smoother_ir, base)
         assert engine.stats.infeasible > 0
-        assert engine.stats.failures == 0
-        assert engine.failure_budget.spent == 0
         assert result.best.plan == ref.best.plan
 
 
 class TestCheckpointResume:
     def test_interrupted_run_resumes_to_identical_best_plan(
-        self, smoother_ir, reference, tmp_path
+        self, smoother_ir, reference, tmp_path, crashing_engine
     ):
         """The acceptance scenario: crash mid-search, resume, same
         answer — with the journal replaying the work already done."""
         base, ref, _ = reference
         path = str(tmp_path / "tuning.jsonl")
 
-        # Run 1: crash after 25 evaluations (one persistent fault under
-        # fail-fast aborts the run, like a process kill would).
-        injector = FaultInjector(rate=1.0, seed=7, after=25, max_faults=1)
-        engine = PlanEvaluator(fault_injector=injector)
+        # Run 1: crash at the 26th request (fail-fast aborts the run,
+        # like a process kill would).
+        engine = crashing_engine(26)
         journal = TuningJournal(path, device=engine.device.name)
         tuner = HierarchicalTuner(smoother_ir, evaluator=engine, journal=journal)
-        with pytest.raises(InjectedFault):
+        with pytest.raises(EvaluationError):
             tuner.tune(base)
         journal.close()
 
@@ -207,20 +180,20 @@ class TestCheckpointResume:
         assert engine.stats.requests == 0  # pure replay
 
     def test_mid_batch_crash_preserves_completed_candidates(
-        self, smoother_ir, reference, tmp_path
+        self, smoother_ir, reference, tmp_path, crashing_engine
     ):
         base, _, _ = reference
         path = str(tmp_path / "tuning.jsonl")
-        injector = FaultInjector(rate=1.0, seed=7, after=10, max_faults=1)
-        engine = PlanEvaluator(fault_injector=injector)
+        engine = crashing_engine(11)
         with TuningJournal(path) as journal:
             tuner = HierarchicalTuner(
                 smoother_ir, evaluator=engine, journal=journal
             )
-            with pytest.raises(InjectedFault):
+            with pytest.raises(EvaluationError) as info:
                 tuner.tune(base)
         # The crash hit mid-batch, yet the candidates evaluated before
         # it are on disk.
+        assert info.value.context["candidate"] >= 10
         reopened = TuningJournal(path)
         assert reopened.replayable >= 9
         reopened.close()
@@ -228,15 +201,14 @@ class TestCheckpointResume:
 
 class TestDeepTuningResume:
     def test_interrupted_degree_sweep_resumes_identical(
-        self, smoother_ir, tmp_path
+        self, smoother_ir, tmp_path, crashing_engine
     ):
         ref = deep_tune(smoother_ir, top_k=2)
         path = str(tmp_path / "deep.jsonl")
 
-        injector = FaultInjector(rate=1.0, seed=13, after=120, max_faults=1)
-        engine = PlanEvaluator(fault_injector=injector)
+        engine = crashing_engine(400)
         with TuningJournal(path) as journal:
-            with pytest.raises(InjectedFault):
+            with pytest.raises(EvaluationError):
                 deep_tune(
                     smoother_ir, top_k=2, evaluator=engine, journal=journal
                 )

@@ -1,4 +1,5 @@
-"""The crash-safe JSONL tuning journal: round-trips and torn writes."""
+"""The crash-safe JSONL tuning journal: round-trips, torn writes and
+record validation."""
 
 import json
 import multiprocessing
@@ -6,6 +7,7 @@ import os
 
 import pytest
 
+from repro.codegen.plan import KernelPlan
 from repro.resilience import (
     CheckpointCorruptError,
     CheckpointError,
@@ -16,6 +18,11 @@ from repro.resilience import (
     plan_from_dict,
     plan_to_dict,
 )
+
+
+def _plan(index: int = 0) -> dict:
+    """A recorded plan that ``plan_from_dict`` accepts, distinct per index."""
+    return plan_to_dict(KernelPlan(kernel_names=("k",), block=(32, 1 + index)))
 
 
 def _open_expecting_lock(path):
@@ -31,7 +38,9 @@ def _open_and_record(path, prefix, count):
     """Child-process body: journal ``count`` candidates."""
     with TuningJournal(path, device="P100") as journal:
         for index in range(count):
-            journal.record_candidate(f"{prefix}{index}", {"index": index})
+            journal.record_candidate(
+                f"{prefix}{index}", _plan(index), time_s=1.0, tflops=1.0
+            )
 
 
 class TestPlanSerialization:
@@ -82,77 +91,214 @@ class TestJournalRoundTrip:
         assert reopened.lookup("k3") is None
         reopened.close()
 
-    def test_failures_never_satisfy_lookup(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        with TuningJournal(path) as journal:
-            journal.record_failure("k1", RuntimeError("flaky"))
-        reopened = TuningJournal(path)
-        assert reopened.lookup("k1") is None
-        assert reopened.failure("k1")["error"] == "RuntimeError"
-        assert reopened.replayable == 0
-        reopened.close()
-
     def test_later_records_win(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path) as journal:
             journal.record_candidate("k1", None)
-            journal.record_candidate("k1", {"v": 1})
+            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=1.0)
         reopened = TuningJournal(path)
-        assert reopened.lookup("k1")["plan"] == {"v": 1}
-        reopened.close()
-
-    def test_candidate_after_failure_replays(self, tmp_path):
-        # A retried candidate that succeeded after a logged failure
-        # replays on resume; the failure stays as a diagnostic.
-        path = str(tmp_path / "journal.jsonl")
-        with TuningJournal(path) as journal:
-            journal.record_failure("k1", RuntimeError("flaky"))
-            journal.record_candidate("k1", {"v": 1})
-        reopened = TuningJournal(path)
-        assert reopened.lookup("k1")["plan"] == {"v": 1}
-        assert reopened.failure("k1")["message"] == "flaky"
-        assert reopened.replayable == 1
+        assert reopened.lookup("k1")["plan"] == _plan(1)
         reopened.close()
 
     def test_records_view_filters_by_kind(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path) as journal:
-            journal.record_candidate("k1", {"v": 1})
-            journal.record_degree("ir:degree:1", {"degree": 1})
-            journal.record_failure("k2", RuntimeError("flaky"))
+            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=1.0)
+            journal.record_degree("ir:degree:1", _degree_payload(1))
         reopened = TuningJournal(path)
         assert [r["key"] for r in reopened.records("candidate")] == ["k1"]
         assert [r["key"] for r in reopened.records("degree")] == [
             "ir:degree:1"
         ]
-        assert len(reopened.records()) == 2  # failures are not records
+        assert len(reopened.records()) == 2
         reopened.close()
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path) as journal:
-            journal.record_candidate("k1", {"v": 1})
+            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=1.0)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("\n   \n")
         reopened = TuningJournal(path)
-        assert reopened.lookup("k1")["plan"] == {"v": 1}
+        assert reopened.lookup("k1")["plan"] == _plan(1)
         reopened.close()
 
     def test_degree_records(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path) as journal:
-            journal.record_degree("ir:degree:2", {"degree": 2, "time_s": 0.1})
+            journal.record_degree("ir:degree:2", _degree_payload(2))
         reopened = TuningJournal(path)
         assert reopened.lookup("ir:degree:2")["degree"] == 2
         reopened.close()
+
+
+def _degree_payload(degree: int) -> dict:
+    """A deep-tuning degree record as ``deep_tune`` journals it."""
+    return {
+        "degree": degree,
+        "plan": _plan(degree),
+        "time_s": 0.1,
+        "tflops": 1.0,
+        "bandwidth_bound": True,
+        "bound_level": "dram",
+        "evaluations": 3,
+    }
+
+
+GOOD_CANDIDATE = {
+    "kind": "candidate", "key": "k9", "plan": _plan(9),
+    "time_s": 1.0, "tflops": 2.0,
+}
+GOOD_DEGREE = dict(_degree_payload(3), kind="degree", key="ir:degree:3")
+
+
+def _without(record: dict, field: str) -> dict:
+    return {key: value for key, value in record.items() if key != field}
+
+
+class TestRecordValidation:
+    """Every loaded record must be replayable, or the journal refuses.
+
+    A malformed record is refused at load time with the line that holds
+    it, instead of crashing a resumed run halfway through its replay.
+    """
+
+    @pytest.mark.parametrize(
+        "record, problem",
+        [
+            pytest.param(
+                {"kind": "bogus", "key": "k9"},
+                "unknown record kind 'bogus'",
+                id="unknown-kind",
+            ),
+            pytest.param(
+                dict(GOOD_CANDIDATE, kind=7),
+                "unknown record kind 7",
+                id="non-string-kind",
+            ),
+            pytest.param(
+                _without(GOOD_CANDIDATE, "key"), "has no record key",
+                id="no-key",
+            ),
+            pytest.param(
+                dict(GOOD_CANDIDATE, key=3), "has no record key",
+                id="non-string-key",
+            ),
+            pytest.param(
+                dict(GOOD_CANDIDATE, plan={"v": 1}),
+                "malformed candidate plan",
+                id="plan-missing-fields",
+            ),
+            pytest.param(
+                dict(GOOD_CANDIDATE, plan="oops"),
+                "malformed candidate plan",
+                id="plan-not-a-dict",
+            ),
+            pytest.param(
+                dict(GOOD_CANDIDATE, plan=dict(_plan(), block=[0, 1])),
+                "malformed candidate plan",
+                id="plan-rejected-by-kernelplan",
+            ),
+            pytest.param(
+                _without(GOOD_CANDIDATE, "time_s"), "no numeric 'time_s'",
+                id="candidate-no-time",
+            ),
+            pytest.param(
+                dict(GOOD_CANDIDATE, time_s=None), "no numeric 'time_s'",
+                id="candidate-null-time",
+            ),
+            pytest.param(
+                dict(GOOD_CANDIDATE, time_s=True), "no numeric 'time_s'",
+                id="candidate-bool-time",
+            ),
+            pytest.param(
+                dict(GOOD_CANDIDATE, tflops="fast"), "no numeric 'tflops'",
+                id="candidate-string-tflops",
+            ),
+            pytest.param(
+                _without(GOOD_DEGREE, "plan"), "malformed degree plan",
+                id="degree-no-plan",
+            ),
+            pytest.param(
+                _without(GOOD_DEGREE, "tflops"), "no numeric 'tflops'",
+                id="degree-no-tflops",
+            ),
+            pytest.param(
+                _without(GOOD_DEGREE, "bandwidth_bound"),
+                "no bool 'bandwidth_bound'",
+                id="degree-no-bandwidth-bound",
+            ),
+            pytest.param(
+                dict(GOOD_DEGREE, bound_level=None), "no str 'bound_level'",
+                id="degree-null-bound-level",
+            ),
+        ],
+    )
+    def test_malformed_record_refuses_to_load(self, tmp_path, record, problem):
+        path = str(tmp_path / "journal.jsonl")
+        with TuningJournal(path, device="P100") as journal:
+            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=1.0)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with pytest.raises(CheckpointCorruptError) as info:
+            TuningJournal(path, device="P100")
+        assert info.value.exit_code == 4
+        assert info.value.context["line"] == 3
+        assert "is corrupt: line 3 has " in str(info.value)
+        assert problem in str(info.value)
+
+    def test_retired_failure_kind_is_refused(self, tmp_path):
+        # Journals once recorded quarantined candidates as ``failure``
+        # lines; fail-fast never writes one, so a journal holding one is
+        # refused with a message saying why.
+        path = str(tmp_path / "journal.jsonl")
+        with TuningJournal(path, device="P100") as journal:
+            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=1.0)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(
+                json.dumps(
+                    {
+                        "kind": "failure",
+                        "key": "k1",
+                        "error": "RuntimeError",
+                        "message": "flaky",
+                    }
+                )
+                + "\n"
+            )
+        with pytest.raises(CheckpointCorruptError) as info:
+            TuningJournal(path, device="P100")
+        assert info.value.context["line"] == 3
+        assert "'failure' record" in str(info.value)
+        assert "no longer written" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            GOOD_CANDIDATE,
+            dict(GOOD_CANDIDATE, time_s=1, tflops=0),
+            {"kind": "candidate", "key": "k9", "plan": None},
+            GOOD_DEGREE,
+            _without(GOOD_DEGREE, "evaluations"),
+        ],
+        ids=["candidate", "int-timing", "infeasible", "degree", "degree-bare"],
+    )
+    def test_well_formed_records_load(self, tmp_path, record):
+        path = str(tmp_path / "journal.jsonl")
+        TuningJournal(path, device="P100").close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with TuningJournal(path, device="P100") as journal:
+            assert journal.lookup(record["key"]) == record
+            assert journal.replayable == 1
 
 
 class TestCrashRecovery:
     def _journal_with_records(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path, device="P100") as journal:
-            journal.record_candidate("k1", {"v": 1}, time_s=1.0, tflops=2.0)
-            journal.record_candidate("k2", {"v": 2}, time_s=3.0, tflops=4.0)
+            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=2.0)
+            journal.record_candidate("k2", _plan(2), time_s=3.0, tflops=4.0)
         return path
 
     def test_torn_tail_is_dropped_and_truncated(self, tmp_path):
@@ -169,9 +315,9 @@ class TestCrashRecovery:
         with open(path, "rb") as handle:
             assert handle.read().endswith(b"\n")
         with TuningJournal(path, device="P100") as journal:
-            journal.record_candidate("k3", {"v": 3})
+            journal.record_candidate("k3", _plan(3), time_s=5.0, tflops=6.0)
         final = TuningJournal(path, device="P100")
-        assert final.lookup("k3")["plan"] == {"v": 3}
+        assert final.lookup("k3")["plan"] == _plan(3)
         final.close()
 
     @pytest.mark.parametrize("keep", [1, 17, -1])
@@ -199,7 +345,7 @@ class TestCrashRecovery:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(raw[: len(raw) // 2])
         with TuningJournal(path, device="P100") as journal:
-            journal.record_candidate("k1", {"v": 1})
+            journal.record_candidate("k1", None)
         first = json.loads(open(path, encoding="utf-8").readline())
         assert first["kind"] == "header"
         assert first["device"] == "P100"
@@ -277,9 +423,9 @@ class TestWriterLock:
     def test_lock_released_on_close(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path, device="P100") as journal:
-            journal.record_candidate("k1", {"v": 1})
+            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=1.0)
         reopened = TuningJournal(path, device="P100")
-        assert reopened.lookup("k1")["plan"] == {"v": 1}
+        assert reopened.lookup("k1")["plan"] == _plan(1)
         reopened.close()
 
     def test_second_process_is_refused(self, tmp_path):
@@ -296,7 +442,7 @@ class TestWriterLock:
         child.join(timeout=30.0)
         assert child.exitcode == 0
         with TuningJournal(path, device="P100") as journal:
-            assert journal.lookup("k1")["plan"] == {"index": 1}
+            assert journal.lookup("k1")["plan"] == _plan(1)
 
     def test_sibling_journals_of_two_processes_reload_intact(self, tmp_path):
         ctx = multiprocessing.get_context("fork")
@@ -313,7 +459,7 @@ class TestWriterLock:
         for path in paths:
             journal = TuningJournal(path, device="P100")
             assert journal.replayable == 25
-            assert journal.lookup("k24")["plan"] == {"index": 24}
+            assert journal.lookup("k24")["plan"] == _plan(24)
             journal.close()
 
     def test_sibling_paths_do_not_conflict(self, tmp_path):

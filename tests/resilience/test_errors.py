@@ -9,9 +9,7 @@ from repro.resilience import (
     CheckpointCorruptError,
     CheckpointError,
     EvaluationError,
-    FailureBudgetExceeded,
     InfeasiblePlanError,
-    InjectedFault,
     ReproError,
     UsageError,
 )
@@ -23,8 +21,6 @@ class TestHierarchy:
             UsageError,
             InfeasiblePlanError,
             EvaluationError,
-            InjectedFault,
-            FailureBudgetExceeded,
             CheckpointError,
             CheckpointCorruptError,
             DSLError,
@@ -37,8 +33,6 @@ class TestHierarchy:
         assert issubclass(InfeasiblePlanError, ValueError)
         assert issubclass(UsageError, ValueError)
         assert issubclass(EvaluationError, RuntimeError)
-        assert issubclass(InjectedFault, EvaluationError)
-        assert issubclass(FailureBudgetExceeded, EvaluationError)
         assert issubclass(CheckpointCorruptError, CheckpointError)
 
     def test_domain_errors_joined_the_taxonomy(self):
@@ -88,4 +82,4 @@ class TestContext:
         with pytest.raises(ValueError):
             raise InfeasiblePlanError("nope")
         with pytest.raises(RuntimeError):
-            raise InjectedFault("boom")
+            raise EvaluationError("boom")

@@ -3,16 +3,16 @@
 The vectorized pricing path is a pure throughput lever — every
 observable of a tuning run must be invariant to it: the winner (bitwise),
 the EvalStats accounting (requests, hits, misses, screened,
-``lint_rejections == screened``), and the failure bookkeeping under
-injected chaos.  These tests run the full hierarchical tuner through paired
-engines and compare everything.
+``lint_rejections == screened``), and the plan a planted model bug
+aborts the run on.  These tests run the full hierarchical tuner through
+paired engines and compare everything.
 """
 
 import pytest
 
 from repro.codegen.resources import auto_assign, seed_plan_from_pragma
 from repro.gpu.simulator import reset_simulate_calls, simulate_call_count
-from repro.resilience import FaultInjector
+from repro.resilience import EvaluationError
 from repro.suite import BENCHMARKS, load_ir
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
 from repro.tuning.deeptuning import fusion_schedule
@@ -28,7 +28,6 @@ INVARIANT_FIELDS = (
     "rungs_skipped",
     "screened",
     "lint_rejections",
-    "failures",
 )
 
 
@@ -36,6 +35,40 @@ def _tune(ir, base, **engine_kwargs):
     engine = PlanEvaluator(**engine_kwargs)
     tuner = HierarchicalTuner(ir, evaluator=engine)
     return tuner.tune(base), engine
+
+
+def _abort_on(ir, base, target, vectorize):
+    """Tune with a bug planted in the request for ``target``.
+
+    The engine raises when asked to evaluate ``target``; both pricing
+    paths resolve every candidate through one request, so the run must
+    end on that plan either way.  Returns the error and the engine.
+    """
+    engine = PlanEvaluator(vectorize=vectorize)
+    evaluate = engine._evaluate
+
+    def planted(ir_, plan, *args, **kwargs):
+        if plan == target:
+            raise RuntimeError("model bug")
+        return evaluate(ir_, plan, *args, **kwargs)
+
+    engine._evaluate = planted
+    with pytest.raises(EvaluationError) as info:
+        HierarchicalTuner(ir, evaluator=engine).tune(base)
+    return info.value, engine
+
+
+def assert_same_abort(ir, base):
+    """Scalar and vector engines abort on the same plan, after the same
+    requests; returns the vector engine."""
+    ref, _ = _tune(ir, base, vectorize=False)
+    target = ref.best.plan
+    ref_error, ref_engine = _abort_on(ir, base, target, vectorize=False)
+    vec_error, vec_engine = _abort_on(ir, base, target, vectorize=True)
+    assert vec_error.context == ref_error.context
+    assert ref_error.context["plan"] == target.describe()
+    assert_invariant_stats(vec_engine, ref_engine)
+    return vec_engine
 
 
 def assert_invariant_stats(vec_engine, ref_engine):
@@ -87,35 +120,12 @@ class TestVectorizedInvariance:
         assert engine.stats.hits > 0
 
 
-class TestChaosInvariance:
-    @pytest.mark.parametrize("on_error", ["skip"])
-    def test_fault_schedule_hits_both_paths_identically(
-        self, smoother_ir, base_plan, on_error
-    ):
-        # Same fault seed through scalar and vectorized engines: faults
-        # fire per *candidate* (the vector path still resolves each
-        # lane through _evaluate), so the quarantine accounting and the
-        # surviving winner must match exactly.
-        def chaos(vectorize):
-            injector = FaultInjector(rate=0.15, seed=11)
-            result, engine = _tune(
-                smoother_ir,
-                base_plan,
-                vectorize=vectorize,
-                fault_injector=injector,
-                on_error=on_error,
-            )
-            return result, engine, injector
-
-        ref, ref_engine, ref_injector = chaos(vectorize=False)
-        vec, vec_engine, vec_injector = chaos(vectorize=True)
-
-        assert vec_injector.injected == ref_injector.injected
-        assert vec_injector.injected > 0
-        assert vec.best.plan == ref.best.plan
-        assert vec.best.time_s == ref.best.time_s
-        assert_invariant_stats(vec_engine, ref_engine)
-        assert vec_engine.stats.failures > 0
+class TestFailFastInvariance:
+    def test_both_paths_abort_on_the_same_plan(self, smoother_ir, base_plan):
+        # A bug planted in one candidate fires per *request* (the vector
+        # path still resolves each lane through _evaluate), so both
+        # paths end on that plan, after the same accounting.
+        vec_engine = assert_same_abort(smoother_ir, base_plan)
         assert vec_engine.stats.vectorized > 0
 
 
@@ -160,28 +170,10 @@ class TestSuiteWideInvariance:
                 == first_engine.stats.vectorized
             )
 
-    def test_fault_schedule_hits_both_paths_identically(self, name):
+    def test_both_paths_abort_on_the_same_plan(self, name):
         ir, bases = _suite_bases(name)
         for base in bases:
-            runs = []
-            for vectorize in (False, True):
-                injector = FaultInjector(rate=0.15, seed=11)
-                result, engine = _tune(
-                    ir,
-                    base,
-                    vectorize=vectorize,
-                    fault_injector=injector,
-                    on_error="skip",
-                )
-                runs.append((result, engine, injector))
-            (ref, ref_engine, ref_inj), (vec, vec_engine, vec_inj) = runs
-            # rhs4sgcurv prices a single candidate, so a 15% schedule
-            # may inject nothing there; the counts must still agree.
-            assert vec_inj.injected == ref_inj.injected
-            assert vec.best.plan == ref.best.plan
-            assert vec.best.time_s == ref.best.time_s
-            assert_invariant_stats(vec_engine, ref_engine)
-            assert vec_engine.stats.failures == vec_inj.injected
+            assert_same_abort(ir, base)
 
 
 class TestPhaseAttribution:

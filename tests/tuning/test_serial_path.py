@@ -1,13 +1,16 @@
 """Batches have one execution path: the serial evaluator, one attempt
-per candidate.
+per candidate, fail-fast on any unexpected error.
 
 The thread pool, the fork pool and the multi-process coordinator were
 removed because none of them beat the serial evaluator on any suite
 workload.  Retries, the per-evaluation timeout watchdog and the
 degraded path were removed because the model is deterministic: they
-could only recover faults the repository injected into itself.  These
-tests pin both removals at the library surface, so a second executor
-or a second attempt cannot creep back in through a keyword argument.
+could only recover faults the repository injected into itself.  The
+skip policy, its failure budget and the fault injector went for the
+same reason: a candidate that raised once would raise again, so
+skipping it only hides a bug.  These tests pin the removals at the
+library surface, so a second executor, a second attempt or a second
+failure policy cannot creep back in through a keyword argument.
 """
 
 import importlib
@@ -15,12 +18,12 @@ import inspect
 
 import pytest
 
+from repro import cli, resilience
 from repro.obs import Tracer
-from repro import resilience
 from repro.obs import export
 from repro.obs.search import SearchLog
 from repro.pipeline import optimize
-from repro.resilience import FaultInjector, TuningJournal
+from repro.resilience import TuningJournal
 from repro.suite.bench import run_bench
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
 from repro.tuning import evaluator
@@ -42,7 +45,16 @@ ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize(
-    "parameter", ["workers", "executor", "retry", "timeout_s"]
+    "parameter",
+    [
+        "workers",
+        "executor",
+        "retry",
+        "timeout_s",
+        "on_error",
+        "failure_budget",
+        "fault_injector",
+    ],
 )
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_no_executor_parameters(entry, parameter):
@@ -51,11 +63,9 @@ def test_no_executor_parameters(entry, parameter):
     assert all(p.kind is not p.VAR_KEYWORD for p in params.values())
 
 
-@pytest.mark.parametrize(
-    "parameter", ["kind", "transient_failures", "spare_degraded"]
-)
-def test_fault_injector_raises_errors_only(parameter):
-    assert parameter not in inspect.signature(FaultInjector).parameters
+def test_vector_pricing_is_a_plain_default_on_bool():
+    parameter = inspect.signature(PlanEvaluator).parameters["vectorize"]
+    assert parameter.default is True
 
 
 def test_optimize_takes_no_tuner_factory():
@@ -65,7 +75,15 @@ def test_optimize_takes_no_tuner_factory():
     assert "make_tuner" in inspect.signature(deep_tune).parameters
 
 
-@pytest.mark.parametrize("module", ["repro.distrib", "repro.obs.live"])
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.distrib",
+        "repro.obs.live",
+        "repro.resilience.faults",
+        "repro.resilience.retry",
+    ],
+)
 def test_removed_modules_are_gone(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
@@ -83,12 +101,28 @@ def test_removed_modules_are_gone(module):
         (resilience, "RetryPolicy"),
         (resilience, "EvaluationTimeout"),
         (resilience, "FAULT_KINDS"),
+        (resilience, "FaultInjector"),
+        (resilience, "InjectedFault"),
+        (resilience, "FailureBudget"),
+        (resilience, "FailureBudgetExceeded"),
+        (resilience, "ON_ERROR_POLICIES"),
+        (evaluator, "FailureRecord"),
+        (evaluator, "MAX_FAILURE_RECORDS"),
+        (evaluator, "_pricing_module"),
+        (TuningJournal, "record_failure"),
+        (TuningJournal, "failure"),
+        (cli, "_fault_injector_from_env"),
+        (cli, "_env_float"),
+        (cli, "_env_int"),
+        (cli, "_warn_failures"),
+        (cli, "_vectorize_choice"),
         (SearchLog, "capture"),
         (SearchLog, "use"),
         (EvalStats, "retries"),
         (EvalStats, "timeouts"),
         (EvalStats, "degraded"),
         (EvalStats, "cpu_s"),
+        (EvalStats, "failures"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
