@@ -88,8 +88,8 @@ class TestFailFast:
     def test_family_pricing_error_names_the_plan(
         self, smoother_ir, reference, monkeypatch, method, batch
     ):
-        # Once absorbed by a silent re-pricing with scalar simulate;
-        # now the error ends the batch like any other.
+        # Nothing re-prices the family on the scalar path: the error
+        # ends the batch like any other.
         base, _, _ = reference
         family = [
             base.replace(block=(32, 16), unroll=(1, 1, unroll))

@@ -95,7 +95,9 @@ class TestExitCodes:
         assert "plan=s.0 block=" in err
         assert len(err.strip().splitlines()) == 1  # one line, no traceback
 
-    @pytest.mark.parametrize("flags", [["--top-k", "0"], ["--top-k", "-1"]])
+    @pytest.mark.parametrize(
+        "flags", [["--top-k", "0"], ["--top-k", "-1"], ["--top-k", "-2"]]
+    )
     def test_out_of_range_tuning_flags_are_exit_2(self, spec, flags, capsys):
         code = main(["optimize", spec, *flags])
         err = capsys.readouterr().err
