@@ -619,9 +619,7 @@ class PlanEvaluator:
                 ir, plans, spill_free=False, catch=catch
             )
         else:
-            jobs = self._scalar_jobs(
-                ir, plans, spill_free=False, levels=(), catch=catch
-            )
+            jobs = self._scalar_jobs(ir, plans, spill_free=False, catch=catch)
         return self._run_batch(jobs, on_result=on_result)
 
     def evaluate_spill_free_batch(
@@ -639,9 +637,7 @@ class PlanEvaluator:
                 ir, plans, spill_free=True, levels=levels
             )
         else:
-            jobs = self._scalar_jobs(
-                ir, plans, spill_free=True, levels=levels, catch=INFEASIBLE
-            )
+            jobs = self._scalar_jobs(ir, plans, spill_free=True, levels=levels)
         return self._run_batch(jobs, on_result=on_result)
 
     # -- vectorized family pricing ---------------------------------------------
@@ -654,8 +650,8 @@ class PlanEvaluator:
         ir: ProgramIR,
         plans: List[KernelPlan],
         spill_free: bool,
-        levels: Tuple[int, ...],
-        catch: tuple,
+        levels: Tuple[int, ...] = REGISTER_LEVELS,
+        catch: tuple = INFEASIBLE,
     ) -> List[tuple]:
         """``(plan, thunk)`` jobs that each run one scalar request."""
         if spill_free:
