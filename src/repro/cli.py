@@ -529,7 +529,9 @@ def cmd_certify(args) -> int:
     """Prove every plan transformation legal (``repro certify``).
 
     Runs the RL3xx dependence certifier over explicit plans (``--plan``),
-    journalled tuning candidates (``--journal``), or — when neither is
+    the winners and seeds of journalled tuning units (``--journal``,
+    read through the journal's validating loader, so a damaged journal
+    exits 4 naming the line), or — when neither is
     given — each program's per-kernel seed plans.  Exit 1 when any plan
     is refuted; refutations carry replayable witnesses in ``--json`` and
     ``--sarif`` output.
@@ -551,7 +553,7 @@ def cmd_certify(args) -> int:
     )
     from .lint.rules_plan import RL204
     from .lint.sarif import write_sarif
-    from .resilience.checkpoint import plan_from_dict
+    from .resilience.checkpoint import plan_from_dict, read_journal
 
     programs = [(spec, _load(spec)) for spec in args.specs]
     if args.suite:
@@ -585,24 +587,16 @@ def cmd_certify(args) -> int:
                     f"--plan: {path!r} is not a serialized KernelPlan: {exc}"
                 ) from None
     for path in args.journal or []:
-        journal_path = Path(path)
-        if not journal_path.exists():
+        if not Path(path).exists():
             raise UsageError(f"--journal: {path!r} does not exist")
-        seen = {}
-        for line in journal_path.read_text().splitlines():
-            if not line.strip():
-                continue
-            record = _json.loads(line)
-            if record.get("kind") == "candidate" and record.get("plan"):
-                seen[record["key"]] = record["plan"]
-        for entry in seen.values():
-            try:
-                explicit.append(plan_from_dict(entry))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise UsageError(
-                    f"--journal: {path!r} holds an unreadable plan "
-                    f"record: {exc}"
-                ) from None
+        _, records = read_journal(path)
+        explicit.extend(
+            dict.fromkeys(
+                plan_from_dict(entry["plan"])
+                for record in records
+                for entry in [record] + record["seeds"]
+            )
+        )
 
     reports = []
     plans_total = 0
@@ -783,8 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_checkpoint_flags(p):
         p.add_argument(
             "--checkpoint", metavar="PATH", default=None,
-            help="journal every evaluated candidate to PATH (crash-safe "
-                 "JSONL; see docs/robustness.md)",
+            help="journal each finished tuning unit to PATH (crash-safe "
+                 "JSONL: a crash loses at most the unit in flight; see "
+                 "docs/robustness.md)",
         )
         p.add_argument(
             "--resume", action="store_true",
@@ -931,8 +926,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--journal", action="append", metavar="PATH", default=None,
-        help="certify every candidate plan recorded in a tuning journal "
-             "(JSONL checkpoint); repeatable",
+        help="certify the winner and seed plans recorded in a tuning "
+             "journal (JSONL checkpoint); repeatable",
     )
     p.add_argument(
         "--suite", action="store_true",

@@ -76,11 +76,14 @@ def optimize(
     One :class:`PlanEvaluator` is shared by every tuning phase of the
     run (per-kernel tuning, fused/fission/global alternatives, deep
     tuning), so any plan the flow revisits is a memo-cache hit.
-    ``journal`` checkpoints every evaluated candidate as it completes;
-    the journal's records are content-addressed by IR fingerprint, so
-    one journal file safely serves every phase (including fission
-    variants, which are distinct IRs) and an interrupted run restarted
-    with the same journal resumes instead of re-tuning.
+    ``journal`` checkpoints the run one tuning unit at a time: every
+    finished per-kernel search and every finished deep-tuning degree is
+    one record.  Records are content-addressed by IR fingerprint, base
+    plan and tuner settings, so one journal file safely serves every
+    phase (including fission variants, which are distinct IRs).  An
+    interrupted run restarted with the same journal replays its finished
+    units without evaluating them; a crash loses at most the unit in
+    flight.
     """
     with _span("optimize"):
         with _span("lower"):

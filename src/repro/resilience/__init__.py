@@ -33,6 +33,7 @@ from .checkpoint import (
     ir_fingerprint,
     plan_from_dict,
     plan_to_dict,
+    read_journal,
 )
 
 __all__ = [
@@ -52,4 +53,5 @@ __all__ = [
     "ir_fingerprint",
     "plan_from_dict",
     "plan_to_dict",
+    "read_journal",
 ]

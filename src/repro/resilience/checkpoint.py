@@ -1,44 +1,51 @@
 """Journaled checkpoint/resume for long autotuning runs.
 
-A :class:`TuningJournal` is an append-only JSONL file recording every
-candidate a tuning run has already priced — one self-contained record
-per line, flushed (and fsynced) as soon as it is known, so a crash at
-any instant loses at most the record being written.  An interrupted run
-restarted with the same journal replays the recorded outcomes instead
-of re-evaluating, then continues the search from where it died.
+A :class:`TuningJournal` is an append-only JSONL file with one record
+per finished *tuning unit*: one :meth:`HierarchicalTuner.tune` call, or
+one fusion degree of a deep-tuning sweep.  Each record is written with
+one ``write()`` and fsynced as soon as its unit finishes, so a crash
+loses at most the unit in flight.  An interrupted run restarted with the
+same journal replays its finished units without evaluating anything and
+re-runs the unit that was in flight.
+
+The unit is the smallest piece of work that costs more to recompute
+than to write: a single candidate is priced by the analytical model in
+about a tenth of a millisecond, less than the fsync that would guard it.
 
 Crash model and recovery:
 
 * appends are single ``write()`` calls of one ``\\n``-terminated line —
   a torn write therefore leaves an *unterminated tail*, which the loader
-  drops and truncates away (at most one candidate is re-evaluated);
+  drops and truncates away (the unit it held runs again);
 * a terminated line that fails to parse means the file was damaged by
   something other than a torn append, and the journal refuses to load
   (:class:`CheckpointCorruptError`) rather than resume from a history
   it cannot trust;
-* records are keyed by content (IR fingerprint + operation + plan
-  fingerprint), never by sequence number, so resumed runs may evaluate
-  in a different order and still hit.
+* records are keyed by content — the IR fingerprint, the base plan and
+  every tuner setting that shapes the search — never by sequence number,
+  so a resumed run may reach its units in any order and still hit.
 
-Record kinds: ``header`` (version/device sanity), ``candidate`` (one
-priced plan: the escalated plan chosen plus its time/TFLOPS, or
-``null`` for infeasible) and ``degree`` (a completed deep-tuning fusion
-degree, including its roofline classification).  A failed candidate is
-never journaled: it ends the run, and a resume evaluates it again.
+Record kinds: ``header`` (version/device sanity), ``tune`` (a finished
+hierarchical search: its winner plan and time, its evaluation counts
+and its transfer ``seeds``) and ``degree`` (a finished deep-tuning
+fusion degree: the same, plus its roofline classification).  A seed is
+the unit's fastest feasible plan for one (block, unroll) signature;
+transfer tuning mines them (``repro.tuning.transfer``).
 
 Every record is validated as it loads: an unknown kind, a plan that
 :func:`plan_from_dict` refuses, or a missing field that a replay reads
 is refused with :class:`CheckpointCorruptError` naming the line, so a
-damaged journal can never crash a resumed run halfway through.
+damaged journal can never crash a resumed run halfway through.  A
+journal of another version (version 1 recorded single candidates) is
+refused as a whole.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 from hashlib import sha256
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import (
     CheckpointCorruptError,
@@ -57,13 +64,21 @@ __all__ = [
     "ir_fingerprint",
     "plan_from_dict",
     "plan_to_dict",
+    "read_journal",
 ]
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
-#: Fields a deep-tuning replay reads from a ``degree`` record, besides
-#: its plan and timing, with the type each must have.
-DEGREE_FIELDS = (("bandwidth_bound", bool), ("bound_level", str))
+#: Fields a replay reads from each unit record kind, besides its plan,
+#: timing and seeds, with the type each must have.
+UNIT_FIELDS = {
+    "tune": (("evaluations", int), ("stage1_evaluations", int)),
+    "degree": (
+        ("evaluations", int),
+        ("bandwidth_bound", bool),
+        ("bound_level", str),
+    ),
+}
 
 
 def ir_fingerprint(ir) -> str:
@@ -128,41 +143,148 @@ def plan_from_dict(data: Dict[str, Any]):
     )
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _has_type(value, expected: type) -> bool:
+    """``isinstance`` that does not take a bool for a number."""
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
+def _measurement_problem(entry, what: str) -> Optional[str]:
+    """What ``entry`` lacks to replay as a plan and timing, or None.
+
+    The answer completes "has ...": ``a malformed tune plan``.
+    """
+    if not isinstance(entry, dict):
+        return f"a malformed {what}"
+    try:
+        plan_from_dict(entry.get("plan"))
+    except (KeyError, TypeError, ValueError):
+        return f"a malformed {what} plan"
+    for field in ("time_s", "tflops"):
+        if not _has_type(entry.get(field), float):
+            return f"no numeric {field!r}"
+    return None
 
 
 def _record_problem(record: Dict[str, Any]) -> Optional[str]:
     """Why a non-header record cannot be replayed, or None if it can."""
     kind = record["kind"]
-    if kind == "failure":
-        return (
-            "is a 'failure' record; that kind is no longer written, "
-            "since a failed candidate ends the run"
-        )
-    if kind not in ("candidate", "degree"):
+    fields = UNIT_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
         return f"has unknown record kind {kind!r}"
     if not isinstance(record.get("key"), str):
         return "has no record key"
-    plan = record.get("plan")
-    if plan is None and kind == "candidate":
-        return None  # an infeasible candidate
-    try:
-        plan_from_dict(plan)
-    except (KeyError, TypeError, ValueError):
-        return f"has a malformed {kind} plan"
-    for field in ("time_s", "tflops"):
-        if not _is_number(record.get(field)):
-            return f"has no numeric {field!r}"
-    if kind == "degree":
-        for field, expected in DEGREE_FIELDS:
-            if not isinstance(record.get(field), expected):
-                return f"has no {expected.__name__} {field!r}"
+    problem = _measurement_problem(record, kind)
+    if problem is not None:
+        return f"has {problem}"
+    for field, expected in fields:
+        if not _has_type(record.get(field), expected):
+            return f"has no {expected.__name__} {field!r}"
+    seeds = record.get("seeds")
+    if not isinstance(seeds, list):
+        return "has no list 'seeds'"
+    for index, seed in enumerate(seeds):
+        problem = _measurement_problem(seed, "seed")
+        if problem is not None:
+            return f"has seed {index} with {problem}"
     return None
 
 
+def _committed(raw: bytes) -> bytes:
+    """``raw`` up to its last newline: an append counts once terminated."""
+    if raw.endswith(b"\n"):
+        return raw
+    return raw[: raw.rfind(b"\n") + 1]
+
+
+def _parse(
+    path: str, raw: bytes, device: Optional[str]
+) -> Tuple[Optional[Dict[str, Any]], Dict[str, Dict[str, Any]]]:
+    """Validate committed journal bytes: ``(header, records by key)``.
+
+    ``device`` is checked against the header's device unless either is
+    None.  A later record for a key replaces an earlier one.
+    """
+    header: Optional[Dict[str, Any]] = None
+    records: Dict[str, Dict[str, Any]] = {}
+    for number, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CheckpointCorruptError(
+                f"checkpoint journal {path} is corrupt: "
+                f"line {number} is not valid JSON",
+                path=path,
+                line=number,
+            ) from exc
+        if not isinstance(record, dict) or "kind" not in record:
+            raise CheckpointCorruptError(
+                f"checkpoint journal {path} is corrupt: "
+                f"line {number} is not a journal record",
+                path=path,
+                line=number,
+            )
+        if record["kind"] == "header":
+            _check_header(path, record, device)
+            header = record
+            continue
+        problem = _record_problem(record)
+        if problem is not None:
+            raise CheckpointCorruptError(
+                f"checkpoint journal {path} is corrupt: line "
+                f"{number} {problem}",
+                path=path,
+                line=number,
+            )
+        records[record["key"]] = record
+    return header, records
+
+
+def _check_header(path: str, header: Dict[str, Any], device) -> None:
+    version = header.get("version")
+    if version != JOURNAL_VERSION:
+        raise CheckpointCorruptError(
+            f"checkpoint journal {path} has version {version!r}; this "
+            f"build reads version {JOURNAL_VERSION}: start a fresh "
+            f"--checkpoint",
+            path=path,
+        )
+    recorded = header.get("device")
+    if device is not None and recorded is not None and recorded != device:
+        raise CheckpointDeviceMismatch(
+            f"checkpoint journal {path} was recorded for "
+            f"device {recorded!r}, not {device!r}; resume "
+            f"on {recorded!r}, start a fresh checkpoint, or "
+            f"warm-start via transfer tuning",
+            path=path,
+            recorded=recorded,
+            requested=device,
+        )
+
+
+def read_journal(path) -> Tuple[Optional[str], List[Dict[str, Any]]]:
+    """``(recorded device, validated records)`` of a journal file.
+
+    A read-only view for offline consumers (transfer tuning, ``repro
+    certify``): it takes no lock, repairs nothing and applies no device
+    check.  A torn tail is left out; damage is refused exactly as a
+    resume would refuse it (:class:`CheckpointCorruptError`).
+    """
+    path = os.fspath(path)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    header, records = _parse(path, _committed(raw), None)
+    device = header.get("device") if header is not None else None
+    return device, list(records.values())
+
+
 class TuningJournal:
-    """Append-only JSONL checkpoint of evaluated tuning candidates.
+    """Append-only JSONL checkpoint of finished tuning units.
 
     Opening an existing journal resumes it: prior records become
     lookup hits.  Opening a fresh path starts one.  ``device`` (a
@@ -175,11 +297,8 @@ class TuningJournal:
         self.device = device
         #: device name the journal's header declares (== ``device`` for
         #: a fresh journal; the on-disk value when resuming).  Opening
-        #: with ``device=None`` skips the mismatch check — the
-        #: sanctioned way for transfer tuning to *read* a foreign
-        #: device's journal without replaying it.
+        #: with ``device=None`` skips the mismatch check.
         self.recorded_device: Optional[str] = device
-        self._lock = threading.Lock()
         self._records: Dict[str, Dict[str, Any]] = {}
         self.replayable = 0  # records loaded from disk
         # Lock before reading: a refused second writer must not repair
@@ -210,9 +329,8 @@ class TuningJournal:
         A second live writer on the same path would interleave its
         appends with ours mid-record; the lock makes the misuse loud
         (:class:`CheckpointLockedError`, exit 2) instead of silent.
-        Advisory only — readers (``_load``, torn-tail repair) are
-        unaffected.  Platforms without
-        ``fcntl`` skip the check.
+        Advisory only — readers (``_load``, :func:`read_journal`) are
+        unaffected.  Platforms without ``fcntl`` skip the check.
         """
         if fcntl is None:  # pragma: no cover - non-POSIX
             return
@@ -232,145 +350,71 @@ class TuningJournal:
     def _load(self) -> None:
         with open(self.path, "rb") as handle:
             raw = handle.read()
-        keep = len(raw)
-        if raw and not raw.endswith(b"\n"):
+        committed = _committed(raw)
+        if len(committed) < len(raw):
             # Torn trailing append: drop the partial record and truncate
             # so future appends start on a clean line boundary.
-            cut = raw.rfind(b"\n")
-            keep = cut + 1 if cut >= 0 else 0
-            raw = raw[:keep]
             with open(self.path, "r+b") as handle:
-                handle.truncate(keep)
-        lines = raw.decode("utf-8").splitlines()
-        if not lines:
-            return
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CheckpointCorruptError(
-                    f"checkpoint journal {self.path} is corrupt: "
-                    f"line {number} is not valid JSON",
-                    path=self.path,
-                    line=number,
-                ) from exc
-            if not isinstance(record, dict) or "kind" not in record:
-                raise CheckpointCorruptError(
-                    f"checkpoint journal {self.path} is corrupt: "
-                    f"line {number} is not a journal record",
-                    path=self.path,
-                    line=number,
-                )
-            self._absorb(record, number)
-
-    def _absorb(self, record: Dict[str, Any], number: int) -> None:
-        kind = record["kind"]
-        if kind == "header":
-            version = record.get("version")
-            if version != JOURNAL_VERSION:
-                raise CheckpointCorruptError(
-                    f"checkpoint journal {self.path} has version "
-                    f"{version!r}; this build reads version "
-                    f"{JOURNAL_VERSION}",
-                    path=self.path,
-                )
-            recorded = record.get("device")
-            self.recorded_device = recorded
-            if (
-                self.device is not None
-                and recorded is not None
-                and recorded != self.device
-            ):
-                raise CheckpointDeviceMismatch(
-                    f"checkpoint journal {self.path} was recorded for "
-                    f"device {recorded!r}, not {self.device!r}; resume "
-                    f"on {recorded!r}, start a fresh checkpoint, or "
-                    f"warm-start via transfer tuning",
-                    path=self.path,
-                    recorded=recorded,
-                    requested=self.device,
-                )
-            return
-        problem = _record_problem(record)
-        if problem is not None:
-            raise CheckpointCorruptError(
-                f"checkpoint journal {self.path} is corrupt: line "
-                f"{number} {problem}",
-                path=self.path,
-                line=number,
-            )
-        self._records[record["key"]] = record
-        self.replayable += 1
+                handle.truncate(len(committed))
+        header, self._records = _parse(self.path, committed, self.device)
+        if header is not None:
+            self.recorded_device = header.get("device")
+        self.replayable = len(self._records)
 
     # -- writing ----------------------------------------------------------------
 
     def _append(self, record: Dict[str, Any]) -> None:
         line = json.dumps(record, sort_keys=True, default=str) + "\n"
-        with self._lock:
-            self._handle.write(line)
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+        self._handle.write(line)
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
 
-    def record_candidate(
-        self,
-        key: str,
-        plan: Optional[Dict[str, Any]],
-        time_s: Optional[float] = None,
-        tflops: Optional[float] = None,
-    ) -> None:
-        """Journal one priced candidate (``plan=None`` = infeasible)."""
-        record = {
-            "kind": "candidate",
-            "key": key,
-            "plan": plan,
-            "time_s": time_s,
-            "tflops": tflops,
-        }
-        with self._lock:
-            self._records[key] = record
+    def _record(self, kind: str, key: str, payload: Dict[str, Any]) -> None:
+        record = {"kind": kind, "key": key}
+        record.update(payload)
+        problem = _record_problem(record)
+        if problem is not None:
+            raise ValueError(f"refusing to journal a record that {problem}")
+        self._records[key] = record
         self._append(record)
+
+    def record_candidate(self, key: str, payload: Dict[str, Any]) -> None:
+        """Journal a finished hierarchical tuning unit (a ``tune`` record).
+
+        ``payload`` holds the winner's ``plan``, ``time_s`` and
+        ``tflops``, the unit's ``evaluations`` and
+        ``stage1_evaluations`` and its transfer ``seeds``.  The name
+        predates unit records; ``benchmarks/e2e/spans.py`` times the
+        journal's writes through it.
+        """
+        self._record("tune", key, payload)
 
     def record_degree(self, key: str, payload: Dict[str, Any]) -> None:
-        """Journal a completed deep-tuning fusion degree."""
-        record = {"kind": "degree", "key": key}
-        record.update(payload)
-        with self._lock:
-            self._records[key] = record
-        self._append(record)
+        """Journal a finished deep-tuning fusion degree."""
+        self._record("degree", key, payload)
 
     # -- lookup -----------------------------------------------------------------
 
     def records(self, kind: Optional[str] = None) -> list:
-        """Snapshot of the records (optionally of one ``kind``).
-
-        A read-only view for offline consumers: transfer tuning mines a
-        foreign journal's ``candidate``/``degree`` records for winners
-        without replaying them into a live search.
-        """
-        with self._lock:
-            items = list(self._records.values())
+        """Snapshot of the records (optionally of one ``kind``)."""
+        items = list(self._records.values())
         if kind is not None:
             items = [item for item in items if item.get("kind") == kind]
         return items
 
     def lookup(self, key: str) -> Optional[Dict[str, Any]]:
         """The journaled record for ``key``, or None."""
-        with self._lock:
-            return self._records.get(key)
+        return self._records.get(key)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
     # -- lifecycle --------------------------------------------------------------
 
     def close(self) -> None:
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.flush()
-                self._handle.close()
+        if not self._handle.closed:
+            self._handle.flush()
+            self._handle.close()
 
     def __enter__(self) -> "TuningJournal":
         return self

@@ -25,15 +25,14 @@ from ..ir.stencil import ProgramIR
 from ..obs import span as _span
 from ..obs.search import log_context as _log_context
 from ..profiling.roofline import classify_result
-from ..resilience.checkpoint import (
-    TuningJournal,
-    ir_fingerprint,
-    plan_from_dict,
-    plan_to_dict,
-)
+from ..resilience.checkpoint import TuningJournal, ir_fingerprint
 from ..resilience.errors import UsageError
 from .evaluator import EvalStats, Measurement, PlanEvaluator
-from .hierarchical import HierarchicalTuner, TuningResult
+from .hierarchical import (
+    HierarchicalTuner,
+    measurement_from_record,
+    measurement_record,
+)
 
 #: Hard cap on explored fusion degrees ("usually k <= 4 for most order-1
 #: stencils, and much smaller for high-order stencils").
@@ -108,19 +107,22 @@ def deep_tune(
     plans revisited between degrees (and the post-tune profiling
     simulation of each winner) are served from the memo cache.
 
-    With a ``journal``, checkpoint/resume operates at two levels:
-    completed fusion degrees replay wholesale from their ``degree``
-    records, and within an interrupted degree the inner hierarchical
-    tuner replays its journaled candidates — so a crash mid-sweep loses
-    at most the candidate being evaluated.  The stopping conditions are
-    deterministic functions of the entries, so a resumed sweep halts at
-    the same degree as an uninterrupted one.
+    With a ``journal``, each fusion degree is one tuning unit: a
+    finished degree is journaled as one ``degree`` record (its winner,
+    roofline classification, evaluation count and transfer seeds) and
+    replays without evaluating anything, and the inner tuner gets no
+    journal of its own.  A crash mid-sweep therefore loses at most the
+    degree in flight, which a resume re-runs.  The stopping conditions
+    are deterministic functions of the entries, so a resumed sweep halts
+    at the same degree as an uninterrupted one.
 
     ``make_tuner`` swaps the inner per-degree tuner class: it is called
     with the same keyword arguments ``HierarchicalTuner`` would receive
-    (``use_register_opts``, ``top_k``, ``evaluator``, ``journal``).
-    Transfer tuning uses this to warm-start every degree from another
-    device's journal (``repro.tuning.transfer``).
+    (``use_register_opts``, ``top_k``, ``evaluator``).  Transfer tuning
+    uses this to warm-start every degree from another device's journal
+    (``repro.tuning.transfer``).  The tuner's
+    :meth:`~HierarchicalTuner.config_digest` is part of each degree's
+    journal key, so a warm-started sweep never replays a cold one.
     """
     if not ir.is_iterative:
         raise UsageError("deep tuning applies to iterative stencils")
@@ -137,23 +139,25 @@ def deep_tune(
         slog, phase="deep-tune"
     ):
         for degree in range(1, max_degree + 1):
-            degree_key = f"{irfp}:degree:{degree}"
+            tuner = (make_tuner or HierarchicalTuner)(
+                ir,
+                use_register_opts=use_register_opts,
+                top_k=top_k,
+                evaluator=engine,
+            )
+            degree_key = f"{irfp}:degree:{degree}:{tuner.config_digest()}"
             record = journal.lookup(degree_key) if journal is not None else None
             if record is not None:
                 entry = DeepTuningEntry(
                     time_tile=degree,
-                    measurement=Measurement(
-                        plan=plan_from_dict(record["plan"]),
-                        time_s=record["time_s"],
-                        tflops=record["tflops"],
-                    ),
+                    measurement=measurement_from_record(record),
                     bandwidth_bound=record["bandwidth_bound"],
                     bound_level=record["bound_level"],
                 )
                 if slog is not None:
                     with slog.context(degree=degree):
                         slog.replay(entry.measurement.plan)
-                evaluations += int(record.get("evaluations", 0))
+                evaluations += record["evaluations"]
                 entries.append(entry)
             else:
                 with _span("deep_tune.degree", degree=degree), _log_context(
@@ -164,13 +168,6 @@ def deep_tune(
                             time_tile=degree
                         )
                         base = auto_assign(ir, base, engine.device).plan
-                    tuner = (make_tuner or HierarchicalTuner)(
-                        ir,
-                        use_register_opts=use_register_opts,
-                        top_k=top_k,
-                        evaluator=engine,
-                        journal=journal,
-                    )
                     try:
                         result = tuner.tune(base)
                     except PlanInfeasible:
@@ -195,18 +192,15 @@ def deep_tune(
                     )
                 )
                 if journal is not None:
-                    journal.record_degree(
-                        degree_key,
-                        {
-                            "degree": degree,
-                            "plan": plan_to_dict(result.best.plan),
-                            "time_s": result.best.time_s,
-                            "tflops": result.best.tflops,
-                            "bandwidth_bound": bandwidth,
-                            "bound_level": report.bound_level,
-                            "evaluations": tuner.evaluations,
-                        },
+                    payload = measurement_record(result.best)
+                    payload.update(
+                        degree=degree,
+                        bandwidth_bound=bandwidth,
+                        bound_level=report.bound_level,
+                        evaluations=tuner.evaluations,
+                        seeds=[measurement_record(m) for m in result.seeds],
                     )
+                    journal.record_degree(degree_key, payload)
             # Fusion helps only bandwidth-bound versions: stop otherwise.
             if not entries[-1].bandwidth_bound:
                 break

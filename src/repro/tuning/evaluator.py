@@ -605,7 +605,6 @@ class PlanEvaluator:
         ir: ProgramIR,
         plans: Iterable[KernelPlan],
         catch: tuple = INFEASIBLE,
-        on_result=None,
     ) -> List[Optional[SimulationResult]]:
         """Evaluate many plans, results in input order (None = infeasible).
 
@@ -620,14 +619,13 @@ class PlanEvaluator:
             )
         else:
             jobs = self._scalar_jobs(ir, plans, spill_free=False, catch=catch)
-        return self._run_batch(jobs, on_result=on_result)
+        return self._run_batch(jobs)
 
     def evaluate_spill_free_batch(
         self,
         ir: ProgramIR,
         plans: Iterable[KernelPlan],
         levels: Sequence[int] = REGISTER_LEVELS,
-        on_result=None,
     ) -> List[Optional[Tuple[KernelPlan, SimulationResult]]]:
         """Batch variant of :meth:`evaluate_spill_free`, input-ordered."""
         plans = list(plans)
@@ -638,7 +636,7 @@ class PlanEvaluator:
             )
         else:
             jobs = self._scalar_jobs(ir, plans, spill_free=True, levels=levels)
-        return self._run_batch(jobs, on_result=on_result)
+        return self._run_batch(jobs)
 
     # -- vectorized family pricing ---------------------------------------------
 
@@ -939,15 +937,11 @@ class PlanEvaluator:
             counter("simulate.prescreen_rejections").add()
             counter(f"lint.reject.{code}").add()
 
-    def _run_batch(self, jobs, on_result=None) -> List:
+    def _run_batch(self, jobs) -> List:
         """Run ``(plan, thunk)`` jobs, input-ordered, one attempt each.
 
         An infeasible candidate yields None.  Any other exception fails
         fast (:meth:`_fail_fast`).
-
-        ``on_result(index, plan, outcome)`` fires as each job completes
-        — even if a later job aborts the batch — which is what lets the
-        tuning journal checkpoint mid-batch progress.
         """
         results: List = []
         with _span("eval.batch", candidates=len(jobs)):
@@ -958,8 +952,6 @@ class PlanEvaluator:
                     result = None
                 except Exception as exc:  # noqa: BLE001 — fail fast
                     self._fail_fast(plan, exc, index)
-                if on_result is not None:
-                    on_result(index, plan, result)
                 results.append(result)
         return results
 

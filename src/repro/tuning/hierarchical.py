@@ -34,8 +34,18 @@ the paper allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from hashlib import sha256
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..codegen.plan import (
     KernelPlan,
@@ -62,9 +72,11 @@ from .evaluator import EvalStats, Measurement, PlanEvaluator, plan_fingerprint
 from .space import SearchSpace, prune_overtiled, seed_variants
 
 __all__ = [
+    "DEFAULT_SEED_LIMIT",
     "HierarchicalTuner",
     "Measurement",
     "TuningResult",
+    "seed_signature",
     "tune_kernel",
     "with_fold_groups",
     "TOP_K",
@@ -73,9 +85,11 @@ __all__ = [
 #: Stage-1 survivors carried into stage 2.
 TOP_K = 4
 
-#: Sentinel distinguishing "journal has no record" from a journaled
-#: infeasible outcome (which replays as None).
-_MISS = object()
+#: Transfer seeds a tuning unit keeps: its fastest feasible plan for
+#: each of this many (block, unroll) signatures.  A warm start seeded
+#: with every priced configuration would rebuild the full sweep and save
+#: nothing, so the list stays short (``repro.tuning.transfer``).
+DEFAULT_SEED_LIMIT = 16
 
 VariantGenerator = Callable[[ProgramIR, KernelPlan], Iterable[KernelPlan]]
 
@@ -92,15 +106,49 @@ def with_fold_groups(plan: KernelPlan, folds) -> KernelPlan:
     return plan.replace(fold_groups=folds, placements=tuple(placements))
 
 
+def seed_signature(plan: KernelPlan) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The stage-1 coordinates of a plan: (block, unroll).
+
+    Deliberately excludes every second-tier knob (retime, prefetch,
+    streaming mode, time tile): seeds only steer *where* stage 1 looks,
+    and retimed twins must travel with their parent variant.
+    """
+    return (tuple(plan.block), tuple(plan.unroll))
+
+
+def measurement_record(measurement: Measurement) -> dict:
+    """JSON form of a measurement, as unit records and seeds hold it."""
+    return {
+        "plan": plan_to_dict(measurement.plan),
+        "time_s": measurement.time_s,
+        "tflops": measurement.tflops,
+    }
+
+
+def measurement_from_record(record: dict) -> Measurement:
+    """Inverse of :func:`measurement_record`."""
+    return Measurement(
+        plan=plan_from_dict(record["plan"]),
+        time_s=record["time_s"],
+        tflops=record["tflops"],
+    )
+
+
 @dataclass(frozen=True)
 class TuningResult:
-    """Outcome of a hierarchical tuning run."""
+    """Outcome of a hierarchical tuning run.
+
+    ``seeds`` holds the fastest feasible measurement per (block, unroll)
+    signature, fastest first, at most :data:`DEFAULT_SEED_LIMIT` of
+    them: what the unit's journal record keeps for transfer tuning.
+    """
 
     best: Measurement
     evaluations: int
     stage1_evaluations: int
     trace: Tuple[Measurement, ...] = ()
     eval_stats: Optional[EvalStats] = None
+    seeds: Tuple[Measurement, ...] = ()
 
     @property
     def best_plan(self) -> KernelPlan:
@@ -145,26 +193,46 @@ class HierarchicalTuner:
         #: it only when saved simulations matter more than exhaustive
         #: fidelity to the model.
         self.lint_prune = lint_prune
-        #: checkpoint journal: measured candidates are appended as they
-        #: complete, and journaled outcomes replay instead of
-        #: re-evaluating (see ``repro.resilience.checkpoint``).
+        #: checkpoint journal: each finished :meth:`tune` call is one
+        #: record, and a journaled call replays instead of searching
+        #: (see ``repro.resilience.checkpoint``).
         self.journal = journal
         self._irfp = ir_fingerprint(ir) if journal is not None else None
         self.evaluations = 0
         self._trace: List[Measurement] = []
         self._measured_families: Set[tuple] = set()
+        self._seeds: Dict[tuple, Measurement] = {}
 
     # -- checkpoint journal ------------------------------------------------------
 
-    def _journal_key(self, tag: str, plan: KernelPlan) -> str:
-        """Content-addressed record key: IR + operation + plan family.
-
-        Register-independent, because the evaluator escalates the cap —
-        the journal stores the *resolved* plan, keyed by the request.
-        """
+    def unit_config(self) -> tuple:
+        """Every tuner setting that shapes the search of a :meth:`tune`
+        call; part of the call's journal key."""
+        hierarchy = None
+        if self.hierarchy is not None:
+            hierarchy = tuple(
+                getattr(level, "__qualname__", type(level).__qualname__)
+                for level in self.hierarchy
+            )
         return (
-            f"{self._irfp}:{tag}:"
-            f"{plan_fingerprint(plan, include_registers=False)}"
+            type(self).__qualname__,
+            self.use_unrolling,
+            self.use_register_opts,
+            self.bandwidth_bound,
+            self.top_k,
+            self.lint_prune,
+            hierarchy,
+        )
+
+    def config_digest(self) -> str:
+        """Short fingerprint of :meth:`unit_config`."""
+        return sha256(repr(self.unit_config()).encode()).hexdigest()[:16]
+
+    def _unit_key(self, base: KernelPlan) -> str:
+        """Journal key of ``tune(base)``: IR, base plan and tuner config."""
+        return (
+            f"{self._irfp}:tune:{plan_fingerprint(base)}:"
+            f"{self.config_digest()}"
         )
 
     @property
@@ -172,68 +240,40 @@ class HierarchicalTuner:
         """The evaluator's attached search log (None when telemetry is off)."""
         return self.evaluator.search_log
 
-    def _journal_replay(self, tag: str, plan: KernelPlan):
-        """Journaled outcome: a Measurement, None (infeasible) or _MISS."""
-        if self.journal is None:
-            return _MISS
-        record = self.journal.lookup(self._journal_key(tag, plan))
-        if record is None:
-            return _MISS
+    def _replay(self, record: dict) -> TuningResult:
+        """The :class:`TuningResult` a journaled ``tune`` record holds.
+
+        Nothing is evaluated, and a replayed unit adds nothing to the
+        trace.  Evaluation counts continue from this tuner's own.
+        """
+        best = measurement_from_record(record)
         if self._slog is not None:
-            # Replayed candidates never reach the evaluation engine, so
-            # they get their own record kind instead of a ``candidate``.
-            self._slog.replay(plan)
-        if record.get("plan") is None:
-            return None
-        measurement = Measurement(
-            plan=plan_from_dict(record["plan"]),
-            time_s=record["time_s"],
-            tflops=record["tflops"],
+            # The unit never reaches the evaluation engine, so it gets
+            # its own record kind instead of ``candidate`` records.
+            self._slog.replay(best.plan)
+        before = self.evaluations
+        self.evaluations += record["evaluations"]
+        return TuningResult(
+            best=best,
+            evaluations=self.evaluations,
+            stage1_evaluations=before + record["stage1_evaluations"],
+            trace=tuple(self._trace),
+            seeds=tuple(measurement_from_record(s) for s in record["seeds"]),
         )
+
+    def _note(self, measurement: Measurement) -> Measurement:
+        """Keep a feasible measurement for the trace and the seeds."""
         if self.keep_trace:
             self._trace.append(measurement)
+        signature = seed_signature(measurement.plan)
+        held = self._seeds.get(signature)
+        if held is None or measurement.time_s < held.time_s:
+            self._seeds[signature] = measurement
         return measurement
 
-    def _journal_record(
-        self, tag: str, plan: KernelPlan, measurement: Optional[Measurement]
-    ) -> None:
-        if self.journal is None:
-            return
-        key = self._journal_key(tag, plan)
-        if measurement is None:
-            self.journal.record_candidate(key, None)
-        else:
-            self.journal.record_candidate(
-                key,
-                plan_to_dict(measurement.plan),
-                time_s=measurement.time_s,
-                tflops=measurement.tflops,
-            )
-
-    def _journal_on_result(self, tag: str):
-        """Per-completion callback journaling batch jobs as they finish.
-
-        Runs inside the evaluator's batch loop as each job finishes, so
-        a crash mid-batch preserves every candidate that already
-        completed.
-        """
-        if self.journal is None:
-            return None
-
-        def on_result(index, plan, outcome):
-            key = self._journal_key(tag, plan)
-            if outcome is None:
-                self.journal.record_candidate(key, None)
-            else:
-                resolved, sim = outcome
-                self.journal.record_candidate(
-                    key,
-                    plan_to_dict(resolved),
-                    time_s=sim.time_s,
-                    tflops=sim.tflops,
-                )
-
-        return on_result
+    def _unit_seeds(self) -> Tuple[Measurement, ...]:
+        ranked = sorted(self._seeds.values(), key=lambda m: m.time_s)
+        return tuple(ranked[:DEFAULT_SEED_LIMIT])
 
     # -- measurement -----------------------------------------------------------
 
@@ -264,35 +304,16 @@ class HierarchicalTuner:
         self.evaluations += len(plans)
         for plan in plans:
             self._measured_families.add(plan_family_key(plan))
-        results: List[Optional[Measurement]] = [None] * len(plans)
-        fresh: List[Tuple[int, KernelPlan]] = []
-        for position, plan in enumerate(plans):
-            replayed = self._journal_replay("sf", plan)
-            if replayed is not _MISS:
-                results[position] = replayed
-            else:
-                fresh.append((position, plan))
-        if not fresh:
-            return results
-        found = self.evaluator.evaluate_spill_free_batch(
-            self.ir,
-            [plan for _, plan in fresh],
-            on_result=self._journal_on_result("sf"),
-        )
-        for (position, _), item in zip(fresh, found):
-            results[position] = self._record(item)
-        return results
+        found = self.evaluator.evaluate_spill_free_batch(self.ir, plans)
+        return [self._record(item) for item in found]
 
     def _record(self, found) -> Optional[Measurement]:
         if found is None:
             return None
         plan, result = found
-        measurement = Measurement(
-            plan=plan, time_s=result.time_s, tflops=result.tflops
+        return self._note(
+            Measurement(plan=plan, time_s=result.time_s, tflops=result.tflops)
         )
-        if self.keep_trace:
-            self._trace.append(measurement)
-        return measurement
 
     def measure_with_spills(self, plan: KernelPlan) -> Optional[Measurement]:
         """Measure at the maximum register level even if it spills.
@@ -302,35 +323,49 @@ class HierarchicalTuner:
         self.evaluations += 1
         candidate = plan.replace(max_registers=255)
         self._measured_families.add(plan_family_key(candidate))
-        replayed = self._journal_replay("ms", candidate)
-        if replayed is not _MISS:
-            return replayed
         (result,) = self.evaluator.evaluate_batch(self.ir, [candidate])
         if result is None:
-            self._journal_record("ms", candidate, None)
             return None
-        measurement = Measurement(
-            plan=candidate, time_s=result.time_s, tflops=result.tflops
+        return self._note(
+            Measurement(
+                plan=candidate, time_s=result.time_s, tflops=result.tflops
+            )
         )
-        if self.keep_trace:
-            self._trace.append(measurement)
-        self._journal_record("ms", candidate, measurement)
-        return measurement
 
     # -- stages -----------------------------------------------------------------
 
     def tune(self, base: KernelPlan) -> TuningResult:
+        """Search from ``base``; one tuning unit of the journal.
+
+        With a journal, a call it already holds replays without
+        evaluating anything, and a finished call is journaled as one
+        record.  Each call searches on its own: stage-2 deduplication
+        and the seeds see only this call's measurements.
+        """
         stats_before = self.evaluator.stats.snapshot()
-        with _span("tuning", kernels="+".join(base.kernel_names)):
-            with _log_context(
-                self._slog, kernels="+".join(base.kernel_names)
-            ):
+        kernels = "+".join(base.kernel_names)
+        with _span("tuning", kernels=kernels), _log_context(
+            self._slog, kernels=kernels
+        ):
+            key = self._unit_key(base) if self.journal is not None else None
+            record = self.journal.lookup(key) if key is not None else None
+            if record is not None:
+                result = self._replay(record)
+            else:
+                evaluations_before = self.evaluations
+                self._measured_families = set()
+                self._seeds = {}
                 if self.hierarchy is not None:
                     result = self._tune_custom(base)
                 else:
                     result = self._tune_two_stage(base)
-        return dataclass_replace_stats(
-            result, self.evaluator.stats.since(stats_before)
+                result = replace(result, seeds=self._unit_seeds())
+                if key is not None:
+                    self.journal.record_candidate(
+                        key, _unit_payload(result, evaluations_before)
+                    )
+        return replace(
+            result, eval_stats=self.evaluator.stats.since(stats_before)
         )
 
     def _tune_two_stage(self, base: KernelPlan) -> TuningResult:
@@ -506,12 +541,15 @@ class HierarchicalTuner:
         )
 
 
-def dataclass_replace_stats(
-    result: TuningResult, stats: EvalStats
-) -> TuningResult:
-    from dataclasses import replace
-
-    return replace(result, eval_stats=stats)
+def _unit_payload(result: TuningResult, evaluations_before: int) -> dict:
+    """The ``tune`` record of a finished call (counts as deltas)."""
+    payload = measurement_record(result.best)
+    payload.update(
+        evaluations=result.evaluations - evaluations_before,
+        stage1_evaluations=result.stage1_evaluations - evaluations_before,
+        seeds=[measurement_record(seed) for seed in result.seeds],
+    )
+    return payload
 
 
 def tune_kernel(

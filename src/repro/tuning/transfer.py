@@ -1,7 +1,8 @@
 """Transfer tuning: warm-start one device's search from another's journal.
 
-A finished tuning run leaves behind a :class:`TuningJournal` of every
-candidate it priced.  Those records are *wrong* as timings on any other
+A finished tuning run leaves behind a :class:`TuningJournal` with one
+record per tuning unit, and each record keeps the unit's fastest plans
+as transfer ``seeds``.  Those timings are *wrong* on any other
 device — which is why checkpoint resume refuses across devices
 (:class:`~repro.resilience.errors.CheckpointDeviceMismatch`) — but the
 *shape* of the winners transfers well: the block sizes and unroll
@@ -9,8 +10,8 @@ factors that won on a P100 are strong priors for where a V100 search
 should look.  Transfer tuning exploits this the sanctioned way:
 
 * :func:`journaled_winners` reads a foreign journal **offline** (no
-  replay, no device check — timings are never reused) and extracts the
-  best recorded plans for a given stencil;
+  replay, no device check, no lock — timings are never reused) and
+  extracts the best recorded seeds for a given stencil;
 * :class:`WarmStartTuner` narrows the stage-1 block x unroll sweep to
   the winners' configurations plus an adjustable power-of-two
   neighborhood, falling back to the full sweep if the projection is
@@ -35,13 +36,15 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 from ..codegen.plan import KernelPlan
 from ..gpu.device import DeviceSpec, P100
 from ..ir.stencil import ProgramIR
-from ..resilience.checkpoint import (
-    TuningJournal,
-    ir_fingerprint,
-    plan_from_dict,
-)
+from ..resilience.checkpoint import TuningJournal, ir_fingerprint, read_journal
 from .deeptuning import DeepTuningResult, deep_tune
-from .hierarchical import HierarchicalTuner, TuningResult
+from .hierarchical import (
+    DEFAULT_SEED_LIMIT,
+    HierarchicalTuner,
+    TuningResult,
+    measurement_from_record,
+    seed_signature,
+)
 from .space import SearchSpace
 
 __all__ = [
@@ -63,11 +66,6 @@ __all__ = [
 #: can land on a different — equal-or-slower — winner.
 DEFAULT_NEIGHBORHOOD = 2
 
-#: Distinct seed configurations mined from the source journal.  The
-#: journal records *every* priced candidate, not just winners, so an
-#: unlimited read would reconstruct the full sweep and save nothing.
-DEFAULT_SEED_LIMIT = 16
-
 JournalSource = Union[str, "os.PathLike", TuningJournal]
 
 
@@ -86,17 +84,7 @@ class TransferSeed:
 
     @property
     def signature(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        return _signature(self.plan)
-
-
-def _signature(plan: KernelPlan) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The stage-1 coordinates of a plan: (block, unroll).
-
-    Deliberately excludes every second-tier knob (retime, prefetch,
-    streaming mode, time tile): seeds only steer *where* stage 1 looks,
-    and retimed twins must travel with their parent variant.
-    """
-    return (tuple(plan.block), tuple(plan.unroll))
+        return seed_signature(self.plan)
 
 
 def journaled_winners(
@@ -104,42 +92,40 @@ def journaled_winners(
     ir: ProgramIR,
     limit: Optional[int] = DEFAULT_SEED_LIMIT,
 ) -> Tuple[TransferSeed, ...]:
-    """Best recorded plans for ``ir`` in a (foreign) journal.
+    """Best recorded seeds for ``ir`` in a (foreign) journal.
 
     ``source`` is a journal path or an open :class:`TuningJournal`.  A
-    path is opened with ``device=None`` — reading a foreign journal is
-    the sanctioned cross-device use, so no mismatch check applies and
-    nothing is replayed.  Records are filtered to this stencil by IR
-    fingerprint, deduplicated by stage-1 signature (best time kept) and
-    returned fastest-first, at most ``limit`` of them (``None`` = all).
+    path is read with :func:`~repro.resilience.checkpoint.read_journal`
+    — reading a foreign journal is the sanctioned cross-device use, so
+    no mismatch check applies and nothing is replayed.  The ``seeds`` of
+    every ``tune`` and ``degree`` record of this stencil (by IR
+    fingerprint) are deduplicated by stage-1 signature (best time kept)
+    and returned fastest-first, at most ``limit`` of them (``None`` =
+    all).  Each unit keeps at most
+    :data:`~repro.tuning.hierarchical.DEFAULT_SEED_LIMIT` seeds, so a
+    signature in the overall top ``limit <= DEFAULT_SEED_LIMIT`` is
+    always among its own unit's seeds.
     """
-    owned = not isinstance(source, TuningJournal)
-    journal = TuningJournal(os.fspath(source)) if owned else source
-    try:
-        prefix = f"{ir_fingerprint(ir)}:"
-        best: dict = {}
-        for record in journal.records():
-            key = record.get("key", "")
-            if not key.startswith(prefix):
-                continue
-            plan_dict = record.get("plan")
-            time_s = record.get("time_s")
-            if plan_dict is None or time_s is None:
-                continue  # infeasible candidate: nothing to transfer
-            plan = plan_from_dict(plan_dict)
-            sig = _signature(plan)
+    if isinstance(source, TuningJournal):
+        device, records = source.recorded_device, source.records()
+    else:
+        device, records = read_journal(source)
+    prefix = f"{ir_fingerprint(ir)}:"
+    best: dict = {}
+    for record in records:
+        if not record["key"].startswith(prefix):
+            continue
+        for entry in record["seeds"]:
+            measurement = measurement_from_record(entry)
             seed = TransferSeed(
-                plan=plan,
-                time_s=time_s,
-                tflops=record.get("tflops", 0.0),
-                source_device=journal.recorded_device,
+                plan=measurement.plan,
+                time_s=measurement.time_s,
+                tflops=measurement.tflops,
+                source_device=device,
             )
-            held = best.get(sig)
+            held = best.get(seed.signature)
             if held is None or seed.time_s < held.time_s:
-                best[sig] = seed
-    finally:
-        if owned:
-            journal.close()
+                best[seed.signature] = seed
     winners = sorted(best.values(), key=lambda s: s.time_s)
     if limit is not None:
         winners = winners[: max(0, limit)]
@@ -175,6 +161,12 @@ class WarmStartTuner(HierarchicalTuner):
         self.stage1_full = 0
         self.stage1_kept = 0
 
+    def unit_config(self) -> tuple:
+        """The cold configuration plus the seeds and neighborhood, which
+        decide what stage 1 sweeps."""
+        signatures = tuple(sorted({seed.signature for seed in self.seeds}))
+        return super().unit_config() + (signatures, self.neighborhood)
+
     def _warm_signatures(self) -> Set[tuple]:
         allowed: Set[tuple] = {seed.signature for seed in self.seeds}
         frontier = set(allowed)
@@ -206,7 +198,7 @@ class WarmStartTuner(HierarchicalTuner):
             self.stage1_kept = len(full)
             return full
         allowed = self._warm_signatures()
-        kept = [plan for plan in full if _signature(plan) in allowed]
+        kept = [plan for plan in full if seed_signature(plan) in allowed]
         if not kept:
             # The seeds project entirely outside this device's space
             # (different dimensionality, disjoint limits): a warm start

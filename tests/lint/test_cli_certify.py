@@ -1,6 +1,7 @@
 """End-to-end tests for the ``repro certify`` subcommand."""
 
 import json
+import re
 
 import pytest
 
@@ -18,6 +19,16 @@ stencil consume (Y, X) { Y[k][j][i] = X[k+1][j][i] + X[k][j][i]; }
 produce (T, A);
 consume (B, T);
 copyout B;
+"""
+
+SINGLE_KERNEL = """
+parameter N=64;
+iterator k, j, i;
+double a[N,N,N], b[N,N,N];
+copyin a;
+stencil s (b, a) { b[k][j][i] = a[k][j][i+1] + a[k][j][i-1]; }
+s (b, a);
+copyout b;
 """
 
 
@@ -85,15 +96,23 @@ class TestExitCodes:
 
 class TestJournalMode:
     def test_journal_plans_are_certified(self, spec, tmp_path, capsys):
+        # Each unit record contributes its winner and its seeds, once
+        # per distinct plan.
         journal_path = tmp_path / "journal.jsonl"
+        good = {"plan": plan_to_dict(good_plan()), "time_s": 1.0, "tflops": 1.0}
+        bad = {"plan": plan_to_dict(bad_plan()), "time_s": 2.0, "tflops": 0.5}
         journal = TuningJournal(str(journal_path), device="P100")
         journal.record_candidate(
-            "good", plan_to_dict(good_plan()), time_s=1.0, tflops=1.0
+            "unit",
+            dict(good, evaluations=2, stage1_evaluations=2, seeds=[good, bad]),
         )
-        journal.record_candidate(
-            "bad", plan_to_dict(bad_plan()), time_s=2.0, tflops=0.5
+        journal.record_degree(
+            "degree",
+            dict(
+                good, degree=1, evaluations=1, bandwidth_bound=True,
+                bound_level="dram", seeds=[good],
+            ),
         )
-        journal.record_candidate("infeasible", None)  # skipped
         journal.close()
         assert (
             main(["certify", str(spec), "--journal", str(journal_path)]) == 1
@@ -101,6 +120,37 @@ class TestJournalMode:
         out = capsys.readouterr().out
         assert "RL301" in out
         assert "2 plan(s)" in out
+
+    def test_fresh_journal_certifies_its_plans(self, tmp_path, capsys):
+        # One kernel, so every journaled plan belongs to this program.
+        spec = tmp_path / "single.dsl"
+        spec.write_text(SINGLE_KERNEL)
+        journal_path = tmp_path / "run.jsonl"
+        assert main(
+            ["optimize", str(spec), "--top-k", "1",
+             "--checkpoint", str(journal_path)]
+        ) == 0
+        capsys.readouterr()
+        assert (
+            main(["certify", str(spec), "--journal", str(journal_path)]) == 0
+        )
+        out = capsys.readouterr().out
+        match = re.search(r"(\d+) plan\(s\)", out)
+        assert match is not None and int(match.group(1)) > 0
+        assert "all transformations certified" in out
+
+    def test_corrupt_journal_line_is_exit_4(self, spec, tmp_path, capsys):
+        journal_path = tmp_path / "journal.jsonl"
+        TuningJournal(str(journal_path), device="P100").close()
+        with open(journal_path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "tune", "key": \n')
+        code = main(["certify", str(spec), "--journal", str(journal_path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: ")
+        assert "line 2 is not valid JSON" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_missing_journal_is_usage_error(self, spec, capsys):
         assert main(["certify", str(spec), "--journal", "/no/such"]) == 2

@@ -8,24 +8,82 @@ The headline guarantees, each demonstrated on whole tuning runs:
   attempt and on the calling thread;
 * infeasible candidates are results, not failures: a run full of them
   completes;
-* an interrupted hierarchical-tuning run resumed from its checkpoint
-  journal produces the same best plan as an uninterrupted run, paying
-  only for the candidates the first run never reached.
+* an interrupted run resumed from its checkpoint journal produces the
+  same outcome as an uninterrupted run, paying only for the tuning units
+  (``tune`` calls and deep-tuning degrees) the first run did not finish;
+  a crash loses at most the unit in flight.
 
 Failures are planted by monkeypatching inside each test (the
 ``crashing_engine`` fixture, or a broken ``simulate`` /
 ``FamilyStructure`` method); nothing in the engine exists to inject them.
 """
 
+import json
+import random
 import threading
 
 import pytest
 
+from repro.dsl import parse
+from repro.gpu.device import P100
 from repro.gpu.pricing import FamilyStructure
-from repro.resilience import EvaluationError, TuningJournal
+from repro.ir import build_ir
+from repro.pipeline import optimize
+from repro.resilience import (
+    EvaluationError,
+    TuningJournal,
+    plan_to_dict,
+    read_journal,
+)
+from repro.suite import BENCHMARK_ORDER, load_ir
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
 from repro.tuning import evaluator as evaluator_module
 from repro.tuning.evaluator import MIN_FAMILY
+
+#: A two-kernel spatial program: its ``optimize`` run has several tuning
+#: units (one per kernel, then the fused DAG and its alternatives).
+TWO_KERNEL_SRC = """
+parameter N=64;
+iterator k, j, i;
+double A[N,N,N], T[N,N,N], B[N,N,N];
+copyin A;
+stencil produce (Y, X) { Y[k][j][i] = X[k][j][i+1] + X[k][j][i-1]; }
+stencil consume (Y, X) { Y[k][j][i] = X[k+1][j][i] + X[k][j][i]; }
+produce (T, A);
+consume (B, T);
+copyout B;
+"""
+
+
+class UnitLedger(TuningJournal):
+    """A journal that notes the engine's request count at each unit it
+    writes, so a test knows which units a crash at request N finished."""
+
+    def __init__(self, path, engine):
+        self.engine = engine
+        self.written_at = []
+        super().__init__(str(path), device=engine.device.name)
+
+    def record_candidate(self, key, payload):
+        super().record_candidate(key, payload)
+        self.written_at.append(self.engine.stats.requests)
+
+    def record_degree(self, key, payload):
+        super().record_degree(key, payload)
+        self.written_at.append(self.engine.stats.requests)
+
+
+def outcome_digest(outcome) -> str:
+    """The winner, byte for byte: variant, exact TFLOPS, plans, counts."""
+    return json.dumps(
+        {
+            "variant": outcome.variant,
+            "tflops": repr(outcome.tflops),
+            "plans": [plan_to_dict(plan) for plan in outcome.schedule.plans],
+            "launch_counts": list(outcome.schedule.launch_counts),
+        },
+        sort_keys=True,
+    )
 
 
 def _tune(ir, base, **evaluator_kwargs):
@@ -129,40 +187,32 @@ class TestFailFast:
 
 
 class TestCheckpointResume:
-    def test_interrupted_run_resumes_to_identical_best_plan(
+    def test_crash_inside_a_unit_reruns_it_whole(
         self, smoother_ir, reference, tmp_path, crashing_engine
     ):
-        """The acceptance scenario: crash mid-search, resume, same
-        answer — with the journal replaying the work already done."""
-        base, ref, _ = reference
+        """A single ``tune`` call is one unit: a crash inside it leaves
+        nothing but the header, and the resume re-runs the whole call to
+        the same answer."""
+        base, ref, ref_stats = reference
         path = str(tmp_path / "tuning.jsonl")
 
-        # Run 1: crash at the 26th request (fail-fast aborts the run,
-        # like a process kill would).
         engine = crashing_engine(26)
-        journal = TuningJournal(path, device=engine.device.name)
-        tuner = HierarchicalTuner(smoother_ir, evaluator=engine, journal=journal)
-        with pytest.raises(EvaluationError):
-            tuner.tune(base)
-        journal.close()
+        with TuningJournal(path, device=engine.device.name) as journal:
+            with pytest.raises(EvaluationError):
+                HierarchicalTuner(
+                    smoother_ir, evaluator=engine, journal=journal
+                ).tune(base)
+        assert read_journal(path)[1] == []
 
-        # Run 2: a fresh process (fresh engine, fresh memo cache)
-        # resumes from the journal.
-        resumed_journal = TuningJournal(path, device=engine.device.name)
-        assert resumed_journal.replayable > 0
-        fresh_engine = PlanEvaluator()
-        resumed = HierarchicalTuner(
-            smoother_ir, evaluator=fresh_engine, journal=resumed_journal
-        ).tune(base)
-        resumed_journal.close()
-
+        with TuningJournal(path, device=engine.device.name) as journal:
+            fresh_engine = PlanEvaluator()
+            resumed = HierarchicalTuner(
+                smoother_ir, evaluator=fresh_engine, journal=journal
+            ).tune(base)
         assert resumed.best.plan == ref.best.plan
         assert resumed.best.time_s == ref.best.time_s
         assert resumed.evaluations == ref.evaluations
-        # The resume replayed the journaled prefix instead of paying for
-        # it again.
-        _, _, ref_stats = reference
-        assert fresh_engine.stats.requests < ref_stats.requests
+        assert fresh_engine.stats.requests == ref_stats.requests
 
     def test_completed_run_replays_entirely(
         self, smoother_ir, reference, tmp_path
@@ -176,27 +226,66 @@ class TestCheckpointResume:
             replayed = HierarchicalTuner(
                 smoother_ir, evaluator=engine, journal=journal
             ).tune(base)
-        assert replayed.best.plan == first.best.plan == ref.best.plan
+        assert replayed.best == first.best
+        assert replayed.best.plan == ref.best.plan
+        assert replayed.evaluations == first.evaluations
+        assert replayed.stage1_evaluations == first.stage1_evaluations
+        assert replayed.seeds == first.seeds
         assert engine.stats.requests == 0  # pure replay
 
-    def test_mid_batch_crash_preserves_completed_candidates(
-        self, smoother_ir, reference, tmp_path, crashing_engine
+    def test_interrupted_optimize_resumes_to_identical_outcome(
+        self, tmp_path, crashing_engine
     ):
-        base, _, _ = reference
-        path = str(tmp_path / "tuning.jsonl")
-        engine = crashing_engine(11)
+        """The acceptance scenario on a multi-unit run: crash in a later
+        tuning unit, resume, same answer — paying only for the units
+        the first run did not finish."""
+        ir = build_ir(parse(TWO_KERNEL_SRC))
+        ledger_engine = PlanEvaluator()
+        with UnitLedger(tmp_path / "ref.jsonl", ledger_engine) as ledger:
+            ref = optimize(ir, evaluator=ledger_engine, journal=ledger)
+        total = ledger_engine.stats.requests
+        assert len(ledger.written_at) >= 3
+        crash_at = ledger.written_at[1] + 1  # first request of unit 3
+
+        path = str(tmp_path / "run.jsonl")
+        engine = crashing_engine(crash_at)
+        with TuningJournal(path, device=engine.device.name) as journal:
+            with pytest.raises(EvaluationError):
+                optimize(ir, evaluator=engine, journal=journal)
+        assert len(read_journal(path)[1]) == 2
+
+        with TuningJournal(path, device=engine.device.name) as journal:
+            fresh = PlanEvaluator()
+            resumed = optimize(ir, evaluator=fresh, journal=journal)
+        assert outcome_digest(resumed) == outcome_digest(ref)
+        assert resumed.evaluations == ref.evaluations
+        # The two finished units replayed instead of running again.
+        assert fresh.stats.requests == total - ledger.written_at[1]
+        assert fresh.stats.requests < total
+
+    def test_mid_unit_crash_preserves_completed_units(
+        self, smoother_ir, tmp_path, crashing_engine
+    ):
+        ledger_engine = PlanEvaluator()
+        with UnitLedger(tmp_path / "ref.jsonl", ledger_engine) as ledger:
+            deep_tune(smoother_ir, top_k=2, evaluator=ledger_engine,
+                      journal=ledger)
+        _, units = read_journal(tmp_path / "ref.jsonl")
+        assert len(units) >= 2
+        # Crash halfway through the second fusion degree.
+        first, second = ledger.written_at[:2]
+        path = str(tmp_path / "deep.jsonl")
+        engine = crashing_engine((first + second) // 2)
         with TuningJournal(path) as journal:
-            tuner = HierarchicalTuner(
-                smoother_ir, evaluator=engine, journal=journal
-            )
             with pytest.raises(EvaluationError) as info:
-                tuner.tune(base)
-        # The crash hit mid-batch, yet the candidates evaluated before
-        # it are on disk.
-        assert info.value.context["candidate"] >= 10
-        reopened = TuningJournal(path)
-        assert reopened.replayable >= 9
-        reopened.close()
+                deep_tune(
+                    smoother_ir, top_k=2, evaluator=engine, journal=journal
+                )
+        assert info.value.context["candidate"] >= 0
+        # Degree 1 is on disk as it was journaled uninterrupted, and
+        # nothing of the degree in flight is.
+        assert read_journal(path)[1] == units[:1]
+        assert open(path, "rb").read().endswith(b"\n")
 
 
 class TestDeepTuningResume:
@@ -238,3 +327,56 @@ class TestDeepTuningResume:
             )
         assert replayed.tipping_point == first.tipping_point
         assert engine.stats.requests == 0
+
+
+#: Seed of the crash points of the kill-and-resume gate.
+KILL_SEED = 17
+
+
+@pytest.mark.parametrize("kernel", BENCHMARK_ORDER)
+def test_seeded_kill_and_resume(kernel, tmp_path, crashing_engine):
+    """Kill a Table I run at a seeded request on the P100, then resume.
+
+    Writing the journal changes nothing about the run, the resumed
+    outcome is byte-identical to the uninterrupted run's, the resume
+    pays exactly for the units the killed run did not finish, the killed
+    run's journal holds only whole units, and a complete journal replays
+    without a single evaluator request.
+    """
+    ir = load_ir(kernel)
+    engine = PlanEvaluator(device=P100)
+    plain = optimize(ir, device=P100, evaluator=engine)
+    total = engine.stats.requests
+
+    engine = PlanEvaluator(device=P100)
+    with UnitLedger(tmp_path / "ref.jsonl", engine) as ledger:
+        reference = optimize(ir, device=P100, evaluator=engine, journal=ledger)
+    assert outcome_digest(reference) == outcome_digest(plain)
+    assert reference.evaluations == plain.evaluations
+    assert engine.stats.requests == total
+    _, units = read_journal(tmp_path / "ref.jsonl")
+
+    crash_at = random.Random(f"{KILL_SEED}:{kernel}").randint(1, total)
+    path = tmp_path / "killed.jsonl"
+    killed = crashing_engine(crash_at, device=P100)
+    with TuningJournal(str(path), device=P100.name) as journal:
+        with pytest.raises(EvaluationError):
+            optimize(ir, device=P100, evaluator=killed, journal=journal)
+    finished = [at for at in ledger.written_at if at < crash_at]
+    assert read_journal(path)[1] == units[: len(finished)]
+    assert path.read_bytes().endswith(b"\n")
+
+    engine = PlanEvaluator(device=P100)
+    with TuningJournal(str(path), device=P100.name) as journal:
+        resumed = optimize(ir, device=P100, evaluator=engine, journal=journal)
+    assert outcome_digest(resumed) == outcome_digest(reference)
+    assert resumed.evaluations == reference.evaluations
+    assert engine.stats.requests == total - (finished[-1] if finished else 0)
+    assert engine.stats.lint_rejections == engine.stats.screened
+
+    engine = PlanEvaluator(device=P100)
+    with TuningJournal(str(path), device=P100.name) as journal:
+        replayed = optimize(ir, device=P100, evaluator=engine, journal=journal)
+    assert outcome_digest(replayed) == outcome_digest(reference)
+    assert replayed.evaluations == reference.evaluations
+    assert engine.stats.requests == 0

@@ -1,5 +1,5 @@
 """The crash-safe JSONL tuning journal: round-trips, torn writes and
-record validation."""
+record validation of its per-unit ``tune`` and ``degree`` records."""
 
 import json
 import multiprocessing
@@ -17,12 +17,21 @@ from repro.resilience import (
     ir_fingerprint,
     plan_from_dict,
     plan_to_dict,
+    read_journal,
 )
 
 
 def _plan(index: int = 0) -> dict:
     """A recorded plan that ``plan_from_dict`` accepts, distinct per index."""
     return plan_to_dict(KernelPlan(kernel_names=("k",), block=(32, 1 + index)))
+
+
+def _unit(index: int = 0, time_s: float = 1.0, tflops: float = 1.0) -> dict:
+    """A ``tune`` record payload as ``HierarchicalTuner.tune`` journals it."""
+    winner = {"plan": _plan(index), "time_s": time_s, "tflops": tflops}
+    return dict(
+        winner, evaluations=10, stage1_evaluations=6, seeds=[winner]
+    )
 
 
 def _open_expecting_lock(path):
@@ -35,12 +44,10 @@ def _open_expecting_lock(path):
 
 
 def _open_and_record(path, prefix, count):
-    """Child-process body: journal ``count`` candidates."""
+    """Child-process body: journal ``count`` tuning units."""
     with TuningJournal(path, device="P100") as journal:
         for index in range(count):
-            journal.record_candidate(
-                f"{prefix}{index}", _plan(index), time_s=1.0, tflops=1.0
-            )
+            journal.record_candidate(f"{prefix}{index}", _unit(index))
 
 
 class TestPlanSerialization:
@@ -76,26 +83,34 @@ class TestPlanSerialization:
 class TestJournalRoundTrip:
     def test_records_replay_after_reopen(self, tmp_path, base_plan):
         path = str(tmp_path / "journal.jsonl")
+        winner = {"plan": plan_to_dict(base_plan), "time_s": 0.5, "tflops": 1.5}
         with TuningJournal(path, device="P100") as journal:
             journal.record_candidate(
-                "k1", plan_to_dict(base_plan), time_s=0.5, tflops=1.5
+                "k1",
+                dict(
+                    winner, evaluations=7, stage1_evaluations=4,
+                    seeds=[winner],
+                ),
             )
-            journal.record_candidate("k2", None)  # infeasible
+            journal.record_candidate("k2", _unit(2))
             assert len(journal) == 2
         reopened = TuningJournal(path, device="P100")
         assert reopened.replayable == 2
         hit = reopened.lookup("k1")
+        assert hit["kind"] == "tune"
         assert plan_from_dict(hit["plan"]) == base_plan
         assert hit["time_s"] == 0.5
-        assert reopened.lookup("k2")["plan"] is None
+        assert hit["evaluations"] == 7
+        assert plan_from_dict(hit["seeds"][0]["plan"]) == base_plan
+        assert reopened.lookup("k2")["plan"] == _plan(2)
         assert reopened.lookup("k3") is None
         reopened.close()
 
     def test_later_records_win(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path) as journal:
-            journal.record_candidate("k1", None)
-            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=1.0)
+            journal.record_candidate("k1", _unit(0))
+            journal.record_candidate("k1", _unit(1))
         reopened = TuningJournal(path)
         assert reopened.lookup("k1")["plan"] == _plan(1)
         reopened.close()
@@ -103,10 +118,10 @@ class TestJournalRoundTrip:
     def test_records_view_filters_by_kind(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path) as journal:
-            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=1.0)
+            journal.record_candidate("k1", _unit(1))
             journal.record_degree("ir:degree:1", _degree_payload(1))
         reopened = TuningJournal(path)
-        assert [r["key"] for r in reopened.records("candidate")] == ["k1"]
+        assert [r["key"] for r in reopened.records("tune")] == ["k1"]
         assert [r["key"] for r in reopened.records("degree")] == [
             "ir:degree:1"
         ]
@@ -116,7 +131,7 @@ class TestJournalRoundTrip:
     def test_blank_lines_are_skipped(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path) as journal:
-            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=1.0)
+            journal.record_candidate("k1", _unit(1))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("\n   \n")
         reopened = TuningJournal(path)
@@ -142,13 +157,12 @@ def _degree_payload(degree: int) -> dict:
         "bandwidth_bound": True,
         "bound_level": "dram",
         "evaluations": 3,
+        "seeds": [{"plan": _plan(degree), "time_s": 0.1, "tflops": 1.0}],
     }
 
 
-GOOD_CANDIDATE = {
-    "kind": "candidate", "key": "k9", "plan": _plan(9),
-    "time_s": 1.0, "tflops": 2.0,
-}
+GOOD_TUNE = dict(_unit(9, tflops=2.0), kind="tune", key="k9")
+GOOD_SEED = GOOD_TUNE["seeds"][0]
 GOOD_DEGREE = dict(_degree_payload(3), kind="degree", key="ir:degree:3")
 
 
@@ -172,48 +186,90 @@ class TestRecordValidation:
                 id="unknown-kind",
             ),
             pytest.param(
-                dict(GOOD_CANDIDATE, kind=7),
+                dict(GOOD_TUNE, kind=7),
                 "unknown record kind 7",
                 id="non-string-kind",
             ),
             pytest.param(
-                _without(GOOD_CANDIDATE, "key"), "has no record key",
+                {"kind": "candidate", "key": "k9", "plan": None},
+                "unknown record kind 'candidate'",
+                id="retired-candidate-kind",
+            ),
+            pytest.param(
+                {"kind": "failure", "key": "k1", "error": "RuntimeError"},
+                "unknown record kind 'failure'",
+                id="retired-failure-kind",
+            ),
+            pytest.param(
+                _without(GOOD_TUNE, "key"), "has no record key",
                 id="no-key",
             ),
             pytest.param(
-                dict(GOOD_CANDIDATE, key=3), "has no record key",
+                dict(GOOD_TUNE, key=3), "has no record key",
                 id="non-string-key",
             ),
             pytest.param(
-                dict(GOOD_CANDIDATE, plan={"v": 1}),
-                "malformed candidate plan",
+                dict(GOOD_TUNE, plan={"v": 1}),
+                "malformed tune plan",
                 id="plan-missing-fields",
             ),
             pytest.param(
-                dict(GOOD_CANDIDATE, plan="oops"),
-                "malformed candidate plan",
+                dict(GOOD_TUNE, plan="oops"),
+                "malformed tune plan",
                 id="plan-not-a-dict",
             ),
             pytest.param(
-                dict(GOOD_CANDIDATE, plan=dict(_plan(), block=[0, 1])),
-                "malformed candidate plan",
+                dict(GOOD_TUNE, plan=dict(_plan(), block=[0, 1])),
+                "malformed tune plan",
                 id="plan-rejected-by-kernelplan",
             ),
             pytest.param(
-                _without(GOOD_CANDIDATE, "time_s"), "no numeric 'time_s'",
-                id="candidate-no-time",
+                _without(GOOD_TUNE, "time_s"), "no numeric 'time_s'",
+                id="tune-no-time",
             ),
             pytest.param(
-                dict(GOOD_CANDIDATE, time_s=None), "no numeric 'time_s'",
-                id="candidate-null-time",
+                dict(GOOD_TUNE, time_s=None), "no numeric 'time_s'",
+                id="tune-null-time",
             ),
             pytest.param(
-                dict(GOOD_CANDIDATE, time_s=True), "no numeric 'time_s'",
-                id="candidate-bool-time",
+                dict(GOOD_TUNE, time_s=True), "no numeric 'time_s'",
+                id="tune-bool-time",
             ),
             pytest.param(
-                dict(GOOD_CANDIDATE, tflops="fast"), "no numeric 'tflops'",
-                id="candidate-string-tflops",
+                dict(GOOD_TUNE, tflops="fast"), "no numeric 'tflops'",
+                id="tune-string-tflops",
+            ),
+            pytest.param(
+                _without(GOOD_TUNE, "evaluations"), "no int 'evaluations'",
+                id="tune-no-evaluations",
+            ),
+            pytest.param(
+                dict(GOOD_TUNE, stage1_evaluations=2.5),
+                "no int 'stage1_evaluations'",
+                id="tune-float-stage1",
+            ),
+            pytest.param(
+                dict(GOOD_TUNE, evaluations=True), "no int 'evaluations'",
+                id="tune-bool-evaluations",
+            ),
+            pytest.param(
+                _without(GOOD_TUNE, "seeds"), "no list 'seeds'",
+                id="tune-no-seeds",
+            ),
+            pytest.param(
+                dict(GOOD_TUNE, seeds=[GOOD_SEED, "oops"]),
+                "has seed 1 with a malformed seed",
+                id="seed-not-a-dict",
+            ),
+            pytest.param(
+                dict(GOOD_TUNE, seeds=[dict(GOOD_SEED, plan={"v": 1})]),
+                "has seed 0 with a malformed seed plan",
+                id="seed-malformed-plan",
+            ),
+            pytest.param(
+                dict(GOOD_TUNE, seeds=[_without(GOOD_SEED, "time_s")]),
+                "has seed 0 with no numeric 'time_s'",
+                id="seed-no-time",
             ),
             pytest.param(
                 _without(GOOD_DEGREE, "plan"), "malformed degree plan",
@@ -232,12 +288,20 @@ class TestRecordValidation:
                 dict(GOOD_DEGREE, bound_level=None), "no str 'bound_level'",
                 id="degree-null-bound-level",
             ),
+            pytest.param(
+                _without(GOOD_DEGREE, "evaluations"), "no int 'evaluations'",
+                id="degree-no-evaluations",
+            ),
+            pytest.param(
+                _without(GOOD_DEGREE, "seeds"), "no list 'seeds'",
+                id="degree-no-seeds",
+            ),
         ],
     )
     def test_malformed_record_refuses_to_load(self, tmp_path, record, problem):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path, device="P100") as journal:
-            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=1.0)
+            journal.record_candidate("k1", _unit(1))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(record) + "\n")
         with pytest.raises(CheckpointCorruptError) as info:
@@ -246,42 +310,28 @@ class TestRecordValidation:
         assert info.value.context["line"] == 3
         assert "is corrupt: line 3 has " in str(info.value)
         assert problem in str(info.value)
+        # The offline reader refuses the same line the same way.
+        with pytest.raises(CheckpointCorruptError) as info:
+            read_journal(path)
+        assert info.value.context["line"] == 3
 
-    def test_retired_failure_kind_is_refused(self, tmp_path):
-        # Journals once recorded quarantined candidates as ``failure``
-        # lines; fail-fast never writes one, so a journal holding one is
-        # refused with a message saying why.
+    def test_writer_refuses_a_record_it_could_not_replay(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path, device="P100") as journal:
-            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=1.0)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "kind": "failure",
-                        "key": "k1",
-                        "error": "RuntimeError",
-                        "message": "flaky",
-                    }
-                )
-                + "\n"
-            )
-        with pytest.raises(CheckpointCorruptError) as info:
-            TuningJournal(path, device="P100")
-        assert info.value.context["line"] == 3
-        assert "'failure' record" in str(info.value)
-        assert "no longer written" in str(info.value)
+            with pytest.raises(ValueError, match="no list 'seeds'"):
+                journal.record_candidate("k1", _without(_unit(1), "seeds"))
+        with TuningJournal(path, device="P100") as journal:
+            assert journal.replayable == 0
 
     @pytest.mark.parametrize(
         "record",
         [
-            GOOD_CANDIDATE,
-            dict(GOOD_CANDIDATE, time_s=1, tflops=0),
-            {"kind": "candidate", "key": "k9", "plan": None},
+            GOOD_TUNE,
+            dict(GOOD_TUNE, time_s=1, tflops=0),
+            dict(GOOD_TUNE, seeds=[]),
             GOOD_DEGREE,
-            _without(GOOD_DEGREE, "evaluations"),
         ],
-        ids=["candidate", "int-timing", "infeasible", "degree", "degree-bare"],
+        ids=["tune", "int-timing", "no-seeds", "degree"],
     )
     def test_well_formed_records_load(self, tmp_path, record):
         path = str(tmp_path / "journal.jsonl")
@@ -291,20 +341,21 @@ class TestRecordValidation:
         with TuningJournal(path, device="P100") as journal:
             assert journal.lookup(record["key"]) == record
             assert journal.replayable == 1
+        assert read_journal(path) == ("P100", [record])
 
 
 class TestCrashRecovery:
     def _journal_with_records(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path, device="P100") as journal:
-            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=2.0)
-            journal.record_candidate("k2", _plan(2), time_s=3.0, tflops=4.0)
+            journal.record_candidate("k1", _unit(1, time_s=1.0, tflops=2.0))
+            journal.record_candidate("k2", _unit(2, time_s=3.0, tflops=4.0))
         return path
 
     def test_torn_tail_is_dropped_and_truncated(self, tmp_path):
         path = self._journal_with_records(tmp_path)
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "candidate", "key": "k3", "pl')  # torn
+            handle.write('{"kind": "tune", "key": "k3", "pl')  # torn
         journal = TuningJournal(path, device="P100")
         assert journal.lookup("k1") is not None
         assert journal.lookup("k3") is None  # the torn record is gone
@@ -315,7 +366,7 @@ class TestCrashRecovery:
         with open(path, "rb") as handle:
             assert handle.read().endswith(b"\n")
         with TuningJournal(path, device="P100") as journal:
-            journal.record_candidate("k3", _plan(3), time_s=5.0, tflops=6.0)
+            journal.record_candidate("k3", _unit(3, time_s=5.0, tflops=6.0))
         final = TuningJournal(path, device="P100")
         assert final.lookup("k3")["plan"] == _plan(3)
         final.close()
@@ -325,7 +376,7 @@ class TestCrashRecovery:
         # keep=-1 leaves a complete JSON object without its newline:
         # an append is committed only by its terminating newline.
         path = self._journal_with_records(tmp_path)
-        torn = json.dumps({"kind": "candidate", "key": "k3", "plan": None})
+        torn = json.dumps(dict(_unit(3), kind="tune", key="k3"))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(torn[:keep] if keep > 0 else torn)
         journal = TuningJournal(path, device="P100")
@@ -345,7 +396,7 @@ class TestCrashRecovery:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(raw[: len(raw) // 2])
         with TuningJournal(path, device="P100") as journal:
-            journal.record_candidate("k1", None)
+            journal.record_candidate("k1", _unit(1))
         first = json.loads(open(path, encoding="utf-8").readline())
         assert first["kind"] == "header"
         assert first["device"] == "P100"
@@ -360,13 +411,27 @@ class TestCrashRecovery:
         live = TuningJournal(path, device="P100")
         try:
             with open(path, "a", encoding="utf-8") as handle:
-                handle.write('{"kind": "candidate", "key": "k3"')
+                handle.write('{"kind": "tune", "key": "k3"')
             before = open(path, "rb").read()
             with pytest.raises(CheckpointLockedError):
                 TuningJournal(path, device="P100")
             assert open(path, "rb").read() == before
         finally:
             live.close()
+
+    def test_reader_takes_no_lock_and_repairs_nothing(self, tmp_path):
+        # ``read_journal`` serves offline consumers (transfer tuning,
+        # ``repro certify``): it may read a journal a live run holds,
+        # and must leave that run's in-flight tail alone.
+        path = self._journal_with_records(tmp_path)
+        with TuningJournal(path, device="P100"):
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write('{"kind": "tune", "key": "k3"')
+            before = open(path, "rb").read()
+            device, records = read_journal(path)
+            assert open(path, "rb").read() == before
+        assert device == "P100"
+        assert [record["key"] for record in records] == ["k1", "k2"]
 
     def test_failed_load_releases_the_lock(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
@@ -401,7 +466,7 @@ class TestCrashRecovery:
                 json.dumps({"kind": "header", "version": JOURNAL_VERSION})
                 + "\n"
             )
-            handle.write(json.dumps({"kind": "candidate"}) + "\n")
+            handle.write(json.dumps({"kind": "tune"}) + "\n")
         with pytest.raises(CheckpointCorruptError):
             TuningJournal(path)
 
@@ -423,7 +488,7 @@ class TestWriterLock:
     def test_lock_released_on_close(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path, device="P100") as journal:
-            journal.record_candidate("k1", _plan(1), time_s=1.0, tflops=1.0)
+            journal.record_candidate("k1", _unit(1))
         reopened = TuningJournal(path, device="P100")
         assert reopened.lookup("k1")["plan"] == _plan(1)
         reopened.close()
@@ -472,6 +537,30 @@ class TestWriterLock:
 
 
 class TestCompatibilityChecks:
+    def test_version_1_journal_is_refused(self, tmp_path):
+        # Version 1 journaled one ``candidate`` line per priced plan; a
+        # version-2 build replays only whole tuning units.
+        assert JOURNAL_VERSION == 2
+        path = tmp_path / "v1.jsonl"
+        header = {"kind": "header", "version": 1, "tool": "repro",
+                  "device": "P100"}
+        candidate = {"kind": "candidate", "key": "ir:sf:abc",
+                     "plan": _plan(1), "time_s": 1.0, "tflops": 2.0}
+        path.write_text(
+            "".join(json.dumps(line) + "\n" for line in (header, candidate))
+        )
+        for load in (
+            lambda: TuningJournal(str(path), device="P100"),
+            lambda: read_journal(path),
+        ):
+            with pytest.raises(CheckpointCorruptError) as info:
+                load()
+            message = str(info.value)
+            assert info.value.exit_code == 4
+            assert "has version 1; this build reads version 2" in message
+            assert "start a fresh --checkpoint" in message
+            assert "\n" not in message
+
     def test_version_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with open(path, "w", encoding="utf-8") as handle:

@@ -222,3 +222,25 @@ class TestCheckpointFlags:
         assert err.startswith("error: ")
         assert f"line {number} has no numeric 'time_s'" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_version_1_journal_is_exit_4(self, spec, tmp_path, capsys):
+        # Version 1 journaled single candidates; a resume cannot use it.
+        journal = tmp_path / "old.jsonl"
+        journal.write_text(
+            json.dumps({"kind": "header", "version": 1, "tool": "repro",
+                        "device": "P100"})
+            + "\n"
+            + json.dumps({"kind": "candidate", "key": "ir:sf:abc",
+                          "plan": None})
+            + "\n"
+        )
+        code = main(
+            ["optimize", spec, "--top-k", "1", "--checkpoint", str(journal),
+             "--resume"]
+        )
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: ")
+        assert "has version 1" in err
+        assert "start a fresh --checkpoint" in err
+        assert len(err.strip().splitlines()) == 1

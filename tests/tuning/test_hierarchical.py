@@ -84,3 +84,66 @@ class TestCustomHierarchy:
         result = tuner.tune(base)
         assert result.best.time_s > 0
         assert result.evaluations <= 8  # 2 + top_k*1 at most
+
+
+def _level_a(ir, plan):
+    yield plan.replace(block=(16, 16))
+    yield plan.replace(block=(32, 16))
+
+
+def _level_b(ir, plan):
+    yield plan.replace(prefetch=True)
+
+
+class TestUnitJournal:
+    """Each ``tune`` call is one journaled unit, keyed by everything
+    that shapes its search."""
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"use_unrolling": False},
+            {"use_register_opts": True},
+            {"bandwidth_bound": False},
+            {"top_k": 2},
+            {"lint_prune": True},
+            {"hierarchy": [_level_a]},
+            {"hierarchy": [_level_a, _level_b]},
+        ],
+        ids=lambda setting: "-".join(map(str, setting.items())),
+    )
+    def test_each_setting_changes_the_unit_key(self, smoother_ir, setting):
+        default = HierarchicalTuner(smoother_ir)
+        assert HierarchicalTuner(smoother_ir, **setting).config_digest() != (
+            default.config_digest()
+        )
+        # Settings that do not shape the search leave the key alone.
+        assert HierarchicalTuner(
+            smoother_ir, keep_trace=True
+        ).config_digest() == default.config_digest()
+
+    def test_replay_continues_the_tuner_counts(
+        self, smoother_ir, base, tmp_path
+    ):
+        from repro.resilience import TuningJournal
+        from repro.tuning import PlanEvaluator
+
+        path = str(tmp_path / "units.jsonl")
+        moved = base.replace(block=(16, 16))
+        with TuningJournal(path) as journal:
+            tuner = HierarchicalTuner(smoother_ir, journal=journal)
+            first = tuner.tune(base)
+            second = tuner.tune(moved)
+            assert len(journal) == 2
+        with TuningJournal(path) as journal:
+            engine = PlanEvaluator()
+            tuner = HierarchicalTuner(
+                smoother_ir, evaluator=engine, journal=journal
+            )
+            assert tuner.tune(base).best == first.best
+            replayed = tuner.tune(moved)
+        assert engine.stats.requests == 0
+        assert replayed.evaluations == second.evaluations
+        assert replayed.stage1_evaluations == second.stage1_evaluations
+        assert replayed.best == second.best
+        assert replayed.seeds == second.seeds

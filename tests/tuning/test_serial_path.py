@@ -8,13 +8,16 @@ degraded path were removed because the model is deterministic: they
 could only recover faults the repository injected into itself.  The
 skip policy, its failure budget and the fault injector went for the
 same reason: a candidate that raised once would raise again, so
-skipping it only hides a bug.  These tests pin the removals at the
+skipping it only hides a bug.  The per-candidate journal callback
+(``on_result``) and the journal's lock went when the journal moved to
+one record per tuning unit.  These tests pin the removals at the
 library surface, so a second executor, a second attempt or a second
 failure policy cannot creep back in through a keyword argument.
 """
 
 import importlib
 import inspect
+import threading
 
 import pytest
 
@@ -26,7 +29,7 @@ from repro.pipeline import optimize
 from repro.resilience import TuningJournal
 from repro.suite.bench import run_bench
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
-from repro.tuning import evaluator
+from repro.tuning import evaluator, hierarchical
 from repro.tuning.evaluator import EvalStats
 from repro.tuning.random_search import random_search
 
@@ -54,6 +57,7 @@ ENTRY_POINTS = {
         "on_error",
         "failure_budget",
         "fault_injector",
+        "on_result",
     ],
 )
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -111,6 +115,10 @@ def test_removed_modules_are_gone(module):
         (evaluator, "_pricing_module"),
         (TuningJournal, "record_failure"),
         (TuningJournal, "failure"),
+        (hierarchical, "_MISS"),
+        (HierarchicalTuner, "_journal_replay"),
+        (HierarchicalTuner, "_journal_record"),
+        (HierarchicalTuner, "_journal_on_result"),
         (cli, "_fault_injector_from_env"),
         (cli, "_env_float"),
         (cli, "_env_int"),
@@ -128,6 +136,15 @@ def test_removed_modules_are_gone(module):
 )
 def test_removed_attributes_are_gone(owner, attribute):
     assert not hasattr(owner, attribute)
+
+
+def test_journal_holds_no_lock(tmp_path):
+    # The engine starts no thread, so nothing appends concurrently.
+    lock_types = (type(threading.Lock()), type(threading.RLock()))
+    with TuningJournal(str(tmp_path / "units.jsonl")) as journal:
+        assert not any(
+            isinstance(value, lock_types) for value in vars(journal).values()
+        )
 
 
 def test_write_trace_has_no_stitch_root():

@@ -27,6 +27,7 @@ from repro.resilience.errors import (
     UsageError,
 )
 from repro.tuning import (
+    HierarchicalTuner,
     TransferSeed,
     WarmStartTuner,
     journaled_winners,
@@ -34,6 +35,7 @@ from repro.tuning import (
     transfer_tune,
     tune_kernel,
 )
+from repro.tuning.transfer import DEFAULT_SEED_LIMIT
 from tests.gpu.test_pricing import IR, PROTOS
 
 BASE = PROTOS["serial-shm"]
@@ -134,13 +136,45 @@ class TestJournaledWinners:
         other = build_ir(parse(SPATIAL_SRC))
         assert journaled_winners(p100_journal, other) == ()
 
-    def test_infeasible_records_are_skipped(self, tmp_path):
+    def test_only_unit_seeds_transfer(self, tmp_path):
+        # Seeds come from a unit's ``seeds`` list alone: a unit that
+        # kept none contributes nothing, whatever its winner.
+        from repro.resilience.checkpoint import ir_fingerprint, plan_to_dict
+
+        winner = {"plan": plan_to_dict(BASE), "time_s": 1.0, "tflops": 1.0}
+        unit = dict(winner, evaluations=1, stage1_evaluations=1)
         path = str(tmp_path / "sparse.jsonl")
         with TuningJournal(path, device=P100.name) as journal:
-            from repro.resilience.checkpoint import ir_fingerprint
-
-            journal.record_candidate(f"{ir_fingerprint(IR)}:sf:xyz", None)
+            journal.record_candidate(
+                f"{ir_fingerprint(IR)}:tune:a", dict(unit, seeds=[])
+            )
         assert journaled_winners(path, IR) == ()
+        with TuningJournal(path, device=P100.name) as journal:
+            journal.record_candidate(
+                f"{ir_fingerprint(IR)}:tune:b", dict(unit, seeds=[winner])
+            )
+        (seed,) = journaled_winners(path, IR)
+        assert seed.plan == BASE
+        assert seed.source_device == "P100"
+
+    def test_each_unit_keeps_its_fastest_seeds(self, p100_journal):
+        journal = TuningJournal(p100_journal)
+        try:
+            (unit,) = journal.records()
+        finally:
+            journal.close()
+        assert unit["kind"] == "tune"
+        seeds = unit["seeds"]
+        assert 0 < len(seeds) <= DEFAULT_SEED_LIMIT
+        times = [seed["time_s"] for seed in seeds]
+        assert times == sorted(times)
+        # The unit's winner is its fastest plan, so it is the first seed.
+        assert seeds[0]["time_s"] == unit["time_s"]
+        signatures = {
+            (tuple(seed["plan"]["block"]), tuple(seed["plan"]["unroll"]))
+            for seed in seeds
+        }
+        assert len(signatures) == len(seeds)
 
 
 class TestWarmStartTuner:
@@ -188,6 +222,34 @@ class TestWarmStartTuner:
             cold.best_plan
         )
 
+    def test_unit_key_covers_seeds_and_neighborhood(self):
+        # A warm start searches a different stage 1 than a cold run or
+        # another warm start, so none may replay another's journaled
+        # unit.
+        seeds = (TransferSeed(plan=BASE, time_s=1.0, tflops=1.0),)
+        other = (
+            TransferSeed(plan=BASE.replace(block=(8, 8)), time_s=1.0,
+                         tflops=1.0),
+        )
+        tuners = [
+            HierarchicalTuner(IR, device=V100, top_k=2),
+            WarmStartTuner(IR, seeds=(), device=V100, top_k=2),
+            WarmStartTuner(IR, seeds=seeds, device=V100, top_k=2),
+            WarmStartTuner(IR, seeds=other, device=V100, top_k=2),
+            WarmStartTuner(
+                IR, seeds=seeds, neighborhood=1, device=V100, top_k=2
+            ),
+        ]
+        digests = [tuner.config_digest() for tuner in tuners]
+        assert len(set(digests)) == len(tuners)
+        # Seed order and source timings do not change the search.
+        reordered = WarmStartTuner(
+            IR, seeds=tuple(reversed(seeds + other)), device=V100, top_k=2
+        )
+        assert reordered.config_digest() == WarmStartTuner(
+            IR, seeds=seeds + other, device=V100, top_k=2
+        ).config_digest()
+
     def test_transfer_tune_wrapper(self, p100_journal):
         cold = tune_kernel(IR, BASE, device=V100, top_k=2)
         warm = transfer_tune(
@@ -214,10 +276,11 @@ class TestJournalRecordsAccessor:
         journal = TuningJournal(p100_journal)
         try:
             everything = journal.records()
-            candidates = journal.records(kind="candidate")
-            assert candidates
-            assert all(r["kind"] == "candidate" for r in candidates)
-            assert len(candidates) <= len(everything)
+            units = journal.records(kind="tune")
+            assert units
+            assert all(r["kind"] == "tune" for r in units)
+            assert journal.records(kind="degree") == []
+            assert len(units) <= len(everything)
             # Snapshot, not a live view.
             everything.clear()
             assert journal.records()
