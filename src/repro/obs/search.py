@@ -22,7 +22,8 @@ The log is a JSONL stream (one self-contained JSON object per line):
   without ever entering the model (infeasible at validation, or
   spilling even at the top register level);
 * a ``failure`` marker naming the candidate that ended the run;
-* ``replay`` records for candidates served from a checkpoint journal;
+* ``replay`` records for tuning units served from a checkpoint journal
+  (one per replayed unit, naming its winner);
 * ``advice`` / ``fission`` / ``winner`` records from the pipeline (which
   advisor rules fired, which fission variants were generated, which
   plans won);
@@ -274,7 +275,8 @@ class SearchLog:
         self.emit(kind, plan=described, **fields)
 
     def replay(self, plan, source: str = "journal") -> None:
-        """A candidate answered from a checkpoint journal (not the engine)."""
+        """A tuning unit answered from a checkpoint journal (not the
+        engine); ``plan`` is the unit's winner."""
         self.emit(
             "replay", plan=plan.describe(), source=source,
             config=_config_summary(plan),
