@@ -17,14 +17,10 @@ committed artifact.
 import json
 import os
 
-from repro.gpu.simulator import reset_simulate_calls
-from repro.pipeline import optimize
-from repro.suite import load_ir
 from repro.suite.bench import run_bench
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 BENCH_SEARCH = os.path.join(REPO_ROOT, "BENCH_search.json")
-BENCH_EVALUATOR = os.path.join(REPO_ROOT, "BENCH_evaluator.json")
 
 #: Machine-speed fields, excluded from the byte-for-byte comparison.
 VOLATILE = ("wall_s", "engine_wall_s")
@@ -44,20 +40,3 @@ def test_bench_search_profile_is_byte_identical():
     for name, base in committed["benchmarks"].items():
         assert _stable(current["benchmarks"][name]) == _stable(base), name
 
-
-def test_bench_evaluator_engine_numbers_are_identical():
-    with open(BENCH_EVALUATOR, "r", encoding="utf-8") as handle:
-        committed = json.load(handle)
-    for name, entry in committed.items():
-        ir = load_ir(name)
-        reset_simulate_calls()
-        outcome = optimize(ir, top_k=2)
-        calls = reset_simulate_calls()
-        stats = outcome.eval_stats
-        engine = entry["engine"]
-        assert stats.simulations == engine["priced_candidates"], name
-        assert calls == engine["simulate_calls"], name
-        assert stats.vectorized == engine["vectorized"], name
-        assert stats.screened == engine["prescreen_rejections"], name
-        assert stats.lint_rejections == engine["lint_rejections"], name
-        assert outcome.tflops == entry["tflops"], name
