@@ -14,8 +14,9 @@ the run when ``wall_s`` regresses past it.  CI enables this with a
 generous threshold — it exists to catch a vectorized path silently
 falling back to scalar, not to police minor scheduler noise.
 
-A second pass re-runs the suite with family pricing disabled and writes
-``BENCH_compare.json``: the scalar-vs-vectorized before/after artifact,
+A second pass re-runs the suite on the scalar path (``MIN_FAMILY``
+raised past every batch size, so no group reaches family pricing) and
+writes ``BENCH_compare.json``: the scalar-vs-vectorized artifact,
 reporting both the end-to-end and the pricing-only (engine-attributed
 busy time) speedup, gated on byte-identical winners.
 
@@ -25,8 +26,10 @@ locally: ``PYTHONPATH=src python -m pytest benchmarks/bench_regression.py``.
 
 import json
 import os
+import sys
 
 from repro.suite.bench import compare_bench, format_bench, run_bench
+from repro.tuning import evaluator
 
 BASELINE_PATH = os.path.join(
     os.path.dirname(__file__), "..", "BENCH_search.json"
@@ -75,12 +78,14 @@ def test_search_bench():
     assert not problems, "; ".join(problems)
 
 
-def test_vectorized_comparison():
+def test_vectorized_comparison(monkeypatch):
     # Before/after throughput artifact: the same suite with family
     # pricing off.  The winners must be byte-identical — vectorization
     # is a cost lever, never a result lever.
     assert _results, "bench did not run"
-    scalar = run_bench(vectorize=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluator, "MIN_FAMILY", sys.maxsize)
+        scalar = run_bench()
     comparison = {"schema": 1, "benchmarks": {}}
     for name, vec_row in _results["benchmarks"].items():
         scal_row = scalar["benchmarks"][name]

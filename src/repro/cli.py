@@ -25,7 +25,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from .codegen.generator import generate_baseline, lower
 from .gpu.device import DEVICES, DeviceSpec, P100, device_names, get_device
@@ -127,21 +127,21 @@ def _print_metrics() -> None:
             print(f"  {name:36s} {rendered}")
 
 
-def publish_stats_dict(
-    registry, stats: Dict[str, Any], prefix: str = "eval"
-) -> None:
-    """Publish an ``EvalStats.as_dict()`` into an explicit registry.
+def _live_registry(engine=None):
+    """The registry one ``/metrics`` scrape exposes.
 
-    Unlike :meth:`EvalStats.publish` this bypasses the global
-    enabled-flag: the ``/metrics`` collector owns the registry it
-    builds for each scrape.
+    The global registry overlaid with the engine's *current* EvalStats,
+    published exactly as ``--metrics`` publishes them at shutdown.
     """
-    for name, value in stats.items():
-        if name == "wall_s":
-            if value:
-                registry.histogram(f"{prefix}.{name}").observe(value)
-        else:
-            registry.counter(f"{prefix}.{name}").add(value)
+    from .obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    registry.merge_snapshot(
+        get_metrics().snapshot(), exclude_prefixes=("eval.",)
+    )
+    if engine is not None:
+        engine.stats.publish(registry=registry)
+    return registry
 
 
 def _start_metrics_server(args, engine=None):
@@ -155,17 +155,11 @@ def _start_metrics_server(args, engine=None):
     port = getattr(args, "metrics_port", None)
     if port is None:
         return None
-    from .obs import MetricsHTTPServer, MetricsRegistry
+    from .obs import MetricsHTTPServer
     from .obs.prom import prometheus_text
 
     def collect():
-        registry = MetricsRegistry()
-        registry.merge_snapshot(
-            get_metrics().snapshot(), exclude_prefixes=("eval.",)
-        )
-        if engine is not None:
-            publish_stats_dict(registry, engine.stats.as_dict())
-        return prometheus_text(registry)
+        return prometheus_text(_live_registry(engine))
 
     server = MetricsHTTPServer(collect=collect, port=port).start()
     print(f"metrics: serving {server.url}", file=sys.stderr)

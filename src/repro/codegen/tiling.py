@@ -137,17 +137,9 @@ def _ir_memoized(tag: str, ir: ProgramIR, key: tuple, compute):
     Several geometric analyses depend on only a few plan fields (the
     stage list reads nothing but ``kernel_names``/``time_tile``/
     ``fold_groups``), so keying them by the full family key would
-    recompute them once per tile size.  Shares the plan cache and its
-    enable switch, so seed-equivalence benchmarks still disable
-    everything at once.
+    recompute them once per tile size.  Shares the plan cache.
     """
     return _PLAN_MEMO.get(ir, (tag,) + key, tag, compute)
-
-
-def set_plan_cache_enabled(enabled: bool) -> None:
-    """Toggle the (ir, plan-family) geometry cache; clears it on change."""
-    _PLAN_MEMO.enabled = bool(enabled)
-    _PLAN_MEMO.clear()
 
 
 def clear_plan_cache() -> None:

@@ -35,8 +35,7 @@ class OwnerMemo:
 
     Given a prefix, a miss adds one to the ``<miss_prefix><tag>``
     counter (when metrics are on) and computes inside a
-    ``<span_prefix><tag>`` span.  With :attr:`enabled` off every lookup
-    recomputes and nothing is stored.
+    ``<span_prefix><tag>`` span.
     """
 
     def __init__(self, miss_prefix: Optional[str] = None,
@@ -44,7 +43,6 @@ class OwnerMemo:
         self._tables: Dict[int, dict] = {}
         self._miss_prefix = miss_prefix
         self._span_prefix = span_prefix
-        self.enabled = True
 
     def get(self, owner: Any, key: Hashable, tag: str,
             compute: Callable[[], Any]) -> Any:
@@ -53,8 +51,6 @@ class OwnerMemo:
         ``key`` must determine the value together with the owner;
         ``tag`` names the analysis in the miss counter and span.
         """
-        if not self.enabled:
-            return compute()
         table = self._tables.get(id(owner))
         if table is None:
             table = self._table(owner)

@@ -67,14 +67,13 @@ def run_bench(
     benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
     device: DeviceSpec = P100,
     top_k: int = 2,
-    vectorize: bool = True,
 ) -> Dict[str, Any]:
     """Run the suite and collect the search-cost profile per benchmark.
 
-    ``vectorize`` configures the shared :class:`PlanEvaluator` (the
-    default matches production: family pricing on) — the before/after
-    comparison artifact runs the same suite with ``vectorize=False`` to
-    measure the scalar path on the same machine.
+    Each benchmark gets a fresh production :class:`PlanEvaluator`.  The
+    scalar-vs-vectorized comparison artifact runs the suite a second
+    time with ``repro.tuning.evaluator.MIN_FAMILY`` raised past every
+    batch size, which forces the scalar ``simulate`` path.
     """
     from ..pipeline import optimize
     from . import get as get_benchmark
@@ -82,7 +81,7 @@ def run_bench(
     results: Dict[str, Any] = {}
     for name in benchmarks:
         ir = get_benchmark(name).ir()
-        engine = PlanEvaluator(device=device, vectorize=vectorize)
+        engine = PlanEvaluator(device=device)
         calls_before = simulate_call_count()
         start = time.perf_counter()
         outcome = optimize(ir, device=device, top_k=top_k, evaluator=engine)

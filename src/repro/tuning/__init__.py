@@ -13,7 +13,6 @@ from .deeptuning import (
 from .evaluator import (
     EvalStats,
     PlanEvaluator,
-    evaluation_caches_disabled,
     plan_fingerprint,
 )
 from .fission import (
@@ -66,7 +65,6 @@ __all__ = [
     "WarmStartTuner",
     "dedupe_candidates",
     "deep_tune",
-    "evaluation_caches_disabled",
     "plan_fingerprint",
     "exhaustive_space_size",
     "export_dsl",

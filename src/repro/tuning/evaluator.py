@@ -23,11 +23,13 @@ size, so all search code routes measurements through one
   evaluator jumps straight to the first non-spilling rung instead of
   simulating every spilling one.
 * **vectorized family pricing** — batches are grouped by structural
-  plan key and each large group is priced in one NumPy pass over the
-  whole candidate axis (:mod:`repro.gpu.pricing`), bit-for-bit equal to
-  the scalar path; per-lane finalization replays the normal accounting,
-  memoization and telemetry.  Per-phase activity is attributed through
-  :meth:`PlanEvaluator.phase` (``docs/performance_model.md``).
+  plan key and each group of :data:`MIN_FAMILY` or more plans is priced
+  in one NumPy pass over the whole candidate axis
+  (:mod:`repro.gpu.pricing`), bit-for-bit equal to the scalar
+  ``simulate`` path that smaller groups take; per-lane finalization
+  replays the normal accounting, memoization and telemetry.  Per-phase
+  activity is attributed through :meth:`PlanEvaluator.phase`
+  (``docs/performance_model.md``).
 * **batch evaluation** — :meth:`PlanEvaluator.evaluate_batch` runs a
   batch serially on the calling thread with input-ordered results.  A
   search prices its candidates in about a second, so no worker pool
@@ -41,6 +43,11 @@ size, so all search code routes measurements through one
 * **cache / throughput statistics** — hits, misses, simulations avoided
   and wall-clock, surfaced through tuning results, ``pipeline.report``
   and the ``--eval-stats`` CLI flag.
+
+The engine has one configuration: memoization, the incremental ladder
+and the occupancy prescreen are always on, and the group size alone
+picks scalar or family pricing.  A :class:`PlanEvaluator` takes only a
+device, whether to validate plans, and an optional search log.
 
 Evaluation accounting is uniform: one *request* per candidate plan
 submitted (feasible, spilling or infeasible alike), independent of how
@@ -58,16 +65,11 @@ from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
 from ..codegen.plan import KernelPlan, REGISTER_LEVELS
 from ..codegen.resources import InvalidPlan, validate_plan
-from ..codegen.tiling import (
-    plan_family_key,
-    plan_structural_key,
-    set_plan_cache_enabled,
-)
+from ..codegen.tiling import plan_family_key, plan_structural_key
 from ..gpu.counters import SimulationResult
 from ..gpu.device import DeviceSpec, P100
 from ..gpu.simulator import (
     PlanInfeasible,
-    plan_occupancy,
     plan_prefix,
     simulate,
 )
@@ -75,17 +77,11 @@ from ..ir.stencil import ProgramIR
 from ..lint.rules_plan import _count_rejection, fusion_rejection, plan_rejection
 from ..obs import span as _span
 from ..obs.search import SearchLog
-from ..resilience import EvaluationError, UsageError
+from ..resilience import EvaluationError
 
 #: Exceptions that mark a candidate as infeasible rather than a bug.
 INFEASIBLE = (PlanInfeasible, InvalidPlan)
 
-
-#: Escalation strategies: ``incremental`` uses the cached register
-#: demand to jump straight to the first non-spilling rung; ``ladder``
-#: simulates every rung like the seed implementation (kept for
-#: benchmarking and equivalence tests).
-ESCALATION_MODES = ("incremental", "ladder")
 
 #: Smallest structural group worth routing through the vectorized
 #: pricing backend — below this the per-family setup cost (structure
@@ -195,17 +191,27 @@ class EvalStats:
             "wall_s": self.wall_s,
         }
 
-    def publish(self, prefix: str = "eval") -> None:
-        """Mirror these statistics into the process metrics registry."""
-        from ..obs import metrics_enabled, counter, histogram
+    def publish(self, prefix: str = "eval", registry=None) -> None:
+        """Mirror these statistics into a metrics registry.
 
-        if not metrics_enabled():
-            return
+        Every field becomes a counter, except ``wall_s``, which is one
+        histogram observation — none on an idle engine, whose zero
+        timing measured nothing.  Without ``registry`` this publishes
+        into the process registry, and only while metrics are enabled;
+        the ``/metrics`` collector passes the registry it builds for
+        each scrape.
+        """
+        if registry is None:
+            from ..obs import get_metrics, metrics_enabled
+
+            if not metrics_enabled():
+                return
+            registry = get_metrics()
         for name, value in self.as_dict().items():
-            if name == "wall_s":
-                histogram(f"{prefix}.{name}").observe(value)
-            else:
-                counter(f"{prefix}.{name}").add(value)
+            if name != "wall_s":
+                registry.counter(f"{prefix}.{name}").add(value)
+            elif value:
+                registry.histogram(f"{prefix}.{name}").observe(value)
 
     def describe(self) -> str:
         return (
@@ -233,20 +239,6 @@ def plan_fingerprint(plan: KernelPlan, include_registers: bool = True) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@contextmanager
-def evaluation_caches_disabled():
-    """Disable the (ir, plan-family) geometry/prefix caches in a scope.
-
-    Benchmarks use this to time the seed-equivalent uncached path; tests
-    use it to prove cached and uncached values are identical.
-    """
-    set_plan_cache_enabled(False)
-    try:
-        yield
-    finally:
-        set_plan_cache_enabled(True)
-
-
 class PlanEvaluator:
     """Single evaluation front-end for every tuner and baseline.
 
@@ -272,39 +264,19 @@ class PlanEvaluator:
     def __init__(
         self,
         device: DeviceSpec = P100,
-        memoize: bool = True,
-        escalation: str = "incremental",
         validate: bool = True,
-        prescreen: bool = True,
         search_log: Optional[SearchLog] = None,
-        vectorize: bool = True,
     ):
-        if escalation not in ESCALATION_MODES:
-            raise UsageError(
-                f"unknown escalation mode {escalation!r}; "
-                f"expected one of {ESCALATION_MODES}"
-            )
         self.device = device
-        self.memoize = memoize
-        self.escalation = escalation
         #: run ``validate_plan`` before simulating (some baselines probe
         #: raw configurations the way a fixed code generator would,
         #: without the planner's feasibility screen).
         self.validate = validate
-        #: reject launch-infeasible candidates from the occupancy screen
-        #: without running the full counter/timing model.
-        self.prescreen = prescreen
         #: candidate-level telemetry sink (``repro.obs.search``): when
         #: set, every request resolved by this engine — cache hits,
         #: screens, infeasibilities, errors included — emits exactly one
         #: ``candidate`` event, so the log mirrors ``stats.requests``.
         self.search_log = search_log
-        #: route batch evaluation through the vectorized family-pricing
-        #: backend (``repro.gpu.pricing``) when structural groups are
-        #: large enough.  Results are bit-for-bit identical either way;
-        #: the scalar path exists for the parity tests and the
-        #: scalar-vs-vector benchmark.
-        self.vectorize = vectorize
         #: per-phase activity, accumulated by :meth:`phase` — tuners
         #: wrap their stages so cache behaviour can be reported per
         #: phase instead of as one misleading whole-run ratio.
@@ -314,23 +286,6 @@ class PlanEvaluator:
         self._cache: Dict[tuple, tuple] = {}
         #: nesting depth of :meth:`_timed` frames; only the outermost bills
         self._depth = 0
-
-    @classmethod
-    def seed_mode(cls, device: DeviceSpec = P100) -> "PlanEvaluator":
-        """An engine that replicates the pre-engine evaluation path:
-
-        no memoization, the full 4-rung register ladder, no occupancy
-        prescreen.  Combine with :func:`evaluation_caches_disabled` to
-        also recompute the per-family geometry each time.  Benchmarks
-        and equivalence tests use this as the comparison baseline.
-        """
-        return cls(
-            device=device,
-            memoize=False,
-            escalation="ladder",
-            prescreen=False,
-            vectorize=False,
-        )
 
     # -- phase accounting ------------------------------------------------------
 
@@ -432,19 +387,18 @@ class PlanEvaluator:
         """
         self.stats.requests += 1
         key = self._key(ir, plan)
-        if self.memoize:
-            hit = self._cache.get(key)
-            if hit is not None and hit[0] is ir:
-                self.stats.hits += 1
-                status, value = hit[1]
-                if status == "ok":
-                    self._log_candidate(plan, "cache-hit", result=value)
-                    return value
-                self.stats.infeasible += 1
-                self._log_candidate(
-                    plan, "cache-hit-infeasible", reason=str(value)
-                )
-                raise value.clone()
+        hit = self._cache.get(key)
+        if hit is not None and hit[0] is ir:
+            self.stats.hits += 1
+            status, value = hit[1]
+            if status == "ok":
+                self._log_candidate(plan, "cache-hit", result=value)
+                return value
+            self.stats.infeasible += 1
+            self._log_candidate(
+                plan, "cache-hit-infeasible", reason=str(value)
+            )
+            raise value.clone()
         self.stats.misses += 1
         screened = False
         try:
@@ -463,17 +417,16 @@ class PlanEvaluator:
             else:
                 if self.validate:
                     validate_plan(ir, plan)
-                if self.prescreen:
-                    diag = plan_rejection(
-                        ir, plan, self.device, assume_validated=True
-                    )
-                    if diag is not None:
-                        rejection = (diag.code, diag.message)
-                        # RL3xx refutations carry a counterexample
-                        # (grid point + event pair); thread it into the
-                        # exception context so batch telemetry can show
-                        # *why* the plan is illegal, not just the code.
-                        witness = diag.witness
+                diag = plan_rejection(
+                    ir, plan, self.device, assume_validated=True
+                )
+                if diag is not None:
+                    rejection = (diag.code, diag.message)
+                    # RL3xx refutations carry a counterexample (grid
+                    # point + event pair); thread it into the exception
+                    # context so batch telemetry can show *why* the
+                    # plan is illegal, not just the code.
+                    witness = diag.witness
             if rejection is not None:
                 code, message = rejection
                 self.stats.screened += 1
@@ -492,8 +445,7 @@ class PlanEvaluator:
                 result = simulate(ir, plan, self.device)
         except INFEASIBLE as exc:
             self.stats.infeasible += 1
-            if self.memoize:
-                self._cache[key] = (ir, ("fail", exc.clone()))
+            self._cache[key] = (ir, ("fail", exc.clone()))
             self._log_candidate(
                 plan,
                 "screened" if screened else "infeasible",
@@ -507,8 +459,7 @@ class PlanEvaluator:
                 plan, "error", reason=f"{type(exc).__name__}: {exc}"
             )
             raise
-        if self.memoize:
-            self._cache[key] = (ir, ("ok", result))
+        self._cache[key] = (ir, ("ok", result))
         self._log_candidate(plan, "simulated", result=result)
         return result
 
@@ -540,11 +491,10 @@ class PlanEvaluator:
 
         Returns the first (plan, result) along the escalation levels that
         does not spill, or None when the plan is infeasible or spills
-        even at the top level.  In ``incremental`` mode the register-
-        independent prefix supplies the demand up front, so the spilling
-        rungs below the first feasible level are skipped entirely — the
-        chosen plan and its simulated result are identical to walking
-        the full ladder.
+        even at the top level.  The register-independent prefix supplies
+        the demand up front, so the spilling rungs below the first
+        feasible level are skipped entirely — the chosen plan and its
+        simulated result are identical to walking the full ladder.
         """
         with self._timed():
             return self._evaluate_spill_free(ir, plan, tuple(levels))
@@ -552,17 +502,8 @@ class PlanEvaluator:
     def _evaluate_spill_free(
         self, ir: ProgramIR, plan: KernelPlan, levels: Tuple[int, ...]
     ) -> Optional[Tuple[KernelPlan, SimulationResult]]:
-        if self.escalation == "ladder":
-            for level in levels:
-                candidate = plan.replace(max_registers=level)
-                result = self.try_evaluate(ir, candidate)
-                if result is None:
-                    return None
-                if not result.counters.has_spills:
-                    return candidate, result
-            return None
-        # Incremental: demand is register-independent, so the first
-        # non-spilling rung is known without simulating the others.
+        # Demand is register-independent, so the first non-spilling rung
+        # is known without simulating the others.
         try:
             if self.validate:
                 validate_plan(ir, plan)
@@ -613,7 +554,7 @@ class PlanEvaluator:
         route — results are bit-for-bit identical either way.
         """
         plans = list(plans)
-        if self._vector_eligible(len(plans)):
+        if len(plans) >= MIN_FAMILY:
             jobs = self._family_jobs(
                 ir, plans, spill_free=False, catch=catch
             )
@@ -630,7 +571,7 @@ class PlanEvaluator:
         """Batch variant of :meth:`evaluate_spill_free`, input-ordered."""
         plans = list(plans)
         levels = tuple(levels)
-        if self._vector_eligible(len(plans)) and self.escalation == "incremental":
+        if len(plans) >= MIN_FAMILY:
             jobs = self._family_jobs(
                 ir, plans, spill_free=True, levels=levels
             )
@@ -639,9 +580,6 @@ class PlanEvaluator:
         return self._run_batch(jobs)
 
     # -- vectorized family pricing ---------------------------------------------
-
-    def _vector_eligible(self, count: int) -> bool:
-        return self.vectorize and count >= MIN_FAMILY
 
     def _scalar_jobs(
         self,
@@ -729,7 +667,7 @@ class PlanEvaluator:
                     for p in group
                 ]
         structure = pricing.family_structure(ir, proto)
-        fusion = fusion_rejection(ir, proto) if self.prescreen else None
+        fusion = fusion_rejection(ir, proto)
         if fusion is None:
             # One-shot: demand, rung resolution, and pricing share a
             # single pass over the family's lane arrays.  A lane the
@@ -804,7 +742,7 @@ class PlanEvaluator:
                 for p in group
             ]
         structure = pricing.family_structure(ir, proto)
-        fusion = fusion_rejection(ir, proto) if self.prescreen else None
+        fusion = fusion_rejection(ir, proto)
         need_pricing = fusion is None
         to_price: Dict[tuple, KernelPlan] = {}
         keys = []
@@ -832,8 +770,6 @@ class PlanEvaluator:
         return dict(zip(keys, lanes))
 
     def _memo_has(self, ir: ProgramIR, key: tuple) -> bool:
-        if not self.memoize:
-            return False
         hit = self._cache.get(key)
         return hit is not None and hit[0] is ir
 
@@ -905,8 +841,6 @@ class PlanEvaluator:
         """
 
         def rejection_fn(plan):
-            if not self.prescreen:
-                return None
             if fusion is not None:
                 _count_rejection(fusion.code)
                 return (fusion.code, fusion.message)
@@ -918,11 +852,6 @@ class PlanEvaluator:
         def produce_fn(plan):
             if lane is None:
                 return simulate(ir, plan, self.device)
-            if lane.occ_message is not None:
-                # Prescreen disabled: surface the occupancy failure
-                # exactly as ``simulate``'s plan_occupancy step would.
-                self._count_occupancy_screen(lane.occ_code)
-                raise PlanInfeasible(lane.occ_message, **lane.occ_context)
             self.stats.vectorized += 1
             return lane.result
 

@@ -1,0 +1,26 @@
+"""Fixtures shared by every test package."""
+
+import sys
+from contextlib import contextmanager
+
+import pytest
+
+from repro.tuning import evaluator as evaluator_module
+
+
+@pytest.fixture
+def scalar_pricing(monkeypatch):
+    """A context manager that prices every batch with scalar ``simulate()``.
+
+    Inside the block ``MIN_FAMILY`` exceeds every batch size, so the
+    engine never takes the vectorized family-pricing path — the
+    reference the parity tests compare that path against.
+    """
+
+    @contextmanager
+    def scope():
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator_module, "MIN_FAMILY", sys.maxsize)
+            yield
+
+    return scope

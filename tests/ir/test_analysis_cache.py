@@ -13,6 +13,7 @@ from repro.codegen.resources import auto_assign, seed_plan_from_pragma
 from repro.codegen.tiling import (
     build_stages,
     buffer_requirements,
+    clear_plan_cache,
     distinct_read_offsets,
     launch_geometry,
     read_footprint,
@@ -29,7 +30,6 @@ from repro.ir.analysis import (
     stencil_order,
 )
 from repro.suite import BENCHMARKS, load_ir
-from repro.tuning import evaluation_caches_disabled
 
 ALL = list(BENCHMARKS)
 
@@ -90,20 +90,20 @@ def test_geometry_caches_match_uncached(name):
                 for array in stage.instance.arrays_read()
             },
         }
-        with evaluation_caches_disabled():
-            clear_analysis_cache()
-            cold_stages = build_stages(ir, plan)
-            cold_geometry = launch_geometry(ir, plan)
-            assert cold_geometry == warm["geometry"]
-            assert cold_stages == warm["stages"]
-            assert buffer_requirements(ir, plan) == warm["buffers"]
-            assert shmem_bytes_per_block(ir, plan) == warm["shmem"]
-            assert register_demand(ir, plan) == warm["demand"]
-            for array, cached in warm["offsets"].items():
-                assert distinct_read_offsets(ir, instance, array) == cached
-            for (index, array), cached in warm["footprints"].items():
-                stage = cold_stages[index]
-                assert (
-                    read_footprint(ir, plan, stage, cold_geometry, array)
-                    == cached
-                )
+        clear_plan_cache()
+        clear_analysis_cache()
+        cold_stages = build_stages(ir, plan)
+        cold_geometry = launch_geometry(ir, plan)
+        assert cold_geometry == warm["geometry"]
+        assert cold_stages == warm["stages"]
+        assert buffer_requirements(ir, plan) == warm["buffers"]
+        assert shmem_bytes_per_block(ir, plan) == warm["shmem"]
+        assert register_demand(ir, plan) == warm["demand"]
+        for array, cached in warm["offsets"].items():
+            assert distinct_read_offsets(ir, instance, array) == cached
+        for (index, array), cached in warm["footprints"].items():
+            stage = cold_stages[index]
+            assert (
+                read_footprint(ir, plan, stage, cold_geometry, array)
+                == cached
+            )

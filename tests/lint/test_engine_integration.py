@@ -58,15 +58,6 @@ class TestEvaluatorPrescreen:
         assert engine.stats.as_dict()["lint_rejections"] == 1
         assert "lint rule" in engine.stats.describe()
 
-    def test_prescreen_off_still_rejects_via_model(self, smoother_ir):
-        # With the prescreen disabled the occupancy arithmetic itself
-        # refuses the plan — same outcome, no rule counter.
-        engine = PlanEvaluator(device=P100, prescreen=False)
-        doomed = KernelPlan((kernel_of(smoother_ir),), block=(64, 64))
-        with pytest.raises(PlanInfeasible):
-            engine.evaluate(smoother_ir, doomed)
-        assert engine.stats.lint_rejections == 0
-
     def test_rejection_counter_emitted(self, smoother_ir):
         configure_metrics(True, reset=True)
         try:

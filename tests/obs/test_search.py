@@ -157,7 +157,7 @@ class TestAccountingInvariant:
 
     @pytest.mark.parametrize("failing_call", [1, 40])
     def test_invariant_when_an_error_ends_the_run(
-        self, smoother_ir, monkeypatch, failing_call
+        self, smoother_ir, monkeypatch, scalar_pricing, failing_call
     ):
         simulate = evaluator_module.simulate
         calls = []
@@ -170,11 +170,11 @@ class TestAccountingInvariant:
 
         monkeypatch.setattr(evaluator_module, "simulate", fails_once)
         log = SearchLog()
-        engine = PlanEvaluator(search_log=log, vectorize=False)
+        engine = PlanEvaluator(search_log=log)
         base = seed_plan_from_pragma(
             smoother_ir, smoother_ir.kernels[0]
         ).replace(placements=(("in", "shmem"),))
-        with pytest.raises(EvaluationError):
+        with scalar_pricing(), pytest.raises(EvaluationError):
             HierarchicalTuner(smoother_ir, evaluator=engine).tune(base)
         assert len(calls) == failing_call
         assert log.candidate_count() == engine.stats.requests

@@ -145,7 +145,9 @@ class TestThreading:
             assert parent.thread_id == child.thread_id
             assert parent.name == f"root.{child.name.split('.', 1)[1]}"
 
-    def test_simulate_spans_nest_inside_evaluate_batch(self, global_tracing):
+    def test_simulate_spans_nest_inside_evaluate_batch(
+        self, global_tracing, scalar_pricing
+    ):
         from repro.dsl import parse
         from repro.ir import build_ir
         from repro.codegen import seed_plan_from_pragma
@@ -171,8 +173,8 @@ class TestThreading:
         ]
         # Scalar pricing, so every ``simulate`` span opens inside a
         # thunk, which runs on the calling thread inside ``eval.batch``.
-        evaluator = PlanEvaluator(vectorize=False)
-        results = evaluator.evaluate_batch(ir, plans)
+        with scalar_pricing():
+            results = PlanEvaluator().evaluate_batch(ir, plans)
         assert any(r is not None for r in results)
         spans = global_tracing.finished()
         batch = [s for s in spans if s.name == "eval.batch"]
@@ -230,8 +232,7 @@ class TestDisabled:
         assert get_tracer().finished() == ()
 
     def test_disabled_span_overhead_is_small(self):
-        # Behavioral guard (the hard <2% budget lives in the evaluator
-        # benchmark): 100k disabled span entries must be ~instant.
+        # Behavioral guard: 100k disabled span entries must be ~instant.
         start = time.perf_counter()
         for _ in range(100_000):
             with span("hot"):

@@ -110,7 +110,7 @@ def _broken(*args, **kwargs):
 
 class TestFailFast:
     def test_model_error_names_the_plan_after_one_attempt(
-        self, smoother_ir, reference, monkeypatch
+        self, smoother_ir, reference, monkeypatch, scalar_pricing
     ):
         base, _, _ = reference
         attempted = []
@@ -120,8 +120,8 @@ class TestFailFast:
             raise RuntimeError("model bug")
 
         monkeypatch.setattr(evaluator_module, "simulate", broken_simulate)
-        engine = PlanEvaluator(vectorize=False)
-        with pytest.raises(EvaluationError) as info:
+        engine = PlanEvaluator()
+        with scalar_pricing(), pytest.raises(EvaluationError) as info:
             HierarchicalTuner(smoother_ir, evaluator=engine).tune(base)
         # The first failure ends the run: nothing re-ran the failed
         # candidate, and nothing went on to the next one.

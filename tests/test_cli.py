@@ -475,22 +475,63 @@ class TestLiveObservatory:
         assert args.metrics_port == 0
 
     def test_publish_stats_counters_and_timing_histograms(self):
-        from repro.cli import publish_stats_dict
         from repro.obs import MetricsRegistry
+        from repro.tuning import EvalStats
 
         reg = MetricsRegistry()
-        publish_stats_dict(reg, {"requests": 4, "hits": 1, "wall_s": 0.5})
+        EvalStats(requests=4, hits=1, wall_s=0.5).publish(registry=reg)
         snap = reg.snapshot()
         assert snap["eval.requests"]["value"] == 4
         assert snap["eval.hits"]["value"] == 1
         assert snap["eval.wall_s"]["count"] == 1
         # Zero timing records no observation.
         idle = MetricsRegistry()
-        publish_stats_dict(idle, {"requests": 0, "wall_s": 0.0})
+        EvalStats().publish(registry=idle)
         assert "eval.wall_s" not in idle.snapshot()
 
+    @pytest.mark.parametrize("requests", [0, 3], ids=["idle", "busy"])
+    def test_metrics_flag_and_endpoint_publish_the_same_series(
+        self, requests
+    ):
+        from repro.cli import _live_registry
+        from repro.obs import configure_metrics, get_metrics
+        from repro.suite import load_ir
+        from repro.tuning import PlanEvaluator
+
+        ir = load_ir("7pt-smoother")
+        engine = PlanEvaluator()
+        for block in ((32, 16), (32, 8), (64, 4))[:requests]:
+            plan = seed_plan(ir).replace(block=block)
+            engine.try_evaluate(ir, plan, catch=(Exception,))
+        configure_metrics(True, reset=True)
+        try:
+            engine.stats.publish()  # what --metrics prints at shutdown
+            flag = {
+                name: data
+                for name, data in get_metrics().snapshot().items()
+                if name.startswith("eval.")
+            }
+            endpoint = _live_registry(engine).snapshot()
+        finally:
+            configure_metrics(False, reset=True)
+        assert endpoint == flag
+        assert flag["eval.requests"]["value"] == requests
+        assert ("eval.wall_s" in flag) == bool(requests)
+
+    def test_resumed_complete_journal_prints_no_wall_observation(
+        self, tmp_path, capsys
+    ):
+        journal = str(tmp_path / "c.jsonl")
+        run = ["optimize", "7pt-smoother", "--top-k", "1",
+               "--checkpoint", journal]
+        assert main(run) == 0
+        capsys.readouterr()
+        assert main(run + ["--resume", "--metrics"]) == 0
+        out = capsys.readouterr().out
+        assert "eval.requests" in out
+        assert "eval.wall_s" not in out
+
     def test_publish_stats_covers_every_eval_stats_field(self):
-        from repro.cli import publish_stats_dict
         from repro.obs import MetricsRegistry
         from repro.suite import load_ir
         from repro.tuning import PlanEvaluator
@@ -503,7 +544,7 @@ class TestLiveObservatory:
         stats = engine.stats.as_dict()
         assert stats["requests"] == 3
         reg = MetricsRegistry()
-        publish_stats_dict(reg, stats, prefix="live")
+        engine.stats.publish(prefix="live", registry=reg)
         snap = reg.snapshot()
         for name, value in stats.items():
             if name == "wall_s":

@@ -13,16 +13,12 @@ import pytest
 
 from repro.codegen.plan import REGISTER_LEVELS
 from repro.codegen.resources import InvalidPlan, validate_plan
-from repro.codegen.tiling import plan_family_key
-from repro.gpu.simulator import PlanInfeasible, simulate
+from repro.codegen.tiling import clear_plan_cache, plan_family_key
+from repro.gpu.simulator import PlanInfeasible, reset_simulate_calls, simulate
+from repro.ir.analysis import clear_analysis_cache
 from repro.resilience import UsageError
 from repro.suite import BENCHMARKS, load_ir
-from repro.tuning import (
-    HierarchicalTuner,
-    PlanEvaluator,
-    evaluation_caches_disabled,
-    plan_fingerprint,
-)
+from repro.tuning import HierarchicalTuner, PlanEvaluator, plan_fingerprint
 from repro.tuning.random_search import _sample_plan
 
 
@@ -45,6 +41,20 @@ def direct_result(ir, plan, device):
         return simulate(ir, plan, device)
     except (PlanInfeasible, InvalidPlan, ValueError):
         return None
+
+
+def ladder_walk(ir, plan, device):
+    """The paper's register ladder, one ``simulate()`` per rung: the
+    first (plan, result) that does not spill, None if infeasible or
+    spilling at every rung."""
+    for level in REGISTER_LEVELS:
+        candidate = plan.replace(max_registers=level)
+        result = direct_result(ir, candidate, device)
+        if result is None:
+            return None
+        if not result.counters.has_spills:
+            return candidate, result
+    return None
 
 
 class TestIdentityProperty:
@@ -71,9 +81,11 @@ class TestIdentityProperty:
         kernel = smoother_ir.kernels[0].name
         plans = sampled_plans(smoother_ir, kernel, 30, seed=13)
         warm = [evaluator.try_evaluate(smoother_ir, p) for p in plans]
-        with evaluation_caches_disabled():
-            cold_eval = PlanEvaluator(memoize=False)
-            cold = [cold_eval.try_evaluate(smoother_ir, p) for p in plans]
+        cold = []
+        for plan in plans:
+            clear_plan_cache()
+            clear_analysis_cache()
+            cold.append(direct_result(smoother_ir, plan, evaluator.device))
         for cached, fresh in zip(warm, cold):
             assert (cached is None) == (fresh is None)
             if cached is not None:
@@ -127,7 +139,7 @@ class TestMemoization:
         # each lane must memoize its own copy of that failure.
         blocks = [(32, 4), (32, 8), (16, 8), (64, 4), (16, 16)]
         plans = [base_plan.replace(block=b, stream_axis=7) for b in blocks]
-        evaluator = PlanEvaluator(vectorize=True)
+        evaluator = PlanEvaluator()
         assert evaluator.evaluate_batch(smoother_ir, plans) == [None] * len(plans)
         raised = []
         for plan in plans:
@@ -139,13 +151,6 @@ class TestMemoization:
         assert len({id(exc) for exc, _ in raised}) == len(plans)
         assert {described for _, described in raised} == {raised[0][1]}
         assert "lane=" not in raised[0][1]
-
-    def test_memoize_off_always_simulates(self, smoother_ir, base_plan):
-        evaluator = PlanEvaluator(memoize=False)
-        evaluator.evaluate(smoother_ir, base_plan)
-        evaluator.evaluate(smoother_ir, base_plan)
-        assert evaluator.stats.hits == 0
-        assert evaluator.stats.misses == 2
 
     def test_register_levels_share_one_family(self, smoother_ir, base_plan):
         evaluator = PlanEvaluator()
@@ -210,7 +215,7 @@ class TestBatch:
                 ), field
 
     def test_batch_runs_on_the_calling_thread(
-        self, smoother_ir, monkeypatch
+        self, smoother_ir, monkeypatch, scalar_pricing
     ):
         import repro.tuning.evaluator as evaluator_mod
 
@@ -224,9 +229,12 @@ class TestBatch:
         monkeypatch.setattr(evaluator_mod, "simulate", recording_simulate)
         kernel = smoother_ir.kernels[0].name
         plans = sampled_plans(smoother_ir, kernel, 40, seed=3)
-        PlanEvaluator(vectorize=False).evaluate_batch(
-            smoother_ir, plans, catch=(PlanInfeasible, InvalidPlan, ValueError)
-        )
+        with scalar_pricing():
+            PlanEvaluator().evaluate_batch(
+                smoother_ir,
+                plans,
+                catch=(PlanInfeasible, InvalidPlan, ValueError),
+            )
         assert threads == {threading.get_ident()}
 
     def test_spill_free_batch_matches_serial(self, smoother_ir, base_plan):
@@ -253,17 +261,19 @@ class TestEscalation:
             p.replace(max_registers=REGISTER_LEVELS[-1])
             for p in sampled_plans(smoother_ir, kernel, 40, seed=29)
         ]
-        fast = PlanEvaluator(escalation="incremental")
-        slow = PlanEvaluator(escalation="ladder")
-        for plan in plans:
-            a = fast.evaluate_spill_free(smoother_ir, plan)
-            b = slow.evaluate_spill_free(smoother_ir, plan)
+        fast = PlanEvaluator()
+        reset_simulate_calls()
+        found = [fast.evaluate_spill_free(smoother_ir, p) for p in plans]
+        fast_calls = reset_simulate_calls()
+        walked = [ladder_walk(smoother_ir, p, fast.device) for p in plans]
+        ladder_calls = reset_simulate_calls()
+        for a, b in zip(found, walked):
             assert (a is None) == (b is None)
             if a is not None:
                 assert a[0] == b[0]  # same chosen register level
                 assert a[1].timing == b[1].timing
                 assert a[1].counters == b[1].counters
-        assert fast.stats.misses < slow.stats.misses
+        assert fast_calls < ladder_calls
         assert fast.stats.rungs_skipped > 0
 
     def test_skips_spilling_rungs(self, smoother_ir, base_plan):
@@ -278,10 +288,6 @@ class TestEscalation:
         assert plan.max_registers > 32
         assert not result.counters.has_spills
         assert evaluator.stats.rungs_skipped > 0
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            PlanEvaluator(escalation="bogus")
 
 
 class TestFingerprint:

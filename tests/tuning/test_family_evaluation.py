@@ -5,8 +5,12 @@ observable of a tuning run must be invariant to it: the winner (bitwise),
 the EvalStats accounting (requests, hits, misses, screened,
 ``lint_rejections == screened``), and the plan a planted model bug
 aborts the run on.  These tests run the full hierarchical tuner through
-paired engines and compare everything.
+paired engines and compare everything; the reference engine runs under
+the ``scalar_pricing`` fixture, which routes every batch through scalar
+``simulate()``.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -31,20 +35,20 @@ INVARIANT_FIELDS = (
 )
 
 
-def _tune(ir, base, **engine_kwargs):
-    engine = PlanEvaluator(**engine_kwargs)
-    tuner = HierarchicalTuner(ir, evaluator=engine)
-    return tuner.tune(base), engine
+def _tune(ir, base, pricing=nullcontext):
+    engine = PlanEvaluator()
+    with pricing():
+        return HierarchicalTuner(ir, evaluator=engine).tune(base), engine
 
 
-def _abort_on(ir, base, target, vectorize):
+def _abort_on(ir, base, target, pricing=nullcontext):
     """Tune with a bug planted in the request for ``target``.
 
     The engine raises when asked to evaluate ``target``; both pricing
     paths resolve every candidate through one request, so the run must
     end on that plan either way.  Returns the error and the engine.
     """
-    engine = PlanEvaluator(vectorize=vectorize)
+    engine = PlanEvaluator()
     evaluate = engine._evaluate
 
     def planted(ir_, plan, *args, **kwargs):
@@ -53,18 +57,18 @@ def _abort_on(ir, base, target, vectorize):
         return evaluate(ir_, plan, *args, **kwargs)
 
     engine._evaluate = planted
-    with pytest.raises(EvaluationError) as info:
+    with pricing(), pytest.raises(EvaluationError) as info:
         HierarchicalTuner(ir, evaluator=engine).tune(base)
     return info.value, engine
 
 
-def assert_same_abort(ir, base):
+def assert_same_abort(ir, base, scalar_pricing):
     """Scalar and vector engines abort on the same plan, after the same
     requests; returns the vector engine."""
-    ref, _ = _tune(ir, base, vectorize=False)
+    ref, _ = _tune(ir, base, scalar_pricing)
     target = ref.best.plan
-    ref_error, ref_engine = _abort_on(ir, base, target, vectorize=False)
-    vec_error, vec_engine = _abort_on(ir, base, target, vectorize=True)
+    ref_error, ref_engine = _abort_on(ir, base, target, scalar_pricing)
+    vec_error, vec_engine = _abort_on(ir, base, target)
     assert vec_error.context == ref_error.context
     assert ref_error.context["plan"] == target.describe()
     assert_invariant_stats(vec_engine, ref_engine)
@@ -83,10 +87,12 @@ def assert_invariant_stats(vec_engine, ref_engine):
 
 
 class TestVectorizedInvariance:
-    def test_same_winner_and_stats(self, smoother_ir, base_plan):
-        ref, ref_engine = _tune(smoother_ir, base_plan, vectorize=False)
+    def test_same_winner_and_stats(
+        self, smoother_ir, base_plan, scalar_pricing
+    ):
+        ref, ref_engine = _tune(smoother_ir, base_plan, scalar_pricing)
         reset_simulate_calls()
-        vec, vec_engine = _tune(smoother_ir, base_plan, vectorize=True)
+        vec, vec_engine = _tune(smoother_ir, base_plan)
         scalar_residue = reset_simulate_calls()
 
         assert vec.best.plan == ref.best.plan
@@ -108,7 +114,7 @@ class TestVectorizedInvariance:
         # A second identical tune through the same vectorized engine
         # must be served entirely from the memo cache: no new misses,
         # no new lanes, byte-identical winner.
-        engine = PlanEvaluator(vectorize=True)
+        engine = PlanEvaluator()
         first = HierarchicalTuner(smoother_ir, evaluator=engine).tune(base_plan)
         misses_after_first = engine.stats.misses
         vectorized_after_first = engine.stats.vectorized
@@ -121,11 +127,13 @@ class TestVectorizedInvariance:
 
 
 class TestFailFastInvariance:
-    def test_both_paths_abort_on_the_same_plan(self, smoother_ir, base_plan):
+    def test_both_paths_abort_on_the_same_plan(
+        self, smoother_ir, base_plan, scalar_pricing
+    ):
         # A bug planted in one candidate fires per *request* (the vector
         # path still resolves each lane through _evaluate), so both
         # paths end on that plan, after the same accounting.
-        vec_engine = assert_same_abort(smoother_ir, base_plan)
+        vec_engine = assert_same_abort(smoother_ir, base_plan, scalar_pricing)
         assert vec_engine.stats.vectorized > 0
 
 
@@ -143,11 +151,11 @@ class TestSuiteWideInvariance:
     suite benchmark: batches run on one serial path, so nothing but
     the pricing backend may tell two runs apart."""
 
-    def test_vectorized_matches_scalar(self, name):
+    def test_vectorized_matches_scalar(self, name, scalar_pricing):
         ir, bases = _suite_bases(name)
         for base in bases:
-            ref, ref_engine = _tune(ir, base, vectorize=False)
-            vec, vec_engine = _tune(ir, base, vectorize=True)
+            ref, ref_engine = _tune(ir, base, scalar_pricing)
+            vec, vec_engine = _tune(ir, base)
             assert vec.best.plan == ref.best.plan
             assert vec.best.time_s == ref.best.time_s
             assert vec.evaluations == ref.evaluations
@@ -170,10 +178,10 @@ class TestSuiteWideInvariance:
                 == first_engine.stats.vectorized
             )
 
-    def test_both_paths_abort_on_the_same_plan(self, name):
+    def test_both_paths_abort_on_the_same_plan(self, name, scalar_pricing):
         ir, bases = _suite_bases(name)
         for base in bases:
-            assert_same_abort(ir, base)
+            assert_same_abort(ir, base, scalar_pricing)
 
 
 class TestPhaseAttribution:

@@ -117,7 +117,7 @@ def test_rejected_family_leaves_no_cyclic_garbage(smoother_ir, base_plan):
     plans = [base_plan.replace(block=b, stream_axis=7) for b in blocks]
 
     def batch():
-        evaluator = PlanEvaluator(vectorize=True)
+        evaluator = PlanEvaluator()
         results = evaluator.evaluate_batch(smoother_ir, plans)
         assert results == [None] * len(plans)
         assert evaluator.stats.infeasible == len(plans)

@@ -10,9 +10,14 @@ skip policy, its failure budget and the fault injector went for the
 same reason: a candidate that raised once would raise again, so
 skipping it only hides a bug.  The per-candidate journal callback
 (``on_result``) and the journal's lock went when the journal moved to
-one record per tuning unit.  These tests pin the removals at the
-library surface, so a second executor, a second attempt or a second
-failure policy cannot creep back in through a keyword argument.
+one record per tuning unit.  The seed-mode engine knobs (``memoize``,
+``escalation``, ``prescreen``, ``vectorize``) and the process-wide
+plan-cache switch went because no production caller changed them: the
+engine has one configuration, and the group size alone picks scalar or
+family pricing.  These tests pin the removals at the library surface,
+so a second executor, a second attempt, a second failure policy or a
+second engine configuration cannot creep back in through a keyword
+argument.
 """
 
 import importlib
@@ -22,12 +27,15 @@ import threading
 import pytest
 
 from repro import cli, resilience
+from repro.codegen import tiling
+from repro.ir.memo import OwnerMemo
 from repro.obs import Tracer
 from repro.obs import export
 from repro.obs.search import SearchLog
 from repro.pipeline import optimize
 from repro.resilience import TuningJournal
 from repro.suite.bench import run_bench
+from repro import tuning
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
 from repro.tuning import evaluator, hierarchical
 from repro.tuning.evaluator import EvalStats
@@ -67,9 +75,20 @@ def test_no_executor_parameters(entry, parameter):
     assert all(p.kind is not p.VAR_KEYWORD for p in params.values())
 
 
-def test_vector_pricing_is_a_plain_default_on_bool():
-    parameter = inspect.signature(PlanEvaluator).parameters["vectorize"]
-    assert parameter.default is True
+@pytest.mark.parametrize(
+    "parameter", ["memoize", "escalation", "prescreen", "vectorize"]
+)
+@pytest.mark.parametrize("entry", ["PlanEvaluator", "run_bench"])
+def test_no_engine_mode_parameters(entry, parameter):
+    assert parameter not in inspect.signature(ENTRY_POINTS[entry]).parameters
+
+
+def test_engine_takes_device_validate_and_search_log_only():
+    assert list(inspect.signature(PlanEvaluator).parameters) == [
+        "device",
+        "validate",
+        "search_log",
+    ]
 
 
 def test_optimize_takes_no_tuner_factory():
@@ -131,6 +150,12 @@ def test_removed_modules_are_gone(module):
         (EvalStats, "degraded"),
         (EvalStats, "cpu_s"),
         (EvalStats, "failures"),
+        (PlanEvaluator, "seed_mode"),
+        (evaluator, "evaluation_caches_disabled"),
+        (tuning, "evaluation_caches_disabled"),
+        (evaluator, "ESCALATION_MODES"),
+        (tiling, "set_plan_cache_enabled"),
+        (OwnerMemo(), "enabled"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
