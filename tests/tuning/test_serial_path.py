@@ -26,7 +26,7 @@ import threading
 
 import pytest
 
-from repro import cli, resilience
+from repro import cli, resilience, tuning
 from repro.codegen import tiling
 from repro.ir.memo import OwnerMemo
 from repro.obs import Tracer
@@ -35,7 +35,6 @@ from repro.obs.search import SearchLog
 from repro.pipeline import optimize
 from repro.resilience import TuningJournal
 from repro.suite.bench import run_bench
-from repro import tuning
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
 from repro.tuning import evaluator, hierarchical
 from repro.tuning.evaluator import EvalStats
@@ -155,7 +154,7 @@ def test_removed_modules_are_gone(module):
         (tuning, "evaluation_caches_disabled"),
         (evaluator, "ESCALATION_MODES"),
         (tiling, "set_plan_cache_enabled"),
-        (OwnerMemo(), "enabled"),
+        pytest.param(OwnerMemo(), "enabled", id="OwnerMemo()-enabled"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
