@@ -248,7 +248,7 @@ def _close_search_log(args, log: Optional[SearchLog]) -> None:
         args._search_events = log.events()
 
 
-def _optimize_json_payload(args, device, outcome, log) -> dict:
+def _optimize_json_payload(args, device, outcome, report) -> dict:
     payload = {
         "spec": args.spec,
         "device": device.name,
@@ -268,8 +268,8 @@ def _optimize_json_payload(args, device, outcome, log) -> dict:
             else None
         ),
     }
-    if log is not None:
-        payload["explain"] = build_explain(log.events()).as_dict()
+    if report is not None:
+        payload["explain"] = report.as_dict()
     return payload
 
 
@@ -298,13 +298,17 @@ def cmd_optimize(args) -> int:
         _close_search_log(args, log)
     if outcome.eval_stats is not None:
         outcome.eval_stats.publish()
+    # --explain and --json share one report, built from the log.
+    report = (
+        build_explain(log.events()) if args.explain or args.json else None
+    )
     print(format_report(outcome, device))
     if args.explain:
-        print(format_explain(build_explain(log.events())))
+        print(format_explain(report))
     if args.eval_stats and outcome.eval_stats is not None:
         _print_eval_stats(outcome.eval_stats)
     if args.json:
-        payload = _optimize_json_payload(args, device, outcome, log)
+        payload = _optimize_json_payload(args, device, outcome, report)
         atomic_write_json(args.json, payload, indent=2)
         print(f"json: outcome written to {args.json}", file=sys.stderr)
     if args.search_log:

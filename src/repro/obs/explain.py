@@ -26,7 +26,7 @@ file (``repro report``), and machine-readably (``--json``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..resilience.errors import UsageError
 
@@ -158,7 +158,7 @@ class ExplainReport:
         }
 
 
-def _candidate_view(event: Dict[str, Any]) -> CandidateView:
+def _candidate_view(event: Mapping[str, Any]) -> CandidateView:
     counters = event.get("counters") or {}
     return CandidateView(
         seq=int(event.get("seq", 0)),
@@ -181,9 +181,14 @@ MARKER_KINDS = ("prune", "replay", "failure")
 
 
 def build_explain(
-    events: Sequence[Dict[str, Any]], top_k: int = 3
+    events: Sequence[Mapping[str, Any]], top_k: int = 3
 ) -> ExplainReport:
-    """Derive an :class:`ExplainReport` from a search-event stream."""
+    """Derive an :class:`ExplainReport` from a search-event stream.
+
+    One pass reads each candidate's kind, disposition, sequence number,
+    GFLOPS and (when measured) fingerprint; only the winner and the
+    top-k runners-up are read in full.
+    """
     if not events:
         raise UsageError("empty search log: nothing to explain")
 
@@ -192,22 +197,38 @@ def build_explain(
     if header.get("kind") == "header":
         device = header.get("device")
 
-    candidates: List[CandidateView] = []
-    winner_event: Optional[Dict[str, Any]] = None
-    advice: List[Dict[str, Any]] = []
+    candidates = 0
+    measured = 0
+    winner_event: Optional[Mapping[str, Any]] = None
+    advice: List[Mapping[str, Any]] = []
     phases: List[Dict[str, Any]] = []
     stats: Optional[Dict[str, Any]] = None
     dispositions: Dict[str, int] = {}
     markers: Dict[str, int] = {}
+    # Best prediction per distinct plan fingerprint (cache hits repeat
+    # fingerprints; keep one representative each).
+    best_by_fp: Dict[str, Mapping[str, Any]] = {}
+    # Convergence: running best GFLOPS in evaluation order.
+    convergence: List[Tuple[int, float]] = []
+    best = float("-inf")
 
     for event in events:
         kind = event.get("kind")
         if kind == "candidate":
-            view = _candidate_view(event)
-            candidates.append(view)
-            dispositions[view.disposition] = (
-                dispositions.get(view.disposition, 0) + 1
-            )
+            candidates += 1
+            disposition = str(event.get("disposition", "?"))
+            dispositions[disposition] = dispositions.get(disposition, 0) + 1
+            gflops = event.get("gflops")
+            if gflops is None:
+                continue
+            measured += 1
+            if gflops > best:
+                best = gflops
+                convergence.append((int(event.get("seq", 0)), gflops))
+            fp = str(event.get("fingerprint", ""))
+            incumbent = best_by_fp.get(fp)
+            if incumbent is None or gflops > incumbent["gflops"]:
+                best_by_fp[fp] = event
         elif kind == "winner":
             winner_event = event  # last one wins (there is normally one)
         elif kind == "advice":
@@ -226,43 +247,36 @@ def build_explain(
         elif kind in MARKER_KINDS:
             markers[kind] = markers.get(kind, 0) + 1
 
-    measured = [c for c in candidates if c.measured]
-
-    # Best prediction per distinct plan fingerprint (cache hits repeat
-    # fingerprints; keep one representative each).
-    best_by_fp: Dict[str, CandidateView] = {}
-    for cand in measured:
-        incumbent = best_by_fp.get(cand.fingerprint)
-        if incumbent is None or cand.gflops > incumbent.gflops:
-            best_by_fp[cand.fingerprint] = cand
-
     # The winner candidate: joined by fingerprint to the winner event
     # when possible (multi-plan schedules pick the best member), else
     # the best measured candidate overall.
-    winner_candidate: Optional[CandidateView] = None
+    winner: Optional[Mapping[str, Any]] = None
     if winner_event is not None:
         winner_fps = [
             p.get("fingerprint") for p in winner_event.get("plans", ())
         ]
         matched = [best_by_fp[fp] for fp in winner_fps if fp in best_by_fp]
         if matched:
-            winner_candidate = max(matched, key=lambda c: c.gflops)
-    if winner_candidate is None and best_by_fp:
-        winner_candidate = max(best_by_fp.values(), key=lambda c: c.gflops)
+            winner = max(matched, key=lambda e: e["gflops"])
+    if winner is None and best_by_fp:
+        winner = max(best_by_fp.values(), key=lambda e: e["gflops"])
 
     # Top-k runners-up: best distinct plans excluding the winner's.
+    winner_candidate: Optional[CandidateView] = None
     runners: List[RunnerUp] = []
-    if winner_candidate is not None:
+    if winner is not None:
+        winner_candidate = _candidate_view(winner)
         losers = sorted(
             (
-                c
-                for fp, c in best_by_fp.items()
+                event
+                for fp, event in best_by_fp.items()
                 if fp != winner_candidate.fingerprint
             ),
-            key=lambda c: c.gflops,
+            key=lambda e: e["gflops"],
             reverse=True,
         )
-        for cand in losers[: max(0, top_k)]:
+        for event in losers[: max(0, top_k)]:
+            cand = _candidate_view(event)
             deltas: Dict[str, Tuple[float, float, Optional[float]]] = {}
             for name in DELTA_COUNTERS:
                 value = cand.counters.get(name)
@@ -282,14 +296,6 @@ def build_explain(
                 RunnerUp(candidate=cand, deltas=deltas, gflops_gap_pct=gap)
             )
 
-    # Convergence: running best GFLOPS in evaluation order.
-    convergence: List[Tuple[int, float]] = []
-    best = float("-inf")
-    for cand in measured:
-        if cand.gflops > best:
-            best = cand.gflops
-            convergence.append((cand.seq, cand.gflops))
-
     return ExplainReport(
         device=device,
         winner=winner_event,
@@ -301,8 +307,8 @@ def build_explain(
         markers=markers,
         phases=tuple(phases),
         stats=stats,
-        candidates=len(candidates),
-        measured=len(measured),
+        candidates=candidates,
+        measured=measured,
         distinct_plans=len(best_by_fp),
     )
 

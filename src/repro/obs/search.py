@@ -35,17 +35,24 @@ number of ``candidate`` records equals ``EvalStats.requests`` exactly —
 cache hits, screened, infeasible and errors included — so the
 log never under- or over-reports what the engine did.
 
+``candidate`` and ``prune`` events are stored as cheap rows that render
+their plan, config and counter fields when first read (see
+:class:`_Row`); the JSONL stream is the same as if every record had been
+built eagerly.
+
 Writing is crash-safe: events accumulate in memory and the whole stream
-is serialized through :func:`repro.resilience.atomic_write_text` on
+is rewritten through :func:`repro.resilience.atomic_write_text` on
 ``flush()`` (called automatically every ``flush_every`` events and on
 ``close()``), so a crash can truncate nothing — the previous complete
-snapshot stays on disk.
+snapshot stays on disk.  Each event is encoded once, at the first flush
+after it.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Mapping
 from contextlib import contextmanager, nullcontext
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -149,6 +156,137 @@ def _device_payload(device) -> Dict[str, Any]:
     }
 
 
+class _Row(Mapping):
+    """A ``candidate`` or ``prune`` event, rendered when it is read.
+
+    A search records tens of thousands of these, and a reader looks at
+    few of them in detail, so the row stores only what it knows at once
+    (kind, sequence, time, context, disposition, device, reason and
+    predicted GFLOPS) plus references to the frozen plan, the
+    :class:`~repro.gpu.counters.SimulationResult` and the log's device.
+    Reading ``fingerprint`` computes only the fingerprint; reading any
+    other field renders the full record once — the same keys, in the
+    same order, as the record the JSONL stream holds.  A cheap key the
+    record lacks answers the default without rendering.
+    """
+
+    __slots__ = (
+        "kind", "seq", "t_ms", "context", "disposition", "device",
+        "reason", "gflops", "_plan", "_result", "_log_device",
+        "_fingerprint", "_full",
+    )
+
+    def __init__(
+        self, kind, seq, t_ms, context, plan, log_device,
+        disposition=None, device=None, reason=None, result=None,
+    ):
+        self.kind = kind
+        self.seq = seq
+        self.t_ms = t_ms
+        self.context = context or None
+        self.disposition = disposition
+        self.device = device
+        self.reason = reason
+        self.gflops = result.tflops * 1e3 if result is not None else None
+        self._plan = plan
+        self._result = result
+        self._log_device = log_device
+        self._fingerprint = None
+        self._full = None
+
+    def _keys(self) -> List[str]:
+        """The record's keys, in JSONL order, known without rendering."""
+        keys = ["kind", "seq", "t_ms"]
+        if self.kind == "candidate":
+            keys.append("fingerprint")
+        keys += ("family", "plan", "config")
+        keys += (k for k in _TAGS if getattr(self, k) is not None)
+        if self._result is not None:
+            keys += ("time_ms", "gflops", "occupancy", "counters")
+            if self._log_device is not None:
+                keys.append("bottleneck")
+        if self.context is not None:
+            keys.append("context")
+        return keys
+
+    def _fp(self) -> str:
+        if self._fingerprint is None:
+            self._fingerprint = _fingerprint(self._plan)
+        return self._fingerprint
+
+    def _render(self) -> Dict[str, Any]:
+        if self._full is not None:
+            return self._full
+        plan = self._plan
+        full = {"kind": self.kind, "seq": self.seq, "t_ms": self.t_ms}
+        if self.kind == "candidate":
+            full["fingerprint"] = self._fp()
+        full["family"] = _fingerprint(plan, include_registers=False)
+        full["plan"] = plan.describe()
+        full["config"] = _config_summary(plan)
+        for key in _TAGS:
+            value = getattr(self, key)
+            if value is not None:
+                full[key] = value
+        if self._result is not None:
+            full.update(_result_payload(self._result, self._log_device))
+        if self.context is not None:
+            full["context"] = self.context
+        self._full = full
+        return full
+
+    def get(self, key, default=None):
+        if key in _CHEAP_KEYS:
+            value = getattr(self, key)
+            return default if value is None else value
+        if self._full is None:
+            if key == "fingerprint" and self.kind == "candidate":
+                return self._fp()
+            if key not in self._keys():
+                return default
+        return self._render().get(key, default)
+
+    def __getitem__(self, key):
+        value = self.get(key, _ABSENT)
+        if value is _ABSENT:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key) -> bool:
+        return key in self._keys()
+
+    def __iter__(self):
+        return iter(self._keys())
+
+    def __len__(self) -> int:
+        return len(self._keys())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+#: fields a row holds from the start; absent ones are None
+_CHEAP_KEYS = frozenset(
+    ("kind", "seq", "t_ms", "context", "disposition", "device", "reason",
+     "gflops")
+)
+#: the cheap fields a record lists after its config, in order
+_TAGS = ("disposition", "device", "reason")
+
+_ABSENT = object()
+
+
+def _fingerprint(plan, include_registers: bool = True) -> str:
+    global _plan_fingerprint
+    if _plan_fingerprint is None:
+        # The evaluator imports this module, so resolve it on first use.
+        from ..tuning.evaluator import plan_fingerprint as _plan_fingerprint
+    return _plan_fingerprint(plan, include_registers=include_registers)
+
+
+_plan_fingerprint = None
+
+
 class SearchLog:
     """Collects candidate-level search events; optionally streams JSONL.
 
@@ -170,7 +308,9 @@ class SearchLog:
         self.path = path
         self.device = device
         self.flush_every = max(1, int(flush_every))
-        self._events: List[Dict[str, Any]] = []
+        self._events: List[Mapping] = []
+        #: encoded JSONL lines of the events flushed so far
+        self._lines: List[str] = []
         self._counts: Dict[str, int] = {}
         #: merged context tags, innermost scope last
         self._stack: List[Dict[str, Any]] = []
@@ -202,34 +342,33 @@ class SearchLog:
 
     # -- emission ------------------------------------------------------------
 
-    def emit(self, kind: str, **fields) -> Dict[str, Any]:
-        """Record one event; auto-stamps seq, relative time and context."""
+    def _stamp(self, kind: str) -> Tuple[int, float, Optional[Dict]]:
+        """Count one event of ``kind``: its seq, relative time and the
+        innermost context (shared by every event in the scope)."""
         self._seq += 1
-        event: Dict[str, Any] = {
-            "kind": kind,
-            "seq": self._seq,
-            "t_ms": (time.perf_counter() - self._t0) * 1e3,
-        }
-        event.update(fields)
-        context = self._stack[-1] if self._stack else None
-        if context:
-            event["context"] = dict(context)
-        self._events.append(event)
         self._counts[kind] = self._counts.get(kind, 0) + 1
-        if kind == "candidate":
-            disposition = fields.get("disposition", "?")
-            key = f"candidate.{disposition}"
-            self._counts[key] = self._counts.get(key, 0) + 1
+        context = self._stack[-1] if self._stack else None
+        return self._seq, (time.perf_counter() - self._t0) * 1e3, context
+
+    def _append(self, event: Mapping) -> None:
+        self._events.append(event)
         self._unflushed += 1
         if self.path is not None and self._unflushed >= self.flush_every:
             self.flush()
+
+    def emit(self, kind: str, **fields) -> Dict[str, Any]:
+        """Record one event; auto-stamps seq, relative time and context."""
+        seq, t_ms, context = self._stamp(kind)
+        event: Dict[str, Any] = {"kind": kind, "seq": seq, "t_ms": t_ms}
+        event.update(fields)
+        if context:
+            event["context"] = context
+        self._append(event)
         return event
 
     def candidate(
         self,
         plan,
-        fingerprint: str,
-        family: str,
         disposition: str,
         reason: Optional[str] = None,
         result=None,
@@ -241,32 +380,27 @@ class SearchLog:
         engine always supplies it; when absent, the log's own device
         (the header's) is stamped so every candidate record is
         self-describing even after logs from several devices are merged.
+        The plan's fingerprints, description and configuration and the
+        result's payload render when the record is first read.
         """
         if device is None and self.device is not None:
             device = self.device.name
-        fields: Dict[str, Any] = {
-            "fingerprint": fingerprint,
-            "family": family,
-            "plan": plan.describe(),
-            "config": _config_summary(plan),
-            "disposition": disposition,
-        }
-        if device is not None:
-            fields["device"] = device
-        if reason:
-            fields["reason"] = reason
-        if result is not None:
-            fields.update(_result_payload(result, self.device))
-        self.emit("candidate", **fields)
+        seq, t_ms, context = self._stamp("candidate")
+        key = f"candidate.{disposition}"
+        self._counts[key] = self._counts.get(key, 0) + 1
+        self._append(
+            _Row(
+                "candidate", seq, t_ms, context, plan, self.device,
+                disposition=disposition, device=device,
+                reason=reason or None, result=result,
+            )
+        )
 
-    def prune(self, plan, family: str, reason: str) -> None:
+    def prune(self, plan, reason: str) -> None:
         """A candidate resolved by the escalation logic without the model."""
-        self.emit(
-            "prune",
-            family=family,
-            plan=plan.describe(),
-            config=_config_summary(plan),
-            reason=reason,
+        seq, t_ms, context = self._stamp("prune")
+        self._append(
+            _Row("prune", seq, t_ms, context, plan, self.device, reason=reason)
         )
 
     def marker(self, kind: str, plan, **fields) -> None:
@@ -313,8 +447,6 @@ class SearchLog:
 
     def winner(self, outcome) -> None:
         """The pipeline's final choice, linked to its candidate records."""
-        from ..tuning.evaluator import plan_fingerprint
-
         self.emit(
             "winner",
             variant=outcome.variant,
@@ -322,7 +454,7 @@ class SearchLog:
             evaluations=outcome.evaluations,
             plans=[
                 {
-                    "fingerprint": plan_fingerprint(plan),
+                    "fingerprint": _fingerprint(plan),
                     "plan": plan.describe(),
                     "count": count,
                 }
@@ -351,7 +483,12 @@ class SearchLog:
 
     # -- reading / persistence ----------------------------------------------
 
-    def events(self) -> Tuple[Dict[str, Any], ...]:
+    def events(self) -> Tuple[Mapping, ...]:
+        """Every event so far, as read-only mappings.
+
+        ``candidate`` and ``prune`` events render their plan, config and
+        counter fields on first read; the rest are plain dicts.
+        """
         return tuple(self._events)
 
     def counts(self) -> Dict[str, int]:
@@ -362,12 +499,19 @@ class SearchLog:
         return self.counts().get("candidate", 0)
 
     def flush(self) -> None:
-        """Atomically write the complete JSONL stream (if a path is set)."""
+        """Atomically write the complete JSONL stream (if a path is set).
+
+        Each event is encoded once, at the first flush after it; later
+        flushes reuse its line.
+        """
         if self.path is None:
             return
-        lines = [json.dumps(event, default=str) for event in self._events]
+        self._lines.extend(
+            json.dumps(dict(event), default=str)
+            for event in self._events[len(self._lines):]
+        )
         self._unflushed = 0
-        atomic_write_text(self.path, "\n".join(lines) + "\n")
+        atomic_write_text(self.path, "\n".join(self._lines) + "\n")
 
     def close(self) -> None:
         if self._closed:

@@ -357,12 +357,7 @@ class PlanEvaluator:
         if self.search_log is None:
             return
         self.search_log.candidate(
-            plan,
-            fingerprint=plan_fingerprint(plan),
-            family=plan_fingerprint(plan, include_registers=False),
-            disposition=disposition,
-            reason=reason,
-            result=result,
+            plan, disposition, reason=reason, result=result,
             device=self.device.name,
         )
 
@@ -510,11 +505,7 @@ class PlanEvaluator:
             demand = self.register_demand(ir, plan)
         except INFEASIBLE as exc:
             if self.search_log is not None:
-                self.search_log.prune(
-                    plan,
-                    family=plan_fingerprint(plan, include_registers=False),
-                    reason=f"infeasible: {exc}",
-                )
+                self.search_log.prune(plan, reason=f"infeasible: {exc}")
             return None
         level = next((lv for lv in levels if demand <= lv), None)
         if level is None:
@@ -524,7 +515,6 @@ class PlanEvaluator:
             if self.search_log is not None:
                 self.search_log.prune(
                     plan,
-                    family=plan_fingerprint(plan, include_registers=False),
                     reason=(
                         f"spills at every register level "
                         f"(demand {demand} > {levels[-1]})"
@@ -776,11 +766,7 @@ class PlanEvaluator:
     def _prune_job(self, plan: KernelPlan, reason: str) -> None:
         with self._timed():
             if self.search_log is not None:
-                self.search_log.prune(
-                    plan,
-                    family=plan_fingerprint(plan, include_registers=False),
-                    reason=reason,
-                )
+                self.search_log.prune(plan, reason=reason)
             return None
 
     def _all_spill_job(
@@ -789,11 +775,7 @@ class PlanEvaluator:
         with self._timed():
             self.stats.rungs_skipped += rungs
             if self.search_log is not None:
-                self.search_log.prune(
-                    plan,
-                    family=plan_fingerprint(plan, include_registers=False),
-                    reason=reason,
-                )
+                self.search_log.prune(plan, reason=reason)
             return None
 
     def _spill_free_finalize(

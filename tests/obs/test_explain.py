@@ -169,3 +169,35 @@ class TestOnRealPipeline:
         report, _ = real_report
         text = format_explain(report)
         assert "winner" in text
+
+
+class TestRenderOnDemand:
+    def test_explain_renders_only_winner_and_runners(self, monkeypatch):
+        import repro.obs.search as search_module
+        from repro.gpu.device import P100
+
+        log = SearchLog(device=P100)
+        engine = PlanEvaluator(device=P100, search_log=log)
+        outcome = optimize(load_ir("7pt-smoother"), evaluator=engine)
+        rendered = []
+        payload = search_module._result_payload
+
+        def counted(result, device):
+            rendered.append(result)
+            return payload(result, device)
+
+        monkeypatch.setattr(search_module, "_result_payload", counted)
+        events = log.events()
+        candidates = sum(1 for e in events if e["kind"] == "candidate")
+        assert candidates == outcome.eval_stats.requests
+        assert not rendered
+        top_k = 3
+        report = build_explain(events, top_k=top_k)
+        (winner,) = [e for e in events if e["kind"] == "winner"]
+        assert 0 < len(rendered) <= top_k + len(winner["plans"])
+        assert report.winner_candidate is not None
+        assert len(report.runners) == top_k
+        # A rendered row is cached: reading it again renders nothing.
+        before = len(rendered)
+        build_explain(events, top_k=top_k)
+        assert len(rendered) == before

@@ -122,6 +122,37 @@ class TestJsonlRoundtrip:
             assert event["disposition"]
             assert "config" in event
 
+    def test_flush_encodes_each_event_once(
+        self, smoother_ir, tmp_path, monkeypatch
+    ):
+        import repro.obs.search as search_module
+
+        path = tmp_path / "search.jsonl"
+        log = SearchLog(path=str(path), flush_every=1)
+        engine = PlanEvaluator(search_log=log)
+        base = seed_plan_from_pragma(
+            smoother_ir, smoother_ir.kernels[0]
+        ).replace(placements=(("in", "shmem"),))
+        encoded = []
+        dumps = json.dumps
+
+        def counted(obj, **kwargs):
+            encoded.append(obj["seq"] if obj["kind"] != "header" else 0)
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(search_module.json, "dumps", counted)
+        for block in [(32, 4), (32, 8), (16, 8)]:
+            engine.try_evaluate(smoother_ir, base.replace(block=block))
+        engine.evaluate_spill_free(smoother_ir, base, levels=(8,))
+        log.emit("probe")
+        log.close()
+        monkeypatch.undo()
+        events = log.events()
+        assert sorted(encoded) == list(range(len(events)))
+        assert path.read_text().splitlines() == [
+            json.dumps(dict(event)) for event in events
+        ]
+
     def test_read_events_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "header"}\nnot json\n')
@@ -133,6 +164,74 @@ class TestJsonlRoundtrip:
         path.write_text('{"kind": "candidate"}\n')
         with pytest.raises(UsageError):
             read_events(str(path))
+
+
+class TestRows:
+    """Candidate and prune events are read-only rows that render their
+    plan, config and counter fields when first read."""
+
+    @pytest.fixture
+    def rows(self, smoother_ir, monkeypatch):
+        import repro.obs.search as search_module
+        from repro.gpu.device import P100
+
+        log = SearchLog(device=P100)
+        engine = PlanEvaluator(device=P100, search_log=log)
+        base = seed_plan_from_pragma(
+            smoother_ir, smoother_ir.kernels[0]
+        ).replace(placements=(("in", "shmem"),))
+        with log.context(stage="probe"):
+            engine.try_evaluate(smoother_ir, base)
+            engine.evaluate_spill_free(smoother_ir, base, levels=(8,))
+        renders = []
+        describe = type(base).describe
+
+        def counted(plan):
+            renders.append(plan)
+            return describe(plan)
+
+        monkeypatch.setattr(type(base), "describe", counted)
+        candidate, prune = log.events()[1:]
+        return candidate, prune, renders
+
+    def test_cheap_fields_render_nothing(self, rows):
+        candidate, prune, renders = rows
+        assert candidate["kind"] == "candidate"
+        assert candidate["disposition"] == "simulated"
+        assert candidate["device"] == "P100"
+        assert candidate["gflops"] > 0
+        assert candidate["context"] == {"stage": "probe"}
+        assert candidate.get("reason") is None
+        assert "reason" not in candidate
+        assert candidate.get("dropped", 1) == 1
+        assert prune["reason"].startswith("spills at every register level")
+        assert prune.get("disposition") is None
+        assert prune.get("fingerprint") is None
+        assert len(candidate["fingerprint"]) == 16
+        assert not renders
+
+    def test_reading_a_field_renders_the_record_once(self, rows):
+        candidate, prune, renders = rows
+        assert candidate["occupancy"] > 0
+        assert list(candidate) == [
+            "kind", "seq", "t_ms", "fingerprint", "family", "plan",
+            "config", "disposition", "device", "time_ms", "gflops",
+            "occupancy", "counters", "bottleneck", "context",
+        ]
+        assert dict(candidate)["plan"] == candidate["plan"]
+        assert list(prune) == [
+            "kind", "seq", "t_ms", "family", "plan", "config", "reason",
+            "context",
+        ]
+        assert prune["family"] and prune["config"]
+        assert len(renders) == 2
+
+    def test_rows_are_read_only(self, rows):
+        candidate, _, _ = rows
+        with pytest.raises(TypeError):
+            candidate["plan"] = "x"
+        with pytest.raises(KeyError):
+            candidate["dropped"]
 
 
 class TestAccountingInvariant:
@@ -244,4 +343,4 @@ class TestPipelineEvents:
     def test_json_serializable(self, pipeline_log):
         log, _ = pipeline_log
         for event in log.events():
-            json.dumps(event, default=str)
+            json.dumps(dict(event))

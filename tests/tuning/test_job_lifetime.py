@@ -131,3 +131,41 @@ def test_rejected_family_leaves_no_cyclic_garbage(smoother_ir, base_plan):
     finally:
         gc.enable()
     assert garbage == 0
+
+
+def test_search_log_outliving_the_job_holds_no_ir_or_evaluator():
+    # The CLI keeps its SearchLog after the engine is gone and renders
+    # the events only then (--explain, --json, the JSONL flush).  The
+    # rows hold frozen plans and results, never the evaluator or the IR.
+    device = get_device("P100")
+
+    def job(read_inside):
+        ir = build_ir(parse(BENCHMARKS["7pt-smoother"].dsl()))
+        engine = PlanEvaluator(device=device)
+        log = SearchLog(device=device)
+        engine.search_log = log
+        optimize(ir, device=device, evaluator=engine)
+        if read_inside:
+            return _rendered(log)
+        return weakref.ref(ir), weakref.ref(engine), log
+
+    expected = job(read_inside=True)
+    gc.collect()
+    gc.disable()
+    try:
+        ir_ref, engine_ref, log = job(read_inside=False)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert ir_ref() is None
+    assert engine_ref() is None
+    assert garbage == 0
+    assert _rendered(log) == expected
+
+
+def _rendered(log):
+    """Every event of ``log`` read in full, without its timestamps."""
+    return [
+        {k: v for k, v in event.items() if k not in ("t_ms", "t0_s")}
+        for event in log.events()
+    ]
