@@ -101,8 +101,10 @@ class _ExprRenderer:
                 f"{self.render(expr.right)})"
             )
         if isinstance(expr, Call):
-            args = ", ".join(self.render(a) for a in expr.args)
-            return f"{expr.func}({args})"
+            args = []
+            for arg in expr.args:  # a loop: one interpreter frame per nested call
+                args.append(self.render(arg))
+            return f"{expr.func}({', '.join(args)})"
         assert isinstance(expr, ArrayAccess)
         return self.render_access(expr)
 

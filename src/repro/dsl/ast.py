@@ -215,30 +215,70 @@ class Call:
 
 
 def walk(expr: Expr) -> Iterator[Expr]:
-    """Yield ``expr`` and all sub-expressions in pre-order."""
-    yield expr
-    if isinstance(expr, BinOp):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from walk(expr.operand)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            yield from walk(arg)
+    """Yield ``expr`` and all sub-expressions in pre-order.
+
+    An explicit stack instead of recursion: each node is yielded once,
+    not re-yielded through every ancestor, and tree depth is bounded by
+    memory rather than by the interpreter's recursion limit.
+    """
+    stack = [expr]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node = pop()
+        yield node
+        cls = type(node)
+        if cls is BinOp:
+            push(node.right)
+            push(node.left)
+        elif cls is UnaryOp:
+            push(node.operand)
+        elif cls is Call:
+            stack.extend(reversed(node.args))
+
+
+_NO_REFS: Tuple[tuple, tuple] = ((), ())
+
+
+def _refs(expr: Expr) -> Tuple[Tuple[ArrayAccess, ...], Tuple[str, ...]]:
+    """``(accesses, names)`` of ``expr`` in pre-order, repeats included.
+
+    Expression nodes are frozen, so the pair of an interior node is
+    computed by one walk on first use and pinned on the node; it dies
+    with its tree.  Leaves answer directly, which also keeps an
+    ``ArrayAccess`` from pinning a tuple that holds itself (a reference
+    cycle only the garbage collector could free).
+    """
+    cls = type(expr)
+    if cls is ArrayAccess:
+        return (expr,), ()
+    if cls is Name:
+        return (), (expr.id,)
+    if cls is Num:
+        return _NO_REFS
+    refs = expr.__dict__.get("_refs")
+    if refs is None:
+        accesses = []
+        names = []
+        for node in walk(expr):
+            kind = type(node)
+            if kind is ArrayAccess:
+                accesses.append(node)
+            elif kind is Name:
+                names.append(node.id)
+        refs = (tuple(accesses), tuple(names))
+        object.__setattr__(expr, "_refs", refs)
+    return refs
 
 
 def array_accesses(expr: Expr) -> Iterator[ArrayAccess]:
     """Yield every ArrayAccess in ``expr`` (with repetition)."""
-    for node in walk(expr):
-        if isinstance(node, ArrayAccess):
-            yield node
+    return iter(_refs(expr)[0])
 
 
 def scalar_names(expr: Expr) -> Iterator[str]:
     """Yield every scalar Name referenced in ``expr`` (with repetition)."""
-    for node in walk(expr):
-        if isinstance(node, Name):
-            yield node.id
+    return iter(_refs(expr)[1])
 
 
 # ---------------------------------------------------------------------------

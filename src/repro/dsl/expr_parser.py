@@ -6,7 +6,8 @@ unary plus/minus, parentheses, and calls to a small set of math
 intrinsics.  Index expressions are parsed as general expressions and then
 lowered to :class:`~repro.dsl.ast.AffineIndex`; a non-affine subscript is
 a parse error, mirroring the affine-access restriction stated in
-Section II of the paper.
+Section II of the paper.  So is an expression nested past
+:data:`MAX_EXPR_DEPTH` or :data:`MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -37,8 +38,28 @@ INTRINSICS = {
 }
 
 
+#: Deepest expression tree a statement may build, counted in nodes on
+#: the longest root-to-leaf path: a sum of ``n`` terms is ``n`` deep, and
+#: each unary minus or call adds a level.  The IR passes and the code
+#: generators recurse over expression trees, so a deeper tree would end
+#: in the interpreter's recursion limit instead of a diagnostic.
+MAX_EXPR_DEPTH = 900
+
+#: Deepest nesting of parentheses, call argument lists and array
+#: subscripts: the constructs the expression parser recurses on.
+MAX_NESTING = 256
+
+# Operator sets for the one-lookahead decisions below.  Only PUNCT tokens
+# carry these values (an ID, number or directive never does), so testing
+# the current token's value alone decides.
+_ADDITIVE = frozenset(("+", "-"))
+_MULTIPLICATIVE = frozenset(("*", "/"))
+
+
 class TokenStream:
     """A cursor over a token list with one-token lookahead helpers."""
+
+    __slots__ = ("_tokens", "_pos")
 
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
@@ -49,20 +70,20 @@ class TokenStream:
         return self._tokens[self._pos]
 
     def at(self, kind: str, value: Optional[str] = None) -> bool:
-        tok = self.current
+        tok = self._tokens[self._pos]
         return tok.kind == kind and (value is None or tok.value == value)
 
     def at_punct(self, value: str) -> bool:
         return self.at(lexer.PUNCT, value)
 
     def advance(self) -> Token:
-        tok = self.current
+        tok = self._tokens[self._pos]
         if tok.kind != lexer.EOF:
             self._pos += 1
         return tok
 
     def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        tok = self.current
+        tok = self._tokens[self._pos]
         if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
             raise ParseError(
@@ -75,16 +96,34 @@ class TokenStream:
     def expect_punct(self, value: str) -> Token:
         return self.expect(lexer.PUNCT, value)
 
-    def save(self) -> int:
-        return self._pos
 
-    def restore(self, pos: int) -> None:
-        self._pos = pos
+class _TooDeep(Exception):
+    """An expression passed a nesting limit; reported at its statement."""
 
 
-def parse_expression(stream: TokenStream) -> Expr:
-    """Parse an additive expression from the stream."""
-    return _parse_additive(stream)
+def parse_expression(stream: TokenStream, where: Optional[Token] = None) -> Expr:
+    """Parse an additive expression from the stream.
+
+    An expression past :data:`MAX_EXPR_DEPTH` or :data:`MAX_NESTING`
+    raises :class:`ParseError` at ``where`` (the enclosing statement's
+    first token), or at the expression's first token when omitted.
+    """
+    where = where or stream.current
+    try:
+        return _parse_sum(stream, 0)[0]
+    except _TooDeep as exc:
+        raise ParseError(str(exc), where.line, where.col) from None
+
+
+def parse_array_access(stream: TokenStream, name_tok: Token) -> ArrayAccess:
+    """Parse the subscripts following ``name_tok`` (an assignment target).
+
+    Nesting-limit errors are reported at ``name_tok``.
+    """
+    try:
+        return _parse_array_access(stream, name_tok, 0)
+    except _TooDeep as exc:
+        raise ParseError(str(exc), name_tok.line, name_tok.col) from None
 
 
 def parse_expr_text(text: str) -> Expr:
@@ -95,68 +134,117 @@ def parse_expr_text(text: str) -> Expr:
     return expr
 
 
-def _parse_additive(stream: TokenStream) -> Expr:
-    left = _parse_multiplicative(stream)
-    while stream.at_punct("+") or stream.at_punct("-"):
-        op = stream.advance().value
-        right = _parse_multiplicative(stream)
-        left = BinOp(op, left, right)
-    return left
+# The recursive-descent functions return ``(tree, depth)`` so the depth
+# limit is enforced as nodes are built, without another pass; ``nest``
+# counts the enclosing parentheses, calls and subscripts.
 
 
-def _parse_multiplicative(stream: TokenStream) -> Expr:
-    left = _parse_unary(stream)
-    while stream.at_punct("*") or stream.at_punct("/"):
-        op = stream.advance().value
-        right = _parse_unary(stream)
-        left = BinOp(op, left, right)
-    return left
+def _too_deep() -> _TooDeep:
+    return _TooDeep(f"expression is nested more than {MAX_EXPR_DEPTH} levels deep")
 
 
-def _parse_unary(stream: TokenStream) -> Expr:
-    if stream.at_punct("-") or stream.at_punct("+"):
-        op = stream.advance().value
-        operand = _parse_unary(stream)
-        if op == "+":
-            return operand
-        return UnaryOp("-", operand)
-    return _parse_primary(stream)
+def _nested(nest: int) -> int:
+    if nest >= MAX_NESTING:
+        raise _TooDeep(
+            f"more than {MAX_NESTING} nested parentheses, calls or subscripts"
+        )
+    return nest + 1
 
 
-def _parse_primary(stream: TokenStream) -> Expr:
+def _join(
+    op: str, left: Expr, left_depth: int, right: Expr, right_depth: int
+) -> Tuple[Expr, int]:
+    depth = 1 + (left_depth if left_depth > right_depth else right_depth)
+    if depth > MAX_EXPR_DEPTH:
+        raise _too_deep()
+    return BinOp(op, left, right), depth
+
+
+def _parse_sum(stream: TokenStream, nest: int) -> Tuple[Expr, int]:
+    """``product (('+'|'-') product)*`` with ``product`` being
+    ``operand (('*'|'/') operand)*``.
+
+    Both precedence levels share one loop, so a nested parenthesis costs
+    two interpreter frames (this and :func:`_parse_operand`), not four.
+    """
+    total: Optional[Expr] = None
+    total_depth = 0
+    add_op = ""
+    while True:
+        term, depth = _parse_operand(stream, nest)
+        op = stream.current.value
+        while op in _MULTIPLICATIVE:
+            stream.advance()
+            right, right_depth = _parse_operand(stream, nest)
+            term, depth = _join(op, term, depth, right, right_depth)
+            op = stream.current.value
+        if total is not None:
+            term, depth = _join(add_op, total, total_depth, term, depth)
+        if op not in _ADDITIVE:
+            return term, depth
+        stream.advance()
+        total, total_depth, add_op = term, depth, op
+
+
+def _parse_operand(stream: TokenStream, nest: int) -> Tuple[Expr, int]:
+    """Leading unary signs (a ``+`` is dropped), then a primary."""
     tok = stream.current
-    if tok.kind == lexer.INT:
+    negations = 0
+    while tok.value in _ADDITIVE:
+        if tok.value == "-":
+            negations += 1
         stream.advance()
-        return Num(float(int(tok.value)), is_int=True)
-    if tok.kind == lexer.FLOAT:
+        tok = stream.current
+    kind = tok.kind
+    if kind == lexer.ID:
         stream.advance()
-        return Num(float(tok.value), is_int=False)
-    if tok.kind == lexer.ID:
+        follow = stream.current.value
+        if follow == "(":
+            expr, depth = _parse_call(stream, tok, _nested(nest))
+        elif follow == "[":
+            expr, depth = _parse_array_access(stream, tok, _nested(nest)), 1
+        else:
+            expr, depth = Name(tok.value), 1
+    elif kind == lexer.INT:
         stream.advance()
-        if stream.at_punct("("):
-            return _parse_call(stream, tok)
-        if stream.at_punct("["):
-            return _parse_array_access(stream, tok)
-        return Name(tok.value)
-    if stream.at_punct("("):
+        expr, depth = Num(float(int(tok.value)), is_int=True), 1
+    elif kind == lexer.FLOAT:
         stream.advance()
-        inner = _parse_additive(stream)
+        expr, depth = Num(float(tok.value), is_int=False), 1
+    elif tok.value == "(":
+        nest = _nested(nest)
+        stream.advance()
+        expr, depth = _parse_sum(stream, nest)
         stream.expect_punct(")")
-        return inner
-    raise ParseError(f"unexpected token {tok.value or tok.kind!r}", tok.line, tok.col)
+    else:
+        raise ParseError(
+            f"unexpected token {tok.value or tok.kind!r}", tok.line, tok.col
+        )
+    if negations:
+        depth += negations
+        if depth > MAX_EXPR_DEPTH:
+            raise _too_deep()
+        for _ in range(negations):
+            expr = UnaryOp("-", expr)
+    return expr, depth
 
 
-def _parse_call(stream: TokenStream, name_tok: Token) -> Expr:
+def _parse_call(stream: TokenStream, name_tok: Token, nest: int) -> Tuple[Expr, int]:
     func = name_tok.value
     if func not in INTRINSICS:
         raise ParseError(f"unknown function {func!r}", name_tok.line, name_tok.col)
-    stream.expect_punct("(")
+    stream.advance()  # '('
     args: List[Expr] = []
-    if not stream.at_punct(")"):
-        args.append(_parse_additive(stream))
-        while stream.at_punct(","):
+    depth = 0
+    if stream.current.value != ")":
+        while True:
+            arg, arg_depth = _parse_sum(stream, nest)
+            args.append(arg)
+            if arg_depth > depth:
+                depth = arg_depth
+            if stream.current.value != ",":
+                break
             stream.advance()
-            args.append(_parse_additive(stream))
     stream.expect_punct(")")
     arity = INTRINSICS[func]
     if len(args) != arity:
@@ -165,14 +253,18 @@ def _parse_call(stream: TokenStream, name_tok: Token) -> Expr:
             name_tok.line,
             name_tok.col,
         )
-    return Call(func, tuple(args))
+    if depth >= MAX_EXPR_DEPTH:
+        raise _too_deep()
+    return Call(func, tuple(args)), depth + 1
 
 
-def _parse_array_access(stream: TokenStream, name_tok: Token) -> ArrayAccess:
+def _parse_array_access(
+    stream: TokenStream, name_tok: Token, nest: int
+) -> ArrayAccess:
     indices: List[AffineIndex] = []
-    while stream.at_punct("["):
+    while stream.current.value == "[":
         open_tok = stream.advance()
-        idx_expr = _parse_additive(stream)
+        idx_expr = _parse_sum(stream, nest)[0]
         stream.expect_punct("]")
         indices.append(lower_affine(idx_expr, open_tok))
     return ArrayAccess(name_tok.value, tuple(indices))

@@ -17,8 +17,7 @@ whose value is the raw directive text; the directive sub-parsers in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, NamedTuple
 
 from .errors import LexError
 
@@ -36,9 +35,13 @@ _TWO_CHAR_OPS = ("+=", "-=", "*=", "/=", "==", "<=", ">=", "!=")
 _SINGLE_CHARS = set("()[]{},;=+-*/<>!?:")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token with its source location."""
+class Token(NamedTuple):
+    """A single lexical token with its source location.
+
+    A tuple rather than a frozen dataclass: the lexer builds one per
+    token of every parsed program, and a tuple is constructed and read
+    several times faster.
+    """
 
     kind: str
     value: str

@@ -42,7 +42,7 @@ from .ast import (
     VarDecl,
 )
 from .errors import ParseError
-from .expr_parser import TokenStream, parse_expression
+from .expr_parser import TokenStream, parse_array_access, parse_expression
 from .pragmas import parse_assign, parse_pragma
 from .validate import validate_program
 
@@ -283,16 +283,14 @@ class _ProgramParser:
             dtype = s.advance().value
             name = s.expect(lexer.ID).value
             s.expect_punct("=")
-            init = parse_expression(s)
+            init = parse_expression(s, where=tok)
             s.expect_punct(";")
             return LocalDecl(name, dtype, init, span=_span(tok))
         # Assignment: lhs (= | +=) rhs ;
         name_tok = s.expect(lexer.ID)
         lhs: object
         if s.at_punct("["):
-            from .expr_parser import _parse_array_access  # shared helper
-
-            lhs = _parse_array_access(s, name_tok)
+            lhs = parse_array_access(s, name_tok)
         else:
             lhs = Name(name_tok.value)
         op_tok = s.current
@@ -304,7 +302,7 @@ class _ProgramParser:
                 op_tok.line,
                 op_tok.col,
             )
-        rhs = parse_expression(s)
+        rhs = parse_expression(s, where=name_tok)
         s.expect_punct(";")
         assert isinstance(lhs, (ArrayAccess, Name))
         return Assignment(lhs, rhs, op=op_tok.value, span=_span(name_tok))

@@ -40,8 +40,10 @@ def format_expr(expr: Expr, parent_prec: int = 0, right_side: bool = False) -> s
     if isinstance(expr, ArrayAccess):
         return str(expr)
     if isinstance(expr, Call):
-        args = ", ".join(format_expr(a) for a in expr.args)
-        return f"{expr.func}({args})"
+        args = []
+        for arg in expr.args:  # a loop: one interpreter frame per nested call
+            args.append(format_expr(arg))
+        return f"{expr.func}({', '.join(args)})"
     if isinstance(expr, UnaryOp):
         inner = format_expr(expr.operand, parent_prec=3)
         text = f"-{inner}"

@@ -127,7 +127,10 @@ class _Frame:
                 return left * right
             return left / right
         if isinstance(expr, Call):
-            return _CALL_IMPL[expr.func](*(self.eval(a) for a in expr.args))
+            args = []
+            for arg in expr.args:  # a loop: one interpreter frame per nested call
+                args.append(self.eval(arg))
+            return _CALL_IMPL[expr.func](*args)
         assert isinstance(expr, ArrayAccess)
         return self.read(expr)
 

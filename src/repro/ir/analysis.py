@@ -100,7 +100,10 @@ def count_flops(expr: Expr) -> int:
     if isinstance(expr, BinOp):
         return 1 + count_flops(expr.left) + count_flops(expr.right)
     if isinstance(expr, Call):
-        return CALL_FLOPS.get(expr.func, 1) + sum(count_flops(a) for a in expr.args)
+        flops = CALL_FLOPS.get(expr.func, 1)
+        for arg in expr.args:  # a loop: one interpreter frame per nested call
+            flops += count_flops(arg)
+        return flops
     raise TypeError(type(expr).__name__)
 
 

@@ -206,5 +206,8 @@ def _rewrite(expr: Expr, by_members) -> Expr:
     if isinstance(expr, UnaryOp):
         return UnaryOp(expr.op, _rewrite(expr.operand, by_members))
     if isinstance(expr, Call):
-        return Call(expr.func, tuple(_rewrite(a, by_members) for a in expr.args))
+        args = []
+        for arg in expr.args:  # a loop: one interpreter frame per nested call
+            args.append(_rewrite(arg, by_members))
+        return Call(expr.func, tuple(args))
     return expr

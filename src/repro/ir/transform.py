@@ -36,9 +36,12 @@ def map_expr(
             map_expr(expr.right, on_access, on_name),
         )
     if isinstance(expr, Call):
-        return Call(
-            expr.func, tuple(map_expr(a, on_access, on_name) for a in expr.args)
-        )
+        # A loop, not a generator: one interpreter frame per nested call,
+        # so a tree within the parser's MAX_EXPR_DEPTH stays in the stack.
+        args = []
+        for arg in expr.args:
+            args.append(map_expr(arg, on_access, on_name))
+        return Call(expr.func, tuple(args))
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
