@@ -59,8 +59,6 @@ _MULTIPLICATIVE = frozenset(("*", "/"))
 class TokenStream:
     """A cursor over a token list with one-token lookahead helpers."""
 
-    __slots__ = ("_tokens", "_pos")
-
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._pos = 0
@@ -70,20 +68,20 @@ class TokenStream:
         return self._tokens[self._pos]
 
     def at(self, kind: str, value: Optional[str] = None) -> bool:
-        tok = self._tokens[self._pos]
+        tok = self.current
         return tok.kind == kind and (value is None or tok.value == value)
 
     def at_punct(self, value: str) -> bool:
         return self.at(lexer.PUNCT, value)
 
     def advance(self) -> Token:
-        tok = self._tokens[self._pos]
+        tok = self.current
         if tok.kind != lexer.EOF:
             self._pos += 1
         return tok
 
     def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        tok = self._tokens[self._pos]
+        tok = self.current
         if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
             raise ParseError(

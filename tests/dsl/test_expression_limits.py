@@ -92,7 +92,7 @@ def test_nested_calls_count_towards_the_nesting_cap():
     assert str(MAX_NESTING) in str(info.value)
 
 
-def repro(*args):
+def run_cli(*args):
     """Run the CLI in a fresh interpreter, at the stack depth users get."""
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
@@ -107,9 +107,9 @@ def repro(*args):
 def test_program_at_the_cap_optimizes_and_emits_cuda(kind, tmp_path):
     path = tmp_path / f"{kind}.stencil"
     path.write_text(AT_CAP[kind])
-    tuned = repro("optimize", str(path))
+    tuned = run_cli("optimize", str(path))
     assert tuned.returncode == 0, tuned.stderr
-    emitted = repro("cuda", str(path))
+    emitted = run_cli("cuda", str(path))
     assert emitted.returncode == 0, emitted.stderr
     assert "__global__" in emitted.stdout
 
@@ -118,7 +118,7 @@ def test_program_at_the_cap_optimizes_and_emits_cuda(kind, tmp_path):
 def test_cli_exits_3_with_one_error_line(kind, tmp_path):
     path = tmp_path / f"{kind}.stencil"
     path.write_text(PAST_CAP[kind])
-    proc = repro("optimize", str(path))
+    proc = run_cli("optimize", str(path))
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
