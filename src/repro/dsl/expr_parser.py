@@ -8,11 +8,16 @@ lowered to :class:`~repro.dsl.ast.AffineIndex`; a non-affine subscript is
 a parse error, mirroring the affine-access restriction stated in
 Section II of the paper.  So is an expression nested past
 :data:`MAX_EXPR_DEPTH` or :data:`MAX_NESTING`.
+
+The stencil subscripts ``[it]``, ``[it+c]``, ``[it-c]`` and ``[c]`` make
+up nearly every subscript of a real program.  Each distinct one is
+parsed and lowered once per parse; later occurrences reuse the same
+:class:`~repro.dsl.ast.AffineIndex` from the stream's table.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import lexer
 from .ast import AffineIndex, ArrayAccess, BinOp, Call, Expr, Name, Num, UnaryOp
@@ -62,6 +67,8 @@ class TokenStream:
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._pos = 0
+        #: Lowered subscripts of this parse, keyed by :meth:`subscript_key`.
+        self.subscripts: Dict[tuple, AffineIndex] = {}
 
     @property
     def current(self) -> Token:
@@ -93,6 +100,33 @@ class TokenStream:
 
     def expect_punct(self, value: str) -> Token:
         return self.expect(lexer.PUNCT, value)
+
+    def subscript_key(self) -> Optional[Tuple[tuple, int]]:
+        """``(key, width)`` of the subscript at the cursor, when it is
+        ``[it]``, ``[it+c]``, ``[it-c]`` or ``[c]``.
+
+        The cursor is on the ``[``; ``key`` is built from the tokens
+        inside the brackets (a lone INT keeps its kind, so it cannot meet
+        a lone ID) and ``width`` counts the tokens up to and including the
+        ``]``.  Any other subscript gives None.
+        """
+        tokens, pos = self._tokens, self._pos
+        first = tokens[pos + 1]
+        if first.kind == lexer.ID:
+            second = tokens[pos + 2]
+            if second.value == "]":
+                return (first.value,), 3
+            if second.value in _ADDITIVE:
+                third = tokens[pos + 3]
+                if third.kind == lexer.INT and tokens[pos + 4].value == "]":
+                    return (first.value, second.value, third.value), 5
+        elif first.kind == lexer.INT and tokens[pos + 2].value == "]":
+            return (first.kind, first.value), 3
+        return None
+
+    def skip(self, count: int) -> None:
+        """Move the cursor past ``count`` tokens known not to include EOF."""
+        self._pos += count
 
 
 class _TooDeep(Exception):
@@ -260,11 +294,22 @@ def _parse_array_access(
     stream: TokenStream, name_tok: Token, nest: int
 ) -> ArrayAccess:
     indices: List[AffineIndex] = []
+    interned = stream.subscripts
     while stream.current.value == "[":
+        simple = stream.subscript_key()
+        if simple is not None:
+            index = interned.get(simple[0])
+            if index is not None:
+                stream.skip(simple[1])
+                indices.append(index)
+                continue
         open_tok = stream.advance()
         idx_expr = _parse_sum(stream, nest)[0]
         stream.expect_punct("]")
-        indices.append(lower_affine(idx_expr, open_tok))
+        index = lower_affine(idx_expr, open_tok)
+        if simple is not None:
+            interned[simple[0]] = index
+        indices.append(index)
     return ArrayAccess(name_tok.value, tuple(indices))
 
 

@@ -13,11 +13,19 @@ line-oriented and handled specially:
 The lexer turns those into a single :class:`Token` of kind ``DIRECTIVE``
 whose value is the raw directive text; the directive sub-parsers in
 :mod:`repro.dsl.pragmas` tokenize the payload on their own.
+
+Scanning is one pass of a compiled master pattern (:data:`_TOKEN`) over
+the comment-stripped text.  The pattern classifies ASCII exactly; a
+token that starts at, or a number that touches, a non-ASCII character is
+finished by ``str.isalpha``/``str.isdigit`` rules instead, because the
+regex classes ``\\d`` and ``[^\\W\\d]`` are not ``isdigit`` and
+``isalpha`` (``"²".isdigit()`` holds, ``"²"`` is no ``\\d``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple
+import re
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .errors import LexError
 
@@ -25,14 +33,9 @@ from .errors import LexError
 ID = "ID"
 INT = "INT"
 FLOAT = "FLOAT"
-PUNCT = "PUNCT"  # one of ( ) [ ] { } , ; = + - * / < > ! ? :
+PUNCT = "PUNCT"  # one of ( ) [ ] { } , ; = + - * / < > ! ? :  or += -= ...
 DIRECTIVE = "DIRECTIVE"  # '#pragma ...' or '#assign ...' up to end of line
 EOF = "EOF"
-
-#: Multi-character operators recognized as single PUNCT tokens.
-_TWO_CHAR_OPS = ("+=", "-=", "*=", "/=", "==", "<=", ">=", "!=")
-
-_SINGLE_CHARS = set("()[]{},;=+-*/<>!?:")
 
 
 class Token(NamedTuple):
@@ -52,104 +55,140 @@ class Token(NamedTuple):
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.col})"
 
 
+#: ``tuple.__new__(Token, fields)`` skips the NamedTuple ``__new__``
+#: wrapper, halving the cost of building a token.
+_new = tuple.__new__
+
+# An exponent is taken only when a digit or a sign follows the 'e'; a
+# sign is then consumed even if no digit follows it ("1e+" is a FLOAT).
+_EXPONENT = r"[eE](?=[0-9+-])[+-]?[0-9]*"
+
+#: One token (after optional blanks) per match.  Group numbers are the
+#: dispatch keys in :func:`tokenize`; the most frequent kinds come
+#: first.  A trailing ``f``/``F`` suffix on a number is consumed but is
+#: not part of its value.  ``\w`` is exactly ``str.isalnum() or "_"``,
+#: so identifiers may continue with any Unicode letter or digit.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"([-+*/=<>!]=|[()\[\]{},;=+\-*/<>!?:])"  # 1 PUNCT
+    r"|([A-Za-z_]\w*)"  # 2 ID
+    r"|(\n)"  # 3 newline
+    r"|((?:[0-9]+\.[0-9]*|\.[0-9]+)(?:" + _EXPONENT + r")?"
+    r"|[0-9]+" + _EXPONENT + r")[fF]?"  # 4 FLOAT
+    r"|([0-9]+)[fF]?"  # 5 INT
+    r"|(#[^\n]*)"  # 6 DIRECTIVE
+    r"|([^ \t\r])"  # 7 anything else: non-ASCII start or an error
+    r"|\Z)"  # trailing blanks
+)
+_PUNCT_G, _ID_G, _NEWLINE_G, _FLOAT_G, _INT_G, _DIRECTIVE_G = 1, 2, 3, 4, 5, 6
+
+#: A comment; an unterminated block comment matches as the bare ``/*``.
+_COMMENT = re.compile(r"//[^\n]*|/\*(?:.*?\*/)?", re.S)
+
+
+def _blank_comment(match: "re.Match[str]") -> str:
+    text = match.group()
+    if text == "/*":
+        source = match.string
+        line = source.count("\n", 0, match.start()) + 1
+        raise LexError("unterminated block comment", line, 1)
+    return "\n".join(" " * len(part) for part in text.split("\n"))
+
+
 def _strip_comments(source: str) -> str:
     """Replace comments with spaces, preserving line/column structure."""
-    out: List[str] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                out.append(" ")
-                i += 1
-        elif ch == "/" and i + 1 < n and source[i + 1] == "*":
-            depth_end = source.find("*/", i + 2)
-            if depth_end == -1:
-                raise LexError("unterminated block comment", _line_of(source, i), 1)
-            for j in range(i, depth_end + 2):
-                out.append("\n" if source[j] == "\n" else " ")
-            i = depth_end + 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def _line_of(source: str, pos: int) -> int:
-    return source.count("\n", 0, pos) + 1
+    return _COMMENT.sub(_blank_comment, source)
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize DSL source text into a list of tokens ending with EOF."""
-    return list(iter_tokens(source))
+    text = _strip_comments(source)
+    ascii_text = text.isascii()
+    tokens: List[Token] = []
+    append = tokens.append
+    line = 1
+    base = -1  # index of the last newline: a token at ``pos`` has col pos - base
+    pos = 0
+    while pos is not None:
+        resume = None
+        for m in _TOKEN.finditer(text, pos):
+            g = m.lastindex
+            if g == _PUNCT_G:
+                append(_new(Token, (PUNCT, m.group(g), line, m.start(g) - base)))
+            elif g == _ID_G:
+                append(_new(Token, (ID, m.group(g), line, m.start(g) - base)))
+            elif g == _NEWLINE_G:
+                line += 1
+                base = m.start(g)
+            elif g == _FLOAT_G or g == _INT_G:
+                start = m.start(g)
+                if not ascii_text and not text[start : m.end() + 2].isascii():
+                    kind, value, resume = _scan_number(text, start)
+                    append(_new(Token, (kind, value, line, start - base)))
+                    break
+                kind = FLOAT if g == _FLOAT_G else INT
+                append(_new(Token, (kind, m.group(g), line, start - base)))
+            elif g == _DIRECTIVE_G:
+                value = m.group(g).rstrip()
+                append(_new(Token, (DIRECTIVE, value, line, m.start(g) - base)))
+            elif g is not None:
+                start = m.start(g)
+                kind, value, resume = _scan_other(text, start, line, start - base)
+                append(_new(Token, (kind, value, line, start - base)))
+                break
+        pos = resume
+    append(_new(Token, (EOF, "", line, len(text) - base)))
+    return tokens
 
 
 def iter_tokens(source: str) -> Iterator[Token]:
     """Yield tokens for ``source``; the final token has kind ``EOF``."""
-    text = _strip_comments(source)
-    i, n = 0, len(text)
-    line, line_start = 1, 0
+    return iter(tokenize(source))
 
-    def col(pos: int) -> int:
-        return pos - line_start + 1
 
+def _scan_other(text: str, i: int, line: int, col: int) -> Tuple[str, str, int]:
+    """Finish a token the master pattern leaves to ``str`` methods.
+
+    ``text[i]`` is a non-ASCII character or an ASCII character no token
+    starts with.  Returns ``(kind, value, end)`` or raises LexError.
+    """
+    ch = text[i]
+    if ch.isalpha():
+        end = i + 1
+        while end < len(text) and (text[end].isalnum() or text[end] == "_"):
+            end += 1
+        return ID, text[i:end], end
+    if ch.isdigit() or (ch == "." and text[i + 1 : i + 2].isdigit()):
+        return _scan_number(text, i)
+    raise LexError(f"unexpected character {ch!r}", line, col)
+
+
+def _scan_number(text: str, i: int) -> Tuple[str, str, int]:
+    """Scan a number at ``text[i]`` with ``str.isdigit`` as the digit test.
+
+    Same rules as the ``FLOAT``/``INT`` groups of :data:`_TOKEN`, for a
+    number that touches a non-ASCII character.  Returns
+    ``(kind, value, end)``; ``end`` is past any ``f`` suffix.
+    """
+    start, n = i, len(text)
+    seen_dot = seen_exp = False
     while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
+        c = text[i]
+        if c.isdigit():
             i += 1
-            line_start = i
-            continue
-        if ch in " \t\r":
+        elif c == "." and not seen_dot and not seen_exp:
+            seen_dot = True
             i += 1
-            continue
-        if ch == "#":
-            start = i
-            while i < n and text[i] != "\n":
-                i += 1
-            yield Token(DIRECTIVE, text[start:i].rstrip(), line, col(start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            yield Token(ID, text[start:i], line, col(start))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            seen_dot = False
-            seen_exp = False
-            while i < n:
-                c = text[i]
-                if c.isdigit():
-                    i += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    i += 1
-                elif c in "eE" and not seen_exp and i + 1 < n and (
-                    text[i + 1].isdigit() or text[i + 1] in "+-"
-                ):
-                    seen_exp = True
-                    i += 1
-                    if text[i] in "+-":
-                        i += 1
-                else:
-                    break
-            value = text[start:i]
-            # A trailing 'f' suffix (C float literal) is tolerated.
-            if i < n and text[i] in "fF":
-                i += 1
-            kind = FLOAT if (seen_dot or seen_exp) else INT
-            yield Token(kind, value, line, col(start))
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            yield Token(PUNCT, two, line, col(i))
-            i += 2
-            continue
-        if ch in _SINGLE_CHARS:
-            yield Token(PUNCT, ch, line, col(i))
+        elif c in "eE" and not seen_exp and i + 1 < n and (
+            text[i + 1].isdigit() or text[i + 1] in "+-"
+        ):
+            seen_exp = True
             i += 1
-            continue
-        raise LexError(f"unexpected character {ch!r}", line, col(i))
-    yield Token(EOF, "", line, col(i))
+            if text[i] in "+-":
+                i += 1
+        else:
+            break
+    value = text[start:i]
+    if i < n and text[i] in "fF":
+        i += 1
+    return (FLOAT if seen_dot or seen_exp else INT), value, i

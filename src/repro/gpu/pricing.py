@@ -33,7 +33,9 @@ the scalar code's *exact* operation order:
   resolved once at :class:`FamilyStructure` build time;
 * lanes that fail the occupancy screen fall back to the scalar
   :func:`repro.gpu.occupancy.occupancy` call to reproduce the exact
-  exception message, context and RL2xx classification.
+  exception message, context and RL2xx classification, when that
+  rejection is first read (:class:`PricedLane` builds its result and
+  its rejection on demand).
 
 Feasible lanes yield :class:`~repro.gpu.counters.SimulationResult`
 objects equal (``==``, field for field) to what ``simulate`` returns.
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,7 +120,6 @@ def reset_priced_lanes() -> int:
     return previous
 
 
-@dataclass
 class PricedLane:
     """One candidate's price, in scalar-path terms.
 
@@ -127,17 +128,183 @@ class PricedLane:
     and ``occ_message`` / ``occ_context`` / ``occ_code`` carry exactly
     what :func:`repro.gpu.simulator.plan_occupancy` would raise and how
     the lint layer classifies it.
+
+    ``demand`` and ``feasible`` are set when the family is priced; the
+    result and the rejection are built from the family's lane arrays on
+    first read.  A search drops many priced lanes unread (a lane that
+    spills at every register rung), and those never pay for either.
     """
 
-    demand: int
-    result: Optional[SimulationResult]
-    occ_message: Optional[str] = None
-    occ_context: Dict[str, Any] = field(default_factory=dict)
-    occ_code: Optional[str] = None
+    __slots__ = (
+        "demand", "feasible", "_lanes", "_index", "_result", "_reject"
+    )
+
+    def __init__(
+        self, demand: int, feasible: bool, lanes: "_LaneArrays", index: int
+    ):
+        self.demand = demand
+        self.feasible = feasible
+        self._lanes = lanes
+        self._index = index
+        self._result: Optional[SimulationResult] = None
+        self._reject: Optional[Tuple[str, Dict[str, Any], str]] = None
 
     @property
-    def feasible(self) -> bool:
-        return self.result is not None
+    def result(self) -> Optional[SimulationResult]:
+        if not self.feasible:
+            return None
+        if self._result is None:
+            self._result = self._lanes.result(self._index)
+        return self._result
+
+    def _rejection(self) -> Tuple[str, Dict[str, Any], str]:
+        if self._reject is None:
+            self._reject = self._lanes.scalar_reject(self._index)
+        return self._reject
+
+    @property
+    def occ_message(self) -> Optional[str]:
+        return None if self.feasible else self._rejection()[0]
+
+    @property
+    def occ_context(self) -> Dict[str, Any]:
+        return {} if self.feasible else self._rejection()[1]
+
+    @property
+    def occ_code(self) -> Optional[str]:
+        return None if self.feasible else self._rejection()[2]
+
+    def _fields(self) -> tuple:
+        return (
+            self.demand,
+            self.result,
+            self.occ_message,
+            self.occ_context,
+            self.occ_code,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        demand, result, message, context, code = self._fields()
+        return (
+            f"PricedLane(demand={demand!r}, result={result!r}, "
+            f"occ_message={message!r}, occ_context={context!r}, "
+            f"occ_code={code!r})"
+        )
+
+
+class _LaneArrays:
+    """The lane arrays of one pricing pass, read back one lane at a time."""
+
+    __slots__ = (
+        "device", "threads", "blocks", "compiled", "demand", "shmem",
+        "occ", "counters", "timing", "_rows",
+    )
+
+    def __init__(
+        self, device, base, demand, compiled, shmem, occ, counters, timing
+    ):
+        self.device = device
+        self.threads = base["threads"]
+        self.blocks = base["blocks"]
+        self.demand = demand
+        self.compiled = compiled
+        self.shmem = shmem
+        self.occ = occ
+        self.counters = counters
+        self.timing = timing
+        self._rows: Optional[List[tuple]] = None
+
+    def _row(self, i: int) -> tuple:
+        """Lane ``i``'s values of every array :meth:`result` reads.
+
+        The first read turns the arrays into one tuple per lane: a
+        ``tolist`` per array costs less than a NumPy scalar read per
+        lane and field as soon as a few lanes are read, and gives the
+        same Python ints and floats.
+        """
+        if self._rows is None:
+            occ, counters, timing = self.occ, self.counters, self.timing
+            columns = (
+                occ["blocks_psm"], occ["warps"], occ["occ_frac"],
+                occ["limiter"], counters["flops"], counters["dram_read"],
+                counters["dram_write"], counters["tex"], counters["shm"],
+                counters["spill"], counters["syncs"], self.blocks,
+                self.threads, self.compiled, self.demand, self.shmem,
+                timing["compute"], timing["dram"], timing["tex"],
+                timing["shm"], timing["sync"], timing["latency"],
+                timing["bubble"],
+            )
+            self._rows = list(zip(*(column.tolist() for column in columns)))
+        return self._rows[i]
+
+    def result(self, i: int) -> SimulationResult:
+        """The :class:`SimulationResult` of feasible lane ``i``."""
+        (
+            blocks_psm, warps, occ_frac, limiter, flops, dram_read,
+            dram_write, tex, shm, spill, syncs, blocks, threads, compiled,
+            demand, shmem, compute_s, dram_s, tex_s, shm_s, sync_s,
+            latency_s, bubble_s,
+        ) = self._row(i)
+        occ_result = OccupancyResult(
+            blocks_per_sm=blocks_psm,
+            active_warps=warps,
+            occupancy=occ_frac,
+            limiter=_LIMITER_NAMES[limiter],
+            warp_size=self.device.warp_size,
+        )
+        kc = KernelCounters(
+            flops=flops,
+            useful_flops=self.counters["useful"],
+            dram_read_bytes=dram_read,
+            dram_write_bytes=dram_write,
+            tex_bytes=tex,
+            shm_bytes=shm,
+            spill_bytes=spill,
+            blocks=blocks,
+            threads_per_block=threads,
+            regs_per_thread=compiled,
+            regs_demand=demand,
+            shmem_per_block=shmem,
+            syncs=syncs,
+        )
+        tb = TimingBreakdown(
+            compute_s=compute_s,
+            dram_s=dram_s,
+            tex_s=tex_s,
+            shm_s=shm_s,
+            sync_s=sync_s,
+            latency_s=latency_s,
+            launch_s=self.timing["launch"],
+            bubble_s=bubble_s,
+        )
+        return SimulationResult(counters=kc, occupancy=occ_result, timing=tb)
+
+    def scalar_reject(self, i: int) -> Tuple[str, Dict[str, Any], str]:
+        """Reproduce the scalar occupancy failure of infeasible lane ``i``:
+        ``(message, context, RL2xx code)``."""
+        from ..lint.rules_plan import classify_occupancy_failure
+
+        try:
+            _scalar_occupancy(
+                self.device,
+                int(self.threads[i]),
+                int(self.compiled[i]),
+                int(self.shmem[i]),
+            )
+        except ValueError as exc:
+            context = dict(getattr(exc, "context", None) or {})
+            return str(exc), context, classify_occupancy_failure(exc)
+        raise AssertionError(
+            "vectorized occupancy flagged a lane the scalar model accepts"
+        )  # pragma: no cover - parity guard
+
+
+_LIMITER_NAMES = ("threads", "blocks", "registers", "shmem")
 
 
 @dataclass(frozen=True)
@@ -934,7 +1101,6 @@ class FamilyStructure:
     ) -> List[PricedLane]:
         if base is None:
             base = self._base(plans)
-        n = base["n"]
         winners = self._winners(base)
         inter_arrays = self._inter_arrays(base)
         demand = self._register_demand(base, winners)
@@ -947,81 +1113,15 @@ class FamilyStructure:
         )
         timing = self._timing_lanes(device, base, counters, shmem, occ)
 
-        lanes: List[PricedLane] = []
-        limiter_names = ("threads", "blocks", "registers", "shmem")
-        for i in range(n):
-            lane_demand = int(demand[i])
-            if occ["infeasible"][i]:
-                message, context, code = self._scalar_reject(
-                    device, int(base["threads"][i]), int(compiled[i]),
-                    int(shmem[i]),
-                )
-                lanes.append(
-                    PricedLane(
-                        demand=lane_demand,
-                        result=None,
-                        occ_message=message,
-                        occ_context=context,
-                        occ_code=code,
-                    )
-                )
-                continue
-            occ_result = OccupancyResult(
-                blocks_per_sm=int(occ["blocks_psm"][i]),
-                active_warps=int(occ["warps"][i]),
-                occupancy=float(occ["occ_frac"][i]),
-                limiter=limiter_names[int(occ["limiter"][i])],
-                warp_size=device.warp_size,
+        arrays = _LaneArrays(
+            device, base, demand, compiled, shmem, occ, counters, timing
+        )
+        return [
+            PricedLane(lane_demand, not infeasible, arrays, i)
+            for i, (lane_demand, infeasible) in enumerate(
+                zip(demand.tolist(), occ["infeasible"].tolist())
             )
-            kc = KernelCounters(
-                flops=float(counters["flops"][i]),
-                useful_flops=counters["useful"],
-                dram_read_bytes=float(counters["dram_read"][i]),
-                dram_write_bytes=float(counters["dram_write"][i]),
-                tex_bytes=float(counters["tex"][i]),
-                shm_bytes=float(counters["shm"][i]),
-                spill_bytes=float(counters["spill"][i]),
-                blocks=int(base["blocks"][i]),
-                threads_per_block=int(base["threads"][i]),
-                regs_per_thread=int(compiled[i]),
-                regs_demand=lane_demand,
-                shmem_per_block=int(shmem[i]),
-                syncs=float(counters["syncs"][i]),
-            )
-            tb = TimingBreakdown(
-                compute_s=float(timing["compute"][i]),
-                dram_s=float(timing["dram"][i]),
-                tex_s=float(timing["tex"][i]),
-                shm_s=float(timing["shm"][i]),
-                sync_s=float(timing["sync"][i]),
-                latency_s=float(timing["latency"][i]),
-                launch_s=timing["launch"],
-                bubble_s=float(timing["bubble"][i]),
-            )
-            lanes.append(
-                PricedLane(
-                    demand=lane_demand,
-                    result=SimulationResult(
-                        counters=kc, occupancy=occ_result, timing=tb
-                    ),
-                )
-            )
-        return lanes
-
-    def _scalar_reject(
-        self, device: DeviceSpec, threads: int, compiled: int, shmem: int
-    ) -> Tuple[str, Dict[str, Any], str]:
-        """Reproduce the scalar occupancy failure for one lane."""
-        from ..lint.rules_plan import classify_occupancy_failure
-
-        try:
-            _scalar_occupancy(device, threads, compiled, shmem)
-        except ValueError as exc:
-            context = dict(getattr(exc, "context", None) or {})
-            return str(exc), context, classify_occupancy_failure(exc)
-        raise AssertionError(
-            "vectorized occupancy flagged a lane the scalar model accepts"
-        )  # pragma: no cover - parity guard
+        ]
 
     # -- occupancy over lanes (mirrors occupancy.occupancy) --------------
 

@@ -10,14 +10,15 @@ ARTEMIS generates three DSL specification versions from an input kernel:
    kernel's recomputation halo stays ≤ max(4, r), where r is the largest
    stencil order among individual statements.
 
-Every variant is materialized both as IR (for immediate tuning) and as
-DSL source text (the paper writes fission candidates out as DSL files
-the user may then optimize — Figure 3c).
+Every variant is materialized as IR (for immediate tuning); its DSL
+source text (the paper writes fission candidates out as DSL files the
+user may then optimize — Figure 3c) is rendered when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..dsl.ast import ArrayAccess, array_accesses
@@ -33,7 +34,11 @@ class FissionCandidate:
 
     label: str  # maxfuse | trivial-fission | recompute-fission
     ir: ProgramIR
-    dsl: str
+
+    @cached_property
+    def dsl(self) -> str:
+        """The variant as DSL source text (:func:`export_dsl`)."""
+        return export_dsl(self.ir)
 
 
 def _slice_instance(
@@ -247,16 +252,31 @@ def dedupe_candidates(
     Trivial and recompute fission frequently produce the same kernel
     split (every output already in its own group); tuning the duplicate
     would double the evaluation cost for an identical result, so the
-    pipeline prices each distinct DSL version once.
+    pipeline prices each distinct DSL version once.  The text is
+    rendered only for pairs that :func:`_same_dsl` cannot decide from
+    the IR.
     """
-    seen: Set[str] = set()
     unique: List[FissionCandidate] = []
     for candidate in candidates:
-        if candidate.dsl in seen:
-            continue
-        seen.add(candidate.dsl)
-        unique.append(candidate)
+        if not any(_same_dsl(candidate, kept) for kept in unique):
+            unique.append(candidate)
     return tuple(unique)
+
+
+def _same_dsl(a: FissionCandidate, b: FissionCandidate) -> bool:
+    """Whether ``a.dsl == b.dsl``, rendering only when the IR cannot tell.
+
+    Each kernel renders as one ``stencil`` block with one line per
+    statement, so a different kernel count, stencil name or statement
+    count means different text, and an equal IR means equal text.
+    """
+    if _kernel_shape(a.ir) != _kernel_shape(b.ir):
+        return False
+    return a.ir == b.ir or a.dsl == b.dsl
+
+
+def _kernel_shape(ir: ProgramIR) -> Tuple[Tuple[str, int], ...]:
+    return tuple((k.stencil_name, len(k.statements)) for k in ir.kernels)
 
 
 def generate_fission_candidates(
@@ -281,28 +301,18 @@ def _generate_fission_candidates(ir: ProgramIR) -> Tuple[FissionCandidate, ...]:
     candidates: List[FissionCandidate] = []
 
     fused_ir = maxfuse(ir)
-    candidates.append(
-        FissionCandidate(label="maxfuse", ir=fused_ir, dsl=export_dsl(fused_ir))
-    )
+    candidates.append(FissionCandidate(label="maxfuse", ir=fused_ir))
 
     fused = fused_ir.kernels[0] if len(fused_ir.kernels) == 1 else None
     base = fused if fused is not None else ir.kernels[0]
 
     trivial = trivial_fission(ir, base)
     trivial_ir = ir.replace(kernels=trivial)
-    candidates.append(
-        FissionCandidate(
-            label="trivial-fission", ir=trivial_ir, dsl=export_dsl(trivial_ir)
-        )
-    )
+    candidates.append(FissionCandidate(label="trivial-fission", ir=trivial_ir))
 
     recompute = recompute_fission(ir, base)
     recompute_ir = ir.replace(kernels=recompute)
     candidates.append(
-        FissionCandidate(
-            label="recompute-fission",
-            ir=recompute_ir,
-            dsl=export_dsl(recompute_ir),
-        )
+        FissionCandidate(label="recompute-fission", ir=recompute_ir)
     )
     return tuple(candidates)

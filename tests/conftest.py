@@ -4,8 +4,13 @@ import sys
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
 
 from repro.tuning import evaluator as evaluator_module
+
+#: ``--hypothesis-profile=fuzz``: a longer run of the properties that do
+#: not fix their own ``max_examples`` (the CI lexer differential fuzz).
+settings.register_profile("fuzz", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

@@ -128,16 +128,19 @@ class TestFusionScheduleDP:
         times = {1: 1.0, 2: 1.7, 3: 2.1, 4: 3.9}
         result = _fake_result(times)
         schedule = fusion_schedule(result, T)
-        # Brute force over compositions of T with parts <= 4.
+        # Brute force over the multisets of parts <= 4 summing to T (the
+        # partitions of T): a schedule's cost does not depend on the
+        # order of its parts, so every composition costs as much as the
+        # partition it reorders.
         best = float("inf")
-        def compositions(total):
+        def partitions(total, largest=4):
             if total == 0:
                 yield ()
                 return
-            for part in range(1, min(4, total) + 1):
-                for rest in compositions(total - part):
+            for part in range(min(largest, total), 0, -1):
+                for rest in partitions(total - part, part):
                     yield (part,) + rest
-        for combo in compositions(T):
+        for combo in partitions(T):
             cost = sum(times[p] for p in combo)
             best = min(best, cost)
         assert schedule.total_time_s == pytest.approx(best)

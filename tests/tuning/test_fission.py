@@ -10,7 +10,9 @@ from repro.gpu.executor import (
     execute_reference,
 )
 from repro.ir import build_ir
+from repro.suite import BENCHMARK_ORDER, load_ir
 from repro.tuning import (
+    dedupe_candidates,
     export_dsl,
     fuse_instances,
     generate_fission_candidates,
@@ -163,3 +165,39 @@ class TestDslExport:
         got = execute_reference(reparsed, inputs, scalars)
         for out in ("uacc0", "uacc1", "uacc2"):
             assert np.array_equal(ref[out], got[out])
+
+
+class TestDedupe:
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_matches_text_dedupe(self, name):
+        """Deciding from the IR keeps the labels, in order, that comparing
+        the rendered DSL text keeps."""
+        candidates = generate_fission_candidates(load_ir(name))
+        seen, want = set(), []
+        for candidate in candidates:
+            text = export_dsl(candidate.ir)
+            if text not in seen:
+                seen.add(text)
+                want.append(candidate.label)
+        assert [c.label for c in dedupe_candidates(candidates)] == want
+
+    def test_renders_only_undecided_pairs(self, sw4_ir, monkeypatch):
+        import repro.tuning.fission as fission
+
+        rendered = []
+        real = fission.export_dsl
+        monkeypatch.setattr(
+            fission, "export_dsl", lambda ir: rendered.append(ir) or real(ir)
+        )
+        candidates = generate_fission_candidates(sw4_ir)
+        dedupe_candidates(candidates)
+        assert rendered == []
+        # Same kernel names and statement counts, different IR: only
+        # the text can tell.
+        twin = fission.FissionCandidate(
+            "twin",
+            candidates[1].ir.replace(copyout=candidates[1].ir.copyout[:1]),
+        )
+        kept = dedupe_candidates((candidates[1], twin))
+        assert len(rendered) == 2
+        assert [c.label for c in kept] == ["trivial-fission", "twin"]
