@@ -129,6 +129,31 @@ class TokenStream:
         self._pos += count
 
 
+def token_int(tok: Token) -> int:
+    """The value of an INT token, or ParseError at the token.
+
+    The lexer reads digits with ``str.isdigit`` and exponents without
+    checking for digits, so it accepts number text that ``int`` and
+    ``float`` cannot convert (``2²``, ``1e+``).
+    """
+    try:
+        return int(tok.value)
+    except ValueError:
+        raise _malformed(tok) from None
+
+
+def token_float(tok: Token) -> float:
+    """The value of an INT or FLOAT token, or ParseError at the token."""
+    try:
+        return float(tok.value)
+    except ValueError:
+        raise _malformed(tok) from None
+
+
+def _malformed(tok: Token) -> ParseError:
+    return ParseError(f"malformed number {tok.value!r}", tok.line, tok.col)
+
+
 class _TooDeep(Exception):
     """An expression passed a nesting limit; reported at its statement."""
 
@@ -237,12 +262,16 @@ def _parse_operand(stream: TokenStream, nest: int) -> Tuple[Expr, int]:
             expr, depth = _parse_array_access(stream, tok, _nested(nest)), 1
         else:
             expr, depth = Name(tok.value), 1
-    elif kind == lexer.INT:
+    elif kind == lexer.INT or kind == lexer.FLOAT:
         stream.advance()
-        expr, depth = Num(float(int(tok.value)), is_int=True), 1
-    elif kind == lexer.FLOAT:
-        stream.advance()
-        expr, depth = Num(float(tok.value), is_int=False), 1
+        try:
+            if kind == lexer.INT:
+                value = float(int(tok.value))
+            else:
+                value = float(tok.value)
+        except ValueError:
+            raise _malformed(tok) from None
+        expr, depth = Num(value, is_int=kind == lexer.INT), 1
     elif tok.value == "(":
         nest = _nested(nest)
         stream.advance()

@@ -42,7 +42,12 @@ from .ast import (
     VarDecl,
 )
 from .errors import ParseError
-from .expr_parser import TokenStream, parse_array_access, parse_expression
+from .expr_parser import (
+    TokenStream,
+    parse_array_access,
+    parse_expression,
+    token_int,
+)
 from .pragmas import parse_assign, parse_pragma
 from .validate import validate_program
 
@@ -149,7 +154,7 @@ class _ProgramParser:
             name_tok = s.expect(lexer.ID)
             name = name_tok.value
             s.expect_punct("=")
-            value = int(s.expect(lexer.INT).value)
+            value = token_int(s.expect(lexer.INT))
             self.parameters.append(
                 Parameter(name, value, span=_span(name_tok))
             )
@@ -173,7 +178,7 @@ class _ProgramParser:
     def _parse_iterate(self) -> None:
         s = self.stream
         tok = s.expect(lexer.ID, "iterate")
-        count = int(s.expect(lexer.INT).value)
+        count = token_int(s.expect(lexer.INT))
         if count < 1:
             raise ParseError("iterate count must be >= 1", tok.line, tok.col)
         self.time_iterations = count
@@ -210,7 +215,7 @@ class _ProgramParser:
             return tok.value
         if tok.kind == lexer.INT:
             s.advance()
-            return int(tok.value)
+            return token_int(tok)
         raise ParseError("array dimension must be a parameter or integer",
                          tok.line, tok.col)
 

@@ -19,7 +19,7 @@ from typing import List, Tuple
 from . import lexer
 from .ast import AssignDirective, Pragma, SourceSpan
 from .errors import ParseError
-from .expr_parser import TokenStream
+from .expr_parser import TokenStream, token_float, token_int
 
 STORAGE_CLASSES = ("shmem", "gmem", "register", "constant")
 
@@ -48,10 +48,10 @@ def parse_pragma(directive_text: str, line: int = 0) -> Pragma:
             stream_dim = stream.expect(lexer.ID).value
         elif clause == "block":
             stream.expect_punct("(")
-            dims = [int(stream.expect(lexer.INT).value)]
+            dims = [token_int(stream.expect(lexer.INT))]
             while stream.at_punct(","):
                 stream.advance()
-                dims.append(int(stream.expect(lexer.INT).value))
+                dims.append(token_int(stream.expect(lexer.INT)))
             stream.expect_punct(")")
             if not 1 <= len(dims) <= 3:
                 raise ParseError("block clause takes 1-3 sizes", line, 1)
@@ -66,7 +66,7 @@ def parse_pragma(directive_text: str, line: int = 0) -> Pragma:
             if tok.kind not in (lexer.FLOAT, lexer.INT):
                 raise ParseError("occupancy clause expects a number", line, tok.col)
             stream.advance()
-            occupancy = float(tok.value)
+            occupancy = token_float(tok)
             if not 0.0 < occupancy <= 1.0:
                 raise ParseError(
                     f"occupancy must be in (0, 1], got {occupancy}", line, tok.col
@@ -85,7 +85,7 @@ def parse_pragma(directive_text: str, line: int = 0) -> Pragma:
 def _parse_unroll_item(stream: TokenStream) -> Tuple[str, int]:
     name = stream.expect(lexer.ID).value
     stream.expect_punct("=")
-    factor = int(stream.expect(lexer.INT).value)
+    factor = token_int(stream.expect(lexer.INT))
     if factor < 1:
         raise ParseError(f"unroll factor must be >= 1, got {factor}")
     return (name, factor)

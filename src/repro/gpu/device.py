@@ -150,6 +150,27 @@ class DeviceSpec:
     def replace(self, **changes) -> "DeviceSpec":
         return replace(self, **changes)
 
+    def __hash__(self) -> int:
+        # The field-tuple hash the dataclass would generate, pinned on
+        # the (frozen) spec after the first call: the evaluation engine's
+        # memo key holds the profile and is hashed on every request.
+        pinned = self.__dict__.get("_hash")
+        if pinned is None:
+            pinned = hash(tuple(getattr(self, name) for name in _SPEC_FIELDS))
+            object.__setattr__(self, "_hash", pinned)
+        return pinned
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between interpreters: a copy or an
+        # unpickled spec recomputes its own.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+#: Declared field names, in order: the components of the spec's hash.
+_SPEC_FIELDS = tuple(DeviceSpec.__dataclass_fields__)
+
 
 #: The public interface name: any frozen :class:`DeviceSpec` is a device
 #: profile.  Kept as an alias (not a subclass) so profiles stay plain

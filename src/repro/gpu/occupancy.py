@@ -9,7 +9,7 @@ the advisor and the resource-rationing algorithm (Section II-B2) consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..resilience.errors import InfeasiblePlanError
 from .device import DeviceSpec
@@ -55,29 +55,59 @@ def occupancy(
     configuration cannot launch at all (block too large, or one block
     exceeds an SM's resources).
     """
+    outcome = _occupancy(
+        device, threads_per_block, regs_per_thread, shmem_per_block
+    )
+    if isinstance(outcome, OccupancyResult):
+        return outcome
+    message, context = outcome
+    raise InfeasiblePlanError(message, **context)
+
+
+def launch_refusal(
+    device: DeviceSpec,
+    threads_per_block: int,
+    regs_per_thread: int,
+    shmem_per_block: int,
+) -> Optional[Tuple[str, Dict[str, Any]]]:
+    """Why a block of this footprint cannot launch, without raising.
+
+    ``(message, context)`` of the error :func:`occupancy` raises, or
+    None when the block launches.  The family pricer reads every
+    refused lane's reason this way.
+    """
+    outcome = _occupancy(
+        device, threads_per_block, regs_per_thread, shmem_per_block
+    )
+    return None if isinstance(outcome, OccupancyResult) else outcome
+
+
+def _occupancy(
+    device: DeviceSpec,
+    threads_per_block: int,
+    regs_per_thread: int,
+    shmem_per_block: int,
+) -> Union[OccupancyResult, Tuple[str, Dict[str, Any]]]:
     if threads_per_block < 1:
-        raise InfeasiblePlanError("threads_per_block must be positive")
+        return "threads_per_block must be positive", {}
     if threads_per_block > device.max_threads_per_block:
-        raise InfeasiblePlanError(
+        return (
             f"block of {threads_per_block} threads exceeds device limit "
             f"{device.max_threads_per_block}",
-            threads=threads_per_block,
-            device=device.name,
+            {"threads": threads_per_block, "device": device.name},
         )
     if shmem_per_block > device.shared_mem_per_block:
-        raise InfeasiblePlanError(
+        return (
             f"block needs {shmem_per_block} B shared memory, device allows "
             f"{device.shared_mem_per_block} B per block",
-            shmem_bytes=shmem_per_block,
-            device=device.name,
+            {"shmem_bytes": shmem_per_block, "device": device.name},
         )
     regs_per_thread = max(1, regs_per_thread)
     if regs_per_thread > device.max_registers_per_thread:
-        raise InfeasiblePlanError(
+        return (
             f"{regs_per_thread} registers/thread exceeds device limit "
             f"{device.max_registers_per_thread}",
-            registers=regs_per_thread,
-            device=device.name,
+            {"registers": regs_per_thread, "device": device.name},
         )
 
     limits = {}
@@ -93,10 +123,9 @@ def occupancy(
     if blocks < 1:
         # One block alone exceeds the SM's registers or shared memory.
         limiter = min(limits, key=limits.get)  # type: ignore[arg-type]
-        raise InfeasiblePlanError(
+        return (
             f"kernel cannot launch: resource {limiter!r} admits zero blocks",
-            limiter=limiter,
-            device=device.name,
+            {"limiter": limiter, "device": device.name},
         )
     limiter = min(limits, key=limits.get)  # type: ignore[arg-type]
     if blocks == device.max_blocks_per_sm and limiter != "blocks":

@@ -77,7 +77,7 @@ from ..obs import span as _span
 from ..resilience.errors import UsageError
 from .counters import KernelCounters, SimulationResult, TimingBreakdown
 from .device import DeviceSpec, P100
-from .occupancy import OccupancyResult, occupancy as _scalar_occupancy
+from .occupancy import OccupancyResult, launch_refusal
 from .registers import BASE_REGISTERS, expression_registers
 from .simulator import (
     _consumed_name,
@@ -286,22 +286,21 @@ class _LaneArrays:
 
     def scalar_reject(self, i: int) -> Tuple[str, Dict[str, Any], str]:
         """Reproduce the scalar occupancy failure of infeasible lane ``i``:
-        ``(message, context, RL2xx code)``."""
-        from ..lint.rules_plan import classify_occupancy_failure
+        ``(message, context, RL2xx code)``, without raising it."""
+        from ..lint.rules_plan import classify_occupancy_context
 
-        try:
-            _scalar_occupancy(
-                self.device,
-                int(self.threads[i]),
-                int(self.compiled[i]),
-                int(self.shmem[i]),
+        refusal = launch_refusal(
+            self.device,
+            int(self.threads[i]),
+            int(self.compiled[i]),
+            int(self.shmem[i]),
+        )
+        if refusal is None:  # pragma: no cover - parity guard
+            raise AssertionError(
+                "vectorized occupancy flagged a lane the scalar model accepts"
             )
-        except ValueError as exc:
-            context = dict(getattr(exc, "context", None) or {})
-            return str(exc), context, classify_occupancy_failure(exc)
-        raise AssertionError(
-            "vectorized occupancy flagged a lane the scalar model accepts"
-        )  # pragma: no cover - parity guard
+        message, context = refusal
+        return message, context, classify_occupancy_context(context)
 
 
 _LIMITER_NAMES = ("threads", "blocks", "registers", "shmem")

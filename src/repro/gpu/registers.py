@@ -63,7 +63,7 @@ def _expression_registers(instance: StencilInstance) -> int:
     widest = 0
     total_distinct = 0
     for stmt in instance.statements:
-        distinct = {str(a) for a in array_accesses(stmt.rhs)}
+        distinct = set(array_accesses(stmt.rhs))
         widest = max(widest, len(distinct))
         total_distinct += len(distinct)
     # The allocator keeps roughly half the widest statement's operands

@@ -17,7 +17,7 @@ never a second resource model that could drift.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, List, Mapping, Optional
 
 from ..codegen.plan import KernelPlan
 from ..ir.stencil import ProgramIR
@@ -91,6 +91,12 @@ def classify_occupancy_failure(exc: BaseException) -> str:
         if ctx:
             context = ctx
             break
+    return classify_occupancy_context(context)
+
+
+def classify_occupancy_context(context: Mapping[str, Any]) -> str:
+    """:func:`classify_occupancy_failure` on the failure's ``context``
+    alone (what :func:`repro.gpu.occupancy.launch_refusal` returns)."""
     if "threads" in context:
         return RL202.code
     if "shmem_bytes" in context:

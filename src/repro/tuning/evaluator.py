@@ -26,8 +26,10 @@ size, so all search code routes measurements through one
   plan key and each group of :data:`MIN_FAMILY` or more plans is priced
   in one NumPy pass over the whole candidate axis
   (:mod:`repro.gpu.pricing`), bit-for-bit equal to the scalar
-  ``simulate`` path that smaller groups take; per-lane finalization
-  replays the normal accounting, memoization and telemetry.  Per-phase
+  ``simulate`` path that smaller groups take.  Each priced lane is
+  then one request through the same seam as a scalar one
+  (:meth:`PlanEvaluator._evaluate`), carrying its verdict, so the
+  accounting, memoization and telemetry are the same.  Per-phase
   activity is attributed through :meth:`PlanEvaluator.phase`
   (``docs/performance_model.md``).
 * **batch evaluation** — :meth:`PlanEvaluator.evaluate_batch` runs a
@@ -74,7 +76,7 @@ from ..gpu.simulator import (
     simulate,
 )
 from ..ir.stencil import ProgramIR
-from ..lint.rules_plan import _count_rejection, fusion_rejection, plan_rejection
+from ..lint.rules_plan import fusion_rejection, plan_rejection
 from ..obs import span as _span
 from ..obs.search import SearchLog
 from ..resilience import EvaluationError
@@ -87,6 +89,74 @@ INFEASIBLE = (PlanInfeasible, InvalidPlan)
 #: pricing backend — below this the per-family setup cost (structure
 #: capture, array assembly) beats the per-lane savings.
 MIN_FAMILY = 4
+
+
+#: Batch job kinds (see :meth:`PlanEvaluator._jobs`): one request,
+#: with or without a precomputed verdict; a prune that makes no
+#: request; one scalar register-ladder walk.
+_LANE, _PRUNE, _LADDER = "lane", "prune", "ladder"
+
+
+class Refusal:
+    """A request the prescreen refused: its lint rule and message.
+
+    The verdict a family lane carries when the occupancy screen or the
+    fusion certifier rejects it, and the memo entry of every screened
+    request.  It stands for the :class:`PlanInfeasible` the scalar
+    prescreen raises, which is built only when a caller raises it
+    (:meth:`clone`).  ``occupancy`` marks an occupancy-screen refusal,
+    whose metrics include ``simulate.prescreen_rejections``.
+    """
+
+    __slots__ = ("message", "rule", "witness", "occupancy")
+
+    def __init__(
+        self,
+        rule: str,
+        message: str,
+        witness: Optional[str] = None,
+        occupancy: bool = False,
+    ):
+        self.message = f"[{rule}] {message}"
+        self.rule = rule
+        self.witness = witness
+        self.occupancy = occupancy
+
+    def __str__(self) -> str:
+        return self.message
+
+    def clone(self) -> PlanInfeasible:
+        """A fresh :class:`PlanInfeasible` for this refusal."""
+        return PlanInfeasible(
+            self.message, rule=self.rule, witness=self.witness
+        )
+
+    def count(self) -> None:
+        """Bump the metrics the scalar prescreen bumps for this rule."""
+        from ..obs import counter, metrics_enabled
+
+        if metrics_enabled():
+            if self.occupancy:
+                counter("simulate.prescreen_rejections").add()
+            counter(f"lint.reject.{self.rule}").add()
+
+
+def _verdict_of(lane):
+    """A priced lane's verdict: its result, or its occupancy refusal."""
+    if lane.feasible:
+        return lane.result
+    return Refusal(lane.occ_code, lane.occ_message, occupancy=True)
+
+
+def _first_rung(demand: int, levels: Tuple[int, ...]) -> int:
+    """Index of the first register level covering ``demand``, else -1."""
+    return next((i for i, lv in enumerate(levels) if demand <= lv), -1)
+
+
+def _all_spill(demand: int, levels: Tuple[int, ...]) -> str:
+    return (
+        f"spills at every register level (demand {demand} > {levels[-1]})"
+    )
 
 
 @dataclass(frozen=True)
@@ -102,9 +172,9 @@ class Measurement:
 class EvalStats:
     """Cache and throughput statistics of one evaluation engine.
 
-    ``wall_s`` is the real time spent inside the engine's outermost
-    frames; nested calls (``evaluate_spill_free`` invoking
-    ``evaluate``) are billed once.
+    ``wall_s`` is the real time spent inside the engine: each public
+    call (one request, one ladder walk or one whole batch) is billed
+    once.
     """
 
     requests: int = 0  # candidate evaluations requested
@@ -249,10 +319,11 @@ class PlanEvaluator:
     configuration costs one lookup.
 
     The cache lives as long as the evaluator, and a cached value must
-    not reference the evaluator.  A failure is therefore memoized
-    without its traceback (whose frames hold the evaluator), and each
-    hit raises a fresh copy with its own ``context``.  A finished job's
-    evaluator is freed by reference counting alone.
+    not reference the evaluator.  A failure is therefore memoized as a
+    :class:`Refusal` record or an exception copy without the traceback
+    (whose frames hold the evaluator), and :meth:`evaluate` raises a
+    fresh exception with its own ``context`` each time it meets one.
+    A finished job's evaluator is freed by reference counting alone.
 
     One evaluator serves one thread.  Batches run serially on the
     calling thread, every candidate is one attempt, and the engine
@@ -282,10 +353,8 @@ class PlanEvaluator:
         #: phase instead of as one misleading whole-run ratio.
         self.phase_stats: Dict[str, EvalStats] = {}
         self.stats = EvalStats()
-        #: key -> (ir, ("ok", SimulationResult) | ("fail", exception))
+        #: key -> (ir, SimulationResult | Refusal | INFEASIBLE exception)
         self._cache: Dict[tuple, tuple] = {}
-        #: nesting depth of :meth:`_timed` frames; only the outermost bills
-        self._depth = 0
 
     # -- phase accounting ------------------------------------------------------
 
@@ -315,19 +384,16 @@ class PlanEvaluator:
 
     @contextmanager
     def _timed(self):
-        """Bill the outermost engine frame's elapsed time to ``wall_s``.
+        """Bill one engine frame's elapsed time to ``wall_s``.
 
-        Nested calls (``evaluate_spill_free`` invoking ``evaluate``)
-        must not double-bill, so only the outermost frame reads the clock.
+        Every public entry point opens exactly one frame and the engine
+        never calls its own public methods, so frames do not nest.
         """
-        self._depth += 1
-        start = time.perf_counter() if self._depth == 1 else None
+        start = time.perf_counter()
         try:
             yield
         finally:
-            self._depth -= 1
-            if start is not None:
-                self.stats.wall_s += time.perf_counter() - start
+            self.stats.wall_s += time.perf_counter() - start
 
     # -- single evaluation -----------------------------------------------------
 
@@ -345,7 +411,10 @@ class PlanEvaluator:
         the direct ``validate_plan`` + ``simulate`` path would.
         """
         with self._timed():
-            return self._evaluate(ir, plan)
+            outcome = self._evaluate(ir, plan)
+        if isinstance(outcome, SimulationResult):
+            return outcome
+        raise outcome.clone()
 
     def _log_candidate(
         self,
@@ -361,92 +430,86 @@ class PlanEvaluator:
             device=self.device.name,
         )
 
-    def _evaluate(
-        self,
-        ir: ProgramIR,
-        plan: KernelPlan,
-        rejection_fn=None,
-        produce_fn=None,
-    ) -> SimulationResult:
-        """One request through the engine, scalar or family-priced.
+    def _evaluate(self, ir: ProgramIR, plan: KernelPlan, verdict=None):
+        """One request: every candidate crosses this seam exactly once.
 
-        Without hooks this is the scalar path: validate, prescreen,
-        simulate.  The family-pricing path injects two hooks carrying a
-        pre-priced lane — ``rejection_fn(plan) -> (code, message) |
-        None`` replaces the prescreen (the lane already knows its
-        occupancy verdict; it may also *raise* an INFEASIBLE directly to
-        replay a validation failure) and ``produce_fn(plan)`` replaces
-        the ``simulate`` call.  Everything observable — request/hit/
-        miss/screen/infeasible accounting, memoization, candidate
-        telemetry — is identical in both modes.
+        ``verdict`` is what the model says about ``plan`` when the
+        caller already knows it: a family lane's ``SimulationResult``,
+        its occupancy or fusion :class:`Refusal`, or the validation
+        failure its family's prototype raised.  Without one, the scalar
+        path computes it (:meth:`_verdict`).  Both paths then do the
+        same request/hit/miss/screen/infeasible accounting, memo write
+        and candidate event.
+
+        Returns the result, or the memoized failure — a
+        :class:`Refusal` or an infeasibility exception — whose
+        ``clone()`` is the fresh exception a raising caller raises.
+        Only an unexpected exception propagates.
         """
-        self.stats.requests += 1
+        stats = self.stats
+        stats.requests += 1
         key = self._key(ir, plan)
         hit = self._cache.get(key)
         if hit is not None and hit[0] is ir:
-            self.stats.hits += 1
-            status, value = hit[1]
-            if status == "ok":
-                self._log_candidate(plan, "cache-hit", result=value)
-                return value
-            self.stats.infeasible += 1
-            self._log_candidate(
-                plan, "cache-hit-infeasible", reason=str(value)
-            )
-            raise value.clone()
-        self.stats.misses += 1
-        screened = False
+            stats.hits += 1
+            outcome = hit[1]
+            if isinstance(outcome, SimulationResult):
+                self._log_candidate(plan, "cache-hit", result=outcome)
+            else:
+                stats.infeasible += 1
+                self._log_candidate(
+                    plan, "cache-hit-infeasible", reason=str(outcome)
+                )
+            return outcome
+        stats.misses += 1
+        priced = verdict is not None
+        if not priced:
+            verdict = self._verdict(ir, plan)
+        self._cache[key] = (ir, verdict)
+        if isinstance(verdict, SimulationResult):
+            if priced:
+                stats.vectorized += 1
+            self._log_candidate(plan, "simulated", result=verdict)
+            return verdict
+        stats.infeasible += 1
+        disposition = "infeasible"
+        if isinstance(verdict, Refusal):
+            if priced:
+                verdict.count()  # the scalar prescreen counts its own
+            stats.screened += 1
+            stats.lint_rejections += 1
+            disposition = "screened"
+        self._log_candidate(plan, disposition, reason=str(verdict))
+        return verdict
+
+    def _verdict(self, ir: ProgramIR, plan: KernelPlan):
+        """The scalar path's verdict: validate, prescreen, simulate.
+
+        The legality prescreen covers the structural lint rules, the
+        RL3xx transformation certifier (dependence-distance refutations
+        of fusion/time-tile/streaming/retiming) and the cheap
+        register-dependent occupancy suffix: candidates the device
+        cannot run, or whose transformations are provably illegal, are
+        refused without paying for the counter and timing models, and
+        every refusal carries a stable ``RLxxx`` rule code.
+        """
         try:
-            # Legality prescreen: structural lint rules, the RL3xx
-            # transformation certifier (dependence-distance refutations
-            # of fusion/time-tile/streaming/retiming), and the cheap
-            # register-dependent occupancy suffix — candidates the
-            # device cannot run (or whose transformations are provably
-            # illegal) are rejected without paying for the counter and
-            # timing models, and every rejection carries a stable
-            # ``RLxxx`` rule code.
-            rejection = None
-            witness = None
-            if rejection_fn is not None:
-                rejection = rejection_fn(plan)
-            else:
-                if self.validate:
-                    validate_plan(ir, plan)
-                diag = plan_rejection(
-                    ir, plan, self.device, assume_validated=True
+            if self.validate:
+                validate_plan(ir, plan)
+            diag = plan_rejection(ir, plan, self.device, assume_validated=True)
+            if diag is not None:
+                # RL3xx refutations carry a counterexample (grid point +
+                # event pair); keep it so a raised refusal shows *why*
+                # the plan is illegal, not just the code.
+                witness = diag.witness
+                return Refusal(
+                    diag.code,
+                    diag.message,
+                    witness=None if witness is None else witness.describe(),
                 )
-                if diag is not None:
-                    rejection = (diag.code, diag.message)
-                    # RL3xx refutations carry a counterexample (grid
-                    # point + event pair); thread it into the exception
-                    # context so batch telemetry can show *why* the
-                    # plan is illegal, not just the code.
-                    witness = diag.witness
-            if rejection is not None:
-                code, message = rejection
-                self.stats.screened += 1
-                self.stats.lint_rejections += 1
-                screened = True
-                raise PlanInfeasible(
-                    f"[{code}] {message}",
-                    rule=code,
-                    witness=(
-                        witness.describe() if witness is not None else None
-                    ),
-                )
-            if produce_fn is not None:
-                result = produce_fn(plan)
-            else:
-                result = simulate(ir, plan, self.device)
+            return simulate(ir, plan, self.device)
         except INFEASIBLE as exc:
-            self.stats.infeasible += 1
-            self._cache[key] = (ir, ("fail", exc.clone()))
-            self._log_candidate(
-                plan,
-                "screened" if screened else "infeasible",
-                reason=str(exc),
-            )
-            raise
+            return exc.clone()
         except Exception as exc:  # noqa: BLE001 — telemetry, then re-raise
             # Unexpected error: still one request, so still one
             # candidate event; a batch then fails fast on it.
@@ -454,9 +517,6 @@ class PlanEvaluator:
                 plan, "error", reason=f"{type(exc).__name__}: {exc}"
             )
             raise
-        self._cache[key] = (ir, ("ok", result))
-        self._log_candidate(plan, "simulated", result=result)
-        return result
 
     def try_evaluate(
         self,
@@ -507,25 +567,18 @@ class PlanEvaluator:
             if self.search_log is not None:
                 self.search_log.prune(plan, reason=f"infeasible: {exc}")
             return None
-        level = next((lv for lv in levels if demand <= lv), None)
-        if level is None:
+        position = _first_rung(demand, levels)
+        if position < 0:
             # Spills even at the top level: every rung would have
             # spilled; the seed ladder discarded the candidate too.
             self.stats.rungs_skipped += len(levels)
             if self.search_log is not None:
-                self.search_log.prune(
-                    plan,
-                    reason=(
-                        f"spills at every register level "
-                        f"(demand {demand} > {levels[-1]})"
-                    ),
-                )
+                self.search_log.prune(plan, reason=_all_spill(demand, levels))
             return None
-        position = levels.index(level)
         self.stats.rungs_skipped += position
-        candidate = plan.replace(max_registers=level)
-        result = self.try_evaluate(ir, candidate)
-        if result is None:
+        candidate = plan.replace(max_registers=levels[position])
+        result = self._evaluate(ir, candidate)
+        if not isinstance(result, SimulationResult):
             return None
         return candidate, result
 
@@ -544,13 +597,9 @@ class PlanEvaluator:
         route — results are bit-for-bit identical either way.
         """
         plans = list(plans)
-        if len(plans) >= MIN_FAMILY:
-            jobs = self._family_jobs(
-                ir, plans, spill_free=False, catch=catch
-            )
-        else:
-            jobs = self._scalar_jobs(ir, plans, spill_free=False, catch=catch)
-        return self._run_batch(jobs)
+        with self._timed():
+            jobs = self._jobs(ir, plans, None)
+            return self._run_batch(ir, plans, jobs, None, catch)
 
     def evaluate_spill_free_batch(
         self,
@@ -561,88 +610,60 @@ class PlanEvaluator:
         """Batch variant of :meth:`evaluate_spill_free`, input-ordered."""
         plans = list(plans)
         levels = tuple(levels)
-        if len(plans) >= MIN_FAMILY:
-            jobs = self._family_jobs(
-                ir, plans, spill_free=True, levels=levels
-            )
-        else:
-            jobs = self._scalar_jobs(ir, plans, spill_free=True, levels=levels)
-        return self._run_batch(jobs)
+        with self._timed():
+            jobs = self._jobs(ir, plans, levels)
+            return self._run_batch(ir, plans, jobs, levels, INFEASIBLE)
 
     # -- vectorized family pricing ---------------------------------------------
 
-    def _scalar_jobs(
+    def _jobs(
         self,
         ir: ProgramIR,
         plans: List[KernelPlan],
-        spill_free: bool,
-        levels: Tuple[int, ...] = REGISTER_LEVELS,
-        catch: tuple = INFEASIBLE,
+        levels: Optional[Tuple[int, ...]],
     ) -> List[tuple]:
-        """``(plan, thunk)`` jobs that each run one scalar request."""
-        if spill_free:
-            return [
-                (p, lambda p=p: self.evaluate_spill_free(ir, p, levels=levels))
-                for p in plans
-            ]
-        return [
-            (p, lambda p=p: self.try_evaluate(ir, p, catch=catch))
-            for p in plans
-        ]
+        """Input-ordered batch jobs; ``levels`` is None for a plain batch.
 
-    def _family_jobs(
-        self,
-        ir: ProgramIR,
-        plans: List[KernelPlan],
-        spill_free: bool,
-        levels: Tuple[int, ...] = REGISTER_LEVELS,
-        catch: tuple = INFEASIBLE,
-    ) -> List[tuple]:
-        """Build input-ordered ``(plan, thunk)`` jobs with family pricing.
-
-        Plans are grouped by structural key; groups of ``MIN_FAMILY`` or
-        more are priced in one vectorized pass (eagerly, on the
-        submitting thread, under the engine timer) and their thunks
-        merely *finalize* the pre-priced lane through the normal
-        accounting.  Small groups keep scalar thunks.  An exception
-        while pricing a family fails fast, naming the family's first
-        candidate.
+        A job is a ``(kind, plan, verdict, rungs)`` record.  Plans are
+        grouped by structural key; a group of ``MIN_FAMILY`` or more is
+        priced in one vectorized pass and becomes ``_LANE`` and
+        ``_PRUNE`` records.  A smaller group's plans each run one scalar
+        request: a ``_LANE`` without a verdict in a plain batch, a
+        ``_LADDER`` in a spill-free one.  An exception while pricing a
+        family fails fast, naming the family's first candidate.
         """
-        with self._timed():
-            groups: Dict[tuple, List[int]] = {}
-            for index, plan in enumerate(plans):
-                groups.setdefault(plan_structural_key(plan), []).append(index)
-            jobs: List[Optional[tuple]] = [None] * len(plans)
-            for indexes in groups.values():
-                members = [plans[i] for i in indexes]
-                if len(indexes) < MIN_FAMILY:
-                    group_jobs = self._scalar_jobs(
-                        ir, members, spill_free, levels, catch
-                    )
-                else:
-                    try:
-                        if spill_free:
-                            thunks = self._price_spill_free_group(
-                                ir, members, levels
-                            )
-                        else:
-                            thunks = self._price_group(ir, members, catch)
-                    except Exception as exc:  # noqa: BLE001 — fail fast
-                        self._fail_fast(members[0], exc, indexes[0])
-                    group_jobs = list(zip(members, thunks))
-                for i, job in zip(indexes, group_jobs):
-                    jobs[i] = job
-            return jobs  # type: ignore[return-value]
+        groups: Dict[tuple, List[int]] = {}
+        for index, plan in enumerate(plans):
+            groups.setdefault(plan_structural_key(plan), []).append(index)
+        scalar = _LANE if levels is None else _LADDER
+        jobs: List[Optional[tuple]] = [None] * len(plans)
+        for indexes in groups.values():
+            members = [plans[i] for i in indexes]
+            if len(members) < MIN_FAMILY:
+                group_jobs = [(scalar, plan, None, 0) for plan in members]
+            else:
+                try:
+                    if levels is None:
+                        group_jobs = self._price_group(ir, members)
+                    else:
+                        group_jobs = self._price_spill_free_group(
+                            ir, members, levels
+                        )
+                except Exception as exc:  # noqa: BLE001 — fail fast
+                    self._fail_fast(members[0], exc, indexes[0])
+            for i, job in zip(indexes, group_jobs):
+                jobs[i] = job
+        return jobs  # type: ignore[return-value]
 
     def _price_spill_free_group(
         self, ir: ProgramIR, group: List[KernelPlan], levels: Tuple[int, ...]
-    ) -> List:
-        """Finalize-thunks for one structural family, spill-free mode.
+    ) -> List[tuple]:
+        """Jobs for one structural family, spill-free mode.
 
         Mirrors :meth:`_evaluate_spill_free` lane by lane: validation
-        failures and all-level spills prune without a request;
-        everything else resolves to the first non-spilling rung and
-        finalizes the pre-priced lane through :meth:`_evaluate`.
+        failures and all-level spills prune without a request; every
+        other lane is a request for its first non-spilling rung that
+        carries the lane's verdict.
         """
         from ..gpu import pricing
 
@@ -652,10 +673,7 @@ class PlanEvaluator:
                 validate_plan(ir, proto)
             except INFEASIBLE as exc:
                 reason = f"infeasible: {exc}"
-                return [
-                    (lambda p=p: self._prune_job(p, reason))
-                    for p in group
-                ]
+                return [(_PRUNE, plan, reason, 0) for plan in group]
         structure = pricing.family_structure(ir, proto)
         fusion = fusion_rejection(ir, proto)
         if fusion is None:
@@ -667,202 +685,108 @@ class PlanEvaluator:
             demands, positions, lanes = structure.price_spill_free(
                 group, levels, self.device
             )
+            positions = positions.tolist()
+            refusal = None
         else:
             # Fusion-rejected families never reach the occupancy screen
             # or the model, so pricing their lanes would be pure waste;
             # rung resolution still needs the demand vector.
             demands = structure.demand(group)
-            positions = lanes = None
-        thunks: List = []
-        for i, plan in enumerate(group):
-            demand = int(demands[i])
-            if positions is not None:
-                position = int(positions[i])
-            else:
-                level = next((lv for lv in levels if demand <= lv), None)
-                position = -1 if level is None else levels.index(level)
+            positions = [_first_rung(d, levels) for d in demands.tolist()]
+            lanes = None
+            refusal = Refusal(fusion.code, fusion.message)
+        jobs: List[tuple] = []
+        for i, (plan, demand, position) in enumerate(
+            zip(group, demands.tolist(), positions)
+        ):
             if position < 0:
-                reason = (
-                    f"spills at every register level "
-                    f"(demand {demand} > {levels[-1]})"
-                )
-                thunks.append(
-                    lambda p=plan, r=reason: self._all_spill_job(
-                        p, r, len(levels)
-                    )
+                jobs.append(
+                    (_PRUNE, plan, _all_spill(demand, levels), len(levels))
                 )
                 continue
+            verdict = refusal if lanes is None else _verdict_of(lanes[i])
             candidate = plan.replace(max_registers=levels[position])
-            lane = lanes[i] if lanes is not None else None
-            thunks.append(
-                lambda c=candidate, l=lane, pos=position: (
-                    self._spill_free_finalize(ir, c, l, pos, fusion)
-                )
-            )
-        return thunks
+            jobs.append((_LANE, candidate, verdict, position))
+        return jobs
 
     def _price_group(
-        self, ir: ProgramIR, group: List[KernelPlan], catch: tuple
-    ) -> List:
-        """Finalize-thunks for one structural family, plain-batch mode.
+        self, ir: ProgramIR, group: List[KernelPlan]
+    ) -> List[tuple]:
+        """Jobs for one structural family, plain-batch mode.
 
-        Mirrors ``try_evaluate``: a validation failure replays as an
-        in-request infeasibility (request + miss + memoized exception),
-        exactly as the scalar ``_evaluate`` raises it.
+        Mirrors ``try_evaluate``: every plan is one request.  A
+        validation failure of the prototype is every lane's verdict,
+        exactly as the scalar ``_verdict`` would return it; lanes the
+        memo already holds carry no verdict and are not priced.
         """
         from ..gpu import pricing
 
         proto = group[0]
-        invalid: Optional[BaseException] = None
         if self.validate:
             try:
                 validate_plan(ir, proto)
             except INFEASIBLE as exc:
                 invalid = exc.clone()
-        if invalid is not None:
-            def reject(plan, exc=invalid):
-                raise exc.clone()
-
-            return [
-                (
-                    lambda p=p: self._finalize(
-                        ir, p, None, None, catch, rejection_fn=reject
-                    )
-                )
-                for p in group
-            ]
+                return [(_LANE, plan, invalid, 0) for plan in group]
         structure = pricing.family_structure(ir, proto)
         fusion = fusion_rejection(ir, proto)
-        need_pricing = fusion is None
+        if fusion is not None:
+            refusal = Refusal(fusion.code, fusion.message)
+            return [(_LANE, plan, refusal, 0) for plan in group]
         to_price: Dict[tuple, KernelPlan] = {}
         keys = []
         for plan in group:
             key = self._key(ir, plan)
             keys.append(key)
-            if need_pricing and not self._memo_has(ir, key):
+            hit = self._cache.get(key)
+            if hit is None or hit[0] is not ir:
                 to_price.setdefault(key, plan)
-        lane_by_key = self._price_lanes(structure, to_price)
+        verdicts: Dict[tuple, object] = {}
+        if to_price:
+            lanes = structure.price(list(to_price.values()), self.device)
+            verdicts = dict(zip(to_price, map(_verdict_of, lanes)))
         return [
-            (
-                lambda p=p, l=lane_by_key.get(k): self._finalize(
-                    ir, p, l, fusion, catch
-                )
-            )
-            for p, k in zip(group, keys)
+            (_LANE, plan, verdicts.get(key), 0)
+            for plan, key in zip(group, keys)
         ]
 
-    def _price_lanes(self, structure, to_price: Dict[tuple, KernelPlan]):
-        """One vectorized pricing pass over the not-yet-memoized lanes."""
-        if not to_price:
-            return {}
-        keys = list(to_price)
-        lanes = structure.price([to_price[k] for k in keys], self.device)
-        return dict(zip(keys, lanes))
-
-    def _memo_has(self, ir: ProgramIR, key: tuple) -> bool:
-        hit = self._cache.get(key)
-        return hit is not None and hit[0] is ir
-
-    def _prune_job(self, plan: KernelPlan, reason: str) -> None:
-        with self._timed():
-            if self.search_log is not None:
-                self.search_log.prune(plan, reason=reason)
-            return None
-
-    def _all_spill_job(
-        self, plan: KernelPlan, reason: str, rungs: int
-    ) -> None:
-        with self._timed():
-            self.stats.rungs_skipped += rungs
-            if self.search_log is not None:
-                self.search_log.prune(plan, reason=reason)
-            return None
-
-    def _spill_free_finalize(
-        self, ir: ProgramIR, candidate: KernelPlan, lane, position: int, fusion
-    ) -> Optional[Tuple[KernelPlan, SimulationResult]]:
-        with self._timed():
-            self.stats.rungs_skipped += position
-            result = self._finalize(ir, candidate, lane, fusion, INFEASIBLE)
-            if result is None:
-                return None
-            return candidate, result
-
-    def _finalize(
+    def _run_batch(
         self,
         ir: ProgramIR,
-        plan: KernelPlan,
-        lane,
-        fusion,
+        plans: List[KernelPlan],
+        jobs: List[tuple],
+        levels: Optional[Tuple[int, ...]],
         catch: tuple,
-        rejection_fn=None,
-    ) -> Optional[SimulationResult]:
-        """Resolve one pre-priced lane through the normal request path."""
-        with self._timed():
-            if rejection_fn is None:
-                rejection_fn, produce_fn = self._lane_fns(ir, lane, fusion)
-            else:
-                produce_fn = None
-            try:
-                return self._evaluate(
-                    ir,
-                    plan,
-                    rejection_fn=rejection_fn,
-                    produce_fn=produce_fn,
-                )
-            except catch:
-                return None
+    ) -> List:
+        """Run ``_jobs`` records in input order, one attempt each.
 
-    def _lane_fns(self, ir: ProgramIR, lane, fusion):
-        """The two ``_evaluate`` hooks for one pre-priced lane.
-
-        ``lane`` may be None when the memo pre-check expected a cache
-        hit (or the family was fusion-rejected before pricing); the
-        produce hook then falls back to a scalar ``simulate`` so a cache
-        cleared in between still yields a correct result.
+        An infeasible candidate yields None; a spill-free lane yields
+        ``(candidate, result)``.  An exception ``catch`` does not cover
+        fails fast (:meth:`_fail_fast`), naming the submitted plan.
         """
-
-        def rejection_fn(plan):
-            if fusion is not None:
-                _count_rejection(fusion.code)
-                return (fusion.code, fusion.message)
-            if lane is not None and lane.occ_message is not None:
-                self._count_occupancy_screen(lane.occ_code)
-                return (lane.occ_code, lane.occ_message)
-            return None
-
-        def produce_fn(plan):
-            if lane is None:
-                return simulate(ir, plan, self.device)
-            self.stats.vectorized += 1
-            return lane.result
-
-        return rejection_fn, produce_fn
-
-    @staticmethod
-    def _count_occupancy_screen(code: Optional[str]) -> None:
-        """Mirror ``plan_occupancy``'s rejection counters for a lane."""
-        from ..obs import counter, metrics_enabled
-
-        if metrics_enabled():
-            counter("simulate.prescreen_rejections").add()
-            counter(f"lint.reject.{code}").add()
-
-    def _run_batch(self, jobs) -> List:
-        """Run ``(plan, thunk)`` jobs, input-ordered, one attempt each.
-
-        An infeasible candidate yields None.  Any other exception fails
-        fast (:meth:`_fail_fast`).
-        """
+        stats = self.stats
         results: List = []
         with _span("eval.batch", candidates=len(jobs)):
-            for index, (plan, thunk) in enumerate(jobs):
+            for index, (kind, plan, verdict, rungs) in enumerate(jobs):
                 try:
-                    result = thunk()
-                except INFEASIBLE:
+                    if kind is _LANE:
+                        stats.rungs_skipped += rungs
+                        result = self._evaluate(ir, plan, verdict)
+                        if not isinstance(result, SimulationResult):
+                            result = None
+                        elif levels is not None:
+                            result = (plan, result)
+                    elif kind is _PRUNE:
+                        stats.rungs_skipped += rungs
+                        if self.search_log is not None:
+                            self.search_log.prune(plan, reason=verdict)
+                        result = None
+                    else:
+                        result = self._evaluate_spill_free(ir, plan, levels)
+                except catch:
                     result = None
                 except Exception as exc:  # noqa: BLE001 — fail fast
-                    self._fail_fast(plan, exc, index)
+                    self._fail_fast(plans[index], exc, index)
                 results.append(result)
         return results
 

@@ -102,6 +102,21 @@ class TestPragmaParsing:
         with pytest.raises(ParseError):
             parse_pragma("#pragma vectorize i")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "#pragma block (3²,16)",
+            "#pragma unroll j=2²",
+            "#pragma occupancy 1e+",
+            "#pragma occupancy 5²",
+        ],
+    )
+    def test_unconvertible_number(self, text):
+        # The lexer accepts these as numbers; conversion refuses them.
+        with pytest.raises(ParseError, match="malformed number") as info:
+            parse_pragma(text, line=7)
+        assert info.value.context["line"] == 7
+
 
 class TestAssignParsing:
     def test_two_groups(self):

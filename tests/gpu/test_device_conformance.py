@@ -22,6 +22,7 @@ parametrizes each test over *all* registered profiles, so a new
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -216,3 +217,20 @@ class TestEvaluatorDeviceIsolation:
             for name in DEVICES
         }
         assert len(keys) == len(DEVICES)
+
+    def test_pinned_hash_keeps_value_semantics(self):
+        # The hash a spec pins on first use is the field-tuple hash,
+        # and pinning it changes neither equality nor later copies.
+        for name in DEVICES:
+            spec = get_device(name)
+            pinned, fresh = spec.replace(), spec.replace()
+            fields = tuple(
+                getattr(spec, field) for field in spec.__dataclass_fields__
+            )
+            assert hash(pinned) == hash(fields) == hash(fresh)
+            assert pinned == fresh == spec
+            assert pinned.replace() == pinned
+            assert pinned.replace(sms=spec.sms + 1) != pinned
+            assert repr(pinned) == repr(spec)
+            restored = pickle.loads(pickle.dumps(pinned))
+            assert restored == pinned and hash(restored) == hash(pinned)

@@ -98,6 +98,41 @@ class TestOptimize:
         assert "T=5" in out
 
 
+#: A one-statement program whose only number is ``{number}``.
+_ONE_STATEMENT = """parameter N={size};
+iterator k, j, i;
+double A[N,N,N], B[N,N,N];
+copyin A;
+stencil s (B, A) {{ B[k][j][i] = A[k][j][i] * {number}; }}
+s (B, A);
+copyout B;
+"""
+
+
+class TestMalformedNumbers:
+    """Number text the lexer accepts but Python cannot convert (a
+    superscript digit, an exponent without digits) is a parse error at
+    the token, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "size, number, where",
+        [
+            ("64", "2²", "col=46, line=5"),
+            ("64", "1e+", "col=46, line=5"),
+            ("6²", "2", "col=13, line=1"),
+        ],
+    )
+    def test_optimize_exits_3_at_the_token(
+        self, tmp_path, capsys, size, number, where
+    ):
+        spec = tmp_path / "bad.stencil"
+        spec.write_text(_ONE_STATEMENT.format(size=size, number=number))
+        assert main(["optimize", str(spec)]) == 3
+        err = capsys.readouterr().err
+        bad = size if number == "2" else number
+        assert err == f"error: malformed number {bad!r} [{where}]\n"
+
+
 class TestDeepTune:
     def test_smoother(self, capsys):
         assert main(["deep-tune", "7pt-smoother", "-T", "13"]) == 0
