@@ -70,27 +70,9 @@ class KernelPlan:
     # -- validation -----------------------------------------------------------
 
     def __post_init__(self):
-        if not self.kernel_names:
-            raise ValueError("plan must cover at least one kernel instance")
-        if self.streaming not in STREAMING_MODES:
-            raise ValueError(f"unknown streaming mode {self.streaming!r}")
-        if self.perspective not in PERSPECTIVES:
-            raise ValueError(f"unknown perspective {self.perspective!r}")
-        if self.time_tile < 1:
-            raise ValueError("time_tile must be >= 1")
-        if self.concurrent_chunks < 1:
-            raise ValueError("concurrent_chunks must be >= 1")
-        if not (1 <= self.max_registers <= 255):
-            raise ValueError("max_registers must be in [1, 255]")
-        for b in self.block:
-            if b < 1:
-                raise ValueError("block sizes must be positive")
-        for u in self.unroll:
-            if u < 1:
-                raise ValueError("unroll factors must be positive")
-        for _, storage in self.placements:
-            if storage not in STORAGE_CLASSES:
-                raise ValueError(f"unknown storage class {storage!r}")
+        fields = self.__dict__
+        for name, check in _FIELD_CHECKS:
+            check(fields[name])
 
     # -- derived geometry ------------------------------------------------------
 
@@ -149,17 +131,26 @@ class KernelPlan:
         return total
 
     def replace(self, **changes) -> "KernelPlan":
-        # Hand-rolled for speed: the tuners derive every candidate from a
-        # seed via replace(), so this runs tens of thousands of times per
-        # search.  One C-level __dict__ copy plus re-running
-        # __post_init__ validation beats dataclasses.replace's generic
-        # machinery by an order of magnitude.  The pinned identity
-        # caches survive the copy exactly when the changed fields are
-        # factored out of them: ``_family_key`` excludes only
-        # ``max_registers``, ``_structural_key`` additionally the grid
-        # axes (block, unroll, unroll_blocked) — so the register
-        # escalation ladder and the tile sweep inherit their parents'
-        # keys instead of recomputing them per candidate.
+        # Hand-rolled for speed: the tuners derive candidates from a
+        # seed via replace(), so this runs thousands of times per
+        # search.  One C-level __dict__ copy plus the checks of the
+        # changed fields alone (the rest were checked when ``self`` was
+        # built) beats dataclasses.replace's generic machinery by an
+        # order of magnitude.  The pinned identity caches survive the
+        # copy exactly when the changed fields are factored out of
+        # them: ``_family_key`` excludes only ``max_registers``,
+        # ``_structural_key`` additionally the grid axes (block,
+        # unroll, unroll_blocked) — so the register escalation ladder
+        # and the tile sweep inherit their parents' keys instead of
+        # recomputing them per candidate.
+        for name in changes:
+            if name not in _PLAN_FIELD_SET:
+                raise TypeError(
+                    f"replace() got an unexpected field {name!r}"
+                )
+        for name, check in _FIELD_CHECKS:
+            if name in changes:
+                check(changes[name])
         new = object.__new__(KernelPlan)
         d = new.__dict__
         d.update(self.__dict__)
@@ -168,13 +159,7 @@ class KernelPlan:
             d.pop("_structural_key", None)
         if changed - _FAMILY_EXEMPT:
             d.pop("_family_key", None)
-        for name, value in changes.items():
-            if name not in _PLAN_FIELD_SET:
-                raise TypeError(
-                    f"replace() got an unexpected field {name!r}"
-                )
-            d[name] = value
-        new.__post_init__()
+        d.update(changes)
         return new
 
     def describe(self) -> str:
@@ -204,6 +189,71 @@ class KernelPlan:
             parts.append(f"shm({','.join(shm)})")
         parts.append(f"regs<={self.max_registers}")
         return " ".join(parts)
+
+
+# -- field checks: the constructor runs all of them in this order, and
+# ``KernelPlan.replace`` only those of the fields it changes.
+
+
+def _check_kernel_names(value) -> None:
+    if not value:
+        raise ValueError("plan must cover at least one kernel instance")
+
+
+def _check_streaming(value) -> None:
+    if value not in STREAMING_MODES:
+        raise ValueError(f"unknown streaming mode {value!r}")
+
+
+def _check_perspective(value) -> None:
+    if value not in PERSPECTIVES:
+        raise ValueError(f"unknown perspective {value!r}")
+
+
+def _check_time_tile(value) -> None:
+    if value < 1:
+        raise ValueError("time_tile must be >= 1")
+
+
+def _check_chunks(value) -> None:
+    if value < 1:
+        raise ValueError("concurrent_chunks must be >= 1")
+
+
+def _check_registers(value) -> None:
+    if not (1 <= value <= 255):
+        raise ValueError("max_registers must be in [1, 255]")
+
+
+def _check_block(value) -> None:
+    for b in value:
+        if b < 1:
+            raise ValueError("block sizes must be positive")
+
+
+def _check_unroll(value) -> None:
+    for u in value:
+        if u < 1:
+            raise ValueError("unroll factors must be positive")
+
+
+def _check_placements(value) -> None:
+    for _, storage in value:
+        if storage not in STORAGE_CLASSES:
+            raise ValueError(f"unknown storage class {storage!r}")
+
+
+_FIELD_CHECKS = (
+    ("kernel_names", _check_kernel_names),
+    ("streaming", _check_streaming),
+    ("perspective", _check_perspective),
+    ("time_tile", _check_time_tile),
+    ("concurrent_chunks", _check_chunks),
+    ("max_registers", _check_registers),
+    ("block", _check_block),
+    ("unroll", _check_unroll),
+    ("placements", _check_placements),
+)
 
 
 #: Declared field names, in order, for the fast ``KernelPlan.replace``.

@@ -91,6 +91,13 @@ def plan_family_key(plan: KernelPlan) -> tuple:
     return key
 
 
+def family_key_with(key: tuple, block: tuple, unroll: tuple) -> tuple:
+    """The :func:`plan_family_key` of the plan whose family key is
+    ``key``, with its block and unroll replaced — no plan object needed
+    (the stage-1 grid keys its lanes this way)."""
+    return (key[0], block, *key[2:6], unroll, *key[7:])
+
+
 def plan_structural_key(plan: KernelPlan) -> tuple:
     """Identity of a plan's *structure*: the family key with the grid
     knobs (block tile, unroll factors, register cap) factored out too.

@@ -31,11 +31,11 @@ the scalar code's *exact* operation order:
   selection, register-vs-shared served reads, sync/bubble gating) are
   evaluated with masks; branches that depend only on structure are
   resolved once at :class:`FamilyStructure` build time;
-* lanes that fail the occupancy screen fall back to the scalar
-  :func:`repro.gpu.occupancy.occupancy` call to reproduce the exact
-  exception message, context and RL2xx classification, when that
-  rejection is first read (:class:`PricedLane` builds its result and
-  its rejection on demand).
+* lanes that fail the occupancy screen carry a vectorized RL2xx rule
+  and fall back to the scalar :func:`repro.gpu.occupancy.occupancy`
+  arithmetic to reproduce the exact message and context when that
+  rejection is first read (a pass builds each lane's result and
+  rejection on demand, see :class:`_LaneArrays`).
 
 Feasible lanes yield :class:`~repro.gpu.counters.SimulationResult`
 objects equal (``==``, field for field) to what ``simulate`` returns.
@@ -88,8 +88,10 @@ from .simulator import (
 __all__ = [
     "FamilyPricing",
     "FamilyStructure",
+    "LaneKnobs",
     "PricedLane",
     "family_structure",
+    "knobs_of",
     "price_family",
     "priced_lane_count",
     "reset_priced_lanes",
@@ -120,6 +122,51 @@ def reset_priced_lanes() -> int:
     return previous
 
 
+class LaneKnobs:
+    """The grid-knob columns of one structural family's lanes.
+
+    Lane ``i`` has block ``blocks[block_ix[i]]``, unroll
+    ``unrolls[unroll_ix[i]]``, ``unroll_blocked`` ``ublocked[i]`` and
+    ``max_registers`` ``maxreg[i]``: everything :data:`GRID_AXES` lets
+    vary within a family (``ublocked`` and ``maxreg`` may be given as
+    one value for every lane).  Distinct tuples are stored once, so
+    per-lane geometry is a table lookup rather than a pass over plan
+    objects.
+    """
+
+    __slots__ = (
+        "blocks", "unrolls", "block_ix", "unroll_ix", "ublocked", "maxreg"
+    )
+
+    def __init__(self, blocks, unrolls, block_ix, unroll_ix, ublocked, maxreg):
+        self.blocks = tuple(blocks)
+        self.unrolls = tuple(unrolls)
+        self.block_ix = np.asarray(block_ix, dtype=_I8)
+        self.unroll_ix = np.asarray(unroll_ix, dtype=_I8)
+        n = len(self.block_ix)
+        self.ublocked = np.broadcast_to(np.asarray(ublocked, dtype=bool), (n,))
+        self.maxreg = np.broadcast_to(np.asarray(maxreg, dtype=_I8), (n,))
+
+    def __len__(self) -> int:
+        return len(self.block_ix)
+
+
+def knobs_of(plans: Sequence[KernelPlan]) -> LaneKnobs:
+    """The :class:`LaneKnobs` of a plan list (one structural family)."""
+    blocks: Dict[tuple, int] = {}
+    unrolls: Dict[tuple, int] = {}
+    block_ix = [blocks.setdefault(p.block, len(blocks)) for p in plans]
+    unroll_ix = [unrolls.setdefault(p.unroll, len(unrolls)) for p in plans]
+    return LaneKnobs(
+        blocks,
+        unrolls,
+        block_ix,
+        unroll_ix,
+        [p.unroll_blocked for p in plans],
+        [p.max_registers for p in plans],
+    )
+
+
 class PricedLane:
     """One candidate's price, in scalar-path terms.
 
@@ -129,50 +176,46 @@ class PricedLane:
     what :func:`repro.gpu.simulator.plan_occupancy` would raise and how
     the lint layer classifies it.
 
-    ``demand`` and ``feasible`` are set when the family is priced; the
-    result and the rejection are built from the family's lane arrays on
-    first read.  A search drops many priced lanes unread (a lane that
-    spills at every register rung), and those never pay for either.
+    A view of one lane of a pricing pass (:class:`_LaneArrays`): the
+    result and the rejection are built from the pass's arrays on first
+    read, once per lane.
     """
 
-    __slots__ = (
-        "demand", "feasible", "_lanes", "_index", "_result", "_reject"
-    )
+    __slots__ = ("_lanes", "_index")
 
-    def __init__(
-        self, demand: int, feasible: bool, lanes: "_LaneArrays", index: int
-    ):
-        self.demand = demand
-        self.feasible = feasible
+    def __init__(self, lanes: "_LaneArrays", index: int):
         self._lanes = lanes
         self._index = index
-        self._result: Optional[SimulationResult] = None
-        self._reject: Optional[Tuple[str, Dict[str, Any], str]] = None
+
+    @property
+    def demand(self) -> int:
+        return int(self._lanes.demand[self._index])
+
+    @property
+    def feasible(self) -> bool:
+        return self._lanes.ok[self._index]
 
     @property
     def result(self) -> Optional[SimulationResult]:
         if not self.feasible:
             return None
-        if self._result is None:
-            self._result = self._lanes.result(self._index)
-        return self._result
-
-    def _rejection(self) -> Tuple[str, Dict[str, Any], str]:
-        if self._reject is None:
-            self._reject = self._lanes.scalar_reject(self._index)
-        return self._reject
+        return self._lanes.result(self._index)
 
     @property
     def occ_message(self) -> Optional[str]:
-        return None if self.feasible else self._rejection()[0]
+        if self.feasible:
+            return None
+        return self._lanes.rejection(self._index)[0]
 
     @property
     def occ_context(self) -> Dict[str, Any]:
-        return {} if self.feasible else self._rejection()[1]
+        if self.feasible:
+            return {}
+        return self._lanes.rejection(self._index)[1]
 
     @property
     def occ_code(self) -> Optional[str]:
-        return None if self.feasible else self._rejection()[2]
+        return None if self.feasible else self._lanes.code(self._index)
 
     def _fields(self) -> tuple:
         return (
@@ -198,16 +241,29 @@ class PricedLane:
 
 
 class _LaneArrays:
-    """The lane arrays of one pricing pass, read back one lane at a time."""
+    """The lane arrays of one pricing pass, read back one lane at a time.
+
+    ``ok``, ``time_s`` and ``tflops`` are plain lists over the priced
+    lanes: what a ranking reads without building anything.  A lane's
+    :class:`SimulationResult` (:meth:`result`) and its occupancy
+    refusal (:meth:`rejection`) are built on first read and kept.
+
+    As a sequence it has one :class:`PricedLane` per *submitted* lane;
+    ``lane_of`` maps a submitted lane to its priced lane (-1 for a lane
+    the pass did not price, whose entry is None).
+    """
 
     __slots__ = (
         "device", "threads", "blocks", "compiled", "demand", "shmem",
-        "occ", "counters", "timing", "_rows",
+        "occ", "counters", "timing", "ok", "time_s", "tflops", "rule",
+        "lane_of", "_codes", "_rows", "_results", "_rejects",
     )
 
     def __init__(
         self, device, base, demand, compiled, shmem, occ, counters, timing
     ):
+        from ..lint.rules_plan import RL201, RL202, RL203
+
         self.device = device
         self.threads = base["threads"]
         self.blocks = base["blocks"]
@@ -217,10 +273,74 @@ class _LaneArrays:
         self.occ = occ
         self.counters = counters
         self.timing = timing
+        # SimulationResult.time_s / .tflops over the lane axis, in the
+        # scalar operation order.
+        bound = np.maximum(
+            np.maximum(
+                np.maximum(
+                    np.maximum(timing["compute"], timing["dram"]),
+                    timing["tex"],
+                ),
+                timing["shm"],
+            ),
+            timing["latency"],
+        )
+        total = ((bound + timing["sync"]) + timing["bubble"]) + timing["launch"]
+        positive = total > 0
+        tflops = np.where(
+            positive,
+            counters["useful"] / np.where(positive, total, 1.0) / 1e12,
+            0.0,
+        )
+        self.ok = (~occ["infeasible"]).tolist()
+        self.time_s = total.tolist()
+        self.tflops = tflops.tolist()
+        #: index into ``(RL201, RL202, RL203)`` of each refused lane's
+        #: rule, as ``classify_occupancy_context`` reads its refusal
+        self.rule = (occ["rule"]).tolist()
+        self._codes = (RL201.code, RL202.code, RL203.code)
+        self.lane_of: Optional[List[int]] = None
         self._rows: Optional[List[tuple]] = None
+        self._results: Dict[int, SimulationResult] = {}
+        self._rejects: Dict[int, Tuple[str, Dict[str, Any], str]] = {}
+
+    # -- sequence of submitted lanes --------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.ok) if self.lane_of is None else len(self.lane_of)
+
+    def __getitem__(self, i: int) -> Optional[PricedLane]:
+        if self.lane_of is not None:
+            i = self.lane_of[i]
+            if i < 0:
+                return None
+        elif not -len(self.ok) <= i < len(self.ok):
+            raise IndexError(i)
+        return PricedLane(self, i % len(self.ok))
+
+    # -- one priced lane --------------------------------------------------
+
+    def code(self, i: int) -> str:
+        """The RL2xx rule of refused lane ``i``."""
+        return self._codes[self.rule[i]]
+
+    def result(self, i: int) -> SimulationResult:
+        """The :class:`SimulationResult` of feasible lane ``i`` (built
+        once)."""
+        result = self._results.get(i)
+        if result is None:
+            result = self._results[i] = self.build_result(i)
+        return result
+
+    def rejection(self, i: int) -> Tuple[str, Dict[str, Any], str]:
+        """Refused lane ``i``'s ``(message, context, code)`` (built once)."""
+        reject = self._rejects.get(i)
+        if reject is None:
+            reject = self._rejects[i] = self.scalar_reject(i)
+        return reject
 
     def _row(self, i: int) -> tuple:
-        """Lane ``i``'s values of every array :meth:`result` reads.
+        """Lane ``i``'s values of every array :meth:`build_result` reads.
 
         The first read turns the arrays into one tuple per lane: a
         ``tolist`` per array costs less than a NumPy scalar read per
@@ -242,8 +362,8 @@ class _LaneArrays:
             self._rows = list(zip(*(column.tolist() for column in columns)))
         return self._rows[i]
 
-    def result(self, i: int) -> SimulationResult:
-        """The :class:`SimulationResult` of feasible lane ``i``."""
+    def build_result(self, i: int) -> SimulationResult:
+        """Build the :class:`SimulationResult` of feasible lane ``i``."""
         (
             blocks_psm, warps, occ_frac, limiter, flops, dram_read,
             dram_write, tex, shm, spill, syncs, blocks, threads, compiled,
@@ -395,6 +515,8 @@ class FamilyStructure:
             self.domain_points *= extent
         geo = launch_geometry(ir, proto)
         self.sweep_length = geo.sweep_length  # structural: chunks fixed
+        self.streaming_mode = proto.streaming
+        self.concurrent_chunks = proto.concurrent_chunks
         self.intermediates = intermediate_arrays(ir, proto)
         self.externally_visible = externally_visible(ir, proto)
         self._build_buffer_candidates(ir, proto)
@@ -694,48 +816,54 @@ class FamilyStructure:
     # lane-array computation
     # ------------------------------------------------------------------
 
-    def _base(self, plans: Sequence[KernelPlan]) -> dict:
+    def _base(self, knobs: LaneKnobs) -> dict:
         """Per-lane geometry scalars.
 
         Replays ``tiling._launch_geometry`` over the lane axis: the
         domain, tiled-axis set, streaming sweep and perspective halo are
         structural constants, so only the block/unroll tuples need
-        gathering per lane — everything downstream is exact int64 array
+        gathering per lane — one lookup into the knobs' tables of
+        distinct tuples.  Everything downstream is exact int64 array
         arithmetic (products and ``-(-a // b)`` ceil-division match the
         scalar path bit for bit).
         """
-        n = len(plans)
+        n = len(knobs)
         ndim = self.ndim
-        proto = plans[0]
         tiled = (
             tuple(a for a in range(ndim) if a != self.stream_axis)
             if self.streaming
             else tuple(range(ndim))
         )
-        # -- gather the varying grid fields (the only python-level pass)
-        unroll = np.ones((ndim, n), _I8)
-        for axis in range(ndim):
-            unroll[axis] = [
-                p.unroll[axis] if axis < len(p.unroll) else 1 for p in plans
-            ]
-        bt = np.ones((len(tiled), n), _I8)  # threads per tiled position
-        for pos in range(len(tiled)):
-            bt[pos] = [
-                p.block[pos] if pos < len(p.block) else 1 for p in plans
-            ]
+        block_ix, unroll_ix = knobs.block_ix, knobs.unroll_ix
+        # -- gather the varying grid fields from the distinct tuples
+        unroll_table = np.asarray(
+            [
+                [u[axis] if axis < len(u) else 1 for u in knobs.unrolls]
+                for axis in range(ndim)
+            ],
+            dtype=_I8,
+        ).reshape(ndim, len(knobs.unrolls))
+        unroll = unroll_table[:, unroll_ix]
+        block_table = np.asarray(
+            [
+                [b[pos] if pos < len(b) else 1 for b in knobs.blocks]
+                for pos in range(len(tiled))
+            ],
+            dtype=_I8,
+        ).reshape(len(tiled), len(knobs.blocks))
+        bt = block_table[:, block_ix]  # threads per tiled position
         # exact int products of the full tuples (may exceed the tiled
         # axis count; extra entries still count, as in the scalar code)
-        tunroll = np.asarray(
-            [math.prod(p.unroll) for p in plans], dtype=_I8
-        )
-        ublocked = np.asarray([p.unroll_blocked for p in plans], dtype=bool)
-        maxreg = np.asarray([p.max_registers for p in plans], dtype=_I8)
+        tunroll_table = [math.prod(u) for u in knobs.unrolls]
+        tunroll = np.asarray(tunroll_table, dtype=_I8)[unroll_ix]
+        ublocked = knobs.ublocked
+        maxreg = knobs.maxreg
         # -- tile extents and block decomposition
         tile = np.empty((ndim, n), _I8)
         blocks = np.ones(n, _I8)
         chunks = (
-            proto.concurrent_chunks
-            if proto.streaming == STREAM_CONCURRENT
+            self.concurrent_chunks
+            if self.streaming_mode == STREAM_CONCURRENT
             else 1
         )
         for pos, axis in enumerate(tiled):
@@ -747,8 +875,8 @@ class FamilyStructure:
         # -- threads per block (tiling._threads_per_block)
         if self.perspective == PERSPECTIVE_OUTPUT:
             threads = np.asarray(
-                [math.prod(p.block) for p in plans], dtype=_I8
-            )
+                [math.prod(b) for b in knobs.blocks], dtype=_I8
+            )[block_ix]
         else:
             halo = self.stages[0].halo
             innermost = tiled[-1] if tiled else ndim - 1
@@ -761,14 +889,16 @@ class FamilyStructure:
                     threads = threads * (
                         bt[pos] + ((lo + hi) if axis == innermost else 0)
                     )
-        ilp = np.empty(n, _F8)
-        for i in range(n):
-            # math.log2 per lane: identical libm path to the scalar code
-            # (np.log2 could round differently on exotic platforms).
-            value = 1.0 + 0.4 * math.log2(max(1, int(tunroll[i])))
+        # math.log2 per distinct unroll: identical libm path to the
+        # scalar code (np.log2 could round differently on exotic
+        # platforms).
+        ilp_table = []
+        for total in tunroll_table:
+            value = 1.0 + 0.4 * math.log2(max(1, total))
             if self.prefetch:
                 value += 0.3
-            ilp[i] = value
+            ilp_table.append(value)
+        ilp = np.asarray(ilp_table, dtype=_F8)[unroll_ix]
         return {
             "n": n,
             "tile": tile,
@@ -1027,82 +1157,85 @@ class FamilyStructure:
     # public lane APIs
     # ------------------------------------------------------------------
 
-    def demand(self, plans: Sequence[KernelPlan]) -> np.ndarray:
-        """Register demand per lane (== ``register_demand`` per plan)."""
-        base = self._base(plans)
+    def demand(self, lanes) -> np.ndarray:
+        """Register demand per lane (== ``register_demand`` per plan).
+
+        ``lanes`` is a plan list or its :class:`LaneKnobs`.
+        """
+        base = self._base(_knobs(lanes))
         winners = self._winners(base)
         return self._register_demand(base, winners)
 
-    def price(
-        self, plans: Sequence[KernelPlan], device: DeviceSpec = P100
-    ) -> List[PricedLane]:
-        """Price every lane; see :class:`PricedLane` for the contract."""
-        global _PRICED_LANES
-        if not plans:
+    def price(self, lanes, device: DeviceSpec = P100) -> Sequence[PricedLane]:
+        """Price every lane; see :class:`PricedLane` for the contract.
+
+        ``lanes`` is a plan list or its :class:`LaneKnobs`; the result
+        is the pass's :class:`_LaneArrays`, a sequence with one
+        :class:`PricedLane` per lane.
+        """
+        knobs = _knobs(lanes)
+        if not len(knobs):
             return []
-        n = len(plans)
-        _PRICED_LANES += n
-        if _metrics_enabled():
-            _obs_counter("pricing.family_calls").add()
-            _obs_counter("pricing.lanes").add(n)
-        with _span("price_family", lanes=n):
-            return self._price(plans, device)
+        base = self._base(knobs)
+        winners = self._winners(base)
+        demand = self._register_demand(base, winners)
+        return self._priced(device, base, winners, demand)
 
     def price_spill_free(
         self,
-        plans: Sequence[KernelPlan],
+        lanes,
         levels: Sequence[int],
         device: DeviceSpec = P100,
-    ) -> Tuple[np.ndarray, np.ndarray, List[PricedLane]]:
-        """Resolve the register ladder and price each chosen rung, in
-        one pass over the family axis.
+    ) -> Tuple[np.ndarray, np.ndarray, "_LaneArrays"]:
+        """Resolve the register ladder, then price each lane that has a
+        rung, at that rung.
 
         The evaluation engine's spill-free escalation needs the register
         *demand* of every lane (to pick the first non-spilling rung) and
-        then the price of each lane at its chosen rung.  Doing those as
-        two separate calls rebuilds the per-lane geometry twice; here the
-        base arrays are computed once, the rung is resolved vectorized,
-        and the ``max_registers`` axis is overridden in the lane arrays
-        before pricing — the plan objects are never copied.
+        then the price of each lane at its chosen rung.  The base arrays
+        and the demand are computed once over all lanes; the lanes that
+        spill at every rung are then dropped, and occupancy, counters
+        and timing run on the compacted rest with the ``max_registers``
+        axis set to each lane's rung — no plan object is copied.
 
         Returns ``(demands, positions, lanes)``: ``positions[i]`` is the
         index into ``levels`` of the first rung with ``demands[i] <=
         levels[positions[i]]`` (exactly ``levels.index(next(lv for lv in
         levels if demand <= lv))`` of the scalar path), or ``-1`` when
-        every rung spills.  All-spill lanes are still priced (at their
-        original cap) so indices stay aligned; callers discard them.
+        every rung spills.  ``lanes`` has one entry per submitted lane:
+        the lane's price, or None for an all-spill lane, which is never
+        priced.
         """
-        global _PRICED_LANES
-        base = self._base(plans)
+        knobs = _knobs(lanes)
+        base = self._base(knobs)
         winners = self._winners(base)
         demands = self._register_demand(base, winners)
+        positions, rungs = first_rungs(demands, levels)
+        kept = np.flatnonzero(positions >= 0)
+        sub = _take(base, kept)
+        sub["n"] = len(kept)
+        sub["maxreg"] = rungs[kept]
+        priced = self._priced(
+            device, sub, _take(winners, kept), demands[kept]
+        )
+        lane_of = np.full(base["n"], -1, dtype=_I8)
+        lane_of[kept] = np.arange(len(kept))
+        priced.lane_of = lane_of.tolist()
+        return demands, positions, priced
+
+    def _priced(self, device, base, winners, demand) -> "_LaneArrays":
+        """Count and price the lanes of ``base`` (the pricing core)."""
+        global _PRICED_LANES
         n = base["n"]
-        positions = np.full(n, -1, dtype=_I8)
-        resolved = base["maxreg"].copy()
-        for j, lv in enumerate(levels):
-            fresh = (positions < 0) & (demands <= lv)
-            positions[fresh] = j
-            resolved[fresh] = lv
-        base = dict(base, maxreg=resolved)
         _PRICED_LANES += n
-        if _metrics_enabled():
+        if _metrics_enabled() and n:
             _obs_counter("pricing.family_calls").add()
             _obs_counter("pricing.lanes").add(n)
         with _span("price_family", lanes=n):
-            lanes = self._price(plans, device, base=base)
-        return demands, positions, lanes
+            return self._price(device, base, winners, demand)
 
-    def _price(
-        self,
-        plans: Sequence[KernelPlan],
-        device: DeviceSpec,
-        base: Optional[dict] = None,
-    ) -> List[PricedLane]:
-        if base is None:
-            base = self._base(plans)
-        winners = self._winners(base)
+    def _price(self, device, base, winners, demand) -> "_LaneArrays":
         inter_arrays = self._inter_arrays(base)
-        demand = self._register_demand(base, winners)
         compiled = np.minimum(demand, base["maxreg"])
         shmem = self._shmem(base, winners, inter_arrays)
 
@@ -1111,16 +1244,9 @@ class FamilyStructure:
             device, base, winners, demand, compiled, shmem, occ
         )
         timing = self._timing_lanes(device, base, counters, shmem, occ)
-
-        arrays = _LaneArrays(
+        return _LaneArrays(
             device, base, demand, compiled, shmem, occ, counters, timing
         )
-        return [
-            PricedLane(lane_demand, not infeasible, arrays, i)
-            for i, (lane_demand, infeasible) in enumerate(
-                zip(demand.tolist(), occ["infeasible"].tolist())
-            )
-        ]
 
     # -- occupancy over lanes (mirrors occupancy.occupancy) --------------
 
@@ -1167,6 +1293,21 @@ class FamilyStructure:
             1,
             limiter,
         )
+        # The refused lanes' rule, as classify_occupancy_context reads
+        # the scalar refusal: 0 = RL201 (shared memory), 1 = RL202
+        # (threads/blocks), 2 = RL203 (registers).
+        by_limiter = np.where(limiter == 3, 0, np.where(limiter == 2, 2, 1))
+        rule = np.where(
+            (threads < 1) | (threads > device.max_threads_per_block),
+            1,
+            np.where(
+                shmem > device.shared_mem_per_block,
+                0,
+                np.where(
+                    regs > device.max_registers_per_thread, 2, by_limiter
+                ),
+            ),
+        )
         blocks_safe = np.where(infeasible, 1, blocks_psm)
         warps = np.minimum(blocks_safe * warps_pb, device.max_warps_per_sm)
         warps = np.where(infeasible, 1, warps)
@@ -1178,6 +1319,7 @@ class FamilyStructure:
             "warps": warps,
             "occ_frac": occ_frac,
             "limiter": limiter,
+            "rule": rule,
         }
 
     # -- counters over lanes (mirrors simulator._count) ------------------
@@ -1502,6 +1644,35 @@ def _dram_read_vec(loaded, fill, unique_bytes, p_intra, p_inter):
     )
 
 
+def first_rungs(
+    demands: np.ndarray, levels: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(positions, rungs)`` per lane: the index into ``levels`` of the
+    first level covering the lane's demand (-1 if none does) and that
+    level (0 if none)."""
+    positions = np.full(len(demands), -1, dtype=_I8)
+    rungs = np.zeros(len(demands), dtype=_I8)
+    for j, level in enumerate(levels):
+        fresh = (positions < 0) & (demands <= level)
+        positions[fresh] = j
+        rungs[fresh] = level
+    return positions, rungs
+
+
+def _knobs(lanes) -> LaneKnobs:
+    return lanes if isinstance(lanes, LaneKnobs) else knobs_of(lanes)
+
+
+def _take(value, lanes: np.ndarray):
+    """``value`` (an array, or a dict of them) restricted to ``lanes``
+    along its last (lane) axis; other values pass through."""
+    if isinstance(value, np.ndarray):
+        return value[..., lanes]
+    if isinstance(value, dict):
+        return {key: _take(item, lanes) for key, item in value.items()}
+    return value
+
+
 def _acc(terms: List[np.ndarray], n: int) -> np.ndarray:
     """Sequential f8 accumulation in scalar emission order."""
     total = np.zeros(n, _F8)
@@ -1574,7 +1745,7 @@ def price_family(
                 f"key; {plan.describe()!r} differs from the family's"
             )
     structure = family_structure(ir, proto)
-    lanes = structure.price(plans, device)
+    lanes = list(structure.price(plans, device))
     table = np.zeros(len(lanes), dtype=_TABLE_DTYPE)
     for i, lane in enumerate(lanes):
         row = table[i]

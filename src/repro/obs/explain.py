@@ -186,8 +186,9 @@ def build_explain(
     """Derive an :class:`ExplainReport` from a search-event stream.
 
     One pass reads each candidate's kind, disposition, sequence number,
-    GFLOPS and (when measured) fingerprint; only the winner and the
-    top-k runners-up are read in full.
+    GFLOPS and (when measured) plan identity; fingerprints are read only
+    to join the winner event, and only the winner and the top-k
+    runners-up are read in full.
     """
     if not events:
         raise UsageError("empty search log: nothing to explain")
@@ -205,9 +206,10 @@ def build_explain(
     stats: Optional[Dict[str, Any]] = None
     dispositions: Dict[str, int] = {}
     markers: Dict[str, int] = {}
-    # Best prediction per distinct plan fingerprint (cache hits repeat
-    # fingerprints; keep one representative each).
-    best_by_fp: Dict[str, Mapping[str, Any]] = {}
+    # Best prediction per distinct plan (cache hits repeat plans; keep
+    # one representative each), keyed by a cheap identity: a live row's
+    # (family key, registers), a loaded record's stored fingerprint.
+    best_by_plan: Dict[Any, Mapping[str, Any]] = {}
     # Convergence: running best GFLOPS in evaluation order.
     convergence: List[Tuple[int, float]] = []
     best = float("-inf")
@@ -225,10 +227,14 @@ def build_explain(
             if gflops > best:
                 best = gflops
                 convergence.append((int(event.get("seq", 0)), gflops))
-            fp = str(event.get("fingerprint", ""))
-            incumbent = best_by_fp.get(fp)
+            identity = getattr(event, "identity", None)
+            plan = (
+                identity() if identity is not None
+                else str(event.get("fingerprint", ""))
+            )
+            incumbent = best_by_plan.get(plan)
             if incumbent is None or gflops > incumbent["gflops"]:
-                best_by_fp[fp] = event
+                best_by_plan[plan] = event
         elif kind == "winner":
             winner_event = event  # last one wins (there is normally one)
         elif kind == "advice":
@@ -247,34 +253,18 @@ def build_explain(
         elif kind in MARKER_KINDS:
             markers[kind] = markers.get(kind, 0) + 1
 
-    # The winner candidate: joined by fingerprint to the winner event
-    # when possible (multi-plan schedules pick the best member), else
-    # the best measured candidate overall.
-    winner: Optional[Mapping[str, Any]] = None
-    if winner_event is not None:
-        winner_fps = [
-            p.get("fingerprint") for p in winner_event.get("plans", ())
-        ]
-        matched = [best_by_fp[fp] for fp in winner_fps if fp in best_by_fp]
-        if matched:
-            winner = max(matched, key=lambda e: e["gflops"])
-    if winner is None and best_by_fp:
-        winner = max(best_by_fp.values(), key=lambda e: e["gflops"])
+    # Representatives fastest first (stable: ties keep first-seen order).
+    ranked = sorted(
+        best_by_plan.items(), key=lambda item: item[1]["gflops"], reverse=True
+    )
+    winner_id, winner = _join_winner(winner_event, ranked)
 
     # Top-k runners-up: best distinct plans excluding the winner's.
     winner_candidate: Optional[CandidateView] = None
     runners: List[RunnerUp] = []
     if winner is not None:
         winner_candidate = _candidate_view(winner)
-        losers = sorted(
-            (
-                event
-                for fp, event in best_by_fp.items()
-                if fp != winner_candidate.fingerprint
-            ),
-            key=lambda e: e["gflops"],
-            reverse=True,
-        )
+        losers = [event for plan, event in ranked if plan != winner_id]
         for event in losers[: max(0, top_k)]:
             cand = _candidate_view(event)
             deltas: Dict[str, Tuple[float, float, Optional[float]]] = {}
@@ -309,8 +299,38 @@ def build_explain(
         stats=stats,
         candidates=candidates,
         measured=measured,
-        distinct_plans=len(best_by_fp),
+        distinct_plans=len(best_by_plan),
     )
+
+
+def _join_winner(winner_event, ranked):
+    """``(identity, event)`` of the winner candidate, or ``(None, None)``.
+
+    The winner event names its plans by fingerprint; of the candidates
+    with one of those fingerprints, the fastest wins (on a tie, the one
+    the winner event lists first).  ``ranked`` holds the best candidate
+    per distinct plan, fastest first, so fingerprints are read only down
+    to the first match and its ties.  Without a match, the fastest
+    candidate overall stands in.
+    """
+    if not ranked:
+        return None, None
+    if winner_event is not None:
+        order = {}
+        for position, plan in enumerate(winner_event.get("plans", ())):
+            order.setdefault(plan.get("fingerprint"), position)
+        matched = []
+        for identity, event in ranked:
+            if matched and event["gflops"] < matched[0][2]["gflops"]:
+                break
+            position = order.get(event.get("fingerprint"))
+            if position is not None:
+                matched.append((position, identity, event))
+        if matched:
+            _, identity, event = min(matched, key=lambda m: m[0])
+            return identity, event
+    identity, event = ranked[0]
+    return identity, event
 
 
 # ---------------------------------------------------------------------------

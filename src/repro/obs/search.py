@@ -161,24 +161,27 @@ class _Row(Mapping):
 
     A search records tens of thousands of these, and a reader looks at
     few of them in detail, so the row stores only what it knows at once
-    (kind, sequence, time, context, disposition, device, reason and
-    predicted GFLOPS) plus references to the frozen plan, the
-    :class:`~repro.gpu.counters.SimulationResult` and the log's device.
-    Reading ``fingerprint`` computes only the fingerprint; reading any
-    other field renders the full record once — the same keys, in the
-    same order, as the record the JSONL stream holds.  A cheap key the
+    (kind, sequence, time, context, disposition, device and predicted
+    GFLOPS) plus a lane of a resolved batch (``source``, ``index``:
+    :class:`~repro.tuning.evaluator.Resolution`) that builds its plan,
+    reason and :class:`~repro.gpu.counters.SimulationResult` on demand;
+    an ``error`` record holds its plan and reason itself.  Reading
+    ``fingerprint`` computes only the fingerprint; reading any other
+    field renders the full record once — the same keys, in the same
+    order, as the record the JSONL stream holds.  A cheap key the
     record lacks answers the default without rendering.
     """
 
     __slots__ = (
         "kind", "seq", "t_ms", "context", "disposition", "device",
-        "reason", "gflops", "_plan", "_result", "_log_device",
-        "_fingerprint", "_full",
+        "gflops", "_reason", "_plan", "_source", "_index",
+        "_log_device", "_fingerprint", "_full",
     )
 
     def __init__(
-        self, kind, seq, t_ms, context, plan, log_device,
-        disposition=None, device=None, reason=None, result=None,
+        self, kind, seq, t_ms, context, log_device, disposition=None,
+        device=None, reason=None, gflops=None, plan=None, source=None,
+        index=0,
     ):
         self.kind = kind
         self.seq = seq
@@ -186,13 +189,31 @@ class _Row(Mapping):
         self.context = context or None
         self.disposition = disposition
         self.device = device
-        self.reason = reason
-        self.gflops = result.tflops * 1e3 if result is not None else None
+        self.gflops = gflops
+        self._reason = _UNREAD if source is not None else reason
         self._plan = plan
-        self._result = result
+        self._source = source
+        self._index = index
         self._log_device = log_device
         self._fingerprint = None
         self._full = None
+
+    @property
+    def reason(self) -> Optional[str]:
+        if self._reason is _UNREAD:
+            self._reason = self._source.reason(self._index)
+        return self._reason
+
+    @property
+    def plan(self):
+        if self._plan is None:
+            self._plan = self._source.plan(self._index)
+        return self._plan
+
+    def identity(self) -> tuple:
+        """A measured candidate's plan identity, ``(plan_family_key,
+        max_registers)``: what its fingerprint digests, without hashing."""
+        return self._source.identity(self._index)
 
     def _keys(self) -> List[str]:
         """The record's keys, in JSONL order, known without rendering."""
@@ -201,7 +222,7 @@ class _Row(Mapping):
             keys.append("fingerprint")
         keys += ("family", "plan", "config")
         keys += (k for k in _TAGS if getattr(self, k) is not None)
-        if self._result is not None:
+        if self.gflops is not None:
             keys += ("time_ms", "gflops", "occupancy", "counters")
             if self._log_device is not None:
                 keys.append("bottleneck")
@@ -211,13 +232,13 @@ class _Row(Mapping):
 
     def _fp(self) -> str:
         if self._fingerprint is None:
-            self._fingerprint = _fingerprint(self._plan)
+            self._fingerprint = _fingerprint(self.plan)
         return self._fingerprint
 
     def _render(self) -> Dict[str, Any]:
         if self._full is not None:
             return self._full
-        plan = self._plan
+        plan = self.plan
         full = {"kind": self.kind, "seq": self.seq, "t_ms": self.t_ms}
         if self.kind == "candidate":
             full["fingerprint"] = self._fp()
@@ -228,8 +249,9 @@ class _Row(Mapping):
             value = getattr(self, key)
             if value is not None:
                 full[key] = value
-        if self._result is not None:
-            full.update(_result_payload(self._result, self._log_device))
+        if self.gflops is not None:
+            result = self._source.result(self._index)
+            full.update(_result_payload(result, self._log_device))
         if self.context is not None:
             full["context"] = self.context
         self._full = full
@@ -274,6 +296,7 @@ _CHEAP_KEYS = frozenset(
 _TAGS = ("disposition", "device", "reason")
 
 _ABSENT = object()
+_UNREAD = object()
 
 
 def _fingerprint(plan, include_registers: bool = True) -> str:
@@ -371,17 +394,18 @@ class SearchLog:
         plan,
         disposition: str,
         reason: Optional[str] = None,
-        result=None,
         device: Optional[str] = None,
     ) -> None:
-        """One evaluation-engine request (the core telemetry record).
+        """An evaluation-engine request with no verdict to read back:
+        the ``error`` record of an unexpected exception.  Every other
+        request is a :meth:`lane` record.
 
         ``device`` names the profile the candidate was priced on.  The
         engine always supplies it; when absent, the log's own device
         (the header's) is stamped so every candidate record is
         self-describing even after logs from several devices are merged.
-        The plan's fingerprints, description and configuration and the
-        result's payload render when the record is first read.
+        The plan's fingerprints, description and configuration render
+        when the record is first read.
         """
         if device is None and self.device is not None:
             device = self.device.name
@@ -390,17 +414,41 @@ class SearchLog:
         self._counts[key] = self._counts.get(key, 0) + 1
         self._append(
             _Row(
-                "candidate", seq, t_ms, context, plan, self.device,
+                "candidate", seq, t_ms, context, self.device,
                 disposition=disposition, device=device,
-                reason=reason or None, result=result,
+                reason=reason or None, plan=plan,
             )
         )
 
-    def prune(self, plan, reason: str) -> None:
-        """A candidate resolved by the escalation logic without the model."""
-        seq, t_ms, context = self._stamp("prune")
+    def lane(
+        self,
+        source,
+        index: int,
+        disposition: Optional[str] = None,
+        gflops: Optional[float] = None,
+        device: Optional[str] = None,
+    ) -> None:
+        """Lane ``index`` of a resolved batch (``source``): a
+        ``candidate`` record when it was requested (``disposition``
+        set), else a ``prune`` record.
+
+        The row reads its plan, result and reason from ``source`` when
+        it is first read (``plan(i)``, ``result(i)``, ``reason(i)`` and
+        ``identity(i)``); ``gflops`` is None when there is no result.
+        """
+        kind = "prune" if disposition is None else "candidate"
+        seq, t_ms, context = self._stamp(kind)
+        if kind == "candidate":
+            if device is None and self.device is not None:
+                device = self.device.name
+            key = f"candidate.{disposition}"
+            self._counts[key] = self._counts.get(key, 0) + 1
         self._append(
-            _Row("prune", seq, t_ms, context, plan, self.device, reason=reason)
+            _Row(
+                kind, seq, t_ms, context, self.device,
+                disposition=disposition, device=device, gflops=gflops,
+                source=source, index=index,
+            )
         )
 
     def marker(self, kind: str, plan, **fields) -> None:

@@ -29,7 +29,10 @@ size, so all search code routes measurements through one
   ``simulate`` path that smaller groups take.  Each priced lane is
   then one request through the same seam as a scalar one
   (:meth:`PlanEvaluator._evaluate`), carrying its verdict, so the
-  accounting, memoization and telemetry are the same.  Per-phase
+  accounting, memoization and telemetry are the same.  A stage-1
+  :class:`~repro.tuning.space.KnobGrid` is priced from its knob
+  columns and answered with a :class:`Resolution`, which builds plans
+  and results only for the lanes that are read.  Per-phase
   activity is attributed through :meth:`PlanEvaluator.phase`
   (``docs/performance_model.md``).
 * **batch evaluation** — :meth:`PlanEvaluator.evaluate_batch` runs a
@@ -67,7 +70,11 @@ from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
 from ..codegen.plan import KernelPlan, REGISTER_LEVELS
 from ..codegen.resources import InvalidPlan, validate_plan
-from ..codegen.tiling import plan_family_key, plan_structural_key
+from ..codegen.tiling import (
+    family_key_with,
+    plan_family_key,
+    plan_structural_key,
+)
 from ..gpu.counters import SimulationResult
 from ..gpu.device import DeviceSpec, P100
 from ..gpu.simulator import (
@@ -77,9 +84,11 @@ from ..gpu.simulator import (
 )
 from ..ir.stencil import ProgramIR
 from ..lint.rules_plan import fusion_rejection, plan_rejection
+from ..obs import counter as _counter, metrics_enabled as _metrics_enabled
 from ..obs import span as _span
 from ..obs.search import SearchLog
 from ..resilience import EvaluationError
+from .space import KnobGrid
 
 #: Exceptions that mark a candidate as infeasible rather than a bug.
 INFEASIBLE = (PlanInfeasible, InvalidPlan)
@@ -89,12 +98,6 @@ INFEASIBLE = (PlanInfeasible, InvalidPlan)
 #: pricing backend — below this the per-family setup cost (structure
 #: capture, array assembly) beats the per-lane savings.
 MIN_FAMILY = 4
-
-
-#: Batch job kinds (see :meth:`PlanEvaluator._jobs`): one request,
-#: with or without a precomputed verdict; a prune that makes no
-#: request; one scalar register-ladder walk.
-_LANE, _PRUNE, _LADDER = "lane", "prune", "ladder"
 
 
 class Refusal:
@@ -133,24 +136,15 @@ class Refusal:
 
     def count(self) -> None:
         """Bump the metrics the scalar prescreen bumps for this rule."""
-        from ..obs import counter, metrics_enabled
-
-        if metrics_enabled():
-            if self.occupancy:
-                counter("simulate.prescreen_rejections").add()
-            counter(f"lint.reject.{self.rule}").add()
+        _count_refusal(self.rule, self.occupancy)
 
 
-def _verdict_of(lane):
-    """A priced lane's verdict: its result, or its occupancy refusal."""
-    if lane.feasible:
-        return lane.result
-    return Refusal(lane.occ_code, lane.occ_message, occupancy=True)
-
-
-def _first_rung(demand: int, levels: Tuple[int, ...]) -> int:
-    """Index of the first register level covering ``demand``, else -1."""
-    return next((i for i, lv in enumerate(levels) if demand <= lv), -1)
+def _count_refusal(rule: str, occupancy: bool) -> None:
+    """The metrics the scalar prescreen bumps for a refusal by ``rule``."""
+    if _metrics_enabled():
+        if occupancy:
+            _counter("simulate.prescreen_rejections").add()
+        _counter(f"lint.reject.{rule}").add()
 
 
 def _all_spill(demand: int, levels: Tuple[int, ...]) -> str:
@@ -411,76 +405,68 @@ class PlanEvaluator:
         the direct ``validate_plan`` + ``simulate`` path would.
         """
         with self._timed():
-            outcome = self._evaluate(ir, plan)
-        if isinstance(outcome, SimulationResult):
-            return outcome
-        raise outcome.clone()
+            res = self._resolve(ir, [plan], None)
+        if res.ok[0]:
+            return res.result(0)
+        raise res.verdict(0).clone()
 
-    def _log_candidate(
-        self,
-        plan: KernelPlan,
-        disposition: str,
-        reason: Optional[str] = None,
-        result: Optional[SimulationResult] = None,
-    ) -> None:
-        if self.search_log is None:
-            return
-        self.search_log.candidate(
-            plan, disposition, reason=reason, result=result,
-            device=self.device.name,
-        )
-
-    def _evaluate(self, ir: ProgramIR, plan: KernelPlan, verdict=None):
+    def _evaluate(self, ir: ProgramIR, key: tuple, res: "Resolution",
+                  i: int, src=None, at: Optional[int] = None) -> None:
         """One request: every candidate crosses this seam exactly once.
 
-        ``verdict`` is what the model says about ``plan`` when the
-        caller already knows it: a family lane's ``SimulationResult``,
-        its occupancy or fusion :class:`Refusal`, or the validation
-        failure its family's prototype raised.  Without one, the scalar
-        path computes it (:meth:`_verdict`).  Both paths then do the
-        same request/hit/miss/screen/infeasible accounting, memo write
-        and candidate event.
-
-        Returns the result, or the memoized failure — a
-        :class:`Refusal` or an infeasibility exception — whose
-        ``clone()`` is the fresh exception a raising caller raises.
-        Only an unexpected exception propagates.
+        ``key`` is the request's memo key (:meth:`_key` of its plan).
+        ``src``/``at`` is what the model says about the plan when the
+        caller already knows it: a family pass and the lane's index in
+        it (a result or an occupancy refusal), or, with ``at`` None, a
+        fusion :class:`Refusal` or the validation failure its family's
+        prototype raised.  Without one, the scalar path computes it
+        (:meth:`_verdict`) from the plan ``res`` builds for lane ``i``.
+        Both paths then do the same request/hit/miss/screen/infeasible
+        accounting, memo write and candidate event, and record the
+        verdict as lane ``i`` of ``res``.  Only an unexpected exception
+        propagates.
         """
         stats = self.stats
         stats.requests += 1
-        key = self._key(ir, plan)
         hit = self._cache.get(key)
         if hit is not None and hit[0] is ir:
             stats.hits += 1
-            outcome = hit[1]
-            if isinstance(outcome, SimulationResult):
-                self._log_candidate(plan, "cache-hit", result=outcome)
-            else:
+            _, src, at = hit
+            ok = res.record(i, key, src, at)
+            if not ok:
                 stats.infeasible += 1
-                self._log_candidate(
-                    plan, "cache-hit-infeasible", reason=str(outcome)
-                )
-            return outcome
+            self._log_lane(
+                res, i, "cache-hit" if ok else "cache-hit-infeasible"
+            )
+            return
         stats.misses += 1
-        priced = verdict is not None
+        priced = src is not None
         if not priced:
-            verdict = self._verdict(ir, plan)
-        self._cache[key] = (ir, verdict)
-        if isinstance(verdict, SimulationResult):
+            src = self._verdict(ir, res.plan(i))
+        self._cache[key] = (ir, src, at)
+        if res.record(i, key, src, at):
             if priced:
                 stats.vectorized += 1
-            self._log_candidate(plan, "simulated", result=verdict)
-            return verdict
+            self._log_lane(res, i, "simulated")
+            return
         stats.infeasible += 1
         disposition = "infeasible"
-        if isinstance(verdict, Refusal):
-            if priced:
-                verdict.count()  # the scalar prescreen counts its own
+        if at is not None or isinstance(src, Refusal):
+            if priced:  # the scalar prescreen counts its own
+                if at is None:
+                    src.count()
+                else:
+                    _count_refusal(src.code(at), occupancy=True)
             stats.screened += 1
             stats.lint_rejections += 1
             disposition = "screened"
-        self._log_candidate(plan, disposition, reason=str(verdict))
-        return verdict
+        self._log_lane(res, i, disposition)
+
+    def _log_lane(self, res: "Resolution", i: int, disposition: str) -> None:
+        if self.search_log is not None:
+            self.search_log.lane(
+                res, i, disposition, res.gflops(i), device=self.device.name
+            )
 
     def _verdict(self, ir: ProgramIR, plan: KernelPlan):
         """The scalar path's verdict: validate, prescreen, simulate.
@@ -513,9 +499,11 @@ class PlanEvaluator:
         except Exception as exc:  # noqa: BLE001 — telemetry, then re-raise
             # Unexpected error: still one request, so still one
             # candidate event; a batch then fails fast on it.
-            self._log_candidate(
-                plan, "error", reason=f"{type(exc).__name__}: {exc}"
-            )
+            if self.search_log is not None:
+                self.search_log.candidate(
+                    plan, "error", reason=f"{type(exc).__name__}: {exc}",
+                    device=self.device.name,
+                )
             raise
 
     def try_evaluate(
@@ -552,35 +540,7 @@ class PlanEvaluator:
         simulated result are identical to walking the full ladder.
         """
         with self._timed():
-            return self._evaluate_spill_free(ir, plan, tuple(levels))
-
-    def _evaluate_spill_free(
-        self, ir: ProgramIR, plan: KernelPlan, levels: Tuple[int, ...]
-    ) -> Optional[Tuple[KernelPlan, SimulationResult]]:
-        # Demand is register-independent, so the first non-spilling rung
-        # is known without simulating the others.
-        try:
-            if self.validate:
-                validate_plan(ir, plan)
-            demand = self.register_demand(ir, plan)
-        except INFEASIBLE as exc:
-            if self.search_log is not None:
-                self.search_log.prune(plan, reason=f"infeasible: {exc}")
-            return None
-        position = _first_rung(demand, levels)
-        if position < 0:
-            # Spills even at the top level: every rung would have
-            # spilled; the seed ladder discarded the candidate too.
-            self.stats.rungs_skipped += len(levels)
-            if self.search_log is not None:
-                self.search_log.prune(plan, reason=_all_spill(demand, levels))
-            return None
-        self.stats.rungs_skipped += position
-        candidate = plan.replace(max_registers=levels[position])
-        result = self._evaluate(ir, candidate)
-        if not isinstance(result, SimulationResult):
-            return None
-        return candidate, result
+            return self._resolve(ir, [plan], tuple(levels)).found(0)
 
     # -- batch evaluation ------------------------------------------------------
 
@@ -597,198 +557,202 @@ class PlanEvaluator:
         route — results are bit-for-bit identical either way.
         """
         plans = list(plans)
-        with self._timed():
-            jobs = self._jobs(ir, plans, None)
-            return self._run_batch(ir, plans, jobs, None, catch)
+        with self._timed(), _span("eval.batch", candidates=len(plans)):
+            res = self._resolve(ir, plans, None, catch, fail_fast=True)
+        return [res.result(i) if ok else None for i, ok in enumerate(res.ok)]
 
     def evaluate_spill_free_batch(
         self,
         ir: ProgramIR,
-        plans: Iterable[KernelPlan],
+        plans,
         levels: Sequence[int] = REGISTER_LEVELS,
-    ) -> List[Optional[Tuple[KernelPlan, SimulationResult]]]:
-        """Batch variant of :meth:`evaluate_spill_free`, input-ordered."""
-        plans = list(plans)
-        levels = tuple(levels)
-        with self._timed():
-            jobs = self._jobs(ir, plans, levels)
-            return self._run_batch(ir, plans, jobs, levels, INFEASIBLE)
+    ):
+        """Batch variant of :meth:`evaluate_spill_free`, input-ordered.
 
-    # -- vectorized family pricing ---------------------------------------------
-
-    def _jobs(
-        self,
-        ir: ProgramIR,
-        plans: List[KernelPlan],
-        levels: Optional[Tuple[int, ...]],
-    ) -> List[tuple]:
-        """Input-ordered batch jobs; ``levels`` is None for a plain batch.
-
-        A job is a ``(kind, plan, verdict, rungs)`` record.  Plans are
-        grouped by structural key; a group of ``MIN_FAMILY`` or more is
-        priced in one vectorized pass and becomes ``_LANE`` and
-        ``_PRUNE`` records.  A smaller group's plans each run one scalar
-        request: a ``_LANE`` without a verdict in a plain batch, a
-        ``_LADDER`` in a spill-free one.  An exception while pricing a
-        family fails fast, naming the family's first candidate.
+        ``plans`` is a plan sequence, answered with one ``(plan, result)``
+        or None per plan, or a stage-1 :class:`~repro.tuning.space.KnobGrid`,
+        answered with its :class:`Resolution`: lane verdicts that build a
+        plan or a result only when one is read.
         """
-        groups: Dict[tuple, List[int]] = {}
-        for index, plan in enumerate(plans):
-            groups.setdefault(plan_structural_key(plan), []).append(index)
-        scalar = _LANE if levels is None else _LADDER
-        jobs: List[Optional[tuple]] = [None] * len(plans)
-        for indexes in groups.values():
-            members = [plans[i] for i in indexes]
-            if len(members) < MIN_FAMILY:
-                group_jobs = [(scalar, plan, None, 0) for plan in members]
-            else:
-                try:
-                    if levels is None:
-                        group_jobs = self._price_group(ir, members)
-                    else:
-                        group_jobs = self._price_spill_free_group(
-                            ir, members, levels
-                        )
-                except Exception as exc:  # noqa: BLE001 — fail fast
-                    self._fail_fast(members[0], exc, indexes[0])
-            for i, job in zip(indexes, group_jobs):
-                jobs[i] = job
-        return jobs  # type: ignore[return-value]
-
-    def _price_spill_free_group(
-        self, ir: ProgramIR, group: List[KernelPlan], levels: Tuple[int, ...]
-    ) -> List[tuple]:
-        """Jobs for one structural family, spill-free mode.
-
-        Mirrors :meth:`_evaluate_spill_free` lane by lane: validation
-        failures and all-level spills prune without a request; every
-        other lane is a request for its first non-spilling rung that
-        carries the lane's verdict.
-        """
-        from ..gpu import pricing
-
-        proto = group[0]
-        if self.validate:
-            try:
-                validate_plan(ir, proto)
-            except INFEASIBLE as exc:
-                reason = f"infeasible: {exc}"
-                return [(_PRUNE, plan, reason, 0) for plan in group]
-        structure = pricing.family_structure(ir, proto)
-        fusion = fusion_rejection(ir, proto)
-        if fusion is None:
-            # One-shot: demand, rung resolution, and pricing share a
-            # single pass over the family's lane arrays.  A lane the
-            # memo already holds is priced wastefully, but misses
-            # dominate searches so overwhelmingly that one fused pass
-            # beats a demand pass plus a memo-filtered pricing pass.
-            demands, positions, lanes = structure.price_spill_free(
-                group, levels, self.device
+        grid = plans if isinstance(plans, KnobGrid) else None
+        if grid is None:
+            plans = list(plans)
+        with self._timed(), _span("eval.batch", candidates=len(plans)):
+            res = self._resolve(
+                ir, plans, tuple(levels), INFEASIBLE, fail_fast=True
             )
-            positions = positions.tolist()
-            refusal = None
+        if grid is not None:
+            return res
+        return [res.found(i) for i in range(len(res))]
+
+    # -- the resolver ----------------------------------------------------------
+
+    def _resolve(
+        self,
+        ir: ProgramIR,
+        lanes,
+        levels: Optional[Tuple[int, ...]],
+        catch: tuple = (),
+        fail_fast: bool = False,
+    ) -> "Resolution":
+        """Resolve a batch: every entry point's one path to the model.
+
+        ``lanes`` is a plan list or a :class:`KnobGrid`; ``levels`` is
+        None for plain requests (each plan priced at its own register
+        cap) or the register ladder of a spill-free batch.  Lanes are
+        grouped into structural families; a family of ``MIN_FAMILY`` or
+        more lanes is priced in one vectorized pass from its knob
+        columns (:meth:`_price_family`), a smaller one lane by lane on
+        the scalar path.  Requests then run in input order through
+        :meth:`_evaluate`.  With ``fail_fast``, an exception ``catch``
+        does not cover ends the batch (:meth:`_fail_fast`); otherwise it
+        propagates as raised.
+        """
+        res = Resolution(lanes, levels)
+        for family in res.families:
+            if len(family.members) >= MIN_FAMILY:
+                try:
+                    self._price_family(ir, family, levels)
+                except Exception as exc:  # noqa: BLE001 — fail fast
+                    if not fail_fast:
+                        raise
+                    first = family.members[0]
+                    self._fail_fast(res.submitted(first), exc, first)
+        stats = self.stats
+        log = self.search_log
+        irid, device = id(ir), self.device
+        lane_family, lane_index = res.lane_family, res.lane_index
+        for i in range(len(res)):
+            family = lane_family[i]
+            j = lane_index[i]
+            try:
+                src, at = family.shared, None
+                if family.lane_of is not None and family.lane_of[j] >= 0:
+                    src, at = family.lanes, family.lane_of[j]
+                if levels is None:
+                    key = self._key(ir, family.plan(j))
+                    self._evaluate(ir, key, res, i, src, at)
+                    continue
+                if not family.priced:
+                    position = self._scalar_rung(
+                        ir, family.plan(j), levels, res, i
+                    )
+                elif family.pruned is not None:
+                    res.note[i] = family.pruned
+                    position = -1
+                else:
+                    position = family.positions[j]
+                    if position < 0:
+                        # Spills even at the top level: every rung
+                        # would have spilled.
+                        stats.rungs_skipped += len(levels)
+                        res.note[i] = family.demands[j]
+                    else:
+                        stats.rungs_skipped += position
+                if position >= 0:
+                    res.rung[i] = regs = levels[position]
+                    key = (irid, device, family.family_key(j), regs)
+                    self._evaluate(ir, key, res, i, src, at)
+                elif log is not None:
+                    log.lane(res, i)
+            except catch:
+                res.ok[i] = False
+            except Exception as exc:  # noqa: BLE001 — fail fast
+                if not fail_fast:
+                    raise
+                self._fail_fast(res.submitted(i), exc, i)
+        return res
+
+    def _scalar_rung(self, ir, plan, levels, res, i) -> int:
+        """Lane ``i``'s first non-spilling rung on the scalar path, or -1
+        when it is pruned (infeasible at validation, or spilling at
+        every rung) — the demand is register-independent, so the
+        spilling rungs below it are never simulated."""
+        try:
+            if self.validate:
+                validate_plan(ir, plan)
+            demand = self.register_demand(ir, plan)
+        except INFEASIBLE as exc:
+            res.note[i] = f"infeasible: {exc}"
+            return -1
+        position = next(
+            (k for k, level in enumerate(levels) if demand <= level), -1
+        )
+        if position < 0:
+            self.stats.rungs_skipped += len(levels)
+            res.note[i] = demand
         else:
-            # Fusion-rejected families never reach the occupancy screen
-            # or the model, so pricing their lanes would be pure waste;
-            # rung resolution still needs the demand vector.
-            demands = structure.demand(group)
-            positions = [_first_rung(d, levels) for d in demands.tolist()]
-            lanes = None
-            refusal = Refusal(fusion.code, fusion.message)
-        jobs: List[tuple] = []
-        for i, (plan, demand, position) in enumerate(
-            zip(group, demands.tolist(), positions)
-        ):
-            if position < 0:
-                jobs.append(
-                    (_PRUNE, plan, _all_spill(demand, levels), len(levels))
-                )
-                continue
-            verdict = refusal if lanes is None else _verdict_of(lanes[i])
-            candidate = plan.replace(max_registers=levels[position])
-            jobs.append((_LANE, candidate, verdict, position))
-        return jobs
+            self.stats.rungs_skipped += position
+        return position
 
-    def _price_group(
-        self, ir: ProgramIR, group: List[KernelPlan]
-    ) -> List[tuple]:
-        """Jobs for one structural family, plain-batch mode.
+    def _price_family(
+        self, ir: ProgramIR, family: "_Family", levels
+    ) -> None:
+        """Price one structural family from its knob columns.
 
-        Mirrors ``try_evaluate``: every plan is one request.  A
-        validation failure of the prototype is every lane's verdict,
-        exactly as the scalar ``_verdict`` would return it; lanes the
-        memo already holds carry no verdict and are not priced.
+        A validation failure of the prototype is every lane's verdict
+        (a plain batch), or prunes every lane without a request (a
+        spill-free one).  A fusion refusal is every requested lane's
+        verdict, with no pricing.  Otherwise, a spill-free family
+        resolves demand and rungs first and prices only the lanes that
+        have a rung, at that rung; a plain family prices the lanes the
+        memo does not hold.
         """
         from ..gpu import pricing
 
-        proto = group[0]
+        proto = family.proto
+        family.priced = True
         if self.validate:
             try:
                 validate_plan(ir, proto)
             except INFEASIBLE as exc:
-                invalid = exc.clone()
-                return [(_LANE, plan, invalid, 0) for plan in group]
+                if levels is None:
+                    family.shared = exc.clone()
+                else:
+                    family.pruned = f"infeasible: {exc}"
+                return
         structure = pricing.family_structure(ir, proto)
         fusion = fusion_rejection(ir, proto)
+        everyone = range(len(family.members))
         if fusion is not None:
-            refusal = Refusal(fusion.code, fusion.message)
-            return [(_LANE, plan, refusal, 0) for plan in group]
-        to_price: Dict[tuple, KernelPlan] = {}
-        keys = []
-        for plan in group:
-            key = self._key(ir, plan)
-            keys.append(key)
-            hit = self._cache.get(key)
-            if hit is None or hit[0] is not ir:
-                to_price.setdefault(key, plan)
-        verdicts: Dict[tuple, object] = {}
+            family.shared = Refusal(fusion.code, fusion.message)
+            if levels is not None:
+                # Rung resolution still needs the demand vector.
+                demands = structure.demand(family.knobs(everyone))
+                positions, _ = pricing.first_rungs(demands, levels)
+                family.demands = demands.tolist()
+                family.positions = positions.tolist()
+            return
+        if levels is not None:
+            demands, positions, lanes = structure.price_spill_free(
+                family.knobs(everyone), levels, self.device
+            )
+            family.demands = demands.tolist()
+            family.positions = positions.tolist()
+            family.lanes, family.lane_of = lanes, lanes.lane_of
+            return
+        # Plain batch: every lane at its own cap; a lane the memo holds
+        # needs no price, and duplicates share one.
+        irid, device = id(ir), self.device
+        cache = self._cache
+        slot: Dict[tuple, int] = {}
+        to_price: List[int] = []
+        lane_of: List[int] = []
+        for j in everyone:
+            plan = family.plans[j]
+            key = (irid, device, plan_family_key(plan), plan.max_registers)
+            hit = cache.get(key)
+            if hit is not None and hit[0] is ir:
+                lane_of.append(-1)
+                continue
+            at = slot.get(key)
+            if at is None:
+                at = slot[key] = len(to_price)
+                to_price.append(j)
+            lane_of.append(at)
         if to_price:
-            lanes = structure.price(list(to_price.values()), self.device)
-            verdicts = dict(zip(to_price, map(_verdict_of, lanes)))
-        return [
-            (_LANE, plan, verdicts.get(key), 0)
-            for plan, key in zip(group, keys)
-        ]
-
-    def _run_batch(
-        self,
-        ir: ProgramIR,
-        plans: List[KernelPlan],
-        jobs: List[tuple],
-        levels: Optional[Tuple[int, ...]],
-        catch: tuple,
-    ) -> List:
-        """Run ``_jobs`` records in input order, one attempt each.
-
-        An infeasible candidate yields None; a spill-free lane yields
-        ``(candidate, result)``.  An exception ``catch`` does not cover
-        fails fast (:meth:`_fail_fast`), naming the submitted plan.
-        """
-        stats = self.stats
-        results: List = []
-        with _span("eval.batch", candidates=len(jobs)):
-            for index, (kind, plan, verdict, rungs) in enumerate(jobs):
-                try:
-                    if kind is _LANE:
-                        stats.rungs_skipped += rungs
-                        result = self._evaluate(ir, plan, verdict)
-                        if not isinstance(result, SimulationResult):
-                            result = None
-                        elif levels is not None:
-                            result = (plan, result)
-                    elif kind is _PRUNE:
-                        stats.rungs_skipped += rungs
-                        if self.search_log is not None:
-                            self.search_log.prune(plan, reason=verdict)
-                        result = None
-                    else:
-                        result = self._evaluate_spill_free(ir, plan, levels)
-                except catch:
-                    result = None
-                except Exception as exc:  # noqa: BLE001 — fail fast
-                    self._fail_fast(plans[index], exc, index)
-                results.append(result)
-        return results
+            family.lanes = structure.price(family.knobs(to_price), self.device)
+        family.lane_of = lane_of
 
     def _fail_fast(self, plan, exc: Exception, index: int) -> NoReturn:
         """End the batch: raise ``exc`` as an :class:`EvaluationError`
@@ -814,3 +778,207 @@ class PlanEvaluator:
 
     def clear(self) -> None:
         self._cache.clear()
+
+
+class _Family:
+    """One structural family of a batch, and what its pricing found.
+
+    The submitted lanes are ``plans`` (a plan list) or lanes
+    ``members`` of ``grid``; ``proto`` is the first of them.  A family
+    priced as a whole (``priced``) holds either one ``shared`` verdict
+    (a fusion refusal, or its prototype's validation failure), a
+    ``pruned`` reason (that failure in a spill-free batch), or the pass
+    ``lanes`` with each member's priced lane ``lane_of[j]`` (-1: not
+    priced).  A spill-free family also holds each member's register
+    ``demands`` and rung ``positions`` (-1: spills at every rung).
+    """
+
+    __slots__ = (
+        "proto", "members", "plans", "grid", "priced", "shared", "pruned",
+        "demands", "positions", "lanes", "lane_of", "_key",
+    )
+
+    def __init__(self, proto: KernelPlan, members: List[int],
+                 plans: Optional[List[KernelPlan]] = None,
+                 grid: Optional[KnobGrid] = None):
+        self.proto = proto
+        self.members = members
+        self.plans = plans
+        self.grid = grid
+        self.priced = False
+        self.shared = None
+        self.pruned: Optional[str] = None
+        self.demands: Optional[List[int]] = None
+        self.positions: Optional[List[int]] = None
+        self.lanes = None
+        self.lane_of: Optional[List[int]] = None
+        self._key: Optional[tuple] = None
+
+    def plan(self, j: int) -> KernelPlan:
+        if self.plans is not None:
+            return self.plans[j]
+        return self.grid.plan(self.members[j])
+
+    def family_key(self, j: int) -> tuple:
+        """Member ``j``'s :func:`plan_family_key`, built without a plan
+        for a grid lane."""
+        if self.plans is not None:
+            return plan_family_key(self.plans[j])
+        if self._key is None:
+            self._key = plan_family_key(self.proto)
+        grid, lane = self.grid, self.members[j]
+        return family_key_with(
+            self._key,
+            grid.blocks[grid.block_ix[lane]],
+            grid.unrolls[grid.unroll_ix[lane]],
+        )
+
+    def knobs(self, js):
+        """The pricing knob columns of members ``js``."""
+        from ..gpu import pricing
+
+        if self.plans is not None:
+            return pricing.knobs_of([self.plans[j] for j in js])
+        grid, members = self.grid, self.members
+        return pricing.LaneKnobs(
+            grid.blocks,
+            grid.unrolls,
+            [grid.block_ix[members[j]] for j in js],
+            [grid.unroll_ix[members[j]] for j in js],
+            self.proto.unroll_blocked,
+            self.proto.max_registers,
+        )
+
+
+class Resolution:
+    """A resolved batch: one verdict per submitted lane, in input order.
+
+    ``ok[i]`` says whether lane ``i`` found a feasible result.  A
+    requested lane keeps its memo key and where its verdict lives
+    (``src``/``at``: a family pass and a lane of it, or the verdict
+    itself); a pruned lane keeps its reason (``note``: a string, or the
+    register demand of a lane that spills at every rung).  Plans,
+    results and reasons are built only when read, so a search that
+    ranks lanes by :meth:`time_s` builds objects for the lanes it
+    keeps alone.  Candidate rows of the search log read their fields
+    from here too.
+    """
+
+    __slots__ = (
+        "levels", "families", "lane_family", "lane_index", "rung", "keys",
+        "src", "at", "ok", "note", "_plans",
+    )
+
+    def __init__(self, lanes, levels: Optional[Tuple[int, ...]]):
+        self.levels = levels
+        if isinstance(lanes, KnobGrid):
+            self.families = [
+                _Family(proto, members, grid=lanes)
+                for proto, members in lanes.families()
+            ]
+        else:
+            groups: Dict[tuple, _Family] = {}
+            for i, plan in enumerate(lanes):
+                key = plan_structural_key(plan)
+                family = groups.get(key)
+                if family is None:
+                    family = groups[key] = _Family(plan, [], plans=[])
+                family.members.append(i)
+                family.plans.append(plan)
+            self.families = list(groups.values())
+        n = len(lanes)
+        self.lane_family: List[_Family] = [None] * n  # type: ignore[list-item]
+        self.lane_index = [0] * n
+        for family in self.families:
+            for j, i in enumerate(family.members):
+                self.lane_family[i] = family
+                self.lane_index[i] = j
+        #: register cap each spill-free request was made at
+        self.rung: List[Optional[int]] = [None] * n
+        self.keys: List[Optional[tuple]] = [None] * n
+        self.src: list = [None] * n
+        self.at: List[Optional[int]] = [None] * n
+        self.ok = [False] * n
+        self.note: list = [None] * n
+        self._plans: Dict[int, KernelPlan] = {}
+
+    def __len__(self) -> int:
+        return len(self.ok)
+
+    def record(self, i: int, key: tuple, src, at: Optional[int]) -> bool:
+        """Lane ``i`` was requested under ``key``; ``src``/``at`` holds
+        its verdict.  Returns whether that verdict is a result."""
+        self.keys[i] = key
+        self.src[i] = src
+        self.at[i] = at
+        ok = src.ok[at] if at is not None else isinstance(
+            src, SimulationResult
+        )
+        self.ok[i] = ok
+        return ok
+
+    def submitted(self, i: int) -> KernelPlan:
+        """Lane ``i`` as it was submitted."""
+        return self.lane_family[i].plan(self.lane_index[i])
+
+    def plan(self, i: int) -> KernelPlan:
+        """Lane ``i``'s requested plan: the submitted plan at its rung."""
+        rung = self.rung[i]
+        if rung is None:
+            return self.submitted(i)
+        plan = self._plans.get(i)
+        if plan is None:
+            plan = self._plans[i] = self.submitted(i).replace(
+                max_registers=rung
+            )
+        return plan
+
+    def result(self, i: int) -> SimulationResult:
+        """Feasible lane ``i``'s result (one object per priced lane)."""
+        at = self.at[i]
+        return self.src[i] if at is None else self.src[i].result(at)
+
+    def time_s(self, i: int) -> float:
+        at = self.at[i]
+        return self.src[i].time_s if at is None else self.src[i].time_s[at]
+
+    def tflops(self, i: int) -> float:
+        at = self.at[i]
+        return self.src[i].tflops if at is None else self.src[i].tflops[at]
+
+    def gflops(self, i: int) -> Optional[float]:
+        return self.tflops(i) * 1e3 if self.ok[i] else None
+
+    def found(self, i: int) -> Optional[Tuple[KernelPlan, SimulationResult]]:
+        """``(plan, result)`` of a feasible lane, else None."""
+        return (self.plan(i), self.result(i)) if self.ok[i] else None
+
+    def measurement(self, i: int) -> Measurement:
+        """Feasible lane ``i`` as a :class:`Measurement`."""
+        return Measurement(
+            plan=self.plan(i), time_s=self.time_s(i), tflops=self.tflops(i)
+        )
+
+    def verdict(self, i: int):
+        """Requested lane ``i``'s verdict: its result, a
+        :class:`Refusal` or the infeasibility it memoized."""
+        src, at = self.src[i], self.at[i]
+        if at is None:
+            return src
+        if self.ok[i]:
+            return src.result(at)
+        return Refusal(src.code(at), src.rejection(at)[0], occupancy=True)
+
+    def reason(self, i: int) -> Optional[str]:
+        """Why lane ``i`` has no result (None when it has one)."""
+        if self.keys[i] is None:
+            note = self.note[i]
+            if isinstance(note, str):
+                return note
+            return _all_spill(note, self.levels)
+        return None if self.ok[i] else str(self.verdict(i)) or None
+
+    def identity(self, i: int) -> tuple:
+        """Requested lane ``i``'s plan identity: (family key, registers)."""
+        key = self.keys[i]
+        return key[2], key[3]

@@ -45,6 +45,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..codegen.plan import (
@@ -69,7 +70,7 @@ from ..resilience.checkpoint import (
     plan_to_dict,
 )
 from .evaluator import EvalStats, Measurement, PlanEvaluator, plan_fingerprint
-from .space import SearchSpace, prune_overtiled, seed_variants
+from .space import KnobGrid, SearchSpace, prune_overtiled, stage1_grid
 
 __all__ = [
     "DEFAULT_SEED_LIMIT",
@@ -201,7 +202,11 @@ class HierarchicalTuner:
         self.evaluations = 0
         self._trace: List[Measurement] = []
         self._measured_families: Set[tuple] = set()
-        self._seeds: Dict[tuple, Measurement] = {}
+        #: the stage-1 grid of the current unit (its lanes were measured)
+        self._stage1_grid: Optional[KnobGrid] = None
+        #: fastest feasible measurement per (block, unroll) signature;
+        #: stage-1 lanes are held as :class:`_LaneSeed` until read
+        self._seeds: Dict[tuple, Union[Measurement, "_LaneSeed"]] = {}
 
     # -- checkpoint journal ------------------------------------------------------
 
@@ -273,7 +278,10 @@ class HierarchicalTuner:
 
     def _unit_seeds(self) -> Tuple[Measurement, ...]:
         ranked = sorted(self._seeds.values(), key=lambda m: m.time_s)
-        return tuple(ranked[:DEFAULT_SEED_LIMIT])
+        return tuple(
+            seed if isinstance(seed, Measurement) else seed.measurement()
+            for seed in ranked[:DEFAULT_SEED_LIMIT]
+        )
 
     # -- measurement -----------------------------------------------------------
 
@@ -354,6 +362,7 @@ class HierarchicalTuner:
             else:
                 evaluations_before = self.evaluations
                 self._measured_families = set()
+                self._stage1_grid = None
                 self._seeds = {}
                 if self.hierarchy is not None:
                     result = self._tune_custom(base)
@@ -405,46 +414,61 @@ class HierarchicalTuner:
                 allow_unroll=self.use_unrolling,
                 device=self.device,
             )
-            candidates = self._stage1_candidates(base, space)
+            grid = self._stage1_candidates(base, space)
             if self.lint_prune:
-                candidates = prune_overtiled(
-                    self.ir, candidates, search_log=self._slog
-                )
-            results = [
-                m for m in self._measure_batch(candidates) if m is not None
+                grid = prune_overtiled(self.ir, grid, search_log=self._slog)
+            self.evaluations += len(grid)
+            self._stage1_grid = grid
+            res = self.evaluator.evaluate_spill_free_batch(self.ir, grid)
+            feasible = [i for i, ok in enumerate(res.ok) if ok]
+            times = [res.time_s(i) for i in feasible]
+            self._note_stage1(grid, res, feasible, times)
+            # A stable argsort: equal times keep lane order.
+            ranked = sorted(range(len(times)), key=times.__getitem__)
+            survivors = [
+                res.measurement(feasible[k]) for k in ranked[: self.top_k]
             ]
-            results.sort(key=lambda m: m.time_s)
             if _metrics_enabled():
-                _counter("tuner.stage1.candidates").add(len(candidates))
-                _counter("tuner.stage1.feasible").add(len(results))
+                _counter("tuner.stage1.candidates").add(len(grid))
+                _counter("tuner.stage1.feasible").add(len(feasible))
             if stage_span is not None:
                 stage_span.attributes.update(
-                    candidates=len(candidates), feasible=len(results)
+                    candidates=len(grid), feasible=len(feasible)
                 )
-            return results[: self.top_k]
+            return survivors
+
+    def _note_stage1(self, grid: KnobGrid, res, feasible, times) -> None:
+        """:meth:`_note` the feasible stage-1 lanes, in lane order.
+
+        Without a trace, each (block, unroll) signature keeps its
+        fastest lane (the first on ties) as a lazy seed: a
+        :class:`Measurement` is built only for a seed the unit keeps.
+        """
+        if self.keep_trace:
+            for i in feasible:
+                self._note(res.measurement(i))
+            return
+        seeds = self._seeds
+        for i, time_s in zip(feasible, times):
+            signature = grid.signature(i)
+            held = seeds.get(signature)
+            if held is None or time_s < held.time_s:
+                seeds[signature] = _LaneSeed(time_s, res, i)
 
     def _stage1_candidates(
         self, base: KernelPlan, space: SearchSpace
-    ) -> List[KernelPlan]:
-        """Stage-1 candidate list: the block x unroll sweep over ``base``.
+    ) -> KnobGrid:
+        """Stage-1 candidates: the block x unroll grid over ``base``.
 
         The extension point for warm-started searches —
         :class:`repro.tuning.transfer.WarmStartTuner` overrides this to
         narrow the sweep to the neighborhood of another device's
-        journaled winners.  Retimed twins ride along with their parent
-        variant, so overrides that filter the returned list keep the
-        pairing intact.
+        journaled winners.  Register-level optimizations change which
+        block sizes win, so with them each unrolled-once variant is
+        followed by its retimed twin; filters over the lanes
+        (:meth:`KnobGrid.select`) keep the pairing intact.
         """
-        retimable = self._retimable(base)
-        candidates: List[KernelPlan] = []
-        for variant in seed_variants(base, space):
-            candidates.append(variant)
-            if retimable and variant.total_unroll() == 1:
-                # Register-level optimizations change which block
-                # sizes win; explore the retimed shape of each block
-                # up front.
-                candidates.append(variant.replace(retime=True))
-        return candidates
+        return stage1_grid(base, space, retime_twins=self._retimable(base))
 
     def _retimable(self, plan: KernelPlan) -> bool:
         if not (self.use_register_opts and plan.uses_streaming):
@@ -465,10 +489,13 @@ class HierarchicalTuner:
                 self.evaluator.phase("stage2"):
             candidates: List[KernelPlan] = []
             seen = set(self._measured_families)
+            grid = self._stage1_grid
             for survivor in survivors:
                 for variant in self._stage2_variants(survivor.plan):
                     family = plan_family_key(variant)
-                    if family in seen:
+                    if family in seen or (
+                        grid is not None and grid.contains(variant)
+                    ):
                         continue
                     seen.add(family)
                     candidates.append(variant)
@@ -539,6 +566,21 @@ class HierarchicalTuner:
             stage1_evaluations=stage1_evals,
             trace=tuple(self._trace),
         )
+
+
+class _LaneSeed:
+    """A stage-1 lane held as a seed: its time now, its
+    :class:`Measurement` when the unit's seeds are read."""
+
+    __slots__ = ("time_s", "_res", "_index")
+
+    def __init__(self, time_s: float, res, index: int):
+        self.time_s = time_s
+        self._res = res
+        self._index = index
+
+    def measurement(self) -> Measurement:
+        return self._res.measurement(self._index)
 
 
 def _unit_payload(result: TuningResult, evaluations_before: int) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..codegen.plan import KernelPlan, REGISTER_LEVELS
 from ..gpu.device import DeviceSpec, P100
@@ -119,19 +119,138 @@ def exhaustive_space_size(ndim: int, streaming: bool) -> int:
     return blocks * unrolls * len(REGISTER_LEVELS) * 2 * 3 * 3
 
 
+class KnobGrid:
+    """Stage-1 lanes as knob columns over one base plan.
+
+    Lane ``i`` is ``base`` with block ``blocks[block_ix[i]]``, unroll
+    ``unrolls[unroll_ix[i]]`` and ``retime[i]``: the sweep is described
+    once, and a :class:`KernelPlan` exists only for a lane that is read
+    (:meth:`plan`).  Each retime value is one structural family of
+    lanes (:meth:`families`), priced from the columns alone.
+    """
+
+    __slots__ = (
+        "base", "blocks", "unrolls", "block_ix", "unroll_ix", "retime",
+        "_lane_set",
+    )
+
+    def __init__(
+        self,
+        base: KernelPlan,
+        blocks: Sequence[Tuple[int, ...]],
+        unrolls: Sequence[Tuple[int, ...]],
+        block_ix: List[int],
+        unroll_ix: List[int],
+        retime: List[bool],
+    ):
+        self.base = base
+        self.blocks = tuple(blocks)
+        self.unrolls = tuple(unrolls)
+        self.block_ix = block_ix
+        self.unroll_ix = unroll_ix
+        self.retime = retime
+        self._lane_set: Optional[set] = None
+
+    def __len__(self) -> int:
+        return len(self.block_ix)
+
+    def signature(self, i: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Lane ``i``'s stage-1 coordinates ``(block, unroll)``."""
+        return self.blocks[self.block_ix[i]], self.unrolls[self.unroll_ix[i]]
+
+    def plan(self, i: int) -> KernelPlan:
+        """Lane ``i`` as a plan."""
+        base = self.base
+        block = self.blocks[self.block_ix[i]]
+        unroll = self.unrolls[self.unroll_ix[i]]
+        if self.retime[i] == base.retime:
+            return base.replace(block=block, unroll=unroll)
+        return base.replace(block=block, unroll=unroll, retime=self.retime[i])
+
+    def plans(self) -> Iterator[KernelPlan]:
+        return (self.plan(i) for i in range(len(self)))
+
+    def select(self, keep: Sequence[bool]) -> "KnobGrid":
+        """The lanes whose ``keep`` entry is true, in order."""
+        lanes = [i for i, kept in enumerate(keep) if kept]
+        return KnobGrid(
+            self.base,
+            self.blocks,
+            self.unrolls,
+            [self.block_ix[i] for i in lanes],
+            [self.unroll_ix[i] for i in lanes],
+            [self.retime[i] for i in lanes],
+        )
+
+    def families(self) -> List[Tuple[KernelPlan, List[int]]]:
+        """``(prototype, lanes)`` per retime value, in first-lane order.
+
+        Lanes of one family differ only in block and unroll, the grid
+        axes of ``repro.gpu.pricing``; the prototype is the family's
+        first lane.
+        """
+        groups: Dict[bool, List[int]] = {}
+        for i, retime in enumerate(self.retime):
+            groups.setdefault(retime, []).append(i)
+        return [(self.plan(lanes[0]), lanes) for lanes in groups.values()]
+
+    def contains(self, plan: KernelPlan) -> bool:
+        """Whether ``plan``'s family (register cap aside) is a lane."""
+        from ..codegen.tiling import plan_structural_key
+
+        base = self.base
+        if plan.unroll_blocked != base.unroll_blocked:
+            return False
+        if self._lane_set is None:
+            self._lane_set = {
+                (self.blocks[b], self.unrolls[u], r)
+                for b, u, r in zip(self.block_ix, self.unroll_ix, self.retime)
+            }
+        if (plan.block, plan.unroll, plan.retime) not in self._lane_set:
+            return False
+        proto = base if plan.retime == base.retime else base.replace(
+            retime=plan.retime
+        )
+        return plan_structural_key(plan) == plan_structural_key(proto)
+
+
+def stage1_grid(
+    plan: KernelPlan, space: SearchSpace, retime_twins: bool = False
+) -> KnobGrid:
+    """The block x unroll sweep over ``plan``, block-major.
+
+    With ``retime_twins``, every variant without unrolling is followed
+    by its retimed twin, so a filter over the lanes keeps the pairing.
+    """
+    blocks = space.block_candidates()
+    unrolls = space.unroll_candidates()
+    twins = [
+        retime_twins and SearchSpace._total(unroll) == 1 for unroll in unrolls
+    ]
+    block_ix: List[int] = []
+    unroll_ix: List[int] = []
+    retime: List[bool] = []
+    for b in range(len(blocks)):
+        for u, twin in enumerate(twins):
+            block_ix.append(b)
+            unroll_ix.append(u)
+            retime.append(plan.retime)
+            if twin:
+                block_ix.append(b)
+                unroll_ix.append(u)
+                retime.append(True)
+    return KnobGrid(plan, blocks, unrolls, block_ix, unroll_ix, retime)
+
+
 def seed_variants(
     plan: KernelPlan, space: SearchSpace
 ) -> Iterator[KernelPlan]:
     """Stage-1 variants: block size x unroll factors over the base plan."""
-    for block in space.block_candidates():
-        for unroll in space.unroll_candidates():
-            yield plan.replace(block=block, unroll=unroll)
+    return stage1_grid(plan, space).plans()
 
 
-def prune_overtiled(
-    ir, candidates: Sequence[KernelPlan], search_log=None
-) -> List[KernelPlan]:
-    """Drop candidates whose tile exceeds the domain (lint rule RL205).
+def prune_overtiled(ir, grid: KnobGrid, search_log=None) -> KnobGrid:
+    """Drop lanes whose tile exceeds the domain (lint rule RL205).
 
     A block tile (threads x unroll) larger than the domain extent along
     any axis leaves part of every block permanently idle.  On hardware
@@ -142,24 +261,32 @@ def prune_overtiled(
     as an opt-in (``HierarchicalTuner(lint_prune=True)``) rather than a
     default.
 
-    If *every* candidate is overtiled (tiny test domains), the list is
-    returned unpruned: the tuner must still measure something.
+    Returns the narrowed grid.  If *every* lane is overtiled (tiny test
+    domains), nothing is pruned: the tuner must still measure something.
     """
     try:
         domain = ir.domain_shape()
     except ValueError:
-        return list(candidates)
-
-    def overtiled(plan: KernelPlan) -> bool:
-        return any(
-            plan.tile_extent(axis, ir.ndim) > domain[axis]
-            for axis in plan.tiled_axes(ir.ndim)
-        )
-
-    kept = [plan for plan in candidates if not overtiled(plan)]
+        return grid
+    # Tile extents depend on (block, unroll) alone: one check per
+    # distinct pair, through a plan of the base's streaming shape.
+    verdicts: Dict[Tuple[int, int], bool] = {}
+    fits = []
+    for b, u in zip(grid.block_ix, grid.unroll_ix):
+        fit = verdicts.get((b, u))
+        if fit is None:
+            probe = grid.base.replace(
+                block=grid.blocks[b], unroll=grid.unrolls[u]
+            )
+            fit = verdicts[(b, u)] = not any(
+                probe.tile_extent(axis, ir.ndim) > domain[axis]
+                for axis in probe.tiled_axes(ir.ndim)
+            )
+        fits.append(fit)
+    kept = sum(fits)
     if not kept:
-        return list(candidates)
-    dropped = len(candidates) - len(kept)
+        return grid
+    dropped = len(fits) - kept
     if dropped:
         from ..obs import counter, metrics_enabled
 
@@ -170,6 +297,6 @@ def prune_overtiled(
                 "prune",
                 reason="lint.RL205",
                 dropped=dropped,
-                kept=len(kept),
+                kept=kept,
             )
-    return kept
+    return grid.select(fits)

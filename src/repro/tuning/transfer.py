@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, Optional, Sequence, Set, Tuple, Union
 
 from ..codegen.plan import KernelPlan
 from ..gpu.device import DeviceSpec, P100
@@ -45,7 +45,7 @@ from .hierarchical import (
     measurement_from_record,
     seed_signature,
 )
-from .space import SearchSpace
+from .space import KnobGrid, SearchSpace
 
 __all__ = [
     "DEFAULT_NEIGHBORHOOD",
@@ -191,19 +191,18 @@ class WarmStartTuner(HierarchicalTuner):
 
     def _stage1_candidates(
         self, base: KernelPlan, space: SearchSpace
-    ) -> List[KernelPlan]:
+    ) -> KnobGrid:
         full = super()._stage1_candidates(base, space)
         self.stage1_full = len(full)
-        if not self.seeds:
-            self.stage1_kept = len(full)
-            return full
-        allowed = self._warm_signatures()
-        kept = [plan for plan in full if seed_signature(plan) in allowed]
-        if not kept:
-            # The seeds project entirely outside this device's space
-            # (different dimensionality, disjoint limits): a warm start
-            # may never brick the search, so sweep cold.
-            kept = full
+        kept = full
+        if self.seeds:
+            allowed = self._warm_signatures()
+            keep = [full.signature(i) in allowed for i in range(len(full))]
+            # The seeds may project entirely outside this device's
+            # space (different dimensionality, disjoint limits): a warm
+            # start may never brick the search, so then sweep cold.
+            if any(keep):
+                kept = full.select(keep)
         self.stage1_kept = len(kept)
         return kept
 

@@ -41,6 +41,50 @@ class TestValidation:
             _plan(placements=(("A", "l3"),))
 
 
+#: One invalid value per checked field.
+INVALID_FIELDS = [
+    ("kernel_names", ()),
+    ("streaming", "diagonal"),
+    ("perspective", "sideways"),
+    ("time_tile", 0),
+    ("concurrent_chunks", 0),
+    ("max_registers", 0),
+    ("max_registers", 256),
+    ("block", (0, 16)),
+    ("unroll", (1, -2)),
+    ("placements", (("in", "tape"),)),
+]
+
+
+class TestReplaceValidation:
+    """``replace`` checks only the fields it changes, with the
+    constructor's messages."""
+
+    @pytest.mark.parametrize("field, value", INVALID_FIELDS)
+    def test_same_message_as_constructor(self, field, value):
+        with pytest.raises(ValueError) as built:
+            _plan(**{field: value})
+        with pytest.raises(ValueError) as replaced:
+            _plan().replace(**{field: value})
+        assert str(replaced.value) == str(built.value)
+
+    def test_several_invalid_fields_fail_in_constructor_order(self):
+        changes = dict(block=(0,), streaming="diagonal", time_tile=0)
+        with pytest.raises(ValueError) as built:
+            _plan(**changes)
+        with pytest.raises(ValueError) as replaced:
+            _plan().replace(**changes)
+        assert str(replaced.value) == str(built.value)
+
+    def test_valid_replace_equals_constructor(self):
+        changes = dict(block=(8, 8), unroll=(1, 2), max_registers=64)
+        assert _plan().replace(**changes) == _plan(**changes)
+
+    def test_unknown_field(self):
+        with pytest.raises(TypeError, match="colour"):
+            _plan().replace(colour="red")
+
+
 class TestGeometryHelpers:
     def test_block_threads(self):
         assert _plan(block=(32, 16)).block_threads() == 512

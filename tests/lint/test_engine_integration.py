@@ -14,7 +14,7 @@ from repro.gpu.device import P100
 from repro.gpu.simulator import PlanInfeasible
 from repro.obs import configure_metrics, get_metrics
 from repro.tuning import HierarchicalTuner, PlanEvaluator
-from repro.tuning.space import prune_overtiled
+from repro.tuning.space import KnobGrid, prune_overtiled
 
 
 def kernel_of(ir):
@@ -74,33 +74,45 @@ class TestEvaluatorPrescreen:
 
 
 class TestPruneOvertiled:
-    def _plans(self, ir):
+    def _grid(self, ir, unrolls):
         kernel = kernel_of(ir)
         fits = KernelPlan(
             (kernel,), block=(4, 128), streaming="serial", stream_axis=0
         )
-        overtiled = fits.replace(unroll=(1, 1, 8))  # 1024-point tile on 512
-        return fits, overtiled
+        # unroll (1, 1, 8): a 1024-point tile on a 512 domain
+        return KnobGrid(
+            fits, [fits.block], unrolls, [0] * len(unrolls),
+            list(range(len(unrolls))), [False] * len(unrolls),
+        )
 
     def test_drops_overtiled_keeps_fitting(self, smoother_ir):
-        fits, overtiled = self._plans(smoother_ir)
-        kept = prune_overtiled(smoother_ir, [fits, overtiled])
-        assert kept == [fits]
+        grid = self._grid(smoother_ir, [(), (1, 1, 8)])
+        kept = prune_overtiled(smoother_ir, grid)
+        assert list(kept.plans()) == [grid.plan(0)]
 
     def test_all_overtiled_falls_back_unpruned(self, smoother_ir):
-        _, overtiled = self._plans(smoother_ir)
-        kept = prune_overtiled(smoother_ir, [overtiled])
-        assert kept == [overtiled]
+        grid = self._grid(smoother_ir, [(1, 1, 8)])
+        kept = prune_overtiled(smoother_ir, grid)
+        assert list(kept.plans()) == list(grid.plans())
 
     def test_prune_emits_counter(self, smoother_ir):
-        fits, overtiled = self._plans(smoother_ir)
+        grid = self._grid(smoother_ir, [(), (1, 1, 8)])
         configure_metrics(True, reset=True)
         try:
-            prune_overtiled(smoother_ir, [fits, overtiled])
+            prune_overtiled(smoother_ir, grid)
             snap = get_metrics().snapshot()
             assert snap["lint.prune.overtile"]["value"] == 1
         finally:
             configure_metrics(False, reset=True)
+
+    def test_pruned_tune_measures_fewer_lanes(self, smoother_ir):
+        base = KernelPlan(
+            (kernel_of(smoother_ir),), block=(32, 16), streaming="serial",
+            stream_axis=0,
+        )
+        full = HierarchicalTuner(smoother_ir).tune(base)
+        pruned = HierarchicalTuner(smoother_ir, lint_prune=True).tune(base)
+        assert pruned.stage1_evaluations < full.stage1_evaluations
 
     def test_tuner_exposes_opt_in_knob(self, smoother_ir):
         # Off by default: pruning trades model fidelity (the analytical

@@ -201,3 +201,32 @@ class TestRenderOnDemand:
         before = len(rendered)
         build_explain(events, top_k=top_k)
         assert len(rendered) == before
+
+    def test_fingerprints_only_for_winner_join_and_top_k(self, monkeypatch):
+        import repro.obs.search as search_module
+        from repro.gpu.device import P100
+        from repro.tuning import evaluator as evaluator_module
+
+        log = SearchLog(device=P100)
+        engine = PlanEvaluator(device=P100, search_log=log)
+        optimize(load_ir("7pt-smoother"), evaluator=engine)
+        events = log.events()
+        (winner,) = [e for e in events if e["kind"] == "winner"]
+        calls = []
+        fingerprint = evaluator_module.plan_fingerprint
+
+        def counted(plan, include_registers=True):
+            calls.append(include_registers)
+            return fingerprint(plan, include_registers=include_registers)
+
+        monkeypatch.setattr(search_module, "_plan_fingerprint", counted)
+        top_k = 3
+        report = build_explain(events, top_k=top_k)
+        # Deduplication reads each row's plan identity, not its digest:
+        # a fingerprint (and a family fingerprint) per rendered view,
+        # plus the winner join, however many rows were measured.
+        assert report.measured > 100 * (top_k + 1)
+        assert len(calls) <= 2 * (top_k + 1) + len(winner["plans"])
+        assert report.winner_candidate.fingerprint in {
+            p["fingerprint"] for p in winner["plans"]
+        }

@@ -44,17 +44,19 @@ def _tune(ir, base, pricing=nullcontext):
 def _abort_on(ir, base, target, pricing=nullcontext):
     """Tune with a bug planted in the request for ``target``.
 
-    The engine raises when asked to evaluate ``target``; both pricing
-    paths resolve every candidate through one request, so the run must
-    end on that plan either way.  Returns the error and the engine.
+    The engine raises when asked to evaluate ``target`` (the request
+    under its memo key); both pricing paths resolve every candidate
+    through one request, so the run must end on that plan either way.
+    Returns the error and the engine.
     """
     engine = PlanEvaluator()
     evaluate = engine._evaluate
+    target_key = engine._key(ir, target)
 
-    def planted(ir_, plan, *args, **kwargs):
-        if plan == target:
+    def planted(ir_, key, *args, **kwargs):
+        if key == target_key:
             raise RuntimeError("model bug")
-        return evaluate(ir_, plan, *args, **kwargs)
+        return evaluate(ir_, key, *args, **kwargs)
 
     engine._evaluate = planted
     with pricing(), pytest.raises(EvaluationError) as info:
