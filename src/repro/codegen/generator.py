@@ -22,6 +22,7 @@ from .plan import KernelPlan, ProgramPlan
 from .resources import auto_assign, seed_plan_from_pragma, validate_plan
 
 if TYPE_CHECKING:
+    from ..tuning.evaluator import PlanEvaluator
     from .cuda_emitter import GeneratedKernel
 
 
@@ -97,13 +98,25 @@ def realize(
 
 
 def schedule_tflops(
-    ir: ProgramIR, schedule: ProgramPlan, device: DeviceSpec = P100
+    ir: ProgramIR,
+    schedule: ProgramPlan,
+    device: DeviceSpec = P100,
+    evaluator: Optional["PlanEvaluator"] = None,
 ) -> float:
-    """Useful-FLOP throughput of a schedule without emitting CUDA."""
+    """Useful-FLOP throughput of a schedule without emitting CUDA.
+
+    With an ``evaluator`` on ``device``, a launch plan it has already
+    priced is read from its memo (:meth:`PlanEvaluator.memoized`, no
+    request) instead of being priced again.
+    """
+    if evaluator is not None and evaluator.device != device:
+        evaluator = None
     total_time = 0.0
     useful = 0.0
     for plan, count in zip(schedule.plans, schedule.counts):
-        sim = simulate(ir, plan, device)
+        sim = None if evaluator is None else evaluator.memoized(ir, plan)
+        if sim is None:
+            sim = simulate(ir, plan, device)
         total_time += sim.time_s * count
         useful += sim.counters.useful_flops * count
     return useful / total_time / 1e12 if total_time > 0 else 0.0

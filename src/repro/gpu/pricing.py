@@ -1,9 +1,11 @@
-"""Vectorized plan-family pricing: the analytical model over a lane axis.
+"""The lane model: the analytical model over a plan family's lane axis.
 
-The scalar :func:`repro.gpu.simulator.simulate` prices one plan at a
-time.  Its arithmetic splits into a *register-independent prefix*
-(geometry, stages, buffer layouts, shared memory, register demand) and a
-*cheap suffix* (occupancy, spill traffic, counters, timing).  Both
+This is the one implementation of the counter and timing model;
+:func:`repro.gpu.simulator.simulate` prices one plan as a one-lane call
+into it.  The model's arithmetic splits into a *register-independent
+prefix* (geometry, stages, buffer layouts, shared memory, register
+demand) and a *cheap suffix* (occupancy, spill traffic, counters,
+timing).  Both
 halves branch only on the plan's **structure** — which kernels are
 fused, streaming mode and axis, retiming, placements, perspective
 (:func:`repro.codegen.tiling.plan_structural_key`) — while the grid
@@ -17,9 +19,10 @@ and :func:`price_family` then evaluates the whole model as NumPy array
 operations over an ``(N_candidates,)`` lane axis — occupancy, spill
 traffic and timing in one shot.
 
-Bitwise parity with the scalar path is a hard contract (the evaluation
-engine's winners must be byte-identical), so the implementation mirrors
-the scalar code's *exact* operation order:
+The model's original plan-at-a-time form is kept as a test oracle
+(``tests/gpu/reference_model.py``), and the lane model must match it bit
+for bit (the evaluation engine's winners must be byte-identical), so the
+implementation follows that form's *exact* operation order:
 
 * integer quantities (tiles, footprints, plane elements, register
   demand, shared bytes) are computed in ``int64`` — exact, and well
@@ -38,7 +41,8 @@ the scalar code's *exact* operation order:
   rejection on demand, see :class:`_LaneArrays`).
 
 Feasible lanes yield :class:`~repro.gpu.counters.SimulationResult`
-objects equal (``==``, field for field) to what ``simulate`` returns.
+objects equal (``==``, field for field) to what the scalar reference
+returns.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from ..codegen.plan import (
 from ..codegen.tiling import (
     Stage,
     _array_indexes_axis,
+    _ir_memoized,
     build_stages,
     distinct_read_offsets,
     is_star_along,
@@ -68,7 +73,12 @@ from ..codegen.tiling import (
     plan_structural_key,
     stream_window,
 )
-from ..ir.analysis import access_summary, read_halos
+from ..ir.analysis import (
+    access_patterns,
+    access_summary,
+    memoized_kv,
+    read_halos,
+)
 from ..ir.memo import OwnerMemo
 from ..ir.stencil import ProgramIR, StencilInstance
 from ..ir.types import sizeof
@@ -79,11 +89,6 @@ from .counters import KernelCounters, SimulationResult, TimingBreakdown
 from .device import DeviceSpec, P100
 from .occupancy import OccupancyResult, launch_refusal
 from .registers import BASE_REGISTERS, expression_registers
-from .simulator import (
-    _consumed_name,
-    externally_visible,
-    intermediate_arrays,
-)
 
 __all__ = [
     "FamilyPricing",
@@ -99,13 +104,14 @@ __all__ = [
 
 _I8 = np.int64
 _F8 = np.float64
+_I8_MAX = int(np.iinfo(_I8).max)
 
 #: Grid knobs :func:`price_family` may sweep without changing the
 #: family's structure (everything else is part of the structural key).
 GRID_AXES = ("block", "unroll", "unroll_blocked", "max_registers")
 
-#: Lanes priced through the vectorized backend since start / last reset
-#: (the vector-path analogue of ``simulator._SIMULATE_CALLS``).
+#: Lanes priced since start / last reset, ``simulate()``'s one-lane
+#: passes included (``simulator._SIMULATE_CALLS`` counts those apart).
 _PRICED_LANES = 0
 
 
@@ -647,7 +653,7 @@ class FamilyStructure:
         }
         self.inter_reg_planes = sum(spec["reg"] for spec in self.inter_specs)
 
-    # -- per-stage read/store term descriptors (mirrors simulator._count)
+    # -- per-stage read/store term descriptors (reference_model._count)
 
     def _build_stage_infos(
         self, ir: ProgramIR, proto: KernelPlan
@@ -695,7 +701,7 @@ class FamilyStructure:
                 elif self.buffered.get(array, False):
                     item.update(
                         kind="buffered",
-                        unique=_unique_bytes_const(ir, array, arr_esize, proto),
+                        unique=_unique_bytes(ir, array, arr_esize, proto),
                         fill_extra=(
                             2
                             if self.perspective == PERSPECTIVE_OUTPUT
@@ -708,14 +714,14 @@ class FamilyStructure:
                         halo_x=stage.halo[self.ndim - 1],
                         reads_distinct=info.reads_distinct,
                         inplane=(
-                            _inplane_distinct_reads_const(
+                            _inplane_distinct_reads(
                                 ir, stage, array, self.stream_axis
                             )
                             if self.streaming
                             else 0
                         ),
                         center=(
-                            _center_plane_reads_const(
+                            _center_plane_reads(
                                 ir, proto, stage, array
                             )
                             if self.streaming
@@ -725,7 +731,7 @@ class FamilyStructure:
                 else:
                     item.update(
                         kind="gmem",
-                        unique=_unique_bytes_const(ir, array, arr_esize, proto),
+                        unique=_unique_bytes(ir, array, arr_esize, proto),
                         gcoal=_gmem_coalescing_const(ir, stage.instance, array),
                         instance=stage.instance,
                         offsets=distinct_read_offsets(ir, stage.instance, array),
@@ -825,7 +831,7 @@ class FamilyStructure:
         gathering per lane — one lookup into the knobs' tables of
         distinct tuples.  Everything downstream is exact int64 array
         arithmetic (products and ``-(-a // b)`` ceil-division match the
-        scalar path bit for bit).
+        scalar reference bit for bit).
         """
         n = len(knobs)
         ndim = self.ndim
@@ -860,7 +866,7 @@ class FamilyStructure:
         maxreg = knobs.maxreg
         # -- tile extents and block decomposition
         tile = np.empty((ndim, n), _I8)
-        blocks = np.ones(n, _I8)
+        blocks = _column(n, 1, _I8)
         chunks = (
             self.concurrent_chunks
             if self.streaming_mode == STREAM_CONCURRENT
@@ -880,7 +886,7 @@ class FamilyStructure:
         else:
             halo = self.stages[0].halo
             innermost = tiled[-1] if tiled else ndim - 1
-            threads = np.ones(n, _I8)
+            threads = _column(n, 1, _I8)
             for pos, axis in enumerate(tiled):
                 lo, hi = halo[axis]
                 if self.perspective == PERSPECTIVE_INPUT:
@@ -910,6 +916,7 @@ class FamilyStructure:
             "maxreg": maxreg,
             "ilp": ilp,
             "pts": {},
+            "coal": {},
             "foot": {},
             "plane": {},
             "tplanes": {},
@@ -920,51 +927,54 @@ class FamilyStructure:
         cached = base["pts"].get(sidx)
         if cached is None:
             stage = self.stages[sidx]
-            total = np.ones(base["n"], _I8)
-            for axis in range(self.ndim):
-                lo, hi = stage.expand[axis]
-                total = total * (base["tile"][axis] + (lo + hi))
-            base["pts"][sidx] = cached = total
+            cached = _product(
+                [
+                    base["tile"][axis] + sum(stage.expand[axis])
+                    for axis in range(self.ndim)
+                ],
+                base["n"],
+            )
+            base["pts"][sidx] = cached
         return cached
 
     def _footprint(self, base: dict, sidx: int, array: str) -> np.ndarray:
-        key = (sidx, array)
+        info = self.stage_infos[sidx]
+        halo = info.halos.get(array)
+        key = (sidx, halo, info.foot_axes.get(array))
         cached = base["foot"].get(key)
         if cached is None:
-            info = self.stage_infos[sidx]
-            halo = info.halos.get(array)
             if halo is None:
                 cached = np.zeros(base["n"], _I8)
             else:
-                total = np.ones(base["n"], _I8)
+                factors = []
                 for axis in info.foot_axes[array]:
                     exp_lo, exp_hi = info.stage.expand[axis]
                     h_lo, h_hi = halo[axis]
                     span = base["tile"][axis] + (exp_lo + exp_hi + h_lo + h_hi)
-                    total = total * np.minimum(
-                        span, self.domain[axis] + (h_lo + h_hi)
+                    factors.append(
+                        np.minimum(span, self.domain[axis] + (h_lo + h_hi))
                     )
-                cached = total
+                cached = _product(factors, base["n"])
             base["foot"][key] = cached
         return cached
 
     def _plane_elems(self, base: dict, sidx: int, array: str) -> np.ndarray:
-        key = (sidx, array)
+        info = self.stage_infos[sidx]
+        halo = info.halos[array]
+        key = (sidx, halo)
         cached = base["plane"].get(key)
         if cached is None:
-            info = self.stage_infos[sidx]
-            halo = info.halos[array]
             depth_axis = self.stream_axis if self.streaming else 0
-            total = np.ones(base["n"], _I8)
+            factors = []
             for axis in range(self.ndim):
                 if axis == depth_axis:
                     continue
                 exp_lo, exp_hi = info.stage.expand[axis]
                 h_lo, h_hi = halo[axis]
-                total = total * (
+                factors.append(
                     base["tile"][axis] + (exp_lo + exp_hi + h_lo + h_hi)
                 )
-            base["plane"][key] = cached = total
+            base["plane"][key] = cached = _product(factors, base["n"])
         return cached
 
     def _tile_planes(self, base: dict, sidx: int, array: str) -> np.ndarray:
@@ -992,7 +1002,7 @@ class FamilyStructure:
                 cached = np.zeros(n, _F8)
             else:
                 loads = float(len(offsets))
-                factor_product = np.ones(n, _F8)
+                factor_product = _column(n, 1.0, _F8)
                 for axis in range(self.ndim):
                     axis_offsets = sorted(
                         {o[axis] for o in offsets if o[axis] is not None}
@@ -1022,12 +1032,12 @@ class FamilyStructure:
             for cand in self.candidates[array]:
                 plane = self._plane_elems(base, cand["stage"], array)
                 if cand["shm"] == "const":
-                    shm = np.full(base["n"], cand["shm_const"], _I8)
+                    shm = _column(base["n"], cand["shm_const"], _I8)
                 elif cand["shm"] == "tile_planes":
                     shm = self._tile_planes(base, cand["stage"], array)
                 else:
                     shm = np.zeros(base["n"], _I8)
-                reg = np.full(base["n"], cand["reg"], _I8)
+                reg = _column(base["n"], cand["reg"], _I8)
                 spec_bytes = shm * plane * size + reg
                 if win is None:
                     win = {
@@ -1054,7 +1064,7 @@ class FamilyStructure:
         for spec in self.inter_specs:
             consumer = self.stages[spec["consumer"]]
             halo = spec["halo"]
-            plane = np.ones(base["n"], _I8)
+            plane = _column(base["n"], 1, _I8)
             for axis in range(self.ndim):
                 if self.streaming and axis == self.stream_axis:
                     continue
@@ -1064,7 +1074,7 @@ class FamilyStructure:
                     base["tile"][axis] + (exp_lo + exp_hi + h_lo + h_hi)
                 )
             if spec["shm"] == "const":
-                shm = np.full(base["n"], spec["shm_const"], _I8)
+                shm = _column(base["n"], spec["shm_const"], _I8)
             elif spec["shm"] == "depth0":
                 exp_lo, exp_hi = consumer.expand[0]
                 h_lo, h_hi = halo[0]
@@ -1079,7 +1089,7 @@ class FamilyStructure:
         for array in self.buffer_arrays:
             reg_planes = reg_planes + winners[array]["reg"]
         reg_planes = reg_planes + self.inter_reg_planes
-        demand = np.full(base["n"], BASE_REGISTERS + self.expr_regs, _I8)
+        demand = _column(base["n"], BASE_REGISTERS + self.expr_regs, _I8)
         demand = demand + reg_planes * base["tunroll"]
         demand = demand + self.accumulators * base["tunroll"]
         demand = demand + self.prefetch_regs
@@ -1120,7 +1130,7 @@ class FamilyStructure:
                     if array in self.array_map
                     else "double"
                 )
-                plane = np.ones(base["n"], _I8)
+                plane = _column(base["n"], 1, _I8)
                 for axis in range(self.ndim):
                     if axis == depth_axis:
                         continue
@@ -1131,7 +1141,7 @@ class FamilyStructure:
                     )
                 if self.streaming:
                     lo, hi = halo[self.stream_axis]
-                    depth = np.full(base["n"], lo + hi + 1, _I8)
+                    depth = _column(base["n"], lo + hi + 1, _I8)
                 else:
                     exp_lo, exp_hi = stage.expand[0]
                     h_lo, h_hi = halo[0]
@@ -1201,7 +1211,7 @@ class FamilyStructure:
         Returns ``(demands, positions, lanes)``: ``positions[i]`` is the
         index into ``levels`` of the first rung with ``demands[i] <=
         levels[positions[i]]`` (exactly ``levels.index(next(lv for lv in
-        levels if demand <= lv))`` of the scalar path), or ``-1`` when
+        levels if demand <= lv))`` of a plan-by-plan walk), or ``-1`` when
         every rung spills.  ``lanes`` has one entry per submitted lane:
         the lane's price, or None for an all-spill lane, which is never
         priced.
@@ -1218,7 +1228,7 @@ class FamilyStructure:
         priced = self._priced(
             device, sub, _take(winners, kept), demands[kept]
         )
-        lane_of = np.full(base["n"], -1, dtype=_I8)
+        lane_of = _column(base["n"], -1, _I8)
         lane_of[kept] = np.arange(len(kept))
         priced.lane_of = lane_of.tolist()
         return demands, positions, priced
@@ -1260,53 +1270,50 @@ class FamilyStructure:
         regs = np.maximum(compiled, 1)
         warp = device.warp_size
         warps_pb = -(-threads // warp)
-        per_warp = regs * warp
         granularity = device.register_granularity
-        per_warp = -(-per_warp // granularity) * granularity
+        per_warp = -(-(regs * warp) // granularity) * granularity
         block_regs = warps_pb * per_warp
+        max_blocks = device.max_blocks_per_sm
 
         lim_threads = device.max_threads_per_sm // np.maximum(threads, 1)
-        lim_blocks = np.full(threads.shape, device.max_blocks_per_sm, _I8)
         lim_regs = np.where(
             block_regs > 0,
             device.registers_per_sm // np.maximum(block_regs, 1),
-            device.max_blocks_per_sm,
+            max_blocks,
         )
-        big = np.iinfo(_I8).max
         lim_shm = np.where(
             shmem > 0,
             device.shared_mem_per_sm // np.maximum(shmem, 1),
-            big,
+            _I8_MAX,
         )
-        limits = np.stack([lim_threads, lim_blocks, lim_regs, lim_shm])
-        blocks_psm = limits.min(axis=0)
-        limiter = limits.argmin(axis=0)  # first-min == dict-order min
-        infeasible = (
-            (threads < 1)
-            | (threads > device.max_threads_per_block)
-            | (shmem > device.shared_mem_per_block)
-            | (regs > device.max_registers_per_thread)
-            | (blocks_psm < 1)
+        # Blocks per SM: the minimum of the (threads, blocks, registers,
+        # shmem) limits.  The limiter is the first minimum in that order,
+        # except that a lane at the block cap is blocks-limited.
+        blocks_psm = np.minimum(
+            np.minimum(np.minimum(lim_threads, max_blocks), lim_regs),
+            lim_shm,
         )
         limiter = np.where(
-            (blocks_psm == device.max_blocks_per_sm) & (limiter != 1),
+            blocks_psm == max_blocks,
             1,
-            limiter,
+            np.where(
+                lim_threads == blocks_psm,
+                0,
+                np.where(lim_regs == blocks_psm, 2, 3),
+            ),
         )
+        bad_threads = (threads < 1) | (threads > device.max_threads_per_block)
+        bad_shmem = shmem > device.shared_mem_per_block
+        bad_regs = regs > device.max_registers_per_thread
+        infeasible = bad_threads | bad_shmem | bad_regs | (blocks_psm < 1)
         # The refused lanes' rule, as classify_occupancy_context reads
         # the scalar refusal: 0 = RL201 (shared memory), 1 = RL202
         # (threads/blocks), 2 = RL203 (registers).
         by_limiter = np.where(limiter == 3, 0, np.where(limiter == 2, 2, 1))
         rule = np.where(
-            (threads < 1) | (threads > device.max_threads_per_block),
+            bad_threads,
             1,
-            np.where(
-                shmem > device.shared_mem_per_block,
-                0,
-                np.where(
-                    regs > device.max_registers_per_thread, 2, by_limiter
-                ),
-            ),
+            np.where(bad_shmem, 0, np.where(bad_regs, 2, by_limiter)),
         )
         blocks_safe = np.where(infeasible, 1, blocks_psm)
         warps = np.minimum(blocks_safe * warps_pb, device.max_warps_per_sm)
@@ -1322,7 +1329,7 @@ class FamilyStructure:
             "rule": rule,
         }
 
-    # -- counters over lanes (mirrors simulator._count) ------------------
+    # -- counters over lanes (reference_model._count) ----------------
 
     def _counter_lanes(
         self,
@@ -1343,6 +1350,14 @@ class FamilyStructure:
         working_set = active_blocks * np.maximum(live, 1.0)
         p_intra = np.minimum(1.0, device.l2_cache_bytes / working_set)
         p_inter = device.inter_block_l2_factor * p_intra
+        # DRAM misses per re-touch: inter-block halo re-reads, and
+        # same-block re-reads (streaming gmem sweeps capture fewer).
+        miss_inter = 1.0 - p_inter
+        p_touch = p_intra
+        if self.streaming:
+            p_touch = p_touch * device.stream_gmem_l2_capture
+        miss_touch = 1.0 - p_touch
+        sector = device.dram_transaction_bytes
 
         flops_t: List[np.ndarray] = []
         tex_t: List[np.ndarray] = []
@@ -1353,6 +1368,7 @@ class FamilyStructure:
 
         for sidx, info in enumerate(self.stage_infos):
             pts = self._pts(base, sidx)
+            pts_f = None
             flops_t.append((info.flops_pp * pts * blocks).astype(_F8))
             useful += info.flops_pp * self.domain_points
             for item in info.reads:
@@ -1368,16 +1384,15 @@ class FamilyStructure:
                         (item["served"] * pts * blocks * esize).astype(_F8)
                     )
                 elif kind == "buffered":
+                    # The footprint is loaded exactly once: no same-block
+                    # re-touch, so the DRAM term has no intra-block part.
                     footprint = self._footprint(base, sidx, array)
-                    loads = footprint * blocks
-                    coal = self._fill_coalescing(
-                        base, item, device.dram_transaction_bytes
-                    )
-                    tex_t.append((loads * esize).astype(_F8) * coal)
-                    fill = (loads * esize).astype(_F8)
+                    fill = (footprint * blocks * esize).astype(_F8)
+                    coal = self._fill_coalescing(base, item, sector)
+                    tex_t.append(fill * coal)
+                    unique = np.minimum(item["unique"], fill)
                     dread_t.append(
-                        _dram_read_vec(fill, fill, item["unique"],
-                                       p_intra, p_inter)
+                        unique + np.maximum(0.0, fill - unique) * miss_inter
                     )
                     shm_t.append(
                         self._buffered_shm(
@@ -1389,19 +1404,18 @@ class FamilyStructure:
                     per_point = self._gmem_lpp(
                         base, item["instance"], array, item["offsets"]
                     )
-                    loads = per_point * pts.astype(_F8) * blocks_f
-                    tex_t.append(loads * esize * item["gcoal"])
+                    if pts_f is None:
+                        pts_f = pts.astype(_F8)
+                    loaded = per_point * pts_f * blocks_f * esize
+                    tex_t.append(loaded * item["gcoal"])
                     footprint = self._footprint(base, sidx, array)
-                    p_touch = p_intra
-                    if self.streaming:
-                        p_touch = p_touch * device.stream_gmem_l2_capture
                     dread_t.append(
                         _dram_read_vec(
-                            loads * esize,
+                            loaded,
                             (footprint * blocks * esize).astype(_F8),
                             item["unique"],
-                            p_touch,
-                            p_inter,
+                            miss_touch,
+                            miss_inter,
                         )
                     )
             for entry in info.stores:
@@ -1410,14 +1424,10 @@ class FamilyStructure:
                     shm_t.append(term.astype(_F8))
                 else:
                     dwrite_t.append(
-                        np.full(
-                            n,
-                            float(
-                                entry["writes"]
-                                * self.domain_points
-                                * entry["esize"]
-                            ),
-                            _F8,
+                        float(
+                            entry["writes"]
+                            * self.domain_points
+                            * entry["esize"]
                         )
                     )
 
@@ -1453,15 +1463,18 @@ class FamilyStructure:
     def _fill_coalescing(
         self, base: dict, item: dict, sector: int = 32
     ) -> np.ndarray:
-        x_axis = self.ndim - 1
-        row_elems = base["tile"][x_axis]
         lo, hi = item["halo_x"]
-        row_bytes = (row_elems + (lo + hi)) * 8
-        sectors = np.ceil(row_bytes.astype(_F8) / sector).astype(_I8)
-        denom = np.maximum(
-            1, np.ceil((row_elems * 8).astype(_F8) / sector).astype(_I8)
-        )
-        return (sectors + item["fill_extra"]) / denom
+        key = (lo + hi, item["fill_extra"], sector)
+        cached = base["coal"].get(key)
+        if cached is None:
+            row_elems = base["tile"][self.ndim - 1]
+            row_bytes = (row_elems + (lo + hi)) * 8
+            sectors = np.ceil(row_bytes.astype(_F8) / sector).astype(_I8)
+            denom = np.maximum(
+                1, np.ceil((row_elems * 8).astype(_F8) / sector).astype(_I8)
+            )
+            cached = base["coal"][key] = (sectors + item["fill_extra"]) / denom
+        return cached
 
     def _buffered_shm(
         self,
@@ -1473,33 +1486,27 @@ class FamilyStructure:
         footprint: np.ndarray,
         esize: int,
     ) -> np.ndarray:
-        n = base["n"]
         shm_planes = win["shm"]
         reg_planes = win["reg"]
-        window = shm_planes + reg_planes
         # Pure register buffering (shm_planes == 0) is structural —
         # storage is uniform per array — but mask it anyway.
-        zero_mask = shm_planes == 0
-        window_safe = np.maximum(window, 1)
-        fill_fraction = shm_planes / window_safe
+        fill_fraction = shm_planes / np.maximum(shm_planes + reg_planes, 1)
         stores = footprint.astype(_F8) * fill_fraction * blocks_f
         if self.retime and self.streaming:
-            reads = np.full(n, item["inplane"], _I8)
-            rotation = np.zeros(n, _I8)
+            served = item["inplane"] * pts
         elif self.streaming:
-            reads = np.where(
-                reg_planes > 0, item["center"], item["reads_distinct"]
-            )
-            rotation = np.where(reg_planes > 0, 2 * pts, 0)
+            # Register-plane windows rotate through the shared center
+            # plane: one load and one store per point.
+            rotating = reg_planes > 0
+            served = np.where(
+                rotating, item["center"], item["reads_distinct"]
+            ) * pts + np.where(rotating, 2 * pts, 0)
         else:
-            reads = np.full(n, item["reads_distinct"], _I8)
-            rotation = np.zeros(n, _I8)
-        loads = reads * pts
-        blocks_i = base["blocks"]
-        traffic = (stores + ((loads + rotation) * blocks_i).astype(_F8)) * esize
-        return np.where(zero_mask, 0.0, traffic)
+            served = item["reads_distinct"] * pts
+        traffic = (stores + (served * base["blocks"]).astype(_F8)) * esize
+        return np.where(shm_planes == 0, 0.0, traffic)
 
-    # -- timing over lanes (mirrors simulator._time) ---------------------
+    # -- timing over lanes (reference_model._time) -------------------
 
     def _timing_lanes(
         self,
@@ -1587,6 +1594,136 @@ class FamilyStructure:
 # ---------------------------------------------------------------------------
 
 
+def externally_visible(ir: ProgramIR, plan: KernelPlan) -> frozenset:
+    """Memoized :func:`_externally_visible` — reads only the kernel set,
+    so every geometry/unroll/register variant shares one computation."""
+    return _ir_memoized(
+        "ext_visible",
+        ir,
+        (plan.kernel_names,),
+        lambda: frozenset(_externally_visible(ir, plan)),
+    )
+
+
+def intermediate_arrays(ir: ProgramIR, plan: KernelPlan) -> frozenset:
+    """Memoized :func:`_intermediate_arrays` (stage-structure keyed)."""
+    return _ir_memoized(
+        "inter_arrays",
+        ir,
+        (plan.kernel_names, plan.time_tile, plan.fold_groups),
+        lambda: frozenset(
+            _intermediate_arrays(ir, plan, tuple(build_stages(ir, plan)))
+        ),
+    )
+
+
+def _externally_visible(ir: ProgramIR, plan: KernelPlan) -> set:
+    """Arrays whose values must leave the launch: program outputs plus
+    anything read by kernels outside this plan."""
+    inside = set(plan.kernel_names)
+    visible = set(ir.copyout)
+    for kernel in ir.kernels:
+        if kernel.name in inside:
+            continue
+        visible.update(kernel.arrays_read())
+    # Iterative programs feed the ping-pong output back as next input;
+    # other in-launch temporaries are recomputed every application.
+    if ir.is_iterative:
+        for kernel in ir.kernels:
+            try:
+                written, read = pingpong_pair(ir, kernel)
+            except ValueError:
+                visible.update(kernel.arrays_written())
+                continue
+            visible.add(written)
+            visible.add(read)
+    return visible
+
+
+def _consumed_name(ir, plan, stage, written_array: str) -> str:
+    """Name the next stage reads the written value under (ping-pong)."""
+    if plan.time_tile > 1:
+        _written, read = pingpong_pair(ir, stage.instance)
+        return read
+    return written_array
+
+
+def _intermediate_arrays(ir, plan, stages) -> set:
+    """Arrays passed between fused stages inside this launch."""
+    if plan.time_tile > 1:
+        written, read = pingpong_pair(ir, stages[0].instance)
+        return {written, read}
+    produced: set = set()
+    intermediates: set = set()
+    for stage in stages:
+        for array in stage.instance.arrays_read():
+            if array in produced:
+                intermediates.add(array)
+        produced.update(stage.instance.arrays_written())
+    return intermediates
+
+
+def _unique_bytes(
+    ir: ProgramIR, array: str, esize: int, plan: Optional[KernelPlan] = None
+) -> float:
+    info = ir.array_map.get(array)
+    if info is None and plan is not None:
+        # Folded virtual arrays take their members' extent.
+        for group in plan.fold_groups:
+            if group.folded_name == array:
+                info = ir.array_map.get(group.members[0])
+                break
+    if info is None:
+        return 0.0
+    return float(info.elements * esize)
+
+
+def _inplane_distinct_reads(ir, stage, array, stream_axis: int) -> int:
+    """Distinct read offsets with the stream component dropped."""
+    return _plane_reads(ir, stage.instance, stream_axis).get(array, (0, 0))[0]
+
+
+def _center_plane_reads(ir, plan, stage, array) -> int:
+    """Distinct read offsets on the stream-center plane."""
+    return _plane_reads(ir, stage.instance, plan.stream_axis).get(
+        array, (0, 0)
+    )[1]
+
+
+def _plane_reads(
+    ir, instance: StencilInstance, stream_axis: int
+) -> Dict[str, Tuple[int, int]]:
+    """Per array ``instance`` reads: its distinct read offsets with the
+    stream component dropped, and its distinct read offsets on the
+    stream-center plane (memoized per instance: one walk of the access
+    patterns serves every array)."""
+
+    def compute():
+        inplane: Dict[str, set] = {}
+        offsets: Dict[str, set] = {}
+        for pattern in access_patterns(ir, instance):
+            if pattern.is_write:
+                continue
+            axis_offsets = pattern.axis_offsets
+            inplane.setdefault(pattern.array, set()).add(
+                tuple(
+                    offset
+                    for axis, offset in enumerate(axis_offsets)
+                    if axis != stream_axis
+                )
+            )
+            offsets.setdefault(pattern.array, set()).add(axis_offsets)
+        return {
+            array: (
+                len(inplane[array]),
+                sum(1 for o in seen if o[stream_axis] in (None, 0)),
+            )
+            for array, seen in offsets.items()
+        }
+
+    return memoized_kv("plane_reads", instance, stream_axis, compute)
+
+
 def _inter_shm_positive(spec: dict) -> bool:
     """Whether an inter-stage spec has ``shm_planes > 0`` — structural.
 
@@ -1604,18 +1741,6 @@ def _consumer_read_counts(ir, instance, array, plan) -> Tuple[int, int]:
     return impl(ir, instance, array, plan)
 
 
-def _inplane_distinct_reads_const(ir, stage, array, stream_axis) -> int:
-    from .simulator import _inplane_distinct_reads
-
-    return _inplane_distinct_reads(ir, stage, array, stream_axis)
-
-
-def _center_plane_reads_const(ir, plan, stage, array) -> int:
-    from .simulator import _center_plane_reads
-
-    return _center_plane_reads(ir, plan, stage, array)
-
-
 def _gmem_coalescing_const(ir, instance, array) -> float:
     offsets = distinct_read_offsets(ir, instance, array)
     if not offsets:
@@ -1627,21 +1752,14 @@ def _gmem_coalescing_const(ir, instance, array) -> float:
     return 1.0 + 0.125 * (misaligned / len(offsets))
 
 
-def _unique_bytes_const(ir, array, esize, plan) -> float:
-    from .simulator import _unique_bytes
-
-    return _unique_bytes(ir, array, esize, plan)
-
-
-def _dram_read_vec(loaded, fill, unique_bytes, p_intra, p_inter):
+def _dram_read_vec(loaded, fill, unique_bytes, miss_intra, miss_inter):
+    """DRAM read bytes: first touches of unique data, plus inter-block
+    (``fill - unique``) and same-block (``loaded - fill``) re-touches
+    that miss L2 (``miss_* = 1 - p_*``)."""
     unique = np.minimum(unique_bytes, fill)
     inter_excess = np.maximum(0.0, fill - unique)
     intra_excess = np.maximum(0.0, loaded - fill)
-    return (
-        unique
-        + inter_excess * (1.0 - p_inter)
-        + intra_excess * (1.0 - p_intra)
-    )
+    return unique + inter_excess * miss_inter + intra_excess * miss_intra
 
 
 def first_rungs(
@@ -1650,7 +1768,7 @@ def first_rungs(
     """``(positions, rungs)`` per lane: the index into ``levels`` of the
     first level covering the lane's demand (-1 if none does) and that
     level (0 if none)."""
-    positions = np.full(len(demands), -1, dtype=_I8)
+    positions = _column(len(demands), -1, _I8)
     rungs = np.zeros(len(demands), dtype=_I8)
     for j, level in enumerate(levels):
         fresh = (positions < 0) & (demands <= level)
@@ -1671,6 +1789,23 @@ def _take(value, lanes: np.ndarray):
     if isinstance(value, dict):
         return {key: _take(item, lanes) for key, item in value.items()}
     return value
+
+
+def _product(factors: List[np.ndarray], n: int) -> np.ndarray:
+    """Lane-wise product of ``int64`` columns (ones for no factor)."""
+    if not factors:
+        return _column(n, 1, _I8)
+    total = factors[0]
+    for factor in factors[1:]:
+        total = total * factor
+    return total
+
+
+def _column(n: int, value, dtype) -> np.ndarray:
+    """A constant lane column (``np.full`` without its dispatch cost)."""
+    column = np.empty(n, dtype)
+    column.fill(value)
+    return column
 
 
 def _acc(terms: List[np.ndarray], n: int) -> np.ndarray:
@@ -1723,8 +1858,8 @@ def price_family(
     ``grid``, a mapping of :data:`GRID_AXES` names to value lists whose
     cross product is swept) or an explicit sequence of plans sharing one
     structural key.  Returns a :class:`FamilyPricing` whose ``lanes``
-    bitwise-match a loop of scalar :func:`~repro.gpu.simulator.simulate`
-    / :func:`~repro.gpu.simulator.plan_occupancy` calls and whose
+    match a loop of :func:`~repro.gpu.simulator.simulate` /
+    :func:`~repro.gpu.simulator.plan_occupancy` calls and whose
     ``table`` is a structured array over the lane axis.
     """
     if isinstance(family, KernelPlan):

@@ -71,16 +71,14 @@ SEARCH_LOG_VERSION = 1
 #: Candidate dispositions (the ``disposition`` field of ``candidate``
 #: records).  ``simulated`` went to the full model; ``cache-hit`` /
 #: ``cache-hit-infeasible`` were answered by the memo cache; ``screened``
-#: was rejected by the occupancy prescreen; ``infeasible`` failed
-#: validation or simulation; ``error`` is an unexpected exception,
-#: which ends the run.
+#: was refused by the prescreen; ``infeasible`` failed validation.  An
+#: unexpected exception ends the run with a ``failure`` marker instead.
 DISPOSITIONS = (
     "simulated",
     "cache-hit",
     "cache-hit-infeasible",
     "screened",
     "infeasible",
-    "error",
 )
 
 
@@ -164,11 +162,10 @@ class _Row(Mapping):
     (kind, sequence, time, context, disposition, device and predicted
     GFLOPS) plus a lane of a resolved batch (``source``, ``index``:
     :class:`~repro.tuning.evaluator.Resolution`) that builds its plan,
-    reason and :class:`~repro.gpu.counters.SimulationResult` on demand;
-    an ``error`` record holds its plan and reason itself.  Reading
-    ``fingerprint`` computes only the fingerprint; reading any other
-    field renders the full record once — the same keys, in the same
-    order, as the record the JSONL stream holds.  A cheap key the
+    reason and :class:`~repro.gpu.counters.SimulationResult` on demand.
+    Reading ``fingerprint`` computes only the fingerprint; reading any
+    other field renders the full record once — the same keys, in the
+    same order, as the record the JSONL stream holds.  A cheap key the
     record lacks answers the default without rendering.
     """
 
@@ -179,9 +176,8 @@ class _Row(Mapping):
     )
 
     def __init__(
-        self, kind, seq, t_ms, context, log_device, disposition=None,
-        device=None, reason=None, gflops=None, plan=None, source=None,
-        index=0,
+        self, kind, seq, t_ms, context, log_device, source, index,
+        disposition=None, device=None, gflops=None,
     ):
         self.kind = kind
         self.seq = seq
@@ -190,8 +186,8 @@ class _Row(Mapping):
         self.disposition = disposition
         self.device = device
         self.gflops = gflops
-        self._reason = _UNREAD if source is not None else reason
-        self._plan = plan
+        self._reason = _UNREAD
+        self._plan = None
         self._source = source
         self._index = index
         self._log_device = log_device
@@ -389,37 +385,6 @@ class SearchLog:
         self._append(event)
         return event
 
-    def candidate(
-        self,
-        plan,
-        disposition: str,
-        reason: Optional[str] = None,
-        device: Optional[str] = None,
-    ) -> None:
-        """An evaluation-engine request with no verdict to read back:
-        the ``error`` record of an unexpected exception.  Every other
-        request is a :meth:`lane` record.
-
-        ``device`` names the profile the candidate was priced on.  The
-        engine always supplies it; when absent, the log's own device
-        (the header's) is stamped so every candidate record is
-        self-describing even after logs from several devices are merged.
-        The plan's fingerprints, description and configuration render
-        when the record is first read.
-        """
-        if device is None and self.device is not None:
-            device = self.device.name
-        seq, t_ms, context = self._stamp("candidate")
-        key = f"candidate.{disposition}"
-        self._counts[key] = self._counts.get(key, 0) + 1
-        self._append(
-            _Row(
-                "candidate", seq, t_ms, context, self.device,
-                disposition=disposition, device=device,
-                reason=reason or None, plan=plan,
-            )
-        )
-
     def lane(
         self,
         source,
@@ -445,9 +410,8 @@ class SearchLog:
             self._counts[key] = self._counts.get(key, 0) + 1
         self._append(
             _Row(
-                kind, seq, t_ms, context, self.device,
+                kind, seq, t_ms, context, self.device, source, index,
                 disposition=disposition, device=device, gflops=gflops,
-                source=source, index=index,
             )
         )
 

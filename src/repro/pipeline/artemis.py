@@ -158,7 +158,7 @@ def _optimize_iterative(
     )
     schedule = fusion_schedule(deep, steps)
     program_plan = schedule_to_program_plan(deep, schedule)
-    tflops = schedule_tflops(ir, program_plan, device)
+    tflops = schedule_tflops(ir, program_plan, device, evaluator)
     hints = (
         f"deep tuning explored fusion degrees 1..{deep.k}; tipping point "
         f"at {deep.tipping_point}",
@@ -193,7 +193,7 @@ def _optimize_spatial(
         schedule, advice_list, evaluations = _tune_kernels(
             ir, device, top_k, evaluator=evaluator, journal=journal
         )
-    best_tflops = schedule_tflops(ir, schedule, device)
+    best_tflops = schedule_tflops(ir, schedule, device, evaluator)
     best = OptimizationOutcome(
         ir=ir,
         schedule=schedule,
@@ -221,7 +221,9 @@ def _optimize_spatial(
                         fused_ir, device, top_k, evaluator=evaluator,
                         journal=journal,
                     )
-                f_tflops = schedule_tflops(fused_ir, f_schedule, device)
+                f_tflops = schedule_tflops(
+                    fused_ir, f_schedule, device, evaluator
+                )
                 if f_tflops > best.tflops:
                     best = OptimizationOutcome(
                         ir=fused_ir,
@@ -252,7 +254,9 @@ def _optimize_spatial(
                     )
             except PlanInfeasible:
                 continue
-            cand_tflops = schedule_tflops(candidate.ir, cand_schedule, device)
+            cand_tflops = schedule_tflops(
+                candidate.ir, cand_schedule, device, evaluator
+            )
             if cand_tflops > best.tflops:
                 best = OptimizationOutcome(
                     ir=candidate.ir,
@@ -272,7 +276,9 @@ def _optimize_spatial(
                 ir, device, top_k, force_gmem=True, evaluator=evaluator,
                 journal=journal,
             )
-        g_tflops = schedule_tflops(ir, global_schedule, device)
+        g_tflops = schedule_tflops(
+            ir, global_schedule, device, evaluator
+        )
         if g_tflops > best.tflops:
             best = OptimizationOutcome(
                 ir=ir,

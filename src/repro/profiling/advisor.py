@@ -65,7 +65,9 @@ def advise(
         for level in ("dram", "tex", "shm")
     }
     for level in bottleneck.ambiguous_levels():
-        verdict = differencing_test(ir, plan, level, device)
+        verdict = differencing_test(
+            ir, plan, level, device, base=report.result
+        )
         resolved_bandwidth[level] = verdict.bound
 
     compute_bound = bottleneck.compute_bound() and not any(
@@ -127,7 +129,9 @@ def advise(
     ):
         # DRAM-bound *despite* shared memory: the extra shared traffic
         # may not pay off — hand the user a global-memory version.
-        verdict = differencing_test(ir, plan, "dram", device)
+        verdict = differencing_test(
+            ir, plan, "dram", device, base=report.result
+        )
         if verdict.bound:
             generate_global = True
             hints.append(

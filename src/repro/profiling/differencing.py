@@ -16,6 +16,7 @@ similarly short-circuited.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from ..codegen.plan import KernelPlan
 from ..gpu.counters import KernelCounters, SimulationResult, TimingBreakdown
@@ -107,9 +108,16 @@ def differencing_test(
     plan: KernelPlan,
     level: str,
     device: DeviceSpec = P100,
+    base: Optional[SimulationResult] = None,
 ) -> DifferencingVerdict:
-    """Run V and the reduced V' and compare execution times."""
-    base = simulate(ir, plan, device)
+    """Run V and the reduced V' and compare execution times.
+
+    ``base`` is V's result when the caller has just priced ``plan`` on
+    ``device`` (the advisor passes its profile's); without it, V is
+    simulated here.
+    """
+    if base is None:
+        base = simulate(ir, plan, device)
     reduced = _reduced_result(base, level)
     speedup = base.time_s / reduced.time_s if reduced.time_s > 0 else float("inf")
     return DifferencingVerdict(

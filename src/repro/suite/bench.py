@@ -15,11 +15,11 @@ Wall time is recorded but gated only on opt-in
 so the wall gate needs a generous tolerance and an explicit decision
 to enable it.
 
-Schema 2 splits the cost profile along the vectorized-pricing seam:
+Schema 2 splits the cost profile along the pricing seam:
 ``priced_candidates`` counts logical model evaluations (every candidate
-that got a price, scalar or vectorized), ``simulate_calls`` the actual
-scalar ``simulate()`` invocations that remained, ``vectorized`` the
-lanes priced by the family backend, and ``cache_hit_rate_by_phase``
+that got a price), ``vectorized`` the misses a family pass priced to a
+result, ``simulate_calls`` the one-plan ``simulate()`` calls made
+outside the engine, and ``cache_hit_rate_by_phase``
 attributes the memo hit rate to the tuner stage that earned it.  On a
 cold run the stages are all-miss by design (stage 2 deduplicates
 against measured families before requesting), so the near-zero overall

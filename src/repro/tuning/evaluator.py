@@ -1,12 +1,12 @@
 """Shared plan-evaluation engine: memoized, incremental, vectorized.
 
 Every result in this repository flows through repeated invocations of
-the analytical simulator — hierarchical autotuning (§V), deep tuning's
+the analytical model — hierarchical autotuning (§V), deep tuning's
 per-degree sweeps (§VI-A), fission search (§VI-B), random search and the
-baseline generators all price candidate :class:`KernelPlan`s with
-:func:`repro.gpu.simulator.simulate`.  A fast analytical model is only a
-net win while evaluation cost stays negligible next to the search-space
-size, so all search code routes measurements through one
+baseline generators all price candidate :class:`KernelPlan`s with the
+lane model of :mod:`repro.gpu.pricing`.  A fast analytical model is only
+a net win while evaluation cost stays negligible next to the
+search-space size, so all search code routes measurements through one
 :class:`PlanEvaluator`, which provides:
 
 * **content-addressed memoization** — simulation results are cached by a
@@ -22,14 +22,12 @@ size, so all search code routes measurements through one
   (32 → 64 → 128 → 255) collapses: demand is known up front and the
   evaluator jumps straight to the first non-spilling rung instead of
   simulating every spilling one.
-* **vectorized family pricing** — batches are grouped by structural
-  plan key and each group of :data:`MIN_FAMILY` or more plans is priced
-  in one NumPy pass over the whole candidate axis
-  (:mod:`repro.gpu.pricing`), bit-for-bit equal to the scalar
-  ``simulate`` path that smaller groups take.  Each priced lane is
-  then one request through the same seam as a scalar one
-  (:meth:`PlanEvaluator._evaluate`), carrying its verdict, so the
-  accounting, memoization and telemetry are the same.  A stage-1
+* **family pricing** — batches are grouped by structural plan key and
+  each group, whatever its size, is priced in one NumPy pass over its
+  lane axis (:mod:`repro.gpu.pricing`); a lone plan is a one-lane
+  family.  Each priced lane is then one request through one seam
+  (:meth:`PlanEvaluator._evaluate`), carrying its verdict, which does
+  the accounting, memoization and telemetry.  A stage-1
   :class:`~repro.tuning.space.KnobGrid` is priced from its knob
   columns and answered with a :class:`Resolution`, which builds plans
   and results only for the lanes that are read.  Per-phase
@@ -50,9 +48,9 @@ size, so all search code routes measurements through one
   and the ``--eval-stats`` CLI flag.
 
 The engine has one configuration: memoization, the incremental ladder
-and the occupancy prescreen are always on, and the group size alone
-picks scalar or family pricing.  A :class:`PlanEvaluator` takes only a
-device, whether to validate plans, and an optional search log.
+and the occupancy prescreen are always on, and every family takes the
+same pricing path.  A :class:`PlanEvaluator` takes only a device,
+whether to validate plans, and an optional search log.
 
 Evaluation accounting is uniform: one *request* per candidate plan
 submitted (feasible, spilling or infeasible alike), independent of how
@@ -77,13 +75,9 @@ from ..codegen.tiling import (
 )
 from ..gpu.counters import SimulationResult
 from ..gpu.device import DeviceSpec, P100
-from ..gpu.simulator import (
-    PlanInfeasible,
-    plan_prefix,
-    simulate,
-)
+from ..gpu.simulator import PlanInfeasible
 from ..ir.stencil import ProgramIR
-from ..lint.rules_plan import fusion_rejection, plan_rejection
+from ..lint.rules_plan import fusion_rejection
 from ..obs import counter as _counter, metrics_enabled as _metrics_enabled
 from ..obs import span as _span
 from ..obs.search import SearchLog
@@ -94,21 +88,16 @@ from .space import KnobGrid
 INFEASIBLE = (PlanInfeasible, InvalidPlan)
 
 
-#: Smallest structural group worth routing through the vectorized
-#: pricing backend — below this the per-family setup cost (structure
-#: capture, array assembly) beats the per-lane savings.
-MIN_FAMILY = 4
-
-
 class Refusal:
     """A request the prescreen refused: its lint rule and message.
 
     The verdict a family lane carries when the occupancy screen or the
     fusion certifier rejects it, and the memo entry of every screened
-    request.  It stands for the :class:`PlanInfeasible` the scalar
-    prescreen raises, which is built only when a caller raises it
-    (:meth:`clone`).  ``occupancy`` marks an occupancy-screen refusal,
-    whose metrics include ``simulate.prescreen_rejections``.
+    request.  It stands for the :class:`PlanInfeasible` a caller of
+    :meth:`PlanEvaluator.evaluate` gets, which is built only when it is
+    raised (:meth:`clone`).  RL3xx refusals keep their certifier
+    ``witness``.  ``occupancy`` marks an occupancy-screen refusal, whose
+    metrics include ``simulate.prescreen_rejections``.
     """
 
     __slots__ = ("message", "rule", "witness", "occupancy")
@@ -135,12 +124,13 @@ class Refusal:
         )
 
     def count(self) -> None:
-        """Bump the metrics the scalar prescreen bumps for this rule."""
+        """Bump the prescreen metrics of this rule."""
         _count_refusal(self.rule, self.occupancy)
 
 
 def _count_refusal(rule: str, occupancy: bool) -> None:
-    """The metrics the scalar prescreen bumps for a refusal by ``rule``."""
+    """The prescreen metrics of a refusal by ``rule``: ``lint.reject.*``,
+    plus ``simulate.prescreen_rejections`` for an occupancy refusal."""
     if _metrics_enabled():
         if occupancy:
             _counter("simulate.prescreen_rejections").add()
@@ -173,21 +163,21 @@ class EvalStats:
 
     requests: int = 0  # candidate evaluations requested
     hits: int = 0  # served from the result cache
-    misses: int = 0  # went to the model (screened or fully simulated)
+    misses: int = 0  # went to the model (screened or fully priced)
     infeasible: int = 0  # requests that turned out infeasible
     rungs_skipped: int = 0  # escalation rungs resolved without simulating
-    screened: int = 0  # rejected by the occupancy screen, not simulated
+    screened: int = 0  # refused by the prescreen, not priced
     lint_rejections: int = 0  # screened rejections carrying a lint rule code
-    vectorized: int = 0  # priced via the vectorized family backend
+    vectorized: int = 0  # misses priced to a result by a family pass
     wall_s: float = 0.0  # real time the engine was busy
 
     @property
     def simulations(self) -> int:
-        """Candidates priced by the model (scalar *or* vectorized).
+        """Candidates that reached the model unscreened:
+        ``misses - screened``.
 
-        ``misses - screened`` — the logical count of full prices the
-        engine produced.  ``vectorized`` of these came from the family
-        backend; the remainder were scalar ``simulate`` calls.
+        ``vectorized`` of these were priced by a family pass; the rest
+        failed validation.
         """
         return self.misses - self.screened
 
@@ -399,10 +389,11 @@ class PlanEvaluator:
         return (id(ir), self.device, plan_family_key(plan), plan.max_registers)
 
     def evaluate(self, ir: ProgramIR, plan: KernelPlan) -> SimulationResult:
-        """Validate + simulate one plan, memoized.
+        """Validate, prescreen and price one plan, memoized.
 
-        Raises :class:`PlanInfeasible` / :class:`InvalidPlan` exactly as
-        the direct ``validate_plan`` + ``simulate`` path would.
+        Raises :class:`InvalidPlan` as ``validate_plan`` would, or a
+        :class:`PlanInfeasible` carrying the prescreen's RLxxx rule (and,
+        for an RL3xx refutation, the certifier's witness).
         """
         with self._timed():
             res = self._resolve(ir, [plan], None)
@@ -411,20 +402,17 @@ class PlanEvaluator:
         raise res.verdict(0).clone()
 
     def _evaluate(self, ir: ProgramIR, key: tuple, res: "Resolution",
-                  i: int, src=None, at: Optional[int] = None) -> None:
+                  i: int, src, at: Optional[int] = None) -> None:
         """One request: every candidate crosses this seam exactly once.
 
         ``key`` is the request's memo key (:meth:`_key` of its plan).
-        ``src``/``at`` is what the model says about the plan when the
-        caller already knows it: a family pass and the lane's index in
-        it (a result or an occupancy refusal), or, with ``at`` None, a
-        fusion :class:`Refusal` or the validation failure its family's
-        prototype raised.  Without one, the scalar path computes it
-        (:meth:`_verdict`) from the plan ``res`` builds for lane ``i``.
-        Both paths then do the same request/hit/miss/screen/infeasible
-        accounting, memo write and candidate event, and record the
-        verdict as lane ``i`` of ``res``.  Only an unexpected exception
-        propagates.
+        ``src``/``at`` is what the model says about the plan: a family
+        pass and the lane's index in it (a result or an occupancy
+        refusal), or, with ``at`` None, a fusion :class:`Refusal` or the
+        validation failure its family's prototype raised.  The seam does
+        the request/hit/miss/screen/infeasible accounting, memo write
+        and candidate event, and records the verdict as lane ``i`` of
+        ``res``; a cache hit records the memoized verdict instead.
         """
         stats = self.stats
         stats.requests += 1
@@ -440,23 +428,18 @@ class PlanEvaluator:
             )
             return
         stats.misses += 1
-        priced = src is not None
-        if not priced:
-            src = self._verdict(ir, res.plan(i))
         self._cache[key] = (ir, src, at)
         if res.record(i, key, src, at):
-            if priced:
-                stats.vectorized += 1
+            stats.vectorized += 1
             self._log_lane(res, i, "simulated")
             return
         stats.infeasible += 1
         disposition = "infeasible"
         if at is not None or isinstance(src, Refusal):
-            if priced:  # the scalar prescreen counts its own
-                if at is None:
-                    src.count()
-                else:
-                    _count_refusal(src.code(at), occupancy=True)
+            if at is None:
+                src.count()
+            else:
+                _count_refusal(src.code(at), occupancy=True)
             stats.screened += 1
             stats.lint_rejections += 1
             disposition = "screened"
@@ -468,43 +451,23 @@ class PlanEvaluator:
                 res, i, disposition, res.gflops(i), device=self.device.name
             )
 
-    def _verdict(self, ir: ProgramIR, plan: KernelPlan):
-        """The scalar path's verdict: validate, prescreen, simulate.
+    def memoized(
+        self, ir: ProgramIR, plan: KernelPlan
+    ) -> Optional[SimulationResult]:
+        """The result this engine already priced for ``plan``, read from
+        the memo without a request (None when it holds no result).
 
-        The legality prescreen covers the structural lint rules, the
-        RL3xx transformation certifier (dependence-distance refutations
-        of fusion/time-tile/streaming/retiming) and the cheap
-        register-dependent occupancy suffix: candidates the device
-        cannot run, or whose transformations are provably illegal, are
-        refused without paying for the counter and timing models, and
-        every refusal carries a stable ``RLxxx`` rule code.
+        For a caller that re-reads plans the search settled on, such as
+        :func:`repro.codegen.generator.schedule_tflops` pricing a
+        winning schedule: no request, hit or event is recorded.
         """
-        try:
-            if self.validate:
-                validate_plan(ir, plan)
-            diag = plan_rejection(ir, plan, self.device, assume_validated=True)
-            if diag is not None:
-                # RL3xx refutations carry a counterexample (grid point +
-                # event pair); keep it so a raised refusal shows *why*
-                # the plan is illegal, not just the code.
-                witness = diag.witness
-                return Refusal(
-                    diag.code,
-                    diag.message,
-                    witness=None if witness is None else witness.describe(),
-                )
-            return simulate(ir, plan, self.device)
-        except INFEASIBLE as exc:
-            return exc.clone()
-        except Exception as exc:  # noqa: BLE001 — telemetry, then re-raise
-            # Unexpected error: still one request, so still one
-            # candidate event; a batch then fails fast on it.
-            if self.search_log is not None:
-                self.search_log.candidate(
-                    plan, "error", reason=f"{type(exc).__name__}: {exc}",
-                    device=self.device.name,
-                )
-            raise
+        hit = self._cache.get(self._key(ir, plan))
+        if hit is None or hit[0] is not ir:
+            return None
+        _, src, at = hit
+        if at is None:
+            return src if isinstance(src, SimulationResult) else None
+        return src.result(at) if src.ok[at] else None
 
     def try_evaluate(
         self,
@@ -519,10 +482,6 @@ class PlanEvaluator:
             return None
 
     # -- register escalation ---------------------------------------------------
-
-    def register_demand(self, ir: ProgramIR, plan: KernelPlan) -> int:
-        """Uncapped register demand of a plan (register-independent)."""
-        return plan_prefix(ir, plan).reg_demand
 
     def evaluate_spill_free(
         self,
@@ -552,9 +511,7 @@ class PlanEvaluator:
     ) -> List[Optional[SimulationResult]]:
         """Evaluate many plans, results in input order (None = infeasible).
 
-        Structural groups large enough for the vectorized backend are
-        priced whole-axis in one NumPy pass; small groups run the scalar
-        route — results are bit-for-bit identical either way.
+        Each structural group is priced whole-axis in one NumPy pass.
         """
         plans = list(plans)
         with self._timed(), _span("eval.batch", candidates=len(plans)):
@@ -600,24 +557,22 @@ class PlanEvaluator:
         ``lanes`` is a plan list or a :class:`KnobGrid`; ``levels`` is
         None for plain requests (each plan priced at its own register
         cap) or the register ladder of a spill-free batch.  Lanes are
-        grouped into structural families; a family of ``MIN_FAMILY`` or
-        more lanes is priced in one vectorized pass from its knob
-        columns (:meth:`_price_family`), a smaller one lane by lane on
-        the scalar path.  Requests then run in input order through
-        :meth:`_evaluate`.  With ``fail_fast``, an exception ``catch``
-        does not cover ends the batch (:meth:`_fail_fast`); otherwise it
-        propagates as raised.
+        grouped into structural families, and each family, whatever its
+        size, is priced in one pass from its knob columns
+        (:meth:`_price_family`).  Requests then run in input order
+        through :meth:`_evaluate`.  With ``fail_fast``, an exception
+        ``catch`` does not cover ends the batch (:meth:`_fail_fast`);
+        otherwise it propagates as raised.
         """
         res = Resolution(lanes, levels)
         for family in res.families:
-            if len(family.members) >= MIN_FAMILY:
-                try:
-                    self._price_family(ir, family, levels)
-                except Exception as exc:  # noqa: BLE001 — fail fast
-                    if not fail_fast:
-                        raise
-                    first = family.members[0]
-                    self._fail_fast(res.submitted(first), exc, first)
+            try:
+                self._price_family(ir, family, levels)
+            except Exception as exc:  # noqa: BLE001 — fail fast
+                if not fail_fast:
+                    raise
+                first = family.members[0]
+                self._fail_fast(res.submitted(first), exc, first)
         stats = self.stats
         log = self.search_log
         irid, device = id(ir), self.device
@@ -633,11 +588,7 @@ class PlanEvaluator:
                     key = self._key(ir, family.plan(j))
                     self._evaluate(ir, key, res, i, src, at)
                     continue
-                if not family.priced:
-                    position = self._scalar_rung(
-                        ir, family.plan(j), levels, res, i
-                    )
-                elif family.pruned is not None:
+                if family.pruned is not None:
                     res.note[i] = family.pruned
                     position = -1
                 else:
@@ -663,28 +614,6 @@ class PlanEvaluator:
                 self._fail_fast(res.submitted(i), exc, i)
         return res
 
-    def _scalar_rung(self, ir, plan, levels, res, i) -> int:
-        """Lane ``i``'s first non-spilling rung on the scalar path, or -1
-        when it is pruned (infeasible at validation, or spilling at
-        every rung) — the demand is register-independent, so the
-        spilling rungs below it are never simulated."""
-        try:
-            if self.validate:
-                validate_plan(ir, plan)
-            demand = self.register_demand(ir, plan)
-        except INFEASIBLE as exc:
-            res.note[i] = f"infeasible: {exc}"
-            return -1
-        position = next(
-            (k for k, level in enumerate(levels) if demand <= level), -1
-        )
-        if position < 0:
-            self.stats.rungs_skipped += len(levels)
-            res.note[i] = demand
-        else:
-            self.stats.rungs_skipped += position
-        return position
-
     def _price_family(
         self, ir: ProgramIR, family: "_Family", levels
     ) -> None:
@@ -701,7 +630,6 @@ class PlanEvaluator:
         from ..gpu import pricing
 
         proto = family.proto
-        family.priced = True
         if self.validate:
             try:
                 validate_plan(ir, proto)
@@ -715,7 +643,12 @@ class PlanEvaluator:
         fusion = fusion_rejection(ir, proto)
         everyone = range(len(family.members))
         if fusion is not None:
-            family.shared = Refusal(fusion.code, fusion.message)
+            witness = fusion.witness
+            family.shared = Refusal(
+                fusion.code,
+                fusion.message,
+                witness=None if witness is None else witness.describe(),
+            )
             if levels is not None:
                 # Rung resolution still needs the demand vector.
                 demands = structure.demand(family.knobs(everyone))
@@ -784,17 +717,17 @@ class _Family:
     """One structural family of a batch, and what its pricing found.
 
     The submitted lanes are ``plans`` (a plan list) or lanes
-    ``members`` of ``grid``; ``proto`` is the first of them.  A family
-    priced as a whole (``priced``) holds either one ``shared`` verdict
-    (a fusion refusal, or its prototype's validation failure), a
-    ``pruned`` reason (that failure in a spill-free batch), or the pass
-    ``lanes`` with each member's priced lane ``lane_of[j]`` (-1: not
-    priced).  A spill-free family also holds each member's register
-    ``demands`` and rung ``positions`` (-1: spills at every rung).
+    ``members`` of ``grid``; ``proto`` is the first of them.  A priced
+    family holds either one ``shared`` verdict (a fusion refusal, or
+    its prototype's validation failure), a ``pruned`` reason (that
+    failure in a spill-free batch), or the pass ``lanes`` with each
+    member's priced lane ``lane_of[j]`` (-1: not priced).  A
+    spill-free family also holds each member's register ``demands``
+    and rung ``positions`` (-1: spills at every rung).
     """
 
     __slots__ = (
-        "proto", "members", "plans", "grid", "priced", "shared", "pruned",
+        "proto", "members", "plans", "grid", "shared", "pruned",
         "demands", "positions", "lanes", "lane_of", "_key",
     )
 
@@ -805,7 +738,6 @@ class _Family:
         self.members = members
         self.plans = plans
         self.grid = grid
-        self.priced = False
         self.shared = None
         self.pruned: Optional[str] = None
         self.demands: Optional[List[int]] = None

@@ -207,6 +207,8 @@ class HierarchicalTuner:
         #: fastest feasible measurement per (block, unroll) signature;
         #: stage-1 lanes are held as :class:`_LaneSeed` until read
         self._seeds: Dict[tuple, Union[Measurement, "_LaneSeed"]] = {}
+        #: fold groups of each fused kernel-name tuple (stage 2)
+        self._folds: Dict[Tuple[str, ...], tuple] = {}
 
     # -- checkpoint journal ------------------------------------------------------
 
@@ -519,19 +521,22 @@ class HierarchicalTuner:
                     streaming=STREAM_CONCURRENT, concurrent_chunks=chunks
                 )
         if self.use_register_opts and plan.uses_streaming:
-            iterator = self.ir.iterators[plan.stream_axis]
-            retimable = all(
-                kernel_retimable(self.ir, self.ir.kernel(name), iterator)
-                for name in plan.kernel_names
-            )
-            if retimable:
+            if self._retimable(plan):
                 yield plan.replace(retime=True)
                 yield plan.replace(retime=True, prefetch=True)
-            folds = ()
-            for name in plan.kernel_names:
-                folds = folds + find_fold_groups(self.ir.kernel(name))
+            folds = self._fold_groups(plan.kernel_names)
             if folds:
                 yield with_fold_groups(plan, folds)
+
+    def _fold_groups(self, kernel_names: Tuple[str, ...]) -> tuple:
+        """The fold groups of the fused kernels, found once per tuner."""
+        folds = self._folds.get(kernel_names)
+        if folds is None:
+            folds = ()
+            for name in kernel_names:
+                folds = folds + find_fold_groups(self.ir.kernel(name))
+            self._folds[kernel_names] = folds
+        return folds
 
     def _tune_custom(self, base: KernelPlan) -> TuningResult:
         """User-defined hierarchy: each level maps survivors to variants."""

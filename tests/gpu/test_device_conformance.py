@@ -10,8 +10,8 @@ parametrizes each test over *all* registered profiles, so a new
   registers or more shared memory never *increase* residency);
 * the register-escalation ladder is ordered: raising ``maxrregcount``
   never increases spill traffic;
-* the vectorized family-pricing backend agrees bitwise with the scalar
-  simulator on every device;
+* the lane model agrees bitwise with the scalar reference model
+  (``reference_model.py``) on every device;
 * infeasible configurations classify onto the same stable RL2xx lint
   codes everywhere;
 * tuning winners per device match the committed golden snapshot

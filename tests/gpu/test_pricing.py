@@ -1,13 +1,15 @@
-"""Scalar-vs-vectorized pricing parity.
+"""Lane-model parity with the scalar reference model.
 
-The family-pricing backend's contract is *bitwise* agreement with the
-scalar path: for every lane, ``price_family`` must return either a
-:class:`SimulationResult` equal field-for-field to ``simulate()``, or
-the exact occupancy rejection (message, context, RL2xx lint code) that
-``plan_occupancy`` raises.  The Hypothesis suite sweeps the grid knobs
-(block, unroll, unroll_blocked, max_registers) over several structural
-prototypes — streaming modes, perspectives, prefetch — and checks every
-lane against a fresh scalar evaluation.
+The lane model (``repro.gpu.pricing``) is the only performance model in
+``src``; ``tests/gpu/reference_model.py`` keeps the model's scalar form
+as its oracle.  For every lane, ``price_family`` must return either a
+:class:`SimulationResult` equal field-for-field to the reference
+``simulate()``, or the exact occupancy rejection (message, context,
+RL2xx lint code) that ``plan_occupancy`` raises.  The Hypothesis suite
+sweeps the grid knobs (block, unroll, unroll_blocked, max_registers)
+over several structural prototypes — streaming modes, perspectives,
+prefetch — and checks every lane against a fresh scalar evaluation.
+CI also runs it under ``--hypothesis-profile=fuzz``.
 """
 
 import pytest
@@ -32,10 +34,12 @@ from repro.gpu.pricing import (
     priced_lane_count,
 )
 from repro.gpu.registers import register_demand
-from repro.gpu.simulator import PlanInfeasible, plan_occupancy, simulate
+from repro.gpu.simulator import PlanInfeasible, plan_occupancy
 from repro.ir import build_ir
 from repro.lint.rules_plan import classify_occupancy_failure
 from repro.resilience.errors import UsageError
+
+from .reference_model import simulate as reference_simulate
 
 
 def _star_ir(size=192):
@@ -55,7 +59,7 @@ def _star_ir(size=192):
 
 IR = _star_ir()
 
-#: Structural prototypes: every branch the vectorized backend resolves
+#: Structural prototypes: every branch the lane model resolves
 #: at :class:`FamilyStructure` build time gets at least one family.
 PROTOS = {
     "serial-shm": KernelPlan(
@@ -95,7 +99,8 @@ _MAXREGS = list(REGISTER_LEVELS) + [48, 96, 200]
 
 
 def scalar_lane(ir, plan, device=P100):
-    """The scalar reference: demand + occupancy screen + simulate."""
+    """The scalar reference: demand + occupancy screen + reference
+    ``simulate``."""
     demand = register_demand(ir, plan)
     try:
         plan_occupancy(ir, plan, device)
@@ -108,7 +113,7 @@ def scalar_lane(ir, plan, device=P100):
             "context": dict(getattr(cause, "context", None) or {}),
             "code": classify_occupancy_failure(cause),
         }
-    return {"demand": demand, "result": simulate(ir, plan, device)}
+    return {"demand": demand, "result": reference_simulate(ir, plan, device)}
 
 
 def assert_lane_parity(ir, plan, lane, device=P100):
@@ -157,7 +162,7 @@ def family_grids(draw):
 
 
 class TestBitwiseParity:
-    @settings(max_examples=30, deadline=None)
+    @settings(deadline=None)
     @given(family_grids())
     def test_price_family_matches_scalar_loop(self, family):
         proto, lanes = family
@@ -187,7 +192,7 @@ class TestBitwiseParity:
 
     def test_rejection_lane_classifies_like_lint(self):
         # 2048 threads per block: the occupancy screen must reject this
-        # lane with the same RL2xx code the scalar path produces.
+        # lane with the same RL2xx code the scalar reference produces.
         proto = PROTOS["serial-shm"]
         pricing = price_family(IR, [proto.replace(block=(64, 32))])
         (lane,) = pricing.lanes
@@ -222,13 +227,13 @@ class TestBitwiseParity:
 class TestDeviceParity:
     """The bitwise contract holds on *every* registered device profile.
 
-    The vectorized backend reads a dozen device knobs (warp width,
-    transaction sector, spill rate, scheduler count, ...); each must be
-    threaded identically into the lane arithmetic and the scalar path,
+    The lane model reads a dozen device knobs (warp width, transaction
+    sector, spill rate, scheduler count, ...); each must be threaded
+    identically into the lane arithmetic and the scalar reference,
     on NVIDIA and AMD-like profiles alike.
     """
 
-    @settings(max_examples=40, deadline=None)
+    @settings(deadline=None)
     @given(family_grids(), st.sampled_from(sorted(DEVICES)))
     def test_price_family_matches_scalar_on_all_devices(self, family, name):
         device = get_device(name)
@@ -245,7 +250,7 @@ class TestDeviceParity:
         for plan, lane in zip(pricing.plans, pricing.lanes):
             assert_lane_parity(IR, plan, lane, device=device)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(deadline=None)
     @given(st.sampled_from(sorted(DEVICES)), st.data())
     def test_rejection_codes_stable_on_all_devices(self, name, data):
         # Build a footprint that violates exactly one device limit and

@@ -186,3 +186,35 @@ class TestInfeasible:
         # time_tile 8 at 32x32 needs more than 48KB of shared memory.
         with pytest.raises(PlanInfeasible):
             simulate(jacobi_ir, _plan(time_tile=8, block=(32, 32)))
+
+
+class TestOneLane:
+    def test_refused_lane_raises_the_occupancy_screen(self, jacobi_ir):
+        # A lane the model refuses raises plan_occupancy's exception:
+        # same message, same context.
+        from repro.gpu.simulator import plan_occupancy
+
+        plan = _plan(block=(64, 64))
+        with pytest.raises(PlanInfeasible) as screen:
+            plan_occupancy(jacobi_ir, plan)
+        with pytest.raises(PlanInfeasible) as info:
+            simulate(jacobi_ir, plan)
+        assert str(info.value) == str(screen.value)
+        assert info.value.context == screen.value.context
+
+    def test_model_bug_names_the_plan(self, jacobi_ir, monkeypatch):
+        from repro.gpu.pricing import FamilyStructure
+        from repro.resilience import EvaluationError
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("model bug")
+
+        monkeypatch.setattr(FamilyStructure, "_price", broken)
+        plan = _plan()
+        with pytest.raises(EvaluationError) as info:
+            simulate(jacobi_ir, plan)
+        assert info.value.exit_code == 4
+        assert info.value.context == {
+            "plan": plan.describe(), "phase": "simulate"
+        }
+        assert isinstance(info.value.__cause__, RuntimeError)

@@ -1,10 +1,12 @@
 """Lint rules wired into the evaluation engine, tuners and metrics.
 
-The PlanEvaluator consults ``plan_rejection`` before pricing a
-candidate: every screened rejection carries a stable RLxxx code (in the
-exception message, the ``rule`` field and the ``lint.reject.*``
-counters), and ``EvalStats.lint_rejections`` tracks ``screened``
-exactly.  Overtile pruning (RL205) is a separate, opt-in tuner knob.
+The PlanEvaluator screens each candidate as ``plan_rejection`` would
+(the fusion rules once per structural family, the occupancy rules per
+lane of the pricing pass): every screened rejection carries a stable
+RLxxx code (in the exception message, the ``rule`` field and the
+``lint.reject.*`` counters), and ``EvalStats.lint_rejections`` tracks
+``screened`` exactly.  Overtile pruning (RL205) is a separate, opt-in
+tuner knob.
 """
 
 import pytest

@@ -287,10 +287,15 @@ class TestRL305FusionUnprofitable:
 
 
 class TestEnginePrescreen:
-    def test_evaluator_rejects_with_rule_and_witness_context(self):
+    @pytest.mark.parametrize("lanes", [1, 4])
+    def test_evaluator_rejects_with_rule_and_witness_context(self, lanes):
         ir = ir_of(PRODUCER_CONSUMER)
         engine = PlanEvaluator(device=P100)
         doomed = KernelPlan(("consume.0", "produce.0"), block=(32, 16))
+        # The refusal is reached once for a whole structural family and
+        # memoized for each lane; re-requesting the plan raises it.
+        blocks = [(32, 16), (16, 16), (32, 8), (64, 4)][:lanes]
+        engine.evaluate_batch(ir, [doomed.replace(block=b) for b in blocks])
         with pytest.raises(PlanInfeasible) as excinfo:
             engine.evaluate(ir, doomed)
         assert "[RL301]" in str(excinfo.value)

@@ -145,9 +145,7 @@ class TestThreading:
             assert parent.thread_id == child.thread_id
             assert parent.name == f"root.{child.name.split('.', 1)[1]}"
 
-    def test_simulate_spans_nest_inside_evaluate_batch(
-        self, global_tracing, scalar_pricing
-    ):
+    def test_pricing_spans_nest_inside_evaluate_batch(self, global_tracing):
         from repro.dsl import parse
         from repro.ir import build_ir
         from repro.codegen import seed_plan_from_pragma
@@ -171,10 +169,9 @@ class TestThreading:
             base.replace(block=block)
             for block in [(32, 8), (32, 16), (16, 8), (16, 16), (8, 8), (64, 4)]
         ]
-        # Scalar pricing, so every ``simulate`` span opens inside a
-        # thunk, which runs on the calling thread inside ``eval.batch``.
-        with scalar_pricing():
-            results = PlanEvaluator().evaluate_batch(ir, plans)
+        # Every family pass opens a ``price_family`` span on the calling
+        # thread inside ``eval.batch``.
+        results = PlanEvaluator().evaluate_batch(ir, plans)
         assert any(r is not None for r in results)
         spans = global_tracing.finished()
         batch = [s for s in spans if s.name == "eval.batch"]
@@ -187,7 +184,7 @@ class TestThreading:
                 item = by_id[item.parent_id]
                 yield item
 
-        simulated = [s for s in spans if s.name == "simulate"]
+        simulated = [s for s in spans if s.name == "price_family"]
         assert simulated
         for item in simulated:
             assert item.thread_id == batch[0].thread_id

@@ -2,8 +2,8 @@
 
 The headline guarantees, each demonstrated on whole tuning runs:
 
-* an unexpected exception — raised by the model for one candidate, or
-  while pricing a whole plan family — ends the run as an
+* an unexpected exception — raised for one candidate's request, or
+  while pricing its plan family — ends the run as an
   :class:`EvaluationError` that names the candidate's plan, after one
   attempt and on the calling thread;
 * infeasible candidates are results, not failures: a run full of them
@@ -14,8 +14,9 @@ The headline guarantees, each demonstrated on whole tuning runs:
   a crash loses at most the unit in flight.
 
 Failures are planted by monkeypatching inside each test (the
-``crashing_engine`` fixture, or a broken ``simulate`` /
-``FamilyStructure`` method); nothing in the engine exists to inject them.
+``crashing_engine`` fixture, or a broken pricing seam:
+``PlanEvaluator._price_family`` or a ``FamilyStructure`` method);
+nothing in the engine exists to inject them.
 """
 
 import json
@@ -37,8 +38,6 @@ from repro.resilience import (
 )
 from repro.suite import BENCHMARK_ORDER, load_ir
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
-from repro.tuning import evaluator as evaluator_module
-from repro.tuning.evaluator import MIN_FAMILY
 
 #: A two-kernel spatial program: its ``optimize`` run has several tuning
 #: units (one per kernel, then the fused DAG and its alternatives).
@@ -110,28 +109,28 @@ def _broken(*args, **kwargs):
 
 class TestFailFast:
     def test_model_error_names_the_plan_after_one_attempt(
-        self, smoother_ir, reference, monkeypatch, scalar_pricing
+        self, smoother_ir, reference, monkeypatch
     ):
         base, _, _ = reference
         attempted = []
 
-        def broken_simulate(ir, plan, device):
-            attempted.append(plan)
+        def broken_pricing(self, ir, family, levels):
+            attempted.append(family.proto)
             raise RuntimeError("model bug")
 
-        monkeypatch.setattr(evaluator_module, "simulate", broken_simulate)
+        monkeypatch.setattr(PlanEvaluator, "_price_family", broken_pricing)
         engine = PlanEvaluator()
-        with scalar_pricing(), pytest.raises(EvaluationError) as info:
+        with pytest.raises(EvaluationError) as info:
             HierarchicalTuner(smoother_ir, evaluator=engine).tune(base)
-        # The first failure ends the run: nothing re-ran the failed
-        # candidate, and nothing went on to the next one.
+        # The first failure ends the run: nothing re-priced the failed
+        # family, and nothing went on to the next one.
         assert len(attempted) == 1
         error = info.value
         assert error.exit_code == 4
-        # The error names the candidate as it was submitted, before
-        # the engine escalated its register cap.
-        submitted = attempted[0].replace(max_registers=base.max_registers)
-        assert error.context["plan"] == submitted.describe()
+        # The error names the family's first candidate as it was
+        # submitted, before the engine escalated its register cap.
+        assert attempted[0].max_registers == base.max_registers
+        assert error.context["plan"] == attempted[0].describe()
         assert "candidate" in error.context
         assert isinstance(error.__cause__, RuntimeError)
         assert "model bug" in error.describe()
@@ -146,14 +145,13 @@ class TestFailFast:
     def test_family_pricing_error_names_the_plan(
         self, smoother_ir, reference, monkeypatch, method, batch
     ):
-        # Nothing re-prices the family on the scalar path: the error
+        # Nothing re-prices the family lane by lane: the error
         # ends the batch like any other.
         base, _, _ = reference
         family = [
             base.replace(block=(32, 16), unroll=(1, 1, unroll))
             for unroll in (1, 2, 4, 8)
         ]
-        assert len(family) >= MIN_FAMILY
         monkeypatch.setattr(FamilyStructure, method, _broken)
         engine = PlanEvaluator()
         with pytest.raises(EvaluationError) as info:

@@ -12,7 +12,7 @@ import pytest
 from repro.cli import main
 from repro.gpu.pricing import FamilyStructure
 from repro.resilience import EvaluationError, TuningJournal, UsageError
-from repro.tuning import evaluator as evaluator_module
+from repro.tuning import PlanEvaluator
 
 SPATIAL_SRC = """
 parameter N=64;
@@ -36,11 +36,12 @@ def _broken(*args, **kwargs):
     raise RuntimeError("model bug")
 
 
-#: Where a planted model bug can sit: the scalar model, or the lane
-#: pricing core that ``FamilyStructure.price`` and ``price_spill_free``
-#: share (``optimize`` reaches family pricing through the latter).
+#: Where a planted model bug can sit: the engine's pricing seam, or the
+#: lane pricing core that ``FamilyStructure.price`` and
+#: ``price_spill_free`` share (``optimize`` reaches it through
+#: ``simulate`` when it profiles a seed plan, and through the engine).
 BROKEN_MODEL = {
-    "simulate": (evaluator_module, "simulate"),
+    "engine-pricing": (PlanEvaluator, "_price_family"),
     "family-pricing": (FamilyStructure, "_price"),
 }
 
@@ -127,7 +128,7 @@ class TestExitCodes:
 
 class TestDebugFlag:
     def test_debug_reenables_traceback(self, spec, monkeypatch):
-        monkeypatch.setattr(evaluator_module, "simulate", _broken)
+        monkeypatch.setattr(PlanEvaluator, "_price_family", _broken)
         with pytest.raises(EvaluationError):
             main(["--debug", "optimize", spec, "--top-k", "1"])
 

@@ -14,6 +14,7 @@ import pytest
 from repro.codegen.plan import REGISTER_LEVELS
 from repro.codegen.resources import InvalidPlan, validate_plan
 from repro.codegen.tiling import clear_plan_cache, plan_family_key
+from repro.gpu.pricing import FamilyStructure
 from repro.gpu.simulator import PlanInfeasible, reset_simulate_calls, simulate
 from repro.ir.analysis import clear_analysis_cache
 from repro.resilience import UsageError
@@ -214,27 +215,22 @@ class TestBatch:
                     single.stats, field
                 ), field
 
-    def test_batch_runs_on_the_calling_thread(
-        self, smoother_ir, monkeypatch, scalar_pricing
-    ):
-        import repro.tuning.evaluator as evaluator_mod
-
+    def test_batch_runs_on_the_calling_thread(self, smoother_ir, monkeypatch):
         threads = set()
-        real_simulate = evaluator_mod.simulate
+        real_price = FamilyStructure._price
 
-        def recording_simulate(*args, **kwargs):
+        def recording_price(*args, **kwargs):
             threads.add(threading.get_ident())
-            return real_simulate(*args, **kwargs)
+            return real_price(*args, **kwargs)
 
-        monkeypatch.setattr(evaluator_mod, "simulate", recording_simulate)
+        monkeypatch.setattr(FamilyStructure, "_price", recording_price)
         kernel = smoother_ir.kernels[0].name
         plans = sampled_plans(smoother_ir, kernel, 40, seed=3)
-        with scalar_pricing():
-            PlanEvaluator().evaluate_batch(
-                smoother_ir,
-                plans,
-                catch=(PlanInfeasible, InvalidPlan, ValueError),
-            )
+        PlanEvaluator().evaluate_batch(
+            smoother_ir,
+            plans,
+            catch=(PlanInfeasible, InvalidPlan, ValueError),
+        )
         assert threads == {threading.get_ident()}
 
     def test_spill_free_batch_matches_serial(self, smoother_ir, base_plan):
@@ -356,29 +352,27 @@ class TestTimingAccounting:
     """``wall_s`` is the elapsed time of the engine's outermost frames:
     nested ``evaluate_spill_free`` -> ``evaluate`` frames bill once."""
 
-    def _patch_sleepy_simulate(self, monkeypatch, delay):
-        import repro.tuning.evaluator as evaluator_module
+    def _patch_sleepy_pricing(self, monkeypatch, delay):
+        real = FamilyStructure._price
 
-        real = evaluator_module.simulate
-
-        def sleepy(ir, plan, device, **kwargs):
+        def sleepy(*args, **kwargs):
             time.sleep(delay)
-            return real(ir, plan, device, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(evaluator_module, "simulate", sleepy)
+        monkeypatch.setattr(FamilyStructure, "_price", sleepy)
 
     def test_nested_calls_bill_outermost_frame_once(
         self, smoother_ir, base_plan, monkeypatch
     ):
         delay = 0.02
-        self._patch_sleepy_simulate(monkeypatch, delay)
+        self._patch_sleepy_pricing(monkeypatch, delay)
         evaluator = PlanEvaluator()
         start = time.perf_counter()
         evaluator.evaluate_spill_free(smoother_ir, base_plan)
         elapsed = time.perf_counter() - start
         stats = evaluator.stats
         assert stats.simulations >= 1
-        # Every sleeping simulation shows, but the nested evaluate()
+        # Every sleeping pricing pass shows, but the nested evaluate()
         # frames must not add their own deltas on top of the
         # evaluate_spill_free() frame.
         assert stats.wall_s >= stats.simulations * delay

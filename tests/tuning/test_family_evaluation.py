@@ -1,20 +1,20 @@
-"""Family evaluation: the vectorized backend threaded through the engine.
+"""Family evaluation: the lane model threaded through the engine.
 
-The vectorized pricing path is a pure throughput lever — every
-observable of a tuning run must be invariant to it: the winner (bitwise),
-the EvalStats accounting (requests, hits, misses, screened,
-``lint_rejections == screened``), and the plan a planted model bug
-aborts the run on.  These tests run the full hierarchical tuner through
-paired engines and compare everything; the reference engine runs under
-the ``scalar_pricing`` fixture, which routes every batch through scalar
-``simulate()``.
+Every request the engine answers is a lane of a family pricing pass.
+These tests run the full hierarchical tuner and check each request's
+verdict against the scalar reference model (``tests/gpu/reference_model.py``),
+which validates, prescreens and simulates plan by plan: the result
+field for field, or the refusal message.  They also pin that the
+engine never calls ``simulate()``, that the accounting stays exact
+(``lint_rejections == screened``), and that a bug planted in one
+request aborts the run on that plan after exactly the requests before
+it.
 """
-
-from contextlib import nullcontext
 
 import pytest
 
 from repro.codegen.resources import auto_assign, seed_plan_from_pragma
+from repro.gpu.counters import SimulationResult
 from repro.gpu.simulator import reset_simulate_calls, simulate_call_count
 from repro.resilience import EvaluationError
 from repro.suite import BENCHMARKS, load_ir
@@ -22,32 +22,31 @@ from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
 from repro.tuning.deeptuning import fusion_schedule
 from repro.tuning.evaluator import Measurement
 
-
-#: Stats fields that must not depend on how candidates were priced.
-INVARIANT_FIELDS = (
-    "requests",
-    "hits",
-    "misses",
-    "infeasible",
-    "rungs_skipped",
-    "screened",
-    "lint_rejections",
-)
+from ..gpu import reference_model
 
 
-def _tune(ir, base, pricing=nullcontext):
+def _tune(ir, base):
+    """Tune ``base``; returns the result, the engine and every request
+    as ``(resolution, lane)`` in request order."""
     engine = PlanEvaluator()
-    with pricing():
-        return HierarchicalTuner(ir, evaluator=engine).tune(base), engine
+    evaluate = engine._evaluate
+    requests = []
+
+    def recording(ir_, key, res, i, *args, **kwargs):
+        evaluate(ir_, key, res, i, *args, **kwargs)
+        requests.append((res, i))
+
+    engine._evaluate = recording
+    result = HierarchicalTuner(ir, evaluator=engine).tune(base)
+    return result, engine, requests
 
 
-def _abort_on(ir, base, target, pricing=nullcontext):
+def _abort_on(ir, base, target):
     """Tune with a bug planted in the request for ``target``.
 
     The engine raises when asked to evaluate ``target`` (the request
-    under its memo key); both pricing paths resolve every candidate
-    through one request, so the run must end on that plan either way.
-    Returns the error and the engine.
+    under its memo key), so the run must end on that plan.  Returns the
+    error and the engine.
     """
     engine = PlanEvaluator()
     evaluate = engine._evaluate
@@ -59,63 +58,66 @@ def _abort_on(ir, base, target, pricing=nullcontext):
         return evaluate(ir_, key, *args, **kwargs)
 
     engine._evaluate = planted
-    with pricing(), pytest.raises(EvaluationError) as info:
+    with pytest.raises(EvaluationError) as info:
         HierarchicalTuner(ir, evaluator=engine).tune(base)
     return info.value, engine
 
 
-def assert_same_abort(ir, base, scalar_pricing):
-    """Scalar and vector engines abort on the same plan, after the same
-    requests; returns the vector engine."""
-    ref, _ = _tune(ir, base, scalar_pricing)
+def assert_verdicts_match_reference(ir, requests, device):
+    """Each request's verdict is the reference model's, bit for bit."""
+    for res, i in requests:
+        plan = res.plan(i)
+        want = reference_model.verdict(ir, plan, device)
+        if res.ok[i]:
+            assert isinstance(want, SimulationResult), (
+                f"{plan.describe()}: reference refused: {want}"
+            )
+            got = res.result(i)
+            assert got.counters == want.counters, plan.describe()
+            assert got.occupancy == want.occupancy, plan.describe()
+            assert got.timing == want.timing, plan.describe()
+            assert res.time_s(i) == want.time_s
+            assert res.tflops(i) == want.tflops
+        else:
+            assert res.reason(i) == want, plan.describe()
+
+
+def assert_same_abort(ir, base):
+    """The run aborts on the planted plan, after exactly the requests
+    that come before its first request in a clean run; returns the
+    aborted engine."""
+    ref, engine, requests = _tune(ir, base)
     target = ref.best.plan
-    ref_error, ref_engine = _abort_on(ir, base, target, scalar_pricing)
-    vec_error, vec_engine = _abort_on(ir, base, target)
-    assert vec_error.context == ref_error.context
-    assert ref_error.context["plan"] == target.describe()
-    assert_invariant_stats(vec_engine, ref_engine)
-    return vec_engine
+    target_key = engine._key(ir, target)
+    keys = [res.keys[i] for res, i in requests]
+    error, aborted = _abort_on(ir, base, target)
+    assert error.context["plan"] == target.describe()
+    assert aborted.stats.requests == keys.index(target_key)
+    assert aborted.stats.lint_rejections == aborted.stats.screened
+    return aborted
 
 
-def assert_invariant_stats(vec_engine, ref_engine):
-    vec, ref = vec_engine.stats, ref_engine.stats
-    for field in INVARIANT_FIELDS:
-        assert getattr(vec, field) == getattr(ref, field), field
-    # The engine's occupancy screen is routed through repro.lint, so
-    # every prescreen rejection carries a rule code — on both paths.
-    assert vec.lint_rejections == vec.screened
-    assert ref.lint_rejections == ref.screened
-    assert vec.simulations == ref.simulations
-
-
-class TestVectorizedInvariance:
-    def test_same_winner_and_stats(
-        self, smoother_ir, base_plan, scalar_pricing
-    ):
-        ref, ref_engine = _tune(smoother_ir, base_plan, scalar_pricing)
+class TestLaneModelInvariance:
+    def test_verdicts_match_reference(self, smoother_ir, base_plan):
         reset_simulate_calls()
-        vec, vec_engine = _tune(smoother_ir, base_plan)
-        scalar_residue = reset_simulate_calls()
-
-        assert vec.best.plan == ref.best.plan
-        assert vec.best.time_s == ref.best.time_s
-        assert vec.best.tflops == ref.best.tflops
-        assert [m.plan for m in vec.trace] == [m.plan for m in ref.trace]
-        assert vec.evaluations == ref.evaluations
-        assert_invariant_stats(vec_engine, ref_engine)
-        # The vector engine actually vectorized, and every lane it
-        # priced that way is one scalar simulate() call that never ran.
-        assert vec_engine.stats.vectorized > 0
-        assert ref_engine.stats.vectorized == 0
-        assert (
-            scalar_residue
-            == vec_engine.stats.simulations - vec_engine.stats.vectorized
+        result, engine, requests = _tune(smoother_ir, base_plan)
+        # Every request is a family lane: the engine never falls back
+        # to pricing a plan on its own.
+        assert simulate_call_count() == 0
+        assert len(requests) == engine.stats.requests
+        assert_verdicts_match_reference(smoother_ir, requests, engine.device)
+        assert engine.stats.vectorized > 0
+        assert engine.stats.lint_rejections == engine.stats.screened
+        best = reference_model.simulate(
+            smoother_ir, result.best.plan, engine.device
         )
+        assert result.best.time_s == best.time_s
+        assert result.best.tflops == best.tflops
 
     def test_memoization_still_content_addressed(self, smoother_ir, base_plan):
-        # A second identical tune through the same vectorized engine
-        # must be served entirely from the memo cache: no new misses,
-        # no new lanes, byte-identical winner.
+        # A second identical tune through the same engine must be
+        # served entirely from the memo cache: no new misses, no new
+        # lanes, byte-identical winner.
         engine = PlanEvaluator()
         first = HierarchicalTuner(smoother_ir, evaluator=engine).tune(base_plan)
         misses_after_first = engine.stats.misses
@@ -129,14 +131,12 @@ class TestVectorizedInvariance:
 
 
 class TestFailFastInvariance:
-    def test_both_paths_abort_on_the_same_plan(
-        self, smoother_ir, base_plan, scalar_pricing
-    ):
-        # A bug planted in one candidate fires per *request* (the vector
-        # path still resolves each lane through _evaluate), so both
-        # paths end on that plan, after the same accounting.
-        vec_engine = assert_same_abort(smoother_ir, base_plan, scalar_pricing)
-        assert vec_engine.stats.vectorized > 0
+    def test_abort_on_the_planted_plan(self, smoother_ir, base_plan):
+        # A bug planted in one candidate fires per *request* (each
+        # family lane is one request through _evaluate), so the run
+        # ends on that plan, after the requests before it.
+        aborted = assert_same_abort(smoother_ir, base_plan)
+        assert aborted.stats.vectorized > 0
 
 
 def _suite_bases(name):
@@ -150,40 +150,36 @@ def _suite_bases(name):
 @pytest.mark.parametrize("name", list(BENCHMARKS))
 class TestSuiteWideInvariance:
     """The smoother checks above, repeated for every kernel of every
-    suite benchmark: batches run on one serial path, so nothing but
-    the pricing backend may tell two runs apart."""
+    suite benchmark."""
 
-    def test_vectorized_matches_scalar(self, name, scalar_pricing):
+    def test_verdicts_match_reference(self, name):
         ir, bases = _suite_bases(name)
         for base in bases:
-            ref, ref_engine = _tune(ir, base, scalar_pricing)
-            vec, vec_engine = _tune(ir, base)
-            assert vec.best.plan == ref.best.plan
-            assert vec.best.time_s == ref.best.time_s
-            assert vec.evaluations == ref.evaluations
-            assert_invariant_stats(vec_engine, ref_engine)
-            assert ref_engine.stats.vectorized == 0
+            result, engine, requests = _tune(ir, base)
+            assert_verdicts_match_reference(ir, requests, engine.device)
+            assert engine.stats.lint_rejections == engine.stats.screened
 
     def test_repeat_tune_is_deterministic(self, name):
         ir, bases = _suite_bases(name)
         for base in bases:
-            first, first_engine = _tune(ir, base)
-            second, second_engine = _tune(ir, base)
+            first, first_engine, _ = _tune(ir, base)
+            second, second_engine, _ = _tune(ir, base)
             assert second.best.plan == first.best.plan
             assert second.best.time_s == first.best.time_s
             assert [m.plan for m in second.trace] == [
                 m.plan for m in first.trace
             ]
-            assert_invariant_stats(second_engine, first_engine)
-            assert (
-                second_engine.stats.vectorized
-                == first_engine.stats.vectorized
-            )
+            for field in ("requests", "hits", "misses", "infeasible",
+                          "rungs_skipped", "screened", "lint_rejections",
+                          "vectorized"):
+                assert getattr(second_engine.stats, field) == getattr(
+                    first_engine.stats, field
+                ), field
 
-    def test_both_paths_abort_on_the_same_plan(self, name, scalar_pricing):
+    def test_abort_on_the_planted_plan(self, name):
         ir, bases = _suite_bases(name)
         for base in bases:
-            assert_same_abort(ir, base, scalar_pricing)
+            assert_same_abort(ir, base)
 
 
 class TestPhaseAttribution:

@@ -147,3 +147,27 @@ class TestUnitJournal:
         assert replayed.stage1_evaluations == second.stage1_evaluations
         assert replayed.best == second.best
         assert replayed.seeds == second.seeds
+
+
+class TestStage2Facts:
+    def test_fold_groups_found_once_per_tune(
+        self, smoother_ir, base, monkeypatch
+    ):
+        # Fold groups depend on the fused kernels alone: one iterative
+        # tune with register optimizations looks them up once, not once
+        # per stage-2 survivor.
+        import repro.tuning.hierarchical as hierarchical
+
+        calls = []
+        real = hierarchical.find_fold_groups
+
+        def counting(instance):
+            calls.append(instance.name)
+            return real(instance)
+
+        monkeypatch.setattr(hierarchical, "find_fold_groups", counting)
+        tuner = HierarchicalTuner(smoother_ir, use_register_opts=True)
+        result = tuner.tune(base)
+        assert result.best is not None
+        assert tuner.evaluations > 0
+        assert calls == [base.kernel_names[0]]

@@ -3,15 +3,17 @@
 A family lane reaches the engine's request seam (``_evaluate``) with
 its verdict already priced.  A lane the occupancy screen refuses is
 memoized as a refusal record, and the ``PlanInfeasible`` it stands for
-is built only when a caller raises it: scalar ``evaluate`` on a cache
-hit raises a fresh copy each time, with the message and rule the
-scalar prescreen gives.
+is built only when a caller raises it: ``evaluate`` on a cache hit
+raises a fresh copy each time, with the message and rule the lint
+prescreen (``plan_rejection``) gives.
 """
 
 import pytest
 
+from repro.gpu.device import P100
 from repro.gpu.simulator import PlanInfeasible
-from repro.tuning.evaluator import MIN_FAMILY, PlanEvaluator
+from repro.lint.rules_plan import plan_rejection
+from repro.tuning.evaluator import PlanEvaluator
 
 #: Blocks of 2048 threads: past every profile's block limit (RL202).
 OVERSIZED = [(64, 32), (128, 16), (256, 8), (512, 4), (1024, 2)]
@@ -19,9 +21,7 @@ OVERSIZED = [(64, 32), (128, 16), (256, 8), (512, 4), (1024, 2)]
 
 @pytest.fixture
 def screened_family(base_plan):
-    family = [base_plan.replace(block=block) for block in OVERSIZED]
-    assert len(family) >= MIN_FAMILY
-    return family
+    return [base_plan.replace(block=block) for block in OVERSIZED]
 
 
 @pytest.fixture
@@ -54,14 +54,9 @@ def test_screened_family_builds_no_exception(
     assert constructions == []
 
 
-def test_scalar_rerequest_raises_fresh_copies(
-    smoother_ir, screened_family, scalar_pricing
-):
-    with scalar_pricing():
-        reference = PlanEvaluator()
-        with pytest.raises(PlanInfeasible) as info:
-            reference.evaluate(smoother_ir, screened_family[0])
-    expected = info.value
+def test_rerequest_raises_fresh_copies(smoother_ir, screened_family):
+    diagnostic = plan_rejection(smoother_ir, screened_family[0], P100)
+    assert diagnostic.code == "RL202"
 
     engine = PlanEvaluator()
     engine.evaluate_batch(smoother_ir, screened_family)
@@ -69,8 +64,8 @@ def test_scalar_rerequest_raises_fresh_copies(
     for attempt in range(3):
         with pytest.raises(PlanInfeasible) as info:
             engine.evaluate(smoother_ir, screened_family[0])
-        assert str(info.value) == str(expected)
-        assert info.value.context == {"rule": "RL202"} == expected.context
+        assert str(info.value) == f"[RL202] {diagnostic.message}"
+        assert info.value.context == {"rule": "RL202"}
         # Context one caller attaches never reaches the next copy.
         info.value.with_context(attempt=attempt)
         raised.append(info.value)
