@@ -81,6 +81,14 @@ class KernelPlan:
         return self.streaming in (STREAM_SERIAL, STREAM_CONCURRENT)
 
     @property
+    def stream_chunks(self) -> int:
+        """Chunks the stream axis is split into: ``concurrent_chunks``
+        under concurrent streaming, else 1."""
+        if self.streaming == STREAM_CONCURRENT:
+            return self.concurrent_chunks
+        return 1
+
+    @property
     def placement_map(self) -> Dict[str, str]:
         return dict(self.placements)
 
@@ -139,9 +147,10 @@ class KernelPlan:
         # order of magnitude.  The pinned identity caches survive the
         # copy exactly when the changed fields are factored out of
         # them: ``_family_key`` excludes only ``max_registers``,
-        # ``_structural_key`` additionally the grid axes (block,
-        # unroll, unroll_blocked) — so the register escalation ladder
-        # and the tile sweep inherit their parents' keys instead of
+        # ``_structural_key`` additionally the lane knobs (block,
+        # unroll, unroll_blocked, prefetch, perspective and the chunk
+        # count) — so the register escalation ladder, the tile sweep and
+        # the stage-2 variants inherit their parents' keys instead of
         # recomputing them per candidate.
         for name in changes:
             if name not in _PLAN_FIELD_SET:
@@ -265,7 +274,10 @@ _PLAN_FIELD_SET = frozenset(_PLAN_FIELDS)
 #: a ``replace`` touching only these keeps the corresponding cache.
 _FAMILY_EXEMPT = frozenset({"max_registers"})
 _STRUCTURAL_EXEMPT = frozenset(
-    {"max_registers", "block", "unroll", "unroll_blocked"}
+    {
+        "max_registers", "block", "unroll", "unroll_blocked", "prefetch",
+        "perspective", "concurrent_chunks",
+    }
 )
 
 

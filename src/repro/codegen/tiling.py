@@ -34,7 +34,6 @@ from .plan import (
     KernelPlan,
     REGISTER,
     SHMEM,
-    STREAM_CONCURRENT,
 )
 
 Halo = Tuple[Tuple[int, int], ...]  # per-axis (lo, hi)
@@ -99,27 +98,26 @@ def family_key_with(key: tuple, block: tuple, unroll: tuple) -> tuple:
 
 
 def plan_structural_key(plan: KernelPlan) -> tuple:
-    """Identity of a plan's *structure*: the family key with the grid
-    knobs (block tile, unroll factors, register cap) factored out too.
+    """Identity of a plan's *structure*: the family key with the lane
+    knobs factored out too.
 
     Plans sharing a structural key differ only in tile sizes, unroll
-    factors and the register budget — exactly the axes the vectorized
-    family pricer (:func:`repro.gpu.pricing.price_family`) sweeps as
-    NumPy arrays.  Which arrays are buffered where, the stage list, the
-    per-array halos and every branch of the counter model are constant
-    across the structural group; only the arithmetic over tile extents
-    varies.
+    factors, the register budget, prefetching, the load perspective and
+    the concurrent chunk count — exactly the axes the vectorized family
+    pricer (:func:`repro.gpu.pricing.price_family`) sweeps as NumPy
+    arrays.  The key keeps whether the plan streams, not how: serial and
+    concurrent streaming differ only in the chunk count.  Which arrays
+    are buffered where, the stage list, the per-array halos and every
+    branch of the counter model are constant across the structural
+    group; only the arithmetic over the knob columns varies.
     """
     key = plan.__dict__.get("_structural_key")
     if key is None:
         key = (
             plan.kernel_names,
             plan.time_tile,
-            plan.streaming,
+            plan.uses_streaming,
             plan.stream_axis,
-            plan.concurrent_chunks,
-            plan.prefetch,
-            plan.perspective,
             plan.placements,
             plan.retime,
             plan.fold_groups,
@@ -270,11 +268,7 @@ def _launch_geometry(ir: ProgramIR, plan: KernelPlan) -> LaunchGeometry:
     for axis in range(ndim):
         if plan.uses_streaming and axis == plan.stream_axis:
             sweep_axis = axis
-            chunks = (
-                plan.concurrent_chunks
-                if plan.streaming == STREAM_CONCURRENT
-                else 1
-            )
+            chunks = plan.stream_chunks
             sweep_length = -(-domain[axis] // chunks)
             tile.append(sweep_length)
             blocks_axis.append(chunks)

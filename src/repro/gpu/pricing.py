@@ -7,17 +7,20 @@ prefix* (geometry, stages, buffer layouts, shared memory, register
 demand) and a *cheap suffix* (occupancy, spill traffic, counters,
 timing).  Both
 halves branch only on the plan's **structure** — which kernels are
-fused, streaming mode and axis, retiming, placements, perspective
-(:func:`repro.codegen.tiling.plan_structural_key`) — while the grid
-knobs the tuners sweep (block tile, unroll factors, ``unroll_blocked``,
-``max_registers``) only change the *numbers* flowing through a fixed
+fused, whether and along which axis it streams, retiming, placements
+(:func:`repro.codegen.tiling.plan_structural_key`) — while the knobs
+the tuners sweep (block tile, unroll factors, ``unroll_blocked``,
+``max_registers``, prefetching, the load perspective and the concurrent
+chunk count) only change the *numbers* flowing through a fixed
 expression DAG.
 
 This module exploits that: :class:`FamilyStructure` captures every
 branch decision and structural constant once per (IR, structural key),
 and :func:`price_family` then evaluates the whole model as NumPy array
 operations over an ``(N_candidates,)`` lane axis — occupancy, spill
-traffic and timing in one shot.
+traffic and timing in one shot.  A structure holds nothing a lane knob
+decides: a stage-2 batch of prefetch, perspective and chunk variants is
+one family, priced in one pass.
 
 The model's original plan-at-a-time form is kept as a test oracle
 (``tests/gpu/reference_model.py``), and the lane model must match it bit
@@ -31,9 +34,10 @@ implementation follows that form's *exact* operation order:
   term lists and summed sequentially in the scalar emission order, so
   every f8 rounding step matches;
 * per-lane branches that the scalar code takes (buffer-winner
-  selection, register-vs-shared served reads, sync/bubble gating) are
-  evaluated with masks; branches that depend only on structure are
-  resolved once at :class:`FamilyStructure` build time;
+  selection, register-vs-shared served reads, sync/bubble gating,
+  prefetch and perspective terms) are evaluated with masks or tables;
+  branches that depend only on structure are resolved once at
+  :class:`FamilyStructure` build time;
 * lanes that fail the occupancy screen carry a vectorized RL2xx rule
   and fall back to the scalar :func:`repro.gpu.occupancy.occupancy`
   arithmetic to reproduce the exact message and context when that
@@ -59,7 +63,6 @@ from ..codegen.plan import (
     KernelPlan,
     PERSPECTIVE_INPUT,
     PERSPECTIVE_OUTPUT,
-    STREAM_CONCURRENT,
 )
 from ..codegen.tiling import (
     Stage,
@@ -68,7 +71,6 @@ from ..codegen.tiling import (
     build_stages,
     distinct_read_offsets,
     is_star_along,
-    launch_geometry,
     pingpong_pair,
     plan_structural_key,
     stream_window,
@@ -106,9 +108,13 @@ _I8 = np.int64
 _F8 = np.float64
 _I8_MAX = int(np.iinfo(_I8).max)
 
-#: Grid knobs :func:`price_family` may sweep without changing the
-#: family's structure (everything else is part of the structural key).
-GRID_AXES = ("block", "unroll", "unroll_blocked", "max_registers")
+#: Knobs :func:`price_family` may sweep without changing the family's
+#: structure (everything else is part of the structural key).
+#: ``concurrent_chunks`` counts only under concurrent streaming.
+GRID_AXES = (
+    "block", "unroll", "unroll_blocked", "max_registers", "prefetch",
+    "perspective", "concurrent_chunks",
+)
 
 #: Lanes priced since start / last reset, ``simulate()``'s one-lane
 #: passes included (``simulator._SIMULATE_CALLS`` counts those apart).
@@ -129,29 +135,46 @@ def reset_priced_lanes() -> int:
 
 
 class LaneKnobs:
-    """The grid-knob columns of one structural family's lanes.
+    """The knob columns of one structural family's lanes.
 
     Lane ``i`` has block ``blocks[block_ix[i]]``, unroll
-    ``unrolls[unroll_ix[i]]``, ``unroll_blocked`` ``ublocked[i]`` and
-    ``max_registers`` ``maxreg[i]``: everything :data:`GRID_AXES` lets
-    vary within a family (``ublocked`` and ``maxreg`` may be given as
-    one value for every lane).  Distinct tuples are stored once, so
-    per-lane geometry is a table lookup rather than a pass over plan
+    ``unrolls[unroll_ix[i]]``, perspective
+    ``perspectives[persp_ix[i]]``, ``unroll_blocked`` ``ublocked[i]``,
+    ``max_registers`` ``maxreg[i]``, ``prefetch[i]`` and ``chunks[i]``
+    stream chunks (:attr:`KernelPlan.stream_chunks`): everything
+    :data:`GRID_AXES` lets vary within a family.  ``ublocked``,
+    ``maxreg``, ``prefetch``, ``perspective`` and ``chunks`` may be
+    given as one value for every lane.  Distinct tuples are stored once,
+    so per-lane geometry is a table lookup rather than a pass over plan
     objects.
     """
 
     __slots__ = (
-        "blocks", "unrolls", "block_ix", "unroll_ix", "ublocked", "maxreg"
+        "blocks", "unrolls", "perspectives", "block_ix", "unroll_ix",
+        "persp_ix", "ublocked", "maxreg", "prefetch", "chunks",
     )
 
-    def __init__(self, blocks, unrolls, block_ix, unroll_ix, ublocked, maxreg):
+    def __init__(self, blocks, unrolls, block_ix, unroll_ix, ublocked, maxreg,
+                 prefetch=False, perspective=PERSPECTIVE_OUTPUT, chunks=1):
         self.blocks = tuple(blocks)
         self.unrolls = tuple(unrolls)
         self.block_ix = np.asarray(block_ix, dtype=_I8)
         self.unroll_ix = np.asarray(unroll_ix, dtype=_I8)
         n = len(self.block_ix)
+        if isinstance(perspective, str):
+            self.perspectives = (perspective,)
+            self.persp_ix = np.zeros(n, _I8)
+        else:
+            table: Dict[str, int] = {}
+            self.persp_ix = np.asarray(
+                [table.setdefault(p, len(table)) for p in perspective],
+                dtype=_I8,
+            )
+            self.perspectives = tuple(table)
         self.ublocked = np.broadcast_to(np.asarray(ublocked, dtype=bool), (n,))
         self.maxreg = np.broadcast_to(np.asarray(maxreg, dtype=_I8), (n,))
+        self.prefetch = np.broadcast_to(np.asarray(prefetch, dtype=bool), (n,))
+        self.chunks = np.broadcast_to(np.asarray(chunks, dtype=_I8), (n,))
 
     def __len__(self) -> int:
         return len(self.block_ix)
@@ -170,6 +193,9 @@ def knobs_of(plans: Sequence[KernelPlan]) -> LaneKnobs:
         unroll_ix,
         [p.unroll_blocked for p in plans],
         [p.max_registers for p in plans],
+        [p.prefetch for p in plans],
+        [p.perspective for p in plans],
+        [p.stream_chunks for p in plans],
     )
 
 
@@ -514,15 +540,9 @@ class FamilyStructure:
         self.streaming = proto.uses_streaming
         self.stream_axis = proto.stream_axis
         self.retime = proto.retime
-        self.prefetch = proto.prefetch
-        self.perspective = proto.perspective
         self.domain_points = 1
         for extent in self.domain:
             self.domain_points *= extent
-        geo = launch_geometry(ir, proto)
-        self.sweep_length = geo.sweep_length  # structural: chunks fixed
-        self.streaming_mode = proto.streaming
-        self.concurrent_chunks = proto.concurrent_chunks
         self.intermediates = intermediate_arrays(ir, proto)
         self.externally_visible = externally_visible(ir, proto)
         self._build_buffer_candidates(ir, proto)
@@ -702,15 +722,6 @@ class FamilyStructure:
                     item.update(
                         kind="buffered",
                         unique=_unique_bytes(ir, array, arr_esize, proto),
-                        fill_extra=(
-                            2
-                            if self.perspective == PERSPECTIVE_OUTPUT
-                            and (
-                                stage.halo[self.ndim - 1][0]
-                                or stage.halo[self.ndim - 1][1]
-                            )
-                            else 0
-                        ),
                         halo_x=stage.halo[self.ndim - 1],
                         reads_distinct=info.reads_distinct,
                         inplane=(
@@ -795,16 +806,16 @@ class FamilyStructure:
             for stage in self.stages:
                 outputs.update(stage.instance.arrays_written())
             self.accumulators = len(outputs)
-        # Prefetch staging: arrays fetched from global.  GMEM-placed
-        # arrays always buffer (0, 0) planes, so the scalar condition
-        # ``storage != GMEM or reg_planes > 0`` reduces to the storage
-        # test — structural.
+        # Prefetch staging registers of a prefetching lane: arrays
+        # fetched from global.  GMEM-placed arrays always buffer (0, 0)
+        # planes, so the scalar condition ``storage != GMEM or
+        # reg_planes > 0`` reduces to the storage test — structural.
         fetched = sum(
             1
             for array in self.buffer_arrays
             if self.buffer_storage[array] != GMEM
         )
-        self.prefetch_regs = max(fetched, 1) if self.prefetch else 0
+        self.staging_regs = max(fetched, 1)
         # Blocked-unroll live loads: the per-stage gmem (unbuffered)
         # read sets and their read offsets are structural; the load
         # counts per lane are not.
@@ -826,12 +837,13 @@ class FamilyStructure:
         """Per-lane geometry scalars.
 
         Replays ``tiling._launch_geometry`` over the lane axis: the
-        domain, tiled-axis set, streaming sweep and perspective halo are
-        structural constants, so only the block/unroll tuples need
-        gathering per lane — one lookup into the knobs' tables of
-        distinct tuples.  Everything downstream is exact int64 array
-        arithmetic (products and ``-(-a // b)`` ceil-division match the
-        scalar reference bit for bit).
+        domain, tiled-axis set and first-stage halo are structural
+        constants, so only the knobs need gathering per lane — threads
+        per block and ILP are tables over the distinct (perspective,
+        block) and (prefetch, unroll) values, looked up per lane.
+        Everything downstream is exact int64 array arithmetic (products
+        and ``-(-a // b)`` ceil-division match the scalar reference bit
+        for bit).
         """
         n = len(knobs)
         ndim = self.ndim
@@ -862,58 +874,52 @@ class FamilyStructure:
         # axis count; extra entries still count, as in the scalar code)
         tunroll_table = [math.prod(u) for u in knobs.unrolls]
         tunroll = np.asarray(tunroll_table, dtype=_I8)[unroll_ix]
-        ublocked = knobs.ublocked
-        maxreg = knobs.maxreg
         # -- tile extents and block decomposition
         tile = np.empty((ndim, n), _I8)
         blocks = _column(n, 1, _I8)
-        chunks = (
-            self.concurrent_chunks
-            if self.streaming_mode == STREAM_CONCURRENT
-            else 1
-        )
         for pos, axis in enumerate(tiled):
             tile[axis] = bt[pos] * unroll[axis]
             blocks = blocks * (-(-self.domain[axis] // tile[axis]))
+        sweep = None
         if self.streaming:
-            tile[self.stream_axis] = self.sweep_length
+            chunks = knobs.chunks
+            sweep = -(-self.domain[self.stream_axis] // chunks)
+            tile[self.stream_axis] = sweep
             blocks = blocks * chunks
         # -- threads per block (tiling._threads_per_block)
-        if self.perspective == PERSPECTIVE_OUTPUT:
-            threads = np.asarray(
-                [math.prod(b) for b in knobs.blocks], dtype=_I8
-            )[block_ix]
-        else:
-            halo = self.stages[0].halo
-            innermost = tiled[-1] if tiled else ndim - 1
-            threads = _column(n, 1, _I8)
-            for pos, axis in enumerate(tiled):
-                lo, hi = halo[axis]
-                if self.perspective == PERSPECTIVE_INPUT:
-                    threads = threads * (bt[pos] + (lo + hi))
-                else:  # mixed: extend only the innermost axis
-                    threads = threads * (
-                        bt[pos] + ((lo + hi) if axis == innermost else 0)
-                    )
+        halo = self.stages[0].halo
+        innermost = tiled[-1] if tiled else ndim - 1
+        threads_table = [
+            [_block_threads(b, p, tiled, halo, innermost) for b in knobs.blocks]
+            for p in knobs.perspectives
+        ]
+        threads = np.asarray(threads_table, dtype=_I8).reshape(
+            len(knobs.perspectives), len(knobs.blocks)
+        )[knobs.persp_ix, block_ix]
+        output = np.asarray(
+            [p == PERSPECTIVE_OUTPUT for p in knobs.perspectives]
+        )[knobs.persp_ix]
         # math.log2 per distinct unroll: identical libm path to the
         # scalar code (np.log2 could round differently on exotic
         # platforms).
-        ilp_table = []
-        for total in tunroll_table:
-            value = 1.0 + 0.4 * math.log2(max(1, total))
-            if self.prefetch:
-                value += 0.3
-            ilp_table.append(value)
+        ilp_table = [1.0 + 0.4 * math.log2(max(1, t)) for t in tunroll_table]
         ilp = np.asarray(ilp_table, dtype=_F8)[unroll_ix]
+        prefetch = knobs.prefetch
+        if prefetch.any():
+            staged = np.asarray([v + 0.3 for v in ilp_table], dtype=_F8)
+            ilp = np.where(prefetch, staged[unroll_ix], ilp)
         return {
             "n": n,
             "tile": tile,
             "unroll": unroll,
             "blocks": blocks,
             "threads": threads,
+            "sweep": sweep,
+            "output": output,
+            "prefetch": prefetch,
             "tunroll": tunroll,
-            "ublocked": ublocked,
-            "maxreg": maxreg,
+            "ublocked": knobs.ublocked,
+            "maxreg": knobs.maxreg,
             "ilp": ilp,
             "pts": {},
             "coal": {},
@@ -1092,7 +1098,8 @@ class FamilyStructure:
         demand = _column(base["n"], BASE_REGISTERS + self.expr_regs, _I8)
         demand = demand + reg_planes * base["tunroll"]
         demand = demand + self.accumulators * base["tunroll"]
-        demand = demand + self.prefetch_regs
+        if base["prefetch"].any():
+            demand = demand + np.where(base["prefetch"], self.staging_regs, 0)
         blocked_mask = (base["tunroll"] > 1) & base["ublocked"]
         if blocked_mask.any():
             live = np.zeros(base["n"], _F8)
@@ -1196,6 +1203,7 @@ class FamilyStructure:
         lanes,
         levels: Sequence[int],
         device: DeviceSpec = P100,
+        skip: Optional[Sequence[bool]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, "_LaneArrays"]:
         """Resolve the register ladder, then price each lane that has a
         rung, at that rung.
@@ -1214,14 +1222,18 @@ class FamilyStructure:
         levels if demand <= lv))`` of a plan-by-plan walk), or ``-1`` when
         every rung spills.  ``lanes`` has one entry per submitted lane:
         the lane's price, or None for an all-spill lane, which is never
-        priced.
+        priced.  Lanes whose ``skip`` entry is true get a demand and a
+        rung but no price either (the certifier refused them).
         """
         knobs = _knobs(lanes)
         base = self._base(knobs)
         winners = self._winners(base)
         demands = self._register_demand(base, winners)
         positions, rungs = first_rungs(demands, levels)
-        kept = np.flatnonzero(positions >= 0)
+        wanted = positions >= 0
+        if skip is not None:
+            wanted = wanted & ~np.asarray(skip, dtype=bool)
+        kept = np.flatnonzero(wanted)
         sub = _take(base, kept)
         sub["n"] = len(kept)
         sub["maxreg"] = rungs[kept]
@@ -1445,7 +1457,7 @@ class FamilyStructure:
         tex_t.append(spill)
 
         per_step = 2.0 * len(self.stages)
-        steps = self.sweep_length if self.streaming else 1
+        steps = base["sweep"] if self.streaming else 1
         syncs = np.where(shmem > 0, (per_step * steps) * blocks_f, 0.0)
 
         return {
@@ -1464,7 +1476,10 @@ class FamilyStructure:
         self, base: dict, item: dict, sector: int = 32
     ) -> np.ndarray:
         lo, hi = item["halo_x"]
-        key = (lo + hi, item["fill_extra"], sector)
+        # Output-perspective lanes pay two extra sectors for a fill row
+        # that starts at a halo offset.
+        wide = bool(lo or hi)
+        key = (lo + hi, wide, sector)
         cached = base["coal"].get(key)
         if cached is None:
             row_elems = base["tile"][self.ndim - 1]
@@ -1473,7 +1488,8 @@ class FamilyStructure:
             denom = np.maximum(
                 1, np.ceil((row_elems * 8).astype(_F8) / sector).astype(_I8)
             )
-            cached = base["coal"][key] = (sectors + item["fill_extra"]) / denom
+            extra = np.where(base["output"], 2, 0) if wide else 0
+            cached = base["coal"][key] = (sectors + extra) / denom
         return cached
 
     def _buffered_shm(
@@ -1570,9 +1586,13 @@ class FamilyStructure:
         )
         launch_s = device.launch_overhead_us * 1e-6
 
-        if self.streaming and not self.prefetch:
+        if self.streaming:
+            # Prefetching lanes hide the next-plane load: no bubble.
+            exposed = shmem > 0
+            if base["prefetch"].any():
+                exposed = exposed & ~base["prefetch"]
             bubble_s = np.where(
-                shmem > 0, 0.12 * np.maximum(tex_s, dram_s), 0.0
+                exposed, 0.12 * np.maximum(tex_s, dram_s), 0.0
             )
         else:
             bubble_s = np.zeros(base["n"], _F8)
@@ -1592,6 +1612,24 @@ class FamilyStructure:
 # ---------------------------------------------------------------------------
 # structural helpers
 # ---------------------------------------------------------------------------
+
+
+def _block_threads(block, perspective, tiled, halo, innermost) -> int:
+    """Threads per block of one (block, perspective) pair
+    (``tiling._threads_per_block``)."""
+    if perspective == PERSPECTIVE_OUTPUT:
+        return math.prod(block)
+    # Input and mixed perspectives enlarge the block by the first
+    # stage's halo; mixed only along the innermost tiled axis.
+    total = 1
+    for pos, axis in enumerate(tiled):
+        lo, hi = halo[axis]
+        extent = block[pos] if pos < len(block) else 1
+        if perspective == PERSPECTIVE_INPUT:
+            total *= extent + (lo + hi)
+        else:
+            total *= extent + ((lo + hi) if axis == innermost else 0)
+    return total
 
 
 def externally_visible(ir: ProgramIR, plan: KernelPlan) -> frozenset:

@@ -405,15 +405,15 @@ def check_plan(
 def fusion_rejection(ir: ProgramIR, plan: KernelPlan) -> Optional[Diagnostic]:
     """The structural (grid-independent) half of :func:`plan_rejection`.
 
-    Transformation legality depends only on family-stable plan fields
-    (``kernel_names``, ``time_tile``, ``streaming``, ``stream_axis``,
-    ``concurrent_chunks``, ``retime``) — never on the block shape,
-    unroll factors or register cap — so the evaluation engine probes it
-    once per plan *family* and reuses the finding (an RL3xx
-    certification refutation, or legacy RL206 when the certifier is
-    off) for every lane, instead of re-certifying per candidate.  (The
-    per-candidate ``lint.reject.*`` counter still fires at rejection
-    time, not here.)
+    Transformation legality depends only on ``kernel_names``,
+    ``time_tile``, ``streaming``, ``stream_axis``, ``concurrent_chunks``
+    and ``retime`` — never on the block shape, unroll factors, register
+    cap, prefetching or perspective — so the evaluation engine probes it
+    once per distinct (streaming mode, chunk count) of a plan *family*
+    and reuses the finding (an RL3xx certification refutation, or legacy
+    RL206 when the certifier is off) for the lanes that share them,
+    instead of re-certifying per candidate.  (The per-candidate
+    ``lint.reject.*`` counter still fires at rejection time, not here.)
     """
     fusion = _fusion_findings(ir, plan)
     return fusion[0] if fusion else None

@@ -8,12 +8,13 @@ point plus the pair of reference-executor events whose values the broken
 schedule confuses; :func:`repro.lint.witness.replay_witness` confirms
 the divergence numerically).
 
-The certifier is **pure in the plan**: every field it reads
+The certifier is **pure in the plan**: of the fields it reads
 (``kernel_names``, ``time_tile``, ``streaming``, ``stream_axis``,
-``concurrent_chunks``, ``retime``) is part of the structural family key,
-so the evaluation engine probes it once per family, and split batches,
-memo-cache replays and the CLI all derive byte-identical diagnostics
-for the same plan.
+``concurrent_chunks``, ``retime``), all but the streaming mode and the
+chunk count are part of the structural family key, so the evaluation
+engine probes it once per distinct (streaming mode, chunk count) of a
+family, and split batches, memo-cache replays and the CLI all derive
+byte-identical diagnostics for the same plan.
 
 Conservatism contract: the certifier may *refute* a plan the block-tiled
 executor would in fact compute correctly (it refuses to assume the

@@ -137,6 +137,18 @@ def _count_refusal(rule: str, occupancy: bool) -> None:
         _counter(f"lint.reject.{rule}").add()
 
 
+def _refusal(finding) -> Optional[Refusal]:
+    """The :class:`Refusal` of a certifier finding (None for none)."""
+    if finding is None:
+        return None
+    witness = finding.witness
+    return Refusal(
+        finding.code,
+        finding.message,
+        witness=None if witness is None else witness.describe(),
+    )
+
+
 def _all_spill(demand: int, levels: Tuple[int, ...]) -> str:
     return (
         f"spills at every register level (demand {demand} > {levels[-1]})"
@@ -584,6 +596,8 @@ class PlanEvaluator:
                 src, at = family.shared, None
                 if family.lane_of is not None and family.lane_of[j] >= 0:
                     src, at = family.lanes, family.lane_of[j]
+                elif family.refusals is not None:
+                    src = family.refusals[j]
                 if levels is None:
                     key = self._key(ir, family.plan(j))
                     self._evaluate(ir, key, res, i, src, at)
@@ -621,11 +635,12 @@ class PlanEvaluator:
 
         A validation failure of the prototype is every lane's verdict
         (a plain batch), or prunes every lane without a request (a
-        spill-free one).  A fusion refusal is every requested lane's
-        verdict, with no pricing.  Otherwise, a spill-free family
-        resolves demand and rungs first and prices only the lanes that
-        have a rung, at that rung; a plain family prices the lanes the
-        memo does not hold.
+        spill-free one); validation reads no lane knob.  A fusion
+        refusal is the verdict of the lanes it covers
+        (:meth:`_certify`), which are never priced.  The other lanes: a
+        spill-free family resolves demand and rungs first, of refused
+        lanes too, and prices only the lanes that have a rung, at that
+        rung; a plain family prices the lanes the memo does not hold.
         """
         from ..gpu import pricing
 
@@ -640,38 +655,38 @@ class PlanEvaluator:
                     family.pruned = f"infeasible: {exc}"
                 return
         structure = pricing.family_structure(ir, proto)
-        fusion = fusion_rejection(ir, proto)
+        refusals = family.refusals = self._certify(ir, family)
+        skip = None
         everyone = range(len(family.members))
-        if fusion is not None:
-            witness = fusion.witness
-            family.shared = Refusal(
-                fusion.code,
-                fusion.message,
-                witness=None if witness is None else witness.describe(),
-            )
-            if levels is not None:
-                # Rung resolution still needs the demand vector.
-                demands = structure.demand(family.knobs(everyone))
-                positions, _ = pricing.first_rungs(demands, levels)
-                family.demands = demands.tolist()
-                family.positions = positions.tolist()
-            return
+        if refusals is not None:
+            skip = [refusal is not None for refusal in refusals]
+            if all(skip):
+                if levels is not None:
+                    # Rung resolution still needs the demand vector.
+                    demands = structure.demand(family.knobs(everyone))
+                    positions, _ = pricing.first_rungs(demands, levels)
+                    family.demands = demands.tolist()
+                    family.positions = positions.tolist()
+                return
         if levels is not None:
             demands, positions, lanes = structure.price_spill_free(
-                family.knobs(everyone), levels, self.device
+                family.knobs(everyone), levels, self.device, skip
             )
             family.demands = demands.tolist()
             family.positions = positions.tolist()
             family.lanes, family.lane_of = lanes, lanes.lane_of
             return
-        # Plain batch: every lane at its own cap; a lane the memo holds
-        # needs no price, and duplicates share one.
+        # Plain batch: every lane at its own cap; a refused lane or one
+        # the memo holds needs no price, and duplicates share one.
         irid, device = id(ir), self.device
         cache = self._cache
         slot: Dict[tuple, int] = {}
         to_price: List[int] = []
         lane_of: List[int] = []
         for j in everyone:
+            if skip is not None and skip[j]:
+                lane_of.append(-1)
+                continue
             plan = family.plans[j]
             key = (irid, device, plan_family_key(plan), plan.max_registers)
             hit = cache.get(key)
@@ -686,6 +701,32 @@ class PlanEvaluator:
         if to_price:
             family.lanes = structure.price(family.knobs(to_price), self.device)
         family.lane_of = lane_of
+
+    @staticmethod
+    def _certify(ir: ProgramIR, family: "_Family") -> Optional[list]:
+        """Each member's fusion :class:`Refusal` (None: certified), or
+        None when the certifier refuses no member.
+
+        Within a family the certifier reads only the streaming mode and
+        the chunk count (the concurrent-chunk race check), so it runs
+        once per distinct value of the two; a grid's lanes all stream
+        like its prototype.
+        """
+        if family.plans is None:
+            refusal = _refusal(fusion_rejection(ir, family.proto))
+            if refusal is None:
+                return None
+            return [refusal] * len(family.members)
+        verdicts: Dict[tuple, Optional[Refusal]] = {}
+        modes = []
+        for plan in family.plans:
+            mode = (plan.streaming, plan.stream_chunks)
+            if mode not in verdicts:
+                verdicts[mode] = _refusal(fusion_rejection(ir, plan))
+            modes.append(mode)
+        if all(refusal is None for refusal in verdicts.values()):
+            return None
+        return [verdicts[mode] for mode in modes]
 
     def _fail_fast(self, plan, exc: Exception, index: int) -> NoReturn:
         """End the batch: raise ``exc`` as an :class:`EvaluationError`
@@ -718,17 +759,18 @@ class _Family:
 
     The submitted lanes are ``plans`` (a plan list) or lanes
     ``members`` of ``grid``; ``proto`` is the first of them.  A priced
-    family holds either one ``shared`` verdict (a fusion refusal, or
-    its prototype's validation failure), a ``pruned`` reason (that
-    failure in a spill-free batch), or the pass ``lanes`` with each
-    member's priced lane ``lane_of[j]`` (-1: not priced).  A
-    spill-free family also holds each member's register ``demands``
+    family holds either one ``shared`` verdict (its prototype's
+    validation failure) or a ``pruned`` reason (that failure in a
+    spill-free batch).  Otherwise each member has a fusion
+    ``refusals[j]`` (``refusals`` None: no member was refused), or a
+    priced lane ``lane_of[j]`` of the pass ``lanes`` (-1: not priced).
+    A spill-free family also holds each member's register ``demands``
     and rung ``positions`` (-1: spills at every rung).
     """
 
     __slots__ = (
         "proto", "members", "plans", "grid", "shared", "pruned",
-        "demands", "positions", "lanes", "lane_of", "_key",
+        "refusals", "demands", "positions", "lanes", "lane_of", "_key",
     )
 
     def __init__(self, proto: KernelPlan, members: List[int],
@@ -740,6 +782,7 @@ class _Family:
         self.grid = grid
         self.shared = None
         self.pruned: Optional[str] = None
+        self.refusals: Optional[list] = None
         self.demands: Optional[List[int]] = None
         self.positions: Optional[List[int]] = None
         self.lanes = None
@@ -771,14 +814,17 @@ class _Family:
 
         if self.plans is not None:
             return pricing.knobs_of([self.plans[j] for j in js])
-        grid, members = self.grid, self.members
+        grid, members, proto = self.grid, self.members, self.proto
         return pricing.LaneKnobs(
             grid.blocks,
             grid.unrolls,
             [grid.block_ix[members[j]] for j in js],
             [grid.unroll_ix[members[j]] for j in js],
-            self.proto.unroll_blocked,
-            self.proto.max_registers,
+            proto.unroll_blocked,
+            proto.max_registers,
+            proto.prefetch,
+            proto.perspective,
+            proto.stream_chunks,
         )
 
 

@@ -195,12 +195,11 @@ class KnobGrid:
         return [(self.plan(lanes[0]), lanes) for lanes in groups.values()]
 
     def contains(self, plan: KernelPlan) -> bool:
-        """Whether ``plan``'s family (register cap aside) is a lane."""
-        from ..codegen.tiling import plan_structural_key
+        """Whether ``plan`` is a lane, register cap aside: its
+        :func:`~repro.codegen.tiling.plan_family_key` is a lane's."""
+        from ..codegen.tiling import family_key_with, plan_family_key
 
         base = self.base
-        if plan.unroll_blocked != base.unroll_blocked:
-            return False
         if self._lane_set is None:
             self._lane_set = {
                 (self.blocks[b], self.unrolls[u], r)
@@ -211,7 +210,9 @@ class KnobGrid:
         proto = base if plan.retime == base.retime else base.replace(
             retime=plan.retime
         )
-        return plan_structural_key(plan) == plan_structural_key(proto)
+        return plan_family_key(plan) == family_key_with(
+            plan_family_key(proto), plan.block, plan.unroll
+        )
 
 
 def stage1_grid(

@@ -7,9 +7,11 @@ as its oracle.  For every lane, ``price_family`` must return either a
 ``simulate()``, or the exact occupancy rejection (message, context,
 RL2xx lint code) that ``plan_occupancy`` raises.  The Hypothesis suite
 sweeps the grid knobs (block, unroll, unroll_blocked, max_registers)
-over several structural prototypes — streaming modes, perspectives,
-prefetch — and checks every lane against a fresh scalar evaluation.
-CI also runs it under ``--hypothesis-profile=fuzz``.
+over several structural prototypes, and draws the stage-2 knobs —
+prefetch, perspective, serial or concurrent streaming and the chunk
+count — per lane inside one family; it checks every lane against a
+fresh scalar evaluation.  CI also runs it under
+``--hypothesis-profile=fuzz``.
 """
 
 import pytest
@@ -21,9 +23,11 @@ from repro.codegen.plan import (
     KernelPlan,
     PERSPECTIVE_INPUT,
     PERSPECTIVE_MIXED,
+    PERSPECTIVES,
     REGISTER_LEVELS,
     STREAM_CONCURRENT,
 )
+from repro.codegen.tiling import plan_structural_key
 from repro.dsl import parse
 from repro.gpu import P100
 from repro.gpu.device import DEVICES, device_names, get_device
@@ -161,6 +165,55 @@ def family_grids(draw):
     return proto, lanes
 
 
+#: (streaming mode, concurrent_chunks) of a streaming lane; a
+#: non-streaming lane keeps its mode and takes only the chunk count,
+#: which it ignores.  3 does not divide the 192-plane sweep.
+_STREAM_MODES = [
+    ("serial", 1), ("serial", 4), (STREAM_CONCURRENT, 1),
+    (STREAM_CONCURRENT, 2), (STREAM_CONCURRENT, 3), (STREAM_CONCURRENT, 4),
+    (STREAM_CONCURRENT, 8),
+]
+
+
+@st.composite
+def mixed_knob_families(draw):
+    """One structural family whose lanes also differ in prefetch,
+    perspective, streaming mode and chunk count."""
+    proto = PROTOS[draw(st.sampled_from(sorted(PROTOS)))]
+    blocks = _BLOCKS_3D if len(proto.block) == 3 else _BLOCKS_2D
+    lanes = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(blocks),
+                st.sampled_from(_UNROLLS),
+                st.sampled_from(_MAXREGS),
+                st.booleans(),
+                st.sampled_from(PERSPECTIVES),
+                st.sampled_from(_STREAM_MODES),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    plans = []
+    for block, unroll, maxreg, prefetch, perspective, mode in lanes:
+        streaming, chunks = mode
+        plans.append(
+            proto.replace(
+                block=block,
+                unroll=unroll,
+                max_registers=maxreg,
+                prefetch=prefetch,
+                perspective=perspective,
+                streaming=(
+                    streaming if proto.uses_streaming else proto.streaming
+                ),
+                concurrent_chunks=chunks,
+            )
+        )
+    return plans
+
+
 class TestBitwiseParity:
     @settings(deadline=None)
     @given(family_grids())
@@ -177,6 +230,55 @@ class TestBitwiseParity:
         assert len(pricing) == len(plans)
         for plan, lane in zip(pricing.plans, pricing.lanes):
             assert_lane_parity(IR, plan, lane)
+
+    @settings(deadline=None)
+    @given(mixed_knob_families(), st.sampled_from(sorted(DEVICES)))
+    def test_mixed_stage2_knobs_match_scalar_per_lane(self, plans, name):
+        # Prefetch, perspective and the chunk count are lane columns: a
+        # family mixing them is one pass, and each lane still prices
+        # exactly as its own plan, occupancy refusals included.
+        device = get_device(name)
+        assert len({plan_structural_key(p) for p in plans}) == 1
+        pricing = price_family(IR, plans, device=device)
+        assert len(pricing) == len(plans)
+        for plan, lane in zip(pricing.plans, pricing.lanes):
+            assert_lane_parity(IR, plan, lane, device=device)
+
+    def test_grid_sweeps_stage2_knobs(self):
+        proto = PROTOS["concurrent"]
+        grid = {
+            "prefetch": [False, True],
+            "perspective": list(PERSPECTIVES),
+            "concurrent_chunks": [1, 2, 4],
+            "block": [(16, 16), (64, 32)],
+        }
+        pricing = price_family(IR, proto, grid=grid)
+        assert len(pricing) == 36
+        assert {
+            (p.prefetch, p.perspective, p.concurrent_chunks, p.block)
+            for p in pricing.plans
+        } == {
+            (f, v, c, b)
+            for f in grid["prefetch"]
+            for v in grid["perspective"]
+            for c in grid["concurrent_chunks"]
+            for b in grid["block"]
+        }
+        assert not all(lane.feasible for lane in pricing.lanes)
+        for plan, lane in zip(pricing.plans, pricing.lanes):
+            assert_lane_parity(IR, plan, lane)
+
+    def test_structure_holds_no_lane_knob(self):
+        # One structure serves every prefetch/perspective/chunk variant,
+        # so none of those values may live on it.
+        structure = family_structure(IR, PROTOS["concurrent"])
+        assert structure is family_structure(IR, PROTOS["serial-prefetch"])
+        assert structure is family_structure(IR, PROTOS["mixed-persp"])
+        for name in (
+            "prefetch", "perspective", "streaming_mode", "concurrent_chunks",
+            "sweep_length", "prefetch_regs",
+        ):
+            assert not hasattr(structure, name), name
 
     def test_grid_expansion_covers_cross_product(self):
         proto = PROTOS["serial-shm"]
@@ -335,14 +437,16 @@ class TestSpillFreeResolution:
 class TestUsageErrors:
     def test_non_grid_axis_rejected(self):
         with pytest.raises(UsageError, match="structure"):
-            price_family(IR, PROTOS["serial-shm"], grid={"prefetch": [True]})
-        assert "block" in GRID_AXES
+            price_family(IR, PROTOS["serial-shm"], grid={"retime": [True]})
+        assert "block" in GRID_AXES and "retime" not in GRID_AXES
 
     def test_mixed_structural_keys_rejected(self):
         with pytest.raises(UsageError, match="structural"):
             price_family(
                 IR,
-                [PROTOS["serial-shm"], PROTOS["serial-prefetch"]],
+                [PROTOS["serial-shm"], PROTOS["serial-shm"].replace(
+                    placements=(("in", "register"),)
+                )],
             )
 
     def test_empty_family_rejected(self):

@@ -24,22 +24,27 @@ def test_all_spill_lanes_are_never_priced(monkeypatch):
 
     real_price_spill_free = pricing.FamilyStructure.price_spill_free
 
-    def price_spill_free(self, lanes, levels, device=pricing.P100):
+    def price_spill_free(self, lanes, levels, device=pricing.P100, skip=None):
         nonlocal with_rung, all_spill
         before = pricing.priced_lane_count()
         demands, positions, priced = real_price_spill_free(
-            self, lanes, levels, device
+            self, lanes, levels, device, skip
         )
         has_rung = (positions >= 0).tolist()
         with_rung += sum(has_rung)
         all_spill += has_rung.count(False)
-        # Only the lanes with a rung reach the pricing core ...
-        assert pricing.priced_lane_count() - before == sum(has_rung)
-        assert len(priced.ok) == sum(has_rung)
+        # Only the lanes with a rung (and no fusion refusal) reach the
+        # pricing core ...
+        wanted = [
+            rung and not (skip is not None and skip[i])
+            for i, rung in enumerate(has_rung)
+        ]
+        assert pricing.priced_lane_count() - before == sum(wanted)
+        assert len(priced.ok) == sum(wanted)
         # ... and an all-spill lane has no price at all.
         assert len(priced) == len(has_rung)
-        for i, rung in enumerate(has_rung):
-            assert (priced[i] is None) is not rung
+        for i, want in enumerate(wanted):
+            assert (priced[i] is None) is not want
         return demands, positions, priced
 
     real_result = pricing._LaneArrays.build_result

@@ -138,7 +138,14 @@ def test_grid_lanes_match_the_plans_they_stand_for():
     for plan in plans[:40]:
         assert grid.contains(plan)
         assert grid.contains(plan.replace(max_registers=64))
+        # Stage-2 variants share a lane's structural family but are
+        # not lanes: stage 2 must still measure them.
         assert not grid.contains(plan.replace(prefetch=True))
+        assert not grid.contains(plan.replace(perspective="mixed"))
+        for chunks in (2, 4):
+            assert not grid.contains(
+                plan.replace(streaming="concurrent", concurrent_chunks=chunks)
+            )
     assert not narrowed.contains(plans[1])
     for family in grid.families():
         proto, members = family
