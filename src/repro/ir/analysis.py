@@ -302,7 +302,9 @@ def _access_summary(
         if pattern.axis_offsets not in bucket:
             bucket.append(pattern.axis_offsets)
     out: Dict[str, ArrayAccessSummary] = {}
-    for array in set(reads_total) | set(writes):
+    # Sorted, not set order: the model sums per-array float terms in
+    # this order, so it must not follow the hash seed.
+    for array in sorted(set(reads_total) | set(writes)):
         distinct = offsets.get(array, [])
         out[array] = ArrayAccessSummary(
             array=array,

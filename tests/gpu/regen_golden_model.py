@@ -10,8 +10,9 @@ to pin, prices every pinned plan on every device profile and rewrites
 ``--stdout`` it prices the winners the snapshot already pins and prints
 the result instead (what ``test_golden_model.py`` compares).
 
-Float sums in the model follow set iteration order, so the script
-always runs under ``PYTHONHASHSEED=0`` (re-executing itself if needed).
+The script always runs under ``PYTHONHASHSEED=0`` (re-executing
+itself if needed), as ``test_golden_model.py`` does; the model itself
+sums its float terms in an order the hash seed does not pick.
 """
 
 import json

@@ -8,10 +8,11 @@ refusal's message and rule.  Any change to the model's arithmetic,
 however small, moves a pinned float, so the snapshot is the behaviour
 anchor a refactor of the model must leave byte-identical.
 
-Float sums in the model follow set iteration order, which the hash
-seed picks, so the snapshot is taken and compared under
-``PYTHONHASHSEED=0`` in a fresh interpreter.  Regenerate after a
-*deliberate* model change::
+The snapshot is taken and compared under ``PYTHONHASHSEED=0`` in a
+fresh interpreter; the model itself must not depend on the hash seed
+(per-array float terms are summed in sorted array order), which
+:func:`test_seed_plans_price_identically_under_two_hash_seeds` checks.
+Regenerate after a *deliberate* model change::
 
     PYTHONPATH=src python tests/gpu/regen_golden_model.py
 """
@@ -142,3 +143,48 @@ def test_snapshot_covers_the_registry_and_the_suite(golden):
     assert set(golden["winners"]) == set(BENCHMARK_ORDER)
     for entry in golden["model"].values():
         assert set(entry["devices"]) == set(device_names())
+
+
+#: Seed plans whose float sums span several arrays per stage.
+HASH_SEED_KERNELS = ("addsgd4", "hypterm", "miniflux")
+
+
+def test_seed_plans_price_identically_under_two_hash_seeds():
+    # Two processes with different hash seeds must price every seed
+    # plan to the same bytes on every device profile.
+    script = (
+        "import json\n"
+        "from repro.codegen.resources import seed_plan_from_pragma\n"
+        "from repro.gpu.device import device_names, get_device\n"
+        "from repro.suite import load_ir\n"
+        "from tests.gpu.test_golden_model import priced\n"
+        "out = {}\n"
+        f"for name in {HASH_SEED_KERNELS!r}:\n"
+        "    ir = load_ir(name)\n"
+        "    for instance in ir.kernels:\n"
+        "        plan = seed_plan_from_pragma(ir, instance)\n"
+        "        for device in device_names():\n"
+        "            out[f'{name}/{instance.name}/{device}'] = priced(\n"
+        "                ir, plan, get_device(device)\n"
+        "            )\n"
+        "print(json.dumps(out, sort_keys=True))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.dirname(GOLDEN_PATH)))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = seed
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=root,
+            check=True,
+        )
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert "addsgd4/addsgd4.0/MI100" in outputs[0]
