@@ -155,7 +155,7 @@ class LaneKnobs:
     )
 
     def __init__(self, blocks, unrolls, block_ix, unroll_ix, ublocked, maxreg,
-                 prefetch=False, perspective=PERSPECTIVE_OUTPUT, chunks=1):
+                 prefetch, perspective, chunks):
         self.blocks = tuple(blocks)
         self.unrolls = tuple(unrolls)
         self.block_ix = np.asarray(block_ix, dtype=_I8)
@@ -903,11 +903,12 @@ class FamilyStructure:
         # scalar code (np.log2 could round differently on exotic
         # platforms).
         ilp_table = [1.0 + 0.4 * math.log2(max(1, t)) for t in tunroll_table]
-        ilp = np.asarray(ilp_table, dtype=_F8)[unroll_ix]
-        prefetch = knobs.prefetch
-        if prefetch.any():
-            staged = np.asarray([v + 0.3 for v in ilp_table], dtype=_F8)
-            ilp = np.where(prefetch, staged[unroll_ix], ilp)
+        staged_table = [value + 0.3 for value in ilp_table]  # prefetching
+        ilp = np.where(
+            knobs.prefetch,
+            np.asarray(staged_table, dtype=_F8)[unroll_ix],
+            np.asarray(ilp_table, dtype=_F8)[unroll_ix],
+        )
         return {
             "n": n,
             "tile": tile,
@@ -916,7 +917,7 @@ class FamilyStructure:
             "threads": threads,
             "sweep": sweep,
             "output": output,
-            "prefetch": prefetch,
+            "prefetch": knobs.prefetch,
             "tunroll": tunroll,
             "ublocked": knobs.ublocked,
             "maxreg": knobs.maxreg,
@@ -1098,8 +1099,7 @@ class FamilyStructure:
         demand = _column(base["n"], BASE_REGISTERS + self.expr_regs, _I8)
         demand = demand + reg_planes * base["tunroll"]
         demand = demand + self.accumulators * base["tunroll"]
-        if base["prefetch"].any():
-            demand = demand + np.where(base["prefetch"], self.staging_regs, 0)
+        demand = demand + np.where(base["prefetch"], self.staging_regs, 0)
         blocked_mask = (base["tunroll"] > 1) & base["ublocked"]
         if blocked_mask.any():
             live = np.zeros(base["n"], _F8)
@@ -1588,11 +1588,10 @@ class FamilyStructure:
 
         if self.streaming:
             # Prefetching lanes hide the next-plane load: no bubble.
-            exposed = shmem > 0
-            if base["prefetch"].any():
-                exposed = exposed & ~base["prefetch"]
             bubble_s = np.where(
-                exposed, 0.12 * np.maximum(tex_s, dram_s), 0.0
+                (shmem > 0) & ~base["prefetch"],
+                0.12 * np.maximum(tex_s, dram_s),
+                0.0,
             )
         else:
             bubble_s = np.zeros(base["n"], _F8)
