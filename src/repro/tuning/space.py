@@ -185,9 +185,9 @@ class KnobGrid:
     def families(self) -> List[Tuple[KernelPlan, List[int]]]:
         """``(prototype, lanes)`` per retime value, in first-lane order.
 
-        Lanes of one family differ only in block and unroll, the grid
-        axes of ``repro.gpu.pricing``; the prototype is the family's
-        first lane.
+        Lanes of one family differ only in block and unroll, two of
+        the lane axes of ``repro.gpu.pricing``; the prototype is the
+        family's first lane.
         """
         groups: Dict[bool, List[int]] = {}
         for i, retime in enumerate(self.retime):
