@@ -148,12 +148,6 @@ def test_only_the_racing_chunk_count_is_refused(batch):
         assert alone.value.context == info.value.context
 
 
-def test_mixed_family_is_one_structure():
-    ir = build_ir(parse(RACY))
-    structures = {id(pricing.family_structure(ir, p)) for p in racy_family()}
-    assert len(structures) == 1
-
-
 def test_merged_family_failure_names_its_first_lane(monkeypatch):
     # A pricing failure in a merged family ends the batch as an
     # EvaluationError (exit 4) naming the family's first submitted lane.
