@@ -8,10 +8,13 @@ documented exit code.  Any other exception is a model bug, which
 fail-fast surfaces.
 
 Each job's outcome is pinned exactly by ``golden_eval_stats.json``: the
-engine counters, the winning variant and the winner's TFLOPS ``repr``
-for a job that finds a winner, the error class for one that fails (only
-the TOY profile refuses kernels).  Regenerate the golden after a
-*deliberate* model or engine change with::
+engine counters, the flow's evaluation count, the ``simulate()`` calls
+made outside the engine, the winning variant and the winner's TFLOPS
+``repr`` for a job that finds a winner, the error class for one that
+fails (only the TOY profile refuses kernels).  Two P100 jobs run at
+``top_k=2`` and also pin, per tuner stage, the search log's candidate
+rows and cache hits.  Regenerate the golden after a *deliberate* model
+or engine change with::
 
     PYTHONPATH=src python tests/pipeline/regen_golden_eval_stats.py
 """
@@ -23,9 +26,12 @@ import pytest
 
 from repro.gpu.device import device_names, get_device
 from repro.gpu.simulator import PlanInfeasible
+from repro.obs.search import SearchLog
 from repro.pipeline import optimize
 from repro.resilience import ReproError
 from repro.suite import BENCHMARK_ORDER, ITERATIVE_BENCHMARKS, load_ir
+from repro.tuning import PlanEvaluator
+from tests.conftest import counting_simulate_calls
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_eval_stats.json")
 
@@ -44,37 +50,77 @@ STAT_FIELDS = (
     "vectorized",
 )
 
+#: ``(kernel, device, iterations, top_k)``; ``top_k`` None is the
+#: flow's default.  The two ``top_k=2`` jobs are one temporal (deep
+#: tuning + opt(T)) and one spatial (fission + global alternatives)
+#: search.
 JOBS = [
-    (kernel, device, None)
+    (kernel, device, None, None)
     for device in device_names()
     for kernel in BENCHMARK_ORDER
 ] + [
-    (kernel, device, 64)
+    (kernel, device, 64, None)
     for device in device_names()
     for kernel in ITERATIVE_BENCHMARKS
+] + [
+    ("7pt-smoother", "P100", None, 2),
+    ("addsgd4", "P100", None, 2),
 ]
 
 
-def job_id(kernel, device, iterations):
+def job_id(kernel, device, iterations, top_k=None):
+    if top_k is not None:
+        return f"{kernel}-{device}-top{top_k}"
     return f"{kernel}-{device}-T{iterations or 'default'}"
 
 
-def job_entry(kernel, device, iterations):
+def stage_counts(log):
+    """Candidate rows and cache hits per tuner stage of a search log.
+
+    Rows outside any tuner stage are deep tuning's classification of
+    each degree's winner, counted as ``classify``.
+    """
+    stages = {}
+    for row in log.events():
+        if row["kind"] != "candidate":
+            continue
+        stage = (row.get("context") or {}).get("stage", "classify")
+        counts = stages.setdefault(stage, {"candidates": 0, "hits": 0})
+        counts["candidates"] += 1
+        if row["disposition"] in ("cache-hit", "cache-hit-infeasible"):
+            counts["hits"] += 1
+    return stages
+
+
+def job_entry(kernel, device, iterations, top_k=None):
     """The golden record of one sweep job, checking its invariants."""
-    try:
-        outcome = optimize(
-            load_ir(kernel), device=get_device(device), iterations=iterations
-        )
-    except ReproError as exc:
-        assert exc.exit_code == EXIT_CODES[type(exc)], exc.describe()
-        return {"error": type(exc).__name__}
+    spec = get_device(device)
+    log = SearchLog() if top_k is not None else None
+    options = {} if top_k is None else {"top_k": top_k}
+    with counting_simulate_calls() as simulate_calls:
+        try:
+            outcome = optimize(
+                load_ir(kernel),
+                device=spec,
+                iterations=iterations,
+                evaluator=PlanEvaluator(device=spec, search_log=log),
+                **options,
+            )
+        except ReproError as exc:
+            assert exc.exit_code == EXIT_CODES[type(exc)], exc.describe()
+            return {"error": type(exc).__name__}
+        calls = simulate_calls()
     assert outcome.tflops > 0
     assert outcome.schedule.plans
     stats = outcome.eval_stats
     assert stats.lint_rejections == stats.screened
     entry = {name: getattr(stats, name) for name in STAT_FIELDS}
+    entry["evaluations"] = outcome.evaluations
+    entry["simulate_calls"] = calls
     entry["variant"] = outcome.variant
     entry["tflops"] = repr(outcome.tflops)
+    if log is not None:
+        entry["stages"] = stage_counts(log)
     return entry
 
 
@@ -85,16 +131,16 @@ def golden():
 
 
 def test_golden_covers_every_job_and_only_toy_refuses(golden):
-    assert len(JOBS) == 11 * len(device_names()) + 4 * len(device_names())
+    assert len(JOBS) == 11 * len(device_names()) + 4 * len(device_names()) + 2
     assert set(golden) == {job_id(*job) for job in JOBS}
     refused = {name for name, entry in golden.items() if "error" in entry}
     assert refused and all("-TOY-" in name for name in refused)
 
 
 @pytest.mark.parametrize(
-    "kernel, device, iterations", JOBS, ids=[job_id(*job) for job in JOBS]
+    "kernel, device, iterations, top_k", JOBS, ids=[job_id(*job) for job in JOBS]
 )
-def test_job_matches_golden(golden, kernel, device, iterations):
-    assert job_entry(kernel, device, iterations) == golden[
-        job_id(kernel, device, iterations)
+def test_job_matches_golden(golden, kernel, device, iterations, top_k):
+    assert job_entry(kernel, device, iterations, top_k) == golden[
+        job_id(kernel, device, iterations, top_k)
     ]
