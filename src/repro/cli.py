@@ -696,49 +696,6 @@ def cmd_devices(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import json as _json
-
-    from .suite.bench import compare_bench, format_bench, run_bench
-
-    if args.benchmarks:
-        names = [n.strip() for n in args.benchmarks.split(",") if n.strip()]
-        unknown = [n for n in names if n not in BENCHMARKS]
-        if unknown:
-            raise UsageError(
-                f"unknown benchmark(s): {', '.join(unknown)}; "
-                f"available: {', '.join(BENCHMARKS)}"
-            )
-    else:
-        from .suite.bench import DEFAULT_BENCHMARKS
-
-        names = list(DEFAULT_BENCHMARKS)
-    results = run_bench(names, device=_device(args.device))
-    problems = None
-    if args.check or args.baseline:
-        baseline_path = args.baseline or "BENCH_search.json"
-        if not os.path.exists(baseline_path):
-            raise UsageError(
-                f"baseline {baseline_path} does not exist; run "
-                f"'repro bench --out {baseline_path}' to create one"
-            )
-        with open(baseline_path, "r", encoding="utf-8") as handle:
-            baseline = _json.load(handle)
-        problems = compare_bench(
-            results,
-            baseline,
-            tolerance=args.tolerance,
-            wall_tolerance=args.gate_wall,
-        )
-    print(format_bench(results, problems))
-    if args.out:
-        atomic_write_json(args.out, results, indent=2, sort_keys=True)
-        print(f"bench: results written to {args.out}", file=sys.stderr)
-    if args.check and problems:
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -944,43 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write certification results as SARIF 2.1.0",
     )
     p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser(
-        "bench", help="run the search-performance regression benchmark"
-    )
-    p.add_argument(
-        "--device", default="P100",
-        help=f"device profile ({', '.join(device_names())}; "
-             f"see 'repro devices')",
-    )
-    p.add_argument(
-        "--benchmarks", default=None, metavar="A,B,...",
-        help="comma-separated benchmark names (default: the gated subset)",
-    )
-    p.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the results JSON to PATH",
-    )
-    p.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="baseline JSON to compare against "
-             "(default with --check: BENCH_search.json)",
-    )
-    p.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero when a gated metric regressed past tolerance",
-    )
-    p.add_argument(
-        "--tolerance", type=float, default=0.15,
-        help="relative drift allowed on gated metrics (default 0.15)",
-    )
-    p.add_argument(
-        "--gate-wall", type=float, default=None, metavar="TOL",
-        help="also gate wall_s: fail when it grows more than TOL "
-             "(relative) over the baseline; off by default because CI "
-             "machines are noisy",
-    )
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -25,7 +25,7 @@ regex classes ``\\d`` and ``[^\\W\\d]`` are not ``isdigit`` and
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import LexError
 
@@ -139,11 +139,6 @@ def tokenize(source: str) -> List[Token]:
         pos = resume
     append(_new(Token, (EOF, "", line, len(text) - base)))
     return tokens
-
-
-def iter_tokens(source: str) -> Iterator[Token]:
-    """Yield tokens for ``source``; the final token has kind ``EOF``."""
-    return iter(tokenize(source))
 
 
 def _scan_other(text: str, i: int, line: int, col: int) -> Tuple[str, str, int]:

@@ -114,9 +114,3 @@ class SimulationResult:
         if self.timing.total_s <= 0:
             return 0.0
         return self.counters.useful_flops / self.timing.total_s / 1e12
-
-    @property
-    def raw_tflops(self) -> float:
-        if self.timing.total_s <= 0:
-            return 0.0
-        return self.counters.flops / self.timing.total_s / 1e12

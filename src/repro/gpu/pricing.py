@@ -101,7 +101,6 @@ __all__ = [
     "knobs_of",
     "price_family",
     "priced_lane_count",
-    "reset_priced_lanes",
 ]
 
 _I8 = np.int64
@@ -116,22 +115,14 @@ GRID_AXES = (
     "perspective", "concurrent_chunks",
 )
 
-#: Lanes priced since start / last reset, ``simulate()``'s one-lane
-#: passes included (``simulator._SIMULATE_CALLS`` counts those apart).
+#: Lanes priced since process start, ``simulate()``'s one-lane passes
+#: included (the ``simulate.calls`` metrics counter counts those apart).
 _PRICED_LANES = 0
 
 
 def priced_lane_count() -> int:
-    """Total lanes priced by :func:`price_family` since start / reset."""
+    """Total lanes priced by :func:`price_family` since process start."""
     return _PRICED_LANES
-
-
-def reset_priced_lanes() -> int:
-    """Zero the lane counter, returning the previous value."""
-    global _PRICED_LANES
-    previous = _PRICED_LANES
-    _PRICED_LANES = 0
-    return previous
 
 
 class LaneKnobs:

@@ -66,25 +66,6 @@ class PlanInfeasible(InfeasiblePlanError):
     """
 
 
-#: Count of :func:`simulate` invocations since process start (or the
-#: last reset).  The evaluation engine never calls it; tests and the
-#: bench use it to count the one-plan prices made outside the engine.
-_SIMULATE_CALLS = 0
-
-
-def simulate_call_count() -> int:
-    """Total :func:`simulate` invocations since start / last reset."""
-    return _SIMULATE_CALLS
-
-
-def reset_simulate_calls() -> int:
-    """Zero the call counter, returning the previous value."""
-    global _SIMULATE_CALLS
-    previous = _SIMULATE_CALLS
-    _SIMULATE_CALLS = 0
-    return previous
-
-
 @dataclass(frozen=True)
 class PlanPrefix:
     """What the launch-feasibility screen reads of a plan.
@@ -159,8 +140,6 @@ def simulate(
     the evaluation engine, an unexpected exception inside the model
     raises an :class:`~repro.resilience.EvaluationError` naming the plan.
     """
-    global _SIMULATE_CALLS
-    _SIMULATE_CALLS += 1
     if _metrics_enabled():
         _counter("simulate.calls").add()
     with _span("simulate"):

@@ -393,20 +393,6 @@ def theoretical_oi(ir: ProgramIR) -> float:
     return total_flops / moved_bytes
 
 
-def unique_bytes_per_point(ir: ProgramIR, instance: StencilInstance) -> float:
-    """Minimum bytes moved per output point for one kernel (reads+writes)."""
-    arrays = ir.array_map
-    points = 1
-    for extent in ir.domain_shape():
-        points *= extent
-    total = 0
-    for name in instance.arrays_read():
-        total += arrays[name].bytes
-    for name in instance.arrays_written():
-        total += arrays[name].bytes
-    return total / points
-
-
 # ---------------------------------------------------------------------------
 # intra-kernel statement geometry (sequential fused-DAG semantics)
 # ---------------------------------------------------------------------------

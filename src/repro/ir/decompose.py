@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..dsl.ast import ArrayAccess, BinOp, Expr, Name, UnaryOp
-from .stencil import Statement, StencilInstance
+from .stencil import Statement
 
 
 def split_accumulation(
@@ -148,17 +148,3 @@ def decompose_statement(stmt: Statement, accumulator: str) -> DecomposedStatemen
     return DecomposedStatement(
         original=stmt, accumulator=accumulator, sub_statements=tuple(subs)
     )
-
-
-def decompose_kernel(instance: StencilInstance) -> StencilInstance:
-    """Decompose every grid statement of a kernel into accumulations."""
-    new_statements: List[Statement] = []
-    counter = 0
-    for stmt in instance.statements:
-        if stmt.is_local:
-            new_statements.append(stmt)
-            continue
-        name = f"_acc{counter}"
-        counter += 1
-        new_statements.extend(decompose_statement(stmt, name).sub_statements)
-    return instance.replace(statements=tuple(new_statements))

@@ -75,12 +75,3 @@ def shift_accesses(expr: Expr, axis_iterator: str, delta: int) -> Expr:
         return ArrayAccess(access.name, tuple(new_indices))
 
     return map_expr(expr, on_access)
-
-
-def substitute_names(expr: Expr, bindings: Dict[str, Expr]) -> Expr:
-    """Replace scalar Name leaves with bound expressions (for inlining)."""
-
-    def on_name(name: Name) -> Expr:
-        return bindings.get(name.id, name)
-
-    return map_expr(expr, on_name=on_name)

@@ -36,10 +36,7 @@ from . import rules_program  # registers the RL1xx rules in RULES
 from .rules_plan import check_plan, classify_occupancy_failure, plan_rejection
 from .rules_transform import (
     certification_advisories,
-    certification_disabled,
-    certifier_enabled,
     certify_plan_transformations,
-    set_certification_enabled,
 )
 
 __getattr__ = lazy_attributes(
@@ -64,8 +61,6 @@ __all__ = [
     "WitnessReplay",
     "array_flow_graph",
     "certification_advisories",
-    "certification_disabled",
-    "certifier_enabled",
     "certify_plan_transformations",
     "check_plan",
     "classify_occupancy_failure",

@@ -22,6 +22,10 @@ from typing import Any, List, Mapping, Optional
 from ..codegen.plan import KernelPlan
 from ..ir.stencil import ProgramIR
 from .diagnostics import Diagnostic, ERROR, INFO, WARNING, rule
+from .rules_transform import (
+    certification_advisories,
+    certify_plan_transformations,
+)
 
 RL201 = rule(
     "RL201", "shmem-capacity", ERROR,
@@ -46,11 +50,6 @@ RL205 = rule(
     "RL205", "overtile", WARNING,
     "a block tile (threads x unroll) exceeds the domain extent along "
     "some axis — part of every block is idle",
-)
-RL206 = rule(
-    "RL206", "fusion-order", ERROR,
-    "the plan fuses kernels in an order that contradicts the program's "
-    "dependence DAG",
 )
 RL207 = rule(
     "RL207", "time-tile-non-iterative", ERROR,
@@ -164,99 +163,6 @@ def _shape_findings(
     return out
 
 
-def _fusion_findings(
-    ir: ProgramIR, plan: KernelPlan
-) -> List[Diagnostic]:
-    """Transformation legality — certified (RL3xx) or structural (RL206).
-
-    With the dependence certifier on (the default) every transformation
-    the plan encodes is proven against exact dependence distances and
-    refutations come back as RL301-RL304 with counterexample witnesses
-    (:mod:`repro.lint.rules_transform`).  With it off, the legacy
-    structural RL206 pass runs: DAG edge direction plus a distance check
-    for concurrent streaming (so a DAG-consistent order that races a
-    nonzero cross-kernel offset along the streamed axis is still
-    flagged).  RL206 defers entirely when the certifier is on — the two
-    paths never double-report one violation.
-
-    Unlike the shape rules this one *does* reject in the engine: a
-    fused launch that runs a consumer before its producer prices
-    meaningless dataflow, and no tuner ever generates one.
-    """
-    from .rules_transform import certifier_enabled, certify_plan_transformations
-
-    if certifier_enabled():
-        return certify_plan_transformations(ir, plan)
-    return _legacy_fusion_findings(ir, plan)
-
-
-def _legacy_fusion_findings(
-    ir: ProgramIR, plan: KernelPlan
-) -> List[Diagnostic]:
-    artifact = _plan_artifact(plan)
-    out: List[Diagnostic] = []
-    if len(plan.kernel_names) > 1:
-        try:
-            order = [ir.kernel(name).name for name in plan.kernel_names]
-        except KeyError:
-            order = []
-        if order:
-            from ..ir.dag import has_path, kernel_dag
-
-            dag = kernel_dag(ir)
-            for i in range(len(order)):
-                for j in range(i + 1, len(order)):
-                    if has_path(dag, order[j], order[i]):
-                        out.append(
-                            Diagnostic(
-                                RL206,
-                                f"plan fuses {order[i]!r} before "
-                                f"{order[j]!r}, but the dependence DAG "
-                                f"requires {order[j]!r} to run first",
-                                artifact=artifact,
-                            )
-                        )
-                        return out
-            out.extend(_legacy_stream_distance_findings(ir, plan, artifact))
-    return out
-
-
-def _legacy_stream_distance_findings(
-    ir: ProgramIR, plan: KernelPlan, artifact: str
-) -> List[Diagnostic]:
-    """Distance-aware half of legacy RL206: DAG-consistent fusion that
-    chunk-races a nonzero (or unknown) cross-kernel offset along the
-    concurrently streamed axis."""
-    from ..codegen.plan import STREAM_CONCURRENT
-    from .dependence import FLOW, edges_between
-
-    if plan.streaming != STREAM_CONCURRENT or plan.concurrent_chunks <= 1:
-        return []
-    axis = plan.stream_axis
-    if axis >= ir.ndim:
-        return []
-    for edge in edges_between(ir, plan.kernel_names):
-        if edge.kind != FLOW:
-            continue
-        components = edge.axis_distances(axis)
-        offending = [c for c in components if c is None or c != 0]
-        if offending:
-            shown = offending[0]
-            return [
-                Diagnostic(
-                    RL206,
-                    f"plan fuses {edge.source!r} with {edge.sink!r} in "
-                    "DAG order, but streaming them in "
-                    f"{plan.concurrent_chunks} concurrent chunks races "
-                    f"the flow dependence through {edge.array!r} "
-                    f"({'unknown' if shown is None else f'distance {shown}'} "
-                    f"along axis {axis})",
-                    artifact=artifact,
-                )
-            ]
-    return []
-
-
 def _resource_findings(
     ir: ProgramIR, plan: KernelPlan, device
 ) -> List[Diagnostic]:
@@ -317,10 +223,7 @@ def _advisory_findings(
     if plan.uses_streaming and len(plan.kernel_names) > 1:
         out.extend(_lookahead_findings(ir, plan, artifact))
 
-    from .rules_transform import certification_advisories, certifier_enabled
-
-    if certifier_enabled():
-        out.extend(certification_advisories(ir, plan))
+    out.extend(certification_advisories(ir, plan))
     return out
 
 
@@ -382,7 +285,7 @@ def check_plan(
     # a plan is illegal (with a witness), and they must surface even for
     # shapes whose stage construction ``validate_plan`` refuses outright
     # (e.g. a multi-kernel time tile).
-    findings.extend(_fusion_findings(ir, plan))
+    findings.extend(certify_plan_transformations(ir, plan))
 
     if not assume_validated:
         from ..codegen.resources import InvalidPlan, validate_plan
@@ -410,12 +313,12 @@ def fusion_rejection(ir: ProgramIR, plan: KernelPlan) -> Optional[Diagnostic]:
     and ``retime`` — never on the block shape, unroll factors, register
     cap, prefetching or perspective — so the evaluation engine probes it
     once per distinct (streaming mode, chunk count) of a plan *family*
-    and reuses the finding (an RL3xx certification refutation, or legacy
-    RL206 when the certifier is off) for the lanes that share them,
-    instead of re-certifying per candidate.  (The per-candidate
-    ``lint.reject.*`` counter still fires at rejection time, not here.)
+    and reuses the finding (an RL3xx certification refutation) for the
+    lanes that share them, instead of re-certifying per candidate.  (The
+    per-candidate ``lint.reject.*`` counter still fires at rejection
+    time, not here.)
     """
-    fusion = _fusion_findings(ir, plan)
+    fusion = certify_plan_transformations(ir, plan)
     return fusion[0] if fusion else None
 
 
@@ -446,7 +349,7 @@ def plan_rejection(
             return Diagnostic(
                 RL204, str(exc), artifact=_plan_artifact(plan)
             )
-    fusion = _fusion_findings(ir, plan)
+    fusion = certify_plan_transformations(ir, plan)
     if fusion:
         _count_rejection(fusion[0].code)
         return fusion[0]

@@ -34,7 +34,6 @@ Scope notes (winner-stability guarantees):
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
 from ..codegen.plan import STREAM_CONCURRENT, KernelPlan
@@ -76,33 +75,6 @@ RL305 = rule(
     "the fused kernels share no dependence — fusion is legal but "
     "exploits no producer-consumer reuse",
 )
-
-#: Process-global certifier switch.  On by default; ``repro bench`` and
-#: the overhead benchmark flip it off to measure the legacy prescreen.
-_ENABLED = True
-
-
-def certifier_enabled() -> bool:
-    return _ENABLED
-
-
-def set_certification_enabled(on: bool) -> bool:
-    """Flip the certifier; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(on)
-    return previous
-
-
-@contextmanager
-def certification_disabled():
-    """Run a block under the legacy structural prescreen (RL206 only)."""
-    previous = set_certification_enabled(False)
-    try:
-        yield
-    finally:
-        set_certification_enabled(previous)
-
 
 # ---------------------------------------------------------------------------
 # witness construction (deterministic, geometry-only: no execution here)

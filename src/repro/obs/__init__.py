@@ -88,8 +88,3 @@ __all__ = [
     "tracing_enabled",
     "write_trace",
 ]
-
-
-def observability_enabled() -> bool:
-    """True when either tracing or metrics collection is active."""
-    return tracing_enabled() or metrics_enabled()

@@ -174,13 +174,10 @@ def deep_tune(
                         break
                     evaluations += tuner.evaluations
                     # The winner was just tuned, so this classification
-                    # simulation is a cache hit — the identical
-                    # SimulationResult object.  Phase-labelled so the
-                    # bench profile can attribute it (on a cold run
-                    # these are the *only* cache hits: the stages
-                    # themselves are all-miss by design).
-                    with engine.phase("classify"):
-                        sim = engine.evaluate(ir, result.best_plan)
+                    # is a cache hit — the identical SimulationResult
+                    # object.  On a cold run these are the only cache
+                    # hits: the tuner stages are all-miss by design.
+                    sim = engine.evaluate(ir, result.best_plan)
                     report = classify_result(sim, engine.device)
                 bandwidth = report.bound_level in ("dram", "tex", "shm")
                 entries.append(
@@ -245,60 +242,38 @@ class FusionSchedule:
         return " (+) ".join(parts)
 
 
-#: Below this many inner-loop operations (``iterations x degrees``) the
-#: scalar DP wins — per-step numpy dispatch overhead exceeds the work.
-VECTOR_DP_MIN_OPS = 4096
-
-
 def fusion_schedule(result: DeepTuningResult, iterations: int) -> FusionSchedule:
     """Solve opt(T) exactly via dynamic programming.
 
-    For long horizons the per-step minimization runs as one numpy
-    reduction over the degree axis; the two paths are bitwise-identical
-    (float64 addition either way, and ``argmin``'s first-occurrence
-    tie-break picks the same tile as the scalar loop's strict-less
-    update, which also keeps the first minimum in ascending ``x``).
+    One pass over ``t = 1..T`` tries every degree ``x <= min(k, t)``;
+    on ties the smallest ``x`` wins (a strict-less update).  The loop is
+    O(T·k) float additions in plain Python: a NumPy reduction over the
+    degree axis was slower at every horizon measured (1k–100k steps),
+    because each step's dispatch costs more than its k additions.
     """
     if iterations < 0:
         raise UsageError("iteration count must be non-negative")
     if iterations == 0:
         return FusionSchedule(total_time_s=0.0, tiles=())
-    # Both paths touch exactly degrees 1..min(k, T), so a gap in the
-    # tuned entries raises the same KeyError the scalar loop would.
+    # Degrees 1..min(k, T) are read up front, so a gap in the tuned
+    # entries raises KeyError before the loop starts.
     k = min(result.k, iterations)
     f_vals = [result.f(x) for x in range(1, k + 1)]
-    np = None
-    if iterations * k >= VECTOR_DP_MIN_OPS:
-        import numpy as np
     choice: List[int] = [0] * (iterations + 1)
-    if np is not None:
-        f_arr = np.asarray(f_vals, dtype=np.float64)
-        best_arr = np.empty(iterations + 1, dtype=np.float64)
-        best_arr[0] = 0.0
-        for t in range(1, iterations + 1):
-            m = min(k, t)
-            # best[t-1], best[t-2], ..., best[t-m] — aligned with x=1..m.
-            costs = f_arr[:m] + best_arr[t - m:t][::-1]
-            idx = int(np.argmin(costs))
-            best_arr[t] = costs[idx]
-            choice[t] = idx + 1
-        total = float(best_arr[iterations])
-    else:
-        best: List[float] = [0.0] + [float("inf")] * iterations
-        for t in range(1, iterations + 1):
-            for x in range(1, min(k, t) + 1):
-                cost = f_vals[x - 1] + best[t - x]
-                if cost < best[t]:
-                    best[t] = cost
-                    choice[t] = x
-        total = best[iterations]
+    best: List[float] = [0.0] + [float("inf")] * iterations
+    for t in range(1, iterations + 1):
+        for x in range(1, min(k, t) + 1):
+            cost = f_vals[x - 1] + best[t - x]
+            if cost < best[t]:
+                best[t] = cost
+                choice[t] = x
     tiles: List[int] = []
     t = iterations
     while t > 0:
         tiles.append(choice[t])
         t -= choice[t]
     tiles.reverse()
-    return FusionSchedule(total_time_s=total, tiles=tuple(tiles))
+    return FusionSchedule(total_time_s=best[iterations], tiles=tuple(tiles))
 
 
 def schedule_to_program_plan(

@@ -30,9 +30,10 @@ search-space size, so all search code routes measurements through one
   the accounting, memoization and telemetry.  A stage-1
   :class:`~repro.tuning.space.KnobGrid` is priced from its knob
   columns and answered with a :class:`Resolution`, which builds plans
-  and results only for the lanes that are read.  Per-phase
-  activity is attributed through :meth:`PlanEvaluator.phase`
-  (``docs/performance_model.md``).
+  and results only for the lanes that are read
+  (``docs/performance_model.md``).  Each request is one ``candidate``
+  row of the optional search log, tagged with the tuner stage that
+  made it.
 * **batch evaluation** — :meth:`PlanEvaluator.evaluate_batch` runs a
   batch serially on the calling thread with input-ordered results.  A
   search prices its candidates in about a second, so no worker pool
@@ -225,23 +226,6 @@ class EvalStats:
             wall_s=self.wall_s - before.wall_s,
         )
 
-    def add(self, other: "EvalStats") -> None:
-        """Accumulate another snapshot/delta into this one in place."""
-        self.requests += other.requests
-        self.hits += other.hits
-        self.misses += other.misses
-        self.infeasible += other.infeasible
-        self.rungs_skipped += other.rungs_skipped
-        self.screened += other.screened
-        self.lint_rejections += other.lint_rejections
-        self.vectorized += other.vectorized
-        self.wall_s += other.wall_s
-
-    @property
-    def hit_rate(self) -> float:
-        """Cache hits per request (0.0 on an idle engine)."""
-        return self.hits / self.requests if self.requests else 0.0
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "requests": self.requests,
@@ -344,37 +328,9 @@ class PlanEvaluator:
         #: screens, infeasibilities, errors included — emits exactly one
         #: ``candidate`` event, so the log mirrors ``stats.requests``.
         self.search_log = search_log
-        #: per-phase activity, accumulated by :meth:`phase` — tuners
-        #: wrap their stages so cache behaviour can be reported per
-        #: phase instead of as one misleading whole-run ratio.
-        self.phase_stats: Dict[str, EvalStats] = {}
         self.stats = EvalStats()
         #: key -> (ir, SimulationResult | Refusal | INFEASIBLE exception)
         self._cache: Dict[tuple, tuple] = {}
-
-    # -- phase accounting ------------------------------------------------------
-
-    @contextmanager
-    def phase(self, name: str):
-        """Attribute engine activity inside the block to phase ``name``.
-
-        Deltas accumulate in :attr:`phase_stats`, so re-entering a phase
-        (e.g. stage 2 running once per stage-1 survivor) extends its
-        bucket.  Phases are flat — tuners label their top-level stages;
-        nesting would double-count and is not supported.
-        """
-        before = self.stats.snapshot()
-        try:
-            yield
-        finally:
-            delta = self.stats.since(before)
-            self.phase_stats.setdefault(name, EvalStats()).add(delta)
-
-    def phase_dict(self) -> Dict[str, Dict[str, float]]:
-        """``phase -> as_dict()`` for reports and benchmark baselines."""
-        return {
-            name: stats.as_dict() for name, stats in self.phase_stats.items()
-        }
 
     # -- timing ----------------------------------------------------------------
 

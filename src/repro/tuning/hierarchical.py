@@ -384,8 +384,7 @@ class HierarchicalTuner:
         stage1_evals = self.evaluations
         if not stage1:
             # Nothing spill-free: fall back to the best spilling config.
-            with _log_context(self._slog, stage="spill-fallback"), \
-                    self.evaluator.phase("spill-fallback"):
+            with _log_context(self._slog, stage="spill-fallback"):
                 fallback = self.measure_with_spills(base)
             if fallback is None:
                 raise PlanInfeasible(
@@ -408,7 +407,7 @@ class HierarchicalTuner:
     def _stage1(self, base: KernelPlan) -> List[Measurement]:
         with _span("tuning.stage1") as stage_span, _log_context(
             self._slog, stage="stage1"
-        ), self.evaluator.phase("stage1"):
+        ):
             space = SearchSpace(
                 ndim=self.ir.ndim,
                 streaming=base.uses_streaming,
@@ -487,8 +486,7 @@ class HierarchicalTuner:
         # already explored retimed.  Deduplicate by plan-family
         # fingerprint so each distinct configuration is measured once.
         with _span("tuning.stage2", survivors=len(survivors)) as stage_span, \
-                _log_context(self._slog, stage="stage2"), \
-                self.evaluator.phase("stage2"):
+                _log_context(self._slog, stage="stage2"):
             candidates: List[KernelPlan] = []
             seen = set(self._measured_families)
             grid = self._stage1_grid
@@ -549,8 +547,7 @@ class HierarchicalTuner:
                 level_plans.extend(generator(self.ir, plan))
             with _span(
                 f"tuning.level{depth + 1}", candidates=len(level_plans)
-            ), _log_context(self._slog, stage=f"level{depth + 1}"), \
-                    self.evaluator.phase(f"level{depth + 1}"):
+            ), _log_context(self._slog, stage=f"level{depth + 1}"):
                 measured = [
                     m for m in self._measure_batch(level_plans) if m is not None
                 ]

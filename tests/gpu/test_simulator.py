@@ -218,3 +218,19 @@ class TestOneLane:
             "plan": plan.describe(), "phase": "simulate"
         }
         assert isinstance(info.value.__cause__, RuntimeError)
+
+    def test_each_call_counts_once(self, jacobi_ir, simulate_calls):
+        # ``simulate.calls`` is the one count of the plans priced
+        # outside the evaluation engine, refused ones included.
+        simulate(jacobi_ir, _plan())
+        with pytest.raises(PlanInfeasible):
+            simulate(jacobi_ir, _plan(block=(64, 64)))
+        assert simulate_calls() == 2
+
+    def test_metrics_off_counts_nothing(self, jacobi_ir):
+        from repro.obs import get_metrics, metrics_enabled
+
+        assert not metrics_enabled()
+        before = get_metrics().snapshot().get("simulate.calls")
+        simulate(jacobi_ir, _plan())
+        assert get_metrics().snapshot().get("simulate.calls") == before

@@ -3,8 +3,9 @@
 ``check_plan`` runs the full catalog; ``plan_rejection`` is the
 evaluation engine's prescreen and must honour the identity contract —
 it may only reject plans the direct ``validate_plan`` + ``simulate``
-path also refuses (structural RL204/RL206 plus the occupancy rules),
-never the catalog-only shape rules (RL207/RL209) or advisories.
+path also refuses (structural RL204, the RL3xx certifier and the
+occupancy rules), never the catalog-only shape rules (RL207/RL209) or
+advisories.
 """
 
 import pytest
@@ -114,10 +115,11 @@ def two_kernel_ir():
     return build_ir(parse(TWO_KERNEL_SRC))
 
 
-class TestRL206FusionOrder:
+class TestFusionOrder:
+    """Fusion legality is the dependence certifier's (RL3xx): it refutes
+    a mis-ordered or chunk-racing fusion with a witness."""
+
     def test_consumer_before_producer_fires_as_rl301(self, two_kernel_ir):
-        # With the dependence certifier on (the default), the order
-        # violation is a certified RL301 refutation with a witness.
         names = tuple(k.name for k in two_kernel_ir.kernels)
         plan = KernelPlan(tuple(reversed(names)), block=(32, 16))
         report = check_plan(two_kernel_ir, plan, P100)
@@ -126,29 +128,11 @@ class TestRL206FusionOrder:
         assert rejection is not None and rejection.code == "RL301"
         assert rejection.witness is not None
 
-    def test_legacy_mode_fires_rl206(self, two_kernel_ir):
-        # Structural rule defers to the certifier; with it off the
-        # legacy DAG-direction check still rejects under its old code.
-        from repro.lint import certification_disabled
-
-        names = tuple(k.name for k in two_kernel_ir.kernels)
-        plan = KernelPlan(tuple(reversed(names)), block=(32, 16))
-        with certification_disabled():
-            report = check_plan(two_kernel_ir, plan, P100)
-            assert "RL206" in report.codes()
-            rejection = plan_rejection(two_kernel_ir, plan, P100)
-        assert rejection is not None and rejection.code == "RL206"
-        assert rejection.message == (
-            "plan fuses 'consume.0' before 'produce.0', but the dependence "
-            "DAG requires 'produce.0' to run first"
-        )
-
-    def test_legacy_mode_is_distance_aware(self, two_kernel_ir):
-        # Satellite fix: a DAG-consistent fusion that chunk-races the
-        # k-axis flow distance (-1) under concurrent streaming is now
-        # flagged by legacy RL206 too, not just by the certifier.
-        from repro.lint import certification_disabled
-
+    def test_concurrent_chunks_racing_a_flow_fire_as_rl303(
+        self, two_kernel_ir
+    ):
+        # A DAG-consistent fusion whose concurrent chunks race the
+        # k-axis flow distance (-1) is refuted too.
         names = tuple(k.name for k in two_kernel_ir.kernels)
         plan = KernelPlan(
             names,
@@ -157,15 +141,16 @@ class TestRL206FusionOrder:
             stream_axis=0,
             concurrent_chunks=2,
         )
-        with certification_disabled():
-            report = check_plan(two_kernel_ir, plan, P100)
-        assert "RL206" in report.codes()
+        report = check_plan(two_kernel_ir, plan, P100)
+        assert "RL303" in report.codes()
+        rejection = plan_rejection(two_kernel_ir, plan, P100)
+        assert rejection is not None and rejection.code == "RL303"
+        assert rejection.witness is not None
 
     def test_dag_order_is_clean(self, two_kernel_ir):
         names = tuple(k.name for k in two_kernel_ir.kernels)
         plan = KernelPlan(names, block=(32, 16))
         report = check_plan(two_kernel_ir, plan, P100)
-        assert "RL206" not in report.codes()
         assert "RL301" not in report.codes()
 
 

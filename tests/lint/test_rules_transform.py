@@ -18,13 +18,10 @@ from repro.gpu.executor import allocate_inputs, execute_plan, execute_reference
 from repro.gpu.simulator import PlanInfeasible
 from repro.ir import build_ir
 from repro.lint import (
-    certification_disabled,
-    certifier_enabled,
     certify_plan_transformations,
     check_plan,
     plan_rejection,
     replay_witness,
-    set_certification_enabled,
 )
 from repro.obs import configure_metrics, get_metrics
 from repro.tuning import PlanEvaluator
@@ -330,32 +327,6 @@ class TestEnginePrescreen:
             assert snap["lint.reject.RL301"]["value"] == 1
         finally:
             configure_metrics(False, reset=True)
-
-
-class TestCertifierToggle:
-    def test_enabled_by_default(self):
-        assert certifier_enabled()
-
-    def test_context_manager_restores(self):
-        assert certifier_enabled()
-        with certification_disabled():
-            assert not certifier_enabled()
-        assert certifier_enabled()
-
-    def test_set_returns_previous(self):
-        assert set_certification_enabled(False) is True
-        try:
-            assert not certifier_enabled()
-        finally:
-            assert set_certification_enabled(True) is False
-
-    def test_disabled_certifier_emits_nothing(self):
-        ir = ir_of(PRODUCER_CONSUMER)
-        plan = KernelPlan(("consume.0", "produce.0"), block=(32, 16))
-        with certification_disabled():
-            report = check_plan(ir, plan, P100)
-        assert "RL301" not in report.codes()
-        assert "RL206" in report.codes()
 
 
 class TestWitnessSerialization:

@@ -7,21 +7,19 @@ the incremental register ladder and the occupancy screen, and leave a
 scalar ``simulate()`` residue its statistics explain.
 """
 
-from repro.gpu.simulator import reset_simulate_calls
 from repro.pipeline import optimize
 from repro.suite import load_ir
 
 
 class TestSimulateCallReduction:
-    def test_stats_account_for_avoided_simulations(self):
+    def test_stats_account_for_avoided_simulations(self, simulate_calls):
         ir = load_ir("7pt-smoother")
-        reset_simulate_calls()
         outcome = optimize(ir, top_k=2)
-        calls = reset_simulate_calls()
+        calls = simulate_calls()
         stats = outcome.eval_stats
         assert stats is not None
         # Every logical price is a family lane (``vectorized``), so the
-        # engine makes no simulate() call; the global counter sees only
+        # engine makes no simulate() call; ``simulate.calls`` sees only
         # the few calls made outside it (schedule_tflops reads the
         # engine's memo and prices a plan itself only when it lacks it).
         assert stats.simulations == stats.vectorized

@@ -137,6 +137,16 @@ def test_golden_covers_every_job_and_only_toy_refuses(golden):
     assert refused and all("-TOY-" in name for name in refused)
 
 
+def test_stage_counts_partition_the_engine_counters(golden):
+    # Each request is one candidate row of exactly one stage.
+    staged = [entry for entry in golden.values() if "stages" in entry]
+    assert len(staged) == 2
+    for entry in staged:
+        stages = entry["stages"].values()
+        assert sum(s["candidates"] for s in stages) == entry["requests"]
+        assert sum(s["hits"] for s in stages) == entry["hits"]
+
+
 @pytest.mark.parametrize(
     "kernel, device, iterations, top_k", JOBS, ids=[job_id(*job) for job in JOBS]
 )

@@ -285,17 +285,13 @@ class TestSyntheticBottleneckClasses:
         assert not advice.use_unrolling
 
 
-def test_advice_prices_the_plan_once(monkeypatch):
+def test_advice_prices_the_plan_once(monkeypatch, simulate_calls):
     # Code differencing reuses the profile the advisor just took: one
     # price of the plan, however many levels differencing resolves.
     import repro.profiling.advisor as advisor
     from repro.codegen.resources import auto_assign, seed_plan_from_pragma
     from repro.gpu import P100
-    from repro.gpu.simulator import (
-        reset_simulate_calls,
-        simulate,
-        simulate_call_count,
-    )
+    from repro.gpu.simulator import simulate
     from repro.suite import load_ir
 
     levels = []
@@ -308,9 +304,9 @@ def test_advice_prices_the_plan_once(monkeypatch):
     monkeypatch.setattr(advisor, "differencing_test", counting)
     ir = load_ir("hypterm")
     plan = auto_assign(ir, seed_plan_from_pragma(ir, ir.kernels[0]), P100).plan
-    reset_simulate_calls()
+    simulate_calls()
     advice = advise(ir, plan, P100)
-    assert simulate_call_count() == 1
+    assert simulate_calls() == 1
     assert len(levels) == 2  # an ambiguous level, then the DRAM re-check
     # Passing the profiled result changes no verdict.
     base = simulate(ir, plan, P100)

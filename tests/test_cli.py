@@ -296,7 +296,7 @@ class TestObservabilityFlags:
 
 
 class TestSearchObservatoryCli:
-    """--search-log / --explain / --json plus `report` and `bench`."""
+    """--search-log / --explain / --json plus `report`."""
 
     @pytest.fixture(scope="class")
     def search_run(self, tmp_path_factory):
@@ -382,65 +382,6 @@ class TestProfileJson:
         assert "flop_count_dp" in entry["metrics"]
         assert entry["bound_level"]
         assert set(entry["verdicts"]) == {"dram", "tex", "shm"}
-
-
-class TestBenchCli:
-    @pytest.fixture(scope="class")
-    def bench_out(self, tmp_path_factory):
-        import contextlib
-        import io
-
-        out = tmp_path_factory.mktemp("bench") / "current.json"
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main([
-                "bench", "--benchmarks", "addsgd4", "--out", str(out)
-            ])
-        assert code == 0
-        return out
-
-    def test_results_schema(self, bench_out):
-        import json
-
-        document = json.loads(bench_out.read_text())
-        entry = document["benchmarks"]["addsgd4"]
-        assert entry["requests"] > 0
-        assert entry["best_gflops"] > 0
-        assert entry["variant"]
-
-    def test_check_passes_against_own_baseline(self, bench_out, capsys):
-        assert main([
-            "bench", "--benchmarks", "addsgd4",
-            "--check", "--baseline", str(bench_out),
-        ]) == 0
-        assert "no regressions vs baseline" in capsys.readouterr().out
-
-    def test_check_fails_on_injected_regression(
-        self, bench_out, tmp_path, capsys
-    ):
-        import json
-
-        baseline = json.loads(bench_out.read_text())
-        entry = baseline["benchmarks"]["addsgd4"]
-        entry["requests"] = int(entry["requests"] * 0.7)
-        doctored = tmp_path / "doctored.json"
-        doctored.write_text(json.dumps(baseline))
-        assert main([
-            "bench", "--benchmarks", "addsgd4",
-            "--check", "--baseline", str(doctored),
-        ]) == 1
-        assert "requests" in capsys.readouterr().out
-
-    def test_unknown_benchmark_is_usage_error(self, capsys):
-        assert main(["bench", "--benchmarks", "no-such-bench"]) == 2
-        assert "unknown benchmark" in capsys.readouterr().err
-
-    def test_check_without_baseline_is_usage_error(self, tmp_path, capsys):
-        assert main([
-            "bench", "--benchmarks", "addsgd4",
-            "--check", "--baseline", str(tmp_path / "absent.json"),
-        ]) == 2
-        assert "does not exist" in capsys.readouterr().err
 
 
 class TestLiveObservatory:
@@ -590,9 +531,9 @@ class TestLiveObservatory:
 
 class TestRemovedExecutors:
     """The thread pool, process pool and distributed coordinator are
-    gone, and so are retries, the per-evaluation timeout and the
-    degraded path: their flags, choices and subcommands are argparse
-    usage errors."""
+    gone, and so are retries, the per-evaluation timeout, the degraded
+    path and the ``bench`` harness: their flags, choices and
+    subcommands are argparse usage errors."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -617,6 +558,8 @@ class TestRemovedExecutors:
             ["deep-tune", "7pt-smoother", "--on-error", "degrade"],
             ["bench", "--executor", "process"],
             ["bench", "--executor", "thread"],
+            ["bench"],
+            ["bench", "--check"],
             ["shard-status", "run"],
             ["top", "run"],
         ],

@@ -145,6 +145,29 @@ class TestFusionScheduleDP:
             best = min(best, cost)
         assert schedule.total_time_s == pytest.approx(best)
 
+    def test_long_horizon(self):
+        # 5000 steps x 5 degrees: the regime where the DP's inner loop
+        # dominates.  Counts and total recorded from the previous
+        # implementation (scalar and NumPy paths agreed bitwise).
+        result = _fake_result({1: 1.0, 2: 1.7, 3: 2.1, 4: 3.9, 5: 3.6})
+        schedule = fusion_schedule(result, 5000)
+        assert schedule.counts() == {5: 1, 3: 1665}
+        assert schedule.tiles == (5,) + (3,) * 1665
+        assert schedule.total_time_s == 3500.099999999901
+
+    def test_ties_pick_the_smallest_degree(self):
+        # f(2) = 2 f(1): every split costs the same, and the strict-less
+        # update keeps the first minimum in ascending degree.
+        result = _fake_result({1: 1.0, 2: 2.0})
+        schedule = fusion_schedule(result, 6)
+        assert schedule.tiles == (1,) * 6
+        assert schedule.total_time_s == 6.0
+
+    def test_missing_degree_raises_key_error(self):
+        result = _fake_result({1: 1.0, 3: 2.1})
+        with pytest.raises(KeyError):
+            fusion_schedule(result, 4)
+
     def test_describe_uses_paper_notation(self):
         result = _fake_result({1: 1.0, 2: 1.2})
         schedule = fusion_schedule(result, 5)

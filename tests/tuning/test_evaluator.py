@@ -15,7 +15,7 @@ from repro.codegen.plan import REGISTER_LEVELS
 from repro.codegen.resources import InvalidPlan, validate_plan
 from repro.codegen.tiling import clear_plan_cache, plan_family_key
 from repro.gpu.pricing import FamilyStructure
-from repro.gpu.simulator import PlanInfeasible, reset_simulate_calls, simulate
+from repro.gpu.simulator import PlanInfeasible, simulate
 from repro.ir.analysis import clear_analysis_cache
 from repro.resilience import UsageError
 from repro.suite import BENCHMARKS, load_ir
@@ -251,18 +251,18 @@ class TestBatch:
 
 
 class TestEscalation:
-    def test_incremental_matches_ladder(self, smoother_ir):
+    def test_incremental_matches_ladder(self, smoother_ir, simulate_calls):
         kernel = smoother_ir.kernels[0].name
         plans = [
             p.replace(max_registers=REGISTER_LEVELS[-1])
             for p in sampled_plans(smoother_ir, kernel, 40, seed=29)
         ]
         fast = PlanEvaluator()
-        reset_simulate_calls()
+        simulate_calls()
         found = [fast.evaluate_spill_free(smoother_ir, p) for p in plans]
-        fast_calls = reset_simulate_calls()
+        fast_calls = simulate_calls()
         walked = [ladder_walk(smoother_ir, p, fast.device) for p in plans]
-        ladder_calls = reset_simulate_calls()
+        ladder_calls = simulate_calls()
         for a, b in zip(found, walked):
             assert (a is None) == (b is None)
             if a is not None:

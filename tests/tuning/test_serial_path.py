@@ -14,10 +14,16 @@ one record per tuning unit.  The seed-mode engine knobs (``memoize``,
 ``escalation``, ``prescreen``, ``vectorize``) and the process-wide
 plan-cache switch went because no production caller changed them: the
 engine has one configuration, and the group size alone picks scalar or
-family pricing.  These tests pin the removals at the library surface,
-so a second executor, a second attempt, a second failure policy or a
-second engine configuration cannot creep back in through a keyword
-argument.
+family pricing.  The ``repro bench`` harness went once the fail-fast
+sweep's golden pinned its exact counts, and with it the per-phase
+engine accounting (the search log tags each request with its tuner
+stage), the process-global ``simulate()`` call counter (the
+``simulate.calls`` metrics counter reads the same), the certifier's
+off-switch and the NumPy fusion-schedule DP (the scalar loop is faster
+at every horizon).  These tests pin the removals at the library
+surface, so a second executor, a second attempt, a second failure
+policy, a second engine configuration or a second accounting store
+cannot creep back in through a keyword argument.
 """
 
 import importlib
@@ -26,17 +32,18 @@ import threading
 
 import pytest
 
-from repro import cli, resilience, tuning
+from repro import cli, lint, resilience, tuning
 from repro.codegen import tiling
+from repro.lint import rules_plan
+from repro.gpu import pricing, simulator
 from repro.ir.memo import OwnerMemo
 from repro.obs import Tracer
 from repro.obs import export
 from repro.obs.search import SearchLog
 from repro.pipeline import optimize
 from repro.resilience import TuningJournal
-from repro.suite.bench import run_bench
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
-from repro.tuning import evaluator, hierarchical
+from repro.tuning import deeptuning, evaluator, hierarchical
 from repro.tuning.evaluator import EvalStats
 from repro.tuning.random_search import random_search
 
@@ -50,7 +57,6 @@ ENTRY_POINTS = {
     "deep_tune": deep_tune,
     "random_search": random_search,
     "optimize": optimize,
-    "run_bench": run_bench,
 }
 
 
@@ -77,7 +83,7 @@ def test_no_executor_parameters(entry, parameter):
 @pytest.mark.parametrize(
     "parameter", ["memoize", "escalation", "prescreen", "vectorize"]
 )
-@pytest.mark.parametrize("entry", ["PlanEvaluator", "run_bench"])
+@pytest.mark.parametrize("entry", ["PlanEvaluator"])
 def test_no_engine_mode_parameters(entry, parameter):
     assert parameter not in inspect.signature(ENTRY_POINTS[entry]).parameters
 
@@ -104,6 +110,7 @@ def test_optimize_takes_no_tuner_factory():
         "repro.obs.live",
         "repro.resilience.faults",
         "repro.resilience.retry",
+        "repro.suite.bench",
     ],
 )
 def test_removed_modules_are_gone(module):
@@ -155,6 +162,21 @@ def test_removed_modules_are_gone(module):
         (evaluator, "ESCALATION_MODES"),
         (tiling, "set_plan_cache_enabled"),
         pytest.param(OwnerMemo(), "enabled", id="OwnerMemo()-enabled"),
+        (PlanEvaluator, "phase"),
+        (PlanEvaluator, "phase_dict"),
+        pytest.param(
+            PlanEvaluator(), "phase_stats", id="PlanEvaluator()-phase_stats"
+        ),
+        (EvalStats, "add"),
+        (simulator, "simulate_call_count"),
+        (simulator, "reset_simulate_calls"),
+        (pricing, "reset_priced_lanes"),
+        (lint, "certification_disabled"),
+        (lint, "certifier_enabled"),
+        (lint, "set_certification_enabled"),
+        (cli, "cmd_bench"),
+        (deeptuning, "VECTOR_DP_MIN_OPS"),
+        (rules_plan, "RL206"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
