@@ -34,9 +34,9 @@ import pytest
 
 from repro import cli, lint, resilience, tuning
 from repro.codegen import tiling
-from repro.lint import rules_plan
 from repro.gpu import pricing, simulator
 from repro.ir.memo import OwnerMemo
+from repro.lint import rules_plan
 from repro.obs import Tracer
 from repro.obs import export
 from repro.obs.search import SearchLog
