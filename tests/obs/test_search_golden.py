@@ -1,21 +1,35 @@
 """The ``--search-log`` stream is pinned line by line against a golden.
 
 ``golden_search_log.jsonl`` is the stream one small tuner run writes
-(the 7-point smoother of ``test_search.py`` on P100, with the phase and
-summary footers), and ``golden_explain.json`` the explain payload
-derived from it.  A rebuild of the log's internals must write the same
-records with the same keys in the same order; only timing fields may
-differ, and they are masked before comparison.
+(the 7-point smoother of ``test_search.py`` on P100, with the summary
+footer), and ``golden_explain.json`` the explain payload derived from
+it.  A rebuild of the log's internals must write the same records with
+the same keys in the same order; only timing fields may differ, and
+they are masked before comparison.
 
-After a *deliberate* change to the stream, regenerate the golden from
+The ``phase`` footer (one record per span name, with its count) names
+internal memo and pricing spans, so it moves whenever a change memoizes
+or prices less.  It has its own golden, ``golden_phases.json``: the
+span name -> count mapping in name order, which both the stream's phase records
+and the explain payload's ``phases`` must match.  The other two goldens
+hold no phase record; the two summary fields the footer's length
+decides (its ``seq`` and ``counts["phase"]``) are checked against the
+phase golden instead.
+
+After a *deliberate* change to the stream, regenerate the goldens from
 the repository root::
 
     PYTHONPATH=src python tests/obs/test_search_golden.py
+
+It rewrites only the goldens whose masked content changed.
 """
 
 import json
 import os
-from typing import List
+import tempfile
+from typing import Dict, List
+
+import pytest
 
 from repro.codegen import seed_plan_from_pragma
 from repro.dsl import parse
@@ -29,13 +43,18 @@ from repro.tuning import HierarchicalTuner, PlanEvaluator
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_PATH = os.path.join(HERE, "golden_search_log.jsonl")
 GOLDEN_EXPLAIN_PATH = os.path.join(HERE, "golden_explain.json")
+GOLDEN_PHASES_PATH = os.path.join(HERE, "golden_phases.json")
 
 #: one structural family of probe plans, large enough to be
 #: family-priced
 BLOCKS = [(32, 4), (32, 8), (16, 8), (64, 4), (16, 16)]
 
-#: fields that carry wall-clock measurements, per record kind
-_TIMING = {"phase": ("total_ms", "self_ms")}
+#: keys of a ``phase`` record, in order (its timing fields are not
+#: compared)
+_PHASE_KEYS = ["kind", "seq", "t_ms", "name", "count", "total_ms", "self_ms"]
+
+#: the placeholder ``masked_explain`` puts where the phases were
+_PHASES_ELSEWHERE = "see golden_phases.json"
 
 
 def record_stream(path: str) -> SearchLog:
@@ -77,60 +96,136 @@ def record_stream(path: str) -> SearchLog:
 
 
 def masked_lines(path: str) -> List[str]:
-    """The stream's lines with every timing value zeroed in place.
+    """The stream's lines without its phase footer, timing values zeroed.
 
     Keys keep their position, so the re-encoded lines still compare key
-    order as well as content.  The ``phase`` footer is ordered by total
-    time, so its block is sorted by phase name and its ``seq`` numbers
-    are masked too.
+    order as well as content.  The summary's ``seq`` and
+    ``counts["phase"]`` follow from the footer's length, which
+    :func:`phase_counts` pins, so they are zeroed too.
     """
     records = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             record = json.loads(line)
-            for name in ("t_ms", "t0_s") + _TIMING.get(record["kind"], ()):
+            if record["kind"] == "phase":
+                continue
+            for name in ("t_ms", "t0_s"):
                 if name in record:
                     record[name] = 0
-            if record["kind"] == "phase":
-                record["seq"] = 0
             if record["kind"] == "summary":
+                record["seq"] = 0
+                record["counts"]["phase"] = 0
                 record["stats"]["wall_s"] = 0
             records.append(record)
-    phases = [i for i, r in enumerate(records) if r["kind"] == "phase"]
-    by_name = sorted((records[i] for i in phases), key=lambda r: r["name"])
-    for i, record in zip(phases, by_name):
-        records[i] = record
     return [json.dumps(record) for record in records]
+
+
+def phase_counts(path: str) -> Dict[str, int]:
+    """The stream's phase footer as ``{name: count}`` in name order.
+
+    Checks what :func:`masked_lines` leaves out: each phase record's
+    keys, that the footer is one block just before the summary, that
+    ``seq`` runs 1, 2, ... over the whole stream, and that the summary
+    counts the footer's records.
+    """
+    with open(path, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    kinds = [record["kind"] for record in records]
+    first = kinds.index("phase")
+    last = len(kinds) - 1 - kinds[::-1].index("phase")
+    assert set(kinds[first:last + 1]) == {"phase"}
+    assert kinds[last + 1:] == ["summary"]
+    sequenced = [record["seq"] for record in records if "seq" in record]
+    assert sequenced == list(range(1, len(sequenced) + 1))
+    phases = records[first:last + 1]
+    assert all(list(record) == _PHASE_KEYS for record in phases)
+    assert records[-1]["counts"]["phase"] == len(phases)
+    return _by_name(phases)
+
+
+def _by_name(phases) -> Dict[str, int]:
+    counts = {phase["name"]: phase["count"] for phase in phases}
+    assert len(counts) == len(phases), "a span name has two phase records"
+    return dict(sorted(counts.items()))
 
 
 def masked_explain(events) -> str:
     """The explain payload of ``events`` with its timing fields zeroed
-    and its phases sorted by name."""
+    and its phases replaced by a placeholder (:func:`explain_phase_counts`
+    reads them)."""
     payload = build_explain(events).as_dict()
-    for phase in payload["phases"]:
-        phase["total_ms"] = phase["self_ms"] = 0
-    payload["phases"].sort(key=lambda phase: phase["name"])
+    payload["phases"] = _PHASES_ELSEWHERE
     payload["stats"]["wall_s"] = 0
     return json.dumps(payload, indent=1)
 
 
-def test_stream_matches_golden(tmp_path):
-    path = tmp_path / "search.jsonl"
-    record_stream(str(path))
-    written = masked_lines(str(path))
+def explain_phase_counts(events) -> Dict[str, int]:
+    """The explain payload's phases as ``{name: count}`` in name order."""
+    phases = build_explain(events).as_dict()["phases"]
+    assert all(
+        list(phase) == ["name", "count", "total_ms", "self_ms"]
+        for phase in phases
+    )
+    return _by_name(phases)
+
+
+def read_golden_phases() -> Dict[str, int]:
+    with open(GOLDEN_PHASES_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """One recorded run, shared by the tests below: (path, log)."""
+    path = str(tmp_path_factory.mktemp("search") / "search.jsonl")
+    return path, record_stream(path)
+
+
+def test_stream_matches_golden(recorded):
+    path, _log = recorded
+    written = masked_lines(path)
     golden = masked_lines(GOLDEN_PATH)
     assert len(written) == len(golden)
     for number, (line, expected) in enumerate(zip(written, golden), start=1):
         assert line == expected, f"line {number} differs from the golden"
 
 
-def test_explain_matches_golden(tmp_path):
-    path = tmp_path / "search.jsonl"
-    log = record_stream(str(path))
+def test_explain_matches_golden(recorded):
+    path, log = recorded
     with open(GOLDEN_EXPLAIN_PATH, encoding="utf-8") as handle:
         golden = handle.read()
     assert masked_explain(log.events()) == golden
-    assert masked_explain(read_events(str(path))) == golden
+    assert masked_explain(read_events(path)) == golden
+
+
+def test_phases_match_golden(recorded):
+    path, log = recorded
+    golden = read_golden_phases()
+    assert phase_counts(path) == golden
+    assert explain_phase_counts(log.events()) == golden
+    assert explain_phase_counts(read_events(path)) == golden
+
+
+def _write_if_changed(path: str, text: str, masked) -> None:
+    """Write ``text`` to ``path`` unless ``masked`` (a function of a path)
+    already agrees for the file there, so an unchanged golden keeps its
+    bytes."""
+    if os.path.exists(path):
+        with tempfile.TemporaryDirectory() as tmp:
+            fresh = os.path.join(tmp, os.path.basename(path))
+            with open(fresh, "w", encoding="utf-8") as out:
+                out.write(text)
+            if masked(fresh) == masked(path):
+                print(f"{path}: unchanged")
+                return
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(text)
+    print(f"{path}: {os.path.getsize(path)} bytes")
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 if __name__ == "__main__":
@@ -139,8 +234,19 @@ if __name__ == "__main__":
     sys.path.insert(
         0, os.path.dirname(os.path.dirname(os.path.dirname(GOLDEN_PATH)))
     )
-    live = record_stream(GOLDEN_PATH)
-    with open(GOLDEN_EXPLAIN_PATH, "w", encoding="utf-8") as out:
-        out.write(masked_explain(live.events()))
-    for name in (GOLDEN_PATH, GOLDEN_EXPLAIN_PATH):
-        print(f"{name}: {os.path.getsize(name)} bytes")
+    with tempfile.TemporaryDirectory() as scratch:
+        stream = os.path.join(scratch, "search.jsonl")
+        live = record_stream(stream)
+        phases = phase_counts(stream)
+        with open(stream, encoding="utf-8") as handle:
+            lines = [
+                line for line in handle
+                if json.loads(line)["kind"] != "phase"
+            ]
+    _write_if_changed(GOLDEN_PATH, "".join(lines), masked_lines)
+    _write_if_changed(
+        GOLDEN_EXPLAIN_PATH, masked_explain(live.events()), _read
+    )
+    _write_if_changed(
+        GOLDEN_PHASES_PATH, json.dumps(phases, indent=1) + "\n", _read
+    )
