@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.analysis import (
-    access_patterns,
+    access_summary,
     internal_reach,
     kernel_flops_per_point,
     memoized_kv,
@@ -381,10 +381,10 @@ def _read_footprint(
 def _array_indexes_axis(
     ir: ProgramIR, instance: StencilInstance, array: str, axis: int
 ) -> bool:
-    for pattern in access_patterns(ir, instance):
-        if pattern.array == array and pattern.axis_offsets[axis] is not None:
-            return True
-    return False
+    """Whether any read or write of ``array`` in the kernel indexes
+    ``axis`` with a plain iterator."""
+    summary = access_summary(ir, instance).get(array)
+    return summary is not None and axis in summary.indexed_axes
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +432,11 @@ def is_star_along(
     any other axis forces the off-center plane into shared memory (a
     register cannot hold a neighbour thread's value).
     """
-    for pattern in access_patterns(ir, instance):
-        if pattern.array != array or pattern.is_write:
-            continue
-        stream_offset = pattern.axis_offsets[stream_axis]
+    for axis_offsets in _read_offsets(ir, instance, array):
+        stream_offset = axis_offsets[stream_axis]
         if stream_offset in (None, 0):
             continue
-        for axis, offset in enumerate(pattern.axis_offsets):
+        for axis, offset in enumerate(axis_offsets):
             if axis != stream_axis and offset not in (None, 0):
                 return False
     return True
@@ -656,20 +654,11 @@ def _consumer_read_counts(
     ir: ProgramIR, instance: StencilInstance, array: str, plan: KernelPlan
 ) -> Tuple[int, int]:
     """(distinct reads, centre-plane reads) of ``array`` by a consumer."""
-    seen = set()
-    center = 0
-    for pattern in access_patterns(ir, instance):
-        if pattern.array != array or pattern.is_write:
-            continue
-        if pattern.axis_offsets in seen:
-            continue
-        seen.add(pattern.axis_offsets)
-        if plan.uses_streaming:
-            if pattern.axis_offsets[plan.stream_axis] in (None, 0):
-                center += 1
-        else:
-            center += 1
-    return len(seen), center
+    offsets = _read_offsets(ir, instance, array)
+    if not plan.uses_streaming:
+        return len(offsets), len(offsets)
+    center = sum(1 for o in offsets if o[plan.stream_axis] in (None, 0))
+    return len(offsets), center
 
 
 def intermediate_buffer_bytes(ir: ProgramIR, plan: KernelPlan) -> int:
@@ -678,22 +667,14 @@ def intermediate_buffer_bytes(ir: ProgramIR, plan: KernelPlan) -> int:
 
 
 def distinct_read_offsets(ir: ProgramIR, instance: StencilInstance, array: str):
-    """Distinct per-axis read offset vectors of ``array`` in a kernel.
+    """Distinct per-axis read offset vectors of ``array`` in a kernel,
+    in first-read order (from the kernel's access summary)."""
+    return list(_read_offsets(ir, instance, array))
 
-    Memoized per (instance identity, array) — the simulator and register
-    model ask for this thousands of times per tuning run.
-    """
 
-    def compute():
-        seen: List[Tuple] = []
-        for pattern in access_patterns(ir, instance):
-            if pattern.array != array or pattern.is_write:
-                continue
-            if pattern.axis_offsets not in seen:
-                seen.append(pattern.axis_offsets)
-        return seen
-
-    return list(memoized_kv("distinct_offsets", instance, array, compute))
+def _read_offsets(ir: ProgramIR, instance: StencilInstance, array: str):
+    summary = access_summary(ir, instance).get(array)
+    return summary.offsets if summary is not None else ()
 
 
 def gmem_loads_per_point(

@@ -23,7 +23,6 @@ semantically correct plans.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +41,6 @@ from ..dsl.ast import (
 from ..ir.analysis import (
     combined_halo,
     internal_reach,
-    scalar_slices,
     statement_geometry,
 )
 from ..ir.folding import FoldedArray

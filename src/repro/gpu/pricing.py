@@ -68,6 +68,7 @@ from ..codegen.tiling import (
     Stage,
     _array_indexes_axis,
     _ir_memoized,
+    _read_offsets,
     build_stages,
     distinct_read_offsets,
     is_star_along,
@@ -75,12 +76,7 @@ from ..codegen.tiling import (
     plan_structural_key,
     stream_window,
 )
-from ..ir.analysis import (
-    access_patterns,
-    access_summary,
-    memoized_kv,
-    read_halos,
-)
+from ..ir.analysis import access_summary, read_halos
 from ..ir.memo import OwnerMemo
 from ..ir.stencil import ProgramIR, StencilInstance
 from ..ir.types import sizeof
@@ -1708,48 +1704,22 @@ def _unique_bytes(
 
 def _inplane_distinct_reads(ir, stage, array, stream_axis: int) -> int:
     """Distinct read offsets with the stream component dropped."""
-    return _plane_reads(ir, stage.instance, stream_axis).get(array, (0, 0))[0]
+    return len(
+        {
+            o[:stream_axis] + o[stream_axis + 1:]
+            for o in _read_offsets(ir, stage.instance, array)
+        }
+    )
 
 
 def _center_plane_reads(ir, plan, stage, array) -> int:
     """Distinct read offsets on the stream-center plane."""
-    return _plane_reads(ir, stage.instance, plan.stream_axis).get(
-        array, (0, 0)
-    )[1]
-
-
-def _plane_reads(
-    ir, instance: StencilInstance, stream_axis: int
-) -> Dict[str, Tuple[int, int]]:
-    """Per array ``instance`` reads: its distinct read offsets with the
-    stream component dropped, and its distinct read offsets on the
-    stream-center plane (memoized per instance: one walk of the access
-    patterns serves every array)."""
-
-    def compute():
-        inplane: Dict[str, set] = {}
-        offsets: Dict[str, set] = {}
-        for pattern in access_patterns(ir, instance):
-            if pattern.is_write:
-                continue
-            axis_offsets = pattern.axis_offsets
-            inplane.setdefault(pattern.array, set()).add(
-                tuple(
-                    offset
-                    for axis, offset in enumerate(axis_offsets)
-                    if axis != stream_axis
-                )
-            )
-            offsets.setdefault(pattern.array, set()).add(axis_offsets)
-        return {
-            array: (
-                len(inplane[array]),
-                sum(1 for o in seen if o[stream_axis] in (None, 0)),
-            )
-            for array, seen in offsets.items()
-        }
-
-    return memoized_kv("plane_reads", instance, stream_axis, compute)
+    axis = plan.stream_axis
+    return sum(
+        1
+        for o in _read_offsets(ir, stage.instance, array)
+        if o[axis] in (None, 0)
+    )
 
 
 def _inter_shm_positive(spec: dict) -> bool:

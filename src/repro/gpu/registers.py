@@ -30,8 +30,7 @@ from ..codegen.tiling import (
     intermediate_specs,
     stream_window,
 )
-from ..dsl.ast import array_accesses
-from ..ir.analysis import access_summary
+from ..ir.analysis import _any_facts, _memoized
 from ..ir.stencil import ProgramIR, StencilInstance
 
 #: Fixed cost: threadIdx/blockIdx math, guards, base pointers, constants.
@@ -51,8 +50,6 @@ LIVE_READ_FRACTION = 0.45
 
 def expression_registers(instance: StencilInstance) -> int:
     """Registers for live scalar temporaries and expression evaluation."""
-    from ..ir.analysis import _memoized
-
     return _memoized(
         "expr_regs", instance, lambda: _expression_registers(instance)
     )
@@ -63,9 +60,9 @@ def _expression_registers(instance: StencilInstance) -> int:
     widest = 0
     total_distinct = 0
     for stmt in instance.statements:
-        distinct = set(array_accesses(stmt.rhs))
-        widest = max(widest, len(distinct))
-        total_distinct += len(distinct)
+        distinct = _any_facts(stmt).distinct_reads
+        widest = max(widest, distinct)
+        total_distinct += distinct
     # The allocator keeps roughly half the widest statement's operands
     # live, or a fraction of the whole kernel's reads when the scheduler
     # interleaves many wide statements — whichever is larger — plus one

@@ -8,8 +8,10 @@ operational intensity).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple
 
 from ..dsl.ast import (
     ArrayAccess,
@@ -24,7 +26,6 @@ from ..dsl.ast import (
 from ..obs import span as _span
 from .memo import OwnerMemo
 from .stencil import ProgramIR, Statement, StencilInstance
-from .types import sizeof
 
 # ---------------------------------------------------------------------------
 # per-object memoization
@@ -117,13 +118,16 @@ def kernel_flops_per_point(instance: StencilInstance) -> int:
     return _memoized(
         "flops",
         instance,
-        lambda: sum(statement_flops(s) for s in instance.statements),
+        lambda: sum(_any_facts(s).flops for s in instance.statements),
     )
 
 
 # ---------------------------------------------------------------------------
 # Access patterns and halos
 # ---------------------------------------------------------------------------
+
+Halo = Tuple[Tuple[int, int], ...]  # per-axis (lo, hi)
+Offsets = Tuple[Optional[int], ...]  # per-axis offset, None when unindexed
 
 
 @dataclass(frozen=True)
@@ -136,11 +140,165 @@ class AccessPattern:
     """
 
     array: str
-    axis_offsets: Tuple[Optional[int], ...]
+    axis_offsets: Offsets
     is_write: bool = False
 
     def max_abs_offset(self) -> int:
         return max((abs(o) for o in self.axis_offsets if o is not None), default=0)
+
+
+def _axis_offsets(
+    iterators: Tuple[str, ...], access: ArrayAccess, overridden=None
+) -> Offsets:
+    """Per-axis offsets of one access; a subscript that repeats an
+    iterator replaces the earlier one, which goes to ``overridden`` as
+    ``(array, axis, offset)`` when a list is given."""
+    offsets: List[Optional[int]] = [None] * len(iterators)
+    for idx in access.indices:
+        it = idx.single_iterator()
+        if it is not None and it in iterators:
+            axis = iterators.index(it)
+            if overridden is not None and offsets[axis] is not None:
+                overridden.append((access.name, axis, offsets[axis]))
+            offsets[axis] = idx.const
+    return tuple(offsets)
+
+
+@dataclass(frozen=True)
+class StatementFacts:
+    """Every access fact of one statement, computed once.
+
+    The kernel-level analyses below (patterns, halos, access summary,
+    offset sets, order, FLOPs, register pressure and the per-statement
+    geometry) compose these records instead of walking accesses, so a
+    statement that several slices, kernels or fission candidates share
+    is analysed once.  Facts depend only on the statement and the
+    program's iterators; :func:`statement_facts` pins them on the frozen
+    :class:`~repro.ir.stencil.Statement`, keyed by the iterators.
+
+    Two halos are kept on purpose.  ``halos`` comes from the patterns,
+    where a read that subscripts one iterator twice (``A[i-1][i+1]``)
+    keeps its last subscript; ``subscript_halos`` takes every subscript,
+    as the intra-kernel geometry does.  They are the same object unless
+    some read repeats an iterator.
+    """
+
+    iterators: Tuple[str, ...]
+    reads: Tuple[AccessPattern, ...]  # read patterns in access order
+    write: Optional[AccessPattern]  # None for a local temporary
+    halos: Dict[str, Halo]  # per array read, first-seen order
+    subscript_halos: Dict[str, Halo]
+    read_counts: Dict[str, int]  # textual reads per array
+    read_offsets: Dict[str, Tuple[Offsets, ...]]  # distinct, first-seen
+    flops: int
+    distinct_reads: int  # distinct (array, subscripts) read
+
+
+def statement_facts(ir: ProgramIR, stmt: Statement) -> StatementFacts:
+    """The :class:`StatementFacts` of ``stmt`` under ``ir``'s iterators."""
+    facts = stmt.__dict__.get("_facts")
+    if facts is None or facts.iterators != ir.iterators:
+        facts = _statement_facts(ir.iterators, stmt)
+    return facts
+
+
+def _any_facts(stmt: Statement) -> StatementFacts:
+    """Facts for the callers that need no axis: FLOPs and distinct reads
+    do not depend on the iterators, so any pinned record serves."""
+    facts = stmt.__dict__.get("_facts")
+    if facts is None:
+        facts = _statement_facts((), stmt)
+    return facts
+
+
+def _statement_facts(iterators: Tuple[str, ...], stmt: Statement) -> StatementFacts:
+    # Subscripts are interned per parse, so repeats of one access are
+    # common: each distinct (array, subscripts) pair is resolved once.
+    resolved: Dict[tuple, AccessPattern] = {}
+    reads: List[AccessPattern] = []
+    extents: Dict[str, List[int]] = {}  # per array: lo, hi of each axis
+    read_offsets: Dict[str, Dict[Offsets, None]] = {}
+    overridden: List[Tuple[str, int, int]] = []
+    for access in array_accesses(stmt.rhs):
+        key = (access.name, access.indices)
+        pattern = resolved.get(key)
+        if pattern is None:
+            name = access.name
+            offsets = _axis_offsets(iterators, access, overridden)
+            pattern = resolved[key] = AccessPattern(name, offsets)
+            entry = extents.get(name)
+            if entry is None:
+                entry = extents[name] = [0] * (2 * len(iterators))
+            for axis, offset in enumerate(offsets):
+                if offset is not None:
+                    _widen(entry, axis, offset)
+            read_offsets.setdefault(name, {})[offsets] = None
+        reads.append(pattern)
+    halos = _as_halos(extents)
+    subscript_halos = halos
+    if overridden:
+        for name, axis, offset in overridden:
+            _widen(extents[name], axis, offset)
+        subscript_halos = _as_halos(extents)
+    write = None
+    if isinstance(stmt.lhs, ArrayAccess):
+        write = AccessPattern(
+            stmt.lhs.name, _axis_offsets(iterators, stmt.lhs), True
+        )
+    facts = StatementFacts(
+        iterators=iterators,
+        reads=tuple(reads),
+        write=write,
+        halos=halos,
+        subscript_halos=subscript_halos,
+        read_counts=dict(Counter(map(attrgetter("array"), reads))),
+        read_offsets={
+            name: tuple(seen) for name, seen in read_offsets.items()
+        },
+        flops=statement_flops(stmt),
+        distinct_reads=len(resolved),
+    )
+    object.__setattr__(stmt, "_facts", facts)
+    return facts
+
+
+def _widen(entry: List[int], axis: int, offset: int) -> None:
+    if -offset > entry[2 * axis]:
+        entry[2 * axis] = -offset
+    if offset > entry[2 * axis + 1]:
+        entry[2 * axis + 1] = offset
+
+
+def _as_halos(extents: Dict[str, List[int]]) -> Dict[str, Halo]:
+    return {
+        name: tuple(zip(entry[::2], entry[1::2]))
+        for name, entry in extents.items()
+    }
+
+
+def _max_halo(a: Halo, b: Halo) -> Halo:
+    """Elementwise max of two halos; ``a`` itself when ``b`` is inside it."""
+    if a is b or a == b:
+        return a
+    out = []
+    grew = False
+    for (lo, hi), (lo_b, hi_b) in zip(a, b):
+        if lo_b > lo:
+            lo, grew = lo_b, True
+        if hi_b > hi:
+            hi, grew = hi_b, True
+        out.append((lo, hi))
+    return tuple(out) if grew else a
+
+
+def _merged_halos(maps) -> Dict[str, Halo]:
+    """Per-array elementwise max of halo maps, first-seen array order."""
+    merged: Dict[str, Halo] = {}
+    for halos in maps:
+        for name, halo in halos.items():
+            seen = merged.get(name)
+            merged[name] = halo if seen is None else _max_halo(seen, halo)
+    return merged
 
 
 def access_patterns(
@@ -151,28 +309,18 @@ def access_patterns(
     def compute():
         out: List[AccessPattern] = []
         for stmt in instance.statements:
-            for access in array_accesses(stmt.rhs):
-                out.append(_pattern_of(ir, access, is_write=False))
-            if isinstance(stmt.lhs, ArrayAccess):
-                out.append(_pattern_of(ir, stmt.lhs, is_write=True))
+            facts = statement_facts(ir, stmt)
+            out.extend(facts.reads)
+            if facts.write is not None:
+                out.append(facts.write)
         return tuple(out)
 
     return _memoized("patterns", instance, compute)
 
 
-def _pattern_of(ir: ProgramIR, access: ArrayAccess, is_write: bool) -> AccessPattern:
-    offsets: List[Optional[int]] = [None] * ir.ndim
-    for idx in access.indices:
-        it = idx.single_iterator()
-        if it is not None and it in ir.iterators:
-            offsets[ir.axis_of(it)] = idx.const
-    return AccessPattern(access.name, tuple(offsets), is_write)
-
-
 def array_offset_sets(
     ir: ProgramIR, instance: StencilInstance
-) -> Dict[str, Tuple[Tuple[Tuple[Optional[int], ...], ...],
-                     Tuple[Tuple[Optional[int], ...], ...]]]:
+) -> Dict[str, Tuple[Tuple[Offsets, ...], Tuple[Offsets, ...]]]:
     """Per-array distinct ``(read_offsets, write_offsets)`` for one kernel.
 
     Each side is a tuple of distinct per-axis offset vectors (``None``
@@ -182,20 +330,18 @@ def array_offset_sets(
     """
 
     def compute():
-        reads: Dict[str, List[Tuple[Optional[int], ...]]] = {}
-        writes: Dict[str, List[Tuple[Optional[int], ...]]] = {}
-        for pattern in access_patterns(ir, instance):
-            bucket = (writes if pattern.is_write else reads).setdefault(
-                pattern.array, []
-            )
-            if pattern.axis_offsets not in bucket:
-                bucket.append(pattern.axis_offsets)
+        writes: Dict[str, Dict[Offsets, None]] = {}
+        for stmt in instance.statements:
+            write = statement_facts(ir, stmt).write
+            if write is not None:
+                writes.setdefault(write.array, {})[write.axis_offsets] = None
+        summary = access_summary(ir, instance)
         return {
             name: (
-                tuple(reads.get(name, ())),
+                summary[name].offsets,
                 tuple(writes.get(name, ())),
             )
-            for name in sorted({*reads, *writes})
+            for name in summary
         }
 
     return _memoized("offset_sets", instance, compute)
@@ -203,37 +349,22 @@ def array_offset_sets(
 
 def read_halos(
     ir: ProgramIR, instance: StencilInstance
-) -> Dict[str, Tuple[Tuple[int, int], ...]]:
+) -> Dict[str, Halo]:
     """Per-array read halo: (lo, hi) non-negative extents per axis.
 
     ``lo`` is how far reads reach below the center along the axis, ``hi``
     how far above.  Arrays never read get no entry.
     """
-    return _memoized("halos", instance, lambda: _read_halos(ir, instance))
+    return _memoized(
+        "halos",
+        instance,
+        lambda: _merged_halos(
+            statement_facts(ir, stmt).halos for stmt in instance.statements
+        ),
+    )
 
 
-def _read_halos(
-    ir: ProgramIR, instance: StencilInstance
-) -> Dict[str, Tuple[Tuple[int, int], ...]]:
-    halos: Dict[str, List[List[int]]] = {}
-    for pattern in access_patterns(ir, instance):
-        if pattern.is_write:
-            continue
-        entry = halos.setdefault(
-            pattern.array, [[0, 0] for _ in range(ir.ndim)]
-        )
-        for axis, offset in enumerate(pattern.axis_offsets):
-            if offset is None:
-                continue
-            entry[axis][0] = max(entry[axis][0], -offset)
-            entry[axis][1] = max(entry[axis][1], offset)
-    return {
-        name: tuple((lo, hi) for lo, hi in per_axis)
-        for name, per_axis in halos.items()
-    }
-
-
-def combined_halo(ir: ProgramIR, instance: StencilInstance) -> Tuple[Tuple[int, int], ...]:
+def combined_halo(ir: ProgramIR, instance: StencilInstance) -> Halo:
     """Union of read halos across all arrays, per axis."""
 
     def compute():
@@ -248,16 +379,19 @@ def combined_halo(ir: ProgramIR, instance: StencilInstance) -> Tuple[Tuple[int, 
 
 
 def stencil_order(ir: ProgramIR, instance: StencilInstance) -> int:
-    """Stencil order k: max |offset| over all read accesses (paper, §I)."""
+    """Stencil order k: max |offset| over all read accesses (paper, §I).
 
-    def compute():
-        order = 0
-        for pattern in access_patterns(ir, instance):
-            if not pattern.is_write:
-                order = max(order, pattern.max_abs_offset())
-        return order
-
-    return _memoized("order", instance, compute)
+    A read halo's extents are exactly the read offsets' magnitudes, so
+    the order is the widest of them.
+    """
+    return max(
+        (
+            max(lo, hi)
+            for halo in read_halos(ir, instance).values()
+            for lo, hi in halo
+        ),
+        default=0,
+    )
 
 
 def program_order(ir: ProgramIR) -> int:
@@ -271,13 +405,19 @@ def program_order(ir: ProgramIR) -> int:
 
 @dataclass(frozen=True)
 class ArrayAccessSummary:
-    """Per-array static access counts for one kernel instance."""
+    """Per-array static access counts for one kernel instance.
+
+    It is also the kernel's per-array access table: the tiling and
+    pricing layers read an array's distinct read offsets and indexed
+    axes here instead of scanning the kernel's accesses.
+    """
 
     array: str
     reads_total: int  # textual read count (with repetition)
     reads_distinct: int  # distinct offset vectors read
     writes: int
-    offsets: Tuple[Tuple[Optional[int], ...], ...]  # distinct read offsets
+    offsets: Tuple[Offsets, ...]  # distinct read offsets, first-seen order
+    indexed_axes: Tuple[int, ...] = ()  # axes any read or write indexes
 
 
 def access_summary(
@@ -291,29 +431,44 @@ def _access_summary(
 ) -> Dict[str, ArrayAccessSummary]:
     reads_total: Dict[str, int] = {}
     writes: Dict[str, int] = {}
-    offsets: Dict[str, List[Tuple[Optional[int], ...]]] = {}
-    for pattern in access_patterns(ir, instance):
-        if pattern.is_write:
-            writes[pattern.array] = writes.get(pattern.array, 0) + 1
-            offsets.setdefault(pattern.array, [])
-            continue
-        reads_total[pattern.array] = reads_total.get(pattern.array, 0) + 1
-        bucket = offsets.setdefault(pattern.array, [])
-        if pattern.axis_offsets not in bucket:
-            bucket.append(pattern.axis_offsets)
+    offsets: Dict[str, Dict[Offsets, None]] = {}
+    indexed: Dict[str, set] = {}
+    for stmt in instance.statements:
+        facts = statement_facts(ir, stmt)
+        for name, count in facts.read_counts.items():
+            reads_total[name] = reads_total.get(name, 0) + count
+        for name, seen in facts.read_offsets.items():
+            bucket = offsets.setdefault(name, {})
+            for axis_offsets in seen:
+                bucket[axis_offsets] = None
+        if facts.write is not None:
+            name = facts.write.array
+            writes[name] = writes.get(name, 0) + 1
+            offsets.setdefault(name, {})
+            indexed.setdefault(name, set()).update(
+                _indexed(facts.write.axis_offsets)
+            )
     out: Dict[str, ArrayAccessSummary] = {}
     # Sorted, not set order: the model sums per-array float terms in
     # this order, so it must not follow the hash seed.
     for array in sorted(set(reads_total) | set(writes)):
-        distinct = offsets.get(array, [])
+        distinct = tuple(offsets.get(array, ()))
+        axes = indexed.get(array, set())
+        for axis_offsets in distinct:
+            axes.update(_indexed(axis_offsets))
         out[array] = ArrayAccessSummary(
             array=array,
             reads_total=reads_total.get(array, 0),
             reads_distinct=len(distinct),
             writes=writes.get(array, 0),
-            offsets=tuple(distinct),
+            offsets=distinct,
+            indexed_axes=tuple(sorted(axes)),
         )
     return out
+
+
+def _indexed(axis_offsets: Offsets):
+    return (axis for axis, o in enumerate(axis_offsets) if o is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -417,30 +572,37 @@ def scalar_slices(instance: StencilInstance) -> Dict[int, Tuple[int, ...]]:
     return result
 
 
-def _segment_halos(
-    ir: ProgramIR, instance: StencilInstance, indices: Sequence[int]
-) -> Dict[str, Tuple[Tuple[int, int], ...]]:
-    """Per-array read halos over a subset of statements."""
-    halos: Dict[str, List[List[int]]] = {}
-    for index in indices:
-        stmt = instance.statements[index]
-        from ..dsl.ast import array_accesses as _accesses
+def _slice_halos(
+    ir: ProgramIR, instance: StencilInstance
+) -> Dict[int, Dict[str, Halo]]:
+    """Per grid statement: per-array read halos over its scalar slice
+    and itself (every subscript counted, as ``subscript_halos``).
 
-        for access in _accesses(stmt.rhs):
-            entry = halos.setdefault(
-                access.name, [[0, 0] for _ in range(ir.ndim)]
-            )
-            for idx in access.indices:
-                iterator = idx.single_iterator()
-                if iterator is None or iterator not in ir.iterators:
-                    continue
-                axis = ir.axis_of(iterator)
-                entry[axis][0] = max(entry[axis][0], -idx.const)
-                entry[axis][1] = max(entry[axis][1], idx.const)
-    return {
-        name: tuple((lo, hi) for lo, hi in entry)
-        for name, entry in halos.items()
-    }
+    The halo is a maximum, so it composes along the dependence chain the
+    way :func:`scalar_slices` unions its index sets: a local's halos are
+    its own merged with those of the locals it reads (and, for ``+=``,
+    its previous value).  Each statement is merged once, not once per
+    slice that holds it.
+    """
+    from ..dsl.ast import scalar_names
+
+    local: Dict[str, Dict[str, Halo]] = {}
+    result: Dict[int, Dict[str, Halo]] = {}
+    for index, stmt in enumerate(instance.statements):
+        maps = [
+            local[name]
+            for name in dict.fromkeys(scalar_names(stmt.rhs))
+            if name in local
+        ]
+        if stmt.is_local and stmt.op == "+=" and stmt.target in local:
+            maps.append(local[stmt.target])
+        maps.append(statement_facts(ir, stmt).subscript_halos)
+        halos = _merged_halos(maps)
+        if stmt.is_local:
+            local[stmt.target] = halos
+        else:
+            result[index] = halos
+    return result
 
 
 def statement_geometry(ir: ProgramIR, instance: StencilInstance):
@@ -459,13 +621,11 @@ def _statement_geometry(ir: ProgramIR, instance: StencilInstance):
     """
     slices = scalar_slices(instance)
     grid_indices = sorted(slices)
-    halo_of: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-    reads_of: Dict[int, Dict[str, Tuple[Tuple[int, int], ...]]] = {}
+    halo_of: Dict[int, Halo] = {}
+    reads_of = _slice_halos(ir, instance)
     writer_of: Dict[str, List[int]] = {}
     for g in grid_indices:
-        segment = list(slices[g]) + [g]
-        per_array = _segment_halos(ir, instance, segment)
-        reads_of[g] = per_array
+        per_array = reads_of[g]
         combined = [[0, 0] for _ in range(ir.ndim)]
         for entry in per_array.values():
             for axis, (lo, hi) in enumerate(entry):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Union
+from typing import Callable, Dict
 
 from ..dsl.ast import (
     ArrayAccess,

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Sequence, Set, Tuple
 
-from ..dsl.ast import ArrayAccess, array_accesses
-from ..ir.analysis import access_patterns, stencil_order
+from ..dsl.ast import array_accesses
 from ..ir.dag import statements_for_output
-from ..ir.stencil import ProgramIR, Statement, StencilInstance
+from ..ir.stencil import ProgramIR, StencilInstance
 from .fusion import maxfuse
 
 

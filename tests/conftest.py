@@ -8,8 +8,8 @@ from hypothesis import settings
 from repro.obs import configure_metrics, metrics_enabled
 
 #: ``--hypothesis-profile=fuzz``: a longer run of the properties that do
-#: not fix their own ``max_examples`` (the CI lexer differential fuzz
-#: and the lane-model parity fuzz).
+#: not fix their own ``max_examples`` (the CI lexer differential fuzz,
+#: the lane-model parity fuzz and the IR analysis differential fuzz).
 settings.register_profile("fuzz", max_examples=2000, deadline=None)
 
 

@@ -20,8 +20,6 @@ from repro.pipeline import optimize
 from repro.resilience import EvaluationError
 from repro.suite import BENCHMARKS, load_ir
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
-from repro.tuning.deeptuning import fusion_schedule
-from repro.tuning.evaluator import Measurement
 
 from ..gpu import reference_model
 from ..pipeline.test_fail_fast_sweep import stage_counts
@@ -230,27 +228,3 @@ class TestPhaseAttribution:
         assert classify["hits"] == classify["candidates"]
         assert engine.stats.hits == classify["hits"]
 
-
-class TestFusionScheduleDP:
-    def _result(self, f_values, base_plan):
-        from repro.tuning.deeptuning import DeepTuningEntry, DeepTuningResult
-
-        entries = tuple(
-            DeepTuningEntry(
-                time_tile=x,
-                measurement=Measurement(
-                    plan=base_plan.replace(time_tile=x),
-                    time_s=f,
-                    tflops=1.0 / f,
-                ),
-                bandwidth_bound=True,
-                bound_level="dram",
-            )
-            for x, f in enumerate(f_values, start=1)
-        )
-        return DeepTuningResult(entries=entries, evaluations=len(entries))
-
-    def test_zero_iterations(self, base_plan):
-        result = self._result([1.0], base_plan)
-        schedule = fusion_schedule(result, 0)
-        assert schedule.tiles == () and schedule.total_time_s == 0.0
