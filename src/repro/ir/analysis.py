@@ -291,6 +291,14 @@ def _max_halo(a: Halo, b: Halo) -> Halo:
     return tuple(out) if grew else a
 
 
+def _widest(halos, ndim: int) -> Halo:
+    """Elementwise max of ``halos``; zero extents when there are none."""
+    combined = ((0, 0),) * ndim
+    for halo in halos:
+        combined = _max_halo(combined, halo)
+    return combined
+
+
 def _merged_halos(maps) -> Dict[str, Halo]:
     """Per-array elementwise max of halo maps, first-seen array order."""
     merged: Dict[str, Halo] = {}
@@ -367,15 +375,11 @@ def read_halos(
 def combined_halo(ir: ProgramIR, instance: StencilInstance) -> Halo:
     """Union of read halos across all arrays, per axis."""
 
-    def compute():
-        combined = [[0, 0] for _ in range(ir.ndim)]
-        for per_axis in read_halos(ir, instance).values():
-            for axis, (lo, hi) in enumerate(per_axis):
-                combined[axis][0] = max(combined[axis][0], lo)
-                combined[axis][1] = max(combined[axis][1], hi)
-        return tuple((lo, hi) for lo, hi in combined)
-
-    return _memoized("combined_halo", instance, compute)
+    return _memoized(
+        "combined_halo",
+        instance,
+        lambda: _widest(read_halos(ir, instance).values(), ir.ndim),
+    )
 
 
 def stencil_order(ir: ProgramIR, instance: StencilInstance) -> int:
@@ -417,7 +421,7 @@ class ArrayAccessSummary:
     reads_distinct: int  # distinct offset vectors read
     writes: int
     offsets: Tuple[Offsets, ...]  # distinct read offsets, first-seen order
-    indexed_axes: Tuple[int, ...] = ()  # axes any read or write indexes
+    indexed_axes: Tuple[int, ...]  # axes any read or write indexes
 
 
 def access_summary(
@@ -625,13 +629,7 @@ def _statement_geometry(ir: ProgramIR, instance: StencilInstance):
     reads_of = _slice_halos(ir, instance)
     writer_of: Dict[str, List[int]] = {}
     for g in grid_indices:
-        per_array = reads_of[g]
-        combined = [[0, 0] for _ in range(ir.ndim)]
-        for entry in per_array.values():
-            for axis, (lo, hi) in enumerate(entry):
-                combined[axis][0] = max(combined[axis][0], lo)
-                combined[axis][1] = max(combined[axis][1], hi)
-        halo_of[g] = tuple((lo, hi) for lo, hi in combined)
+        halo_of[g] = _widest(reads_of[g].values(), ir.ndim)
         writer_of.setdefault(instance.statements[g].target, []).append(g)
 
     expansion: Dict[int, List[List[int]]] = {

@@ -16,12 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dsl.ast import ArrayAccess, array_accesses
-from repro.ir.analysis import (
-    AccessPattern,
-    ArrayAccessSummary,
-    scalar_slices,
-    statement_flops,
-)
+from repro.ir.analysis import AccessPattern, scalar_slices, statement_flops
 from repro.ir.stencil import ProgramIR, StencilInstance
 
 #: mirrors ``repro.gpu.registers``
@@ -110,10 +105,9 @@ def kernel_flops_per_point(instance: StencilInstance) -> int:
     return sum(statement_flops(s) for s in instance.statements)
 
 
-def access_summary(
-    ir: ProgramIR, instance: StencilInstance
-) -> Dict[str, ArrayAccessSummary]:
-    """The summary without ``indexed_axes`` (see :func:`array_indexes_axis`)."""
+def access_summary(ir: ProgramIR, instance: StencilInstance) -> List[tuple]:
+    """The summary's rows: ``(array, reads_total, reads_distinct, writes,
+    offsets)``; :func:`array_indexes_axis` checks ``indexed_axes``."""
     reads_total: Dict[str, int] = {}
     writes: Dict[str, int] = {}
     offsets: Dict[str, List[Tuple[Optional[int], ...]]] = {}
@@ -126,15 +120,17 @@ def access_summary(
         bucket = offsets.setdefault(pattern.array, [])
         if pattern.axis_offsets not in bucket:
             bucket.append(pattern.axis_offsets)
-    out: Dict[str, ArrayAccessSummary] = {}
+    out: List[tuple] = []
     for array in sorted(set(reads_total) | set(writes)):
         distinct = offsets.get(array, [])
-        out[array] = ArrayAccessSummary(
-            array=array,
-            reads_total=reads_total.get(array, 0),
-            reads_distinct=len(distinct),
-            writes=writes.get(array, 0),
-            offsets=tuple(distinct),
+        out.append(
+            (
+                array,
+                reads_total.get(array, 0),
+                len(distinct),
+                writes.get(array, 0),
+                tuple(distinct),
+            )
         )
     return out
 

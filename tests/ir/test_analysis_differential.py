@@ -33,13 +33,6 @@ from repro.tuning.fission import generate_fission_candidates
 from tests.ir import reference_analysis as ref
 
 
-def _summary_rows(summary):
-    return [
-        (s.array, s.reads_total, s.reads_distinct, s.writes, s.offsets)
-        for s in summary.values()
-    ]
-
-
 def check_instance(ir, instance) -> None:
     """Every composed analysis of one kernel equals its reference."""
     patterns = ref.access_patterns(ir, instance)
@@ -69,10 +62,10 @@ def check_instance(ir, instance) -> None:
         ir, instance
     )
 
-    summary = analysis.access_summary(ir, instance)
-    assert _summary_rows(summary) == _summary_rows(
-        ref.access_summary(ir, instance)
-    )
+    assert [
+        (s.array, s.reads_total, s.reads_distinct, s.writes, s.offsets)
+        for s in analysis.access_summary(ir, instance).values()
+    ] == ref.access_summary(ir, instance)
     stage = SimpleNamespace(instance=instance)
     arrays = sorted({p.array for p in patterns} | {"absent"})
     for axis in range(ir.ndim):
