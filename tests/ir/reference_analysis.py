@@ -4,11 +4,12 @@
 (:class:`~repro.ir.analysis.StatementFacts`) and composes every kernel
 analysis from them; the tiling and pricing layers read one per-array
 access table.  This module keeps the straightforward versions they
-replaced, access by access, with no memo: the pattern loop, the read
-halos, the access summary, the offset sets, the statement geometry over
-whole scalar slices, the register pressure, the tiling scans and the
-pricing plane reads.  ``test_analysis_differential.py`` checks the
-composed analyses against them.  Nothing in ``src`` imports it.
+replaced, access by access: the pattern loop, the read halos, the
+access summary, the offset sets, the statement geometry over whole
+scalar slices, the register pressure, the tiling scans and the pricing
+plane reads.  As before, only the pattern list is memoized per kernel.
+``test_analysis_differential.py`` checks the composed analyses against
+them.  Nothing in ``src`` imports it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dsl.ast import ArrayAccess, array_accesses
 from repro.ir.analysis import AccessPattern, scalar_slices, statement_flops
+from repro.ir.memo import OwnerMemo
 from repro.ir.stencil import ProgramIR, StencilInstance
 
 #: mirrors ``repro.gpu.registers``
@@ -24,16 +26,22 @@ EXPR_TEMP_CAP = 320
 LIVE_READ_FRACTION = 0.45
 
 
+_PATTERNS = OwnerMemo()
+
+
 def access_patterns(
     ir: ProgramIR, instance: StencilInstance
 ) -> Tuple[AccessPattern, ...]:
-    out: List[AccessPattern] = []
-    for stmt in instance.statements:
-        for access in array_accesses(stmt.rhs):
-            out.append(_pattern_of(ir, access, is_write=False))
-        if isinstance(stmt.lhs, ArrayAccess):
-            out.append(_pattern_of(ir, stmt.lhs, is_write=True))
-    return tuple(out)
+    def compute():
+        out: List[AccessPattern] = []
+        for stmt in instance.statements:
+            for access in array_accesses(stmt.rhs):
+                out.append(_pattern_of(ir, access, is_write=False))
+            if isinstance(stmt.lhs, ArrayAccess):
+                out.append(_pattern_of(ir, stmt.lhs, is_write=True))
+        return tuple(out)
+
+    return _PATTERNS.get(instance, ir.iterators, "patterns", compute)
 
 
 def _pattern_of(ir: ProgramIR, access: ArrayAccess, is_write: bool) -> AccessPattern:
