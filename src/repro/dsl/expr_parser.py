@@ -10,9 +10,16 @@ Section II of the paper.  So is an expression nested past
 :data:`MAX_EXPR_DEPTH` or :data:`MAX_NESTING`.
 
 The stencil subscripts ``[it]``, ``[it+c]``, ``[it-c]`` and ``[c]`` make
-up nearly every subscript of a real program.  Each distinct one is
-parsed and lowered once per parse; later occurrences reuse the same
-:class:`~repro.dsl.ast.AffineIndex` from the stream's table.
+up nearly every subscript of a real program, and the lexer fuses a run
+of them into one ``SUBSCRIPTS`` token (:func:`repro.dsl.lexer.scan`).
+Each distinct chain is lowered once per parse to a tuple of
+:class:`~repro.dsl.ast.AffineIndex`; later occurrences reuse the tuple.
+A reader that expects no chain (a declaration's dimensions, or an error
+report) first splits it back into its tokens in place
+(:meth:`TokenStream.expand`), so it reads what a token-at-a-time scan
+gives.  Every index lowered in one parse, from a chain or a general
+subscript, is one object per distinct value, and so is every immutable
+leaf the parse builds often: a chain access and a scalar name.
 """
 
 from __future__ import annotations
@@ -54,6 +61,16 @@ MAX_EXPR_DEPTH = 900
 #: subscripts: the constructs the expression parser recurses on.
 MAX_NESTING = 256
 
+# Token kinds, bound once: the hot paths compare against them per token.
+_ID, _INT, _FLOAT, _PUNCT, _SUBSCRIPTS, _EOF = (
+    lexer.ID,
+    lexer.INT,
+    lexer.FLOAT,
+    lexer.PUNCT,
+    lexer.SUBSCRIPTS,
+    lexer.EOF,
+)
+
 # Operator sets for the one-lookahead decisions below.  Only PUNCT tokens
 # carry these values (an ID, number or directive never does), so testing
 # the current token's value alone decides.
@@ -62,34 +79,59 @@ _MULTIPLICATIVE = frozenset(("*", "/"))
 
 
 class TokenStream:
-    """A cursor over a token list with one-token lookahead helpers."""
+    """A cursor over a token list with one-token lookahead helpers.
+
+    The list may hold ``SUBSCRIPTS`` chains (:func:`lexer.scan`).  Only
+    :func:`_parse_array_access` reads a chain whole; :meth:`at` and
+    :meth:`expect` expand a chain they do not match, and error reports
+    expand before they read the token, so positions and messages are
+    those of the expanded tokens.
+    """
 
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._pos = 0
-        #: Lowered subscripts of this parse, keyed by :meth:`subscript_key`.
-        self.subscripts: Dict[tuple, AffineIndex] = {}
-
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._pos]
+        #: The token at the cursor: a plain attribute, as the expression
+        #: parser reads it several times per token.
+        self.current: Token = tokens[0]
+        #: Lowered chains of this parse, keyed by the chain text.
+        self.chains: Dict[str, Tuple[AffineIndex, ...]] = {}
+        #: Every index lowered in this parse, one object per value.
+        self.indices: Dict[AffineIndex, AffineIndex] = {}
+        #: The leaves of this parse, which are immutable and so shared:
+        #: an access whose subscripts are one chain, keyed by its text
+        #: (``u[k][j][i+1]``), and every scalar reference, by name.
+        self.accesses: Dict[str, ArrayAccess] = {}
+        self.names: Dict[str, Name] = {}
 
     def at(self, kind: str, value: Optional[str] = None) -> bool:
         tok = self.current
+        if tok.kind == _SUBSCRIPTS:
+            tok = self.expand()
         return tok.kind == kind and (value is None or tok.value == value)
 
     def at_punct(self, value: str) -> bool:
-        return self.at(lexer.PUNCT, value)
+        return self.at(_PUNCT, value)
 
     def advance(self) -> Token:
         tok = self.current
-        if tok.kind != lexer.EOF:
+        if tok.kind != _EOF:
             self._pos += 1
+            self.current = self._tokens[self._pos]
+        return tok
+
+    def step(self) -> Token:
+        """Advance past a token known not to be EOF; the new current."""
+        self._pos += 1
+        tok = self.current = self._tokens[self._pos]
         return tok
 
     def expect(self, kind: str, value: Optional[str] = None) -> Token:
         tok = self.current
         if tok.kind != kind or (value is not None and tok.value != value):
+            if tok.kind == _SUBSCRIPTS:
+                self.expand()
+                return self.expect(kind, value)
             want = value if value is not None else kind
             raise ParseError(
                 f"expected {want!r}, found {tok.value or tok.kind!r}",
@@ -99,34 +141,34 @@ class TokenStream:
         return self.advance()
 
     def expect_punct(self, value: str) -> Token:
-        return self.expect(lexer.PUNCT, value)
+        return self.expect(_PUNCT, value)
 
-    def subscript_key(self) -> Optional[Tuple[tuple, int]]:
-        """``(key, width)`` of the subscript at the cursor, when it is
-        ``[it]``, ``[it+c]``, ``[it-c]`` or ``[c]``.
+    def expand(self) -> Token:
+        """Split a chain at the cursor into its tokens; the current token."""
+        tok = self.current
+        if tok.kind == _SUBSCRIPTS:
+            pos = self._pos
+            self._tokens[pos : pos + 1] = lexer.expand(tok)
+            tok = self.current = self._tokens[pos]
+        return tok
 
-        The cursor is on the ``[``; ``key`` is built from the tokens
-        inside the brackets (a lone INT keeps its kind, so it cannot meet
-        a lone ID) and ``width`` counts the tokens up to and including the
-        ``]``.  Any other subscript gives None.
-        """
-        tokens, pos = self._tokens, self._pos
-        first = tokens[pos + 1]
-        if first.kind == lexer.ID:
-            second = tokens[pos + 2]
-            if second.value == "]":
-                return (first.value,), 3
-            if second.value in _ADDITIVE:
-                third = tokens[pos + 3]
-                if third.kind == lexer.INT and tokens[pos + 4].value == "]":
-                    return (first.value, second.value, third.value), 5
-        elif first.kind == lexer.INT and tokens[pos + 2].value == "]":
-            return (first.kind, first.value), 3
-        return None
-
-    def skip(self, count: int) -> None:
-        """Move the cursor past ``count`` tokens known not to include EOF."""
-        self._pos += count
+    def lower_chain(self, text: str) -> Tuple[AffineIndex, ...]:
+        """The indices of chain ``text``, lowered once per parse."""
+        lowered = self.chains.get(text)
+        if lowered is None:
+            interned = self.indices
+            out = []
+            for name, sign, offset, const in lexer.SUBSCRIPT.findall(text):
+                if name:
+                    value = int(offset) if offset else 0
+                    index = AffineIndex(
+                        ((name, 1),), -value if sign == "-" else value
+                    )
+                else:
+                    index = AffineIndex((), int(const))
+                out.append(interned.setdefault(index, index))
+            lowered = self.chains[text] = tuple(out)
+        return lowered
 
 
 def token_int(tok: Token) -> int:
@@ -185,9 +227,9 @@ def parse_array_access(stream: TokenStream, name_tok: Token) -> ArrayAccess:
 
 def parse_expr_text(text: str) -> Expr:
     """Parse ``text`` as a standalone expression (testing convenience)."""
-    stream = TokenStream(lexer.tokenize(text))
+    stream = TokenStream(lexer.scan(text))
     expr = parse_expression(stream)
-    stream.expect(lexer.EOF)
+    stream.expect(_EOF)
     return expr
 
 
@@ -202,10 +244,14 @@ def _too_deep() -> _TooDeep:
 
 def _nested(nest: int) -> int:
     if nest >= MAX_NESTING:
-        raise _TooDeep(
-            f"more than {MAX_NESTING} nested parentheses, calls or subscripts"
-        )
+        raise _nesting_error()
     return nest + 1
+
+
+def _nesting_error() -> _TooDeep:
+    return _TooDeep(
+        f"more than {MAX_NESTING} nested parentheses, calls or subscripts"
+    )
 
 
 def _join(
@@ -231,7 +277,7 @@ def _parse_sum(stream: TokenStream, nest: int) -> Tuple[Expr, int]:
         term, depth = _parse_operand(stream, nest)
         op = stream.current.value
         while op in _MULTIPLICATIVE:
-            stream.advance()
+            stream.step()
             right, right_depth = _parse_operand(stream, nest)
             term, depth = _join(op, term, depth, right, right_depth)
             op = stream.current.value
@@ -239,7 +285,7 @@ def _parse_sum(stream: TokenStream, nest: int) -> Tuple[Expr, int]:
             term, depth = _join(add_op, total, total_depth, term, depth)
         if op not in _ADDITIVE:
             return term, depth
-        stream.advance()
+        stream.step()
         total, total_depth, add_op = term, depth, op
 
 
@@ -253,31 +299,42 @@ def _parse_operand(stream: TokenStream, nest: int) -> Tuple[Expr, int]:
         stream.advance()
         tok = stream.current
     kind = tok.kind
-    if kind == lexer.ID:
-        stream.advance()
-        follow = stream.current.value
-        if follow == "(":
+    if kind == _ID:
+        follow = stream.step()
+        if follow.kind == _SUBSCRIPTS:
+            if nest >= MAX_NESTING:
+                raise _nesting_error()
+            expr, depth = _parse_array_access(stream, tok, nest + 1), 1
+        elif follow.value == "(":
             expr, depth = _parse_call(stream, tok, _nested(nest))
-        elif follow == "[":
+        elif follow.value == "[":
             expr, depth = _parse_array_access(stream, tok, _nested(nest)), 1
         else:
-            expr, depth = Name(tok.value), 1
-    elif kind == lexer.INT or kind == lexer.FLOAT:
+            expr = stream.names.get(tok.value)
+            if expr is None:
+                expr = stream.names[tok.value] = Name(tok.value)
+            depth = 1
+    elif kind == _INT or kind == _FLOAT:
         stream.advance()
         try:
-            if kind == lexer.INT:
+            if kind == _INT:
                 value = float(int(tok.value))
             else:
                 value = float(tok.value)
         except ValueError:
             raise _malformed(tok) from None
-        expr, depth = Num(value, is_int=kind == lexer.INT), 1
+        except OverflowError:  # an integer past the largest float
+            raise ParseError(
+                f"number {tok.value!r} is too large", tok.line, tok.col
+            ) from None
+        expr, depth = Num(value, is_int=kind == _INT), 1
     elif tok.value == "(":
         nest = _nested(nest)
         stream.advance()
         expr, depth = _parse_sum(stream, nest)
         stream.expect_punct(")")
     else:
+        tok = stream.expand()
         raise ParseError(
             f"unexpected token {tok.value or tok.kind!r}", tok.line, tok.col
         )
@@ -322,24 +379,35 @@ def _parse_call(stream: TokenStream, name_tok: Token, nest: int) -> Tuple[Expr, 
 def _parse_array_access(
     stream: TokenStream, name_tok: Token, nest: int
 ) -> ArrayAccess:
-    indices: List[AffineIndex] = []
-    interned = stream.subscripts
-    while stream.current.value == "[":
-        simple = stream.subscript_key()
-        if simple is not None:
-            index = interned.get(simple[0])
-            if index is not None:
-                stream.skip(simple[1])
-                indices.append(index)
-                continue
-        open_tok = stream.advance()
-        idx_expr = _parse_sum(stream, nest)[0]
-        stream.expect_punct("]")
-        index = lower_affine(idx_expr, open_tok)
-        if simple is not None:
-            interned[simple[0]] = index
-        indices.append(index)
-    return ArrayAccess(name_tok.value, tuple(indices))
+    tok = stream.current
+    if tok.kind == _SUBSCRIPTS:
+        chain = tok.value
+        follow = stream.step()
+        if follow.value != "[" and follow.kind != _SUBSCRIPTS:
+            key = name_tok.value + chain
+            access = stream.accesses.get(key)
+            if access is None:
+                access = stream.accesses[key] = ArrayAccess(
+                    name_tok.value, stream.lower_chain(chain)
+                )
+            return access
+        indices = list(stream.lower_chain(chain))
+    else:
+        indices = []
+    interned = stream.indices
+    while True:
+        tok = stream.current
+        if tok.kind == _SUBSCRIPTS:
+            indices.extend(stream.lower_chain(tok.value))
+            stream.step()
+        elif tok.value == "[":
+            stream.advance()
+            idx_expr = _parse_sum(stream, nest)[0]
+            stream.expect_punct("]")
+            index = lower_affine(idx_expr, tok)
+            indices.append(interned.setdefault(index, index))
+        else:
+            return ArrayAccess(name_tok.value, tuple(indices))
 
 
 def lower_affine(expr: Expr, where: Token) -> AffineIndex:

@@ -20,6 +20,15 @@ token that starts at, or a number that touches, a non-ASCII character is
 finished by ``str.isalpha``/``str.isdigit`` rules instead, because the
 regex classes ``\\d`` and ``[^\\W\\d]`` are not ``isdigit`` and
 ``isalpha`` (``"²".isdigit()`` holds, ``"²"`` is no ``\\d``).
+
+Nearly every token of a real program belongs to a subscript such as
+``[k][j][i+1]``.  :func:`scan` emits a run of the simple subscripts
+``[it]``, ``[it+c]``, ``[it-c]`` and ``[c]`` written without blanks as
+one ``SUBSCRIPTS`` token whose value is the run's text; only the parser
+reads that fused stream.  :func:`tokenize` is its expansion: each chain
+is split back into its ``[``, identifier, sign, integer and ``]``
+tokens with their own columns, so it yields exactly the tokens of a
+token-at-a-time scan.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ INT = "INT"
 FLOAT = "FLOAT"
 PUNCT = "PUNCT"  # one of ( ) [ ] { } , ; = + - * / < > ! ? :  or += -= ...
 DIRECTIVE = "DIRECTIVE"  # '#pragma ...' or '#assign ...' up to end of line
+SUBSCRIPTS = "SUBSCRIPTS"  # '[k][j][i+1]': a chain of simple subscripts
 EOF = "EOF"
 
 
@@ -63,24 +73,44 @@ _new = tuple.__new__
 # sign is then consumed even if no digit follows it ("1e+" is a FLOAT).
 _EXPONENT = r"[eE](?=[0-9+-])[+-]?[0-9]*"
 
+# A subscript constant: at most 15 digits, so it is exactly a float and
+# lowers to the value the expression route gives it.
+_CONST = r"[0-9]{1,15}"
+_SIMPLE = r"\[(?:[A-Za-z_]\w*(?:[+-]" + _CONST + r")?|" + _CONST + r")\]"
+
+#: One simple subscript: ``[it]``, ``[it+c]``, ``[it-c]`` or ``[c]``, no
+#: blanks.  Groups: identifier, sign, its constant, a lone constant.
+SUBSCRIPT = re.compile(
+    r"\[(?:([A-Za-z_]\w*)(?:([+-])(" + _CONST + r"))?|(" + _CONST + r"))\]"
+)
+
 #: One token (after optional blanks) per match.  Group numbers are the
-#: dispatch keys in :func:`tokenize`; the most frequent kinds come
-#: first.  A trailing ``f``/``F`` suffix on a number is consumed but is
-#: not part of its value.  ``\w`` is exactly ``str.isalnum() or "_"``,
-#: so identifiers may continue with any Unicode letter or digit.
+#: dispatch keys in :func:`scan`; the most frequent kinds come first.  A
+#: trailing ``f``/``F`` suffix on a number is consumed but is not part of
+#: its value.  ``\w`` is exactly ``str.isalnum() or "_"``, so
+#: identifiers may continue with any Unicode letter or digit.
 _TOKEN = re.compile(
-    r"[ \t\r]*(?:"
-    r"([-+*/=<>!]=|[()\[\]{},;=+\-*/<>!?:])"  # 1 PUNCT
-    r"|([A-Za-z_]\w*)"  # 2 ID
-    r"|(\n)"  # 3 newline
+    r"[ \t\r]*+(?:"
+    r"((?:" + _SIMPLE + r")+)"  # 1 SUBSCRIPTS
+    r"|([-+*/=<>!]=|[()\[\]{},;=+\-*/<>!?:])"  # 2 PUNCT
+    r"|([A-Za-z_]\w*)"  # 3 ID
+    r"|(\n)"  # 4 newline
     r"|((?:[0-9]+\.[0-9]*|\.[0-9]+)(?:" + _EXPONENT + r")?"
-    r"|[0-9]+" + _EXPONENT + r")[fF]?"  # 4 FLOAT
-    r"|([0-9]+)[fF]?"  # 5 INT
-    r"|(#[^\n]*)"  # 6 DIRECTIVE
-    r"|([^ \t\r])"  # 7 anything else: non-ASCII start or an error
+    r"|[0-9]+" + _EXPONENT + r")[fF]?"  # 5 FLOAT
+    r"|([0-9]+)[fF]?"  # 6 INT
+    r"|(#[^\n]*)"  # 7 DIRECTIVE
+    r"|([^ \t\r])"  # 8 anything else: non-ASCII start or an error
     r"|\Z)"  # trailing blanks
 )
-_PUNCT_G, _ID_G, _NEWLINE_G, _FLOAT_G, _INT_G, _DIRECTIVE_G = 1, 2, 3, 4, 5, 6
+(
+    _SUBSCRIPTS_G,
+    _PUNCT_G,
+    _ID_G,
+    _NEWLINE_G,
+    _FLOAT_G,
+    _INT_G,
+    _DIRECTIVE_G,
+) = range(1, 8)
 
 #: A comment; an unterminated block comment matches as the bare ``/*``.
 _COMMENT = re.compile(r"//[^\n]*|/\*(?:.*?\*/)?", re.S)
@@ -101,7 +131,22 @@ def _strip_comments(source: str) -> str:
 
 
 def tokenize(source: str) -> List[Token]:
-    """Tokenize DSL source text into a list of tokens ending with EOF."""
+    """Tokenize DSL source text into a list of tokens ending with EOF.
+
+    The expansion of :func:`scan`: no ``SUBSCRIPTS`` token remains.
+    """
+    tokens: List[Token] = []
+    for tok in scan(source):
+        if tok.kind == SUBSCRIPTS:
+            tokens.extend(expand(tok))
+        else:
+            tokens.append(tok)
+    return tokens
+
+
+def scan(source: str) -> List[Token]:
+    """Tokens of ``source`` ending with EOF, each simple-subscript chain
+    fused into one ``SUBSCRIPTS`` token."""
     text = _strip_comments(source)
     ascii_text = text.isascii()
     tokens: List[Token] = []
@@ -114,9 +159,11 @@ def tokenize(source: str) -> List[Token]:
         for m in _TOKEN.finditer(text, pos):
             g = m.lastindex
             if g == _PUNCT_G:
-                append(_new(Token, (PUNCT, m.group(g), line, m.start(g) - base)))
+                append(_new(Token, (PUNCT, m[g], line, m.start(g) - base)))
             elif g == _ID_G:
-                append(_new(Token, (ID, m.group(g), line, m.start(g) - base)))
+                append(_new(Token, (ID, m[g], line, m.start(g) - base)))
+            elif g == _SUBSCRIPTS_G:
+                append(_new(Token, (SUBSCRIPTS, m[g], line, m.start(g) - base)))
             elif g == _NEWLINE_G:
                 line += 1
                 base = m.start(g)
@@ -127,9 +174,9 @@ def tokenize(source: str) -> List[Token]:
                     append(_new(Token, (kind, value, line, start - base)))
                     break
                 kind = FLOAT if g == _FLOAT_G else INT
-                append(_new(Token, (kind, m.group(g), line, start - base)))
+                append(_new(Token, (kind, m[g], line, start - base)))
             elif g == _DIRECTIVE_G:
-                value = m.group(g).rstrip()
+                value = m[g].rstrip()
                 append(_new(Token, (DIRECTIVE, value, line, m.start(g) - base)))
             elif g is not None:
                 start = m.start(g)
@@ -139,6 +186,27 @@ def tokenize(source: str) -> List[Token]:
         pos = resume
     append(_new(Token, (EOF, "", line, len(text) - base)))
     return tokens
+
+
+def expand(chain: Token) -> List[Token]:
+    """The tokens a ``SUBSCRIPTS`` token stands for, with their columns."""
+    line, col = chain.line, chain.col
+    out: List[Token] = []
+    append = out.append
+    for m in SUBSCRIPT.finditer(chain.value):
+        at = col + m.start()
+        append(_new(Token, (PUNCT, "[", line, at)))
+        name, sign, offset, const = m.groups()
+        if name is None:
+            append(_new(Token, (INT, const, line, at + 1)))
+        else:
+            append(_new(Token, (ID, name, line, at + 1)))
+            if sign is not None:
+                at += 1 + len(name)
+                append(_new(Token, (PUNCT, sign, line, at)))
+                append(_new(Token, (INT, offset, line, at + 1)))
+        append(_new(Token, (PUNCT, "]", line, col + m.end() - 1)))
+    return out
 
 
 def _scan_other(text: str, i: int, line: int, col: int) -> Tuple[str, str, int]:

@@ -23,7 +23,7 @@ stencils"; it sets :attr:`Program.time_iterations`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import lexer
 from .ast import (
@@ -69,7 +69,7 @@ def parse(source: str, validate: bool = True) -> Program:
     from ..obs import span
 
     with span("parse", source_bytes=len(source)):
-        stream = TokenStream(lexer.tokenize(source))
+        stream = TokenStream(lexer.scan(source))
         parser = _ProgramParser(stream)
         program = parser.parse_program()
         if validate:
@@ -209,7 +209,7 @@ class _ProgramParser:
 
     def _parse_dim(self):
         s = self.stream
-        tok = s.current
+        tok = s.expand()
         if tok.kind == lexer.ID:
             s.advance()
             return tok.value
@@ -294,7 +294,7 @@ class _ProgramParser:
         # Assignment: lhs (= | +=) rhs ;
         name_tok = s.expect(lexer.ID)
         lhs: object
-        if s.at_punct("["):
+        if s.current.kind == lexer.SUBSCRIPTS or s.at_punct("["):
             lhs = parse_array_access(s, name_tok)
         else:
             lhs = Name(name_tok.value)

@@ -10,6 +10,9 @@ Every :class:`ValidationError` raised here carries the ``line:col`` of
 the offending construct (threaded from lexer tokens through the AST's
 :class:`~repro.dsl.ast.SourceSpan` fields), so ``validate`` and
 ``repro lint`` report positions consistently.
+
+Sizes are bounded so that every quantity of the performance model fits
+its ``int64`` lanes (:data:`MAX_EXTENT`, :data:`MAX_OFFSET`).
 """
 
 from __future__ import annotations
@@ -20,16 +23,29 @@ from .ast import (
     ArrayAccess,
     Assignment,
     LocalDecl,
-    Name,
     Program,
     StencilCall,
     StencilDef,
+    Stmt,
     VarDecl,
     array_accesses,
     scalar_names,
     span_of,
 )
 from .errors import ValidationError
+
+
+#: Largest parameter value, integer extent and array element count
+#: (2**36 points: 512 GiB of doubles, several times any device's memory).
+MAX_EXTENT = 2**36
+
+#: Largest coefficient or constant, in magnitude, of a subscript that
+#: names an iterator: the reach of a stencil.  With :data:`MAX_EXTENT`
+#: points and three iterators, a one-thread tile's halo footprint summed
+#: over all blocks, ``MAX_EXTENT * (1 + 2 * MAX_OFFSET)**3`` elements of
+#: 8 bytes, stays below 2**58, a 32-fold margin under ``int64`` overflow.
+#: Each further iterator multiplies it by up to 65.
+MAX_OFFSET = 32
 
 
 def _pos(*nodes) -> Tuple[int, int]:
@@ -52,12 +68,15 @@ def validate_program(program: Program) -> None:
     _check_parameters(program)
     _check_decl_dims(program)
     _check_copy_lists(program)
+    accessed: Dict[str, List[Tuple[ArrayAccess, Stmt]]] = {}
     for call in program.calls:
         bindings = call_bindings(program, call)
         stencil = program.stencil(call.name)
-        _check_stencil_body(program, stencil, bindings)
+        body_accesses = _check_stencil_body(program, stencil, bindings)
+        accessed.setdefault(stencil.name, body_accesses)
         _check_pragma(program, stencil)
-        _check_assign(program, stencil, bindings)
+        _check_assign(program, stencil, bindings, body_accesses)
+    _check_sizes(program, accessed)
 
 
 def call_bindings(program: Program, call: StencilCall) -> Dict[str, str]:
@@ -138,6 +157,57 @@ def _check_decl_dims(program: Program) -> None:
                 )
 
 
+def _check_sizes(
+    program: Program, accessed: Dict[str, List[Tuple[ArrayAccess, Stmt]]]
+) -> None:
+    """Every extent, array and subscript within the model's bounds;
+    ``accessed`` maps each called stencil to its distinct accesses.
+
+    Runs after the other checks, so a program they reject keeps its
+    first failure.
+    """
+    for p in program.parameters:
+        if p.value > MAX_EXTENT:
+            _fail(
+                f"parameter {p.name!r} is {p.value}, more than the "
+                f"{MAX_EXTENT} points an extent may have",
+                p,
+            )
+    params = program.parameter_map
+    for decl in program.decls:
+        elements = 1
+        for dim in decl.dims:
+            elements *= params[dim] if isinstance(dim, str) else dim
+        if elements > MAX_EXTENT:
+            _fail(
+                f"array {decl.name!r} has {elements} elements, more than "
+                f"the {MAX_EXTENT} an array may have",
+                decl,
+            )
+    seen: Set[int] = set()  # ids of the subscript tuples checked
+    for name, accesses in accessed.items():
+        stencil = program.stencil(name)
+        for access, stmt in accesses:
+            if id(access.indices) not in seen:
+                seen.add(id(access.indices))
+                _check_subscripts(stencil, access, stmt)
+
+
+def _check_subscripts(stencil: StencilDef, access: ArrayAccess, stmt) -> None:
+    """Fail unless each subscript's coefficients and constant keep within
+    :data:`MAX_OFFSET`, or :data:`MAX_EXTENT` for a constant subscript."""
+    for idx in access.indices:
+        bound = MAX_OFFSET if idx.coeffs else MAX_EXTENT
+        if abs(idx.const) > bound or any(abs(c) > bound for _, c in idx.coeffs):
+            _fail(
+                f"stencil {stencil.name!r}: subscript {idx} of {access.name!r} "
+                f"has a coefficient or constant larger than {bound} in "
+                "magnitude",
+                stmt,
+                stencil,
+            )
+
+
 def _check_copy_lists(program: Program) -> None:
     decls = program.decl_map
     for name in list(program.copyin) + list(program.copyout):
@@ -150,7 +220,10 @@ def _check_copy_lists(program: Program) -> None:
 
 def _check_stencil_body(
     program: Program, stencil: StencilDef, bindings: Dict[str, str]
-) -> None:
+) -> List[Tuple[ArrayAccess, Stmt]]:
+    """Check the body under one call's bindings; returns its distinct
+    accesses, each with its first statement: a statement's new reads,
+    then its write."""
     decls = program.decl_map
     iterators = set(program.iterators)
 
@@ -159,6 +232,12 @@ def _check_stencil_body(
         return decls.get(target)
 
     locals_seen: Set[str] = set()
+    # The parser shares one access object per distinct chain access, and
+    # an access's check depends only on the call, so each is checked
+    # once, at its first occurrence: the first failure is the one a
+    # check of every access would find.
+    checked: Set[int] = set()
+    accesses: List[Tuple[ArrayAccess, Stmt]] = []
     for stmt in stencil.body:
         if isinstance(stmt, LocalDecl):
             if stmt.name in locals_seen or actual_decl(stmt.name) is not None:
@@ -168,13 +247,20 @@ def _check_stencil_body(
                     stmt,
                     stencil,
                 )
-            _check_expr(program, stencil, stmt.init, locals_seen, bindings, stmt)
+            _check_expr(
+                program, stencil, stmt.init, locals_seen, bindings, checked,
+                accesses, stmt,
+            )
             locals_seen.add(stmt.name)
             continue
         assert isinstance(stmt, Assignment)
-        _check_expr(program, stencil, stmt.rhs, locals_seen, bindings, stmt)
+        _check_expr(
+            program, stencil, stmt.rhs, locals_seen, bindings, checked,
+            accesses, stmt,
+        )
         lhs = stmt.lhs
         if isinstance(lhs, ArrayAccess):
+            accesses.append((lhs, stmt))
             decl = actual_decl(lhs.name)
             if decl is None:
                 _fail(
@@ -227,6 +313,7 @@ def _check_stencil_body(
             # Plain '=' to an unknown name introduces an implicit local
             # scalar (double), as in the paper's Figure 3c.
             locals_seen.add(lhs.id)
+    return accesses
 
 
 def _check_expr(
@@ -235,11 +322,20 @@ def _check_expr(
     expr,
     locals_seen: Set[str],
     bindings: Dict[str, str],
+    checked: Set[int],
+    first: List[Tuple[ArrayAccess, Stmt]],
     stmt=None,
 ) -> None:
+    """Check the reads of ``expr``; ``checked`` holds the ids of the
+    accesses already checked in this call, and ``first`` those accesses
+    with their statements: both gain the new reads."""
     decls = program.decl_map
     iterators = set(program.iterators)
     for access in array_accesses(expr):
+        if id(access) in checked:
+            continue
+        checked.add(id(access))
+        first.append((access, stmt))
         decl = decls.get(bindings.get(access.name, access.name))
         if decl is None:
             _fail(
@@ -270,7 +366,7 @@ def _check_expr(
                         stmt,
                         stencil,
                     )
-    for name in scalar_names(expr):
+    for name in dict.fromkeys(scalar_names(expr)):
         if name in locals_seen or name in iterators:
             continue
         decl = decls.get(bindings.get(name, name))
@@ -325,23 +421,17 @@ def _check_pragma(program: Program, stencil: StencilDef) -> None:
 
 
 def _check_assign(
-    program: Program, stencil: StencilDef, bindings: Dict[str, str]
+    program: Program,
+    stencil: StencilDef,
+    bindings: Dict[str, str],
+    accesses: List[Tuple[ArrayAccess, Stmt]],
 ) -> None:
+    """Check the ``#assign`` placements; ``accesses`` are the body's
+    distinct accesses (:func:`_check_stencil_body`)."""
     if stencil.assign is None:
         return
     decls = program.decl_map
-    body_arrays: Set[str] = set()
-    for stmt in stencil.body:
-        exprs: List = []
-        if isinstance(stmt, LocalDecl):
-            exprs.append(stmt.init)
-        else:
-            exprs.append(stmt.rhs)
-            if isinstance(stmt.lhs, ArrayAccess):
-                body_arrays.add(stmt.lhs.name)
-        for expr in exprs:
-            for access in array_accesses(expr):
-                body_arrays.add(access.name)
+    body_arrays = {access.name for access, _ in accesses}
     for name, _storage in stencil.assign.placements:
         if name not in body_arrays:
             _fail(

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
-from ..dsl.ast import ArrayAccess, array_accesses, scalar_names
-from .stencil import ProgramIR, Statement, StencilInstance
+from ..dsl.ast import array_accesses, scalar_names
+from .stencil import ProgramIR, StencilInstance
 
 
 class DiGraph:
@@ -209,9 +209,18 @@ def statements_for_output(
     Used by trivial fission (Section VI-B): each distinct output array is
     placed in its own kernel along with every statement its value
     transitively depends on (which replicates shared temporaries, as in
-    the paper's Figure 3b).
+    the paper's Figure 3b).  The fission passes ask for each output's
+    slice several times, so the instance (frozen) keeps its statement
+    DAG and every slice computed from it.
     """
-    graph = statement_dag(instance)
+    memo = instance.__dict__.get("_slices")
+    if memo is None:
+        memo = (statement_dag(instance), {})
+        object.__setattr__(instance, "_slices", memo)
+    graph, slices = memo
+    cached = slices.get(output)
+    if cached is not None:
+        return cached
     roots = [i for i in producers_of(instance, output)]
     needed: Set[int] = set(roots)
     frontier = list(roots)
@@ -221,7 +230,8 @@ def statements_for_output(
             if pred not in needed:
                 needed.add(pred)
                 frontier.append(pred)
-    return tuple(sorted(needed))
+    result = slices[output] = tuple(sorted(needed))
+    return result
 
 
 def intermediate_arrays(ir: ProgramIR) -> Tuple[str, ...]:

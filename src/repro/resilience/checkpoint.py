@@ -87,9 +87,15 @@ def ir_fingerprint(ir) -> str:
     The IR is a tree of frozen dataclasses of primitives, so its repr
     is deterministic across processes — good enough to key journal
     records so a journal recorded for one stencil can never satisfy
-    lookups for another.
+    lookups for another.  The repr of a large kernel runs to hundreds
+    of kilobytes and every journaled tuner asks for it, so the digest
+    is pinned on the frozen IR after the first call.
     """
-    return sha256(repr(ir).encode()).hexdigest()[:16]
+    fingerprint = ir.__dict__.get("_fingerprint")
+    if fingerprint is None:
+        fingerprint = sha256(repr(ir).encode()).hexdigest()[:16]
+        object.__setattr__(ir, "_fingerprint", fingerprint)
+    return fingerprint
 
 
 def plan_to_dict(plan) -> Dict[str, Any]:

@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..dsl.ast import array_accesses
+from ..ir.analysis import statement_facts
 from ..ir.dag import statements_for_output
 from ..ir.stencil import ProgramIR, StencilInstance
 from .fusion import maxfuse
@@ -100,7 +101,7 @@ def recompute_fission(
     current_halo = 0
     for output in outputs:
         halo = _output_halo(ir, instance, output)
-        chained = _consumes_prior_output(instance, output, current)
+        chained = _consumes_prior_output(ir, instance, output, current)
         added = halo if not chained else current_halo + halo
         if current and added > bound:
             groups.append(current)
@@ -130,36 +131,37 @@ def recompute_fission(
 
 
 def _max_statement_order(ir: ProgramIR, instance: StencilInstance) -> int:
-    order = 0
-    for stmt in instance.statements:
-        for access in array_accesses(stmt.rhs):
-            for idx in access.indices:
-                if idx.single_iterator() is not None:
-                    order = max(order, abs(idx.const))
-    return order
+    return _reach(ir, instance, range(len(instance.statements)))
 
 
 def _output_halo(ir: ProgramIR, instance: StencilInstance, output: str) -> int:
-    indices = statements_for_output(instance, output)
-    halo = 0
+    return _reach(ir, instance, statements_for_output(instance, output))
+
+
+def _reach(ir: ProgramIR, instance: StencilInstance, indices) -> int:
+    """Largest ``|c|`` of any ``it+c`` read subscript of the statements at
+    ``indices``, from their pinned subscript halos."""
+    reach = 0
     for i in indices:
-        stmt = instance.statements[i]
-        for access in array_accesses(stmt.rhs):
-            for idx in access.indices:
-                if idx.single_iterator() is not None:
-                    halo = max(halo, abs(idx.const))
-    return halo
+        facts = statement_facts(ir, instance.statements[i])
+        for halo in facts.subscript_halos.values():
+            for lo, hi in halo:
+                if lo > reach:
+                    reach = lo
+                if hi > reach:
+                    reach = hi
+    return reach
 
 
 def _consumes_prior_output(
-    instance: StencilInstance, output: str, prior: Sequence[str]
+    ir: ProgramIR, instance: StencilInstance, output: str, prior: Sequence[str]
 ) -> bool:
     indices = statements_for_output(instance, output)
     prior_set = set(prior)
     for i in indices:
-        for access in array_accesses(instance.statements[i].rhs):
-            if access.name in prior_set:
-                return True
+        facts = statement_facts(ir, instance.statements[i])
+        if not prior_set.isdisjoint(facts.read_counts):
+            return True
     return False
 
 

@@ -191,6 +191,44 @@ class TestValidation:
         with pytest.raises(ValidationError):
             parse(self._program("B[j][j] = A[j][i];"))
 
+    def test_subscript_reach_is_bounded(self):
+        parse(self._program("B[j][i+32] = A[j-32][i] + A[16][-32+i];"))
+        for body, where in (
+            ("B[j][i] = A[j][i] + A[j][i+33];", "i+33"),
+            ("B[j][i-33] = A[j][i];", "i-33"),
+            ("B[j][i] = A[j][33*i];", "33*i"),
+            ("B[j][i] = A[j][68719476737];", "68719476737"),
+        ):
+            with pytest.raises(ValidationError) as info:
+                parse(self._program(body))
+            assert info.value.message.startswith(
+                f"stencil 's': subscript {where} of "
+            ), body
+            assert "larger than" in info.value.message
+            assert (info.value.line, info.value.col) == (8, 11)
+
+    def test_extents_are_bounded(self):
+        at_bound = self._program("B[j][i] = A[j][i];").replace(
+            "N=64", "N=262144"
+        )
+        parse(at_bound)  # 2**36 elements
+        with pytest.raises(ValidationError) as info:
+            parse(at_bound.replace("N=262144", "N=262145"))
+        assert info.value.message.startswith("array 'A' has 68720001025 elements")
+        assert (info.value.line, info.value.col) == (4, 16)
+        with pytest.raises(ValidationError) as info:
+            parse(at_bound.replace("N=262144", "N=68719476737"))
+        assert info.value.message.startswith("parameter 'N' is 68719476737,")
+        assert (info.value.line, info.value.col) == (2, 19)
+
+    def test_size_bounds_leave_earlier_failures_first(self):
+        src = self._program("B[j][i] = C[j][i+99];").replace(
+            "N=64", "N=99999999999999999999"
+        )
+        with pytest.raises(ValidationError) as info:
+            parse(src)
+        assert "reads undeclared array 'C'" in info.value.message
+
     def test_call_arity_mismatch(self):
         src = """
         parameter N=64;

@@ -326,6 +326,50 @@ class TestBitwiseParity:
                 assert row["rejection"] == (lane.occ_code or "")
 
 
+def _bound_ir():
+    """The star stencil at the validator's size bounds: 2**36 points and
+    subscripts reaching ``MAX_OFFSET`` along every axis."""
+    from repro.dsl.validate import MAX_EXTENT, MAX_OFFSET
+
+    n = round(MAX_EXTENT ** (1 / 3))
+    assert n**3 == MAX_EXTENT
+    c = MAX_OFFSET
+    return build_ir(parse(f"""
+    parameter L={n}, M={n}, N={n};
+    iterator k, j, i;
+    double in[L,M,N], out[L,M,N], a;
+    copyin in, a;
+    stencil s (B, A, a) {{
+      B[k][j][i] = a * (A[k][j][i+{c}] + A[k][j][i-{c}] + A[k+{c}][j][i]
+        + A[k-{c}][j][i] + A[k][j+{c}][i] + A[k][j-{c}][i]);
+    }}
+    s (out, in, a);
+    copyout out;
+    """))
+
+
+class TestSizeBound:
+    @pytest.mark.parametrize("name", sorted(DEVICES))
+    def test_program_at_the_bound_prices_like_the_reference(self, name):
+        # No int64 lane quantity wraps at the bound, down to one-thread
+        # tiles (the largest halo footprint summed over blocks).
+        device = get_device(name)
+        ir = _bound_ir()
+        plans = list(PROTOS.values()) + [
+            KernelPlan(kernel_names=("s.0",), block=(1, 1, 1), streaming="none"),
+            KernelPlan(
+                kernel_names=("s.0",), block=(1, 1), streaming="serial",
+                stream_axis=0, placements=(("in", "shmem"),),
+            ),
+        ]
+        for plan in plans:
+            (lane,) = price_family(ir, [plan], device=device).lanes
+            assert_lane_parity(ir, plan, lane, device=device)
+            if lane.result is not None:
+                counters = lane.result.counters
+                assert 0 < counters.useful_flops <= counters.flops
+
+
 class TestDeviceParity:
     """The bitwise contract holds on *every* registered device profile.
 

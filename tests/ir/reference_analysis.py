@@ -6,8 +6,9 @@ analysis from them; the tiling and pricing layers read one per-array
 access table.  This module keeps the straightforward versions they
 replaced, access by access: the pattern loop, the read halos, the
 access summary, the offset sets, the statement geometry over whole
-scalar slices, the register pressure, the tiling scans and the pricing
-plane reads.  As before, only the pattern list is memoized per kernel.
+scalar slices, the register pressure, the tiling scans, the pricing
+plane reads, and the fission slices (a statement DAG built per call)
+and subscript halos.  As before, only the pattern list is memoized per kernel.
 ``test_analysis_differential.py`` checks the composed analyses against
 them.  Nothing in ``src`` imports it.
 """
@@ -18,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dsl.ast import ArrayAccess, array_accesses
 from repro.ir.analysis import AccessPattern, scalar_slices, statement_flops
+from repro.ir.dag import producers_of, statement_dag
 from repro.ir.memo import OwnerMemo
 from repro.ir.stencil import ProgramIR, StencilInstance
 
@@ -321,3 +323,49 @@ def plane_reads(
         )
         for array, seen in offsets.items()
     }
+
+
+# -- the fission slices and halos ---------------------------------------------
+
+
+def statements_for_output(instance: StencilInstance, output: str) -> Tuple[int, ...]:
+    """The backward slice of ``output`` over a freshly built statement DAG."""
+    graph = statement_dag(instance)
+    needed = set(producers_of(instance, output))
+    frontier = list(needed)
+    while frontier:
+        node = frontier.pop()
+        for pred in graph.predecessors(node):
+            if pred not in needed:
+                needed.add(pred)
+                frontier.append(pred)
+    return tuple(sorted(needed))
+
+
+def _subscript_reach(instance: StencilInstance, indices) -> int:
+    reach = 0
+    for i in indices:
+        for access in array_accesses(instance.statements[i].rhs):
+            for idx in access.indices:
+                if idx.single_iterator() is not None:
+                    reach = max(reach, abs(idx.const))
+    return reach
+
+
+def max_statement_order(instance: StencilInstance) -> int:
+    return _subscript_reach(instance, range(len(instance.statements)))
+
+
+def output_halo(instance: StencilInstance, output: str) -> int:
+    return _subscript_reach(instance, statements_for_output(instance, output))
+
+
+def consumes_prior_output(
+    instance: StencilInstance, output: str, prior: Sequence[str]
+) -> bool:
+    prior_set = set(prior)
+    return any(
+        access.name in prior_set
+        for i in statements_for_output(instance, output)
+        for access in array_accesses(instance.statements[i].rhs)
+    )

@@ -7,7 +7,9 @@ analysis must agree with its reference exactly, dict order included, on
 the 11 suite kernels, on their fission candidates, and on generated
 programs with repeated-iterator reads (``A[i-1][i+1]``), skewed and
 constant subscripts, lower-rank arrays, ``+=`` local chains and reads of
-arrays an earlier statement of the same kernel wrote.
+arrays an earlier statement of the same kernel wrote.  The recompute
+fission helpers (memoized output slices, subscript halos read from the
+facts) are checked the same way.
 
 CI runs the generated-program property with ``--hypothesis-profile=fuzz
 --hypothesis-seed=0`` for about 2,000 examples.
@@ -28,6 +30,8 @@ from repro.gpu import pricing
 from repro.gpu.registers import _expression_registers
 from repro.ir import build_ir
 from repro.suite import BENCHMARKS
+from repro.ir.dag import statements_for_output
+from repro.tuning import fission
 from repro.tuning.fission import generate_fission_candidates
 
 from tests.ir import reference_analysis as ref
@@ -98,6 +102,27 @@ def check_instance(ir, instance) -> None:
         assert tiling.distinct_read_offsets(
             ir, instance, array
         ) == ref.distinct_read_offsets(ir, instance, array)
+    check_fission_helpers(ir, instance)
+
+
+def check_fission_helpers(ir, instance) -> None:
+    """Slices, halos and chaining of recompute fission equal the walks."""
+    assert fission._max_statement_order(ir, instance) == ref.max_statement_order(
+        instance
+    )
+    outputs = instance.arrays_written()
+    for position, output in enumerate(outputs):
+        for _ in range(2):  # the second read comes from the pinned memo
+            assert statements_for_output(
+                instance, output
+            ) == ref.statements_for_output(instance, output)
+        assert fission._output_halo(ir, instance, output) == ref.output_halo(
+            instance, output
+        )
+        prior = outputs[:position]
+        assert fission._consumes_prior_output(
+            ir, instance, output, prior
+        ) == ref.consumes_prior_output(instance, output, prior)
 
 
 def check_program(ir) -> None:

@@ -79,6 +79,42 @@ class TestPlanSerialization:
         assert ir_fingerprint(smoother_ir) == ir_fingerprint(smoother_ir)
         assert len(ir_fingerprint(smoother_ir)) == 16
 
+    def test_ir_fingerprint_hashes_the_repr_once(self, monkeypatch):
+        from hashlib import sha256
+
+        from repro.ir.stencil import ProgramIR
+        from repro.suite import load_ir
+
+        ir = load_ir("7pt-smoother")  # a fresh IR: nothing pinned yet
+        want = sha256(repr(ir).encode()).hexdigest()[:16]
+        calls = []
+        plain = ProgramIR.__repr__
+
+        def counted(ir):
+            calls.append(ir)
+            return plain(ir)
+
+        monkeypatch.setattr(ProgramIR, "__repr__", counted)
+        assert ir_fingerprint(ir) == want
+        assert ir_fingerprint(ir) == want
+        assert len(calls) == 1
+
+    def test_ir_fingerprint_keys_journals_of_earlier_runs(self, tmp_path):
+        # The digest of the 7pt smoother's repr, as journals recorded
+        # before the digest was memoized key their units: such a journal
+        # must still resume.
+        from repro.gpu import P100
+        from repro.pipeline import optimize
+        from repro.suite import load_ir
+
+        recorded = "5191f272c681cb27"
+        path = str(tmp_path / "run.jsonl")
+        with TuningJournal(path, device="P100") as journal:
+            optimize(load_ir("7pt-smoother"), device=P100, journal=journal)
+        _, records = read_journal(path)
+        assert records
+        assert {r["key"].split(":")[0] for r in records} == {recorded}
+
 
 class TestJournalRoundTrip:
     def test_records_replay_after_reopen(self, tmp_path, base_plan):

@@ -83,6 +83,26 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "line=2" in err
 
+    @pytest.mark.parametrize(
+        "extent, where",
+        [
+            # 2**63 points: the lane model's int64 flop count used to wrap.
+            (2097152, "array 'a' has 9223372036854775808 elements"),
+            # Past int64: pricing used to fail with exit 4.
+            (99999999999999999999999, "parameter 'N' is 99999999999999999999999"),
+        ],
+    )
+    def test_oversized_program_is_exit_3(self, tmp_path, capsys, extent, where):
+        big = tmp_path / "big.dsl"
+        big.write_text(SPATIAL_SRC.replace("N=64", f"N={extent}"))
+        code = main(["optimize", str(big)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: {where}, more than the 68719476736 ")
+        line = "4" if extent == 2097152 else "2"
+        assert f"line={line}" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("where", sorted(BROKEN_MODEL))
     def test_evaluation_failure_is_exit_4(
         self, spec, capsys, monkeypatch, where

@@ -132,6 +132,16 @@ class TestMalformedNumbers:
         bad = size if number == "2" else number
         assert err == f"error: malformed number {bad!r} [{where}]\n"
 
+    def test_integer_past_the_largest_float_exits_3_at_the_token(
+        self, tmp_path, capsys
+    ):
+        number = "9" * 400  # converting it to float raised OverflowError
+        spec = tmp_path / "big.stencil"
+        spec.write_text(_ONE_STATEMENT.format(size="64", number=number))
+        assert main(["optimize", str(spec)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: number {number!r} is too large [col=46, line=5]\n"
+
 
 class TestDeepTune:
     def test_smoother(self, capsys):
