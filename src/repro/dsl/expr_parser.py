@@ -120,12 +120,6 @@ class TokenStream:
             self.current = self._tokens[self._pos]
         return tok
 
-    def step(self) -> Token:
-        """Advance past a token known not to be EOF; the new current."""
-        self._pos += 1
-        tok = self.current = self._tokens[self._pos]
-        return tok
-
     def expect(self, kind: str, value: Optional[str] = None) -> Token:
         tok = self.current
         if tok.kind != kind or (value is not None and tok.value != value):
@@ -277,7 +271,7 @@ def _parse_sum(stream: TokenStream, nest: int) -> Tuple[Expr, int]:
         term, depth = _parse_operand(stream, nest)
         op = stream.current.value
         while op in _MULTIPLICATIVE:
-            stream.step()
+            stream.advance()
             right, right_depth = _parse_operand(stream, nest)
             term, depth = _join(op, term, depth, right, right_depth)
             op = stream.current.value
@@ -285,7 +279,7 @@ def _parse_sum(stream: TokenStream, nest: int) -> Tuple[Expr, int]:
             term, depth = _join(add_op, total, total_depth, term, depth)
         if op not in _ADDITIVE:
             return term, depth
-        stream.step()
+        stream.advance()
         total, total_depth, add_op = term, depth, op
 
 
@@ -300,7 +294,8 @@ def _parse_operand(stream: TokenStream, nest: int) -> Tuple[Expr, int]:
         tok = stream.current
     kind = tok.kind
     if kind == _ID:
-        follow = stream.step()
+        stream.advance()
+        follow = stream.current
         if follow.kind == _SUBSCRIPTS:
             if nest >= MAX_NESTING:
                 raise _nesting_error()
@@ -382,7 +377,8 @@ def _parse_array_access(
     tok = stream.current
     if tok.kind == _SUBSCRIPTS:
         chain = tok.value
-        follow = stream.step()
+        stream.advance()
+        follow = stream.current
         if follow.value != "[" and follow.kind != _SUBSCRIPTS:
             key = name_tok.value + chain
             access = stream.accesses.get(key)
@@ -399,7 +395,7 @@ def _parse_array_access(
         tok = stream.current
         if tok.kind == _SUBSCRIPTS:
             indices.extend(stream.lower_chain(tok.value))
-            stream.step()
+            stream.advance()
         elif tok.value == "[":
             stream.advance()
             idx_expr = _parse_sum(stream, nest)[0]

@@ -73,16 +73,23 @@ _new = tuple.__new__
 # sign is then consumed even if no digit follows it ("1e+" is a FLOAT).
 _EXPONENT = r"[eE](?=[0-9+-])[+-]?[0-9]*"
 
-# A subscript constant: at most 15 digits, so it is exactly a float and
-# lowers to the value the expression route gives it.
-_CONST = r"[0-9]{1,15}"
-_SIMPLE = r"\[(?:[A-Za-z_]\w*(?:[+-]" + _CONST + r")?|" + _CONST + r")\]"
 
-#: One simple subscript: ``[it]``, ``[it+c]``, ``[it-c]`` or ``[c]``, no
-#: blanks.  Groups: identifier, sign, its constant, a lone constant.
-SUBSCRIPT = re.compile(
-    r"\[(?:([A-Za-z_]\w*)(?:([+-])(" + _CONST + r"))?|(" + _CONST + r"))\]"
-)
+def _simple_subscript(group: str) -> str:
+    """The pattern of one simple subscript, ``[it]``, ``[it+c]``,
+    ``[it-c]`` or ``[c]`` with no blanks, whose parts (identifier, sign,
+    its constant, a lone constant) each open with ``group``.
+
+    A constant has at most 15 digits, so it is exactly a float and lowers
+    to the value the expression route gives it.
+    """
+    ident, const = group + r"[A-Za-z_]\w*)", group + r"[0-9]{1,15})"
+    return rf"\[(?:{ident}(?:{group}[+-]){const})?|{const})\]"
+
+
+#: One simple subscript.  Groups: identifier, sign, its constant, a lone
+#: constant.
+SUBSCRIPT = re.compile(_simple_subscript("("))
+_SIMPLE = _simple_subscript("(?:")  # the same, without groups
 
 #: One token (after optional blanks) per match.  Group numbers are the
 #: dispatch keys in :func:`scan`; the most frequent kinds come first.  A
@@ -90,7 +97,7 @@ SUBSCRIPT = re.compile(
 #: its value.  ``\w`` is exactly ``str.isalnum() or "_"``, so
 #: identifiers may continue with any Unicode letter or digit.
 _TOKEN = re.compile(
-    r"[ \t\r]*+(?:"
+    r"[ \t\r]*(?:"
     r"((?:" + _SIMPLE + r")+)"  # 1 SUBSCRIPTS
     r"|([-+*/=<>!]=|[()\[\]{},;=+\-*/<>!?:])"  # 2 PUNCT
     r"|([A-Za-z_]\w*)"  # 3 ID

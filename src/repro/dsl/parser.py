@@ -209,7 +209,7 @@ class _ProgramParser:
 
     def _parse_dim(self):
         s = self.stream
-        tok = s.expand()
+        tok = s.current
         if tok.kind == lexer.ID:
             s.advance()
             return tok.value

@@ -11,8 +11,8 @@ the offending construct (threaded from lexer tokens through the AST's
 :class:`~repro.dsl.ast.SourceSpan` fields), so ``validate`` and
 ``repro lint`` report positions consistently.
 
-Sizes are bounded so that every quantity of the performance model fits
-its ``int64`` lanes (:data:`MAX_EXTENT`, :data:`MAX_OFFSET`).
+Sizes are bounded so that the performance model's halo footprints fit
+its ``int64`` lanes (:data:`MAX_EXTENT`, :func:`reach_limit`).
 """
 
 from __future__ import annotations
@@ -35,17 +35,29 @@ from .ast import (
 from .errors import ValidationError
 
 
-#: Largest parameter value, integer extent and array element count
-#: (2**36 points: 512 GiB of doubles, several times any device's memory).
+#: Largest parameter value, integer extent, array element count and
+#: constant subscript (2**36 points: 512 GiB of doubles, several times
+#: any device's memory).
 MAX_EXTENT = 2**36
 
-#: Largest coefficient or constant, in magnitude, of a subscript that
-#: names an iterator: the reach of a stencil.  With :data:`MAX_EXTENT`
-#: points and three iterators, a one-thread tile's halo footprint summed
-#: over all blocks, ``MAX_EXTENT * (1 + 2 * MAX_OFFSET)**3`` elements of
-#: 8 bytes, stays below 2**58, a 32-fold margin under ``int64`` overflow.
-#: Each further iterator multiplies it by up to 65.
-MAX_OFFSET = 32
+
+def reach_limit(elements: int, iterators: int) -> int:
+    """Largest coefficient or constant, in magnitude, that a subscript
+    naming an iterator may have on a grid of ``iterators`` axes whose
+    largest array has ``elements`` elements.
+
+    It is the largest reach ``r`` with ``elements * (1 + 2*r)**iterators``
+    elements of 8 bytes below 2**63: the halo footprint of one-point
+    tiles summed over the grid, the largest quantity the performance
+    model holds in ``int64`` for a single-stage kernel.
+    """
+    budget = (2**63 - 1) // (8 * elements)  # the most (1 + 2r)**iterators
+    side = int(budget ** (1 / iterators))
+    while side**iterators > budget:
+        side -= 1
+    while (side + 1) ** iterators <= budget:
+        side += 1
+    return max(0, (side - 1) // 2)
 
 
 def _pos(*nodes) -> Tuple[int, int]:
@@ -174,6 +186,7 @@ def _check_sizes(
                 p,
             )
     params = program.parameter_map
+    largest = 1
     for decl in program.decls:
         elements = 1
         for dim in decl.dims:
@@ -184,25 +197,34 @@ def _check_sizes(
                 f"the {MAX_EXTENT} an array may have",
                 decl,
             )
+        largest = max(largest, elements)
+    reach = reach_limit(largest, len(program.iterators))
+    why = f"the reach {len(program.iterators)} iterators over {largest} points allow"
     seen: Set[int] = set()  # ids of the subscript tuples checked
     for name, accesses in accessed.items():
         stencil = program.stencil(name)
         for access, stmt in accesses:
             if id(access.indices) not in seen:
                 seen.add(id(access.indices))
-                _check_subscripts(stencil, access, stmt)
+                _check_subscripts(stencil, access, stmt, reach, why)
 
 
-def _check_subscripts(stencil: StencilDef, access: ArrayAccess, stmt) -> None:
+def _check_subscripts(
+    stencil: StencilDef, access: ArrayAccess, stmt, reach: int, why: str
+) -> None:
     """Fail unless each subscript's coefficients and constant keep within
-    :data:`MAX_OFFSET`, or :data:`MAX_EXTENT` for a constant subscript."""
+    ``reach`` (``why`` says where it comes from), or within
+    :data:`MAX_EXTENT` for a constant subscript."""
     for idx in access.indices:
-        bound = MAX_OFFSET if idx.coeffs else MAX_EXTENT
+        if idx.coeffs:
+            bound, source = reach, why
+        else:
+            bound, source = MAX_EXTENT, "the largest extent"
         if abs(idx.const) > bound or any(abs(c) > bound for _, c in idx.coeffs):
             _fail(
                 f"stencil {stencil.name!r}: subscript {idx} of {access.name!r} "
                 f"has a coefficient or constant larger than {bound} in "
-                "magnitude",
+                f"magnitude, {source}",
                 stmt,
                 stencil,
             )

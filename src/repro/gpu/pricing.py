@@ -102,6 +102,7 @@ __all__ = [
 _I8 = np.int64
 _F8 = np.float64
 _I8_MAX = int(np.iinfo(_I8).max)
+_I8_LIMIT = 2.0**63  # the first value past int64, exact in float64
 
 #: Knobs :func:`price_family` may sweep without changing the family's
 #: structure (everything else is part of the structural key).
@@ -768,6 +769,54 @@ class FamilyStructure:
                     stores=stores,
                 )
             )
+        self._build_int64_bounds()
+
+    def _build_int64_bounds(self) -> None:
+        """Bounds for :meth:`_check_int64`: per axis, the most a stage
+        adds to a tile for its points (``pts_span``) and for a read
+        footprint (``foot_span``), and the largest integer factor
+        :meth:`_counter_lanes` multiplies points or footprints by, summed
+        over blocks, before it converts them to ``float64``."""
+        infos = self.stage_infos
+        self.pts_span = [
+            max(sum(info.stage.expand[axis]) for info in infos)
+            for axis in range(self.ndim)
+        ]
+        self.foot_span = [
+            max(
+                [self.pts_span[axis]]
+                + [
+                    sum(info.stage.expand[axis]) + sum(halo[axis])
+                    for info in infos
+                    for halo in info.halos.values()
+                    if halo is not None
+                ]
+            )
+            for axis in range(self.ndim)
+        ]
+        pts_factors = [len(infos)]  # the points summed over stages
+        foot_factors = [1]
+        for info in infos:
+            pts_factors.append(info.flops_pp)
+            for item in info.reads:
+                kind = item["kind"]
+                if kind == "written_here":
+                    pts_factors.append(item["reads"] * item["esize"])
+                elif kind == "inter":
+                    pts_factors.append(item["served"] * item["esize"])
+                else:
+                    foot_factors.append(item["esize"])
+                    if kind == "buffered":
+                        pts_factors.append(
+                            2 + max(
+                                item["inplane"], item["center"],
+                                item["reads_distinct"],
+                            )
+                        )
+            for entry in info.stores:
+                pts_factors.append(entry["writes"] * entry["esize"])
+        self.pts_factor = max(pts_factors)
+        self.foot_factor = max(foot_factors)
 
     # -- register-model structural constants (mirrors registers.py) ------
 
@@ -1249,6 +1298,7 @@ class FamilyStructure:
         shmem = self._shmem(base, winners, inter_arrays)
 
         occ = self._occupancy_lanes(device, base["threads"], compiled, shmem)
+        self._check_int64(base, occ["infeasible"])
         counters = self._counter_lanes(
             device, base, winners, demand, compiled, shmem, occ
         )
@@ -1256,6 +1306,35 @@ class FamilyStructure:
         return _LaneArrays(
             device, base, demand, compiled, shmem, occ, counters, timing
         )
+
+    def _check_int64(self, base: dict, infeasible: np.ndarray) -> None:
+        """Raise OverflowError if an ``int64`` product of a feasible lane
+        could wrap.
+
+        Each such product is a lane's points or a read footprint, summed
+        over its blocks, times an integer factor; bounded per axis by
+        ``blocks * (tile + span)`` (a footprint by at most the domain
+        plus its span), computed in ``float64``.  ``validate`` keeps a
+        single-stage kernel within range; fusion widens a stage by the
+        halos of the stages after it, so on a large grid a fused plan
+        can still pass it.  A refused lane is not checked: nothing reads
+        its counts.
+        """
+        blocks = base["blocks"].astype(_F8)
+        pts = blocks * self.pts_factor
+        foot = blocks * self.foot_factor
+        for axis in range(self.ndim):
+            tile = base["tile"][axis]
+            pts = pts * (tile + self.pts_span[axis])
+            foot = foot * (
+                np.minimum(tile, self.domain[axis]) + self.foot_span[axis]
+            )
+        wraps = ((pts >= _I8_LIMIT) | (foot >= _I8_LIMIT)) & ~infeasible
+        if wraps.any():
+            raise OverflowError(
+                "the performance model's int64 counts of this plan on a "
+                f"{'x'.join(map(str, self.domain))} grid can pass 2**63"
+            )
 
     # -- occupancy over lanes (mirrors occupancy.occupancy) --------------
 

@@ -11,6 +11,7 @@ from repro.dsl import (
     parse,
 )
 from repro.dsl.pragmas import parse_assign, parse_pragma
+from repro.dsl.validate import reach_limit
 
 JACOBI = """
 parameter L=512, M=512, N=512;
@@ -192,20 +193,50 @@ class TestValidation:
             parse(self._program("B[j][j] = A[j][i];"))
 
     def test_subscript_reach_is_bounded(self):
-        parse(self._program("B[j][i+32] = A[j-32][i] + A[16][-32+i];"))
-        for body, where in (
-            ("B[j][i] = A[j][i] + A[j][i+33];", "i+33"),
-            ("B[j][i-33] = A[j][i];", "i-33"),
-            ("B[j][i] = A[j][33*i];", "33*i"),
-            ("B[j][i] = A[j][68719476737];", "68719476737"),
+        # Two iterators over 64 x 64 points: (1 + 2r)**2 * 4096 * 8 bytes
+        # stay below 2**63 up to r = 2**23 - 1.
+        r = 2**23 - 1
+        parse(self._program(f"B[j][i+{r}] = A[j-{r}][i] + A[16][-{r}+i];"))
+        for body, where, array in (
+            (f"B[j][i] = A[j][i] + A[j][i+{r + 1}];", f"i+{r + 1}", "A"),
+            (f"B[j][i-{r + 1}] = A[j][i];", f"i-{r + 1}", "B"),
+            (f"B[j][i] = A[j][{r + 1}*i];", f"{r + 1}*i", "A"),
         ):
             with pytest.raises(ValidationError) as info:
                 parse(self._program(body))
-            assert info.value.message.startswith(
-                f"stencil 's': subscript {where} of "
+            assert info.value.message == (
+                f"stencil 's': subscript {where} of {array!r} "
+                f"has a coefficient or constant larger than {r} in magnitude, "
+                "the reach 2 iterators over 4096 points allow"
             ), body
-            assert "larger than" in info.value.message
             assert (info.value.line, info.value.col) == (8, 11)
+        with pytest.raises(ValidationError) as info:
+            parse(self._program("B[j][i] = A[j][68719476737];"))
+        assert info.value.message == (
+            "stencil 's': subscript 68719476737 of 'A' has a coefficient or "
+            "constant larger than 68719476736 in magnitude, the largest extent"
+        )
+
+    def test_reach_limit_shrinks_with_each_iterator(self):
+        # 2**36 points: reach 127 over three iterators, 31 over four.
+        assert reach_limit(2**36, 3) == 127
+        assert reach_limit(2**36, 4) == 31
+        src = """
+        parameter N=512;
+        iterator l, k, j, i;
+        double A[N,N,N,N], B[N,N,N,N];
+        copyin A;
+        stencil s (B, A) {{ B[l][k][j][i] = A[l][k][j][i+{c}] + A[l-{c}][k][j][i]; }}
+        s (B, A);
+        copyout B;
+        """
+        parse(src.format(c=31))
+        with pytest.raises(ValidationError) as info:
+            parse(src.format(c=32))
+        assert info.value.message.startswith(
+            "stencil 's': subscript i+32 of 'A' has a coefficient or "
+            "constant larger than 31 in magnitude"
+        )
 
     def test_extents_are_bounded(self):
         at_bound = self._program("B[j][i] = A[j][i];").replace(

@@ -326,35 +326,62 @@ class TestBitwiseParity:
                 assert row["rejection"] == (lane.occ_code or "")
 
 
-def _bound_ir():
-    """The star stencil at the validator's size bounds: 2**36 points and
-    subscripts reaching ``MAX_OFFSET`` along every axis."""
-    from repro.dsl.validate import MAX_EXTENT, MAX_OFFSET
+def _bound_source(iterators, reach, fused_reach=None):
+    """A star stencil over ``iterators`` axes of 2**36 points reading
+    ``in`` at ``reach`` along every axis; with ``fused_reach``, a second
+    stencil reads its output at that reach."""
+    from repro.dsl.validate import MAX_EXTENT
 
-    n = round(MAX_EXTENT ** (1 / 3))
-    assert n**3 == MAX_EXTENT
-    c = MAX_OFFSET
-    return build_ir(parse(f"""
-    parameter L={n}, M={n}, N={n};
-    iterator k, j, i;
-    double in[L,M,N], out[L,M,N], a;
+    n = round(MAX_EXTENT ** (1 / iterators))
+    assert n**iterators == MAX_EXTENT
+    its = "lkji"[-iterators:]
+
+    def star(array, c):
+        reads = [
+            array + "".join(
+                f"[{x}{sign}{c}]" if x == it else f"[{x}]" for x in its
+            )
+            for it in its
+            for sign in "+-"
+        ]
+        return " + ".join(reads)
+
+    at = "".join(f"[{it}]" for it in its)
+    dims = ",".join("N" * iterators)
+    second, call, out = "", "", "mid"
+    if fused_reach is not None:
+        second = f"stencil t (D, C) {{ D{at} = {star('C', fused_reach)}; }}"
+        call, out = "t (out, mid);", "out"
+    return f"""
+    parameter N={n};
+    iterator {", ".join(its)};
+    double in[{dims}], mid[{dims}], out[{dims}], a;
     copyin in, a;
-    stencil s (B, A, a) {{
-      B[k][j][i] = a * (A[k][j][i+{c}] + A[k][j][i-{c}] + A[k+{c}][j][i]
-        + A[k-{c}][j][i] + A[k][j+{c}][i] + A[k][j-{c}][i]);
-    }}
-    s (out, in, a);
-    copyout out;
-    """))
+    stencil s (B, A, a) {{ B{at} = a * ({star('A', reach)}); }}
+    {second}
+    s (mid, in, a);
+    {call}
+    copyout {out};
+    """
 
 
 class TestSizeBound:
+    """At ``validate``'s size bounds no ``int64`` lane quantity wraps;
+    a plan that would wrap raises instead of pricing."""
+
+    @staticmethod
+    def _ir(iterators, fused_reach=None):
+        from repro.dsl.validate import MAX_EXTENT, reach_limit
+
+        reach = reach_limit(MAX_EXTENT, iterators)
+        return build_ir(parse(_bound_source(iterators, reach, fused_reach)))
+
     @pytest.mark.parametrize("name", sorted(DEVICES))
     def test_program_at_the_bound_prices_like_the_reference(self, name):
-        # No int64 lane quantity wraps at the bound, down to one-thread
-        # tiles (the largest halo footprint summed over blocks).
+        # Down to one-point tiles: the largest halo footprint summed
+        # over blocks.
         device = get_device(name)
-        ir = _bound_ir()
+        ir = self._ir(3)
         plans = list(PROTOS.values()) + [
             KernelPlan(kernel_names=("s.0",), block=(1, 1, 1), streaming="none"),
             KernelPlan(
@@ -362,12 +389,42 @@ class TestSizeBound:
                 stream_axis=0, placements=(("in", "shmem"),),
             ),
         ]
+        self._assert_parity(ir, plans, device)
+
+    def test_four_iterators_at_the_bound_price_like_the_reference(self):
+        # The reach limit shrinks with each iterator: at the constant
+        # 32 of three, one-point tiles here wrapped dram_read_bytes.
+        ir = self._ir(4)
+        plans = [
+            KernelPlan(kernel_names=("s.0",), block=block, streaming="none")
+            for block in [(1, 1, 1), (16, 16), (4, 8, 8)]
+        ]
+        self._assert_parity(ir, plans, P100)
+
+    @staticmethod
+    def _assert_parity(ir, plans, device):
         for plan in plans:
             (lane,) = price_family(ir, [plan], device=device).lanes
             assert_lane_parity(ir, plan, lane, device=device)
             if lane.result is not None:
                 counters = lane.result.counters
                 assert 0 < counters.useful_flops <= counters.flops
+
+    def test_fused_plan_that_would_wrap_raises(self):
+        # Fusing a stencil after the widest valid one widens the first
+        # stage's footprint past the int64 range at one-point tiles.
+        tiny = KernelPlan(
+            kernel_names=("s.0", "t.0"), block=(1, 1, 1), streaming="none"
+        )
+        with pytest.raises(OverflowError, match="4096x4096x4096 grid"):
+            price_family(self._ir(3, fused_reach=1), [tiny])
+        # At reach 14 the fused intermediate needs more shared memory
+        # than any device has: a refused lane may wrap, as nothing reads
+        # its counts.
+        ir = self._ir(3, fused_reach=14)
+        (lane,) = price_family(ir, [tiny]).lanes
+        assert_lane_parity(ir, tiny, lane)
+        assert lane.occ_code == "RL201"
 
 
 class TestDeviceParity:

@@ -24,6 +24,22 @@ s (b, a);
 copyout b;
 """
 
+FOUR_ITERATOR_SRC = """
+parameter N=512;
+iterator l, k, j, i;
+double a[N,N,N,N], b[N,N,N,N];
+copyin a;
+stencil s (b, a) {{ b[l][k][j][i] = {reads}; }}
+s (b, a);
+copyout b;
+""".format(
+    reads=" + ".join(
+        "a" + "".join(f"[{x}{s}32]" if x == it else f"[{x}]" for x in "lkji")
+        for it in "lkji"
+        for s in "+-"
+    )
+)
+
 
 @pytest.fixture
 def spec(tmp_path):
@@ -84,24 +100,37 @@ class TestExitCodes:
         assert "line=2" in err
 
     @pytest.mark.parametrize(
-        "extent, where",
+        "source, error",
         [
             # 2**63 points: the lane model's int64 flop count used to wrap.
-            (2097152, "array 'a' has 9223372036854775808 elements"),
+            (
+                SPATIAL_SRC.replace("N=64", "N=2097152"),
+                "array 'a' has 9223372036854775808 elements, more than the "
+                "68719476736 an array may have [col=8, line=4]",
+            ),
             # Past int64: pricing used to fail with exit 4.
-            (99999999999999999999999, "parameter 'N' is 99999999999999999999999"),
+            (
+                SPATIAL_SRC.replace("N=64", "N=99999999999999999999999"),
+                "parameter 'N' is 99999999999999999999999, more than the "
+                "68719476736 points an extent may have [col=11, line=2]",
+            ),
+            # Four iterators over 2**36 points at reach 32: one-point
+            # tiles used to wrap dram_read_bytes and exit 0.
+            (
+                FOUR_ITERATOR_SRC,
+                "stencil 's': subscript l+32 of 'a' has a coefficient or "
+                "constant larger than 31 in magnitude, the reach 4 "
+                "iterators over 68719476736 points allow [col=20, line=6]",
+            ),
         ],
+        ids=["2**63-points", "past-int64", "four-iterators"],
     )
-    def test_oversized_program_is_exit_3(self, tmp_path, capsys, extent, where):
+    def test_oversized_program_is_exit_3(self, tmp_path, capsys, source, error):
         big = tmp_path / "big.dsl"
-        big.write_text(SPATIAL_SRC.replace("N=64", f"N={extent}"))
+        big.write_text(source)
         code = main(["optimize", str(big)])
-        err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith(f"error: {where}, more than the 68719476736 ")
-        line = "4" if extent == 2097152 else "2"
-        assert f"line={line}" in err
-        assert len(err.strip().splitlines()) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize("where", sorted(BROKEN_MODEL))
     def test_evaluation_failure_is_exit_4(
