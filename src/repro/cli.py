@@ -33,8 +33,8 @@ from .ir.analysis import characteristics
 from .obs import (
     configure_metrics,
     configure_tracing,
-    get_metrics,
     get_tracer,
+    run_series,
     tracing_enabled,
     write_trace,
 )
@@ -51,6 +51,7 @@ from .resilience import (
 )
 from .suite import BENCHMARKS, get as get_benchmark
 from .tuning import PlanEvaluator
+from .tuning.deeptuning import check_iterations
 
 
 def _load(source: str):
@@ -72,96 +73,66 @@ def _device(name: str) -> DeviceSpec:
 
 
 def _obs_begin(args) -> None:
-    """Enable tracing/metrics before a command when its flags ask for it."""
+    """Start tracing, and empty the metrics registry, when a command's
+    flags ask for either, so the run's outputs show the run alone."""
     trace_path = getattr(args, "trace", None)
     want_metrics = getattr(args, "metrics", False)
     metrics_port = getattr(args, "metrics_port", None)
     if trace_path:
         configure_tracing(True, clear=True)
     if trace_path or want_metrics or metrics_port is not None:
-        configure_metrics(True, reset=True)
+        configure_metrics(reset=True)
 
 
 def _obs_finish(args) -> None:
-    """Write the trace file / print metrics, then disable collection."""
+    """Write the trace file / print metrics, then stop tracing.
+
+    Both show :func:`~repro.obs.metrics.run_series` of the run's
+    ``EvalStats``, the series a ``/metrics`` scrape exposes.
+    """
     trace_path = getattr(args, "trace", None)
     want_metrics = getattr(args, "metrics", False)
-    metrics_port = getattr(args, "metrics_port", None)
+    if not (trace_path or want_metrics):
+        return
+    series = run_series(getattr(args, "_eval_stats", None))
     if trace_path:
         write_trace(
             trace_path,
+            metrics=series,
             fmt=getattr(args, "trace_format", "chrome"),
             search_events=getattr(args, "_search_events", None),
         )
         spans = len(get_tracer().finished())
         print(f"trace: {spans} spans written to {trace_path}", file=sys.stderr)
-    if want_metrics:
-        _print_metrics()
-    if trace_path:
         configure_tracing(False)
-    if trace_path or want_metrics or metrics_port is not None:
-        configure_metrics(False)
+    if want_metrics:
+        _print_metrics(series)
 
 
-def _print_metrics() -> None:
-    from .obs import Histogram
-
-    snapshot = get_metrics().snapshot()
+def _print_metrics(series) -> None:
     print("\npipeline metrics:")
-    if not snapshot:
+    if not series:
         print("  (none recorded)")
         return
-    for name, data in snapshot.items():
-        kind = data["type"]
-        if kind == "histogram":
-            p50 = Histogram.quantile_from_dict(data, 0.5)
-            p95 = Histogram.quantile_from_dict(data, 0.95)
-            print(
-                f"  {name:36s} count={data['count']} sum={data['sum']:.6f} "
-                f"min={data['min']:.6f} p50={p50:.6f} p95={p95:.6f} "
-                f"max={data['max']:.6f}"
-            )
-        else:
-            value = data["value"]
-            rendered = f"{value:.6f}" if isinstance(value, float) else str(value)
-            print(f"  {name:36s} {rendered}")
+    for name, value in series.items():
+        rendered = f"{value:.6f}" if isinstance(value, float) else str(value)
+        print(f"  {name:36s} {rendered}")
 
 
-def _live_registry(engine=None):
-    """The registry one ``/metrics`` scrape exposes.
-
-    The global registry overlaid with the engine's *current* EvalStats,
-    published exactly as ``--metrics`` publishes them at shutdown.
-    """
-    from .obs import MetricsRegistry
-
-    registry = MetricsRegistry()
-    registry.merge_snapshot(
-        get_metrics().snapshot(), exclude_prefixes=("eval.",)
-    )
-    if engine is not None:
-        engine.stats.publish(registry=registry)
-    return registry
-
-
-def _start_metrics_server(args, engine=None):
+def _start_metrics_server(args, engine):
     """Serve ``/metrics`` for the run's duration when --metrics-port asks.
 
-    Each scrape exposes the global registry overlaid with the engine's
-    *current* EvalStats — the engine only publishes its totals at
-    shutdown, and a live endpoint that can't see evaluation traffic
-    mid-run would be pointless.
+    Each scrape exposes the registry plus the engine's *current*
+    EvalStats, so a live endpoint sees evaluation traffic mid-run.
     """
     port = getattr(args, "metrics_port", None)
     if port is None:
         return None
     from .obs import MetricsHTTPServer
-    from .obs.prom import prometheus_text
 
-    def collect():
-        return prometheus_text(_live_registry(engine))
-
-    server = MetricsHTTPServer(collect=collect, port=port).start()
+    server = MetricsHTTPServer(
+        collect=lambda: run_series(engine.stats), port=port
+    ).start()
     print(f"metrics: serving {server.url}", file=sys.stderr)
     return server
 
@@ -274,9 +245,13 @@ def _optimize_json_payload(args, device, outcome, report) -> dict:
 
 
 def cmd_optimize(args) -> int:
+    if args.iterations is not None:
+        check_iterations(args.iterations)
     ir = _load(args.spec)
     device = _device(args.device)
     engine = PlanEvaluator(device=device)
+    # The run's EvalStats for --metrics and --trace, a failed run's too.
+    args._eval_stats = engine.stats
     journal = _open_journal(args, device)
     server = _start_metrics_server(args, engine=engine)
     log = _open_search_log(args, engine, device)
@@ -296,8 +271,6 @@ def cmd_optimize(args) -> int:
         if journal is not None:
             journal.close()
         _close_search_log(args, log)
-    if outcome.eval_stats is not None:
-        outcome.eval_stats.publish()
     # --explain and --json share one report, built from the log.
     report = (
         build_explain(log.events()) if args.explain or args.json else None
@@ -399,6 +372,7 @@ def cmd_suite(args) -> int:
 def cmd_deep_tune(args) -> int:
     from .tuning import deep_tune, fusion_schedule
 
+    check_iterations(args.iterations)
     ir = _load(args.spec)
     if not ir.is_iterative:
         raise SystemExit("error: deep tuning applies to iterative stencils")
@@ -408,6 +382,8 @@ def cmd_deep_tune(args) -> int:
         ir = maxfuse(ir)
     device = _device(args.device)
     engine = PlanEvaluator(device=device)
+    # The run's EvalStats for --metrics and --trace, a failed run's too.
+    args._eval_stats = engine.stats
     journal = _open_journal(args, device)
     server = _start_metrics_server(args, engine=engine)
     try:
@@ -416,8 +392,6 @@ def cmd_deep_tune(args) -> int:
         _stop_metrics_server(server)
         if journal is not None:
             journal.close()
-    if result.eval_stats is not None:
-        result.eval_stats.publish()
     if args.eval_stats and result.eval_stats is not None:
         _print_eval_stats(result.eval_stats)
     for entry in result.entries:
@@ -755,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--metrics", action="store_true",
-            help="collect pipeline metrics and print them after the run",
+            help="print the run's pipeline metrics after it",
         )
         return p
 
@@ -764,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--metrics-port", type=int, default=None, metavar="PORT",
             help="serve live Prometheus metrics on 127.0.0.1:PORT "
                  "(/metrics and /healthz) for the run's duration; "
-                 "0 picks an ephemeral port. Implies metrics collection",
+                 "0 picks an ephemeral port",
         )
         return p
 

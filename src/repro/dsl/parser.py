@@ -49,7 +49,7 @@ from .expr_parser import (
     token_int,
 )
 from .pragmas import parse_assign, parse_pragma
-from .validate import validate_program
+from .validate import MAX_ITERATIONS, validate_program
 
 DTYPES = ("double", "float", "int")
 
@@ -178,9 +178,17 @@ class _ProgramParser:
     def _parse_iterate(self) -> None:
         s = self.stream
         tok = s.expect(lexer.ID, "iterate")
-        count = token_int(s.expect(lexer.INT))
+        count_tok = s.expect(lexer.INT)
+        count = token_int(count_tok)
         if count < 1:
             raise ParseError("iterate count must be >= 1", tok.line, tok.col)
+        if count > MAX_ITERATIONS:
+            raise ParseError(
+                f"iterate count {count} is more than the {MAX_ITERATIONS} "
+                f"time iterations a program may have",
+                count_tok.line,
+                count_tok.col,
+            )
         self.time_iterations = count
         s.expect_punct(";")
 

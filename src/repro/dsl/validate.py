@@ -40,6 +40,12 @@ from .errors import ValidationError
 #: any device's memory).
 MAX_EXTENT = 2**36
 
+#: Largest time-iteration count, of an ``iterate`` statement or of a
+#: ``-T`` flag.  opt(T) is a dynamic program over every step ``1..T``
+#: (:func:`repro.tuning.deeptuning.fusion_schedule`): about a second and
+#: 16 MB at this bound.
+MAX_ITERATIONS = 10**6
+
 
 def reach_limit(elements: int, iterators: int) -> int:
     """Largest coefficient or constant, in magnitude, that a subscript

@@ -80,7 +80,7 @@ from ..ir.analysis import access_summary, read_halos
 from ..ir.memo import OwnerMemo
 from ..ir.stencil import ProgramIR, StencilInstance
 from ..ir.types import sizeof
-from ..obs import counter as _obs_counter, metrics_enabled as _metrics_enabled
+from ..obs import counter as _obs_counter
 from ..obs import span as _span
 from ..resilience.errors import UsageError
 from .counters import KernelCounters, SimulationResult, TimingBreakdown
@@ -112,14 +112,11 @@ GRID_AXES = (
     "perspective", "concurrent_chunks",
 )
 
-#: Lanes priced since process start, ``simulate()``'s one-lane passes
-#: included (the ``simulate.calls`` metrics counter counts those apart).
-_PRICED_LANES = 0
-
-
 def priced_lane_count() -> int:
-    """Total lanes priced by :func:`price_family` since process start."""
-    return _PRICED_LANES
+    """Lanes priced since the metrics registry was last reset: the
+    ``pricing.lanes`` counter, ``simulate()``'s one-lane passes included
+    (the ``simulate.calls`` counter counts those apart)."""
+    return _obs_counter("pricing.lanes").value
 
 
 class LaneKnobs:
@@ -1283,10 +1280,8 @@ class FamilyStructure:
 
     def _priced(self, device, base, winners, demand) -> "_LaneArrays":
         """Count and price the lanes of ``base`` (the pricing core)."""
-        global _PRICED_LANES
         n = base["n"]
-        _PRICED_LANES += n
-        if _metrics_enabled() and n:
+        if n:
             _obs_counter("pricing.family_calls").add()
             _obs_counter("pricing.lanes").add(n)
         with _span("price_family", lanes=n):

@@ -45,7 +45,7 @@ from ..codegen.tiling import (
     shmem_bytes_per_block,
 )
 from ..ir.stencil import ProgramIR
-from ..obs import counter as _counter, metrics_enabled as _metrics_enabled
+from ..obs import counter as _counter
 from ..obs import span as _span
 from ..resilience.errors import (
     EvaluationError,
@@ -116,15 +116,12 @@ def plan_occupancy(
             device, pre.geometry.threads_per_block, compiled, pre.shmem
         )
     except ValueError as exc:
-        if _metrics_enabled():
-            _counter("simulate.prescreen_rejections").add()
-            # Classify onto the stable lint rule code (RL201/202/203)
-            # so dashboards and the evaluation engine agree on names.
-            from ..lint.rules_plan import classify_occupancy_failure
+        _counter("simulate.prescreen_rejections").add()
+        # Classify onto the stable lint rule code (RL201/202/203)
+        # so dashboards and the evaluation engine agree on names.
+        from ..lint.rules_plan import classify_occupancy_failure
 
-            _counter(
-                f"lint.reject.{classify_occupancy_failure(exc)}"
-            ).add()
+        _counter(f"lint.reject.{classify_occupancy_failure(exc)}").add()
         context = dict(getattr(exc, "context", None) or {})
         raise PlanInfeasible(str(exc), **context) from exc
 
@@ -140,8 +137,7 @@ def simulate(
     the evaluation engine, an unexpected exception inside the model
     raises an :class:`~repro.resilience.EvaluationError` naming the plan.
     """
-    if _metrics_enabled():
-        _counter("simulate.calls").add()
+    _counter("simulate.calls").add()
     with _span("simulate"):
         from .pricing import family_structure, knobs_of
 

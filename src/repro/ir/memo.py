@@ -22,7 +22,7 @@ from __future__ import annotations
 import weakref
 from typing import Any, Callable, Dict, Hashable, Optional
 
-from ..obs import counter as _counter, metrics_enabled as _metrics_enabled
+from ..obs import counter as _counter
 from ..obs import span as _span
 
 __all__ = ["OwnerMemo"]
@@ -34,7 +34,7 @@ class OwnerMemo:
     """Per-owner memo tables, each freed together with its owner.
 
     Given a prefix, a miss adds one to the ``<miss_prefix><tag>``
-    counter (when metrics are on) and computes inside a
+    counter and computes inside a
     ``<span_prefix><tag>`` span.
     """
 
@@ -57,7 +57,7 @@ class OwnerMemo:
         value = table.get(key, _MISSING)
         if value is not _MISSING:
             return value
-        if self._miss_prefix is not None and _metrics_enabled():
+        if self._miss_prefix is not None:
             _counter(self._miss_prefix + tag).add()
         if self._span_prefix is None:
             value = compute()

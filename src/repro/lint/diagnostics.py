@@ -176,9 +176,7 @@ class LintReport:
 
     def publish(self, prefix: str = "lint") -> None:
         """Mirror per-rule finding counts into the metrics registry."""
-        from ..obs import counter, metrics_enabled
+        from ..obs import counter
 
-        if not metrics_enabled() or not self.diagnostics:
-            return
         for d in self.diagnostics:
             counter(f"{prefix}.finding.{d.code}").add()

@@ -120,10 +120,9 @@ def _count_rejection(code: str) -> None:
     :func:`repro.gpu.simulator.plan_occupancy`); this helper covers the
     structural/validation codes that never reach it.
     """
-    from ..obs import counter, metrics_enabled
+    from ..obs import counter
 
-    if metrics_enabled():
-        counter(f"lint.reject.{code}").add()
+    counter(f"lint.reject.{code}").add()
 
 
 def _shape_findings(

@@ -7,9 +7,10 @@ standard to the pipeline itself.  Three pieces:
 * :mod:`~repro.obs.tracer` — hierarchical, thread-safe span tracing
   (where does wall time go across parse → analysis → planning → tuning
   → simulation?), zero-cost while disabled;
-* :mod:`~repro.obs.metrics` — a process-wide registry of counters,
-  gauges and histograms that the evaluation engine, simulator and
-  tuners feed;
+* :mod:`~repro.obs.metrics` — a process-wide registry of counters that
+  always count, fed by the simulator, lint prescreen, memo caches, lane
+  model and tuners; :func:`~repro.obs.metrics.run_series` adds one
+  engine's ``EvalStats`` as the ``eval.*`` series;
 * :mod:`~repro.obs.export` — chrome://tracing and flat-JSON export,
   plus the per-phase aggregation behind the report's timing table;
 * :mod:`~repro.obs.prom` — Prometheus text exposition and the
@@ -23,15 +24,11 @@ subcommands.  See ``docs/observability.md``.
 from .._lazy import lazy_attributes
 from .metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     configure_metrics,
     counter,
-    gauge,
     get_metrics,
-    histogram,
-    metrics_enabled,
+    run_series,
 )
 from .tracer import (
     Span,
@@ -60,8 +57,6 @@ __getattr__ = lazy_attributes(
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsHTTPServer",
     "MetricsRegistry",
     "PhaseTotal",
@@ -74,15 +69,13 @@ __all__ = [
     "configure_tracing",
     "counter",
     "flat_json",
-    "gauge",
     "get_metrics",
     "get_tracer",
-    "histogram",
     "log_context",
-    "metrics_enabled",
     "prometheus_name",
     "prometheus_text",
     "read_events",
+    "run_series",
     "span",
     "traced",
     "tracing_enabled",

@@ -6,11 +6,11 @@ Two formats serve two audiences:
   events (``ph: "X"``) — the JSON object form with a ``traceEvents``
   list — which chrome://tracing, Perfetto (ui.perfetto.dev) and
   ``about:tracing`` open directly.  Thread-name metadata events put each
-  thread that recorded spans on its own labelled track, and the metrics
-  snapshot rides along under ``otherData`` (the spec's extension point;
+  thread that recorded spans on its own labelled track, and the run's
+  metrics series rides along under ``otherData`` (the spec's extension point;
   trace viewers ignore it).
 * :func:`flat_json` is the machine-readable form: one JSON object per
-  span, plus the metrics snapshot — easy to load into pandas or jq.
+  span, plus the metrics series — easy to load into pandas or jq.
 
 Timestamps are microseconds from the earliest exported span, so traces
 are small and stable regardless of process start time.
@@ -19,12 +19,14 @@ are small and stable regardless of process start time.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..resilience.atomic import atomic_write_text
 from ..resilience.errors import UsageError
-from .metrics import MetricsRegistry, get_metrics
+from .metrics import Number, run_series
 from .tracer import Span, Tracer, get_tracer
+
+Series = Mapping[str, Number]
 
 __all__ = [
     "PhaseTotal",
@@ -33,6 +35,10 @@ __all__ = [
     "flat_json",
     "write_trace",
 ]
+
+
+def _series(metrics: Optional[Series]) -> Dict[str, Number]:
+    return run_series() if metrics is None else dict(metrics)
 
 
 def _spans_of(tracer: Optional[Tracer]) -> Tuple[Span, ...]:
@@ -67,11 +73,14 @@ def _search_instants(search_events: Sequence[dict]) -> List[Tuple[float, dict]]:
 
 def chrome_trace(
     tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: Optional[Series] = None,
     process_name: str = "repro",
     search_events: Optional[Sequence[dict]] = None,
 ) -> dict:
     """Spans (+ metrics) as a chrome://tracing JSON-object document.
+
+    ``metrics`` is the run's series (default: the registry alone,
+    :func:`~repro.obs.metrics.run_series` without an engine).
 
     ``search_events`` (a :mod:`repro.obs.search` event stream) adds one
     *instant* event (``ph: "i"``) per evaluated candidate on a dedicated
@@ -160,11 +169,10 @@ def chrome_trace(
                     "args": args,
                 }
             )
-    registry = metrics or get_metrics()
     document = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {"metrics": registry.snapshot()},
+        "otherData": {"metrics": _series(metrics)},
     }
     tracer = tracer or get_tracer()
     if tracer.dropped:
@@ -174,12 +182,11 @@ def chrome_trace(
 
 def flat_json(
     tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: Optional[Series] = None,
 ) -> dict:
     """Spans and metrics as one flat, schema-stable JSON object."""
     spans = _spans_of(tracer)
     base = min((s.start_s for s in spans), default=0.0)
-    registry = metrics or get_metrics()
     return {
         "spans": [
             {
@@ -194,14 +201,14 @@ def flat_json(
             }
             for item in spans
         ],
-        "metrics": registry.snapshot(),
+        "metrics": _series(metrics),
     }
 
 
 def write_trace(
     path: str,
     tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: Optional[Series] = None,
     fmt: str = "chrome",
     search_events: Optional[Sequence[dict]] = None,
 ) -> dict:

@@ -1,15 +1,14 @@
 """Prometheus text-exposition export and the ``/metrics`` endpoint.
 
-The registry's snapshot maps onto the Prometheus exposition format
-(version 0.0.4) with the standard conventions:
+A run's metrics series (:func:`~repro.obs.metrics.run_series`) maps onto
+the Prometheus exposition format (version 0.0.4) with the standard
+conventions:
 
 * metric names are sanitized (``eval.requests`` → ``repro_eval_requests``)
-  and counters gain the ``_total`` suffix;
-* histograms emit the full ``_bucket`` (cumulative, ``le``-labelled,
-  terminated by ``le="+Inf"``) / ``_sum`` / ``_count`` contract;
-* output is deterministic: metrics sorted by exposition name, labels
-  sorted by key, so two snapshots of the same registry produce
-  byte-identical text (pinned by ``tests/obs/test_prom.py``).
+  and, every series being a counter, gain the ``_total`` suffix;
+* output is deterministic: metrics sorted by exposition name, so two
+  renderings of the same series produce byte-identical text (pinned by
+  ``tests/obs/test_prom.py``).
 
 :class:`MetricsHTTPServer` serves ``/metrics`` and ``/healthz`` from a
 stdlib ``http.server`` on a background thread — no third-party client
@@ -19,19 +18,17 @@ pulls in) is imported only when a server starts, so runs without
 ``--metrics-port`` never pay for it.  It binds ``127.0.0.1`` by
 default; the exposition is an unauthenticated read of run internals,
 so exposing it beyond the local host is an explicit opt-in
-(``host="0.0.0.0"``).  This
-endpoint is the seed of the future ``repro serve`` daemon the ROADMAP
-names: the handler takes a *collect callback* returning a registry, so
-a long-running server can swap in whatever aggregation it needs.
+(``host="0.0.0.0"``).  The handler takes a *collect callback* returning
+the series to expose, so each scrape renders the run as it is then.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
 
-from .metrics import MetricsRegistry, get_metrics
+from .metrics import Number, run_series
 
 if TYPE_CHECKING:  # pragma: no cover
     from http.server import ThreadingHTTPServer
@@ -46,54 +43,18 @@ __all__ = [
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
-_INVALID_FIRST = re.compile(r"^[^a-zA-Z_:]")
-_INVALID_LABEL_CHARS = re.compile(r"[^a-zA-Z0-9_]")
 
 
-def prometheus_name(name: str, namespace: str = "repro") -> str:
+def prometheus_name(name: str) -> str:
     """Sanitize a registry metric name into a valid Prometheus name.
 
     Dots (the registry's hierarchy separator) and any other invalid
-    characters become underscores; the namespace is prepended once.
+    characters become underscores, under the ``repro_`` namespace.
     """
-    flat = _INVALID_CHARS.sub("_", name)
-    if namespace:
-        flat = f"{namespace}_{flat}"
-    if _INVALID_FIRST.match(flat):
-        flat = f"_{flat}"
-    return flat
+    return "repro_" + _INVALID_CHARS.sub("_", name)
 
 
-def _label_name(name: str) -> str:
-    sanitized = _INVALID_LABEL_CHARS.sub("_", name)
-    if _INVALID_FIRST.match(sanitized):
-        sanitized = f"_{sanitized}"
-    return sanitized
-
-
-def _escape_label_value(value: Any) -> str:
-    """Backslash-escape a label value per the exposition format."""
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace("\n", "\\n")
-        .replace('"', '\\"')
-    )
-
-
-def _render_labels(labels: Mapping[str, Any]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{_label_name(key)}="{_escape_label_value(labels[key])}"'
-        for key in sorted(labels)
-    )
-    return "{" + inner + "}"
-
-
-def _format_value(value: Union[int, float]) -> str:
-    if isinstance(value, bool):  # bool is an int subclass; be explicit
-        return "1" if value else "0"
+def _format_value(value: Number) -> str:
     if isinstance(value, int):
         return str(value)
     if value != value:  # NaN
@@ -103,85 +64,27 @@ def _format_value(value: Union[int, float]) -> str:
     return repr(float(value))
 
 
-def prometheus_text(
-    registry: Optional[Union[MetricsRegistry, Dict[str, Dict[str, Any]]]] = None,
-    namespace: str = "repro",
-    labels: Optional[Mapping[str, Any]] = None,
-) -> str:
-    """Render a registry (or a snapshot dict) as Prometheus exposition.
+def prometheus_text(series: Optional[Mapping[str, Number]] = None) -> str:
+    """Render a metrics series as Prometheus exposition.
 
-    ``labels`` are attached to every sample (e.g. ``{"device": "P100"}``),
-    merged under any histogram ``le`` label.  Output order is
-    deterministic: one ``# HELP``/``# TYPE`` header pair per metric,
-    metrics sorted by exposition name.
+    ``series`` maps metric names to values (default: the registry alone,
+    :func:`run_series` without an engine).  Each becomes one counter
+    with its ``# HELP``/``# TYPE`` header pair, sorted by exposition
+    name.
     """
-    if registry is None:
-        registry = get_metrics()
-    snapshot = (
-        registry.snapshot()
-        if isinstance(registry, MetricsRegistry)
-        else registry
-    )
-    base_labels = dict(labels or {})
-    blocks = []
-    for raw_name in snapshot:
-        data = snapshot[raw_name]
-        kind = data.get("type")
-        name = prometheus_name(raw_name, namespace)
-        lines = []
-        if kind == "counter":
-            name = f"{name}_total"
-            lines.append(f"# HELP {name} repro counter {raw_name}")
-            lines.append(f"# TYPE {name} counter")
-            lines.append(
-                f"{name}{_render_labels(base_labels)} "
-                f"{_format_value(data.get('value', 0))}"
-            )
-        elif kind == "gauge":
-            lines.append(f"# HELP {name} repro gauge {raw_name}")
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(
-                f"{name}{_render_labels(base_labels)} "
-                f"{_format_value(data.get('value', 0))}"
-            )
-        elif kind == "histogram":
-            lines.append(f"# HELP {name} repro histogram {raw_name}")
-            lines.append(f"# TYPE {name} histogram")
-            bounds = list(data.get("le", ()))
-            buckets = list(data.get("buckets", ()))
-            cumulative = 0
-            for index, bound in enumerate(bounds):
-                cumulative += int(buckets[index]) if index < len(buckets) else 0
-                bucket_labels = dict(base_labels)
-                bucket_labels["le"] = _format_value(float(bound))
-                lines.append(
-                    f"{name}_bucket{_render_labels(bucket_labels)} "
-                    f"{cumulative}"
-                )
-            bucket_labels = dict(base_labels)
-            bucket_labels["le"] = "+Inf"
-            lines.append(
-                f"{name}_bucket{_render_labels(bucket_labels)} "
-                f"{int(data.get('count', 0))}"
-            )
-            lines.append(
-                f"{name}_sum{_render_labels(base_labels)} "
-                f"{_format_value(data.get('sum', 0.0))}"
-            )
-            lines.append(
-                f"{name}_count{_render_labels(base_labels)} "
-                f"{int(data.get('count', 0))}"
-            )
-        else:
-            continue
-        blocks.append((name, lines))
+    if series is None:
+        series = run_series()
     out = []
-    for _, lines in sorted(blocks, key=lambda block: block[0]):
-        out.extend(lines)
+    for raw_name, name in sorted(
+        (raw, prometheus_name(raw) + "_total") for raw in series
+    ):
+        out.append(f"# HELP {name} repro counter {raw_name}")
+        out.append(f"# TYPE {name} counter")
+        out.append(f"{name} {_format_value(series[raw_name])}")
     return "\n".join(out) + ("\n" if out else "")
 
 
-Collect = Callable[[], Union[MetricsRegistry, Dict[str, Dict[str, Any]], str]]
+Collect = Callable[[], Union[Mapping[str, Number], str]]
 
 
 def _handler_class():
@@ -245,7 +148,7 @@ class MetricsHTTPServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
-        self._collect = collect or get_metrics
+        self._collect = collect or run_series
         self._host = host
         self._requested_port = port
         self._httpd: Optional[ThreadingHTTPServer] = None

@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..codegen.plan import KernelPlan, ProgramPlan
 from ..codegen.resources import auto_assign, seed_plan_from_pragma
+from ..dsl.validate import MAX_ITERATIONS
 from ..gpu.device import DeviceSpec, P100
 from ..gpu.simulator import PlanInfeasible
 from ..ir.stencil import ProgramIR
@@ -242,6 +243,18 @@ class FusionSchedule:
         return " (+) ".join(parts)
 
 
+def check_iterations(iterations: int) -> None:
+    """Refuse a time-iteration count outside ``0..MAX_ITERATIONS``
+    with a :class:`UsageError` (exit 2)."""
+    if iterations < 0:
+        raise UsageError("iteration count must be non-negative")
+    if iterations > MAX_ITERATIONS:
+        raise UsageError(
+            f"iteration count {iterations} is more than the "
+            f"{MAX_ITERATIONS} time iterations a run may have"
+        )
+
+
 def fusion_schedule(result: DeepTuningResult, iterations: int) -> FusionSchedule:
     """Solve opt(T) exactly via dynamic programming.
 
@@ -251,8 +264,7 @@ def fusion_schedule(result: DeepTuningResult, iterations: int) -> FusionSchedule
     degree axis was slower at every horizon measured (1k–100k steps),
     because each step's dispatch costs more than its k additions.
     """
-    if iterations < 0:
-        raise UsageError("iteration count must be non-negative")
+    check_iterations(iterations)
     if iterations == 0:
         return FusionSchedule(total_time_s=0.0, tiles=())
     # Degrees 1..min(k, T) are read up front, so a gap in the tuned

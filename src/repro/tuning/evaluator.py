@@ -79,7 +79,7 @@ from ..gpu.device import DeviceSpec, P100
 from ..gpu.simulator import PlanInfeasible
 from ..ir.stencil import ProgramIR
 from ..lint.rules_plan import fusion_rejection
-from ..obs import counter as _counter, metrics_enabled as _metrics_enabled
+from ..obs import counter as _counter
 from ..obs import span as _span
 from ..obs.search import SearchLog
 from ..resilience import EvaluationError
@@ -97,23 +97,15 @@ class Refusal:
     request.  It stands for the :class:`PlanInfeasible` a caller of
     :meth:`PlanEvaluator.evaluate` gets, which is built only when it is
     raised (:meth:`clone`).  RL3xx refusals keep their certifier
-    ``witness``.  ``occupancy`` marks an occupancy-screen refusal, whose
-    metrics include ``simulate.prescreen_rejections``.
+    ``witness``.
     """
 
-    __slots__ = ("message", "rule", "witness", "occupancy")
+    __slots__ = ("message", "rule", "witness")
 
-    def __init__(
-        self,
-        rule: str,
-        message: str,
-        witness: Optional[str] = None,
-        occupancy: bool = False,
-    ):
+    def __init__(self, rule: str, message: str, witness: Optional[str] = None):
         self.message = f"[{rule}] {message}"
         self.rule = rule
         self.witness = witness
-        self.occupancy = occupancy
 
     def __str__(self) -> str:
         return self.message
@@ -123,19 +115,6 @@ class Refusal:
         return PlanInfeasible(
             self.message, rule=self.rule, witness=self.witness
         )
-
-    def count(self) -> None:
-        """Bump the prescreen metrics of this rule."""
-        _count_refusal(self.rule, self.occupancy)
-
-
-def _count_refusal(rule: str, occupancy: bool) -> None:
-    """The prescreen metrics of a refusal by ``rule``: ``lint.reject.*``,
-    plus ``simulate.prescreen_rejections`` for an occupancy refusal."""
-    if _metrics_enabled():
-        if occupancy:
-            _counter("simulate.prescreen_rejections").add()
-        _counter(f"lint.reject.{rule}").add()
 
 
 def _refusal(finding) -> Optional[Refusal]:
@@ -241,28 +220,6 @@ class EvalStats:
             "wall_s": self.wall_s,
         }
 
-    def publish(self, prefix: str = "eval", registry=None) -> None:
-        """Mirror these statistics into a metrics registry.
-
-        Every field becomes a counter, except ``wall_s``, which is one
-        histogram observation — none on an idle engine, whose zero
-        timing measured nothing.  Without ``registry`` this publishes
-        into the process registry, and only while metrics are enabled;
-        the ``/metrics`` collector passes the registry it builds for
-        each scrape.
-        """
-        if registry is None:
-            from ..obs import get_metrics, metrics_enabled
-
-            if not metrics_enabled():
-                return
-            registry = get_metrics()
-        for name, value in self.as_dict().items():
-            if name != "wall_s":
-                registry.counter(f"{prefix}.{name}").add(value)
-            elif value:
-                registry.histogram(f"{prefix}.{name}").observe(value)
-
     def describe(self) -> str:
         return (
             f"{self.requests} requests, {self.hits} cache hits, "
@@ -331,12 +288,15 @@ class PlanEvaluator:
         self.stats = EvalStats()
         #: key -> (ir, SimulationResult | Refusal | INFEASIBLE exception)
         self._cache: Dict[tuple, tuple] = {}
+        #: (rule, occupancy?) -> refusals of the batch being resolved
+        self._refused: Dict[Tuple[str, bool], int] = {}
 
     # -- timing ----------------------------------------------------------------
 
     @contextmanager
     def _timed(self):
-        """Bill one engine frame's elapsed time to ``wall_s``.
+        """Bill one engine frame's elapsed time to ``wall_s`` and its
+        refusals to the prescreen counters (:meth:`_count_refusals`).
 
         Every public entry point opens exactly one frame and the engine
         never calls its own public methods, so frames do not nest.
@@ -345,6 +305,7 @@ class PlanEvaluator:
         try:
             yield
         finally:
+            self._count_refusals()
             self.stats.wall_s += time.perf_counter() - start
 
     # -- single evaluation -----------------------------------------------------
@@ -404,10 +365,9 @@ class PlanEvaluator:
         stats.infeasible += 1
         disposition = "infeasible"
         if at is not None or isinstance(src, Refusal):
-            if at is None:
-                src.count()
-            else:
-                _count_refusal(src.code(at), occupancy=True)
+            # An occupancy refusal (a lane of a pass) or a fusion one.
+            refusal = (src.rule if at is None else src.code(at), at is not None)
+            self._refused[refusal] = self._refused.get(refusal, 0) + 1
             stats.screened += 1
             stats.lint_rejections += 1
             disposition = "screened"
@@ -583,6 +543,16 @@ class PlanEvaluator:
                     raise
                 self._fail_fast(res.submitted(i), exc, i)
         return res
+
+    def _count_refusals(self) -> None:
+        """Add the batch's refusals to the prescreen counters:
+        ``lint.reject.<rule>``, plus ``simulate.prescreen_rejections``
+        for the occupancy screen's."""
+        for (rule, occupancy), n in self._refused.items():
+            _counter(f"lint.reject.{rule}").add(n)
+            if occupancy:
+                _counter("simulate.prescreen_rejections").add(n)
+        self._refused.clear()
 
     def _price_family(
         self, ir: ProgramIR, family: "_Family", levels
@@ -901,7 +871,7 @@ class Resolution:
             return src
         if self.ok[i]:
             return src.result(at)
-        return Refusal(src.code(at), src.rejection(at)[0], occupancy=True)
+        return Refusal(src.code(at), src.rejection(at)[0])
 
     def reason(self, i: int) -> Optional[str]:
         """Why lane ``i`` has no result (None when it has one)."""

@@ -59,7 +59,7 @@ from ..gpu.simulator import PlanInfeasible
 from ..ir.folding import find_fold_groups
 from ..ir.homogenize import kernel_retimable
 from ..ir.stencil import ProgramIR
-from ..obs import counter as _counter, metrics_enabled as _metrics_enabled
+from ..obs import counter as _counter
 from ..obs import span as _span
 from ..obs.search import log_context as _log_context
 from ..resilience import UsageError
@@ -429,9 +429,8 @@ class HierarchicalTuner:
             survivors = [
                 res.measurement(feasible[k]) for k in ranked[: self.top_k]
             ]
-            if _metrics_enabled():
-                _counter("tuner.stage1.candidates").add(len(grid))
-                _counter("tuner.stage1.feasible").add(len(feasible))
+            _counter("tuner.stage1.candidates").add(len(grid))
+            _counter("tuner.stage1.feasible").add(len(feasible))
             if stage_span is not None:
                 stage_span.attributes.update(
                     candidates=len(grid), feasible=len(feasible)
@@ -503,8 +502,7 @@ class HierarchicalTuner:
             for measurement in self._measure_batch(candidates):
                 if measurement is not None and measurement.time_s < best.time_s:
                     best = measurement
-            if _metrics_enabled():
-                _counter("tuner.stage2.candidates").add(len(candidates))
+            _counter("tuner.stage2.candidates").add(len(candidates))
             if stage_span is not None:
                 stage_span.attributes["candidates"] = len(candidates)
             return best

@@ -289,10 +289,9 @@ def prune_overtiled(ir, grid: KnobGrid, search_log=None) -> KnobGrid:
         return grid
     dropped = len(fits) - kept
     if dropped:
-        from ..obs import counter, metrics_enabled
+        from ..obs import counter
 
-        if metrics_enabled():
-            counter("lint.prune.overtile").add(dropped)
+        counter("lint.prune.overtile").add(dropped)
         if search_log is not None:
             search_log.emit(
                 "prune",

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import settings
 
-from repro.obs import configure_metrics, metrics_enabled
+from repro.obs import get_metrics
 
 #: ``--hypothesis-profile=fuzz``: a longer run of the properties that do
 #: not fix their own ``max_examples`` (the CI lexer differential fuzz,
@@ -17,25 +17,19 @@ settings.register_profile("fuzz", max_examples=2000, deadline=None)
 def counting_simulate_calls():
     """Count :func:`repro.gpu.simulator.simulate` calls in a block.
 
-    Turns metrics on over a fresh registry and yields a callable that
-    returns the ``simulate.calls`` counter's growth since its previous
-    call (or since the block opened).  On exit the registry is reset
-    and metrics go back to their previous setting.
+    Yields a callable that returns the growth of the always-on
+    ``simulate.calls`` counter since its previous call (or since the
+    block opened).
     """
-    was_enabled = metrics_enabled()
-    registry = configure_metrics(True, reset=True)
-    seen = 0
+    seen = get_metrics().counter("simulate.calls").value
 
     def calls() -> int:
         nonlocal seen
-        total = registry.counter("simulate.calls").value
+        total = get_metrics().counter("simulate.calls").value
         taken, seen = total - seen, total
         return taken
 
-    try:
-        yield calls
-    finally:
-        configure_metrics(was_enabled, reset=True)
+    yield calls
 
 
 @pytest.fixture

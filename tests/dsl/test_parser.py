@@ -11,7 +11,7 @@ from repro.dsl import (
     parse,
 )
 from repro.dsl.pragmas import parse_assign, parse_pragma
-from repro.dsl.validate import reach_limit
+from repro.dsl.validate import MAX_ITERATIONS, reach_limit
 
 JACOBI = """
 parameter L=512, M=512, N=512;
@@ -363,6 +363,26 @@ class TestValidation:
     def test_iterate_must_be_positive(self):
         with pytest.raises(ParseError):
             parse("parameter N=4;\niterator i;\ndouble A[N];\niterate 0;")
+
+    def test_iterate_count_is_bounded_at_the_count(self):
+        with pytest.raises(ParseError) as info:
+            parse(f"parameter N=4;\niterator i;\niterate {MAX_ITERATIONS + 1};")
+        assert (info.value.line, info.value.col) == (3, 9)
+
+    def test_iterate_count_at_the_bound_parses(self):
+        src = self.SRC_ITERATE.format(count=MAX_ITERATIONS)
+        assert parse(src).time_iterations == MAX_ITERATIONS
+
+    SRC_ITERATE = """
+    parameter N=4;
+    iterator i;
+    iterate {count};
+    double A[N], B[N];
+    copyin A;
+    stencil s (B, A) {{ B[i] = A[i]; }}
+    s (B, A);
+    copyout B;
+    """
 
 
 class TestMultiStencilPrograms:

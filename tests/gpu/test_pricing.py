@@ -535,6 +535,39 @@ class TestSpillFreeResolution:
         assert priced_lane_count() == before + 2
 
 
+class TestPricedLaneCount:
+    """``priced_lane_count()`` is the ``pricing.lanes`` counter."""
+
+    @staticmethod
+    def _counter():
+        from repro.obs import get_metrics
+
+        return get_metrics().counter("pricing.lanes").value
+
+    def test_one_simulate_adds_one(self):
+        from repro.gpu.simulator import simulate
+
+        before = priced_lane_count()
+        simulate(IR, PROTOS["serial-shm"])
+        assert priced_lane_count() == before + 1 == self._counter()
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_one_family_pass_of_n_lanes_adds_n(self, n):
+        proto = PROTOS["serial-shm"]
+        plans = [proto.replace(max_registers=32 * (1 + k)) for k in range(n)]
+        before = priced_lane_count()
+        price_family(IR, plans)
+        assert priced_lane_count() == before + n == self._counter()
+
+    def test_counts_from_the_last_reset(self):
+        from repro.obs import configure_metrics
+
+        configure_metrics(reset=True)
+        assert priced_lane_count() == 0
+        price_family(IR, [PROTOS["serial-shm"]])
+        assert priced_lane_count() == 1 == self._counter()
+
+
 class TestUsageErrors:
     def test_non_grid_axis_rejected(self):
         with pytest.raises(UsageError, match="structure"):

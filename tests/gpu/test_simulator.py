@@ -226,11 +226,3 @@ class TestOneLane:
         with pytest.raises(PlanInfeasible):
             simulate(jacobi_ir, _plan(block=(64, 64)))
         assert simulate_calls() == 2
-
-    def test_metrics_off_counts_nothing(self, jacobi_ir):
-        from repro.obs import get_metrics, metrics_enabled
-
-        assert not metrics_enabled()
-        before = get_metrics().snapshot().get("simulate.calls")
-        simulate(jacobi_ir, _plan())
-        assert get_metrics().snapshot().get("simulate.calls") == before

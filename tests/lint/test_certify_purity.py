@@ -123,8 +123,8 @@ class TestDiagnosticPurity:
 class TestCounterParity:
     def _lint_counters(self, snapshot):
         return {
-            name: data["value"]
-            for name, data in snapshot.items()
+            name: value
+            for name, value in snapshot.items()
             if name.startswith("lint.reject.")
         }
 
@@ -141,18 +141,15 @@ class TestCounterParity:
         ]
 
         def run(engines):
-            configure_metrics(True, reset=True)
-            try:
-                for index, plan in enumerate(plans):
-                    engine = engines[index % len(engines)]
-                    engine.try_evaluate(ir, plan, catch=(PlanInfeasible,))
-                counters = self._lint_counters(get_metrics().snapshot())
-                stats = [
-                    (e.stats.screened, e.stats.lint_rejections)
-                    for e in engines
-                ]
-            finally:
-                configure_metrics(False, reset=True)
+            configure_metrics(reset=True)
+            for index, plan in enumerate(plans):
+                engine = engines[index % len(engines)]
+                engine.try_evaluate(ir, plan, catch=(PlanInfeasible,))
+            counters = self._lint_counters(get_metrics().snapshot())
+            stats = [
+                (e.stats.screened, e.stats.lint_rejections)
+                for e in engines
+            ]
             return counters, stats
 
         single_counters, single_stats = run([PlanEvaluator(device=P100)])

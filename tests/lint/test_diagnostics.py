@@ -115,11 +115,8 @@ class TestLintReport:
     def test_publish_emits_per_rule_counters(self):
         from repro.obs import configure_metrics, get_metrics
 
-        configure_metrics(True, reset=True)
-        try:
-            d = self._mk(ERROR, 1)
-            LintReport((d, d)).publish()
-            snapshot = get_metrics().snapshot()
-            assert snapshot[f"lint.finding.{d.code}"]["value"] == 2
-        finally:
-            configure_metrics(False, reset=True)
+        configure_metrics(reset=True)
+        d = self._mk(ERROR, 1)
+        LintReport((d, d)).publish()
+        snapshot = get_metrics().snapshot()
+        assert snapshot[f"lint.finding.{d.code}"] == 2

@@ -61,18 +61,90 @@ class TestEvaluatorPrescreen:
         assert "lint rule" in engine.stats.describe()
 
     def test_rejection_counter_emitted(self, smoother_ir):
-        configure_metrics(True, reset=True)
-        try:
-            engine = PlanEvaluator(device=P100)
-            engine.try_evaluate(
-                smoother_ir,
-                KernelPlan((kernel_of(smoother_ir),), block=(64, 64)),
-                catch=(PlanInfeasible,),
-            )
-            snap = get_metrics().snapshot()
-            assert snap["lint.reject.RL202"]["value"] == 1
-        finally:
-            configure_metrics(False, reset=True)
+        configure_metrics(reset=True)
+        engine = PlanEvaluator(device=P100)
+        engine.try_evaluate(
+            smoother_ir,
+            KernelPlan((kernel_of(smoother_ir),), block=(64, 64)),
+            catch=(PlanInfeasible,),
+        )
+        snap = get_metrics().snapshot()
+        assert snap["lint.reject.RL202"] == 1
+
+
+class TestRefusalCounters:
+    """The engine tallies its refusals per rule and adds each batch's
+    tally to ``lint.reject.<rule>`` and ``simulate.prescreen_rejections``
+    once, when the batch ends."""
+
+    #: Five distinct plans the occupancy screen refuses as RL202.
+    BLOCKS = ((64, 64), (128, 32), (256, 16), (512, 8), (1024, 4))
+
+    def _refused(self, ir):
+        return [KernelPlan((kernel_of(ir),), block=b) for b in self.BLOCKS]
+
+    def test_one_lookup_per_rule_per_batch(self, smoother_ir, monkeypatch):
+        import repro.tuning.evaluator as evaluator
+
+        looked_up = []
+        real = evaluator._counter
+
+        def counter(name):
+            looked_up.append(name)
+            return real(name)
+
+        monkeypatch.setattr(evaluator, "_counter", counter)
+        configure_metrics(reset=True)
+        engine = PlanEvaluator(device=P100)
+        assert engine.evaluate_batch(smoother_ir, self._refused(smoother_ir)) == [
+            None
+        ] * len(self.BLOCKS)
+        assert sorted(looked_up) == [
+            "lint.reject.RL202", "simulate.prescreen_rejections",
+        ]
+        snap = get_metrics().snapshot()
+        assert snap["lint.reject.RL202"] == engine.stats.screened == 5
+        assert snap["simulate.prescreen_rejections"] == 5
+
+    def test_counters_track_screened_across_calls(self, smoother_ir):
+        configure_metrics(reset=True)
+        engine = PlanEvaluator(device=P100)
+        plans = self._refused(smoother_ir)
+        engine.evaluate_batch(smoother_ir, plans[:2])
+        for plan in plans[2:]:
+            engine.try_evaluate(smoother_ir, plan)
+        snap = get_metrics().snapshot()
+        assert snap["lint.reject.RL202"] == engine.stats.screened == 5
+
+    def test_cache_hits_add_no_refusal(self, smoother_ir):
+        configure_metrics(reset=True)
+        engine = PlanEvaluator(device=P100)
+        plan = self._refused(smoother_ir)[0]
+        for _ in range(3):
+            engine.try_evaluate(smoother_ir, plan)
+        assert engine.stats.hits == 2
+        assert get_metrics().snapshot()["lint.reject.RL202"] == 1
+
+    def test_refusals_before_a_failure_are_counted(
+        self, smoother_ir, monkeypatch
+    ):
+        from repro.resilience import EvaluationError
+
+        def log_lane(self, res, i, disposition):
+            if disposition == "simulated":
+                raise RuntimeError("model bug")
+
+        monkeypatch.setattr(PlanEvaluator, "_log_lane", log_lane)
+        configure_metrics(reset=True)
+        engine = PlanEvaluator(device=P100)
+        kernel = kernel_of(smoother_ir)
+        plans = self._refused(smoother_ir)[:2] + [
+            KernelPlan((kernel,), block=(32, 16))
+        ]
+        with pytest.raises(EvaluationError):
+            engine.evaluate_batch(smoother_ir, plans)
+        assert engine.stats.screened == 2
+        assert get_metrics().snapshot()["lint.reject.RL202"] == 2
 
 
 class TestPruneOvertiled:
@@ -99,13 +171,10 @@ class TestPruneOvertiled:
 
     def test_prune_emits_counter(self, smoother_ir):
         grid = self._grid(smoother_ir, [(), (1, 1, 8)])
-        configure_metrics(True, reset=True)
-        try:
-            prune_overtiled(smoother_ir, grid)
-            snap = get_metrics().snapshot()
-            assert snap["lint.prune.overtile"]["value"] == 1
-        finally:
-            configure_metrics(False, reset=True)
+        configure_metrics(reset=True)
+        prune_overtiled(smoother_ir, grid)
+        snap = get_metrics().snapshot()
+        assert snap["lint.prune.overtile"] == 1
 
     def test_pruned_tune_measures_fewer_lanes(self, smoother_ir):
         base = KernelPlan(
@@ -130,19 +199,16 @@ class TestSimulatorRouting:
     def test_occupancy_prescreen_counts_rule_code(self, smoother_ir):
         from repro.gpu.simulator import plan_occupancy
 
-        configure_metrics(True, reset=True)
-        try:
-            with pytest.raises(PlanInfeasible):
-                plan_occupancy(
-                    smoother_ir,
-                    KernelPlan((kernel_of(smoother_ir),), block=(64, 64)),
-                    P100,
-                )
-            snap = get_metrics().snapshot()
-            assert snap["simulate.prescreen_rejections"]["value"] == 1
-            assert snap["lint.reject.RL202"]["value"] == 1
-        finally:
-            configure_metrics(False, reset=True)
+        configure_metrics(reset=True)
+        with pytest.raises(PlanInfeasible):
+            plan_occupancy(
+                smoother_ir,
+                KernelPlan((kernel_of(smoother_ir),), block=(64, 64)),
+                P100,
+            )
+        snap = get_metrics().snapshot()
+        assert snap["simulate.prescreen_rejections"] == 1
+        assert snap["lint.reject.RL202"] == 1
 
 
 class TestHtmlReportSection:

@@ -315,18 +315,15 @@ class TestEnginePrescreen:
 
     def test_rejection_counter_emitted(self):
         ir = ir_of(PRODUCER_CONSUMER)
-        configure_metrics(True, reset=True)
-        try:
-            engine = PlanEvaluator(device=P100)
-            engine.try_evaluate(
-                ir,
-                KernelPlan(("consume.0", "produce.0"), block=(32, 16)),
-                catch=(PlanInfeasible,),
-            )
-            snap = get_metrics().snapshot()
-            assert snap["lint.reject.RL301"]["value"] == 1
-        finally:
-            configure_metrics(False, reset=True)
+        configure_metrics(reset=True)
+        engine = PlanEvaluator(device=P100)
+        engine.try_evaluate(
+            ir,
+            KernelPlan(("consume.0", "produce.0"), block=(32, 16)),
+            catch=(PlanInfeasible,),
+        )
+        snap = get_metrics().snapshot()
+        assert snap["lint.reject.RL301"] == 1
 
 
 class TestWitnessSerialization:

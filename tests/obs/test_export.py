@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs import (
-    MetricsRegistry,
     Tracer,
     aggregate_phases,
     chrome_trace,
@@ -27,9 +26,7 @@ def populated_tracer():
 class TestChromeTrace:
     def test_schema(self):
         tracer = populated_tracer()
-        registry = MetricsRegistry()
-        registry.counter("eval.requests").add(7)
-        doc = chrome_trace(tracer, registry)
+        doc = chrome_trace(tracer, {"eval.requests": 7})
         assert set(doc) == {"traceEvents", "displayTimeUnit", "otherData"}
         events = doc["traceEvents"]
         metas = [e for e in events if e["ph"] == "M"]
@@ -46,10 +43,17 @@ class TestChromeTrace:
         cats = {e["name"]: e["cat"] for e in completes}
         assert cats["tuning.stage1"] == "tuning"
         assert cats["optimize"] == "optimize"
-        assert doc["otherData"]["metrics"]["eval.requests"]["value"] == 7
+        assert doc["otherData"]["metrics"] == {"eval.requests": 7}
+
+    def test_default_metrics_are_the_registry(self):
+        from repro.obs import configure_metrics
+
+        configure_metrics(reset=True).counter("simulate.calls").add(3)
+        doc = chrome_trace(populated_tracer())
+        assert doc["otherData"]["metrics"] == {"simulate.calls": 3}
 
     def test_parent_links_survive_export(self):
-        doc = chrome_trace(populated_tracer(), MetricsRegistry())
+        doc = chrome_trace(populated_tracer(), {})
         completes = {e["name"]: e for e in doc["traceEvents"] if e["ph"] == "X"}
         root_id = completes["optimize"]["args"]["span_id"]
         assert completes["tuning.stage1"]["args"]["parent_id"] == root_id
@@ -57,7 +61,7 @@ class TestChromeTrace:
         assert "parent_id" not in completes["optimize"]["args"]
 
     def test_json_serializable(self):
-        doc = chrome_trace(populated_tracer(), MetricsRegistry())
+        doc = chrome_trace(populated_tracer(), {})
         round_trip = json.loads(json.dumps(doc))
         assert round_trip["displayTimeUnit"] == "ms"
 
@@ -66,36 +70,33 @@ class TestChromeTrace:
         for _ in range(3):
             with tracer.span("x"):
                 pass
-        doc = chrome_trace(tracer, MetricsRegistry())
+        doc = chrome_trace(tracer, {})
         assert doc["otherData"]["dropped_spans"] == 2
 
     def test_empty_tracer_exports_cleanly(self):
-        doc = chrome_trace(Tracer(enabled=True), MetricsRegistry())
+        doc = chrome_trace(Tracer(enabled=True), {})
         assert [e["ph"] for e in doc["traceEvents"]] == ["M"]
 
 
 class TestFlatJson:
     def test_spans_and_metrics(self):
-        registry = MetricsRegistry()
-        registry.gauge("g").set(2)
-        doc = flat_json(populated_tracer(), registry)
+        doc = flat_json(populated_tracer(), {"eval.wall_s": 0.5})
         assert {s["name"] for s in doc["spans"]} == {
             "optimize", "tuning.stage1", "tuning.stage2",
         }
         for item in doc["spans"]:
             assert item["start_us"] >= 0.0
             assert item["duration_us"] >= 0.0
-        assert doc["metrics"]["g"]["value"] == 2
+        assert doc["metrics"] == {"eval.wall_s": 0.5}
 
 
 class TestWriteTrace:
     def test_writes_valid_files(self, tmp_path):
         tracer = populated_tracer()
-        registry = MetricsRegistry()
         chrome_path = tmp_path / "t.json"
         flat_path = tmp_path / "f.json"
-        write_trace(str(chrome_path), tracer, registry, fmt="chrome")
-        write_trace(str(flat_path), tracer, registry, fmt="flat")
+        write_trace(str(chrome_path), tracer, {}, fmt="chrome")
+        write_trace(str(flat_path), tracer, {}, fmt="flat")
         assert "traceEvents" in json.loads(chrome_path.read_text())
         assert "spans" in json.loads(flat_path.read_text())
 
@@ -161,7 +162,7 @@ class TestSearchInstants:
         tracer = populated_tracer()
         t0 = tracer.finished()[0].start_s
         doc = chrome_trace(
-            tracer, MetricsRegistry(), search_events=self._search_events(t0)
+            tracer, {}, search_events=self._search_events(t0)
         )
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         assert len(instants) == 3  # candidates only, not header/winner
@@ -188,7 +189,7 @@ class TestSearchInstants:
         base = min(s.start_s for s in spans)
         doc = chrome_trace(
             tracer,
-            MetricsRegistry(),
+            {},
             search_events=self._search_events(base, offsets_ms=(5.0,)),
         )
         (instant,) = [e for e in doc["traceEvents"] if e["ph"] == "i"]
@@ -201,7 +202,7 @@ class TestSearchInstants:
         # would put instants at raw perf_counter microseconds).
         doc = chrome_trace(
             Tracer(enabled=True),
-            MetricsRegistry(),
+            {},
             search_events=self._search_events(1234.5),
         )
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
@@ -210,7 +211,7 @@ class TestSearchInstants:
         assert max(e["ts"] for e in instants) < 10_000  # microseconds, small
 
     def test_no_search_events_unchanged(self):
-        doc = chrome_trace(populated_tracer(), MetricsRegistry())
+        doc = chrome_trace(populated_tracer(), {})
         assert not [e for e in doc["traceEvents"] if e["ph"] == "i"]
 
     def test_write_trace_passes_search_events(self, tmp_path):
@@ -222,7 +223,7 @@ class TestSearchInstants:
         write_trace(
             str(path),
             tracer,
-            MetricsRegistry(),
+            {},
             fmt="chrome",
             search_events=self._search_events(t0),
         )

@@ -8,12 +8,9 @@ import urllib.request
 
 import pytest
 
-from repro.obs import MetricsRegistry, prometheus_name, prometheus_text
-from repro.obs.prom import (
-    CONTENT_TYPE,
-    MetricsHTTPServer,
-    _escape_label_value,
-)
+from repro.obs import configure_metrics
+from repro.obs import prometheus_name, prometheus_text
+from repro.obs.prom import CONTENT_TYPE, MetricsHTTPServer
 
 
 def _scrape(url: str):
@@ -28,70 +25,33 @@ class TestNames:
     def test_invalid_chars_sanitized(self):
         assert prometheus_name("a-b c/d") == "repro_a_b_c_d"
 
-    def test_no_namespace_leading_digit_guarded(self):
-        assert prometheus_name("9lives", namespace="")[0] == "_"
-
-
-class TestLabelEscaping:
-    def test_backslash_newline_quote(self):
-        assert _escape_label_value('a\\b\n"c"') == 'a\\\\b\\n\\"c\\"'
-
-    def test_escaped_labels_in_exposition(self):
-        reg = MetricsRegistry()
-        reg.counter("x").add(1)
-        text = prometheus_text(reg, labels={"path": 'C:\\tmp\n"x"'})
-        assert 'path="C:\\\\tmp\\n\\"x\\""' in text
+    def test_leading_digit_is_safe_under_the_namespace(self):
+        assert prometheus_name("9lives") == "repro_9lives"
 
 
 class TestExposition:
     def test_counter_gains_total_suffix(self):
-        reg = MetricsRegistry()
-        reg.counter("eval.requests").add(7)
-        text = prometheus_text(reg)
+        text = prometheus_text({"eval.requests": 7})
         assert "# TYPE repro_eval_requests_total counter" in text
+        assert "# HELP repro_eval_requests_total repro counter eval.requests" in text
         assert "repro_eval_requests_total 7\n" in text
 
-    def test_gauge_plain(self):
-        reg = MetricsRegistry()
-        reg.gauge("queue.depth").set(3)
-        text = prometheus_text(reg)
-        assert "# TYPE repro_queue_depth gauge" in text
-        assert "repro_queue_depth 3\n" in text
+    def test_seconds_render_as_float(self):
+        text = prometheus_text({"eval.wall_s": 0.25})
+        assert "repro_eval_wall_s_total 0.25\n" in text
 
-    def test_histogram_bucket_sum_count_contract(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        for v in (0.0005, 0.002, 0.002, 5000.0):  # last lands past all bounds
-            h.observe(v)
-        text = prometheus_text(reg)
-        lines = [l for l in text.splitlines() if not l.startswith("#")]
-        buckets = [l for l in lines if l.startswith("repro_lat_bucket")]
-        # cumulative and +Inf-terminated
-        counts = [int(l.rsplit(" ", 1)[1]) for l in buckets]
-        assert counts == sorted(counts)
-        assert buckets[-1].startswith('repro_lat_bucket{le="+Inf"}')
-        assert counts[-1] == 4
-        assert "repro_lat_count 4" in text
-        assert any(l.startswith("repro_lat_sum ") for l in lines)
+    def test_non_finite_values_use_exposition_spelling(self):
+        text = prometheus_text({"a": float("inf"), "b": float("nan")})
+        assert "repro_a_total +Inf\n" in text
+        assert "repro_b_total NaN\n" in text
 
-    def test_histogram_inf_bucket_counts_out_of_range(self):
-        reg = MetricsRegistry()
-        reg.histogram("lat").observe(10_000.0)  # beyond every finite bound
-        text = prometheus_text(reg)
-        finite = [
-            l
-            for l in text.splitlines()
-            if l.startswith("repro_lat_bucket") and '+Inf' not in l
-        ]
-        assert all(l.endswith(" 0") for l in finite)
-        assert 'repro_lat_bucket{le="+Inf"} 1' in text
+    def test_three_lines_per_series(self):
+        text = prometheus_text({"a": 1, "b": 2})
+        assert len(text.splitlines()) == 6
 
     def test_deterministic_and_sorted(self):
-        reg = MetricsRegistry()
-        reg.counter("z.last").add(1)
-        reg.gauge("a.first").set(2)
-        reg.histogram("m.middle").observe(0.1)
-        first, second = prometheus_text(reg), prometheus_text(reg)
+        series = {"z.last": 1, "a.first": 2, "m.middle": 0.1}
+        first, second = prometheus_text(series), prometheus_text(series)
         assert first == second
         order = [
             l.split()[2]
@@ -100,20 +60,18 @@ class TestExposition:
         ]
         assert order == sorted(order)
 
-    def test_snapshot_dict_accepted(self):
-        reg = MetricsRegistry()
+    def test_default_is_the_registry(self):
+        reg = configure_metrics(reset=True)
         reg.counter("x").add(2)
-        assert prometheus_text(reg.snapshot()) == prometheus_text(reg)
+        assert prometheus_text() == prometheus_text({"x": 2})
 
     def test_empty_registry_empty_text(self):
-        assert prometheus_text(MetricsRegistry()) == ""
+        assert prometheus_text({}) == ""
 
 
 class TestEndpoint:
     def test_metrics_and_healthz(self):
-        reg = MetricsRegistry()
-        reg.counter("eval.requests").add(5)
-        with MetricsHTTPServer(collect=lambda: reg) as server:
+        with MetricsHTTPServer(collect=lambda: {"eval.requests": 5}) as server:
             status, headers, body = _scrape(server.url)
             assert status == 200
             assert headers["Content-Type"] == CONTENT_TYPE
@@ -123,7 +81,7 @@ class TestEndpoint:
             assert status == 200 and body == "ok\n"
 
     def test_unknown_path_404(self):
-        with MetricsHTTPServer(collect=MetricsRegistry) as server:
+        with MetricsHTTPServer(collect=dict) as server:
             base = server.url.rsplit("/", 1)[0]
             with pytest.raises(urllib.error.HTTPError) as err:
                 _scrape(f"{base}/nope")

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.dsl.validate import MAX_ITERATIONS
 from repro.gpu.pricing import FamilyStructure
 from repro.resilience import EvaluationError, TuningJournal, UsageError
 from repro.tuning import PlanEvaluator
@@ -131,6 +132,47 @@ class TestExitCodes:
         code = main(["optimize", str(big)])
         assert code == 3
         assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "7pt-smoother", "--top-k", "1",
+             "-T", "99999999999999999999"],
+            ["deep-tune", "7pt-smoother", "-T", "4611686018427387904"],
+            ["optimize", "7pt-smoother", "--top-k", "1",
+             "-T", str(MAX_ITERATIONS + 1)],
+            ["deep-tune", "7pt-smoother", "-T", "-1"],
+        ],
+        ids=["past-int64", "2**62", "one-past-the-bound", "negative"],
+    )
+    def test_out_of_range_iteration_count_is_exit_2(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: iteration count ")
+        assert len(err.strip().splitlines()) == 1  # one line, no traceback
+
+    @pytest.mark.parametrize(
+        "count", ["99999999999999999999", str(MAX_ITERATIONS + 1)]
+    )
+    def test_oversized_iterate_count_is_exit_3(self, tmp_path, capsys, count):
+        source = SPATIAL_SRC.replace(
+            "iterator k, j, i;\n", f"iterator k, j, i;\niterate {count};\n"
+        )
+        path = tmp_path / "iterative.dsl"
+        path.write_text(source)
+        code = main(["optimize", str(path), "--top-k", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: iterate count {count} is more than the {MAX_ITERATIONS} "
+            f"time iterations a program may have [col=9, line=4]\n"
+        )
+
+    def test_iteration_count_at_the_bound_is_accepted(self):
+        from repro.tuning.deeptuning import check_iterations
+
+        check_iterations(MAX_ITERATIONS)
+        check_iterations(0)
 
     @pytest.mark.parametrize("where", sorted(BROKEN_MODEL))
     def test_evaluation_failure_is_exit_4(

@@ -234,9 +234,9 @@ class TestObservabilityFlags:
             assert covered(phase), f"missing phase span: {phase}"
         # Metrics ride along and mirror the evaluation-engine stats.
         metrics = document["otherData"]["metrics"]
-        assert metrics["eval.requests"]["value"] > 0
-        assert metrics["eval.simulations"]["value"] > 0
-        assert metrics["simulate.calls"]["value"] > 0
+        assert metrics["eval.requests"] > 0
+        assert metrics["eval.simulations"] > 0
+        assert metrics["simulate.calls"] > 0
         err = capsys.readouterr().err
         assert "spans written" in err
 
@@ -257,6 +257,12 @@ class TestObservabilityFlags:
         assert "pipeline metrics:" in out
         assert "eval.requests" in out
         assert "tuner.stage1.candidates" in out
+
+    def test_run_without_an_engine_prints_no_eval_series(self, capsys):
+        assert main(["profile", "7pt-smoother", "--metrics"]) == 0
+        out = capsys.readouterr().out.split("pipeline metrics:", 1)[1]
+        assert "simulate.calls" in out
+        assert "eval." not in out
 
     def test_flat_trace_format(self, tmp_path):
         trace = tmp_path / "flat.json"
@@ -286,7 +292,7 @@ class TestObservabilityFlags:
         assert "planning" in names
 
     def test_collection_disabled_after_run(self, tmp_path):
-        from repro.obs import metrics_enabled, tracing_enabled
+        from repro.obs import tracing_enabled
 
         trace = tmp_path / "t.json"
         assert main([
@@ -294,7 +300,6 @@ class TestObservabilityFlags:
             "--trace", str(trace), "--metrics",
         ]) == 0
         assert not tracing_enabled()
-        assert not metrics_enabled()
 
     def test_no_flags_records_nothing(self, capsys):
         from repro.obs import get_tracer
@@ -395,7 +400,7 @@ class TestProfileJson:
 
 
 class TestLiveObservatory:
-    """--metrics-port and the p50/p95 metric columns."""
+    """--metrics-port, and one series in every output of a run."""
 
     @staticmethod
     def _free_port():
@@ -447,12 +452,15 @@ class TestLiveObservatory:
         ), "no scrape observed evaluation counters mid-run"
         assert f"serving http://127.0.0.1:{port}" in capsys.readouterr().err
 
-    def test_metrics_table_has_quantiles(self, capsys):
+    def test_metrics_table_prints_wall_s_as_one_value(self, capsys):
         assert main([
             "optimize", "7pt-smoother", "--top-k", "1", "--metrics"
         ]) == 0
         out = capsys.readouterr().out
-        assert "p50=" in out and "p95=" in out
+        (line,) = [l for l in out.splitlines() if "eval.wall_s" in l]
+        name, value = line.split()
+        assert float(value) > 0
+        assert "p50=" not in out and "count=" not in out
 
     def test_metrics_port_parses_on_deep_tune(self):
         args = build_parser().parse_args(
@@ -460,49 +468,96 @@ class TestLiveObservatory:
         )
         assert args.metrics_port == 0
 
-    def test_publish_stats_counters_and_timing_histograms(self):
-        from repro.obs import MetricsRegistry
-        from repro.tuning import EvalStats
-
-        reg = MetricsRegistry()
-        EvalStats(requests=4, hits=1, wall_s=0.5).publish(registry=reg)
-        snap = reg.snapshot()
-        assert snap["eval.requests"]["value"] == 4
-        assert snap["eval.hits"]["value"] == 1
-        assert snap["eval.wall_s"]["count"] == 1
-        # Zero timing records no observation.
-        idle = MetricsRegistry()
-        EvalStats().publish(registry=idle)
-        assert "eval.wall_s" not in idle.snapshot()
-
-    @pytest.mark.parametrize("requests", [0, 3], ids=["idle", "busy"])
-    def test_metrics_flag_and_endpoint_publish_the_same_series(
-        self, requests
+    def test_every_output_shows_the_same_numbers(
+        self, tmp_path, capsys, monkeypatch
     ):
-        from repro.cli import _live_registry
-        from repro.obs import configure_metrics, get_metrics
-        from repro.suite import load_ir
-        from repro.tuning import PlanEvaluator
+        import json
 
-        ir = load_ir("7pt-smoother")
-        engine = PlanEvaluator()
-        for block in ((32, 16), (32, 8), (64, 4))[:requests]:
-            plan = seed_plan(ir).replace(block=block)
-            engine.try_evaluate(ir, plan, catch=(Exception,))
-        configure_metrics(True, reset=True)
-        try:
-            engine.stats.publish()  # what --metrics prints at shutdown
-            flag = {
-                name: data
-                for name, data in get_metrics().snapshot().items()
-                if name.startswith("eval.")
-            }
-            endpoint = _live_registry(engine).snapshot()
-        finally:
-            configure_metrics(False, reset=True)
-        assert endpoint == flag
-        assert flag["eval.requests"]["value"] == requests
-        assert ("eval.wall_s" in flag) == bool(requests)
+        from repro.obs import prom
+
+        rendered = []
+        stop = prom.MetricsHTTPServer.stop
+
+        def render_then_stop(server):
+            # The Prometheus text of the run's last scrape.
+            rendered.append(prom.prometheus_text(server._collect()))
+            stop(server)
+
+        monkeypatch.setattr(prom.MetricsHTTPServer, "stop", render_then_stop)
+        payload, trace = tmp_path / "j.json", tmp_path / "t.json"
+        assert main([
+            "optimize", "7pt-smoother", "--top-k", "1", "--eval-stats",
+            "--metrics", "--json", str(payload), "--trace", str(trace),
+            "--metrics-port", "0",
+        ]) == 0
+        out = capsys.readouterr().out
+
+        stats = json.loads(payload.read_text())["eval_stats"]
+        assert stats["requests"] > 0 and stats["wall_s"] > 0
+        expected = {f"eval.{name}": value for name, value in stats.items()}
+
+        def table(title):
+            lines = out.split(title, 1)[1].strip("\n").splitlines()
+            rows = {}
+            for line in lines:
+                if not line.startswith("  "):
+                    break
+                name, value = line.split()
+                rows[name] = value
+            return rows
+
+        def shown(value):
+            return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+        printed = table("pipeline metrics:")
+        assert {n: v for n, v in printed.items() if n.startswith("eval.")} == {
+            name: shown(value) for name, value in expected.items()
+        }
+        assert table("evaluation engine statistics:") == {
+            name: shown(value) for name, value in stats.items()
+        }
+
+        series = json.loads(trace.read_text())["otherData"]["metrics"]
+        assert {n: v for n, v in series.items() if n.startswith("eval.")} == expected
+        assert {name: shown(value) for name, value in series.items()} == printed
+
+        (text,) = rendered
+        samples = dict(
+            line.split() for line in text.splitlines()
+            if not line.startswith("#")
+        )
+        for name, value in expected.items():
+            sample = samples[prom.prometheus_name(name) + "_total"]
+            assert type(value)(sample) == value
+
+    def test_failed_run_still_shows_its_engine_counts(
+        self, capsys, monkeypatch
+    ):
+        from repro.gpu.pricing import FamilyStructure
+
+        price, calls = FamilyStructure._price, []
+
+        def fails_ninth_pass(self, *args):
+            calls.append(None)
+            if len(calls) > 8:
+                raise RuntimeError("model bug")
+            return price(self, *args)
+
+        monkeypatch.setattr(FamilyStructure, "_price", fails_ninth_pass)
+        assert main([
+            "optimize", "7pt-smoother", "--top-k", "1", "--metrics"
+        ]) == 4
+        rows = dict(
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        )
+        assert int(rows["eval.requests"]) > 0
+        rejected = sum(
+            int(value) for name, value in rows.items()
+            if name.startswith("lint.reject.")
+        )
+        assert int(rows["eval.screened"]) == rejected > 0
 
     def test_resumed_complete_journal_prints_no_wall_observation(
         self, tmp_path, capsys
@@ -517,8 +572,8 @@ class TestLiveObservatory:
         assert "eval.requests" in out
         assert "eval.wall_s" not in out
 
-    def test_publish_stats_covers_every_eval_stats_field(self):
-        from repro.obs import MetricsRegistry
+    def test_endpoint_series_covers_every_eval_stats_field(self):
+        from repro.obs import prometheus_text, run_series
         from repro.suite import load_ir
         from repro.tuning import PlanEvaluator
 
@@ -529,14 +584,11 @@ class TestLiveObservatory:
             engine.try_evaluate(ir, plan, catch=(Exception,))
         stats = engine.stats.as_dict()
         assert stats["requests"] == 3
-        reg = MetricsRegistry()
-        engine.stats.publish(prefix="live", registry=reg)
-        snap = reg.snapshot()
+        series = run_series(engine.stats)
+        text = prometheus_text(series)
         for name, value in stats.items():
-            if name == "wall_s":
-                assert snap[f"live.{name}"]["sum"] == pytest.approx(value)
-            else:
-                assert snap[f"live.{name}"]["value"] == value
+            assert series[f"eval.{name}"] == value
+            assert f"repro_eval_{name}_total " in text
 
 
 class TestRemovedExecutors:

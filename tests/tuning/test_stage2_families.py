@@ -116,14 +116,11 @@ def test_only_the_racing_chunk_count_is_refused(batch):
     plans = racy_family()
     racing = [p.stream_chunks > 1 for p in plans]
     engine = PlanEvaluator()
-    configure_metrics(True, reset=True)
-    try:
-        before = pricing.priced_lane_count()
-        answers = getattr(engine, batch)(ir, plans)
-        priced = pricing.priced_lane_count() - before
-        rl303 = get_metrics().snapshot()["lint.reject.RL303"]["value"]
-    finally:
-        configure_metrics(False, reset=True)
+    configure_metrics(reset=True)
+    before = pricing.priced_lane_count()
+    answers = getattr(engine, batch)(ir, plans)
+    priced = pricing.priced_lane_count() - before
+    rl303 = get_metrics().snapshot()["lint.reject.RL303"]
     assert [answer is None for answer in answers] == racing
     # The refused lanes were never priced, and each refusal is counted
     # as the screened lint rejection it is.
