@@ -15,8 +15,8 @@ CUDA emitter converts to CUDA's x-fastest convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from ..ir.folding import FoldGroup
 
@@ -41,6 +41,8 @@ STORAGE_CLASSES = (SHMEM, GMEM, REGISTER, CONSTANT)
 
 #: Register budgets explored by the autotuner (paper Section V).
 REGISTER_LEVELS = (32, 64, 128, 255)
+#: The largest per-thread register cap a plan may ask for.
+MAX_REGISTERS = 255
 
 
 @dataclass(frozen=True)
@@ -149,9 +151,10 @@ class KernelPlan:
         # them: ``_family_key`` excludes only ``max_registers``,
         # ``_structural_key`` additionally the lane knobs (block,
         # unroll, unroll_blocked, prefetch, perspective and the chunk
-        # count) — so the register escalation ladder, the tile sweep and
-        # the stage-2 variants inherit their parents' keys instead of
-        # recomputing them per candidate.
+        # count), and ``_knob_number`` holds only those lane knobs and
+        # the streaming mode — so the register escalation ladder, the
+        # tile sweep and the stage-2 variants inherit their parents'
+        # keys instead of recomputing them per candidate.
         for name in changes:
             if name not in _PLAN_FIELD_SET:
                 raise TypeError(
@@ -168,6 +171,8 @@ class KernelPlan:
             d.pop("_structural_key", None)
         if changed - _FAMILY_EXEMPT:
             d.pop("_family_key", None)
+        if changed & _KNOB_FIELDS:
+            d.pop("_knob_number", None)
         d.update(changes)
         return new
 
@@ -230,8 +235,8 @@ def _check_chunks(value) -> None:
 
 
 def _check_registers(value) -> None:
-    if not (1 <= value <= 255):
-        raise ValueError("max_registers must be in [1, 255]")
+    if not (1 <= value <= MAX_REGISTERS):
+        raise ValueError(f"max_registers must be in [1, {MAX_REGISTERS}]")
 
 
 def _check_block(value) -> None:
@@ -277,6 +282,14 @@ _STRUCTURAL_EXEMPT = frozenset(
     {
         "max_registers", "block", "unroll", "unroll_blocked", "prefetch",
         "perspective", "concurrent_chunks",
+    }
+)
+#: The fields of the pinned ``repro.codegen.tiling.plan_knob_number``:
+#: a ``replace`` touching none of them keeps it.
+_KNOB_FIELDS = frozenset(
+    {
+        "block", "unroll", "streaming", "concurrent_chunks",
+        "unroll_blocked", "prefetch", "perspective",
     }
 )
 

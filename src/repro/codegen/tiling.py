@@ -90,11 +90,47 @@ def plan_family_key(plan: KernelPlan) -> tuple:
     return key
 
 
-def family_key_with(key: tuple, block: tuple, unroll: tuple) -> tuple:
-    """The :func:`plan_family_key` of the plan whose family key is
-    ``key``, with its block and unroll replaced — no plan object needed
-    (the stage-1 grid keys its lanes this way)."""
-    return (key[0], block, *key[2:6], unroll, *key[7:])
+#: (block, unroll, mode) -> knob number, numbered as first seen in the
+#: process: the few distinct lane-knob combinations a search sweeps.
+_KNOB_NUMBERS: Dict[tuple, int] = {}
+
+
+def knob_number(block: tuple, unroll: tuple, mode: tuple) -> int:
+    """The number of one combination of the lane knobs
+    :func:`plan_family_key` holds beyond :func:`plan_structural_key`:
+    block, unroll and the ``mode`` tuple (:func:`plan_mode`).
+
+    A plan's family key is its structural key plus its knob number, so
+    the evaluator's memo keys a lane by one int, its knob number and
+    register cap, under its family's structural key.
+    """
+    key = (block, unroll, mode)
+    number = _KNOB_NUMBERS.get(key)
+    if number is None:
+        number = _KNOB_NUMBERS[key] = len(_KNOB_NUMBERS)
+    return number
+
+
+def plan_mode(plan: KernelPlan) -> tuple:
+    """The lane knobs of :func:`plan_family_key` other than block and
+    unroll: streaming mode, chunk count, ``unroll_blocked``, prefetch
+    and perspective."""
+    return (
+        plan.streaming,
+        plan.concurrent_chunks,
+        plan.unroll_blocked,
+        plan.prefetch,
+        plan.perspective,
+    )
+
+
+def plan_knob_number(plan: KernelPlan) -> int:
+    """:func:`knob_number` of a plan, pinned on it like the family key."""
+    number = plan.__dict__.get("_knob_number")
+    if number is None:
+        number = knob_number(plan.block, plan.unroll, plan_mode(plan))
+        object.__setattr__(plan, "_knob_number", number)
+    return number
 
 
 def plan_structural_key(plan: KernelPlan) -> tuple:

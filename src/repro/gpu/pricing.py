@@ -156,13 +156,20 @@ class LaneKnobs:
                 dtype=_I8,
             )
             self.perspectives = tuple(table)
-        self.ublocked = np.broadcast_to(np.asarray(ublocked, dtype=bool), (n,))
-        self.maxreg = np.broadcast_to(np.asarray(maxreg, dtype=_I8), (n,))
-        self.prefetch = np.broadcast_to(np.asarray(prefetch, dtype=bool), (n,))
-        self.chunks = np.broadcast_to(np.asarray(chunks, dtype=_I8), (n,))
+        self.ublocked = _lane_column(ublocked, bool, n)
+        self.maxreg = _lane_column(maxreg, _I8, n)
+        self.prefetch = _lane_column(prefetch, bool, n)
+        self.chunks = _lane_column(chunks, _I8, n)
 
     def __len__(self) -> int:
         return len(self.block_ix)
+
+
+def _lane_column(value, dtype, n: int) -> np.ndarray:
+    """``value`` over ``n`` lanes: a per-lane sequence, or one value for
+    every lane (filled, which costs less than a broadcast view)."""
+    column = np.asarray(value, dtype=dtype)
+    return np.full(n, column, dtype) if column.ndim == 0 else column
 
 
 def knobs_of(plans: Sequence[KernelPlan]) -> LaneKnobs:

@@ -25,10 +25,14 @@ file (``repro report``), and machine-readably (``--json``).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import compress, count, islice
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..resilience.errors import UsageError
+from .search import Block
 
 __all__ = [
     "CandidateView",
@@ -186,9 +190,13 @@ def build_explain(
     """Derive an :class:`ExplainReport` from a search-event stream.
 
     One pass reads each candidate's kind, disposition, sequence number,
-    GFLOPS and (when measured) plan identity; fingerprints are read only
-    to join the winner event, and only the winner and the top-k
-    runners-up are read in full.
+    GFLOPS and (when measured) plan identity into columns over the
+    measured candidates.  The rows of a live log's
+    :class:`~repro.obs.search.Block` are read whole: its tally gives the
+    dispositions, and the GFLOPS and key columns of its resolution the
+    rest, with no row made per lane.  Fingerprints are read only to join
+    the winner event, and only the winner and the top-k runners-up are
+    read in full.
     """
     if not events:
         raise UsageError("empty search log: nothing to explain")
@@ -199,22 +207,58 @@ def build_explain(
         device = header.get("device")
 
     candidates = 0
-    measured = 0
     winner_event: Optional[Mapping[str, Any]] = None
     advice: List[Mapping[str, Any]] = []
     phases: List[Dict[str, Any]] = []
     stats: Optional[Dict[str, Any]] = None
     dispositions: Dict[str, int] = {}
     markers: Dict[str, int] = {}
-    # Best prediction per distinct plan (cache hits repeat plans; keep
-    # one representative each), keyed by a cheap identity: a live row's
-    # (family key, registers), a loaded record's stored fingerprint.
-    best_by_plan: Dict[Any, Mapping[str, Any]] = {}
-    # Convergence: running best GFLOPS in evaluation order.
-    convergence: List[Tuple[int, float]] = []
-    best = float("-inf")
+    # The measured candidates in stream order: GFLOPS and plan number.
+    # Plans are numbered in the order they are first seen, by a cheap
+    # identity: a live lane's lane key within its structural key, a
+    # loaded record's stored fingerprint.
+    gflops_of: List[float] = []
+    plan_of: List[int] = []
+    numbers = count()
+    fingerprints = defaultdict(numbers.__next__)
+    structures = defaultdict(lambda: defaultdict(numbers.__next__))
+    # Where each measured candidate's event is: (first position, a
+    # block and the row of each of its measured lanes, or an event).
+    sources: List[Tuple[int, Any, Optional[List[int]]]] = []
 
-    for event in events:
+    for event in getattr(events, "entries", events):
+        if type(event) is Block:
+            for disposition, total in event.tally.items():
+                if disposition is None:
+                    markers["prune"] = markers.get("prune", 0) + total
+                    continue
+                candidates += total
+                dispositions[disposition] = (
+                    dispositions.get(disposition, 0) + total
+                )
+            res, lanes = event.res, event.lanes
+            measured, gflops = res.measured()
+            if not measured:
+                continue
+            rows = measured
+            if type(lanes) is not range:
+                rows = list(map({i: k for k, i in enumerate(lanes)}.get,
+                                measured))
+            lane_keys = {
+                family: structures[family.structural]
+                for family in res.families
+            }
+            sources.append((len(gflops_of), event, rows))
+            gflops_of.extend(gflops)
+            ok = res.ok
+            plan_of.extend(
+                map(
+                    _number,
+                    map(lane_keys.__getitem__, compress(res.lane_family, ok)),
+                    compress(res.keys, ok),
+                )
+            )
+            continue
         kind = event.get("kind")
         if kind == "candidate":
             candidates += 1
@@ -223,18 +267,15 @@ def build_explain(
             gflops = event.get("gflops")
             if gflops is None:
                 continue
-            measured += 1
-            if gflops > best:
-                best = gflops
-                convergence.append((int(event.get("seq", 0)), gflops))
             identity = getattr(event, "identity", None)
-            plan = (
-                identity() if identity is not None
-                else str(event.get("fingerprint", ""))
-            )
-            incumbent = best_by_plan.get(plan)
-            if incumbent is None or gflops > incumbent["gflops"]:
-                best_by_plan[plan] = event
+            if identity is not None:
+                structural, lane = identity()
+                plan = structures[structural][lane]
+            else:
+                plan = fingerprints[str(event.get("fingerprint", ""))]
+            sources.append((len(gflops_of), event, None))
+            gflops_of.append(gflops)
+            plan_of.append(plan)
         elif kind == "winner":
             winner_event = event  # last one wins (there is normally one)
         elif kind == "advice":
@@ -253,20 +294,27 @@ def build_explain(
         elif kind in MARKER_KINDS:
             markers[kind] = markers.get(kind, 0) + 1
 
-    # Representatives fastest first (stable: ties keep first-seen order).
-    ranked = sorted(
-        best_by_plan.items(), key=lambda item: item[1]["gflops"], reverse=True
-    )
-    winner_id, winner = _join_winner(winner_event, ranked)
+    event_at = _EventAt(sources)
+    # Convergence: running best GFLOPS in evaluation order.
+    convergence: List[Tuple[int, float]] = []
+    best = float("-inf")
+    for position, gflops in enumerate(gflops_of):
+        if gflops > best:
+            best = gflops
+            convergence.append((event_at.seq(position), gflops))
+
+    plans = len(fingerprints) + sum(map(len, structures.values()))
+    ranked, best_of = _rank_plans(gflops_of, plan_of, plans)
+    winner_id, winner = _join_winner(winner_event, ranked, best_of, event_at)
 
     # Top-k runners-up: best distinct plans excluding the winner's.
     winner_candidate: Optional[CandidateView] = None
     runners: List[RunnerUp] = []
     if winner is not None:
         winner_candidate = _candidate_view(winner)
-        losers = [event for plan, event in ranked if plan != winner_id]
-        for event in losers[: max(0, top_k)]:
-            cand = _candidate_view(event)
+        losers = (plan for plan in ranked if plan != winner_id)
+        for plan in islice(losers, max(0, top_k)):
+            cand = _candidate_view(event_at(best_of[plan]))
             deltas: Dict[str, Tuple[float, float, Optional[float]]] = {}
             for name in DELTA_COUNTERS:
                 value = cand.counters.get(name)
@@ -298,20 +346,73 @@ def build_explain(
         phases=tuple(phases),
         stats=stats,
         candidates=candidates,
-        measured=measured,
-        distinct_plans=len(best_by_plan),
+        measured=len(gflops_of),
+        distinct_plans=plans,
     )
 
 
-def _join_winner(winner_event, ranked):
+#: ``_number(numbering, key)``: the number of ``key`` in a
+#: ``defaultdict`` numbering, made when new.
+_number = defaultdict.__getitem__
+
+
+def _rank_plans(gflops_of: List[float], plan_of: List[int], plans: int):
+    """The distinct plans, fastest first, and each plan's best
+    candidate (its position in the columns).
+
+    Plans are numbered ``0 .. plans - 1`` in the order they were first
+    seen.  A plan's best candidate is its fastest, the first one on a
+    tie; plans with equal best GFLOPS keep their first-seen order.  Both
+    results are lists of ints: no object is made per plan.
+    """
+    best_gflops: List[Optional[float]] = [None] * plans
+    best_of = [0] * plans
+    for position, (plan, gflops) in enumerate(zip(plan_of, gflops_of)):
+        best = best_gflops[plan]
+        if best is None or gflops > best:
+            best_gflops[plan] = gflops
+            best_of[plan] = position
+    ranked = sorted(range(plans), key=best_gflops.__getitem__, reverse=True)
+    return ranked, best_of
+
+
+class _EventAt:
+    """The event of a measured candidate, by its position in the
+    columns: a row of a block (made when first read) or the event."""
+
+    __slots__ = ("sources", "starts")
+
+    def __init__(self, sources):
+        self.sources = sources
+        self.starts = [start for start, _, _ in sources]
+
+    def __call__(self, position: int) -> Mapping[str, Any]:
+        start, source, rows = self.sources[
+            bisect_right(self.starts, position) - 1
+        ]
+        if rows is None:
+            return source
+        return source.row(rows[position - start])
+
+    def seq(self, position: int) -> int:
+        """The candidate's sequence number, without making its row."""
+        start, source, rows = self.sources[
+            bisect_right(self.starts, position) - 1
+        ]
+        if rows is None:
+            return int(source.get("seq", 0))
+        return source.seq + rows[position - start]
+
+
+def _join_winner(winner_event, ranked, best_of, event_at):
     """``(identity, event)`` of the winner candidate, or ``(None, None)``.
 
     The winner event names its plans by fingerprint; of the candidates
     with one of those fingerprints, the fastest wins (on a tie, the one
-    the winner event lists first).  ``ranked`` holds the best candidate
-    per distinct plan, fastest first, so fingerprints are read only down
-    to the first match and its ties.  Without a match, the fastest
-    candidate overall stands in.
+    the winner event lists first).  ``ranked`` holds the distinct plans
+    fastest first and ``best_of`` each plan's best candidate, so
+    fingerprints are read only down to the first match and its ties.
+    Without a match, the fastest candidate overall stands in.
     """
     if not ranked:
         return None, None
@@ -320,7 +421,8 @@ def _join_winner(winner_event, ranked):
         for position, plan in enumerate(winner_event.get("plans", ())):
             order.setdefault(plan.get("fingerprint"), position)
         matched = []
-        for identity, event in ranked:
+        for identity in ranked:
+            event = event_at(best_of[identity])
             if matched and event["gflops"] < matched[0][2]["gflops"]:
                 break
             position = order.get(event.get("fingerprint"))
@@ -329,8 +431,8 @@ def _join_winner(winner_event, ranked):
         if matched:
             _, identity, event = min(matched, key=lambda m: m[0])
             return identity, event
-    identity, event = ranked[0]
-    return identity, event
+    identity = ranked[0]
+    return identity, event_at(best_of[identity])
 
 
 # ---------------------------------------------------------------------------

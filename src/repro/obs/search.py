@@ -35,9 +35,14 @@ number of ``candidate`` records equals ``EvalStats.requests`` exactly —
 cache hits, screened, infeasible and errors included — so the
 log never under- or over-reports what the engine did.
 
-``candidate`` and ``prune`` events are stored as cheap rows that render
-their plan, config and counter fields when first read (see
-:class:`_Row`); the JSONL stream is the same as if every record had been
+The ``candidate`` and ``prune`` events of one resolved batch are stored
+as one :class:`Block`: the engine's
+:class:`~repro.tuning.evaluator.Resolution`, the first ``seq``, one
+``t_ms`` and one context for all of them, the lanes that are rows and
+the batch's disposition counts.  A row (:class:`_Row`) is made only
+when it is read, and renders its plan, config and counter fields when
+those are first read; :meth:`SearchLog.events` and the JSONL stream
+show the same rows, in the same order, as if every record had been
 built eagerly.
 
 Writing is crash-safe: events accumulate in memory and the whole stream
@@ -52,15 +57,18 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Mapping
+from bisect import bisect_right
+from collections.abc import Mapping, Sequence as _Sequence
 from contextlib import contextmanager, nullcontext
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..resilience.atomic import atomic_write_text
 from ..resilience.errors import UsageError
 
 __all__ = [
     "SEARCH_LOG_VERSION",
+    "Block",
+    "Events",
     "SearchLog",
     "log_context",
     "read_events",
@@ -157,11 +165,12 @@ def _device_payload(device) -> Dict[str, Any]:
 class _Row(Mapping):
     """A ``candidate`` or ``prune`` event, rendered when it is read.
 
-    A search records tens of thousands of these, and a reader looks at
-    few of them in detail, so the row stores only what it knows at once
+    A search settles tens of thousands of lanes, and a reader looks at
+    few of them in detail, so a :class:`Block` makes a row only for a
+    lane that is read.  The row stores what its block knows at once
     (kind, sequence, time, context, disposition, device and predicted
-    GFLOPS) plus a lane of a resolved batch (``source``, ``index``:
-    :class:`~repro.tuning.evaluator.Resolution`) that builds its plan,
+    GFLOPS) plus its lane of the resolved batch (``source``, ``index``:
+    :class:`~repro.tuning.evaluator.Resolution`), which builds its plan,
     reason and :class:`~repro.gpu.counters.SimulationResult` on demand.
     Reading ``fingerprint`` computes only the fingerprint; reading any
     other field renders the full record once — the same keys, in the
@@ -207,8 +216,8 @@ class _Row(Mapping):
         return self._plan
 
     def identity(self) -> tuple:
-        """A measured candidate's plan identity, ``(plan_family_key,
-        max_registers)``: what its fingerprint digests, without hashing."""
+        """A measured candidate's plan identity, ``(structural key, lane
+        key)``: what its fingerprint digests, without hashing."""
         return self._source.identity(self._index)
 
     def _keys(self) -> List[str]:
@@ -306,6 +315,114 @@ def _fingerprint(plan, include_registers: bool = True) -> str:
 _plan_fingerprint = None
 
 
+class Block:
+    """The ``candidate`` and ``prune`` rows of one resolved batch.
+
+    ``res`` is the engine's :class:`~repro.tuning.evaluator.Resolution`;
+    ``lanes`` are the lanes that are rows, in input order (all of them,
+    or those a batch that ended early settled).  Row ``k`` is lane
+    ``lanes[k]``, with ``seq + k`` as its sequence number; every row
+    shares the block's ``t_ms`` and ``context``.  A lane whose
+    disposition (``res.disposition``) is None is a ``prune`` row, any
+    other a ``candidate`` row tagged with the engine's ``device``.
+    ``tally`` counts the rows by disposition (None: prune), in order of
+    first appearance.  Rows are made when read (:meth:`row`) and kept.
+    """
+
+    __slots__ = (
+        "res", "lanes", "seq", "t_ms", "context", "device", "tally",
+        "_log_device", "_rows",
+    )
+
+    def __init__(self, res, lanes, seq, t_ms, context, device, tally,
+                 log_device):
+        self.res = res
+        self.lanes = lanes
+        self.seq = seq
+        self.t_ms = t_ms
+        self.context = context
+        self.device = device
+        self.tally = tally
+        self._log_device = log_device
+        self._rows: Optional[Dict[int, _Row]] = None
+
+    def __len__(self) -> int:
+        return len(self.lanes)
+
+    def row(self, k: int, keep: bool = True) -> _Row:
+        """Row ``k`` (kept for the next read unless ``keep`` is false)."""
+        rows = self._rows
+        row = None if rows is None else rows.get(k)
+        if row is not None:
+            return row
+        res, i = self.res, self.lanes[k]
+        disposition = res.disposition[i]
+        if disposition is None:
+            row = _Row(
+                "prune", self.seq + k, self.t_ms, self.context,
+                self._log_device, res, i,
+            )
+        else:
+            row = _Row(
+                "candidate", self.seq + k, self.t_ms, self.context,
+                self._log_device, res, i, disposition=disposition,
+                device=self.device, gflops=res.gflops(i),
+            )
+        if keep:
+            if rows is None:
+                rows = self._rows = {}
+            rows[k] = row
+        return row
+
+    def rows(self, keep: bool = True):
+        return (self.row(k, keep) for k in range(len(self.lanes)))
+
+
+class Events(_Sequence):
+    """A snapshot of a log's events, as a read-only sequence of mappings.
+
+    ``entries`` holds the recorded events as they are stored: plain
+    dicts and :class:`Block`s.  Indexing and iteration expand each
+    block into its rows; a reader that can take a block whole (such as
+    :func:`repro.obs.explain.build_explain`) reads ``entries``.
+    """
+
+    __slots__ = ("entries", "_starts", "_len")
+
+    def __init__(self, entries: Tuple[Any, ...]):
+        self.entries = entries
+        starts: List[int] = []
+        size = 0
+        for entry in entries:
+            starts.append(size)
+            size += len(entry) if type(entry) is Block else 1
+        self._starts = starts
+        self._len = size
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[k] for k in range(*index.indices(self._len)))
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError(index)
+        at = bisect_right(self._starts, index) - 1
+        entry = self.entries[at]
+        if type(entry) is Block:
+            return entry.row(index - self._starts[at])
+        return entry
+
+    def __iter__(self):
+        for entry in self.entries:
+            if type(entry) is Block:
+                yield from entry.rows()
+            else:
+                yield entry
+
+
 class SearchLog:
     """Collects candidate-level search events; optionally streams JSONL.
 
@@ -327,9 +444,12 @@ class SearchLog:
         self.path = path
         self.device = device
         self.flush_every = max(1, int(flush_every))
-        self._events: List[Mapping] = []
-        #: encoded JSONL lines of the events flushed so far
+        #: plain events and :class:`Block`s, in emission order
+        self._events: List[Any] = []
+        #: encoded JSONL lines of the events flushed so far, and how
+        #: many entries of ``_events`` they cover
         self._lines: List[str] = []
+        self._encoded = 0
         self._counts: Dict[str, int] = {}
         #: merged context tags, innermost scope last
         self._stack: List[Dict[str, Any]] = []
@@ -369,9 +489,9 @@ class SearchLog:
         context = self._stack[-1] if self._stack else None
         return self._seq, (time.perf_counter() - self._t0) * 1e3, context
 
-    def _append(self, event: Mapping) -> None:
-        self._events.append(event)
-        self._unflushed += 1
+    def _append(self, entry, rows: int = 1) -> None:
+        self._events.append(entry)
+        self._unflushed += rows
         if self.path is not None and self._unflushed >= self.flush_every:
             self.flush()
 
@@ -385,34 +505,37 @@ class SearchLog:
         self._append(event)
         return event
 
-    def lane(
-        self,
-        source,
-        index: int,
-        disposition: Optional[str] = None,
-        gflops: Optional[float] = None,
-        device: Optional[str] = None,
-    ) -> None:
-        """Lane ``index`` of a resolved batch (``source``): a
-        ``candidate`` record when it was requested (``disposition``
-        set), else a ``prune`` record.
+    def block(self, res, tally, lanes=None, device=None) -> None:
+        """The rows of a resolved batch (``res``), as one :class:`Block`.
 
-        The row reads its plan, result and reason from ``source`` when
-        it is first read (``plan(i)``, ``result(i)``, ``reason(i)`` and
-        ``identity(i)``); ``gflops`` is None when there is no result.
+        ``lanes`` are the lanes to record, in input order (default:
+        every lane); ``tally`` counts them by disposition, in order of
+        first appearance (None for a lane pruned without a request),
+        and adds to :meth:`counts` as the rows would one by one.  The
+        rows share one ``t_ms`` and the innermost context.
         """
-        kind = "prune" if disposition is None else "candidate"
-        seq, t_ms, context = self._stamp(kind)
-        if kind == "candidate":
-            if device is None and self.device is not None:
-                device = self.device.name
+        if lanes is None:
+            lanes = range(len(res))
+        n = len(lanes)
+        if not n:
+            return
+        counts = self._counts
+        for disposition, count in tally.items():
+            if disposition is None:
+                counts["prune"] = counts.get("prune", 0) + count
+                continue
+            counts["candidate"] = counts.get("candidate", 0) + count
             key = f"candidate.{disposition}"
-            self._counts[key] = self._counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + count
+        if device is None and self.device is not None:
+            device = self.device.name
+        seq = self._seq + 1
+        self._seq += n
+        context = self._stack[-1] if self._stack else None
+        t_ms = (time.perf_counter() - self._t0) * 1e3
         self._append(
-            _Row(
-                kind, seq, t_ms, context, self.device, source, index,
-                disposition=disposition, device=device, gflops=gflops,
-            )
+            Block(res, lanes, seq, t_ms, context, device, tally, self.device),
+            n,
         )
 
     def marker(self, kind: str, plan, **fields) -> None:
@@ -495,13 +618,13 @@ class SearchLog:
 
     # -- reading / persistence ----------------------------------------------
 
-    def events(self) -> Tuple[Mapping, ...]:
-        """Every event so far, as read-only mappings.
+    def events(self) -> Events:
+        """Every event so far, as a sequence of read-only mappings.
 
         ``candidate`` and ``prune`` events render their plan, config and
         counter fields on first read; the rest are plain dicts.
         """
-        return tuple(self._events)
+        return Events(tuple(self._events))
 
     def counts(self) -> Dict[str, int]:
         """Event counts by kind, plus ``candidate.<disposition>`` splits."""
@@ -518,10 +641,16 @@ class SearchLog:
         """
         if self.path is None:
             return
-        self._lines.extend(
-            json.dumps(dict(event), default=str)
-            for event in self._events[len(self._lines):]
-        )
+        lines = self._lines
+        for entry in self._events[self._encoded:]:
+            if type(entry) is Block:
+                lines.extend(
+                    json.dumps(dict(row), default=str)
+                    for row in entry.rows(keep=False)
+                )
+            else:
+                lines.append(json.dumps(dict(entry), default=str))
+        self._encoded = len(self._events)
         self._unflushed = 0
         atomic_write_text(self.path, "\n".join(self._lines) + "\n")
 

@@ -9,41 +9,46 @@ a net win while evaluation cost stays negligible next to the
 search-space size, so all search code routes measurements through one
 :class:`PlanEvaluator`, which provides:
 
-* **content-addressed memoization** — simulation results are cached by a
-  canonical plan fingerprint + IR identity + device, so duplicate
-  variants (stage 2 generates overlapping variants per survivor, deep
-  tuning re-visits degree-1 plans, benchmarks re-tune the same kernels)
-  are never simulated twice.  Memoized and fresh paths return the very
-  same :class:`SimulationResult` objects — results are deterministic and
-  bit-for-bit identical either way.
-* **incremental simulation** — the simulator's register-independent
-  prefix (geometry, stages, buffers, access analysis, register demand)
-  is cached per plan *family*, so the paper's register-escalation ladder
+* **content-addressed memoization** — verdicts are cached by IR
+  identity, device and a canonical plan key, so duplicate variants
+  (stage 2 generates overlapping variants per survivor, deep tuning
+  re-visits degree-1 plans, benchmarks re-tune the same kernels) are
+  never priced twice.  The memo is two-level: one table per structural
+  family (IR, device and :func:`plan_structural_key`, hashed once per
+  family), keyed inside by one int per lane that encodes its knob
+  number (:func:`~repro.codegen.tiling.knob_number`) and register cap.
+  Memoized and fresh paths return the very same
+  :class:`SimulationResult` objects.
+* **incremental simulation** — the register-independent prefix
+  (geometry, stages, buffers, access analysis, register demand) is
+  cached per plan *family*, so the paper's register-escalation ladder
   (32 → 64 → 128 → 255) collapses: demand is known up front and the
   evaluator jumps straight to the first non-spilling rung instead of
   simulating every spilling one.
-* **family pricing** — batches are grouped by structural plan key and
-  each group, whatever its size, is priced in one NumPy pass over its
-  lane axis (:mod:`repro.gpu.pricing`); a lone plan is a one-lane
-  family.  Each priced lane is then one request through one seam
-  (:meth:`PlanEvaluator._evaluate`), carrying its verdict, which does
-  the accounting, memoization and telemetry.  A stage-1
+* **family pricing and settling** — batches are grouped by structural
+  plan key and each group, whatever its size, is priced in one NumPy
+  pass over its lane axis (:mod:`repro.gpu.pricing`); a lone plan is a
+  one-lane family.  Each family is then *settled* in one step
+  (:meth:`PlanEvaluator._settle`, the request seam): its lanes, in
+  input order, are looked up in the family's memo table and their
+  verdicts and dispositions written into the columns of a
+  :class:`Resolution`.  The request counters are tallied from the
+  disposition column once per batch, and the optional search log
+  records the batch as one block of rows.  A stage-1
   :class:`~repro.tuning.space.KnobGrid` is priced from its knob
-  columns and answered with a :class:`Resolution`, which builds plans
-  and results only for the lanes that are read
-  (``docs/performance_model.md``).  Each request is one ``candidate``
-  row of the optional search log, tagged with the tuner stage that
-  made it.
+  columns; the :class:`Resolution` builds plans and results only for
+  the lanes that are read (``docs/performance_model.md``).
 * **batch evaluation** — :meth:`PlanEvaluator.evaluate_batch` runs a
   batch serially on the calling thread with input-ordered results.  A
   search prices its candidates in about a second, so no worker pool
   has a workload to hide, and the engine starts no thread.
 * **fail-fast** — every batch job is one attempt.  The model is
   deterministic, so a candidate that raised once would raise again: an
-  unexpected (non-infeasibility) exception, whether raised by one
-  candidate or while pricing its whole family, ends the batch as an
-  :class:`~repro.resilience.EvaluationError` naming the candidate
-  (``docs/robustness.md``).
+  unexpected (non-infeasibility) exception, whether raised while
+  settling a candidate or while pricing its whole family, ends the
+  batch as an :class:`~repro.resilience.EvaluationError` naming the
+  candidate (``docs/robustness.md``).  The lanes settled before it are
+  counted and logged.
 * **cache / throughput statistics** — hits, misses, simulations avoided
   and wall-clock, surfaced through tuning results, ``pipeline.report``
   and the ``--eval-stats`` CLI flag.
@@ -63,15 +68,21 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
+from operator import getitem
 from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
-from ..codegen.plan import KernelPlan, REGISTER_LEVELS
+from ..codegen.plan import MAX_REGISTERS, KernelPlan, REGISTER_LEVELS
 from ..codegen.resources import InvalidPlan, validate_plan
 from ..codegen.tiling import (
-    family_key_with,
+    knob_number,
     plan_family_key,
+    plan_knob_number,
+    plan_mode,
     plan_structural_key,
 )
 from ..gpu.counters import SimulationResult
@@ -87,6 +98,13 @@ from .space import KnobGrid
 
 #: Exceptions that mark a candidate as infeasible rather than a bug.
 INFEASIBLE = (PlanInfeasible, InvalidPlan)
+
+#: The disposition of a lane no step has settled yet (``Resolution``).
+PENDING = "pending"
+
+#: A lane's memo key is ``knob number * _REGISTER_SPAN + register cap``:
+#: one int, distinct for every cap a plan may ask for.
+_REGISTER_SPAN = MAX_REGISTERS + 1
 
 
 class Refusal:
@@ -281,12 +299,14 @@ class PlanEvaluator:
         #: without the planner's feasibility screen).
         self.validate = validate
         #: candidate-level telemetry sink (``repro.obs.search``): when
-        #: set, every request resolved by this engine — cache hits,
-        #: screens, infeasibilities, errors included — emits exactly one
-        #: ``candidate`` event, so the log mirrors ``stats.requests``.
+        #: set, every resolved batch is one block of the log, with one
+        #: ``candidate`` row per request — cache hits, screens and
+        #: infeasibilities included — so the log mirrors
+        #: ``stats.requests``.
         self.search_log = search_log
         self.stats = EvalStats()
-        #: key -> (ir, SimulationResult | Refusal | INFEASIBLE exception)
+        #: family part -> (ir, :class:`_MemoTable` by lane part); see
+        #: :meth:`_key`.
         self._cache: Dict[tuple, tuple] = {}
         #: (rule, occupancy?) -> refusals of the batch being resolved
         self._refused: Dict[Tuple[str, bool], int] = {}
@@ -311,11 +331,29 @@ class PlanEvaluator:
     # -- single evaluation -----------------------------------------------------
 
     def _key(self, ir: ProgramIR, plan: KernelPlan) -> tuple:
-        # The device profile is part of the content address: the same
-        # plan priced on two profiles must never share a cache entry
-        # (profiles are frozen, hashable value objects — two specs that
-        # merely share a name still produce distinct keys).
-        return (id(ir), self.device, plan_family_key(plan), plan.max_registers)
+        """``plan``'s memo key: ``(family part, lane part)``.
+
+        The family part, ``(id(ir), device, structural key)``, names one
+        memo table and is shared by every lane of a structural family;
+        the lane part, one int encoding the plan's knob number and
+        register cap, keys the lane inside it.  Together they hold what
+        :func:`plan_family_key` and the register cap hold.  The device
+        profile is part of the content address: the same plan priced on
+        two profiles never shares a cache entry (profiles are frozen,
+        hashable value objects — two specs that merely share a name
+        still produce distinct keys).
+        """
+        return (
+            (id(ir), self.device, plan_structural_key(plan)),
+            plan_knob_number(plan) * _REGISTER_SPAN + plan.max_registers,
+        )
+
+    def _table(self, ir: ProgramIR, key: tuple) -> "_MemoTable":
+        """The memo table of the family part ``key`` (made when new)."""
+        entry = self._cache.get(key)
+        if entry is None or entry[0] is not ir:
+            entry = self._cache[key] = (ir, _MemoTable())
+        return entry[1]
 
     def evaluate(self, ir: ProgramIR, plan: KernelPlan) -> SimulationResult:
         """Validate, prescreen and price one plan, memoized.
@@ -330,55 +368,6 @@ class PlanEvaluator:
             return res.result(0)
         raise res.verdict(0).clone()
 
-    def _evaluate(self, ir: ProgramIR, key: tuple, res: "Resolution",
-                  i: int, src, at: Optional[int] = None) -> None:
-        """One request: every candidate crosses this seam exactly once.
-
-        ``key`` is the request's memo key (:meth:`_key` of its plan).
-        ``src``/``at`` is what the model says about the plan: a family
-        pass and the lane's index in it (a result or an occupancy
-        refusal), or, with ``at`` None, a fusion :class:`Refusal` or the
-        validation failure its family's prototype raised.  The seam does
-        the request/hit/miss/screen/infeasible accounting, memo write
-        and candidate event, and records the verdict as lane ``i`` of
-        ``res``; a cache hit records the memoized verdict instead.
-        """
-        stats = self.stats
-        stats.requests += 1
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is ir:
-            stats.hits += 1
-            _, src, at = hit
-            ok = res.record(i, key, src, at)
-            if not ok:
-                stats.infeasible += 1
-            self._log_lane(
-                res, i, "cache-hit" if ok else "cache-hit-infeasible"
-            )
-            return
-        stats.misses += 1
-        self._cache[key] = (ir, src, at)
-        if res.record(i, key, src, at):
-            stats.vectorized += 1
-            self._log_lane(res, i, "simulated")
-            return
-        stats.infeasible += 1
-        disposition = "infeasible"
-        if at is not None or isinstance(src, Refusal):
-            # An occupancy refusal (a lane of a pass) or a fusion one.
-            refusal = (src.rule if at is None else src.code(at), at is not None)
-            self._refused[refusal] = self._refused.get(refusal, 0) + 1
-            stats.screened += 1
-            stats.lint_rejections += 1
-            disposition = "screened"
-        self._log_lane(res, i, disposition)
-
-    def _log_lane(self, res: "Resolution", i: int, disposition: str) -> None:
-        if self.search_log is not None:
-            self.search_log.lane(
-                res, i, disposition, res.gflops(i), device=self.device.name
-            )
-
     def memoized(
         self, ir: ProgramIR, plan: KernelPlan
     ) -> Optional[SimulationResult]:
@@ -389,13 +378,16 @@ class PlanEvaluator:
         :func:`repro.codegen.generator.schedule_tflops` pricing a
         winning schedule: no request, hit or event is recorded.
         """
-        hit = self._cache.get(self._key(ir, plan))
-        if hit is None or hit[0] is not ir:
+        family, lane = self._key(ir, plan)
+        entry = self._cache.get(family)
+        if entry is None or entry[0] is not ir:
             return None
-        _, src, at = hit
-        if at is None:
-            return src if isinstance(src, SimulationResult) else None
-        return src.result(at) if src.ok[at] else None
+        table = entry[1]
+        src = table.src.get(lane)
+        if src is None:
+            return None
+        at = table.at[lane]
+        return None if at is None or not src.ok[at] else src.result(at)
 
     def try_evaluate(
         self,
@@ -485,15 +477,27 @@ class PlanEvaluator:
         ``lanes`` is a plan list or a :class:`KnobGrid`; ``levels`` is
         None for plain requests (each plan priced at its own register
         cap) or the register ladder of a spill-free batch.  Lanes are
-        grouped into structural families, and each family, whatever its
-        size, is priced in one pass from its knob columns
-        (:meth:`_price_family`).  Requests then run in input order
-        through :meth:`_evaluate`.  With ``fail_fast``, an exception
-        ``catch`` does not cover ends the batch (:meth:`_fail_fast`);
-        otherwise it propagates as raised.
+        grouped into structural families, each family probes the memo
+        once for its table, and each is priced in one pass from its
+        knob columns (:meth:`_price_family`).  The families are then
+        settled one by one (:meth:`_settle`), and the batch's tallies
+        and log block are recorded (:meth:`_account`).  With
+        ``fail_fast``, an exception ``catch`` does not cover ends the
+        batch (:meth:`_fail_fast`) after the lanes settled before it are
+        recorded; otherwise it propagates as raised.  An exception
+        ``catch`` covers leaves the family's unsettled lanes infeasible.
         """
+        if levels is not None and not all(
+            1 <= regs <= MAX_REGISTERS for regs in levels
+        ):
+            raise ValueError(
+                f"register levels must be in [1, {MAX_REGISTERS}]: {levels}"
+            )
         res = Resolution(lanes, levels)
+        irid, device = id(ir), self.device
         for family in res.families:
+            family.memo_key = key = (irid, device, family.structural)
+            family.table = self._table(ir, key)
             try:
                 self._price_family(ir, family, levels)
             except Exception as exc:  # noqa: BLE001 — fail fast
@@ -501,48 +505,163 @@ class PlanEvaluator:
                     raise
                 first = family.members[0]
                 self._fail_fast(res.submitted(first), exc, first)
-        stats = self.stats
-        log = self.search_log
-        irid, device = id(ir), self.device
-        lane_family, lane_index = res.lane_family, res.lane_index
-        for i in range(len(res)):
-            family = lane_family[i]
-            j = lane_index[i]
-            try:
-                src, at = family.shared, None
-                if family.lane_of is not None and family.lane_of[j] >= 0:
-                    src, at = family.lanes, family.lane_of[j]
-                elif family.refusals is not None:
-                    src = family.refusals[j]
+        failure = None
+        try:
+            for family in res.families:
+                try:
+                    self._settle(res, family, levels)
+                except catch:
+                    pass
+                except Exception as exc:  # noqa: BLE001 — fail fast
+                    if not fail_fast:
+                        raise
+                    failure = family, exc
+                    break
+        finally:
+            self._account(res)
+        if failure is not None:
+            family, exc = failure
+            disposition = res.disposition
+            i = next(
+                (i for i in family.members if disposition[i] == PENDING),
+                family.members[0],
+            )
+            self._fail_fast(res.submitted(i), exc, i)
+        return res
+
+    def _settle(self, res: "Resolution", family: "_Family", levels) -> None:
+        """Settle a priced family: the request seam.
+
+        Every requested lane crosses this step exactly once, in input
+        order within its family, so a duplicate lane is a miss the
+        first time and a hit after that.  A lane's memo key is its lane
+        part in the family's memo ``table``; a hit takes the memoized
+        verdict, a miss the family's (a priced lane, a fusion
+        :class:`Refusal` or the prototype's validation failure) and
+        memoizes it.  Each lane's key (which holds its register rung),
+        verdict and disposition (``simulated``, ``cache-hit``,
+        ``cache-hit-infeasible``, ``screened`` or ``infeasible``; None
+        for a spill-free lane pruned without a request) go into the
+        columns of ``res``, the disposition before the memo write; the
+        request counters are tallied from those columns
+        (:meth:`_account`), and the family's refusals by rule here.
+        """
+        members, table = family.members, family.table
+        family.table = None  # the log keeps the family, not the memo
+        disposition, note = res.disposition, res.note
+        if levels is not None and family.pruned is not None:
+            for i in members:
+                note[i] = family.pruned
+                disposition[i] = None
+            return
+        keys = res.keys
+        src_col, at_col, ok_col = res.src, res.at, res.ok
+        sources, ats = table.src, table.at
+        lanes, lane_of = family.lanes, family.lane_of
+        if lane_of is None:
+            lane_of = (-1,) * len(members)
+        lane_ok = None if lanes is None else lanes.ok
+        refusals, shared = family.refusals, family.shared
+        if levels is None:
+            lane_keys = family.lane_keys
+        else:
+            knobs = family.knob_numbers()
+            positions, demands = family.positions, family.demands
+            top = len(levels)
+        skipped = 0
+        # The settled lanes' refusals: occupancy (a lane of the pass)
+        # and fusion (a Refusal), tallied by rule when the step ends.
+        occupancy: List[int] = []
+        fusion: List[str] = []
+        try:
+            for j, i in enumerate(members):
                 if levels is None:
-                    key = self._key(ir, family.plan(j))
-                    self._evaluate(ir, key, res, i, src, at)
-                    continue
-                if family.pruned is not None:
-                    res.note[i] = family.pruned
-                    position = -1
+                    key = lane_keys[j]
                 else:
-                    position = family.positions[j]
+                    position = positions[j]
                     if position < 0:
                         # Spills even at the top level: every rung
                         # would have spilled.
-                        stats.rungs_skipped += len(levels)
-                        res.note[i] = family.demands[j]
+                        skipped += top
+                        note[i] = demands[j]
+                        disposition[i] = None
+                        continue
+                    skipped += position
+                    key = knobs[j] * _REGISTER_SPAN + levels[position]
+                keys[i] = key
+                src = sources.get(key)
+                if src is not None:
+                    at = ats[key]
+                    ok = at is not None and src.ok[at]
+                    disposition[i] = (
+                        "cache-hit" if ok else "cache-hit-infeasible"
+                    )
+                else:
+                    at = lane_of[j]
+                    if at >= 0:
+                        src = lanes
+                        ok = lane_ok[at]
+                        if ok:
+                            disposition[i] = "simulated"
+                        else:
+                            disposition[i] = "screened"
+                            occupancy.append(at)
                     else:
-                        stats.rungs_skipped += position
-                if position >= 0:
-                    res.rung[i] = regs = levels[position]
-                    key = (irid, device, family.family_key(j), regs)
-                    self._evaluate(ir, key, res, i, src, at)
-                elif log is not None:
-                    log.lane(res, i)
-            except catch:
-                res.ok[i] = False
-            except Exception as exc:  # noqa: BLE001 — fail fast
-                if not fail_fast:
-                    raise
-                self._fail_fast(res.submitted(i), exc, i)
-        return res
+                        at = None
+                        ok = False
+                        src = shared if refusals is None else refusals[j]
+                        if isinstance(src, Refusal):
+                            disposition[i] = "screened"
+                            fusion.append(src.rule)
+                        else:
+                            disposition[i] = "infeasible"
+                    sources[key] = src
+                    ats[key] = at
+                src_col[i] = src
+                at_col[i] = at
+                ok_col[i] = ok
+        finally:
+            self.stats.rungs_skipped += skipped
+            refused = self._refused
+            for rule in map(lanes.code, occupancy) if occupancy else ():
+                refused[rule, True] = refused.get((rule, True), 0) + 1
+            for rule in fusion:
+                refused[rule, False] = refused.get((rule, False), 0) + 1
+
+    def _account(self, res: "Resolution") -> None:
+        """Tally a resolved batch's settled lanes into the request
+        counters, and record them as one block of the search log.
+
+        Every counter is a count of one disposition or a sum of a few,
+        read off the disposition column at once; a batch that ended
+        early counts and logs only the lanes it settled.
+        """
+        tally = Counter(res.disposition)
+        pending = tally.pop(PENDING, 0)
+        simulated = tally["simulated"]
+        hits = tally["cache-hit"]
+        hits_infeasible = tally["cache-hit-infeasible"]
+        screened = tally["screened"]
+        infeasible = tally["infeasible"]
+        stats = self.stats
+        stats.hits += hits + hits_infeasible
+        stats.misses += simulated + screened + infeasible
+        stats.requests += (
+            hits + hits_infeasible + simulated + screened + infeasible
+        )
+        stats.vectorized += simulated
+        stats.infeasible += hits_infeasible + screened + infeasible
+        stats.screened += screened
+        stats.lint_rejections += screened
+        if self.search_log is not None:
+            settled = None
+            if pending:
+                settled = [
+                    i for i, d in enumerate(res.disposition) if d != PENDING
+                ]
+            self.search_log.block(
+                res, tally, settled, device=self.device.name
+            )
 
     def _count_refusals(self) -> None:
         """Add the batch's refusals to the prescreen counters:
@@ -566,11 +685,17 @@ class PlanEvaluator:
         (:meth:`_certify`), which are never priced.  The other lanes: a
         spill-free family resolves demand and rungs first, of refused
         lanes too, and prices only the lanes that have a rung, at that
-        rung; a plain family prices the lanes the memo does not hold.
+        rung; a plain family prices the lanes its memo table does not
+        hold.
         """
         from ..gpu import pricing
 
         proto = family.proto
+        if levels is None:
+            family.lane_keys = [
+                plan_knob_number(p) * _REGISTER_SPAN + p.max_registers
+                for p in family.plans
+            ]
         if self.validate:
             try:
                 validate_plan(ir, proto)
@@ -604,19 +729,12 @@ class PlanEvaluator:
             return
         # Plain batch: every lane at its own cap; a refused lane or one
         # the memo holds needs no price, and duplicates share one.
-        irid, device = id(ir), self.device
-        cache = self._cache
         slot: Dict[tuple, int] = {}
         to_price: List[int] = []
         lane_of: List[int] = []
-        for j in everyone:
-            if skip is not None and skip[j]:
-                lane_of.append(-1)
-                continue
-            plan = family.plans[j]
-            key = (irid, device, plan_family_key(plan), plan.max_registers)
-            hit = cache.get(key)
-            if hit is not None and hit[0] is ir:
+        held = family.table.src
+        for j, key in enumerate(family.lane_keys):
+            if (skip is not None and skip[j]) or key in held:
                 lane_of.append(-1)
                 continue
             at = slot.get(key)
@@ -674,18 +792,37 @@ class PlanEvaluator:
     # -- maintenance -----------------------------------------------------------
 
     def cache_size(self) -> int:
-        return len(self._cache)
+        """Memoized verdicts: the lane entries of every family table."""
+        return sum(len(table.src) for _, table in self._cache.values())
 
     def clear(self) -> None:
         self._cache.clear()
+
+
+class _MemoTable:
+    """The memo of one structural family on one IR and device: per lane
+    key, where the verdict lives (``src``: a pricing pass, a
+    :class:`Refusal` or an INFEASIBLE exception; ``at``: the lane of a
+    pass, None for the others).  Two dicts, so a memoized lane costs no
+    object of its own."""
+
+    __slots__ = ("src", "at")
+
+    def __init__(self):
+        self.src: Dict[int, object] = {}
+        self.at: Dict[int, Optional[int]] = {}
 
 
 class _Family:
     """One structural family of a batch, and what its pricing found.
 
     The submitted lanes are ``plans`` (a plan list) or lanes
-    ``members`` of ``grid``; ``proto`` is the first of them.  A priced
-    family holds either one ``shared`` verdict (its prototype's
+    ``members`` of ``grid``; ``proto`` is the first of them and
+    ``structural`` its :func:`plan_structural_key`.  ``memo_key`` is
+    the family part of its lanes' memo keys, ``table`` the engine's memo
+    table under it while the batch resolves, and ``lane_keys`` the lane
+    parts of a plain batch's members (:meth:`PlanEvaluator._key`).  A
+    priced family holds either one ``shared`` verdict (its prototype's
     validation failure) or a ``pruned`` reason (that failure in a
     spill-free batch).  Otherwise each member has a fusion
     ``refusals[j]`` (``refusals`` None: no member was refused), or a
@@ -695,17 +832,23 @@ class _Family:
     """
 
     __slots__ = (
-        "proto", "members", "plans", "grid", "shared", "pruned",
-        "refusals", "demands", "positions", "lanes", "lane_of", "_key",
+        "proto", "members", "plans", "grid", "structural", "memo_key",
+        "table", "lane_keys", "shared", "pruned", "refusals", "demands",
+        "positions", "lanes", "lane_of",
     )
 
     def __init__(self, proto: KernelPlan, members: List[int],
+                 structural: tuple,
                  plans: Optional[List[KernelPlan]] = None,
                  grid: Optional[KnobGrid] = None):
         self.proto = proto
         self.members = members
         self.plans = plans
         self.grid = grid
+        self.structural = structural
+        self.memo_key: Optional[tuple] = None
+        self.table: Optional[_MemoTable] = None
+        self.lane_keys: Optional[List[tuple]] = None
         self.shared = None
         self.pruned: Optional[str] = None
         self.refusals: Optional[list] = None
@@ -713,39 +856,32 @@ class _Family:
         self.positions: Optional[List[int]] = None
         self.lanes = None
         self.lane_of: Optional[List[int]] = None
-        self._key: Optional[tuple] = None
 
-    def plan(self, j: int) -> KernelPlan:
+    def knob_numbers(self) -> List[int]:
+        """The members' knob numbers (their memo lane parts but the
+        register cap), looked up in a grid's table by block and unroll
+        index."""
         if self.plans is not None:
-            return self.plans[j]
-        return self.grid.plan(self.members[j])
-
-    def family_key(self, j: int) -> tuple:
-        """Member ``j``'s :func:`plan_family_key`, built without a plan
-        for a grid lane."""
-        if self.plans is not None:
-            return plan_family_key(self.plans[j])
-        if self._key is None:
-            self._key = plan_family_key(self.proto)
-        grid, lane = self.grid, self.members[j]
-        return family_key_with(
-            self._key,
-            grid.blocks[grid.block_ix[lane]],
-            grid.unrolls[grid.unroll_ix[lane]],
-        )
+            return [plan_knob_number(plan) for plan in self.plans]
+        grid, members = self.grid, self.members
+        numbers = _knob_table(grid.blocks, grid.unrolls, plan_mode(self.proto))
+        block_ix, unroll_ix = grid.block_ix, grid.unroll_ix
+        rows = map(numbers.__getitem__, map(block_ix.__getitem__, members))
+        return list(map(getitem, rows, map(unroll_ix.__getitem__, members)))
 
     def knobs(self, js):
         """The pricing knob columns of members ``js``."""
         from ..gpu import pricing
 
         if self.plans is not None:
-            return pricing.knobs_of([self.plans[j] for j in js])
-        grid, members, proto = self.grid, self.members, self.proto
+            return pricing.knobs_of(list(map(self.plans.__getitem__, js)))
+        grid, proto = self.grid, self.proto
+        lanes = list(map(self.members.__getitem__, js))
         return pricing.LaneKnobs(
             grid.blocks,
             grid.unrolls,
-            [grid.block_ix[members[j]] for j in js],
-            [grid.unroll_ix[members[j]] for j in js],
+            list(map(grid.block_ix.__getitem__, lanes)),
+            list(map(grid.unroll_ix.__getitem__, lanes)),
             proto.unroll_blocked,
             proto.max_registers,
             proto.prefetch,
@@ -754,30 +890,46 @@ class _Family:
         )
 
 
+@lru_cache(maxsize=64)
+def _knob_table(blocks: tuple, unrolls: tuple, mode: tuple) -> List[list]:
+    """``[block][unroll]`` -> knob number over a grid's knob values (the
+    sweeps of one search space share one table)."""
+    return [
+        [knob_number(block, unroll, mode) for unroll in unrolls]
+        for block in blocks
+    ]
+
+
 class Resolution:
     """A resolved batch: one verdict per submitted lane, in input order.
 
-    ``ok[i]`` says whether lane ``i`` found a feasible result.  A
-    requested lane keeps its memo key and where its verdict lives
-    (``src``/``at``: a family pass and a lane of it, or the verdict
-    itself); a pruned lane keeps its reason (``note``: a string, or the
-    register demand of a lane that spills at every rung).  Plans,
-    results and reasons are built only when read, so a search that
-    ranks lanes by :meth:`time_s` builds objects for the lanes it
-    keeps alone.  Candidate rows of the search log read their fields
-    from here too.
+    ``ok[i]`` says whether lane ``i`` found a feasible result, and
+    ``disposition[i]`` how the engine settled it (a ``candidate``
+    disposition, None for a lane pruned without a request, or
+    ``PENDING`` for one the batch never settled).  A requested lane
+    keeps the lane part of its memo key (``keys``) and where its
+    verdict lives (``src``/``at``: a family's pricing pass and a lane of
+    it, or, with ``at`` None, the failure itself: every result is a lane
+    of a pass); a pruned lane keeps its reason (``note``: a
+    string, or the register demand of a lane that spills at every
+    rung).  Plans, results and reasons are built only when read, so a
+    search that ranks lanes by :meth:`time_column` builds objects for
+    the lanes it keeps alone.  The search log's rows of the batch read
+    their fields from here too.
     """
 
     __slots__ = (
-        "levels", "families", "lane_family", "lane_index", "rung", "keys",
-        "src", "at", "ok", "note", "_plans",
+        "levels", "lanes", "families", "lane_family", "keys",
+        "src", "at", "ok", "note", "disposition", "_plans",
     )
 
     def __init__(self, lanes, levels: Optional[Tuple[int, ...]]):
         self.levels = levels
+        #: the submitted plan list or grid
+        self.lanes = lanes
         if isinstance(lanes, KnobGrid):
             self.families = [
-                _Family(proto, members, grid=lanes)
+                _Family(proto, members, plan_structural_key(proto), grid=lanes)
                 for proto, members in lanes.families()
             ]
         else:
@@ -786,72 +938,76 @@ class Resolution:
                 key = plan_structural_key(plan)
                 family = groups.get(key)
                 if family is None:
-                    family = groups[key] = _Family(plan, [], plans=[])
+                    family = groups[key] = _Family(plan, [], key, plans=[])
                 family.members.append(i)
                 family.plans.append(plan)
             self.families = list(groups.values())
         n = len(lanes)
-        self.lane_family: List[_Family] = [None] * n  # type: ignore[list-item]
-        self.lane_index = [0] * n
-        for family in self.families:
-            for j, i in enumerate(family.members):
-                self.lane_family[i] = family
-                self.lane_index[i] = j
-        #: register cap each spill-free request was made at
-        self.rung: List[Optional[int]] = [None] * n
-        self.keys: List[Optional[tuple]] = [None] * n
+        if len(self.families) == 1:
+            self.lane_family = self.families * n
+        else:
+            self.lane_family: List[_Family] = [None] * n  # type: ignore
+            for family in self.families:
+                for i in family.members:
+                    self.lane_family[i] = family
+        self.keys: List[Optional[int]] = [None] * n
         self.src: list = [None] * n
         self.at: List[Optional[int]] = [None] * n
         self.ok = [False] * n
         self.note: list = [None] * n
+        self.disposition: List[Optional[str]] = [PENDING] * n
         self._plans: Dict[int, KernelPlan] = {}
 
     def __len__(self) -> int:
         return len(self.ok)
 
-    def record(self, i: int, key: tuple, src, at: Optional[int]) -> bool:
-        """Lane ``i`` was requested under ``key``; ``src``/``at`` holds
-        its verdict.  Returns whether that verdict is a result."""
-        self.keys[i] = key
-        self.src[i] = src
-        self.at[i] = at
-        ok = src.ok[at] if at is not None else isinstance(
-            src, SimulationResult
-        )
-        self.ok[i] = ok
-        return ok
-
     def submitted(self, i: int) -> KernelPlan:
         """Lane ``i`` as it was submitted."""
-        return self.lane_family[i].plan(self.lane_index[i])
+        lanes = self.lanes
+        return lanes.plan(i) if isinstance(lanes, KnobGrid) else lanes[i]
 
     def plan(self, i: int) -> KernelPlan:
-        """Lane ``i``'s requested plan: the submitted plan at its rung."""
-        rung = self.rung[i]
-        if rung is None:
+        """Lane ``i``'s requested plan: the submitted plan at the
+        register rung its key holds (a spill-free request)."""
+        key = self.keys[i]
+        if self.levels is None or key is None:
             return self.submitted(i)
         plan = self._plans.get(i)
         if plan is None:
             plan = self._plans[i] = self.submitted(i).replace(
-                max_registers=rung
+                max_registers=key % _REGISTER_SPAN
             )
         return plan
 
     def result(self, i: int) -> SimulationResult:
         """Feasible lane ``i``'s result (one object per priced lane)."""
-        at = self.at[i]
-        return self.src[i] if at is None else self.src[i].result(at)
+        return self.src[i].result(self.at[i])
 
     def time_s(self, i: int) -> float:
-        at = self.at[i]
-        return self.src[i].time_s if at is None else self.src[i].time_s[at]
+        return self.src[i].time_s[self.at[i]]
 
     def tflops(self, i: int) -> float:
-        at = self.at[i]
-        return self.src[i].tflops if at is None else self.src[i].tflops[at]
+        return self.src[i].tflops[self.at[i]]
 
     def gflops(self, i: int) -> Optional[float]:
         return self.tflops(i) * 1e3 if self.ok[i] else None
+
+    def time_column(self) -> List[Optional[float]]:
+        """Every lane's :meth:`time_s` (None for a lane without a
+        result), read straight from the pricing passes."""
+        return [
+            src.time_s[at] if ok else None
+            for src, at, ok in zip(self.src, self.at, self.ok)
+        ]
+
+    def measured(self) -> Tuple[List[int], List[float]]:
+        """The lanes with a result, in order, and their :meth:`gflops`,
+        read straight from the pricing passes."""
+        ok = self.ok
+        return list(compress(range(len(ok)), ok)), [
+            src.tflops[at] * 1e3
+            for src, at in zip(compress(self.src, ok), compress(self.at, ok))
+        ]
 
     def found(self, i: int) -> Optional[Tuple[KernelPlan, SimulationResult]]:
         """``(plan, result)`` of a feasible lane, else None."""
@@ -883,6 +1039,7 @@ class Resolution:
         return None if self.ok[i] else str(self.verdict(i)) or None
 
     def identity(self, i: int) -> tuple:
-        """Requested lane ``i``'s plan identity: (family key, registers)."""
-        key = self.keys[i]
-        return key[2], key[3]
+        """Requested lane ``i``'s plan identity, ``(structural key, lane
+        key)``: what its fingerprint digests (the family key and the
+        register cap), without hashing."""
+        return self.lane_family[i].structural, self.keys[i]

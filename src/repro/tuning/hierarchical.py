@@ -205,8 +205,11 @@ class HierarchicalTuner:
         #: the stage-1 grid of the current unit (its lanes were measured)
         self._stage1_grid: Optional[KnobGrid] = None
         #: fastest feasible measurement per (block, unroll) signature;
-        #: stage-1 lanes are held as :class:`_LaneSeed` until read
-        self._seeds: Dict[tuple, Union[Measurement, "_LaneSeed"]] = {}
+        #: a stage-1 lane is held as its index in the unit's stage-1
+        #: resolution (and time column) until the seeds are read
+        self._seeds: Dict[tuple, Union[Measurement, int]] = {}
+        self._stage1_res = None
+        self._stage1_times: List[Optional[float]] = []
         #: fold groups of each fused kernel-name tuple (stage 2)
         self._folds: Dict[Tuple[str, ...], tuple] = {}
 
@@ -274,14 +277,20 @@ class HierarchicalTuner:
             self._trace.append(measurement)
         signature = seed_signature(measurement.plan)
         held = self._seeds.get(signature)
-        if held is None or measurement.time_s < held.time_s:
+        if held is None or measurement.time_s < self._seed_time(held):
             self._seeds[signature] = measurement
         return measurement
 
+    def _seed_time(self, seed: Union[Measurement, int]) -> float:
+        if isinstance(seed, Measurement):
+            return seed.time_s
+        return self._stage1_times[seed]
+
     def _unit_seeds(self) -> Tuple[Measurement, ...]:
-        ranked = sorted(self._seeds.values(), key=lambda m: m.time_s)
+        ranked = sorted(self._seeds.values(), key=self._seed_time)
         return tuple(
-            seed if isinstance(seed, Measurement) else seed.measurement()
+            seed if isinstance(seed, Measurement)
+            else self._stage1_res.measurement(seed)
             for seed in ranked[:DEFAULT_SEED_LIMIT]
         )
 
@@ -366,6 +375,7 @@ class HierarchicalTuner:
                 self._measured_families = set()
                 self._stage1_grid = None
                 self._seeds = {}
+                self._stage1_res, self._stage1_times = None, []
                 if self.hierarchy is not None:
                     result = self._tune_custom(base)
                 else:
@@ -421,14 +431,12 @@ class HierarchicalTuner:
             self.evaluations += len(grid)
             self._stage1_grid = grid
             res = self.evaluator.evaluate_spill_free_batch(self.ir, grid)
-            feasible = [i for i, ok in enumerate(res.ok) if ok]
-            times = [res.time_s(i) for i in feasible]
+            times = res.time_column()
+            feasible = [i for i, t in enumerate(times) if t is not None]
             self._note_stage1(grid, res, feasible, times)
-            # A stable argsort: equal times keep lane order.
-            ranked = sorted(range(len(times)), key=times.__getitem__)
-            survivors = [
-                res.measurement(feasible[k]) for k in ranked[: self.top_k]
-            ]
+            # A stable sort: equal times keep lane order.
+            ranked = sorted(feasible, key=times.__getitem__)
+            survivors = [res.measurement(i) for i in ranked[: self.top_k]]
             _counter("tuner.stage1.candidates").add(len(grid))
             _counter("tuner.stage1.feasible").add(len(feasible))
             if stage_span is not None:
@@ -440,20 +448,28 @@ class HierarchicalTuner:
     def _note_stage1(self, grid: KnobGrid, res, feasible, times) -> None:
         """:meth:`_note` the feasible stage-1 lanes, in lane order.
 
-        Without a trace, each (block, unroll) signature keeps its
-        fastest lane (the first on ties) as a lazy seed: a
+        ``times`` is the resolution's time column.  Without a trace,
+        each (block, unroll) signature keeps its fastest lane (the first
+        on ties) as a lazy seed, held as its lane index: a
         :class:`Measurement` is built only for a seed the unit keeps.
         """
         if self.keep_trace:
             for i in feasible:
                 self._note(res.measurement(i))
             return
+        self._stage1_res, self._stage1_times = res, times
+        signatures = grid.signatures()
+        fastest: Dict[tuple, int] = {}
+        for i in feasible:
+            signature = signatures[i]
+            held = fastest.get(signature)
+            if held is None or times[i] < times[held]:
+                fastest[signature] = i
         seeds = self._seeds
-        for i, time_s in zip(feasible, times):
-            signature = grid.signature(i)
+        for signature, i in fastest.items():
             held = seeds.get(signature)
-            if held is None or time_s < held.time_s:
-                seeds[signature] = _LaneSeed(time_s, res, i)
+            if held is None or times[i] < self._seed_time(held):
+                seeds[signature] = i
 
     def _stage1_candidates(
         self, base: KernelPlan, space: SearchSpace
@@ -566,21 +582,6 @@ class HierarchicalTuner:
             stage1_evaluations=stage1_evals,
             trace=tuple(self._trace),
         )
-
-
-class _LaneSeed:
-    """A stage-1 lane held as a seed: its time now, its
-    :class:`Measurement` when the unit's seeds are read."""
-
-    __slots__ = ("time_s", "_res", "_index")
-
-    def __init__(self, time_s: float, res, index: int):
-        self.time_s = time_s
-        self._res = res
-        self._index = index
-
-    def measurement(self) -> Measurement:
-        return self._res.measurement(self._index)
 
 
 def _unit_payload(result: TuningResult, evaluations_before: int) -> dict:

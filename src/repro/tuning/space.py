@@ -17,7 +17,7 @@ configurations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..codegen.plan import KernelPlan, REGISTER_LEVELS
@@ -154,9 +154,12 @@ class KnobGrid:
     def __len__(self) -> int:
         return len(self.block_ix)
 
-    def signature(self, i: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Lane ``i``'s stage-1 coordinates ``(block, unroll)``."""
-        return self.blocks[self.block_ix[i]], self.unrolls[self.unroll_ix[i]]
+    def signatures(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """Every lane's stage-1 coordinates ``(block, unroll)``, one
+        shared tuple per value pair."""
+        table = [[(block, unroll) for unroll in self.unrolls]
+                 for block in self.blocks]
+        return [table[b][u] for b, u in zip(self.block_ix, self.unroll_ix)]
 
     def plan(self, i: int) -> KernelPlan:
         """Lane ``i`` as a plan."""
@@ -189,15 +192,24 @@ class KnobGrid:
         the lane axes of ``repro.gpu.pricing``; the prototype is the
         family's first lane.
         """
-        groups: Dict[bool, List[int]] = {}
-        for i, retime in enumerate(self.retime):
-            groups.setdefault(retime, []).append(i)
-        return [(self.plan(lanes[0]), lanes) for lanes in groups.values()]
+        retime = self.retime
+        values = dict.fromkeys(retime)
+        lanes = range(len(retime))
+        if len(values) == 1:
+            groups = [list(lanes)]
+        else:
+            groups = [
+                list(itertools.compress(lanes, map(value.__eq__, retime)))
+                for value in values
+            ]
+        return [(self.plan(members[0]), members) for members in groups]
 
     def contains(self, plan: KernelPlan) -> bool:
         """Whether ``plan`` is a lane, register cap aside: its
-        :func:`~repro.codegen.tiling.plan_family_key` is a lane's."""
-        from ..codegen.tiling import family_key_with, plan_family_key
+        :func:`~repro.codegen.tiling.plan_family_key` is a lane's (its
+        block, unroll and retime are a lane's, and its structural key
+        and lane mode are that lane's prototype's)."""
+        from ..codegen.tiling import plan_mode, plan_structural_key
 
         base = self.base
         if self._lane_set is None:
@@ -210,9 +222,9 @@ class KnobGrid:
         proto = base if plan.retime == base.retime else base.replace(
             retime=plan.retime
         )
-        return plan_family_key(plan) == family_key_with(
-            plan_family_key(proto), plan.block, plan.unroll
-        )
+        return plan_structural_key(plan) == plan_structural_key(
+            proto
+        ) and plan_mode(plan) == plan_mode(proto)
 
 
 def stage1_grid(

@@ -197,7 +197,7 @@ class WarmStartTuner(HierarchicalTuner):
         kept = full
         if self.seeds:
             allowed = self._warm_signatures()
-            keep = [full.signature(i) in allowed for i in range(len(full))]
+            keep = [signature in allowed for signature in full.signatures()]
             # The seeds may project entirely outside this device's
             # space (different dimensionality, disjoint limits): a warm
             # start may never brick the search, so then sweep cold.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.codegen.plan import KernelPlan
-from repro.gpu import P100, simulate
+from repro.gpu import simulate
 from repro.gpu.simulator import PlanInfeasible
 
 

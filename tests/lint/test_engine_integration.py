@@ -18,6 +18,8 @@ from repro.obs import configure_metrics, get_metrics
 from repro.tuning import HierarchicalTuner, PlanEvaluator
 from repro.tuning.space import KnobGrid, prune_overtiled
 
+from ..settle_hooks import trap_settle
+
 
 def kernel_of(ir):
     return ir.kernels[0].name
@@ -125,18 +127,16 @@ class TestRefusalCounters:
         assert engine.stats.hits == 2
         assert get_metrics().snapshot()["lint.reject.RL202"] == 1
 
-    def test_refusals_before_a_failure_are_counted(
-        self, smoother_ir, monkeypatch
-    ):
+    def test_refusals_before_a_failure_are_counted(self, smoother_ir):
         from repro.resilience import EvaluationError
 
-        def log_lane(self, res, i, disposition):
-            if disposition == "simulated":
-                raise RuntimeError("model bug")
-
-        monkeypatch.setattr(PlanEvaluator, "_log_lane", log_lane)
         configure_metrics(reset=True)
         engine = PlanEvaluator(device=P100)
+        trap_settle(
+            engine,
+            "disposition",
+            lambda family, disposition: disposition == "simulated",
+        )
         kernel = kernel_of(smoother_ir)
         plans = self._refused(smoother_ir)[:2] + [
             KernelPlan((kernel,), block=(32, 16))

@@ -14,6 +14,8 @@ from repro.dsl import parse
 from repro.ir import build_ir
 from repro.tuning import PlanEvaluator
 
+from ..settle_hooks import trap_settle
+
 SMOOTHER_SRC = """
 parameter L=128, M=128, N=128;
 iterator k, j, i;
@@ -49,23 +51,23 @@ def crashing_engine():
     """Factory for an engine that raises on its Nth request.
 
     ``crashing_engine(n)`` returns a :class:`PlanEvaluator` whose
-    ``n``-th request raises a plain ``RuntimeError`` — a bug planted in
-    one candidate evaluation, which fail-fast turns into an
-    :class:`EvaluationError` that ends the run, like a crash would.
-    Requests after the ``n``-th evaluate normally.
+    ``n``-th request raises a plain ``RuntimeError`` as the engine's
+    seam settles it — a bug planted in one candidate evaluation, which
+    fail-fast turns into an :class:`EvaluationError` that ends the run,
+    like a crash would.  The ``n - 1`` requests settled before it are
+    counted and logged.
     """
 
     def make(request_number, **engine_kwargs):
         engine = PlanEvaluator(**engine_kwargs)
-        evaluate = engine._evaluate
         seen = itertools.count(1)
-
-        def crash_on_nth(ir, plan, *args, **kwargs):
-            if next(seen) == request_number:
-                raise RuntimeError(f"planted crash at request {request_number}")
-            return evaluate(ir, plan, *args, **kwargs)
-
-        engine._evaluate = crash_on_nth
+        trap_settle(
+            engine,
+            "disposition",
+            lambda family, disposition: disposition is not None
+            and next(seen) == request_number,
+            message=f"planted crash at request {request_number}",
+        )
         return engine
 
     return make

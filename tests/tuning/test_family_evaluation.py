@@ -23,20 +23,14 @@ from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
 
 from ..gpu import reference_model
 from ..pipeline.test_fail_fast_sweep import stage_counts
+from ..settle_hooks import requests_in_settle_order, trap_settle
 
 
 def _tune(ir, base):
     """Tune ``base``; returns the result, the engine and every request
-    as ``(resolution, lane)`` in request order."""
+    as ``(resolution, lane)`` in settle order."""
     engine = PlanEvaluator()
-    evaluate = engine._evaluate
-    requests = []
-
-    def recording(ir_, key, res, i, *args, **kwargs):
-        evaluate(ir_, key, res, i, *args, **kwargs)
-        requests.append((res, i))
-
-    engine._evaluate = recording
+    requests = requests_in_settle_order(engine)
     result = HierarchicalTuner(ir, evaluator=engine).tune(base)
     return result, engine, requests
 
@@ -44,20 +38,17 @@ def _tune(ir, base):
 def _abort_on(ir, base, target):
     """Tune with a bug planted in the request for ``target``.
 
-    The engine raises when asked to evaluate ``target`` (the request
-    under its memo key), so the run must end on that plan.  Returns the
-    error and the engine.
+    The engine raises when it settles ``target`` (the request under its
+    memo key: the lane key, in the family of the target's structure),
+    so the run must end on that plan.  Returns the error and the engine.
     """
     engine = PlanEvaluator()
-    evaluate = engine._evaluate
-    target_key = engine._key(ir, target)
-
-    def planted(ir_, key, *args, **kwargs):
-        if key == target_key:
-            raise RuntimeError("model bug")
-        return evaluate(ir_, key, *args, **kwargs)
-
-    engine._evaluate = planted
+    family_key, lane_key = engine._key(ir, target)
+    trap_settle(
+        engine,
+        "keys",
+        lambda family, key: family.memo_key == family_key and key == lane_key,
+    )
     with pytest.raises(EvaluationError) as info:
         HierarchicalTuner(ir, evaluator=engine).tune(base)
     return info.value, engine
@@ -89,7 +80,7 @@ def assert_same_abort(ir, base):
     ref, engine, requests = _tune(ir, base)
     target = ref.best.plan
     target_key = engine._key(ir, target)
-    keys = [res.keys[i] for res, i in requests]
+    keys = [(res.lane_family[i].memo_key, res.keys[i]) for res, i in requests]
     error, aborted = _abort_on(ir, base, target)
     assert error.context["plan"] == target.describe()
     assert aborted.stats.requests == keys.index(target_key)
@@ -134,8 +125,8 @@ class TestLaneModelInvariance:
 class TestFailFastInvariance:
     def test_abort_on_the_planted_plan(self, smoother_ir, base_plan):
         # A bug planted in one candidate fires per *request* (each
-        # family lane is one request through _evaluate), so the run
-        # ends on that plan, after the requests before it.
+        # family lane is one request settled by _settle), so the run
+        # ends on that plan, after the requests settled before it.
         aborted = assert_same_abort(smoother_ir, base_plan)
         assert aborted.stats.vectorized > 0
 

@@ -107,8 +107,16 @@ class TestUnitJournal:
             {"bandwidth_bound": False},
             {"top_k": 2},
             {"lint_prune": True},
-            {"hierarchy": [_level_a]},
-            {"hierarchy": [_level_a, _level_b]},
+            # Functions print with their address: fixed ids keep these
+            # two stable from one collection to the next.
+            pytest.param(
+                {"hierarchy": [_level_a]},
+                id="('hierarchy', [_level_a])",
+            ),
+            pytest.param(
+                {"hierarchy": [_level_a, _level_b]},
+                id="('hierarchy', [_level_a, _level_b])",
+            ),
         ],
         ids=lambda setting: "-".join(map(str, setting.items())),
     )
