@@ -501,7 +501,7 @@ def cmd_certify(args) -> int:
     """Prove every plan transformation legal (``repro certify``).
 
     Runs the RL3xx dependence certifier over explicit plans (``--plan``),
-    the winners and seeds of journalled tuning units (``--journal``,
+    the winners of journalled tuning units (``--journal``,
     read through the journal's validating loader, so a damaged journal
     exits 4 naming the line), or — when neither is
     given — each program's per-kernel seed plans.  Exit 1 when any plan
@@ -563,11 +563,7 @@ def cmd_certify(args) -> int:
             raise UsageError(f"--journal: {path!r} does not exist")
         _, records = read_journal(path)
         explicit.extend(
-            dict.fromkeys(
-                plan_from_dict(entry["plan"])
-                for record in records
-                for entry in [record] + record["seeds"]
-            )
+            dict.fromkeys(plan_from_dict(record["plan"]) for record in records)
         )
 
     reports = []
@@ -855,8 +851,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--journal", action="append", metavar="PATH", default=None,
-        help="certify the winner and seed plans recorded in a tuning "
-             "journal (JSONL checkpoint); repeatable",
+        help="certify the winner plans recorded in a tuning journal "
+             "(JSONL checkpoint); repeatable",
     )
     p.add_argument(
         "--suite", action="store_true",

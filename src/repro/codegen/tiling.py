@@ -140,7 +140,7 @@ def plan_structural_key(plan: KernelPlan) -> tuple:
     Plans sharing a structural key differ only in tile sizes, unroll
     factors, the register budget, prefetching, the load perspective and
     the concurrent chunk count — exactly the axes the vectorized family
-    pricer (:func:`repro.gpu.pricing.price_family`) sweeps as NumPy
+    pricer (:meth:`repro.gpu.pricing.FamilyStructure.price`) sweeps as NumPy
     arrays.  The key keeps whether the plan streams, not how: serial and
     concurrent streaming differ only in the chunk count.  Which arrays
     are buffered where, the stage list, the per-array halos and every

@@ -439,10 +439,3 @@ class Program:
         from dataclasses import replace as _replace
 
         return _replace(self, **changes)
-
-
-# A conventional ordering helper: the DSL declares iterators outermost
-# first (e.g. ``iterator k, j, i``), matching array dimension order.
-def iterator_axis(program: Program, iterator: str) -> int:
-    """Axis index (0 = outermost) of ``iterator`` in the program."""
-    return program.iterators.index(iterator)

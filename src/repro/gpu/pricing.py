@@ -16,11 +16,11 @@ expression DAG.
 
 This module exploits that: :class:`FamilyStructure` captures every
 branch decision and structural constant once per (IR, structural key),
-and :func:`price_family` then evaluates the whole model as NumPy array
-operations over an ``(N_candidates,)`` lane axis — occupancy, spill
-traffic and timing in one shot.  A structure holds nothing a lane knob
-decides: a stage-2 batch of prefetch, perspective and chunk variants is
-one family, priced in one pass.
+and :meth:`FamilyStructure.price` then evaluates the whole model as
+NumPy array operations over an ``(N_candidates,)`` lane axis —
+occupancy, spill traffic and timing in one shot.  A structure holds
+nothing a lane knob decides: a stage-2 batch of prefetch, perspective
+and chunk variants is one family, priced in one pass.
 
 The model's original plan-at-a-time form is kept as a test oracle
 (``tests/gpu/reference_model.py``), and the lane model must match it bit
@@ -51,7 +51,6 @@ returns.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -82,20 +81,17 @@ from ..ir.stencil import ProgramIR, StencilInstance
 from ..ir.types import sizeof
 from ..obs import counter as _obs_counter
 from ..obs import span as _span
-from ..resilience.errors import UsageError
 from .counters import KernelCounters, SimulationResult, TimingBreakdown
 from .device import DeviceSpec, P100
 from .occupancy import OccupancyResult, launch_refusal
 from .registers import BASE_REGISTERS, expression_registers
 
 __all__ = [
-    "FamilyPricing",
     "FamilyStructure",
     "LaneKnobs",
     "PricedLane",
     "family_structure",
     "knobs_of",
-    "price_family",
     "priced_lane_count",
 ]
 
@@ -104,13 +100,6 @@ _F8 = np.float64
 _I8_MAX = int(np.iinfo(_I8).max)
 _I8_LIMIT = 2.0**63  # the first value past int64, exact in float64
 
-#: Knobs :func:`price_family` may sweep without changing the family's
-#: structure (everything else is part of the structural key).
-#: ``concurrent_chunks`` counts only under concurrent streaming.
-GRID_AXES = (
-    "block", "unroll", "unroll_blocked", "max_registers", "prefetch",
-    "perspective", "concurrent_chunks",
-)
 
 def priced_lane_count() -> int:
     """Lanes priced since the metrics registry was last reset: the
@@ -127,7 +116,7 @@ class LaneKnobs:
     ``perspectives[persp_ix[i]]``, ``unroll_blocked`` ``ublocked[i]``,
     ``max_registers`` ``maxreg[i]``, ``prefetch[i]`` and ``chunks[i]``
     stream chunks (:attr:`KernelPlan.stream_chunks`): everything
-    :data:`GRID_AXES` lets vary within a family.  ``ublocked``,
+    the structural key lets vary within a family.  ``ublocked``,
     ``maxreg``, ``prefetch``, ``perspective`` and ``chunks`` may be
     given as one value for every lane.  Distinct tuples are stored once,
     so per-lane geometry is a table lookup rather than a pass over plan
@@ -448,47 +437,6 @@ class _LaneArrays:
 
 
 _LIMITER_NAMES = ("threads", "blocks", "registers", "shmem")
-
-
-@dataclass(frozen=True)
-class FamilyPricing:
-    """Result of :func:`price_family`: per-lane prices plus a table."""
-
-    plans: Tuple[KernelPlan, ...]
-    lanes: Tuple[PricedLane, ...]
-    table: np.ndarray  # structured array, one row per lane
-
-    def __len__(self) -> int:
-        return len(self.lanes)
-
-    def best_index(self) -> Optional[int]:
-        """Lane index of the fastest feasible candidate (None if all
-        lanes were rejected)."""
-        best = None
-        best_t = math.inf
-        for i, lane in enumerate(self.lanes):
-            if lane.result is not None and lane.result.time_s < best_t:
-                best, best_t = i, lane.result.time_s
-        return best
-
-
-_TABLE_DTYPE = np.dtype(
-    [
-        ("feasible", np.bool_),
-        ("reg_demand", _I8),
-        ("regs_per_thread", _I8),
-        ("blocks_per_sm", _I8),
-        ("occupancy", _F8),
-        ("flops", _F8),
-        ("dram_bytes", _F8),
-        ("tex_bytes", _F8),
-        ("shm_bytes", _F8),
-        ("spill_bytes", _F8),
-        ("time_s", _F8),
-        ("tflops", _F8),
-        ("rejection", "U8"),
-    ]
-)
 
 
 # ---------------------------------------------------------------------------
@@ -1909,79 +1857,3 @@ def family_structure(ir: ProgramIR, plan: KernelPlan) -> FamilyStructure:
         ir, plan_structural_key(plan), "structure",
         lambda: FamilyStructure(ir, plan),
     )
-
-
-def _expand_grid(family: KernelPlan, grid: Dict[str, Sequence]) -> List[KernelPlan]:
-    for axis in grid:
-        if axis not in GRID_AXES:
-            raise UsageError(
-                f"grid axis {axis!r} would change the plan family's "
-                f"structure; sweepable axes are {GRID_AXES}"
-            )
-    axes = [axis for axis in GRID_AXES if axis in grid]
-    plans: List[KernelPlan] = []
-    for values in itertools.product(*(tuple(grid[a]) for a in axes)):
-        plans.append(family.replace(**dict(zip(axes, values))))
-    return plans
-
-
-def price_family(
-    ir: ProgramIR,
-    family,
-    grid: Optional[Dict[str, Sequence]] = None,
-    device: DeviceSpec = P100,
-) -> FamilyPricing:
-    """Price a whole plan family in one vectorized shot.
-
-    ``family`` is either a base :class:`KernelPlan` (combine with
-    ``grid``, a mapping of :data:`GRID_AXES` names to value lists whose
-    cross product is swept) or an explicit sequence of plans sharing one
-    structural key.  Returns a :class:`FamilyPricing` whose ``lanes``
-    match a loop of :func:`~repro.gpu.simulator.simulate` /
-    :func:`~repro.gpu.simulator.plan_occupancy` calls and whose
-    ``table`` is a structured array over the lane axis.
-    """
-    if isinstance(family, KernelPlan):
-        plans = _expand_grid(family, grid or {})
-        proto = family
-    else:
-        plans = list(family)
-        if grid:
-            raise UsageError("pass a grid with a base plan, not a plan list")
-        if not plans:
-            raise UsageError("price_family needs at least one plan")
-        proto = plans[0]
-    key = plan_structural_key(proto)
-    for plan in plans:
-        if plan_structural_key(plan) != key:
-            raise UsageError(
-                "price_family requires all lanes to share one structural "
-                f"key; {plan.describe()!r} differs from the family's"
-            )
-    structure = family_structure(ir, proto)
-    lanes = list(structure.price(plans, device))
-    table = np.zeros(len(lanes), dtype=_TABLE_DTYPE)
-    for i, lane in enumerate(lanes):
-        row = table[i]
-        row["feasible"] = lane.feasible
-        row["reg_demand"] = lane.demand
-        if lane.result is None:
-            row["rejection"] = lane.occ_code or ""
-            for field_name in (
-                "occupancy", "flops", "dram_bytes", "tex_bytes",
-                "shm_bytes", "spill_bytes", "time_s", "tflops",
-            ):
-                row[field_name] = math.nan
-            continue
-        result = lane.result
-        row["regs_per_thread"] = result.counters.regs_per_thread
-        row["blocks_per_sm"] = result.occupancy.blocks_per_sm
-        row["occupancy"] = result.occupancy.occupancy
-        row["flops"] = result.counters.flops
-        row["dram_bytes"] = result.counters.dram_bytes
-        row["tex_bytes"] = result.counters.tex_bytes
-        row["shm_bytes"] = result.counters.shm_bytes
-        row["spill_bytes"] = result.counters.spill_bytes
-        row["time_s"] = result.time_s
-        row["tflops"] = result.tflops
-    return FamilyPricing(plans=tuple(plans), lanes=tuple(lanes), table=table)

@@ -522,20 +522,15 @@ _LINT_REASON = re.compile(r"\[(RL\d{3})\]")
 
 
 def _lint_section(events: Sequence[Dict[str, Any]]) -> str:
-    """Prescreen rejections and prunes grouped by lint rule code."""
+    """Prescreen rejections grouped by lint rule code."""
     by_code: Dict[str, int] = {}
-    pruned = 0
     for event in events:
-        kind = event.get("kind")
-        reason = str(event.get("reason") or "")
-        if kind == "candidate":
-            match = _LINT_REASON.search(reason)
+        if event.get("kind") == "candidate":
+            match = _LINT_REASON.search(str(event.get("reason") or ""))
             if match:
                 code = match.group(1)
                 by_code[code] = by_code.get(code, 0) + 1
-        elif kind == "prune" and reason.startswith("lint."):
-            pruned += int(event.get("dropped", 1))
-    if not by_code and not pruned:
+    if not by_code:
         return ""
     from ..lint.diagnostics import RULES
 
@@ -546,12 +541,6 @@ def _lint_section(events: Sequence[Dict[str, Any]]) -> str:
         rows.append(
             f"<tr><td>{_esc(code)}</td><td class='reason'>{_esc(name)}</td>"
             f"<td class='num'>{count}</td></tr>"
-        )
-    if pruned:
-        rows.append(
-            "<tr><td>RL205</td><td class='reason'>overtile "
-            "(pruned before measurement)</td>"
-            f"<td class='num'>{pruned}</td></tr>"
         )
     parts.append("<table>" + "".join(rows) + "</table>")
     return "".join(parts)

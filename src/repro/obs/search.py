@@ -600,10 +600,12 @@ class SearchLog:
         )
 
     def phases(self, spans: Sequence) -> None:
-        """Footer: per-phase timing aggregates (from the span tracer)."""
+        """Footer: per-phase timing aggregates (from the span tracer),
+        in name order, so two runs of one job write the same records in
+        the same order."""
         from .export import aggregate_phases
 
-        for phase in aggregate_phases(spans):
+        for phase in sorted(aggregate_phases(spans), key=lambda p: p.name):
             self.emit(
                 "phase",
                 name=phase.name,

@@ -26,18 +26,17 @@ Crash model and recovery:
   so a resumed run may reach its units in any order and still hit.
 
 Record kinds: ``header`` (version/device sanity), ``tune`` (a finished
-hierarchical search: its winner plan and time, its evaluation counts
-and its transfer ``seeds``) and ``degree`` (a finished deep-tuning
-fusion degree: the same, plus its roofline classification).  A seed is
-the unit's fastest feasible plan for one (block, unroll) signature;
-transfer tuning mines them (``repro.tuning.transfer``).
+hierarchical search: its winner plan and time and its evaluation
+counts) and ``degree`` (a finished deep-tuning fusion degree: the same,
+plus its roofline classification).
 
 Every record is validated as it loads: an unknown kind, a plan that
 :func:`plan_from_dict` refuses, or a missing field that a replay reads
 is refused with :class:`CheckpointCorruptError` naming the line, so a
 damaged journal can never crash a resumed run halfway through.  A
-journal of another version (version 1 recorded single candidates) is
-refused as a whole.
+journal of another version (version 1 recorded single candidates,
+version 2 also kept per-unit ``seeds`` and keyed units by two tuner
+settings that no longer exist) is refused as a whole.
 """
 
 from __future__ import annotations
@@ -67,10 +66,10 @@ __all__ = [
     "read_journal",
 ]
 
-JOURNAL_VERSION = 2
+JOURNAL_VERSION = 3
 
-#: Fields a replay reads from each unit record kind, besides its plan,
-#: timing and seeds, with the type each must have.
+#: Fields a replay reads from each unit record kind, besides its plan
+#: and timing, with the type each must have.
 UNIT_FIELDS = {
     "tune": (("evaluations", int), ("stage1_evaluations", int)),
     "degree": (
@@ -158,23 +157,6 @@ def _has_type(value, expected: type) -> bool:
     return isinstance(value, expected)
 
 
-def _measurement_problem(entry, what: str) -> Optional[str]:
-    """What ``entry`` lacks to replay as a plan and timing, or None.
-
-    The answer completes "has ...": ``a malformed tune plan``.
-    """
-    if not isinstance(entry, dict):
-        return f"a malformed {what}"
-    try:
-        plan_from_dict(entry.get("plan"))
-    except (KeyError, TypeError, ValueError):
-        return f"a malformed {what} plan"
-    for field in ("time_s", "tflops"):
-        if not _has_type(entry.get(field), float):
-            return f"no numeric {field!r}"
-    return None
-
-
 def _record_problem(record: Dict[str, Any]) -> Optional[str]:
     """Why a non-header record cannot be replayed, or None if it can."""
     kind = record["kind"]
@@ -183,19 +165,16 @@ def _record_problem(record: Dict[str, Any]) -> Optional[str]:
         return f"has unknown record kind {kind!r}"
     if not isinstance(record.get("key"), str):
         return "has no record key"
-    problem = _measurement_problem(record, kind)
-    if problem is not None:
-        return f"has {problem}"
+    try:
+        plan_from_dict(record.get("plan"))
+    except (KeyError, TypeError, ValueError):
+        return f"has a malformed {kind} plan"
+    for field in ("time_s", "tflops"):
+        if not _has_type(record.get(field), float):
+            return f"has no numeric {field!r}"
     for field, expected in fields:
         if not _has_type(record.get(field), expected):
             return f"has no {expected.__name__} {field!r}"
-    seeds = record.get("seeds")
-    if not isinstance(seeds, list):
-        return "has no list 'seeds'"
-    for index, seed in enumerate(seeds):
-        problem = _measurement_problem(seed, "seed")
-        if problem is not None:
-            return f"has seed {index} with {problem}"
     return None
 
 
@@ -265,8 +244,7 @@ def _check_header(path: str, header: Dict[str, Any], device) -> None:
         raise CheckpointDeviceMismatch(
             f"checkpoint journal {path} was recorded for "
             f"device {recorded!r}, not {device!r}; resume "
-            f"on {recorded!r}, start a fresh checkpoint, or "
-            f"warm-start via transfer tuning",
+            f"on {recorded!r} or start a fresh checkpoint",
             path=path,
             recorded=recorded,
             requested=device,
@@ -276,8 +254,8 @@ def _check_header(path: str, header: Dict[str, Any], device) -> None:
 def read_journal(path) -> Tuple[Optional[str], List[Dict[str, Any]]]:
     """``(recorded device, validated records)`` of a journal file.
 
-    A read-only view for offline consumers (transfer tuning, ``repro
-    certify``): it takes no lock, repairs nothing and applies no device
+    A read-only view for offline consumers (``repro certify``): it
+    takes no lock, repairs nothing and applies no device
     check.  A torn tail is left out; damage is refused exactly as a
     resume would refuse it (:class:`CheckpointCorruptError`).
     """
@@ -388,10 +366,10 @@ class TuningJournal:
         """Journal a finished hierarchical tuning unit (a ``tune`` record).
 
         ``payload`` holds the winner's ``plan``, ``time_s`` and
-        ``tflops``, the unit's ``evaluations`` and
-        ``stage1_evaluations`` and its transfer ``seeds``.  The name
-        predates unit records; ``benchmarks/e2e/spans.py`` times the
-        journal's writes through it.
+        ``tflops`` and the unit's ``evaluations`` and
+        ``stage1_evaluations``.  The name predates unit records;
+        ``benchmarks/e2e/spans.py`` times the journal's writes through
+        it.
         """
         self._record("tune", key, payload)
 

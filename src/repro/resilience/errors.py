@@ -130,10 +130,9 @@ class CheckpointDeviceMismatch(CheckpointError, UsageError):
 
     Resuming a P100 journal on a V100 would replay P100 timings into a
     V100 search, silently poisoning the result — the journal refuses.
-    This is caller-correctable misuse (pick the matching ``--device``,
-    start a fresh checkpoint, or warm-start via transfer tuning, which
-    reads foreign journals deliberately), so it exits with the usage
-    code ``2`` while remaining catchable as :class:`CheckpointError`.
+    This is caller-correctable misuse (pick the matching ``--device`` or
+    start a fresh checkpoint), so it exits with the usage code ``2``
+    while remaining catchable as :class:`CheckpointError`.
     """
 
     exit_code = 2

@@ -1,6 +1,5 @@
 """Autotuning: pruned spaces, hierarchical tuning, deep tuning, fission."""
 
-from .._lazy import lazy_attributes
 from .deeptuning import (
     DeepTuningEntry,
     DeepTuningResult,
@@ -36,19 +35,6 @@ from .space import (
     seed_variants,
 )
 
-__getattr__ = lazy_attributes(
-    __name__,
-    {
-        ".transfer": (
-            "TransferSeed",
-            "WarmStartTuner",
-            "journaled_winners",
-            "transfer_deep_tune",
-            "transfer_tune",
-        ),
-    },
-)
-
 __all__ = [
     "DeepTuningEntry",
     "DeepTuningResult",
@@ -60,9 +46,7 @@ __all__ = [
     "Measurement",
     "PlanEvaluator",
     "SearchSpace",
-    "TransferSeed",
     "TuningResult",
-    "WarmStartTuner",
     "dedupe_candidates",
     "deep_tune",
     "plan_fingerprint",
@@ -71,13 +55,10 @@ __all__ = [
     "fuse_instances",
     "fusion_schedule",
     "generate_fission_candidates",
-    "journaled_winners",
     "maxfuse",
     "recompute_fission",
     "schedule_to_program_plan",
     "seed_variants",
-    "transfer_deep_tune",
-    "transfer_tune",
     "trivial_fission",
     "tune_kernel",
 ]

@@ -15,7 +15,7 @@ follows from the dynamic program::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..codegen.plan import KernelPlan, ProgramPlan
 from ..codegen.resources import auto_assign, seed_plan_from_pragma
@@ -100,7 +100,6 @@ def deep_tune(
     top_k: int = 4,
     evaluator: Optional[PlanEvaluator] = None,
     journal: Optional[TuningJournal] = None,
-    make_tuner: Optional[Callable[..., HierarchicalTuner]] = None,
 ) -> DeepTuningResult:
     """Tune fusion degrees 1, 2, ... while profiling says fusion helps.
 
@@ -110,20 +109,14 @@ def deep_tune(
 
     With a ``journal``, each fusion degree is one tuning unit: a
     finished degree is journaled as one ``degree`` record (its winner,
-    roofline classification, evaluation count and transfer seeds) and
-    replays without evaluating anything, and the inner tuner gets no
-    journal of its own.  A crash mid-sweep therefore loses at most the
-    degree in flight, which a resume re-runs.  The stopping conditions
-    are deterministic functions of the entries, so a resumed sweep halts
-    at the same degree as an uninterrupted one.
-
-    ``make_tuner`` swaps the inner per-degree tuner class: it is called
-    with the same keyword arguments ``HierarchicalTuner`` would receive
-    (``use_register_opts``, ``top_k``, ``evaluator``).  Transfer tuning
-    uses this to warm-start every degree from another device's journal
-    (``repro.tuning.transfer``).  The tuner's
+    roofline classification and evaluation count) and replays without
+    evaluating anything, and the inner tuner gets no journal of its own.
+    A crash mid-sweep therefore loses at most the degree in flight,
+    which a resume re-runs.  The stopping conditions are deterministic
+    functions of the entries, so a resumed sweep halts at the same
+    degree as an uninterrupted one.  The inner tuner's
     :meth:`~HierarchicalTuner.config_digest` is part of each degree's
-    journal key, so a warm-started sweep never replays a cold one.
+    journal key.
     """
     if not ir.is_iterative:
         raise UsageError("deep tuning applies to iterative stencils")
@@ -140,7 +133,7 @@ def deep_tune(
         slog, phase="deep-tune"
     ):
         for degree in range(1, max_degree + 1):
-            tuner = (make_tuner or HierarchicalTuner)(
+            tuner = HierarchicalTuner(
                 ir,
                 use_register_opts=use_register_opts,
                 top_k=top_k,
@@ -196,7 +189,6 @@ def deep_tune(
                         bandwidth_bound=bandwidth,
                         bound_level=report.bound_level,
                         evaluations=tuner.evaluations,
-                        seeds=[measurement_record(m) for m in result.seeds],
                     )
                     journal.record_degree(degree_key, payload)
             # Fusion helps only bandwidth-bound versions: stop otherwise.

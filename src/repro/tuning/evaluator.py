@@ -479,7 +479,7 @@ class PlanEvaluator:
         cap) or the register ladder of a spill-free batch.  Lanes are
         grouped into structural families, each family probes the memo
         once for its table, and each is priced in one pass from its
-        knob columns (:meth:`_price_family`).  The families are then
+        knob columns (:meth:`_price_lanes`).  The families are then
         settled one by one (:meth:`_settle`), and the batch's tallies
         and log block are recorded (:meth:`_account`).  With
         ``fail_fast``, an exception ``catch`` does not cover ends the
@@ -499,7 +499,7 @@ class PlanEvaluator:
             family.memo_key = key = (irid, device, family.structural)
             family.table = self._table(ir, key)
             try:
-                self._price_family(ir, family, levels)
+                self._price_lanes(ir, family, levels)
             except Exception as exc:  # noqa: BLE001 — fail fast
                 if not fail_fast:
                     raise
@@ -673,7 +673,7 @@ class PlanEvaluator:
                 _counter("simulate.prescreen_rejections").add(n)
         self._refused.clear()
 
-    def _price_family(
+    def _price_lanes(
         self, ir: ProgramIR, family: "_Family", levels
     ) -> None:
         """Price one structural family from its knob columns.

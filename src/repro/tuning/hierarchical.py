@@ -27,26 +27,13 @@ infeasible candidates alike, independent of how many register-escalation
 rungs were needed.  (The seed implementation counted each escalation
 rung but not infeasible candidates; the uniform rule makes tuner budgets
 comparable across search strategies.)
-
-Users can supply their own hierarchy (a list of variant generators), as
-the paper allows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from hashlib import sha256
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..codegen.plan import (
     KernelPlan,
@@ -70,14 +57,12 @@ from ..resilience.checkpoint import (
     plan_to_dict,
 )
 from .evaluator import EvalStats, Measurement, PlanEvaluator, plan_fingerprint
-from .space import KnobGrid, SearchSpace, prune_overtiled, stage1_grid
+from .space import KnobGrid, SearchSpace, stage1_grid
 
 __all__ = [
-    "DEFAULT_SEED_LIMIT",
     "HierarchicalTuner",
     "Measurement",
     "TuningResult",
-    "seed_signature",
     "tune_kernel",
     "with_fold_groups",
     "TOP_K",
@@ -85,14 +70,6 @@ __all__ = [
 
 #: Stage-1 survivors carried into stage 2.
 TOP_K = 4
-
-#: Transfer seeds a tuning unit keeps: its fastest feasible plan for
-#: each of this many (block, unroll) signatures.  A warm start seeded
-#: with every priced configuration would rebuild the full sweep and save
-#: nothing, so the list stays short (``repro.tuning.transfer``).
-DEFAULT_SEED_LIMIT = 16
-
-VariantGenerator = Callable[[ProgramIR, KernelPlan], Iterable[KernelPlan]]
 
 
 def with_fold_groups(plan: KernelPlan, folds) -> KernelPlan:
@@ -107,18 +84,8 @@ def with_fold_groups(plan: KernelPlan, folds) -> KernelPlan:
     return plan.replace(fold_groups=folds, placements=tuple(placements))
 
 
-def seed_signature(plan: KernelPlan) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The stage-1 coordinates of a plan: (block, unroll).
-
-    Deliberately excludes every second-tier knob (retime, prefetch,
-    streaming mode, time tile): seeds only steer *where* stage 1 looks,
-    and retimed twins must travel with their parent variant.
-    """
-    return (tuple(plan.block), tuple(plan.unroll))
-
-
 def measurement_record(measurement: Measurement) -> dict:
-    """JSON form of a measurement, as unit records and seeds hold it."""
+    """JSON form of a measurement, as unit records hold it."""
     return {
         "plan": plan_to_dict(measurement.plan),
         "time_s": measurement.time_s,
@@ -137,19 +104,12 @@ def measurement_from_record(record: dict) -> Measurement:
 
 @dataclass(frozen=True)
 class TuningResult:
-    """Outcome of a hierarchical tuning run.
-
-    ``seeds`` holds the fastest feasible measurement per (block, unroll)
-    signature, fastest first, at most :data:`DEFAULT_SEED_LIMIT` of
-    them: what the unit's journal record keeps for transfer tuning.
-    """
+    """Outcome of a hierarchical tuning run."""
 
     best: Measurement
     evaluations: int
     stage1_evaluations: int
-    trace: Tuple[Measurement, ...] = ()
     eval_stats: Optional[EvalStats] = None
-    seeds: Tuple[Measurement, ...] = ()
 
     @property
     def best_plan(self) -> KernelPlan:
@@ -157,7 +117,7 @@ class TuningResult:
 
 
 class HierarchicalTuner:
-    """Two-stage (or user-defined) pruned autotuner."""
+    """Two-stage pruned autotuner."""
 
     def __init__(
         self,
@@ -167,11 +127,8 @@ class HierarchicalTuner:
         use_register_opts: bool = False,
         bandwidth_bound: bool = True,
         top_k: int = TOP_K,
-        hierarchy: Optional[Sequence[VariantGenerator]] = None,
-        keep_trace: bool = False,
         evaluator: Optional[PlanEvaluator] = None,
         journal: Optional[TuningJournal] = None,
-        lint_prune: bool = False,
     ):
         if top_k < 1:
             raise UsageError(
@@ -184,32 +141,15 @@ class HierarchicalTuner:
         self.use_register_opts = use_register_opts
         self.bandwidth_bound = bandwidth_bound
         self.top_k = top_k
-        self.hierarchy = hierarchy
-        self.keep_trace = keep_trace
-        #: opt-in lint-guided pruning (rule RL205): drop overtiled
-        #: stage-1 candidates before measuring.  Off by default — the
-        #: analytical model prices overtiled plans as first-class
-        #: citizens (unroll beyond the domain extent still changes the
-        #: instruction mix), so pruning can change the winner; enable
-        #: it only when saved simulations matter more than exhaustive
-        #: fidelity to the model.
-        self.lint_prune = lint_prune
         #: checkpoint journal: each finished :meth:`tune` call is one
         #: record, and a journaled call replays instead of searching
         #: (see ``repro.resilience.checkpoint``).
         self.journal = journal
         self._irfp = ir_fingerprint(ir) if journal is not None else None
         self.evaluations = 0
-        self._trace: List[Measurement] = []
         self._measured_families: Set[tuple] = set()
         #: the stage-1 grid of the current unit (its lanes were measured)
         self._stage1_grid: Optional[KnobGrid] = None
-        #: fastest feasible measurement per (block, unroll) signature;
-        #: a stage-1 lane is held as its index in the unit's stage-1
-        #: resolution (and time column) until the seeds are read
-        self._seeds: Dict[tuple, Union[Measurement, int]] = {}
-        self._stage1_res = None
-        self._stage1_times: List[Optional[float]] = []
         #: fold groups of each fused kernel-name tuple (stage 2)
         self._folds: Dict[Tuple[str, ...], tuple] = {}
 
@@ -218,20 +158,12 @@ class HierarchicalTuner:
     def unit_config(self) -> tuple:
         """Every tuner setting that shapes the search of a :meth:`tune`
         call; part of the call's journal key."""
-        hierarchy = None
-        if self.hierarchy is not None:
-            hierarchy = tuple(
-                getattr(level, "__qualname__", type(level).__qualname__)
-                for level in self.hierarchy
-            )
         return (
             type(self).__qualname__,
             self.use_unrolling,
             self.use_register_opts,
             self.bandwidth_bound,
             self.top_k,
-            self.lint_prune,
-            hierarchy,
         )
 
     def config_digest(self) -> str:
@@ -253,8 +185,8 @@ class HierarchicalTuner:
     def _replay(self, record: dict) -> TuningResult:
         """The :class:`TuningResult` a journaled ``tune`` record holds.
 
-        Nothing is evaluated, and a replayed unit adds nothing to the
-        trace.  Evaluation counts continue from this tuner's own.
+        Nothing is evaluated.  Evaluation counts continue from this
+        tuner's own.
         """
         best = measurement_from_record(record)
         if self._slog is not None:
@@ -267,31 +199,6 @@ class HierarchicalTuner:
             best=best,
             evaluations=self.evaluations,
             stage1_evaluations=before + record["stage1_evaluations"],
-            trace=tuple(self._trace),
-            seeds=tuple(measurement_from_record(s) for s in record["seeds"]),
-        )
-
-    def _note(self, measurement: Measurement) -> Measurement:
-        """Keep a feasible measurement for the trace and the seeds."""
-        if self.keep_trace:
-            self._trace.append(measurement)
-        signature = seed_signature(measurement.plan)
-        held = self._seeds.get(signature)
-        if held is None or measurement.time_s < self._seed_time(held):
-            self._seeds[signature] = measurement
-        return measurement
-
-    def _seed_time(self, seed: Union[Measurement, int]) -> float:
-        if isinstance(seed, Measurement):
-            return seed.time_s
-        return self._stage1_times[seed]
-
-    def _unit_seeds(self) -> Tuple[Measurement, ...]:
-        ranked = sorted(self._seeds.values(), key=self._seed_time)
-        return tuple(
-            seed if isinstance(seed, Measurement)
-            else self._stage1_res.measurement(seed)
-            for seed in ranked[:DEFAULT_SEED_LIMIT]
         )
 
     # -- measurement -----------------------------------------------------------
@@ -315,10 +222,10 @@ class HierarchicalTuner:
     ) -> List[Optional[Measurement]]:
         """Measure candidates as one evaluator batch, input-ordered.
 
-        Accounting and trace entries are identical to calling
-        :meth:`measure` serially on each plan.  Every measurement goes
-        through an evaluator batch, so an unexpected error fails fast
-        as an :class:`~repro.resilience.EvaluationError` naming the plan.
+        Accounting is identical to calling :meth:`measure` serially on
+        each plan.  Every measurement goes through an evaluator batch,
+        so an unexpected error fails fast as an
+        :class:`~repro.resilience.EvaluationError` naming the plan.
         """
         self.evaluations += len(plans)
         for plan in plans:
@@ -330,8 +237,8 @@ class HierarchicalTuner:
         if found is None:
             return None
         plan, result = found
-        return self._note(
-            Measurement(plan=plan, time_s=result.time_s, tflops=result.tflops)
+        return Measurement(
+            plan=plan, time_s=result.time_s, tflops=result.tflops
         )
 
     def measure_with_spills(self, plan: KernelPlan) -> Optional[Measurement]:
@@ -345,10 +252,8 @@ class HierarchicalTuner:
         (result,) = self.evaluator.evaluate_batch(self.ir, [candidate])
         if result is None:
             return None
-        return self._note(
-            Measurement(
-                plan=candidate, time_s=result.time_s, tflops=result.tflops
-            )
+        return Measurement(
+            plan=candidate, time_s=result.time_s, tflops=result.tflops
         )
 
     # -- stages -----------------------------------------------------------------
@@ -359,7 +264,7 @@ class HierarchicalTuner:
         With a journal, a call it already holds replays without
         evaluating anything, and a finished call is journaled as one
         record.  Each call searches on its own: stage-2 deduplication
-        and the seeds see only this call's measurements.
+        sees only this call's measurements.
         """
         stats_before = self.evaluator.stats.snapshot()
         kernels = "+".join(base.kernel_names)
@@ -374,13 +279,7 @@ class HierarchicalTuner:
                 evaluations_before = self.evaluations
                 self._measured_families = set()
                 self._stage1_grid = None
-                self._seeds = {}
-                self._stage1_res, self._stage1_times = None, []
-                if self.hierarchy is not None:
-                    result = self._tune_custom(base)
-                else:
-                    result = self._tune_two_stage(base)
-                result = replace(result, seeds=self._unit_seeds())
+                result = self._tune_two_stage(base)
                 if key is not None:
                     self.journal.record_candidate(
                         key, _unit_payload(result, evaluations_before)
@@ -404,14 +303,12 @@ class HierarchicalTuner:
                 best=fallback,
                 evaluations=self.evaluations,
                 stage1_evaluations=stage1_evals,
-                trace=tuple(self._trace),
             )
         best = self._stage2(stage1)
         return TuningResult(
             best=best,
             evaluations=self.evaluations,
             stage1_evaluations=stage1_evals,
-            trace=tuple(self._trace),
         )
 
     def _stage1(self, base: KernelPlan) -> List[Measurement]:
@@ -425,15 +322,17 @@ class HierarchicalTuner:
                 allow_unroll=self.use_unrolling,
                 device=self.device,
             )
-            grid = self._stage1_candidates(base, space)
-            if self.lint_prune:
-                grid = prune_overtiled(self.ir, grid, search_log=self._slog)
+            # Register-level optimizations change which block sizes win,
+            # so with them each unrolled-once variant is followed by its
+            # retimed twin.
+            grid = stage1_grid(
+                base, space, retime_twins=self._retimable(base)
+            )
             self.evaluations += len(grid)
             self._stage1_grid = grid
             res = self.evaluator.evaluate_spill_free_batch(self.ir, grid)
             times = res.time_column()
             feasible = [i for i, t in enumerate(times) if t is not None]
-            self._note_stage1(grid, res, feasible, times)
             # A stable sort: equal times keep lane order.
             ranked = sorted(feasible, key=times.__getitem__)
             survivors = [res.measurement(i) for i in ranked[: self.top_k]]
@@ -444,47 +343,6 @@ class HierarchicalTuner:
                     candidates=len(grid), feasible=len(feasible)
                 )
             return survivors
-
-    def _note_stage1(self, grid: KnobGrid, res, feasible, times) -> None:
-        """:meth:`_note` the feasible stage-1 lanes, in lane order.
-
-        ``times`` is the resolution's time column.  Without a trace,
-        each (block, unroll) signature keeps its fastest lane (the first
-        on ties) as a lazy seed, held as its lane index: a
-        :class:`Measurement` is built only for a seed the unit keeps.
-        """
-        if self.keep_trace:
-            for i in feasible:
-                self._note(res.measurement(i))
-            return
-        self._stage1_res, self._stage1_times = res, times
-        signatures = grid.signatures()
-        fastest: Dict[tuple, int] = {}
-        for i in feasible:
-            signature = signatures[i]
-            held = fastest.get(signature)
-            if held is None or times[i] < times[held]:
-                fastest[signature] = i
-        seeds = self._seeds
-        for signature, i in fastest.items():
-            held = seeds.get(signature)
-            if held is None or times[i] < self._seed_time(held):
-                seeds[signature] = i
-
-    def _stage1_candidates(
-        self, base: KernelPlan, space: SearchSpace
-    ) -> KnobGrid:
-        """Stage-1 candidates: the block x unroll grid over ``base``.
-
-        The extension point for warm-started searches —
-        :class:`repro.tuning.transfer.WarmStartTuner` overrides this to
-        narrow the sweep to the neighborhood of another device's
-        journaled winners.  Register-level optimizations change which
-        block sizes win, so with them each unrolled-once variant is
-        followed by its retimed twin; filters over the lanes
-        (:meth:`KnobGrid.select`) keep the pairing intact.
-        """
-        return stage1_grid(base, space, retime_twins=self._retimable(base))
 
     def _retimable(self, plan: KernelPlan) -> bool:
         if not (self.use_register_opts and plan.uses_streaming):
@@ -550,39 +408,6 @@ class HierarchicalTuner:
             self._folds[kernel_names] = folds
         return folds
 
-    def _tune_custom(self, base: KernelPlan) -> TuningResult:
-        """User-defined hierarchy: each level maps survivors to variants."""
-        survivors = [base]
-        best: Optional[Measurement] = None
-        stage1_evals = 0
-        for depth, generator in enumerate(self.hierarchy or ()):
-            level_plans: List[KernelPlan] = []
-            for plan in survivors:
-                level_plans.extend(generator(self.ir, plan))
-            with _span(
-                f"tuning.level{depth + 1}", candidates=len(level_plans)
-            ), _log_context(self._slog, stage=f"level{depth + 1}"):
-                measured = [
-                    m for m in self._measure_batch(level_plans) if m is not None
-                ]
-            measured.sort(key=lambda m: m.time_s)
-            if measured:
-                survivors = [m.plan for m in measured[: self.top_k]]
-                if best is None or measured[0].time_s < best.time_s:
-                    best = measured[0]
-            if depth == 0:
-                stage1_evals = self.evaluations
-        if best is None:
-            best = self.measure_with_spills(base)
-            if best is None:
-                raise PlanInfeasible("custom hierarchy produced no candidates")
-        return TuningResult(
-            best=best,
-            evaluations=self.evaluations,
-            stage1_evaluations=stage1_evals,
-            trace=tuple(self._trace),
-        )
-
 
 def _unit_payload(result: TuningResult, evaluations_before: int) -> dict:
     """The ``tune`` record of a finished call (counts as deltas)."""
@@ -590,7 +415,6 @@ def _unit_payload(result: TuningResult, evaluations_before: int) -> dict:
     payload.update(
         evaluations=result.evaluations - evaluations_before,
         stage1_evaluations=result.stage1_evaluations - evaluations_before,
-        seeds=[measurement_record(seed) for seed in result.seeds],
     )
     return payload
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..codegen.plan import KernelPlan, REGISTER_LEVELS
 from ..gpu.device import DeviceSpec, P100
@@ -154,13 +154,6 @@ class KnobGrid:
     def __len__(self) -> int:
         return len(self.block_ix)
 
-    def signatures(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """Every lane's stage-1 coordinates ``(block, unroll)``, one
-        shared tuple per value pair."""
-        table = [[(block, unroll) for unroll in self.unrolls]
-                 for block in self.blocks]
-        return [table[b][u] for b, u in zip(self.block_ix, self.unroll_ix)]
-
     def plan(self, i: int) -> KernelPlan:
         """Lane ``i`` as a plan."""
         base = self.base
@@ -172,18 +165,6 @@ class KnobGrid:
 
     def plans(self) -> Iterator[KernelPlan]:
         return (self.plan(i) for i in range(len(self)))
-
-    def select(self, keep: Sequence[bool]) -> "KnobGrid":
-        """The lanes whose ``keep`` entry is true, in order."""
-        lanes = [i for i, kept in enumerate(keep) if kept]
-        return KnobGrid(
-            self.base,
-            self.blocks,
-            self.unrolls,
-            [self.block_ix[i] for i in lanes],
-            [self.unroll_ix[i] for i in lanes],
-            [self.retime[i] for i in lanes],
-        )
 
     def families(self) -> List[Tuple[KernelPlan, List[int]]]:
         """``(prototype, lanes)`` per retime value, in first-lane order.
@@ -260,55 +241,3 @@ def seed_variants(
 ) -> Iterator[KernelPlan]:
     """Stage-1 variants: block size x unroll factors over the base plan."""
     return stage1_grid(plan, space).plans()
-
-
-def prune_overtiled(ir, grid: KnobGrid, search_log=None) -> KnobGrid:
-    """Drop lanes whose tile exceeds the domain (lint rule RL205).
-
-    A block tile (threads x unroll) larger than the domain extent along
-    any axis leaves part of every block permanently idle.  On hardware
-    such plans are wasteful; in the analytical model they are still
-    priced as first-class citizens (unroll past the domain extent keeps
-    changing the instruction mix), so pruning them trades model
-    fidelity for saved simulations — which is why the tuners expose it
-    as an opt-in (``HierarchicalTuner(lint_prune=True)``) rather than a
-    default.
-
-    Returns the narrowed grid.  If *every* lane is overtiled (tiny test
-    domains), nothing is pruned: the tuner must still measure something.
-    """
-    try:
-        domain = ir.domain_shape()
-    except ValueError:
-        return grid
-    # Tile extents depend on (block, unroll) alone: one check per
-    # distinct pair, through a plan of the base's streaming shape.
-    verdicts: Dict[Tuple[int, int], bool] = {}
-    fits = []
-    for b, u in zip(grid.block_ix, grid.unroll_ix):
-        fit = verdicts.get((b, u))
-        if fit is None:
-            probe = grid.base.replace(
-                block=grid.blocks[b], unroll=grid.unrolls[u]
-            )
-            fit = verdicts[(b, u)] = not any(
-                probe.tile_extent(axis, ir.ndim) > domain[axis]
-                for axis in probe.tiled_axes(ir.ndim)
-            )
-        fits.append(fit)
-    kept = sum(fits)
-    if not kept:
-        return grid
-    dropped = len(fits) - kept
-    if dropped:
-        from ..obs import counter
-
-        counter("lint.prune.overtile").add(dropped)
-        if search_log is not None:
-            search_log.emit(
-                "prune",
-                reason="lint.RL205",
-                dropped=dropped,
-                kept=kept,
-            )
-    return grid.select(fits)

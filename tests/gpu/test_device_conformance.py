@@ -29,7 +29,7 @@ import pytest
 from repro.codegen.plan import REGISTER_LEVELS
 from repro.gpu.device import DEVICES, P100, V100, device_names, get_device
 from repro.gpu.occupancy import occupancy
-from repro.gpu.pricing import price_family
+from repro.gpu.pricing import family_structure
 from repro.gpu.simulator import PlanInfeasible, plan_occupancy, simulate
 from repro.lint.rules_plan import classify_occupancy_failure
 from repro.resilience.errors import InfeasiblePlanError
@@ -124,9 +124,9 @@ class TestPricingParityPerDevice:
             for unroll in ((), (2,))
             for cap in (32, 255)
         ]
-        pricing = price_family(IR, plans, device=device)
-        assert len(pricing) == len(plans)
-        for plan, lane in zip(pricing.plans, pricing.lanes):
+        lanes = family_structure(IR, proto).price(plans, device)
+        assert len(lanes) == len(plans)
+        for plan, lane in zip(plans, lanes):
             assert_lane_parity(IR, plan, lane, device=device)
 
 

@@ -2,7 +2,8 @@
 
 The lane model (``repro.gpu.pricing``) is the only performance model in
 ``src``; ``tests/gpu/reference_model.py`` keeps the model's scalar form
-as its oracle.  For every lane, ``price_family`` must return either a
+as its oracle.  For every lane, ``FamilyStructure.price`` must return
+either a
 :class:`SimulationResult` equal field-for-field to the reference
 ``simulate()``, or the exact occupancy rejection (message, context,
 RL2xx lint code) that ``plan_occupancy`` raises.  The Hypothesis suite
@@ -31,17 +32,11 @@ from repro.codegen.tiling import plan_structural_key
 from repro.dsl import parse
 from repro.gpu import P100
 from repro.gpu.device import DEVICES, device_names, get_device
-from repro.gpu.pricing import (
-    GRID_AXES,
-    family_structure,
-    price_family,
-    priced_lane_count,
-)
+from repro.gpu.pricing import family_structure, priced_lane_count
 from repro.gpu.registers import register_demand
 from repro.gpu.simulator import PlanInfeasible, plan_occupancy
 from repro.ir import build_ir
 from repro.lint.rules_plan import classify_occupancy_failure
-from repro.resilience.errors import UsageError
 
 from .reference_model import simulate as reference_simulate
 
@@ -100,6 +95,11 @@ _BLOCKS_2D = [(8, 8), (16, 8), (16, 16), (32, 8), (32, 16), (32, 32), (64, 32)]
 _BLOCKS_3D = [(2, 8, 8), (4, 8, 8), (4, 16, 16), (8, 8, 16), (16, 16, 8)]
 _UNROLLS = [(), (1,), (2,), (4,), (1, 2), (2, 2), (1, 1, 2)]
 _MAXREGS = list(REGISTER_LEVELS) + [48, 96, 200]
+
+
+def price(ir, plans, device=P100):
+    """One lane-model pass over ``plans`` (one structural family)."""
+    return family_structure(ir, plans[0]).price(plans, device)
 
 
 def scalar_lane(ir, plan, device=P100):
@@ -226,9 +226,9 @@ class TestBitwiseParity:
             )
             for block, unroll, blocked, maxreg in lanes
         ]
-        pricing = price_family(IR, plans)
-        assert len(pricing) == len(plans)
-        for plan, lane in zip(pricing.plans, pricing.lanes):
+        lanes = price(IR, plans)
+        assert len(lanes) == len(plans)
+        for plan, lane in zip(plans, lanes):
             assert_lane_parity(IR, plan, lane)
 
     @settings(deadline=None)
@@ -239,33 +239,27 @@ class TestBitwiseParity:
         # exactly as its own plan, occupancy refusals included.
         device = get_device(name)
         assert len({plan_structural_key(p) for p in plans}) == 1
-        pricing = price_family(IR, plans, device=device)
-        assert len(pricing) == len(plans)
-        for plan, lane in zip(pricing.plans, pricing.lanes):
+        lanes = price(IR, plans, device)
+        assert len(lanes) == len(plans)
+        for plan, lane in zip(plans, lanes):
             assert_lane_parity(IR, plan, lane, device=device)
 
     def test_grid_sweeps_stage2_knobs(self):
         proto = PROTOS["concurrent"]
-        grid = {
-            "prefetch": [False, True],
-            "perspective": list(PERSPECTIVES),
-            "concurrent_chunks": [1, 2, 4],
-            "block": [(16, 16), (64, 32)],
-        }
-        pricing = price_family(IR, proto, grid=grid)
-        assert len(pricing) == 36
-        assert {
-            (p.prefetch, p.perspective, p.concurrent_chunks, p.block)
-            for p in pricing.plans
-        } == {
-            (f, v, c, b)
-            for f in grid["prefetch"]
-            for v in grid["perspective"]
-            for c in grid["concurrent_chunks"]
-            for b in grid["block"]
-        }
-        assert not all(lane.feasible for lane in pricing.lanes)
-        for plan, lane in zip(pricing.plans, pricing.lanes):
+        plans = [
+            proto.replace(
+                prefetch=f, perspective=v, concurrent_chunks=c, block=b
+            )
+            for f in (False, True)
+            for v in PERSPECTIVES
+            for c in (1, 2, 4)
+            for b in ((16, 16), (64, 32))
+        ]
+        assert len({plan_structural_key(p) for p in plans}) == 1
+        lanes = price(IR, plans)
+        assert len(lanes) == 36
+        assert not all(lane.feasible for lane in lanes)
+        for plan, lane in zip(plans, lanes):
             assert_lane_parity(IR, plan, lane)
 
     def test_structure_holds_no_lane_knob(self):
@@ -280,50 +274,13 @@ class TestBitwiseParity:
         ):
             assert not hasattr(structure, name), name
 
-    def test_grid_expansion_covers_cross_product(self):
-        proto = PROTOS["serial-shm"]
-        grid = {"block": [(16, 16), (32, 8)], "max_registers": [64, 255]}
-        pricing = price_family(IR, proto, grid=grid)
-        assert len(pricing) == 4
-        seen = {(p.block, p.max_registers) for p in pricing.plans}
-        assert seen == {
-            ((16, 16), 64), ((16, 16), 255), ((32, 8), 64), ((32, 8), 255),
-        }
-        for plan, lane in zip(pricing.plans, pricing.lanes):
-            assert_lane_parity(IR, plan, lane)
-
     def test_rejection_lane_classifies_like_lint(self):
         # 2048 threads per block: the occupancy screen must reject this
         # lane with the same RL2xx code the scalar reference produces.
         proto = PROTOS["serial-shm"]
-        pricing = price_family(IR, [proto.replace(block=(64, 32))])
-        (lane,) = pricing.lanes
+        (lane,) = price(IR, [proto.replace(block=(64, 32))])
         assert not lane.feasible
         assert_lane_parity(IR, proto.replace(block=(64, 32)), lane)
-
-    def test_table_mirrors_lanes(self):
-        proto = PROTOS["serial-shm"]
-        plans = [
-            proto.replace(block=b, max_registers=m)
-            for b in ((16, 16), (32, 8), (64, 32)) for m in (64, 255)
-        ]
-        pricing = price_family(IR, plans)
-        table = pricing.table
-        assert len(table) == len(plans)
-        best = pricing.best_index()
-        assert best is not None
-        best_t = min(
-            lane.result.time_s for lane in pricing.lanes if lane.feasible
-        )
-        assert pricing.lanes[best].result.time_s == best_t
-        for row, lane in zip(table, pricing.lanes):
-            assert bool(row["feasible"]) == lane.feasible
-            assert int(row["reg_demand"]) == lane.demand
-            if lane.feasible:
-                assert float(row["time_s"]) == lane.result.time_s
-                assert float(row["tflops"]) == lane.result.tflops
-            else:
-                assert row["rejection"] == (lane.occ_code or "")
 
 
 def _bound_source(iterators, reach, fused_reach=None):
@@ -404,7 +361,7 @@ class TestSizeBound:
     @staticmethod
     def _assert_parity(ir, plans, device):
         for plan in plans:
-            (lane,) = price_family(ir, [plan], device=device).lanes
+            (lane,) = price(ir, [plan], device)
             assert_lane_parity(ir, plan, lane, device=device)
             if lane.result is not None:
                 counters = lane.result.counters
@@ -417,12 +374,12 @@ class TestSizeBound:
             kernel_names=("s.0", "t.0"), block=(1, 1, 1), streaming="none"
         )
         with pytest.raises(OverflowError, match="4096x4096x4096 grid"):
-            price_family(self._ir(3, fused_reach=1), [tiny])
+            price(self._ir(3, fused_reach=1), [tiny])
         # At reach 14 the fused intermediate needs more shared memory
         # than any device has: a refused lane may wrap, as nothing reads
         # its counts.
         ir = self._ir(3, fused_reach=14)
-        (lane,) = price_family(ir, [tiny]).lanes
+        (lane,) = price(ir, [tiny])
         assert_lane_parity(ir, tiny, lane)
         assert lane.occ_code == "RL201"
 
@@ -448,9 +405,9 @@ class TestDeviceParity:
             )
             for block, unroll, blocked, maxreg in lanes
         ]
-        pricing = price_family(IR, plans, device=device)
-        assert len(pricing) == len(plans)
-        for plan, lane in zip(pricing.plans, pricing.lanes):
+        lanes = price(IR, plans, device)
+        assert len(lanes) == len(plans)
+        for plan, lane in zip(plans, lanes):
             assert_lane_parity(IR, plan, lane, device=device)
 
     @settings(deadline=None)
@@ -531,7 +488,7 @@ class TestSpillFreeResolution:
     def test_lane_counter_advances(self):
         proto = PROTOS["serial-shm"]
         before = priced_lane_count()
-        price_family(IR, [proto, proto.replace(block=(32, 8))])
+        price(IR, [proto, proto.replace(block=(32, 8))])
         assert priced_lane_count() == before + 2
 
 
@@ -556,7 +513,7 @@ class TestPricedLaneCount:
         proto = PROTOS["serial-shm"]
         plans = [proto.replace(max_registers=32 * (1 + k)) for k in range(n)]
         before = priced_lane_count()
-        price_family(IR, plans)
+        price(IR, plans)
         assert priced_lane_count() == before + n == self._counter()
 
     def test_counts_from_the_last_reset(self):
@@ -564,34 +521,8 @@ class TestPricedLaneCount:
 
         configure_metrics(reset=True)
         assert priced_lane_count() == 0
-        price_family(IR, [PROTOS["serial-shm"]])
+        price(IR, [PROTOS["serial-shm"]])
         assert priced_lane_count() == 1 == self._counter()
-
-
-class TestUsageErrors:
-    def test_non_grid_axis_rejected(self):
-        with pytest.raises(UsageError, match="structure"):
-            price_family(IR, PROTOS["serial-shm"], grid={"retime": [True]})
-        assert "block" in GRID_AXES and "retime" not in GRID_AXES
-
-    def test_mixed_structural_keys_rejected(self):
-        with pytest.raises(UsageError, match="structural"):
-            price_family(
-                IR,
-                [PROTOS["serial-shm"], PROTOS["serial-shm"].replace(
-                    placements=(("in", "register"),)
-                )],
-            )
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(UsageError, match="at least one"):
-            price_family(IR, [])
-
-    def test_grid_with_plan_list_rejected(self):
-        with pytest.raises(UsageError, match="grid"):
-            price_family(
-                IR, [PROTOS["serial-shm"]], grid={"max_registers": [64]}
-            )
 
 
 class TestBackendSmoke:
@@ -606,6 +537,5 @@ class TestBackendSmoke:
         assert pricing_module.np is numpy
         major, minor = (int(x) for x in numpy.__version__.split(".")[:2])
         assert (major, minor) >= (1, 23)
-        pricing = price_family(IR, [PROTOS["serial-shm"]])
-        (lane,) = pricing.lanes
+        (lane,) = price(IR, [PROTOS["serial-shm"]])
         assert lane.feasible and lane.result.time_s > 0

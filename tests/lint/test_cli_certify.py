@@ -96,21 +96,23 @@ class TestExitCodes:
 
 class TestJournalMode:
     def test_journal_plans_are_certified(self, spec, tmp_path, capsys):
-        # Each unit record contributes its winner and its seeds, once
-        # per distinct plan.
+        # Each unit record contributes its winner, once per distinct
+        # plan: the refuted plan is the second unit's winner.
         journal_path = tmp_path / "journal.jsonl"
         good = {"plan": plan_to_dict(good_plan()), "time_s": 1.0, "tflops": 1.0}
         bad = {"plan": plan_to_dict(bad_plan()), "time_s": 2.0, "tflops": 0.5}
         journal = TuningJournal(str(journal_path), device="P100")
         journal.record_candidate(
-            "unit",
-            dict(good, evaluations=2, stage1_evaluations=2, seeds=[good, bad]),
+            "unit", dict(good, evaluations=2, stage1_evaluations=2)
+        )
+        journal.record_candidate(
+            "unit-2", dict(bad, evaluations=2, stage1_evaluations=2)
         )
         journal.record_degree(
             "degree",
             dict(
                 good, degree=1, evaluations=1, bandwidth_bound=True,
-                bound_level="dram", seeds=[good],
+                bound_level="dram",
             ),
         )
         journal.close()

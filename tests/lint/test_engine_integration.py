@@ -5,8 +5,7 @@ The PlanEvaluator screens each candidate as ``plan_rejection`` would
 lane of the pricing pass): every screened rejection carries a stable
 RLxxx code (in the exception message, the ``rule`` field and the
 ``lint.reject.*`` counters), and ``EvalStats.lint_rejections`` tracks
-``screened`` exactly.  Overtile pruning (RL205) is a separate, opt-in
-tuner knob.
+``screened`` exactly.
 """
 
 import pytest
@@ -15,8 +14,7 @@ from repro.codegen.plan import KernelPlan
 from repro.gpu.device import P100
 from repro.gpu.simulator import PlanInfeasible
 from repro.obs import configure_metrics, get_metrics
-from repro.tuning import HierarchicalTuner, PlanEvaluator
-from repro.tuning.space import KnobGrid, prune_overtiled
+from repro.tuning import PlanEvaluator
 
 from ..settle_hooks import trap_settle
 
@@ -147,54 +145,6 @@ class TestRefusalCounters:
         assert get_metrics().snapshot()["lint.reject.RL202"] == 2
 
 
-class TestPruneOvertiled:
-    def _grid(self, ir, unrolls):
-        kernel = kernel_of(ir)
-        fits = KernelPlan(
-            (kernel,), block=(4, 128), streaming="serial", stream_axis=0
-        )
-        # unroll (1, 1, 8): a 1024-point tile on a 512 domain
-        return KnobGrid(
-            fits, [fits.block], unrolls, [0] * len(unrolls),
-            list(range(len(unrolls))), [False] * len(unrolls),
-        )
-
-    def test_drops_overtiled_keeps_fitting(self, smoother_ir):
-        grid = self._grid(smoother_ir, [(), (1, 1, 8)])
-        kept = prune_overtiled(smoother_ir, grid)
-        assert list(kept.plans()) == [grid.plan(0)]
-
-    def test_all_overtiled_falls_back_unpruned(self, smoother_ir):
-        grid = self._grid(smoother_ir, [(1, 1, 8)])
-        kept = prune_overtiled(smoother_ir, grid)
-        assert list(kept.plans()) == list(grid.plans())
-
-    def test_prune_emits_counter(self, smoother_ir):
-        grid = self._grid(smoother_ir, [(), (1, 1, 8)])
-        configure_metrics(reset=True)
-        prune_overtiled(smoother_ir, grid)
-        snap = get_metrics().snapshot()
-        assert snap["lint.prune.overtile"] == 1
-
-    def test_pruned_tune_measures_fewer_lanes(self, smoother_ir):
-        base = KernelPlan(
-            (kernel_of(smoother_ir),), block=(32, 16), streaming="serial",
-            stream_axis=0,
-        )
-        full = HierarchicalTuner(smoother_ir).tune(base)
-        pruned = HierarchicalTuner(smoother_ir, lint_prune=True).tune(base)
-        assert pruned.stage1_evaluations < full.stage1_evaluations
-
-    def test_tuner_exposes_opt_in_knob(self, smoother_ir):
-        # Off by default: pruning trades model fidelity (the analytical
-        # model prices overtiled plans as first-class, and they can win)
-        # for saved simulations, so it must be explicit.
-        assert HierarchicalTuner(smoother_ir).lint_prune is False
-        assert (
-            HierarchicalTuner(smoother_ir, lint_prune=True).lint_prune is True
-        )
-
-
 class TestSimulatorRouting:
     def test_occupancy_prescreen_counts_rule_code(self, smoother_ir):
         from repro.gpu.simulator import plan_occupancy
@@ -226,8 +176,7 @@ class TestHtmlReportSection:
                 "disposition": "rejected",
                 "reason": "[RL202] block of 2048 threads",
             },
-            {"kind": "prune", "reason": "lint.RL205", "dropped": 3, "kept": 9},
         ]
         html = render_html(events)
         assert "Lint rejections" in html
-        assert "RL202" in html and "RL205" in html
+        assert "RL202" in html

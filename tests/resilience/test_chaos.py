@@ -15,7 +15,7 @@ The headline guarantees, each demonstrated on whole tuning runs:
 
 Failures are planted by monkeypatching inside each test (the
 ``crashing_engine`` fixture, or a broken pricing seam:
-``PlanEvaluator._price_family`` or a ``FamilyStructure`` method);
+``PlanEvaluator._price_lanes`` or a ``FamilyStructure`` method);
 nothing in the engine exists to inject them.
 """
 
@@ -118,7 +118,7 @@ class TestFailFast:
             attempted.append(family.proto)
             raise RuntimeError("model bug")
 
-        monkeypatch.setattr(PlanEvaluator, "_price_family", broken_pricing)
+        monkeypatch.setattr(PlanEvaluator, "_price_lanes", broken_pricing)
         engine = PlanEvaluator()
         with pytest.raises(EvaluationError) as info:
             HierarchicalTuner(smoother_ir, evaluator=engine).tune(base)
@@ -228,7 +228,6 @@ class TestCheckpointResume:
         assert replayed.best.plan == ref.best.plan
         assert replayed.evaluations == first.evaluations
         assert replayed.stage1_evaluations == first.stage1_evaluations
-        assert replayed.seeds == first.seeds
         assert engine.stats.requests == 0  # pure replay
 
     def test_interrupted_optimize_resumes_to_identical_outcome(

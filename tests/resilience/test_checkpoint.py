@@ -29,9 +29,7 @@ def _plan(index: int = 0) -> dict:
 def _unit(index: int = 0, time_s: float = 1.0, tflops: float = 1.0) -> dict:
     """A ``tune`` record payload as ``HierarchicalTuner.tune`` journals it."""
     winner = {"plan": _plan(index), "time_s": time_s, "tflops": tflops}
-    return dict(
-        winner, evaluations=10, stage1_evaluations=6, seeds=[winner]
-    )
+    return dict(winner, evaluations=10, stage1_evaluations=6)
 
 
 def _open_expecting_lock(path):
@@ -122,11 +120,7 @@ class TestJournalRoundTrip:
         winner = {"plan": plan_to_dict(base_plan), "time_s": 0.5, "tflops": 1.5}
         with TuningJournal(path, device="P100") as journal:
             journal.record_candidate(
-                "k1",
-                dict(
-                    winner, evaluations=7, stage1_evaluations=4,
-                    seeds=[winner],
-                ),
+                "k1", dict(winner, evaluations=7, stage1_evaluations=4)
             )
             journal.record_candidate("k2", _unit(2))
             assert len(journal) == 2
@@ -137,7 +131,6 @@ class TestJournalRoundTrip:
         assert plan_from_dict(hit["plan"]) == base_plan
         assert hit["time_s"] == 0.5
         assert hit["evaluations"] == 7
-        assert plan_from_dict(hit["seeds"][0]["plan"]) == base_plan
         assert reopened.lookup("k2")["plan"] == _plan(2)
         assert reopened.lookup("k3") is None
         reopened.close()
@@ -193,12 +186,10 @@ def _degree_payload(degree: int) -> dict:
         "bandwidth_bound": True,
         "bound_level": "dram",
         "evaluations": 3,
-        "seeds": [{"plan": _plan(degree), "time_s": 0.1, "tflops": 1.0}],
     }
 
 
 GOOD_TUNE = dict(_unit(9, tflops=2.0), kind="tune", key="k9")
-GOOD_SEED = GOOD_TUNE["seeds"][0]
 GOOD_DEGREE = dict(_degree_payload(3), kind="degree", key="ir:degree:3")
 
 
@@ -289,25 +280,6 @@ class TestRecordValidation:
                 id="tune-bool-evaluations",
             ),
             pytest.param(
-                _without(GOOD_TUNE, "seeds"), "no list 'seeds'",
-                id="tune-no-seeds",
-            ),
-            pytest.param(
-                dict(GOOD_TUNE, seeds=[GOOD_SEED, "oops"]),
-                "has seed 1 with a malformed seed",
-                id="seed-not-a-dict",
-            ),
-            pytest.param(
-                dict(GOOD_TUNE, seeds=[dict(GOOD_SEED, plan={"v": 1})]),
-                "has seed 0 with a malformed seed plan",
-                id="seed-malformed-plan",
-            ),
-            pytest.param(
-                dict(GOOD_TUNE, seeds=[_without(GOOD_SEED, "time_s")]),
-                "has seed 0 with no numeric 'time_s'",
-                id="seed-no-time",
-            ),
-            pytest.param(
                 _without(GOOD_DEGREE, "plan"), "malformed degree plan",
                 id="degree-no-plan",
             ),
@@ -327,10 +299,6 @@ class TestRecordValidation:
             pytest.param(
                 _without(GOOD_DEGREE, "evaluations"), "no int 'evaluations'",
                 id="degree-no-evaluations",
-            ),
-            pytest.param(
-                _without(GOOD_DEGREE, "seeds"), "no list 'seeds'",
-                id="degree-no-seeds",
             ),
         ],
     )
@@ -354,8 +322,10 @@ class TestRecordValidation:
     def test_writer_refuses_a_record_it_could_not_replay(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with TuningJournal(path, device="P100") as journal:
-            with pytest.raises(ValueError, match="no list 'seeds'"):
-                journal.record_candidate("k1", _without(_unit(1), "seeds"))
+            with pytest.raises(ValueError, match="no int 'evaluations'"):
+                journal.record_candidate(
+                    "k1", _without(_unit(1), "evaluations")
+                )
         with TuningJournal(path, device="P100") as journal:
             assert journal.replayable == 0
 
@@ -364,10 +334,9 @@ class TestRecordValidation:
         [
             GOOD_TUNE,
             dict(GOOD_TUNE, time_s=1, tflops=0),
-            dict(GOOD_TUNE, seeds=[]),
             GOOD_DEGREE,
         ],
-        ids=["tune", "int-timing", "no-seeds", "degree"],
+        ids=["tune", "int-timing", "degree"],
     )
     def test_well_formed_records_load(self, tmp_path, record):
         path = str(tmp_path / "journal.jsonl")
@@ -456,8 +425,8 @@ class TestCrashRecovery:
             live.close()
 
     def test_reader_takes_no_lock_and_repairs_nothing(self, tmp_path):
-        # ``read_journal`` serves offline consumers (transfer tuning,
-        # ``repro certify``): it may read a journal a live run holds,
+        # ``read_journal`` serves offline consumers (``repro
+        # certify``): it may read a journal a live run holds,
         # and must leave that run's in-flight tail alone.
         path = self._journal_with_records(tmp_path)
         with TuningJournal(path, device="P100"):
@@ -573,18 +542,32 @@ class TestWriterLock:
 
 
 class TestCompatibilityChecks:
-    def test_version_1_journal_is_refused(self, tmp_path):
-        # Version 1 journaled one ``candidate`` line per priced plan; a
-        # version-2 build replays only whole tuning units.
-        assert JOURNAL_VERSION == 2
-        path = tmp_path / "v1.jsonl"
-        header = {"kind": "header", "version": 1, "tool": "repro",
+    #: A record of each retired version: version 1 journaled one
+    #: ``candidate`` line per priced plan; version 2 journaled whole
+    #: units but kept transfer ``seeds`` and keyed them by tuner
+    #: settings this build no longer has, so none of its keys could hit.
+    OLD_RECORDS = {
+        1: {"kind": "candidate", "key": "ir:sf:abc", "plan": _plan(1),
+            "time_s": 1.0, "tflops": 2.0},
+        2: dict(_unit(1), kind="tune", key="ir:tune:abc:def",
+                seeds=[{"plan": _plan(1), "time_s": 1.0, "tflops": 2.0}]),
+    }
+
+    @staticmethod
+    def _old_journal(tmp_path, version):
+        path = tmp_path / f"v{version}.jsonl"
+        header = {"kind": "header", "version": version, "tool": "repro",
                   "device": "P100"}
-        candidate = {"kind": "candidate", "key": "ir:sf:abc",
-                     "plan": _plan(1), "time_s": 1.0, "tflops": 2.0}
+        record = TestCompatibilityChecks.OLD_RECORDS[version]
         path.write_text(
-            "".join(json.dumps(line) + "\n" for line in (header, candidate))
+            "".join(json.dumps(line) + "\n" for line in (header, record))
         )
+        return path
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_journal_is_refused(self, tmp_path, version):
+        assert JOURNAL_VERSION == 3
+        path = self._old_journal(tmp_path, version)
         for load in (
             lambda: TuningJournal(str(path), device="P100"),
             lambda: read_journal(path),
@@ -593,9 +576,30 @@ class TestCompatibilityChecks:
                 load()
             message = str(info.value)
             assert info.value.exit_code == 4
-            assert "has version 1; this build reads version 2" in message
+            assert (
+                f"has version {version}; this build reads version 3"
+                in message
+            )
             assert "start a fresh --checkpoint" in message
             assert "\n" not in message
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("command", ["optimize", "certify"])
+    def test_old_version_journal_exits_4_at_the_cli(
+        self, tmp_path, capsys, version, command
+    ):
+        from repro.cli import main
+
+        path = str(self._old_journal(tmp_path, version))
+        if command == "optimize":
+            argv = ["optimize", "7pt-smoother", "--checkpoint", path,
+                    "--resume"]
+        else:
+            argv = ["certify", "7pt-smoother", "--journal", path]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert f"has version {version}; this build reads version 3" in err
+        assert "Traceback" not in err
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
@@ -607,10 +611,142 @@ class TestCompatibilityChecks:
     def test_device_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         TuningJournal(path, device="P100").close()
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError) as info:
             TuningJournal(path, device="V100")
+        assert str(info.value) == (
+            f"checkpoint journal {path} was recorded for device 'P100', "
+            f"not 'V100'; resume on 'P100' or start a fresh checkpoint"
+        )
 
     def test_device_check_skipped_when_unspecified(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         TuningJournal(path, device="P100").close()
         TuningJournal(path).close()  # no device claim: accepted
+
+
+SPATIAL_SRC = """
+parameter N=64;
+iterator k, j, i;
+double a[N,N,N], b[N,N,N];
+copyin a;
+stencil s (b, a) { b[k][j][i] = a[k][j][i+1] + a[k][j][i-1]; }
+s (b, a);
+copyout b;
+"""
+
+
+@pytest.fixture
+def spec(tmp_path):
+    path = tmp_path / "spatial.dsl"
+    path.write_text(SPATIAL_SRC)
+    return str(path)
+
+
+@pytest.fixture
+def p100_journal(tmp_path):
+    """A finished P100 tuning run's journal."""
+    from repro.gpu.device import P100
+    from repro.tuning import tune_kernel
+    from tests.gpu.test_pricing import IR, PROTOS
+
+    path = str(tmp_path / "p100.jsonl")
+    with TuningJournal(path, device=P100.name) as journal:
+        tune_kernel(
+            IR, PROTOS["serial-shm"], device=P100, top_k=2, journal=journal
+        )
+    return path
+
+
+class TestResumeRefusal:
+    """Replaying one device's journaled timings into another device's
+    search would poison it, so a cross-device resume is refused with the
+    usage exit code 2 (:class:`CheckpointDeviceMismatch`)."""
+
+    def test_cross_device_open_raises_mismatch(self, p100_journal):
+        from repro.resilience.errors import (
+            CheckpointDeviceMismatch,
+            ReproError,
+            UsageError,
+        )
+
+        with pytest.raises(CheckpointDeviceMismatch) as info:
+            TuningJournal(p100_journal, device="V100")
+        err = info.value
+        # Catchable under both parents, exits with the usage code.
+        assert isinstance(err, CheckpointError)
+        assert isinstance(err, UsageError)
+        assert isinstance(err, ReproError)
+        assert err.exit_code == 2
+        assert err.context["recorded"] == "P100"
+        assert err.context["requested"] == "V100"
+        assert str(err).endswith(
+            "resume on 'P100' or start a fresh checkpoint"
+        )
+
+    def test_cli_resume_on_other_device_is_exit_2(
+        self, spec, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        journal = str(tmp_path / "ckpt.jsonl")
+        assert main(
+            ["optimize", spec, "--top-k", "1", "--checkpoint", journal]
+        ) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "optimize", spec, "--top-k", "1", "--device", "V100",
+                "--checkpoint", journal, "--resume",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "'P100'" in err and "'V100'" in err
+        assert len(err.strip().splitlines()) == 1  # one line, no traceback
+
+    def test_same_device_resume_still_works(self, spec, tmp_path, capsys):
+        from repro.cli import main
+
+        journal = str(tmp_path / "ckpt.jsonl")
+        assert main(
+            ["optimize", spec, "--top-k", "1", "--checkpoint", journal]
+        ) == 0
+        assert main(
+            [
+                "optimize", spec, "--top-k", "1",
+                "--checkpoint", journal, "--resume",
+            ]
+        ) == 0
+        assert "checkpoint: resuming" in capsys.readouterr().err
+
+
+class TestJournalRecordsAccessor:
+    def test_records_snapshot_and_kind_filter(self, p100_journal):
+        journal = TuningJournal(p100_journal)
+        try:
+            everything = journal.records()
+            units = journal.records(kind="tune")
+            assert units
+            assert all(r["kind"] == "tune" for r in units)
+            assert journal.records(kind="degree") == []
+            assert len(units) <= len(everything)
+            # Snapshot, not a live view.
+            everything.clear()
+            assert journal.records()
+        finally:
+            journal.close()
+
+    def test_recorded_device_surfaces_header(self, p100_journal):
+        journal = TuningJournal(p100_journal)
+        try:
+            assert journal.device is None
+            assert journal.recorded_device == "P100"
+        finally:
+            journal.close()
+
+    def test_journal_line_has_device_header(self, p100_journal):
+        with open(p100_journal, "r", encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
+        assert header["kind"] == "header"
+        assert header["device"] == "P100"

@@ -58,7 +58,7 @@ def _broken(*args, **kwargs):
 #: ``price_spill_free`` share (``optimize`` reaches it through
 #: ``simulate`` when it profiles a seed plan, and through the engine).
 BROKEN_MODEL = {
-    "engine-pricing": (PlanEvaluator, "_price_family"),
+    "engine-pricing": (PlanEvaluator, "_price_lanes"),
     "family-pricing": (FamilyStructure, "_price"),
 }
 
@@ -219,7 +219,7 @@ class TestExitCodes:
 
 class TestDebugFlag:
     def test_debug_reenables_traceback(self, spec, monkeypatch):
-        monkeypatch.setattr(PlanEvaluator, "_price_family", _broken)
+        monkeypatch.setattr(PlanEvaluator, "_price_lanes", _broken)
         with pytest.raises(EvaluationError):
             main(["--debug", "optimize", spec, "--top-k", "1"])
 

@@ -380,6 +380,39 @@ class TestSearchObservatoryCli:
         assert main(["report", str(tmp_path / "absent.jsonl")]) == 2
         assert "cannot read search log" in capsys.readouterr().err
 
+    def test_two_runs_write_the_same_stream(self, tmp_path, capsys):
+        # The phase footer is in name order, so once the timing values
+        # are masked two runs of one job write identical streams.
+        import json
+
+        def masked(path):
+            records = []
+            for line in path.read_text().splitlines():
+                record = json.loads(line)
+                for name in ("t_ms", "total_ms", "self_ms", "t0_s"):
+                    if name in record:
+                        record[name] = 0
+                if record["kind"] == "summary":
+                    record["stats"]["wall_s"] = 0
+                records.append(record)
+            return records
+
+        streams = []
+        for run in ("a", "b"):
+            log = tmp_path / f"{run}.jsonl"
+            assert main(
+                ["optimize", "7pt-smoother", "--search-log", str(log)]
+            ) == 0
+            streams.append(masked(log))
+        first, second = streams
+        assert [r["name"] for r in first if r["kind"] == "phase"] == sorted(
+            r["name"] for r in first if r["kind"] == "phase"
+        )
+        assert len(first) == len(second)
+        for number, (a, b) in enumerate(zip(first, second), start=1):
+            assert a == b, f"line {number} differs"
+        capsys.readouterr()
+
 
 class TestProfileJson:
     def test_json_payload(self, tmp_path, capsys):

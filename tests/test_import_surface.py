@@ -29,7 +29,6 @@ COLD_MODULES = (
     "repro.obs.prom",
     "repro.lint.sarif",
     "repro.lint.witness",
-    "repro.tuning.transfer",
 )
 
 LAZY_PACKAGES = (

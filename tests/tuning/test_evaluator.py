@@ -22,6 +22,8 @@ from repro.suite import BENCHMARKS, load_ir
 from repro.tuning import HierarchicalTuner, PlanEvaluator, plan_fingerprint
 from repro.tuning.random_search import _sample_plan
 
+from .test_hierarchical import logged_tune
+
 
 def sampled_plans(ir, kernel_name, count, seed=7):
     rng = random.Random(seed)
@@ -308,11 +310,8 @@ class TestTunerIntegration:
         assert tuner.evaluations == 1
 
     def test_stage2_never_remeasures_a_family(self, smoother_ir, base_plan):
-        tuner = HierarchicalTuner(
-            smoother_ir, use_register_opts=True, keep_trace=True
-        )
-        result = tuner.tune(base_plan)
-        families = [plan_family_key(m.plan) for m in result.trace]
+        _, rows = logged_tune(smoother_ir, base_plan, use_register_opts=True)
+        families = [plan_family_key(row.plan) for row in rows]
         assert len(families) == len(set(families))
 
     def test_result_carries_eval_stats(self, smoother_ir, base_plan):

@@ -4,7 +4,32 @@ import pytest
 
 from repro.codegen import KernelPlan, seed_plan_from_pragma
 from repro.gpu import simulate
-from repro.tuning import HierarchicalTuner, tune_kernel
+from repro.obs.search import SearchLog
+from repro.tuning import HierarchicalTuner, PlanEvaluator, tune_kernel
+
+
+def priced_rows(log):
+    """The log's ``candidate`` rows the model priced (feasible ones), in
+    request order."""
+    return [
+        row for row in log.events()
+        if row.get("kind") == "candidate" and row.get("gflops") is not None
+    ]
+
+
+def logged_tune(ir, base, **settings):
+    """Tune ``base`` with a search log attached to the evaluator;
+    returns the result and the priced candidate rows."""
+    log = SearchLog()
+    tuner = HierarchicalTuner(
+        ir, evaluator=PlanEvaluator(search_log=log), **settings
+    )
+    return tuner.tune(base), priced_rows(log)
+
+
+def stage_plans(rows, stage):
+    """The plans of ``rows`` that the tuner stage ``stage`` requested."""
+    return [row.plan for row in rows if row["context"]["stage"] == stage]
 
 
 @pytest.fixture
@@ -36,21 +61,21 @@ class TestTuning:
         assert not sim.counters.has_spills
 
     def test_stage1_explores_blocks_and_unrolls(self, smoother_ir, base):
-        tuner = HierarchicalTuner(smoother_ir, keep_trace=True)
-        result = tuner.tune(base)
-        blocks = {m.plan.block for m in result.trace}
-        unrolls = {m.plan.unroll for m in result.trace}
+        _, rows = logged_tune(smoother_ir, base)
+        stage1 = stage_plans(rows, "stage1")
+        blocks = {plan.block for plan in stage1}
+        unrolls = {plan.unroll for plan in stage1}
         assert len(blocks) > 3 and len(unrolls) > 1
 
     def test_stage2_explores_second_tier(self, smoother_ir, base):
-        tuner = HierarchicalTuner(smoother_ir, keep_trace=True)
-        result = tuner.tune(base)
-        stage2 = result.trace[result.stage1_evaluations :]
-        assert any(
-            m.plan.prefetch
-            or m.plan.streaming == "concurrent"
-            or m.plan.perspective == "mixed"
-            for m in result.trace
+        _, rows = logged_tune(smoother_ir, base)
+        stage2 = stage_plans(rows, "stage2")
+        assert stage2
+        assert all(
+            plan.prefetch
+            or plan.streaming == "concurrent"
+            or plan.perspective == "mixed"
+            for plan in stage2
         )
 
     def test_evaluation_count_reported(self, smoother_ir, base):
@@ -64,35 +89,8 @@ class TestTuning:
         assert result.best_plan.unroll in ((), (1, 1, 1))
 
     def test_register_opts_add_retime_variants(self, smoother_ir, base):
-        tuner = HierarchicalTuner(
-            smoother_ir, use_register_opts=True, keep_trace=True
-        )
-        result = tuner.tune(base)
-        assert any(m.plan.retime for m in result.trace)
-
-
-class TestCustomHierarchy:
-    def test_user_defined_levels(self, smoother_ir, base):
-        def level1(ir, plan):
-            yield plan.replace(block=(16, 16))
-            yield plan.replace(block=(32, 16))
-
-        def level2(ir, plan):
-            yield plan.replace(prefetch=True)
-
-        tuner = HierarchicalTuner(smoother_ir, hierarchy=[level1, level2])
-        result = tuner.tune(base)
-        assert result.best.time_s > 0
-        assert result.evaluations <= 8  # 2 + top_k*1 at most
-
-
-def _level_a(ir, plan):
-    yield plan.replace(block=(16, 16))
-    yield plan.replace(block=(32, 16))
-
-
-def _level_b(ir, plan):
-    yield plan.replace(prefetch=True)
+        _, rows = logged_tune(smoother_ir, base, use_register_opts=True)
+        assert any(row.plan.retime for row in rows)
 
 
 class TestUnitJournal:
@@ -106,17 +104,6 @@ class TestUnitJournal:
             {"use_register_opts": True},
             {"bandwidth_bound": False},
             {"top_k": 2},
-            {"lint_prune": True},
-            # Functions print with their address: fixed ids keep these
-            # two stable from one collection to the next.
-            pytest.param(
-                {"hierarchy": [_level_a]},
-                id="('hierarchy', [_level_a])",
-            ),
-            pytest.param(
-                {"hierarchy": [_level_a, _level_b]},
-                id="('hierarchy', [_level_a, _level_b])",
-            ),
         ],
         ids=lambda setting: "-".join(map(str, setting.items())),
     )
@@ -125,9 +112,10 @@ class TestUnitJournal:
         assert HierarchicalTuner(smoother_ir, **setting).config_digest() != (
             default.config_digest()
         )
-        # Settings that do not shape the search leave the key alone.
+        # An evaluator does not shape the search: its log leaves the
+        # key alone.
         assert HierarchicalTuner(
-            smoother_ir, keep_trace=True
+            smoother_ir, evaluator=PlanEvaluator(search_log=SearchLog())
         ).config_digest() == default.config_digest()
 
     def test_replay_continues_the_tuner_counts(
@@ -154,7 +142,6 @@ class TestUnitJournal:
         assert replayed.evaluations == second.evaluations
         assert replayed.stage1_evaluations == second.stage1_evaluations
         assert replayed.best == second.best
-        assert replayed.seeds == second.seeds
 
 
 class TestStage2Facts:

@@ -97,10 +97,11 @@ def test_engine_takes_device_validate_and_search_log_only():
 
 
 def test_optimize_takes_no_tuner_factory():
-    # deep_tune keeps its own factory for transfer tuning; the flow
-    # itself always builds the plain hierarchical tuner.
-    assert "make_tuner" not in inspect.signature(optimize).parameters
-    assert "make_tuner" in inspect.signature(deep_tune).parameters
+    # Every tuning unit, deep tuning's degrees included, runs the plain
+    # hierarchical tuner.
+    for entry in (optimize, deep_tune):
+        parameters = inspect.signature(entry).parameters
+        assert not any(name.endswith("tuner") for name in parameters)
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,13 @@
 """Stage 1 is one knob grid: objects exist only for lanes that are read.
 
-``HierarchicalTuner._stage1_candidates`` returns a
-:class:`~repro.tuning.space.KnobGrid`, the evaluator resolves it from
-its knob columns, and the tuner ranks the lanes from their times.  A
-:class:`KernelPlan`, :class:`SimulationResult` or :class:`Measurement`
-is built in stage 1 only for what it keeps (the top-k survivors) and
-for each structural family's prototype, however many lanes it priced.
-A warm-started sweep narrows the same grid with a mask, and keeps the
-sizes, seeds and winner of the per-plan sweep it replaced.
+``HierarchicalTuner._stage1`` sweeps a
+:class:`~repro.tuning.space.KnobGrid` (``stage1_grid``), the evaluator
+resolves it from its knob columns, and the tuner ranks the lanes from
+their times.  A :class:`KernelPlan`, :class:`SimulationResult` or
+:class:`Measurement` is built in stage 1 only for what it keeps (the
+top-k survivors) and for each structural family's prototype, however
+many lanes it priced.
 """
-
-import hashlib
 
 import pytest
 
@@ -18,19 +15,12 @@ from repro.codegen.plan import KernelPlan
 from repro.codegen.tiling import plan_family_key
 from repro.gpu.counters import SimulationResult
 from repro.gpu.device import P100, V100
-from repro.resilience import TuningJournal
 from repro.suite import load_ir
 from repro.pipeline import optimize
-from repro.tuning import (
-    HierarchicalTuner,
-    PlanEvaluator,
-    WarmStartTuner,
-    journaled_winners,
-    plan_fingerprint,
-    tune_kernel,
-)
+from repro.tuning import HierarchicalTuner, PlanEvaluator
+from repro.tuning import hierarchical
 from repro.tuning.evaluator import Measurement
-from repro.tuning.space import KnobGrid, SearchSpace, stage1_grid
+from repro.tuning.space import SearchSpace, stage1_grid
 from tests.gpu.test_pricing import IR, PROTOS
 
 
@@ -50,7 +40,7 @@ class _Census:
 def census(monkeypatch):
     census = _Census()
     real_stage1 = HierarchicalTuner._stage1
-    real_candidates = HierarchicalTuner._stage1_candidates
+    real_grid = hierarchical.stage1_grid
 
     def stage1(tuner, base):
         census.stages.append(
@@ -62,14 +52,14 @@ def census(monkeypatch):
         finally:
             census.active = False
 
-    def candidates(tuner, base, space):
-        grid = real_candidates(tuner, base, space)
+    def grid_of(base, space, retime_twins=False):
+        grid = real_grid(base, space, retime_twins=retime_twins)
         census.stages[-1][0] = len(grid)
         census.stages[-1][1] = len(set(grid.retime))
         return grid
 
     monkeypatch.setattr(HierarchicalTuner, "_stage1", stage1)
-    monkeypatch.setattr(HierarchicalTuner, "_stage1_candidates", candidates)
+    monkeypatch.setattr(hierarchical, "stage1_grid", grid_of)
     for cls, kind in (
         (KernelPlan, "plan"),
         (SimulationResult, "result"),
@@ -131,10 +121,6 @@ def test_grid_lanes_match_the_plans_they_stand_for():
             if variant.total_unroll() == 1:
                 expected.append(variant.replace(retime=True))
     assert plans == expected
-    keep = [i % 3 == 0 for i in range(len(grid))]
-    narrowed = grid.select(keep)
-    assert isinstance(narrowed, KnobGrid)
-    assert list(narrowed.plans()) == [p for p, k in zip(plans, keep) if k]
     for plan in plans[:40]:
         assert grid.contains(plan)
         assert grid.contains(plan.replace(max_registers=64))
@@ -146,7 +132,6 @@ def test_grid_lanes_match_the_plans_they_stand_for():
             assert not grid.contains(
                 plan.replace(streaming="concurrent", concurrent_chunks=chunks)
             )
-    assert not narrowed.contains(plans[1])
     for family in grid.families():
         proto, members = family
         for i in members:
@@ -175,40 +160,3 @@ def test_lane_times_are_the_results_times():
         IR, list(grid.plans())
     )
     assert listed == [res.found(i) for i in range(len(res))]
-
-
-def _seed_digest(seeds):
-    rows = [
-        (plan_fingerprint(s.plan), s.time_s.hex(), s.tflops.hex())
-        for s in seeds
-    ]
-    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
-
-
-@pytest.mark.parametrize(
-    "register_opts, full, kept, evaluations",
-    [(False, 270, 110, 120), (True, 297, 126, 140)],
-)
-def test_warm_start_keeps_sweep_seeds_and_winner(
-    tmp_path, register_opts, full, kept, evaluations
-):
-    # Pinned from the per-plan stage 1 this grid replaced.
-    base = PROTOS["serial-shm"]
-    path = str(tmp_path / "p100.jsonl")
-    with TuningJournal(path, device=P100.name) as journal:
-        tune_kernel(IR, base, device=P100, top_k=2, journal=journal)
-    tuner = WarmStartTuner(
-        IR,
-        seeds=journaled_winners(path, IR),
-        device=V100,
-        top_k=2,
-        use_register_opts=register_opts,
-    )
-    result = tuner.tune(base)
-    assert (tuner.stage1_full, tuner.stage1_kept) == (full, kept)
-    assert result.stage1_evaluations == kept
-    assert result.evaluations == evaluations
-    assert len(result.seeds) == 16
-    assert _seed_digest(result.seeds) == "d3f369403714685d"
-    assert plan_fingerprint(result.best_plan) == "22e8c6c73b6af2c1"
-    assert result.best.time_s.hex() == "0x1.160b7d6affb6dp-12"

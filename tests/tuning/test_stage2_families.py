@@ -1,7 +1,7 @@
 """Stage 2 is priced as a few structural families.
 
 Prefetch, the load perspective and the concurrent chunk count are lane
-columns of the lane model (``repro.gpu.pricing.GRID_AXES``), so the
+columns of the lane model (``repro.gpu.pricing.LaneKnobs``), so the
 stage-2 variants of a stage-1 survivor share its family: one
 ``FamilyStructure`` and one pricing pass.  The certifier is the one
 per-lane exception: its concurrent-chunk race check reads the chunk
@@ -74,7 +74,7 @@ def test_stage2_prices_as_few_families(monkeypatch):
     in_stage2 = []
     real_init = pricing.FamilyStructure.__init__
     real_stage2 = HierarchicalTuner._stage2
-    real_price_family = PlanEvaluator._price_family
+    real_price_lanes = PlanEvaluator._price_lanes
 
     def init(self, ir, proto):
         builds.append(proto)
@@ -87,14 +87,14 @@ def test_stage2_prices_as_few_families(monkeypatch):
         finally:
             in_stage2.pop()
 
-    def price_family(self, ir, family, levels):
+    def price_lanes(self, ir, family, levels):
         if in_stage2:
             stage2_families.append(family.proto)
-        return real_price_family(self, ir, family, levels)
+        return real_price_lanes(self, ir, family, levels)
 
     monkeypatch.setattr(pricing.FamilyStructure, "__init__", init)
     monkeypatch.setattr(HierarchicalTuner, "_stage2", stage2)
-    monkeypatch.setattr(PlanEvaluator, "_price_family", price_family)
+    monkeypatch.setattr(PlanEvaluator, "_price_lanes", price_lanes)
     ir = build_ir(parse(BENCHMARKS["7pt-smoother"].dsl()))
     outcome = optimize(ir, device=get_device("P100"))
     assert outcome.tflops > 0
