@@ -81,6 +81,7 @@ from ..ir.stencil import ProgramIR, StencilInstance
 from ..ir.types import sizeof
 from ..obs import counter as _obs_counter
 from ..obs import span as _span
+from ..resilience.errors import UsageError
 from .counters import KernelCounters, SimulationResult, TimingBreakdown
 from .device import DeviceSpec, P100
 from .occupancy import OccupancyResult, launch_refusal
@@ -1167,7 +1168,7 @@ class FamilyStructure:
 
         ``lanes`` is a plan list or its :class:`LaneKnobs`.
         """
-        base = self._base(_knobs(lanes))
+        base = self._base(self._knobs(lanes))
         winners = self._winners(base)
         return self._register_demand(base, winners)
 
@@ -1178,7 +1179,7 @@ class FamilyStructure:
         is the pass's :class:`_LaneArrays`, a sequence with one
         :class:`PricedLane` per lane.
         """
-        knobs = _knobs(lanes)
+        knobs = self._knobs(lanes)
         if not len(knobs):
             return []
         base = self._base(knobs)
@@ -1213,7 +1214,7 @@ class FamilyStructure:
         priced.  Lanes whose ``skip`` entry is true get a demand and a
         rung but no price either (the certifier refused them).
         """
-        knobs = _knobs(lanes)
+        knobs = self._knobs(lanes)
         base = self._base(knobs)
         winners = self._winners(base)
         demands = self._register_demand(base, winners)
@@ -1232,6 +1233,20 @@ class FamilyStructure:
         lane_of[kept] = np.arange(len(kept))
         priced.lane_of = lane_of.tolist()
         return demands, positions, priced
+
+    def _knobs(self, lanes) -> LaneKnobs:
+        """``lanes`` as :class:`LaneKnobs`.  A plan list must be all of
+        this structure's family: its lanes are priced with this
+        structure, whatever their own structural key."""
+        if isinstance(lanes, LaneKnobs):
+            return lanes
+        for plan in lanes:
+            if plan_structural_key(plan) != self.key:
+                raise UsageError(
+                    "a priced family shares one structural key; "
+                    f"{plan.describe()!r} differs from the family's"
+                )
+        return knobs_of(lanes)
 
     def _priced(self, device, base, winners, demand) -> "_LaneArrays":
         """Count and price the lanes of ``base`` (the pricing core)."""
@@ -1802,10 +1817,6 @@ def first_rungs(
         positions[fresh] = j
         rungs[fresh] = level
     return positions, rungs
-
-
-def _knobs(lanes) -> LaneKnobs:
-    return lanes if isinstance(lanes, LaneKnobs) else knobs_of(lanes)
 
 
 def _take(value, lanes: np.ndarray):

@@ -37,6 +37,7 @@ from repro.gpu.registers import register_demand
 from repro.gpu.simulator import PlanInfeasible, plan_occupancy
 from repro.ir import build_ir
 from repro.lint.rules_plan import classify_occupancy_failure
+from repro.resilience.errors import UsageError
 
 from .reference_model import simulate as reference_simulate
 
@@ -523,6 +524,46 @@ class TestPricedLaneCount:
         assert priced_lane_count() == 0
         price(IR, [PROTOS["serial-shm"]])
         assert priced_lane_count() == 1 == self._counter()
+
+    def test_empty_family_prices_nothing(self):
+        before = priced_lane_count()
+        assert family_structure(IR, PROTOS["serial-shm"]).price([]) == []
+        assert priced_lane_count() == before == self._counter()
+
+
+class TestUsageErrors:
+    """A plan list is priced with the structure it is handed to, so a
+    lane of another structural family must be refused, not priced as if
+    it were one of this family."""
+
+    #: the second lane of each list differs from the first in structure
+    MIXED = {
+        "placement": [
+            PROTOS["serial-shm"],
+            PROTOS["serial-shm"].replace(placements=(("in", "register"),)),
+        ],
+        "streaming": [PROTOS["serial-shm"], PROTOS["none-gmem"]],
+    }
+
+    def test_mixed_structural_keys_rejected(self):
+        plans = self.MIXED["placement"]
+        with pytest.raises(UsageError, match="structural key"):
+            family_structure(IR, plans[0]).price(plans)
+
+    @pytest.mark.parametrize("mix", sorted(MIXED))
+    @pytest.mark.parametrize("entry", ["demand", "price", "price_spill_free"])
+    def test_every_plan_list_entry_checks_the_family(self, entry, mix):
+        plans = self.MIXED[mix]
+        structure = family_structure(IR, plans[0])
+        args = {"price_spill_free": (REGISTER_LEVELS,)}.get(entry, ())
+        before = priced_lane_count()
+        with pytest.raises(UsageError) as info:
+            getattr(structure, entry)(plans, *args)
+        assert repr(plans[1].describe()) in str(info.value)
+        assert priced_lane_count() == before
+        # The same list in the other order fails on the other lane.
+        with pytest.raises(UsageError):
+            getattr(family_structure(IR, plans[1]), entry)(plans, *args)
 
 
 class TestBackendSmoke:

@@ -14,7 +14,9 @@ from repro.codegen.plan import KernelPlan
 from repro.gpu.device import P100
 from repro.gpu.simulator import PlanInfeasible
 from repro.obs import configure_metrics, get_metrics
-from repro.tuning import PlanEvaluator
+from repro.lint import check_plan
+from repro.obs.search import SearchLog
+from repro.tuning import HierarchicalTuner, PlanEvaluator
 
 from ..settle_hooks import trap_settle
 
@@ -159,6 +161,34 @@ class TestSimulatorRouting:
         snap = get_metrics().snapshot()
         assert snap["simulate.prescreen_rejections"] == 1
         assert snap["lint.reject.RL202"] == 1
+
+
+class TestOvertiledLanes:
+    """RL205 (overtile) is an advisory: the model prices overtiled plans
+    as first-class, and they can win, so the tuner measures them."""
+
+    def test_tune_measures_overtiled_lanes(self, smoother_ir):
+        base = KernelPlan(
+            (kernel_of(smoother_ir),), block=(32, 16), streaming="serial",
+            stream_axis=0,
+        )
+        log = SearchLog()
+        result = HierarchicalTuner(
+            smoother_ir, evaluator=PlanEvaluator(search_log=log)
+        ).tune(base)
+        stage1 = [
+            row for row in log.events()
+            if row.get("kind") == "candidate"
+            and row["context"]["stage"] == "stage1"
+        ]
+        assert len(stage1) == result.stage1_evaluations
+        # Priced, not screened out: each has a model throughput.
+        overtiled = [
+            row for row in stage1
+            if row.get("gflops") is not None
+            and "RL205" in check_plan(smoother_ir, row.plan, P100).codes()
+        ]
+        assert overtiled
 
 
 class TestHtmlReportSection:

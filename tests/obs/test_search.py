@@ -88,6 +88,31 @@ class TestSearchLogBasics:
         with log_context(None, stage="x"):
             pass  # must not raise
 
+    def test_phase_footer_is_in_name_order(self):
+        # Phase totals are timings, which two runs of one job need not
+        # share; the footer's order must not follow them.  The slowest
+        # phase here sorts last by name.
+        import time
+
+        from repro.obs import Tracer
+
+        tracer = Tracer(enabled=True)
+        with tracer.span("zeta"):
+            time.sleep(0.004)
+        with tracer.span("alpha"):
+            pass
+        with tracer.span("mid"):
+            pass
+        with tracer.span("alpha"):
+            pass
+        spans = tracer.finished()
+        log = SearchLog()
+        log.phases(spans)
+        rows = [e for e in log.events() if e["kind"] == "phase"]
+        assert [(r["name"], r["count"]) for r in rows] == [
+            ("alpha", 2), ("mid", 1), ("zeta", 1),
+        ]
+
     def test_counts_split_candidate_dispositions(self, smoother_ir):
         log, engine = _tuned(smoother_ir)
         counts = log.counts()

@@ -251,6 +251,10 @@ class TestRecordValidation:
                 id="plan-rejected-by-kernelplan",
             ),
             pytest.param(
+                _without(GOOD_TUNE, "plan"), "malformed tune plan",
+                id="tune-no-plan",
+            ),
+            pytest.param(
                 _without(GOOD_TUNE, "time_s"), "no numeric 'time_s'",
                 id="tune-no-time",
             ),
@@ -261,6 +265,10 @@ class TestRecordValidation:
             pytest.param(
                 dict(GOOD_TUNE, time_s=True), "no numeric 'time_s'",
                 id="tune-bool-time",
+            ),
+            pytest.param(
+                dict(GOOD_TUNE, time_s=[1.0]), "no numeric 'time_s'",
+                id="tune-list-time",
             ),
             pytest.param(
                 dict(GOOD_TUNE, tflops="fast"), "no numeric 'tflops'",
@@ -276,6 +284,11 @@ class TestRecordValidation:
                 id="tune-float-stage1",
             ),
             pytest.param(
+                _without(GOOD_TUNE, "stage1_evaluations"),
+                "no int 'stage1_evaluations'",
+                id="tune-no-stage1",
+            ),
+            pytest.param(
                 dict(GOOD_TUNE, evaluations=True), "no int 'evaluations'",
                 id="tune-bool-evaluations",
             ),
@@ -288,17 +301,34 @@ class TestRecordValidation:
                 id="degree-no-tflops",
             ),
             pytest.param(
+                dict(GOOD_DEGREE, time_s=False), "no numeric 'time_s'",
+                id="degree-bool-time",
+            ),
+            pytest.param(
                 _without(GOOD_DEGREE, "bandwidth_bound"),
                 "no bool 'bandwidth_bound'",
                 id="degree-no-bandwidth-bound",
+            ),
+            pytest.param(
+                dict(GOOD_DEGREE, bandwidth_bound=1),
+                "no bool 'bandwidth_bound'",
+                id="degree-int-bandwidth-bound",
             ),
             pytest.param(
                 dict(GOOD_DEGREE, bound_level=None), "no str 'bound_level'",
                 id="degree-null-bound-level",
             ),
             pytest.param(
+                dict(GOOD_DEGREE, bound_level=2), "no str 'bound_level'",
+                id="degree-int-bound-level",
+            ),
+            pytest.param(
                 _without(GOOD_DEGREE, "evaluations"), "no int 'evaluations'",
                 id="degree-no-evaluations",
+            ),
+            pytest.param(
+                dict(GOOD_DEGREE, evaluations=3.0), "no int 'evaluations'",
+                id="degree-float-evaluations",
             ),
         ],
     )
@@ -318,6 +348,36 @@ class TestRecordValidation:
         with pytest.raises(CheckpointCorruptError) as info:
             read_journal(path)
         assert info.value.context["line"] == 3
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ('{"kind": "tune", "key": ', "is not valid JSON"),
+            ("[1, 2]", "is not a journal record"),
+            ('"tune"', "is not a journal record"),
+            ('{"key": "k9", "time_s": 1.0}', "is not a journal record"),
+        ],
+        ids=["torn-mid-file", "list", "string", "no-kind"],
+    )
+    def test_line_that_is_no_record_refuses_to_load(
+        self, tmp_path, line, problem
+    ):
+        # A damaged line followed by a committed one is not a torn tail:
+        # both readers refuse it with its line number.
+        path = str(tmp_path / "journal.jsonl")
+        with TuningJournal(path, device="P100") as journal:
+            journal.record_candidate("k1", _unit(1))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n" + json.dumps(GOOD_TUNE) + "\n")
+        for load in (
+            lambda: TuningJournal(path, device="P100"),
+            lambda: read_journal(path),
+        ):
+            with pytest.raises(CheckpointCorruptError) as info:
+                load()
+            assert info.value.exit_code == 4
+            assert info.value.context["line"] == 3
+            assert f"is corrupt: line 3 {problem}" in str(info.value)
 
     def test_writer_refuses_a_record_it_could_not_replay(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
@@ -750,3 +810,37 @@ class TestJournalRecordsAccessor:
             header = json.loads(handle.readline())
         assert header["kind"] == "header"
         assert header["device"] == "P100"
+
+
+class TestRecordFormat:
+    """A unit record holds its winner and its counts, which is all a
+    replay reads: version 3 keeps no per-unit seeds."""
+
+    WINNER = {"kind", "key", "plan", "time_s", "tflops"}
+
+    @staticmethod
+    def _fields(path, kind):
+        _, records = read_journal(path)
+        fields = {frozenset(r) for r in records if r["kind"] == kind}
+        assert len(fields) == 1
+        return set(next(iter(fields)))
+
+    def test_tune_record_holds_winner_and_counts(self, p100_journal):
+        assert self._fields(p100_journal, "tune") == self.WINNER | {
+            "evaluations", "stage1_evaluations",
+        }
+
+    def test_degree_record_holds_winner_and_counts(
+        self, smoother_ir, tmp_path
+    ):
+        from repro.tuning import deep_tune
+
+        path = str(tmp_path / "degrees.jsonl")
+        with TuningJournal(path, device="P100") as journal:
+            result = deep_tune(smoother_ir, max_degree=2, journal=journal)
+        assert self._fields(path, "degree") == self.WINNER | {
+            "degree", "evaluations", "bandwidth_bound", "bound_level",
+        }
+        _, records = read_journal(path)
+        assert len(records) == len(result.entries)
+

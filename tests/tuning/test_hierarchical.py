@@ -1,5 +1,7 @@
 """Tests for the hierarchical autotuner."""
 
+import inspect
+
 import pytest
 
 from repro.codegen import KernelPlan, seed_plan_from_pragma
@@ -91,6 +93,24 @@ class TestTuning:
     def test_register_opts_add_retime_variants(self, smoother_ir, base):
         _, rows = logged_tune(smoother_ir, base, use_register_opts=True)
         assert any(row.plan.retime for row in rows)
+
+
+class TestSettings:
+    def test_options_are_the_ones_callers_pass(self):
+        # The pipeline, the naive baselines and the benchmarks set these
+        # seven; an option only a test sets is search-shaping code that
+        # no run reaches.
+        params = list(inspect.signature(HierarchicalTuner).parameters)
+        assert params == [
+            "ir", "device", "use_unrolling", "use_register_opts",
+            "bandwidth_bound", "top_k", "evaluator", "journal",
+        ]
+
+    def test_top_k_below_one_is_refused(self, smoother_ir):
+        from repro.resilience import UsageError
+
+        with pytest.raises(UsageError, match="at least one"):
+            HierarchicalTuner(smoother_ir, top_k=0)
 
 
 class TestUnitJournal:

@@ -17,7 +17,7 @@ from repro.gpu.counters import SimulationResult
 from repro.gpu.device import P100, V100
 from repro.suite import load_ir
 from repro.pipeline import optimize
-from repro.tuning import HierarchicalTuner, PlanEvaluator
+from repro.tuning import HierarchicalTuner, PlanEvaluator, plan_fingerprint
 from repro.tuning import hierarchical
 from repro.tuning.evaluator import Measurement
 from repro.tuning.space import SearchSpace, stage1_grid
@@ -160,3 +160,46 @@ def test_lane_times_are_the_results_times():
         IR, list(grid.plans())
     )
     assert listed == [res.found(i) for i in range(len(res))]
+
+
+@pytest.mark.parametrize("top_k", [1, 3])
+def test_survivors_are_the_fastest_lanes_in_lane_order(top_k):
+    # ``_stage1`` ranks the grid from the batch's time column; the
+    # plan-list path prices the same lanes one measurement at a time.
+    base = PROTOS["serial-shm"]
+    tuner = HierarchicalTuner(IR, device=V100, top_k=top_k)
+    survivors = tuner._stage1(base)
+    grid = tuner._stage1_grid
+    found = PlanEvaluator(device=V100).evaluate_spill_free_batch(
+        IR, list(grid.plans())
+    )
+    feasible = [i for i, hit in enumerate(found) if hit is not None]
+    ranked = sorted(feasible, key=lambda i: (found[i][1].time_s, i))
+    assert len(survivors) == top_k
+    assert [(m.plan, m.time_s) for m in survivors] == [
+        (found[i][0], found[i][1].time_s) for i in ranked[:top_k]
+    ]
+
+
+@pytest.mark.parametrize(
+    "device, register_opts, stage1, evaluations, winner, time_hex",
+    [
+        (P100, False, 270, 280, "8ddcf155236dc064", "0x1.6f458df477f38p-12"),
+        (P100, True, 297, 307, "8ddcf155236dc064", "0x1.6f458df477f38p-12"),
+        (V100, False, 270, 280, "22e8c6c73b6af2c1", "0x1.160b7d6affb6dp-12"),
+        (V100, True, 297, 311, "22e8c6c73b6af2c1", "0x1.160b7d6affb6dp-12"),
+    ],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_sweep_keeps_sizes_and_winner(
+    device, register_opts, stage1, evaluations, winner, time_hex
+):
+    # Pinned from the sweep before stage 1 ranked straight from the time
+    # column (it then also mined each lane's seeds).
+    result = HierarchicalTuner(
+        IR, device=device, top_k=2, use_register_opts=register_opts
+    ).tune(PROTOS["serial-shm"])
+    assert result.stage1_evaluations == stage1
+    assert result.evaluations == evaluations
+    assert plan_fingerprint(result.best_plan) == winner
+    assert result.best.time_s.hex() == time_hex
