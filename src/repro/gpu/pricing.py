@@ -16,9 +16,10 @@ expression DAG.
 
 This module exploits that: :class:`FamilyStructure` captures every
 branch decision and structural constant once per (IR, structural key),
-and :meth:`FamilyStructure.price` then evaluates the whole model as
-NumPy array operations over an ``(N_candidates,)`` lane axis —
-occupancy, spill traffic and timing in one shot.  A structure holds
+compiled into tables with one row per model term, and
+:meth:`FamilyStructure.price` then evaluates the whole model as NumPy
+array operations over ``(term x lane)`` arrays — a few operations per
+kind of term, whatever the number of stages, arrays and reads.  A structure holds
 nothing a lane knob decides: a stage-2 batch of prefetch, perspective
 and chunk variants is one family, priced in one pass.
 
@@ -30,9 +31,9 @@ implementation follows that form's *exact* operation order:
 * integer quantities (tiles, footprints, plane elements, register
   demand, shared bytes) are computed in ``int64`` — exact, and well
   below overflow for realistic grids;
-* float accumulators (flops, tex/dram/shm bytes) are built as ordered
-  term lists and summed sequentially in the scalar emission order, so
-  every f8 rounding step matches;
+* float accumulators (flops, tex/dram/shm bytes) add their term rows
+  one at a time in the scalar emission order (:func:`_row_sum`, not a
+  pairwise ``np.sum``), so every f8 rounding step matches;
 * per-lane branches that the scalar code takes (buffer-winner
   selection, register-vs-shared served reads, sync/bubble gating,
   prefetch and perspective terms) are evaluated with masks or tables;
@@ -52,8 +53,8 @@ returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -273,17 +274,15 @@ class _LaneArrays:
         "lane_of", "_codes", "_rows", "_results", "_rejects",
     )
 
-    def __init__(
-        self, device, base, demand, compiled, shmem, occ, counters, timing
-    ):
+    def __init__(self, device, lanes, compiled, occ, counters, timing):
         from ..lint.rules_plan import RL201, RL202, RL203
 
         self.device = device
-        self.threads = base["threads"]
-        self.blocks = base["blocks"]
-        self.demand = demand
+        self.threads = lanes.threads
+        self.blocks = lanes.blocks
+        self.demand = lanes.demand
         self.compiled = compiled
-        self.shmem = shmem
+        self.shmem = lanes.shmem
         self.occ = occ
         self.counters = counters
         self.timing = timing
@@ -300,23 +299,38 @@ class _LaneArrays:
             timing["latency"],
         )
         total = ((bound + timing["sync"]) + timing["bubble"]) + timing["launch"]
-        positive = total > 0
-        tflops = np.where(
-            positive,
-            counters["useful"] / np.where(positive, total, 1.0) / 1e12,
-            0.0,
-        )
+        if timing["launch"] > 0:
+            # Every time is >= 0, so each total is at least the launch.
+            tflops = counters["useful"] / total / 1e12
+        else:
+            positive = total > 0
+            tflops = np.where(
+                positive,
+                counters["useful"] / np.where(positive, total, 1.0) / 1e12,
+                0.0,
+            )
         self.ok = (~occ["infeasible"]).tolist()
         self.time_s = total.tolist()
         self.tflops = tflops.tolist()
         #: index into ``(RL201, RL202, RL203)`` of each refused lane's
-        #: rule, as ``classify_occupancy_context`` reads its refusal
-        self.rule = (occ["rule"]).tolist()
+        #: rule, as ``classify_occupancy_context`` reads its refusal (None
+        #: when the pass refused no lane)
+        rule = occ["rule"]
+        self.rule = None if rule is None else rule.tolist()
         self._codes = (RL201.code, RL202.code, RL203.code)
         self.lane_of: Optional[List[int]] = None
         self._rows: Optional[List[tuple]] = None
         self._results: Dict[int, SimulationResult] = {}
         self._rejects: Dict[int, Tuple[str, Dict[str, Any], str]] = {}
+
+    @classmethod
+    def unpriced(cls) -> "_LaneArrays":
+        """A pass that priced no lane (its ``lane_of`` maps every
+        submitted lane to -1)."""
+        lanes = cls.__new__(cls)
+        lanes.ok, lanes.time_s, lanes.tflops, lanes.rule = [], [], [], []
+        lanes.lane_of = None
+        return lanes
 
     # -- sequence of submitted lanes --------------------------------------
 
@@ -365,7 +379,7 @@ class _LaneArrays:
             occ, counters, timing = self.occ, self.counters, self.timing
             columns = (
                 occ["blocks_psm"], occ["warps"], occ["occ_frac"],
-                occ["limiter"], counters["flops"], counters["dram_read"],
+                occ["limiter"](), counters["flops"], counters["dram_read"],
                 counters["dram_write"], counters["tex"], counters["shm"],
                 counters["spill"], counters["syncs"], self.blocks,
                 self.threads, self.compiled, self.demand, self.shmem,
@@ -445,19 +459,9 @@ _LIMITER_NAMES = ("threads", "blocks", "registers", "shmem")
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _StageInfo:
-    """Structural constants of one stage's counter-model contribution."""
-
-    stage: Stage
-    halos: Dict[str, tuple]
-    #: per read array: the axes its footprint spans (a lower-rank array
-    #: skips the axes it does not index)
-    foot_axes: Dict[str, Tuple[int, ...]]
-    flops_pp: int
-    summary: Dict[str, Any]  # the memoized access summary (shared object)
-    reads: List[dict]  # ordered read-side term descriptors
-    stores: List[dict]  # ordered store-side term descriptors
+#: Shared planes of a buffer that holds the whole tile depth (a lane
+#: quantity: its geometry row's extent along the depth axis).
+_TILE_PLANES = -1
 
 
 class FamilyStructure:
@@ -467,318 +471,323 @@ class FamilyStructure:
     :func:`family_structure`; :meth:`demand` and :meth:`price` then run
     the whole model over lane arrays.
 
+    The build compiles the model into small integer tables with one row
+    per term, so that a pass evaluates each term kind as one
+    ``(term x lane)`` array operation, whatever the number of stages,
+    arrays and reads:
+
+    * *geometry rows*: per axis, a stage's expansion plus a read halo,
+      and which axes the row spans.  The first rows are each stage's
+      computed points; the others are buffer planes (``_plane_*``) and
+      read footprints (``_foot_*``, capped at the domain plus the halo);
+    * *buffer rows*: one per buffered array (its candidates are the
+      stages that read it), inter-stage buffer and intra-kernel staging
+      buffer; a candidate is a plane row, shared planes (a count or
+      :data:`_TILE_PLANES`) and register planes;
+    * *point terms* (flops and the shared-memory terms that scale with a
+      stage's points), *read terms* (buffered or global reads: texture,
+      DRAM and buffered shared-memory traffic) and *live terms* (the L2
+      working set), in the order the scalar model emits them;
+    * *load rows*: the offset statistics of each directly read array
+      (:func:`tiling.gmem_loads_per_point`), grouped per stage.
+
     The cache entry lives as long as its IR, so a structure must not
-    reference the IR: everything pricing needs from it (the array map,
-    footprint axes, read offsets) is captured at build time.
+    reference the IR: everything pricing needs from it is captured at
+    build time.
     """
 
     def __init__(self, ir: ProgramIR, proto: KernelPlan):
-        self.array_map = ir.array_map
         self.key = plan_structural_key(proto)
-        self.ndim = ir.ndim
+        self.ndim = ndim = ir.ndim
         self.domain = ir.domain_shape()
         self.stages: Tuple[Stage, ...] = tuple(build_stages(ir, proto))
         self.streaming = proto.uses_streaming
         self.stream_axis = proto.stream_axis
         self.retime = proto.retime
-        self.domain_points = 1
-        for extent in self.domain:
-            self.domain_points *= extent
-        self.intermediates = intermediate_arrays(ir, proto)
-        self.externally_visible = externally_visible(ir, proto)
-        self._build_buffer_candidates(ir, proto)
-        self._build_inter_specs(ir, proto)
-        self._build_stage_infos(ir, proto)
-        self._build_register_model(ir, proto)
+        self.domain_points = math.prod(self.domain)
+        axes = tuple(range(ndim))
+        if self.streaming:
+            self.tiled = tuple(a for a in axes if a != self.stream_axis)
+            self.depth_axis = self.stream_axis
+        else:
+            self.tiled = axes
+            self.depth_axis = 0
+        self._planes: Dict[tuple, int] = {}
+        for stage in self.stages:  # rows 0..S-1: the computed points
+            self._plane_row(stage, None, axes)
+        halos = [read_halos(ir, stage.instance) for stage in self.stages]
+        self._compile_buffers(ir, proto, halos)
+        self._compile_terms(ir, proto, halos)
+        self._compile_registers(ir)
+        self._freeze()
 
-    # -- buffer winner candidates (mirrors tiling._buffer_requirements) --
+    def _plane_row(self, stage: Stage, halo, plane_axes) -> int:
+        """The geometry row of ``stage`` widened by ``halo`` (None: no
+        halo) over ``plane_axes``, added on first use."""
+        key = (stage.index, halo, plane_axes)
+        row = self._planes.get(key)
+        if row is None:
+            row = self._planes[key] = len(self._planes)
+        return row
 
-    def _build_buffer_candidates(
-        self, ir: ProgramIR, proto: KernelPlan
-    ) -> None:
-        self.buffer_arrays: List[str] = []  # first-encounter order
-        self.candidates: Dict[str, List[dict]] = {}
-        self.buffer_sizeof: Dict[str, int] = {}
-        self.buffer_storage: Dict[str, str] = {}
+    def _widths(self, stage: Stage, halo) -> Tuple[int, ...]:
+        """Per axis, what ``stage`` adds to a tile extent, halo included."""
+        return tuple(
+            sum(stage.expand[axis]) + (sum(halo[axis]) if halo else 0)
+            for axis in range(self.ndim)
+        )
+
+    # -- buffer rows (mirror tiling._buffer_requirements and
+    #    tiling._intermediate_specs) ------------------------------------
+
+    def _compile_buffers(self, ir: ProgramIR, proto: KernelPlan,
+                         halos: List[dict]) -> None:
+        ndim, axis = self.ndim, self.stream_axis
+        flat = tuple(a for a in range(ndim) if a != self.depth_axis)
+        #: per buffer row: its (plane row, shared planes, register
+        #: planes) candidates and its element size
+        self._buffers: List[Tuple[list, int]] = []
+        self.buffer_of: Dict[str, int] = {}  # array -> its buffer row
         self.buffered: Dict[str, bool] = {}
-        for stage in self.stages:
-            halos = read_halos(ir, stage.instance)
-            written_here = set(stage.instance.arrays_written())
-            for array, halo in halos.items():
-                if array in written_here:
+        fetched = 0
+        for stage, stage_halos in zip(self.stages, halos):
+            written = stage.instance.arrays_written()
+            for array, halo in stage_halos.items():
+                if array in written:
                     continue
                 storage = proto.placement_of(array)
-                dtype = (
-                    ir.array_map[array].dtype
-                    if array in ir.array_map
-                    else "double"
-                )
-                cand: dict = {
-                    "stage": stage.index,
-                    "array": array,
-                    "sizeof": sizeof(dtype),
-                }
+                buffered = True
                 if storage == GMEM or storage == "constant":
-                    cand.update(shm="zero", shm_const=0, reg=0)
-                    is_buffered = False
+                    shm, reg = 0, 0
+                    buffered = False
                 elif self.streaming:
-                    lo, hi = halo[self.stream_axis]
+                    lo, hi = halo[axis]
                     window = lo + hi + 1
-                    star = is_star_along(
-                        ir, stage.instance, array, self.stream_axis
-                    )
                     if self.retime:
-                        cand.update(shm="const", shm_const=1, reg=0)
+                        shm, reg = 1, 0
                     elif storage == "register":
-                        cand.update(shm="zero", shm_const=0, reg=window)
-                    elif star:
-                        cand.update(shm="const", shm_const=1, reg=window - 1)
+                        shm, reg = 0, window
+                    elif _plane_reads(ir, proto, stage, array)[2]:
+                        shm, reg = 1, window - 1
                     else:
-                        cand.update(shm="const", shm_const=window, reg=0)
-                    is_buffered = True
+                        shm, reg = window, 0
+                elif storage == "register":
+                    shm, reg = 0, 1
                 else:
-                    if storage == "register":
-                        cand.update(shm="zero", shm_const=0, reg=1)
+                    shm, reg = _TILE_PLANES, 0
+                candidate = (self._plane_row(stage, halo, flat), shm, reg)
+                row = self.buffer_of.get(array)
+                if row is None:
+                    # Storage, hence buffered-ness, is uniform across an
+                    # array's candidates (placements are plan-wide).
+                    self.buffer_of[array] = len(self._buffers)
+                    self.buffered[array] = buffered
+                    self._buffers.append(([candidate], _esize(ir, array)))
+                    # Prefetch stages every array it fetches from global
+                    # memory: a GMEM-placed array buffers no plane.
+                    fetched += storage != GMEM
+                else:
+                    self._buffers[row][0].append(candidate)
+        self.staging_regs = max(fetched, 1)
+        # Inter-stage buffers: (consumer stage, array) -> the served read
+        # counts, register planes and whether it has shared planes.
+        self._inter: Dict[Tuple[int, str], Tuple[int, int, int, bool]] = {}
+        every = tuple(range(ndim))
+        for stage, consumer in zip(self.stages[:-1], self.stages[1:]):
+            consumer_halos = halos[consumer.index]
+            if proto.time_tile > 1:
+                _written, read = pingpong_pair(ir, stage.instance)
+                produced = (read,) if read in consumer_halos else ()
+            else:
+                produced = stage.instance.arrays_written()
+            for array in produced:
+                halo = consumer_halos.get(array)
+                if halo is None:
+                    continue
+                distinct, center = _consumer_read_counts(
+                    ir, consumer.instance, array, proto
+                )
+                if self.streaming:
+                    lo, hi = halo[axis]
+                    window = lo + hi + 1
+                    if self.retime:
+                        shm, reg = 1, 0
+                    elif _plane_reads(ir, proto, consumer, array)[2]:
+                        shm, reg = 1, window - 1
                     else:
-                        cand.update(shm="tile_planes", shm_const=0, reg=0)
-                    is_buffered = True
-                if array not in self.candidates:
-                    self.buffer_arrays.append(array)
-                    self.candidates[array] = []
-                    self.buffer_sizeof[array] = cand["sizeof"]
-                    # storage / buffered-ness is uniform across a given
-                    # array's candidates (placement and retime are
-                    # plan-wide), hence structural.
-                    self.buffer_storage[array] = storage
-                    self.buffered[array] = is_buffered
-                self.candidates[array].append(cand)
+                        shm, reg = window, 0
+                    row = self._plane_row(consumer, halo, flat)
+                else:
+                    shm, reg = (0, 0) if self.retime else (_TILE_PLANES, 0)
+                    row = self._plane_row(consumer, halo, every)
+                self._buffers.append(([(row, shm, reg)], _esize(ir, array)))
+                self._inter[consumer.index, array] = (
+                    center, distinct, reg, shm != 0
+                )
+        # Intra-kernel staging of arrays a stage writes and reads back.
+        for stage, stage_halos in zip(self.stages, halos):
+            for array in stage.instance.arrays_written():
+                halo = stage_halos.get(array)
+                if halo is None:
+                    continue
+                if self.streaming:
+                    lo, hi = halo[axis]
+                    depth = lo + hi + 1
+                else:
+                    depth = _TILE_PLANES
+                self._buffers.append(
+                    ([(self._plane_row(stage, halo, flat), depth, 0)],
+                     _esize(ir, array))
+                )
 
-    # -- inter-stage specs (mirrors tiling._intermediate_specs) ----------
+    # -- counter terms (reference_model._count) ---------------------------
 
-    def _build_inter_specs(
-        self, ir: ProgramIR, proto: KernelPlan
-    ) -> None:
-        self.inter_specs: List[dict] = []
-        if len(self.stages) > 1:
-            for stage, consumer in zip(self.stages[:-1], self.stages[1:]):
-                produced = set(stage.instance.arrays_written())
-                halos = read_halos(ir, consumer.instance)
-                if proto.time_tile > 1:
-                    _written, read = pingpong_pair(ir, stage.instance)
-                    produced = {read} if read in halos else set()
-                for array in produced:
-                    if array not in halos:
-                        continue
-                    halo = halos[array]
-                    dtype = (
-                        ir.array_map[array].dtype
-                        if array in ir.array_map
-                        else "double"
-                    )
-                    distinct, center = _consumer_read_counts(
-                        ir, consumer.instance, array, proto
-                    )
-                    spec: dict = {
-                        "array": array,
-                        "producer": stage.index,
-                        "consumer": consumer.index,
-                        "halo": halo,
-                        "sizeof": sizeof(dtype),
-                        "center": center,
-                        "total": distinct,
-                    }
-                    if self.streaming:
-                        lo, hi = halo[self.stream_axis]
-                        window = lo + hi + 1
-                        if self.retime:
-                            spec.update(shm="const", shm_const=1, reg=0)
-                        elif is_star_along(
-                            ir, consumer.instance, array, self.stream_axis
-                        ):
-                            spec.update(
-                                shm="const", shm_const=1, reg=window - 1
-                            )
-                        else:
-                            spec.update(
-                                shm="const", shm_const=window, reg=0
-                            )
-                    else:
-                        if self.retime:
-                            spec.update(shm="zero", shm_const=0, reg=0)
-                        else:
-                            spec.update(shm="depth0", shm_const=0, reg=0)
-                    self.inter_specs.append(spec)
-        self.inter_by_consumer: Dict[Tuple[int, str], dict] = {
-            (spec["producer"] + 1, spec["array"]): spec
-            for spec in self.inter_specs
-        }
-        self.inter_reg_planes = sum(spec["reg"] for spec in self.inter_specs)
-
-    # -- per-stage read/store term descriptors (reference_model._count)
-
-    def _build_stage_infos(
-        self, ir: ProgramIR, proto: KernelPlan
-    ) -> None:
-        self.stage_infos: List[_StageInfo] = []
-        for stage in self.stages:
+    def _compile_terms(self, ir: ProgramIR, proto: KernelPlan,
+                       halos: List[dict]) -> None:
+        ndim = self.ndim
+        intermediates = intermediate_arrays(ir, proto)
+        visible = externally_visible(ir, proto)
+        points: List[Tuple[int, int]] = []  # shm point terms: (coef, stage)
+        reads: List[tuple] = []
+        #: the shared-memory terms in emission order: a point term (>= 0)
+        #: or a buffered read (-1 - its index among the buffered reads)
+        shm_order: List[int] = []
+        buffered_reads = 0
+        self._loads: Dict[Tuple[int, str], int] = {}
+        self._load_rows: List[tuple] = []
+        self.useful = 0.0
+        self.dram_write = 0.0
+        pts_span = [0] * ndim
+        foot_span = [0] * ndim
+        pts_factors = [len(self.stages)]
+        foot_factors = [1]
+        for stage, stage_halos in zip(self.stages, halos):
+            sidx = stage.index
             instance = stage.instance
             summary = access_summary(ir, instance)
-            halos = read_halos(ir, instance)
-            foot_axes = {
-                array: tuple(
-                    axis
-                    for axis in range(self.ndim)
-                    if array not in self.array_map
-                    or self.array_map[array].ndim >= self.ndim
-                    or _array_indexes_axis(ir, instance, array, axis)
-                )
-                for array in halos
-            }
-            written_here = set(instance.arrays_written())
-            reads: List[dict] = []
-            # Iterating the memoized summary dict object itself keeps
-            # the term order identical to the scalar loop's.
+            written = instance.arrays_written()
+            flops_pp = stage.flops_per_point
+            self.useful += flops_pp * self.domain_points
+            pts_factors.append(flops_pp)
+            expand = self._widths(stage, None)
+            for axis in range(ndim):
+                pts_span[axis] = max(pts_span[axis], expand[axis])
+                foot_span[axis] = max(foot_span[axis], expand[axis])
+            for halo in stage_halos.values():
+                for axis, width in enumerate(self._widths(stage, halo)):
+                    foot_span[axis] = max(foot_span[axis], width)
+            # Iterating the memoized summary dict itself keeps the term
+            # order identical to the scalar loop's.
             for array, info in summary.items():
                 if info.reads_total == 0:
                     continue
-                arr_esize = (
-                    sizeof(ir.array_map[array].dtype)
-                    if array in ir.array_map
-                    else 8
-                )
-                item: dict = {"array": array, "esize": arr_esize}
-                if array in written_here:
-                    item.update(kind="written_here", reads=info.reads_distinct)
-                elif stage.index > 0 and array in self.intermediates:
-                    inter = self.inter_by_consumer.get((stage.index, array))
+                esize = _esize(ir, array)
+                if array in written:
+                    coef = info.reads_distinct * esize
+                elif sidx > 0 and array in intermediates:
+                    inter = self._inter.get((sidx, array))
                     if inter is None:
                         continue  # no term at all
-                    served = (
-                        inter["center"]
-                        if (inter["reg"] > 0 or self.retime)
-                        else inter["total"]
-                    )
-                    item.update(kind="inter", served=served)
-                elif self.buffered.get(array, False):
-                    item.update(
-                        kind="buffered",
-                        unique=_unique_bytes(ir, array, arr_esize, proto),
-                        halo_x=stage.halo[self.ndim - 1],
-                        reads_distinct=info.reads_distinct,
-                        inplane=(
-                            _inplane_distinct_reads(
-                                ir, stage, array, self.stream_axis
-                            )
-                            if self.streaming
-                            else 0
+                    center, distinct, reg, _shm = inter
+                    served = center if (reg > 0 or self.retime) else distinct
+                    coef = served * esize
+                else:
+                    # Every read array has a halo: its footprint row.  A
+                    # lower-rank array spans only the axes it indexes.
+                    halo = stage_halos[array]
+                    rank = ir.array_map.get(array)
+                    if rank is None or rank.ndim >= ndim:
+                        spanned = (True,) * ndim
+                    else:
+                        spanned = tuple(
+                            _array_indexes_axis(ir, instance, array, axis)
+                            for axis in range(ndim)
+                        )
+                    foot = (
+                        self._widths(stage, halo),
+                        tuple(
+                            self.domain[axis] + sum(halo[axis])
+                            for axis in range(ndim)
                         ),
-                        center=(
-                            _center_plane_reads(
+                        spanned,
+                    )
+                    unique = _unique_bytes(ir, array, esize, proto)
+                    foot_factors.append(esize)
+                    if self.buffered.get(array, False):
+                        inplane = center = 0
+                        if self.streaming:
+                            inplane, center, _star = _plane_reads(
                                 ir, proto, stage, array
                             )
-                            if self.streaming
-                            else 0
-                        ),
-                    )
-                else:
-                    item.update(
-                        kind="gmem",
-                        unique=_unique_bytes(ir, array, arr_esize, proto),
-                        gcoal=_gmem_coalescing_const(ir, stage.instance, array),
-                        instance=stage.instance,
-                        offsets=distinct_read_offsets(ir, stage.instance, array),
-                    )
-                reads.append(item)
-            stores: List[dict] = []
-            for array in instance.arrays_written():
-                arr_esize = (
-                    sizeof(ir.array_map[array].dtype)
-                    if array in ir.array_map
-                    else 8
-                )
-                writes = summary[array].writes if array in summary else 1
-                entry = {"array": array, "esize": arr_esize, "writes": writes}
-                if not stage.is_last and array in self.intermediates:
-                    inter = self.inter_by_consumer.get(
-                        (stage.index + 1, _consumed_name(ir, proto, stage, array))
-                    )
-                    if inter is None or _inter_shm_positive(inter):
-                        entry["kind"] = "shm"
-                    else:
-                        continue  # buffered in registers: no traffic term
-                elif array not in self.externally_visible:
-                    entry["kind"] = "shm"
-                else:
-                    entry["kind"] = "dram"
-                stores.append(entry)
-            self.stage_infos.append(
-                _StageInfo(
-                    stage=stage,
-                    halos=halos,
-                    foot_axes=foot_axes,
-                    flops_pp=stage.flops_per_point,
-                    summary=summary,
-                    reads=reads,
-                    stores=stores,
-                )
-            )
-        self._build_int64_bounds()
-
-    def _build_int64_bounds(self) -> None:
-        """Bounds for :meth:`_check_int64`: per axis, the most a stage
-        adds to a tile for its points (``pts_span``) and for a read
-        footprint (``foot_span``), and the largest integer factor
-        :meth:`_counter_lanes` multiplies points or footprints by, summed
-        over blocks, before it converts them to ``float64``."""
-        infos = self.stage_infos
-        self.pts_span = [
-            max(sum(info.stage.expand[axis]) for info in infos)
-            for axis in range(self.ndim)
-        ]
-        self.foot_span = [
-            max(
-                [self.pts_span[axis]]
-                + [
-                    sum(info.stage.expand[axis]) + sum(halo[axis])
-                    for info in infos
-                    for halo in info.halos.values()
-                    if halo is not None
-                ]
-            )
-            for axis in range(self.ndim)
-        ]
-        pts_factors = [len(infos)]  # the points summed over stages
-        foot_factors = [1]
-        for info in infos:
-            pts_factors.append(info.flops_pp)
-            for item in info.reads:
-                kind = item["kind"]
-                if kind == "written_here":
-                    pts_factors.append(item["reads"] * item["esize"])
-                elif kind == "inter":
-                    pts_factors.append(item["served"] * item["esize"])
-                else:
-                    foot_factors.append(item["esize"])
-                    if kind == "buffered":
                         pts_factors.append(
-                            2 + max(
-                                item["inplane"], item["center"],
-                                item["reads_distinct"],
-                            )
+                            2 + max(inplane, center, info.reads_distinct)
                         )
-            for entry in info.stores:
-                pts_factors.append(entry["writes"] * entry["esize"])
+                        lo, hi = stage.halo[ndim - 1]
+                        reads.append((
+                            foot, sidx, esize, unique, False,
+                            self.buffer_of[array], lo + hi, 0.0,
+                            (inplane, center, info.reads_distinct),
+                        ))
+                        shm_order.append(-1 - buffered_reads)
+                        buffered_reads += 1
+                    else:
+                        reads.append((
+                            foot, sidx, esize, unique, True,
+                            self._load_row(ir, instance, array), 0,
+                            _direct_reads(ir, instance, array)[3],
+                            None,
+                        ))
+                    continue
+                pts_factors.append(coef)
+                shm_order.append(len(points))
+                points.append((coef, sidx))
+            for array in written:
+                esize = _esize(ir, array)
+                writes = summary[array].writes if array in summary else 1
+                if not stage.is_last and array in intermediates:
+                    inter = self._inter.get(
+                        (sidx + 1, _consumed_name(ir, proto, stage, array))
+                    )
+                    if inter is not None and not inter[3]:
+                        continue  # buffered in registers: no traffic term
+                elif array in visible:
+                    pts_factors.append(writes * esize)
+                    self.dram_write += float(
+                        writes * self.domain_points * esize
+                    )
+                    continue
+                pts_factors.append(writes * esize)
+                shm_order.append(len(points))
+                points.append((writes * esize, sidx))
+        # Bounds for _check_int64: per axis, the most a stage adds to a
+        # tile for its points and for a read footprint, and the largest
+        # integer factor the counters multiply points or footprints by.
+        self._pts_span = pts_span
+        self._foot_span = foot_span
         self.pts_factor = max(pts_factors)
         self.foot_factor = max(foot_factors)
+        self._points = points
+        self._reads = reads
+        self._shm_order = shm_order
+
+    def _load_row(self, ir: ProgramIR, instance: StencilInstance,
+                  array: str) -> int:
+        """The load row of ``array`` read directly by ``instance``
+        (:func:`_direct_reads`), added on first use."""
+        key = (id(instance), array)
+        row = self._loads.get(key)
+        if row is None:
+            row = self._loads[key] = len(self._load_rows)
+            self._load_rows.append(_direct_reads(ir, instance, array)[:3])
+        return row
 
     # -- register-model structural constants (mirrors registers.py) ------
 
-    def _build_register_model(
-        self, ir: ProgramIR, proto: KernelPlan
-    ) -> None:
+    def _compile_registers(self, ir: ProgramIR) -> None:
         self.expr_regs = max(
             expression_registers(s.instance) for s in self.stages
         )
+        self._base_regs = BASE_REGISTERS + self.expr_regs
         if self.retime and self.streaming:
             accumulators = 0
             for stage in self.stages:
@@ -795,369 +804,224 @@ class FamilyStructure:
             for stage in self.stages:
                 outputs.update(stage.instance.arrays_written())
             self.accumulators = len(outputs)
-        # Prefetch staging registers of a prefetching lane: arrays
-        # fetched from global.  GMEM-placed arrays always buffer (0, 0)
-        # planes, so the scalar condition ``storage != GMEM or
-        # reg_planes > 0`` reduces to the storage test — structural.
-        fetched = sum(
-            1
-            for array in self.buffer_arrays
-            if self.buffer_storage[array] != GMEM
+        # Blocked-unroll live loads: the load rows of each stage's
+        # directly read (unbuffered) arrays.
+        self._stage_loads = tuple(
+            tuple(
+                self._load_row(ir, stage.instance, array)
+                for array in stage.instance.arrays_read()
+                if not self.buffered.get(array, False)
+            )
+            for stage in self.stages
         )
-        self.staging_regs = max(fetched, 1)
-        # Blocked-unroll live loads: the per-stage gmem (unbuffered)
-        # read sets and their read offsets are structural; the load
-        # counts per lane are not.
-        self.gmem_read_sets: List[List[Tuple[StencilInstance, str, list]]] = []
-        for stage in self.stages:
-            entries: List[Tuple[StencilInstance, str, list]] = []
-            for array in stage.instance.arrays_read():
-                if array in self.candidates and self.buffered.get(array, False):
-                    continue
-                offsets = distinct_read_offsets(ir, stage.instance, array)
-                entries.append((stage.instance, array, offsets))
-            self.gmem_read_sets.append(entries)
+        # The first stage's unbuffered arrays set the L2 working set.
+        first = self.stages[0].instance
+        self._live = tuple(
+            (self.buffer_of[array], _esize(ir, array))
+            for array in first.arrays_read()
+            if array in self.buffer_of and not self.buffered[array]
+        )
+
+    def _freeze(self) -> None:
+        """Swap the compiled term lists for the pass's index tables.
+
+        The tables are a function of the lists alone, so structures of
+        the same kernel and plan shape (another job's IR, another
+        device) share one set of arrays (:func:`_frozen_tables`).
+        """
+        stages = self.stages
+        ndim = self.ndim
+        rows = [
+            (self._widths(stages[s], halo),
+             tuple(a in axes for a in range(ndim)))
+            for s, halo, axes in self._planes  # keys in row order
+        ]
+        # A buffer whose first candidate has at least every other one's
+        # planes, widths and registers always picks it (the scan keeps
+        # the first of equal byte counts): its winner is structural.
+        buffers = [
+            (cands[:1] if all(
+                _dominates(cands[0], other, rows) for other in cands[1:]
+            ) else cands, size)
+            for cands, size in self._buffers
+        ]
+        # Keep the geometry rows a term reads: the points, the candidates.
+        used = sorted(
+            set(range(len(stages)))
+            | {row for cands, _ in buffers for row, _, _ in cands}
+        )
+        renumber = {row: new for new, row in enumerate(used)}
+        planes = tuple(rows[row] for row in used)
+        buffers = tuple(
+            (tuple((renumber[row], shm, reg) for row, shm, reg in cands), size)
+            for cands, size in buffers
+        )
+        description = _Description(
+            ndim=ndim,
+            stages=len(stages),
+            streaming=self.streaming,
+            retime=self.retime,
+            tiled=self.tiled,
+            domain=self.domain,
+            planes=planes,
+            buffers=buffers,
+            points=tuple(
+                (s.flops_per_point, s.index) for s in stages
+            ) + tuple(self._points),
+            shm_points=len(self._points),
+            shm_order=tuple(self._shm_order),
+            reads=tuple(self._reads),
+            loads=tuple(self._load_rows),
+            stage_loads=self._stage_loads,
+            live=self._live,
+            pts_span=tuple(self._pts_span),
+            foot_span=tuple(self._foot_span),
+        )
+        for name in ("_planes", "_buffers", "_inter", "buffer_of", "buffered",
+                     "_points", "_reads", "_load_rows", "_loads",
+                     "_stage_loads", "_live"):
+            del self.__dict__[name]
+        # (the tables replace the compiled _shm_order and spans)
+        self.__dict__.update(_frozen_tables(description))
 
     # ------------------------------------------------------------------
     # lane-array computation
     # ------------------------------------------------------------------
 
-    def _base(self, knobs: LaneKnobs) -> dict:
-        """Per-lane geometry scalars.
+    def _lanes(self, knobs: LaneKnobs) -> "_Lanes":
+        """The register-independent prefix of every lane: launch
+        geometry, buffer winners, shared memory and register demand.
 
         Replays ``tiling._launch_geometry`` over the lane axis: the
         domain, tiled-axis set and first-stage halo are structural
-        constants, so only the knobs need gathering per lane — threads
-        per block and ILP are tables over the distinct (perspective,
-        block) and (prefetch, unroll) values, looked up per lane.
-        Everything downstream is exact int64 array arithmetic (products
-        and ``-(-a // b)`` ceil-division match the scalar reference bit
-        for bit).
+        constants, so only the knobs are gathered per lane, from tables
+        over the distinct block, unroll and perspective values.
+        Everything is exact ``int64`` arithmetic (products and
+        ``-(-a // b)`` ceil-division match the scalar reference bit for
+        bit).
         """
         n = len(knobs)
-        ndim = self.ndim
-        tiled = (
-            tuple(a for a in range(ndim) if a != self.stream_axis)
-            if self.streaming
-            else tuple(range(ndim))
+        lanes = _Lanes()
+        lanes.n = n
+        blocks_tab, unrolls_tab, tunroll_tab, ilp_tab, threads_tab, output_tab = (
+            _knob_tables(
+                knobs.blocks, knobs.unrolls, knobs.perspectives, self.ndim,
+                self.tiled, self.stages[0].halo,
+            )
         )
         block_ix, unroll_ix = knobs.block_ix, knobs.unroll_ix
-        # -- gather the varying grid fields from the distinct tuples
-        unroll_table = np.asarray(
-            [
-                [u[axis] if axis < len(u) else 1 for u in knobs.unrolls]
-                for axis in range(ndim)
-            ],
-            dtype=_I8,
-        ).reshape(ndim, len(knobs.unrolls))
-        unroll = unroll_table[:, unroll_ix]
-        block_table = np.asarray(
-            [
-                [b[pos] if pos < len(b) else 1 for b in knobs.blocks]
-                for pos in range(len(tiled))
-            ],
-            dtype=_I8,
-        ).reshape(len(tiled), len(knobs.blocks))
-        bt = block_table[:, block_ix]  # threads per tiled position
-        # exact int products of the full tuples (may exceed the tiled
-        # axis count; extra entries still count, as in the scalar code)
-        tunroll_table = [math.prod(u) for u in knobs.unrolls]
-        tunroll = np.asarray(tunroll_table, dtype=_I8)[unroll_ix]
-        # -- tile extents and block decomposition
-        tile = np.empty((ndim, n), _I8)
-        blocks = _column(n, 1, _I8)
-        for pos, axis in enumerate(tiled):
-            tile[axis] = bt[pos] * unroll[axis]
-            blocks = blocks * (-(-self.domain[axis] // tile[axis]))
-        sweep = None
+        lanes.unroll = unroll = unrolls_tab.take(unroll_ix, 1)
+        lanes.tile = tile = blocks_tab.take(block_ix, 1) * unroll
+        lanes.sweep = None
+        blocks = np.multiply.reduce(
+            -(-self._tiled_domain // tile.take(self._tiled_ix, 0)), axis=0
+        )
         if self.streaming:
             chunks = knobs.chunks
-            sweep = -(-self.domain[self.stream_axis] // chunks)
-            tile[self.stream_axis] = sweep
-            blocks = blocks * chunks
-        # -- threads per block (tiling._threads_per_block)
-        halo = self.stages[0].halo
-        innermost = tiled[-1] if tiled else ndim - 1
-        threads_table = [
-            [_block_threads(b, p, tiled, halo, innermost) for b in knobs.blocks]
-            for p in knobs.perspectives
-        ]
-        threads = np.asarray(threads_table, dtype=_I8).reshape(
-            len(knobs.perspectives), len(knobs.blocks)
-        )[knobs.persp_ix, block_ix]
-        output = np.asarray(
-            [p == PERSPECTIVE_OUTPUT for p in knobs.perspectives]
-        )[knobs.persp_ix]
-        # math.log2 per distinct unroll: identical libm path to the
-        # scalar code (np.log2 could round differently on exotic
-        # platforms).
-        ilp_table = [1.0 + 0.4 * math.log2(max(1, t)) for t in tunroll_table]
-        staged_table = [value + 0.3 for value in ilp_table]  # prefetching
-        ilp = np.where(
-            knobs.prefetch,
-            np.asarray(staged_table, dtype=_F8)[unroll_ix],
-            np.asarray(ilp_table, dtype=_F8)[unroll_ix],
-        )
-        return {
-            "n": n,
-            "tile": tile,
-            "unroll": unroll,
-            "blocks": blocks,
-            "threads": threads,
-            "sweep": sweep,
-            "output": output,
-            "prefetch": knobs.prefetch,
-            "tunroll": tunroll,
-            "ublocked": knobs.ublocked,
-            "maxreg": knobs.maxreg,
-            "ilp": ilp,
-            "pts": {},
-            "coal": {},
-            "foot": {},
-            "plane": {},
-            "tplanes": {},
-            "lpp": {},
-        }
-
-    def _pts(self, base: dict, sidx: int) -> np.ndarray:
-        cached = base["pts"].get(sidx)
-        if cached is None:
-            stage = self.stages[sidx]
-            cached = _product(
-                [
-                    base["tile"][axis] + sum(stage.expand[axis])
-                    for axis in range(self.ndim)
-                ],
-                base["n"],
+            lanes.sweep = tile[self.stream_axis] = (
+                -(-self.domain[self.stream_axis] // chunks)
             )
-            base["pts"][sidx] = cached
-        return cached
-
-    def _footprint(self, base: dict, sidx: int, array: str) -> np.ndarray:
-        info = self.stage_infos[sidx]
-        halo = info.halos.get(array)
-        key = (sidx, halo, info.foot_axes.get(array))
-        cached = base["foot"].get(key)
-        if cached is None:
-            if halo is None:
-                cached = np.zeros(base["n"], _I8)
+            blocks = blocks * chunks
+        lanes.blocks = blocks
+        if len(knobs.perspectives) == 1:
+            lanes.threads = threads_tab[0].take(block_ix)
+        else:
+            lanes.threads = threads_tab[knobs.persp_ix, block_ix]
+        lanes.output = output_tab.take(knobs.persp_ix)
+        lanes.prefetch = prefetch = knobs.prefetch
+        lanes.ublocked = knobs.ublocked
+        lanes.maxreg = knobs.maxreg
+        ilp = ilp_tab.take(unroll_ix, 1)
+        lanes.ilp = np.where(prefetch, ilp[1], ilp[0])
+        # Every geometry row at once: (row, axis, lane) extents.
+        span = tile + self._plane_add
+        plane = np.multiply.reduce(
+            np.where(self._plane_mask, span, 1), axis=1
+        )
+        lanes.pts = plane[: len(self.stages)]
+        lanes.foot = None
+        if self._reads_count:
+            lanes.foot = np.multiply.reduce(
+                np.where(
+                    self._foot_mask,
+                    np.minimum(tile + self._foot_add, self._foot_cap),
+                    1,
+                ),
+                axis=1,
+            )
+        # Buffer winners: per buffer row the candidate with the most
+        # bytes, the first one on a tie (the scalar strict-greater
+        # scan).  Shared planes are a lane quantity only for whole-tile
+        # buffers.
+        shm = self._cand_shm
+        if self._any_whole:
+            whole = span[:, self.depth_axis].take(self._cand_row, 0)
+            shm = np.where(self._cand_whole, whole, shm)
+        plane = plane.take(self._cand_row, 0)
+        if self._single:
+            lanes.reg_w = None
+            reg_planes = self._reg_planes
+            lanes.shm_w = shm if self._any_whole else None
+        else:
+            # Per buffer row, its candidates' most bytes, then the first
+            # candidate that has them (the highest rank among them).
+            nbytes = shm * plane * self._cand_size + self._cand_reg
+            starts = self._cand_start
+            most = np.maximum.reduceat(nbytes, starts, axis=0)
+            tied = nbytes == most.take(self._cand_buffer, 0)
+            pick = self._cand_end - np.maximum.reduceat(
+                tied * self._cand_rank, starts, axis=0
+            )
+            if self._any_whole:
+                shm = shm.take(pick * n + np.arange(n))
             else:
-                factors = []
-                for axis in info.foot_axes[array]:
-                    exp_lo, exp_hi = info.stage.expand[axis]
-                    h_lo, h_hi = halo[axis]
-                    span = base["tile"][axis] + (exp_lo + exp_hi + h_lo + h_hi)
-                    factors.append(
-                        np.minimum(span, self.domain[axis] + (h_lo + h_hi))
-                    )
-                cached = _product(factors, base["n"])
-            base["foot"][key] = cached
-        return cached
-
-    def _plane_elems(self, base: dict, sidx: int, array: str) -> np.ndarray:
-        info = self.stage_infos[sidx]
-        halo = info.halos[array]
-        key = (sidx, halo)
-        cached = base["plane"].get(key)
-        if cached is None:
-            depth_axis = self.stream_axis if self.streaming else 0
-            factors = []
-            for axis in range(self.ndim):
-                if axis == depth_axis:
-                    continue
-                exp_lo, exp_hi = info.stage.expand[axis]
-                h_lo, h_hi = halo[axis]
-                factors.append(
-                    base["tile"][axis] + (exp_lo + exp_hi + h_lo + h_hi)
+                shm = self._cand_shm.take(pick)
+            plane = plane.take(pick * n + np.arange(n))
+            lanes.reg_w = self._cand_reg.take(pick)
+            reg_planes = lanes.reg_w.sum(axis=0)
+            lanes.shm_w = shm
+        lanes.plane_w = plane
+        lanes.shmem = (shm * plane * self._buffer_size).sum(axis=0)
+        # Register demand (registers.register_demand).
+        tunroll = tunroll_tab.take(unroll_ix)
+        demand = (reg_planes + self.accumulators) * tunroll + self._base_regs
+        demand = demand + prefetch * self.staging_regs
+        lanes.loads = None
+        blocked = (tunroll > 1) & knobs.ublocked
+        if blocked.any():
+            # Blocked unrolling keeps each stage's direct loads live; a
+            # plan with none adds the unroll bookkeeping alone.
+            extra = 2 * (tunroll - 1)
+            if self._load_groups is not None:
+                lanes.loads = loads = self._loads_per_point(
+                    unroll, knobs.ublocked
                 )
-            base["plane"][key] = cached = _product(factors, base["n"])
-        return cached
+                stage_loads = _row_sum(loads.take(self._load_groups, 0), axis=1)
+                live = stage_loads.max(axis=0)
+                extra = extra + (
+                    live * tunroll.astype(_F8) * 0.5
+                ).astype(_I8)
+            demand = demand + np.where(blocked, extra, 0)
+        lanes.demand = demand
+        return lanes
 
-    def _tile_planes(self, base: dict, sidx: int, array: str) -> np.ndarray:
-        key = (sidx, array)
-        cached = base["tplanes"].get(key)
-        if cached is None:
-            info = self.stage_infos[sidx]
-            halo = info.halos[array]
-            axis = self.stream_axis if self.streaming else 0
-            exp_lo, exp_hi = info.stage.expand[axis]
-            h_lo, h_hi = halo[axis]
-            cached = base["tile"][axis] + (exp_lo + exp_hi + h_lo + h_hi)
-            base["tplanes"][key] = cached
-        return cached
+    def _loads_per_point(self, unroll: np.ndarray,
+                         ublocked: np.ndarray) -> np.ndarray:
+        """Every load row's :func:`tiling.gmem_loads_per_point` per lane.
 
-    def _gmem_lpp(
-        self, base: dict, instance: StencilInstance, array: str, offsets: list
-    ) -> np.ndarray:
-        """Vectorized :func:`tiling.gmem_loads_per_point`."""
-        key = (id(instance), array)
-        cached = base["lpp"].get(key)
-        if cached is None:
-            n = base["n"]
-            if not offsets:
-                cached = np.zeros(n, _F8)
-            else:
-                loads = float(len(offsets))
-                factor_product = _column(n, 1.0, _F8)
-                for axis in range(self.ndim):
-                    axis_offsets = sorted(
-                        {o[axis] for o in offsets if o[axis] is not None}
-                    )
-                    if len(axis_offsets) <= 1:
-                        continue
-                    span = axis_offsets[-1] - axis_offsets[0] + 1
-                    count = len(axis_offsets)
-                    factor = base["unroll"][axis]
-                    # factor == 1 lanes multiply by exactly 1.0 (merged
-                    # == count), matching the scalar code's skip.
-                    merged = np.minimum(factor * count, span + (factor - 1))
-                    factor_product = factor_product * (
-                        merged / (factor * count)
-                    )
-                blocked = loads * np.maximum(factor_product, 0.55)
-                cached = np.where(base["ublocked"], blocked, loads)
-            base["lpp"][key] = cached
-        return cached
-
-    def _winners(self, base: dict) -> Dict[str, dict]:
-        """Per-lane buffer-winner selection (strict-greater, first wins)."""
-        winners: Dict[str, dict] = {}
-        for array in self.buffer_arrays:
-            size = self.buffer_sizeof[array]
-            win: Optional[dict] = None
-            for cand in self.candidates[array]:
-                plane = self._plane_elems(base, cand["stage"], array)
-                if cand["shm"] == "const":
-                    shm = _column(base["n"], cand["shm_const"], _I8)
-                elif cand["shm"] == "tile_planes":
-                    shm = self._tile_planes(base, cand["stage"], array)
-                else:
-                    shm = np.zeros(base["n"], _I8)
-                reg = _column(base["n"], cand["reg"], _I8)
-                spec_bytes = shm * plane * size + reg
-                if win is None:
-                    win = {
-                        "shm": shm,
-                        "reg": reg,
-                        "plane": plane,
-                        "bytes": spec_bytes,
-                    }
-                else:
-                    better = spec_bytes > win["bytes"]
-                    win = {
-                        "shm": np.where(better, shm, win["shm"]),
-                        "reg": np.where(better, reg, win["reg"]),
-                        "plane": np.where(better, plane, win["plane"]),
-                        "bytes": np.where(better, spec_bytes, win["bytes"]),
-                    }
-            assert win is not None
-            winners[array] = win
-        return winners
-
-    def _inter_arrays(self, base: dict) -> List[dict]:
-        """Per-lane shm_planes / plane_elements of inter-stage specs."""
-        out = []
-        for spec in self.inter_specs:
-            consumer = self.stages[spec["consumer"]]
-            halo = spec["halo"]
-            plane = _column(base["n"], 1, _I8)
-            for axis in range(self.ndim):
-                if self.streaming and axis == self.stream_axis:
-                    continue
-                exp_lo, exp_hi = consumer.expand[axis]
-                h_lo, h_hi = halo[axis]
-                plane = plane * (
-                    base["tile"][axis] + (exp_lo + exp_hi + h_lo + h_hi)
-                )
-            if spec["shm"] == "const":
-                shm = _column(base["n"], spec["shm_const"], _I8)
-            elif spec["shm"] == "depth0":
-                exp_lo, exp_hi = consumer.expand[0]
-                h_lo, h_hi = halo[0]
-                shm = base["tile"][0] + (exp_lo + exp_hi + h_lo + h_hi)
-            else:
-                shm = np.zeros(base["n"], _I8)
-            out.append({"spec": spec, "shm": shm, "plane": plane})
-        return out
-
-    def _register_demand(self, base: dict, winners: Dict[str, dict]) -> np.ndarray:
-        reg_planes = np.zeros(base["n"], _I8)
-        for array in self.buffer_arrays:
-            reg_planes = reg_planes + winners[array]["reg"]
-        reg_planes = reg_planes + self.inter_reg_planes
-        demand = _column(base["n"], BASE_REGISTERS + self.expr_regs, _I8)
-        demand = demand + reg_planes * base["tunroll"]
-        demand = demand + self.accumulators * base["tunroll"]
-        demand = demand + np.where(base["prefetch"], self.staging_regs, 0)
-        blocked_mask = (base["tunroll"] > 1) & base["ublocked"]
-        if blocked_mask.any():
-            live = np.zeros(base["n"], _F8)
-            for entries in self.gmem_read_sets:
-                stage_loads = np.zeros(base["n"], _F8)
-                for instance, array, offsets in entries:
-                    stage_loads = stage_loads + self._gmem_lpp(
-                        base, instance, array, offsets
-                    )
-                live = np.maximum(live, stage_loads)
-            extra = 2 * (base["tunroll"] - 1) + (
-                live * base["tunroll"].astype(_F8) * 0.5
-            ).astype(_I8)
-            demand = demand + np.where(blocked_mask, extra, 0)
-        return demand
-
-    def _shmem(self, base: dict, winners: Dict[str, dict],
-               inter_arrays: List[dict]) -> np.ndarray:
-        total = np.zeros(base["n"], _I8)
-        for array in self.buffer_arrays:
-            win = winners[array]
-            total = total + win["shm"] * win["plane"] * self.buffer_sizeof[array]
-        for entry in inter_arrays:
-            total = total + entry["shm"] * entry["plane"] * entry["spec"]["sizeof"]
-        # intra-kernel staging (tiling._intra_staging_bytes)
-        for info in self.stage_infos:
-            stage = info.stage
-            depth_axis = self.stream_axis if self.streaming else 0
-            for array in stage.instance.arrays_written():
-                halo = info.halos.get(array)
-                if halo is None:
-                    continue
-                size = sizeof(
-                    self.array_map[array].dtype
-                    if array in self.array_map
-                    else "double"
-                )
-                plane = _column(base["n"], 1, _I8)
-                for axis in range(self.ndim):
-                    if axis == depth_axis:
-                        continue
-                    exp_lo, exp_hi = stage.expand[axis]
-                    h_lo, h_hi = halo[axis]
-                    plane = plane * (
-                        base["tile"][axis] + (exp_lo + exp_hi + h_lo + h_hi)
-                    )
-                if self.streaming:
-                    lo, hi = halo[self.stream_axis]
-                    depth = _column(base["n"], lo + hi + 1, _I8)
-                else:
-                    exp_lo, exp_hi = stage.expand[0]
-                    h_lo, h_hi = halo[0]
-                    depth = base["tile"][0] + (exp_lo + exp_hi + h_lo + h_hi)
-                total = total + plane * depth * size
-        return total
-
-    def _live_bytes(self, base: dict, winners: Dict[str, dict]) -> np.ndarray:
-        total = np.zeros(base["n"], _F8)
-        first = self.stages[0]
-        for array in first.instance.arrays_read():
-            if array not in self.candidates:
-                continue
-            if self.buffered[array]:
-                continue
-            info = self.array_map.get(array)
-            arr_esize = sizeof(info.dtype) if info is not None else 8
-            plane = winners[array]["plane"]
-            total = total + (plane * arr_esize).astype(_F8)
-        return total
+        Along an axis unrolled by ``u``, ``n`` offsets spanning ``s``
+        cost ``min(u*n, s + u - 1)`` loads per ``u*n``; the per-axis
+        ratios multiply in axis order, an axis with one offset as
+        ``1.0``, as the scalar code skips it.
+        """
+        grouped = unroll * self._load_count
+        ratio = np.minimum(grouped, unroll + self._load_span) / grouped
+        ratio = np.where(self._load_active, ratio, 1.0)
+        product = ratio[:, 0]
+        for axis in range(1, self.ndim):
+            product = product * ratio[:, axis]
+        blocked = self._load_loads * np.maximum(product, 0.55)
+        return np.where(ublocked, blocked, self._load_loads)
 
     # ------------------------------------------------------------------
     # public lane APIs
@@ -1168,9 +1032,7 @@ class FamilyStructure:
 
         ``lanes`` is a plan list or its :class:`LaneKnobs`.
         """
-        base = self._base(self._knobs(lanes))
-        winners = self._winners(base)
-        return self._register_demand(base, winners)
+        return self._lanes(self._knobs(lanes)).demand
 
     def price(self, lanes, device: DeviceSpec = P100) -> Sequence[PricedLane]:
         """Price every lane; see :class:`PricedLane` for the contract.
@@ -1182,10 +1044,7 @@ class FamilyStructure:
         knobs = self._knobs(lanes)
         if not len(knobs):
             return []
-        base = self._base(knobs)
-        winners = self._winners(base)
-        demand = self._register_demand(base, winners)
-        return self._priced(device, base, winners, demand)
+        return self._priced(device, self._lanes(knobs))
 
     def price_spill_free(
         self,
@@ -1199,11 +1058,12 @@ class FamilyStructure:
 
         The evaluation engine's spill-free escalation needs the register
         *demand* of every lane (to pick the first non-spilling rung) and
-        then the price of each lane at its chosen rung.  The base arrays
+        then the price of each lane at its chosen rung.  The lane prefix
         and the demand are computed once over all lanes; the lanes that
         spill at every rung are then dropped, and occupancy, counters
         and timing run on the compacted rest with the ``max_registers``
-        axis set to each lane's rung — no plan object is copied.
+        axis set to each lane's rung — no plan object is copied.  When
+        no lane is left, none of them runs.
 
         Returns ``(demands, positions, lanes)``: ``positions[i]`` is the
         index into ``levels`` of the first rung with ``demands[i] <=
@@ -1214,24 +1074,25 @@ class FamilyStructure:
         priced.  Lanes whose ``skip`` entry is true get a demand and a
         rung but no price either (the certifier refused them).
         """
-        knobs = self._knobs(lanes)
-        base = self._base(knobs)
-        winners = self._winners(base)
-        demands = self._register_demand(base, winners)
+        prefix = self._lanes(self._knobs(lanes))
+        demands = prefix.demand
         positions, rungs = first_rungs(demands, levels)
         wanted = positions >= 0
         if skip is not None:
             wanted = wanted & ~np.asarray(skip, dtype=bool)
-        kept = np.flatnonzero(wanted)
-        sub = _take(base, kept)
-        sub["n"] = len(kept)
-        sub["maxreg"] = rungs[kept]
-        priced = self._priced(
-            device, sub, _take(winners, kept), demands[kept]
-        )
-        lane_of = _column(base["n"], -1, _I8)
-        lane_of[kept] = np.arange(len(kept))
-        priced.lane_of = lane_of.tolist()
+        kept = wanted.nonzero()[0]
+        n = prefix.n
+        if len(kept) == n:
+            lane_of = list(range(n))
+        else:
+            prefix = prefix.take(kept)
+            rungs = rungs.take(kept)
+            lane_of = _column(n, -1, _I8)
+            lane_of[kept] = np.arange(len(kept))
+            lane_of = lane_of.tolist()
+        prefix.maxreg = rungs
+        priced = self._priced(device, prefix)
+        priced.lane_of = lane_of
         return demands, positions, priced
 
     def _knobs(self, lanes) -> LaneKnobs:
@@ -1248,31 +1109,27 @@ class FamilyStructure:
                 )
         return knobs_of(lanes)
 
-    def _priced(self, device, base, winners, demand) -> "_LaneArrays":
-        """Count and price the lanes of ``base`` (the pricing core)."""
-        n = base["n"]
+    def _priced(self, device, lanes: "_Lanes") -> "_LaneArrays":
+        """Count and price ``lanes`` (the pricing core).  A pass of no
+        lane runs no model arithmetic."""
+        n = lanes.n
         if n:
             _obs_counter("pricing.family_calls").add()
             _obs_counter("pricing.lanes").add(n)
         with _span("price_family", lanes=n):
-            return self._price(device, base, winners, demand)
+            if not n:
+                return _LaneArrays.unpriced()
+            return self._price(device, lanes)
 
-    def _price(self, device, base, winners, demand) -> "_LaneArrays":
-        inter_arrays = self._inter_arrays(base)
-        compiled = np.minimum(demand, base["maxreg"])
-        shmem = self._shmem(base, winners, inter_arrays)
+    def _price(self, device, lanes: "_Lanes") -> "_LaneArrays":
+        compiled = np.minimum(lanes.demand, lanes.maxreg)
+        occ = self._occupancy_lanes(device, lanes.threads, compiled, lanes.shmem)
+        self._check_int64(lanes, occ["infeasible"])
+        counters = self._counter_lanes(device, lanes, compiled, occ)
+        timing = self._timing_lanes(device, lanes, counters, occ)
+        return _LaneArrays(device, lanes, compiled, occ, counters, timing)
 
-        occ = self._occupancy_lanes(device, base["threads"], compiled, shmem)
-        self._check_int64(base, occ["infeasible"])
-        counters = self._counter_lanes(
-            device, base, winners, demand, compiled, shmem, occ
-        )
-        timing = self._timing_lanes(device, base, counters, shmem, occ)
-        return _LaneArrays(
-            device, base, demand, compiled, shmem, occ, counters, timing
-        )
-
-    def _check_int64(self, base: dict, infeasible: np.ndarray) -> None:
+    def _check_int64(self, lanes: "_Lanes", infeasible: np.ndarray) -> None:
         """Raise OverflowError if an ``int64`` product of a feasible lane
         could wrap.
 
@@ -1284,16 +1141,31 @@ class FamilyStructure:
         halos of the stages after it, so on a large grid a fused plan
         can still pass it.  A refused lane is not checked: nothing reads
         its counts.
+
+        The same product over the widest lane (the most blocks, the
+        widest tile per axis) bounds every lane's, since rounding keeps
+        the order of nonnegative products: below 2**63 it clears them
+        all at once.
         """
-        blocks = base["blocks"].astype(_F8)
+        if len(lanes.blocks):
+            pts = foot = float(lanes.blocks.max())
+            pts = pts * self.pts_factor
+            foot = foot * self.foot_factor
+            pts_span, foot_span = self._span_bounds
+            for axis, widest in enumerate(lanes.tile.max(axis=1).tolist()):
+                pts = pts * (widest + pts_span[axis])
+                foot = foot * (min(widest, self.domain[axis]) + foot_span[axis])
+            if pts < _I8_LIMIT and foot < _I8_LIMIT:
+                return
+        blocks = lanes.blocks.astype(_F8)
         pts = blocks * self.pts_factor
         foot = blocks * self.foot_factor
+        tile = lanes.tile
+        pts_growth = tile + self._pts_span
+        foot_growth = np.minimum(tile, self._domain) + self._foot_span
         for axis in range(self.ndim):
-            tile = base["tile"][axis]
-            pts = pts * (tile + self.pts_span[axis])
-            foot = foot * (
-                np.minimum(tile, self.domain[axis]) + self.foot_span[axis]
-            )
+            pts = pts * pts_growth[axis]
+            foot = foot * foot_growth[axis]
         wraps = ((pts >= _I8_LIMIT) | (foot >= _I8_LIMIT)) & ~infeasible
         if wraps.any():
             raise OverflowError(
@@ -1312,9 +1184,11 @@ class FamilyStructure:
     ) -> dict:
         regs = np.maximum(compiled, 1)
         warp = device.warp_size
-        warps_pb = -(-threads // warp)
+        warps_pb = (threads + (warp - 1)) // warp  # ceil division
         granularity = device.register_granularity
-        per_warp = -(-(regs * warp) // granularity) * granularity
+        per_warp = (
+            (regs * warp + (granularity - 1)) // granularity * granularity
+        )
         block_regs = warps_pb * per_warp
         max_blocks = device.max_blocks_per_sm
 
@@ -1336,28 +1210,36 @@ class FamilyStructure:
             np.minimum(np.minimum(lim_threads, max_blocks), lim_regs),
             lim_shm,
         )
-        limiter = np.where(
-            blocks_psm == max_blocks,
-            1,
-            np.where(
-                lim_threads == blocks_psm,
-                0,
-                np.where(lim_regs == blocks_psm, 2, 3),
-            ),
-        )
         bad_threads = (threads < 1) | (threads > device.max_threads_per_block)
         bad_shmem = shmem > device.shared_mem_per_block
         bad_regs = regs > device.max_registers_per_thread
         infeasible = bad_threads | bad_shmem | bad_regs | (blocks_psm < 1)
-        # The refused lanes' rule, as classify_occupancy_context reads
-        # the scalar refusal: 0 = RL201 (shared memory), 1 = RL202
-        # (threads/blocks), 2 = RL203 (registers).
-        by_limiter = np.where(limiter == 3, 0, np.where(limiter == 2, 2, 1))
-        rule = np.where(
-            bad_threads,
-            1,
-            np.where(bad_shmem, 0, np.where(bad_regs, 2, by_limiter)),
-        )
+
+        def limiter():
+            return np.where(
+                blocks_psm == max_blocks,
+                1,
+                np.where(
+                    lim_threads == blocks_psm,
+                    0,
+                    np.where(lim_regs == blocks_psm, 2, 3),
+                ),
+            )
+
+        rule = None
+        if infeasible.any():
+            # The refused lanes' rule, as classify_occupancy_context
+            # reads the scalar refusal: 0 = RL201 (shared memory), 1 =
+            # RL202 (threads/blocks), 2 = RL203 (registers).
+            by_limiter = limiter()
+            by_limiter = np.where(
+                by_limiter == 3, 0, np.where(by_limiter == 2, 2, 1)
+            )
+            rule = np.where(
+                bad_threads,
+                1,
+                np.where(bad_shmem, 0, np.where(bad_regs, 2, by_limiter)),
+            )
         blocks_safe = np.where(infeasible, 1, blocks_psm)
         warps = np.minimum(blocks_safe * warps_pb, device.max_warps_per_sm)
         warps = np.where(infeasible, 1, warps)
@@ -1368,8 +1250,8 @@ class FamilyStructure:
             "blocks_safe": blocks_safe,
             "warps": warps,
             "occ_frac": occ_frac,
-            "limiter": limiter,
-            "rule": rule,
+            "limiter": limiter,  # computed when a result is first built
+            "rule": rule,  # None when no lane is refused
         }
 
     # -- counters over lanes (reference_model._count) ----------------
@@ -1377,20 +1259,26 @@ class FamilyStructure:
     def _counter_lanes(
         self,
         device: DeviceSpec,
-        base: dict,
-        winners: Dict[str, dict],
-        demand: np.ndarray,
+        lanes: "_Lanes",
         compiled: np.ndarray,
-        shmem: np.ndarray,
         occ: dict,
     ) -> dict:
-        n = base["n"]
-        blocks = base["blocks"]
+        """The counters of every lane.  Each float accumulator adds its
+        term rows in the scalar model's emission order (:func:`_row_sum`)."""
+        n = lanes.n
+        blocks = lanes.blocks
         blocks_f = blocks.astype(_F8)
+        pts = lanes.pts
 
         active_blocks = np.maximum(1, occ["blocks_safe"] * device.sms)
-        live = self._live_bytes(base, winners)
-        working_set = active_blocks * np.maximum(live, 1.0)
+        if self._live_row is None:
+            working_set = active_blocks * 1.0
+        else:
+            live = _row_sum(
+                (lanes.plane_w.take(self._live_row, 0) * self._live_esize)
+                .astype(_F8)
+            )
+            working_set = active_blocks * np.maximum(live, 1.0)
         p_intra = np.minimum(1.0, device.l2_cache_bytes / working_set)
         p_inter = device.inter_block_l2_factor * p_intra
         # DRAM misses per re-touch: inter-block halo re-reads, and
@@ -1400,84 +1288,52 @@ class FamilyStructure:
         if self.streaming:
             p_touch = p_touch * device.stream_gmem_l2_capture
         miss_touch = 1.0 - p_touch
-        sector = device.dram_transaction_bytes
 
-        flops_t: List[np.ndarray] = []
-        tex_t: List[np.ndarray] = []
-        dread_t: List[np.ndarray] = []
-        dwrite_t: List[np.ndarray] = []
-        shm_t: List[np.ndarray] = []
-        useful = 0.0
+        stages = len(self.stages)
+        points = (
+            self._point_coef * pts.take(self._point_stage, 0) * blocks
+        ).astype(_F8)
+        flops = _row_sum(points[:stages])
+        shm_terms = points[stages:]
+        tex = dram_read = np.zeros(n, _F8)
+        if self._reads_count:
+            foot = lanes.foot
+            fill = (foot * blocks * self._read_esize).astype(_F8)
+            if self._has_gmem:
+                loads = lanes.loads
+                if loads is None:
+                    loads = self._loads_per_point(lanes.unroll, lanes.ublocked)
+                loaded = (
+                    loads.take(self._read_load, 0)
+                    * pts.take(self._read_stage, 0).astype(_F8)
+                    * blocks_f
+                    * self._read_esize
+                )
+                factor = self._read_gcoal
+                if self._has_buffered:
+                    loaded = np.where(self._read_gmem, loaded, fill)
+                    coal = self._fill_coalescing(device, lanes)
+                    factor = np.where(self._read_gmem, factor, coal)
+            else:
+                # Buffered: the footprint is loaded exactly once, so
+                # there is no same-block re-touch.
+                loaded = fill
+                factor = self._fill_coalescing(device, lanes)
+            tex = _row_sum(loaded * factor)
+            unique = np.minimum(self._read_unique, fill)
+            dread = unique + np.maximum(0.0, fill - unique) * miss_inter
+            if self._has_gmem:
+                dread = dread + np.maximum(0.0, loaded - fill) * miss_touch
+            dram_read = _row_sum(dread)
+            if self._has_buffered:
+                buffered = self._buffered_shm(lanes, foot, blocks, blocks_f)
+                shm_terms = np.concatenate((shm_terms, buffered)).take(
+                    self._shm_order, 0
+                )
+        shm = _row_sum(shm_terms)
 
-        for sidx, info in enumerate(self.stage_infos):
-            pts = self._pts(base, sidx)
-            pts_f = None
-            flops_t.append((info.flops_pp * pts * blocks).astype(_F8))
-            useful += info.flops_pp * self.domain_points
-            for item in info.reads:
-                array = item["array"]
-                esize = item["esize"]
-                kind = item["kind"]
-                if kind == "written_here":
-                    shm_t.append(
-                        (item["reads"] * pts * blocks * esize).astype(_F8)
-                    )
-                elif kind == "inter":
-                    shm_t.append(
-                        (item["served"] * pts * blocks * esize).astype(_F8)
-                    )
-                elif kind == "buffered":
-                    # The footprint is loaded exactly once: no same-block
-                    # re-touch, so the DRAM term has no intra-block part.
-                    footprint = self._footprint(base, sidx, array)
-                    fill = (footprint * blocks * esize).astype(_F8)
-                    coal = self._fill_coalescing(base, item, sector)
-                    tex_t.append(fill * coal)
-                    unique = np.minimum(item["unique"], fill)
-                    dread_t.append(
-                        unique + np.maximum(0.0, fill - unique) * miss_inter
-                    )
-                    shm_t.append(
-                        self._buffered_shm(
-                            base, winners[array], item, pts, blocks_f,
-                            footprint, esize,
-                        )
-                    )
-                else:  # gmem
-                    per_point = self._gmem_lpp(
-                        base, item["instance"], array, item["offsets"]
-                    )
-                    if pts_f is None:
-                        pts_f = pts.astype(_F8)
-                    loaded = per_point * pts_f * blocks_f * esize
-                    tex_t.append(loaded * item["gcoal"])
-                    footprint = self._footprint(base, sidx, array)
-                    dread_t.append(
-                        _dram_read_vec(
-                            loaded,
-                            (footprint * blocks * esize).astype(_F8),
-                            item["unique"],
-                            miss_touch,
-                            miss_inter,
-                        )
-                    )
-            for entry in info.stores:
-                term = entry["writes"] * pts * blocks * entry["esize"]
-                if entry["kind"] == "shm":
-                    shm_t.append(term.astype(_F8))
-                else:
-                    dwrite_t.append(
-                        float(
-                            entry["writes"]
-                            * self.domain_points
-                            * entry["esize"]
-                        )
-                    )
-
-        spilled = np.maximum(0, demand - compiled)
-        total_points = np.zeros(n, _I8)
-        for sidx in range(len(self.stages)):
-            total_points = total_points + self._pts(base, sidx) * blocks
+        spilled = np.maximum(0, lanes.demand - compiled)
+        total_points = pts.sum(axis=0) * blocks
         spill = (
             spilled.astype(_F8)
             * device.spill_access_rate
@@ -1485,72 +1341,74 @@ class FamilyStructure:
             * 8
             * total_points.astype(_F8)
         )
-        tex_t.append(spill)
+        tex = tex + spill
 
-        per_step = 2.0 * len(self.stages)
-        steps = base["sweep"] if self.streaming else 1
-        syncs = np.where(shmem > 0, (per_step * steps) * blocks_f, 0.0)
+        per_step = 2.0 * stages
+        steps = lanes.sweep if self.streaming else 1
+        syncs = np.where(lanes.shmem > 0, (per_step * steps) * blocks_f, 0.0)
 
         return {
-            "flops": _acc(flops_t, n),
-            "useful": useful,
-            "tex": _acc(tex_t, n),
-            "dram_read": _acc(dread_t, n),
-            "dram_write": _acc(dwrite_t, n),
-            "shm": _acc(shm_t, n),
+            "flops": flops,
+            "useful": self.useful,
+            "tex": tex,
+            "dram_read": dram_read,
+            "dram_write": _column(n, self.dram_write, _F8),
+            "shm": shm,
             "spill": spill,
             "syncs": syncs,
-            "p_intra": p_intra,
         }
 
-    def _fill_coalescing(
-        self, base: dict, item: dict, sector: int = 32
-    ) -> np.ndarray:
-        lo, hi = item["halo_x"]
-        # Output-perspective lanes pay two extra sectors for a fill row
-        # that starts at a halo offset.
-        wide = bool(lo or hi)
-        key = (lo + hi, wide, sector)
-        cached = base["coal"].get(key)
-        if cached is None:
-            row_elems = base["tile"][self.ndim - 1]
-            row_bytes = (row_elems + (lo + hi)) * 8
-            sectors = np.ceil(row_bytes.astype(_F8) / sector).astype(_I8)
-            denom = np.maximum(
-                1, np.ceil((row_elems * 8).astype(_F8) / sector).astype(_I8)
-            )
-            extra = np.where(base["output"], 2, 0) if wide else 0
-            cached = base["coal"][key] = (sectors + extra) / denom
-        return cached
+    def _fill_coalescing(self, device: DeviceSpec,
+                         lanes: "_Lanes") -> np.ndarray:
+        """The sector inflation of a buffered tile fill, per read term
+        (one row for all of them when their stages' x halos agree): a
+        warp fills a tile row plus the halo, and output-perspective
+        lanes pay two extra sectors for a row that starts at a halo
+        offset."""
+        sector = device.dram_transaction_bytes
+        row_elems = lanes.tile[self.ndim - 1]
+        sectors = np.ceil(
+            ((row_elems + self._coal_halo) * 8).astype(_F8) / sector
+        ).astype(_I8)
+        sectors = sectors + (lanes.output & self._coal_wide) * 2
+        denom = np.maximum(
+            1, np.ceil((row_elems * 8).astype(_F8) / sector).astype(_I8)
+        )
+        coal = sectors / denom
+        return coal if self._coal_of is None else coal.take(self._coal_of, 0)
 
-    def _buffered_shm(
-        self,
-        base: dict,
-        win: dict,
-        item: dict,
-        pts: np.ndarray,
-        blocks_f: np.ndarray,
-        footprint: np.ndarray,
-        esize: int,
-    ) -> np.ndarray:
-        shm_planes = win["shm"]
-        reg_planes = win["reg"]
-        # Pure register buffering (shm_planes == 0) is structural —
-        # storage is uniform per array — but mask it anyway.
+    def _buffered_shm(self, lanes: "_Lanes", foot: np.ndarray,
+                      blocks: np.ndarray, blocks_f: np.ndarray) -> np.ndarray:
+        """Shared-memory bytes of each buffered read term."""
+        pts = lanes.pts.take(self._buf_stage, 0)
+        foot = foot.take(self._buf_pos, 0).astype(_F8)
+        if self._buf_static:
+            stores = foot * self._buf_fraction * blocks_f
+            served = self._buf_served * pts
+            traffic = (stores + (served * blocks).astype(_F8)) * self._buf_esize
+            if self._buf_zero is None:
+                return traffic
+            return np.where(self._buf_zero, 0.0, traffic)
+        rows = self._buf_row
+        shm_planes = lanes.shm_w.take(rows, 0)
+        if lanes.reg_w is None:
+            reg_planes = self._cand_reg.take(rows, 0)
+        else:
+            reg_planes = lanes.reg_w.take(rows, 0)
         fill_fraction = shm_planes / np.maximum(shm_planes + reg_planes, 1)
-        stores = footprint.astype(_F8) * fill_fraction * blocks_f
+        stores = foot * fill_fraction * blocks_f
         if self.retime and self.streaming:
-            served = item["inplane"] * pts
+            served = self._buf_inplane * pts
         elif self.streaming:
             # Register-plane windows rotate through the shared center
             # plane: one load and one store per point.
-            rotating = reg_planes > 0
             served = np.where(
-                rotating, item["center"], item["reads_distinct"]
-            ) * pts + np.where(rotating, 2 * pts, 0)
+                reg_planes > 0, self._buf_rotating, self._buf_distinct
+            ) * pts
         else:
-            served = item["reads_distinct"] * pts
-        traffic = (stores + (served * base["blocks"]).astype(_F8)) * esize
+            served = self._buf_distinct * pts
+        traffic = (stores + (served * blocks).astype(_F8)) * self._buf_esize
+        # Pure register buffering moves no shared-memory byte.
         return np.where(shm_planes == 0, 0.0, traffic)
 
     # -- timing over lanes (reference_model._time) -------------------
@@ -1558,74 +1416,55 @@ class FamilyStructure:
     def _timing_lanes(
         self,
         device: DeviceSpec,
-        base: dict,
+        lanes: "_Lanes",
         counters: dict,
-        shmem: np.ndarray,
         occ: dict,
     ) -> dict:
         occ_frac = occ["occ_frac"]
         capacity = np.maximum(1, occ["blocks_safe"] * device.sms)
-        concurrency = np.minimum(1.0, base["blocks"] / capacity)
+        concurrency = np.minimum(1.0, lanes.blocks / capacity)
 
-        sustained = device.sustained_fraction
-        eff_dram = sustained * np.minimum(
-            1.0, occ_frac / device.dram_saturation_occupancy
-        )
-        eff_tex = device.tex_sustained_fraction * np.minimum(
-            1.0, occ_frac / device.tex_saturation_occupancy
-        )
-        eff_shm = sustained * np.minimum(
-            1.0, occ_frac / (device.dram_saturation_occupancy / 2)
-        )
-        eff_dram = eff_dram * concurrency
-        eff_tex = eff_tex * concurrency
-        eff_shm = eff_shm * concurrency
-
+        # The (dram, tex, shm) paths as rows: each one's efficiency,
+        # then its seconds.  Shared memory saturates at half DRAM's
+        # occupancy.
+        paths = _path_constants(device)
+        eff = paths[0] * np.minimum(1.0, occ_frac / paths[1]) * concurrency
         dram_bytes = (
             counters["dram_read"] + counters["dram_write"]
         ) + counters["spill"]
-        dram_s = dram_bytes / (
-            (device.dram_bw_gbs * 1e9) * np.maximum(eff_dram, 1e-9)
-        )
-        tex_s = counters["tex"] / (
-            (device.tex_bw_gbs * 1e9) * np.maximum(eff_tex, 1e-9)
-        )
-        shm_s = counters["shm"] / (
-            (device.shm_bw_gbs * 1e9) * np.maximum(eff_shm, 1e-9)
-        )
-        compute_k = device.peak_gflops * 1e9 * sustained
-        compute_s = counters["flops"] / (
-            compute_k * np.maximum(concurrency, 1e-9)
-        )
+        speed = paths[2] * np.maximum(eff, 1e-9)
+        dram_s = dram_bytes / speed[0]
+        tex_s = counters["tex"] / speed[1]
+        shm_s = counters["shm"] / speed[2]
+        busy = np.maximum(concurrency, 1e-9)
+        compute_k = device.peak_gflops * 1e9 * device.sustained_fraction
+        compute_s = counters["flops"] / (compute_k * busy)
 
         thread_ops = counters["flops"] + 0.5 * (
             counters["shm"] / 8.0 + counters["tex"] / 8.0
         )
         warp_insts = thread_ops / device.warp_size
         covering = np.maximum(
-            1.0, occ["warps"] * base["ilp"] / device.latency_cover_warps
+            1.0, occ["warps"] * lanes.ilp / device.latency_cover_warps
         )
         stall = device.arith_latency_cycles / covering
         cycles = warp_insts * np.maximum(1.0, stall)
         rate = device.sms * device.warp_schedulers * device.clock_ghz * 1e9
-        latency_s = cycles / (rate * np.maximum(concurrency, 1e-9))
+        latency_s = cycles / (rate * busy)
 
-        sync_s = np.where(
-            counters["syncs"] != 0.0,
-            counters["syncs"] / capacity * device.sync_cost_ns * 1e-9,
-            0.0,
-        )
+        # (no sync costs exactly 0.0: capacity >= 1)
+        sync_s = counters["syncs"] / capacity * device.sync_cost_ns * 1e-9
         launch_s = device.launch_overhead_us * 1e-6
 
         if self.streaming:
             # Prefetching lanes hide the next-plane load: no bubble.
             bubble_s = np.where(
-                (shmem > 0) & ~base["prefetch"],
+                (lanes.shmem > 0) & ~lanes.prefetch,
                 0.12 * np.maximum(tex_s, dram_s),
                 0.0,
             )
         else:
-            bubble_s = np.zeros(base["n"], _F8)
+            bubble_s = np.zeros(lanes.n, _F8)
 
         return {
             "compute": compute_s,
@@ -1637,6 +1476,30 @@ class FamilyStructure:
             "launch": launch_s,
             "bubble": bubble_s,
         }
+
+
+class _Lanes:
+    """The per-lane arrays of one pass (the lane axis last), as
+    :meth:`FamilyStructure._lanes` computes them.  ``reg_w`` is None
+    when every buffer row has one candidate (its register planes are
+    then structural), ``loads`` until a term needs them."""
+
+    __slots__ = (
+        "n", "tile", "unroll", "blocks", "threads", "output", "prefetch",
+        "ublocked", "maxreg", "sweep", "ilp", "pts", "foot", "shm_w",
+        "reg_w", "plane_w", "shmem", "demand", "loads",
+    )
+
+    def take(self, kept: np.ndarray) -> "_Lanes":
+        """These lanes restricted to ``kept``: one take per array."""
+        sub = _Lanes()
+        sub.n = len(kept)
+        for name in _Lanes.__slots__[1:]:
+            value = getattr(self, name, None)
+            if value is not None:
+                value = value.take(kept, -1)
+            setattr(sub, name, value)
+        return sub
 
 
 # ---------------------------------------------------------------------------
@@ -1766,15 +1629,70 @@ def _center_plane_reads(ir, plan, stage, array) -> int:
     )
 
 
-def _inter_shm_positive(spec: dict) -> bool:
-    """Whether an inter-stage spec has ``shm_planes > 0`` — structural.
+def _dominates(first: tuple, other: tuple, rows: list) -> bool:
+    """Whether buffer candidate ``first`` has at least the bytes of
+    ``other`` on every lane: the same plane axes, each at least as wide,
+    at least as many shared planes of the same kind and at least as
+    many register planes.  (Tiles are positive, so a plane grows with
+    each width.)"""
+    (row, shm, reg), (other_row, other_shm, other_reg) = first, other
+    if (shm == _TILE_PLANES) != (other_shm == _TILE_PLANES):
+        return False
+    widths, axes = rows[row]
+    other_widths, other_axes = rows[other_row]
+    return (
+        axes == other_axes
+        and all(a >= b for a, b in zip(widths, other_widths))
+        and shm >= other_shm
+        and reg >= other_reg
+    )
 
-    Streaming specs carry constant plane counts; the non-streaming
-    ``depth0`` shape is ``tile[0] + expand + halo >= 1`` for every lane.
-    """
-    if spec["shm"] == "const":
-        return spec["shm_const"] > 0
-    return spec["shm"] == "depth0"
+
+#: Offset statistics of a kernel's reads, kept with the kernel (no span
+#: or counter: they are cheap, and structures of every plan shape of the
+#: kernel ask for them).
+_READ_FACTS = OwnerMemo()
+
+
+def _plane_reads(ir, proto: KernelPlan, stage: Stage, array: str) -> tuple:
+    """``(in-plane distinct reads, center-plane reads, star)`` of
+    ``array`` in ``stage``'s kernel along ``proto``'s stream axis;
+    ``star`` is :func:`tiling.is_star_along`."""
+    axis = proto.stream_axis
+    return _READ_FACTS.get(
+        stage.instance, ("planes", array, axis), "planes",
+        lambda: (
+            _inplane_distinct_reads(ir, stage, array, axis),
+            _center_plane_reads(ir, proto, stage, array),
+            is_star_along(ir, stage.instance, array, axis),
+        ),
+    )
+
+
+def _direct_reads(ir, instance: StencilInstance, array: str) -> tuple:
+    """``(loads, counts, spans, coalescing)`` of ``array`` read directly
+    by ``instance``: its distinct loads, per axis the offset count and
+    span (``1, 1`` for an axis with one offset, which divides out), and
+    the sector inflation of its misaligned x offsets."""
+
+    def compute():
+        offsets = distinct_read_offsets(ir, instance, array)
+        counts, spans = [], []
+        for axis in range(ir.ndim):
+            axis_offsets = {o[axis] for o in offsets if o[axis] is not None}
+            if len(axis_offsets) <= 1:
+                counts.append(1)
+                spans.append(1)
+            else:
+                counts.append(len(axis_offsets))
+                spans.append(max(axis_offsets) - min(axis_offsets) + 1)
+        return (
+            float(len(offsets)), tuple(counts), tuple(spans),
+            _gmem_coalescing_const(ir, instance, array),
+        )
+
+    return _READ_FACTS.get(instance, ("direct", array, ir.ndim), "direct",
+                           compute)
 
 
 def _consumer_read_counts(ir, instance, array, plan) -> Tuple[int, int]:
@@ -1794,49 +1712,21 @@ def _gmem_coalescing_const(ir, instance, array) -> float:
     return 1.0 + 0.125 * (misaligned / len(offsets))
 
 
-def _dram_read_vec(loaded, fill, unique_bytes, miss_intra, miss_inter):
-    """DRAM read bytes: first touches of unique data, plus inter-block
-    (``fill - unique``) and same-block (``loaded - fill``) re-touches
-    that miss L2 (``miss_* = 1 - p_*``)."""
-    unique = np.minimum(unique_bytes, fill)
-    inter_excess = np.maximum(0.0, fill - unique)
-    intra_excess = np.maximum(0.0, loaded - fill)
-    return unique + inter_excess * miss_inter + intra_excess * miss_intra
-
-
 def first_rungs(
     demands: np.ndarray, levels: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(positions, rungs)`` per lane: the index into ``levels`` of the
     first level covering the lane's demand (-1 if none does) and that
     level (0 if none)."""
-    positions = _column(len(demands), -1, _I8)
-    rungs = np.zeros(len(demands), dtype=_I8)
-    for j, level in enumerate(levels):
-        fresh = (positions < 0) & (demands <= level)
-        positions[fresh] = j
-        rungs[fresh] = level
+    table = np.asarray(levels, dtype=_I8)
+    if not len(table):
+        return _column(len(demands), -1, _I8), np.zeros(len(demands), _I8)
+    fits = demands <= table[:, None]
+    first = fits.argmax(axis=0)
+    covered = fits.any(axis=0)
+    positions = np.where(covered, first, -1)
+    rungs = np.where(covered, table.take(first), 0)
     return positions, rungs
-
-
-def _take(value, lanes: np.ndarray):
-    """``value`` (an array, or a dict of them) restricted to ``lanes``
-    along its last (lane) axis; other values pass through."""
-    if isinstance(value, np.ndarray):
-        return value[..., lanes]
-    if isinstance(value, dict):
-        return {key: _take(item, lanes) for key, item in value.items()}
-    return value
-
-
-def _product(factors: List[np.ndarray], n: int) -> np.ndarray:
-    """Lane-wise product of ``int64`` columns (ones for no factor)."""
-    if not factors:
-        return _column(n, 1, _I8)
-    total = factors[0]
-    for factor in factors[1:]:
-        total = total * factor
-    return total
 
 
 def _column(n: int, value, dtype) -> np.ndarray:
@@ -1846,12 +1736,283 @@ def _column(n: int, value, dtype) -> np.ndarray:
     return column
 
 
-def _acc(terms: List[np.ndarray], n: int) -> np.ndarray:
-    """Sequential f8 accumulation in scalar emission order."""
-    total = np.zeros(n, _F8)
-    for term in terms:
-        total = total + term
-    return total
+class _Description(NamedTuple):
+    """A structure's compiled terms, as plain tuples (see
+    :class:`FamilyStructure`): the whole input of :func:`_frozen_tables`."""
+
+    ndim: int
+    stages: int
+    streaming: bool
+    retime: bool
+    tiled: Tuple[int, ...]
+    domain: Tuple[int, ...]
+    planes: tuple  # per geometry row: (widths, plane mask)
+    buffers: tuple  # per buffer row: ((plane row, planes, regs), ...), size
+    points: tuple  # (coef, stage): the stages' flops, then shm terms
+    shm_points: int
+    shm_order: tuple
+    reads: tuple
+    loads: tuple  # per load row: (loads, counts, spans)
+    stage_loads: tuple
+    live: tuple  # (buffer row, element size)
+    pts_span: tuple
+    foot_span: tuple
+
+
+@lru_cache(maxsize=512)
+def _frozen_tables(d: _Description) -> Dict[str, Any]:
+    """The index tables of a pass, by attribute name: one array per kind
+    of term, its columns as views.  Nothing writes to them."""
+    ndim = d.ndim
+    t: Dict[str, Any] = {}
+    planes = _table(d.planes, (len(d.planes), 2, ndim, 1))
+    t["_plane_add"] = planes[:, 0]
+    t["_plane_mask"] = planes[:, 1].astype(bool)
+    # Buffer candidates, one entry each, grouped by buffer row.
+    count = len(d.buffers)
+    cands = _table(
+        [
+            (row, planes == _TILE_PLANES, max(planes, 0), regs, size,
+             buffer, len(cands) - position)
+            for buffer, (cands, size) in enumerate(d.buffers)
+            for position, (row, planes, regs) in enumerate(cands)
+        ],
+        (-1, 7),
+    )
+    t["_cand_row"] = cands[:, 0]
+    t["_cand_whole"] = whole = cands[:, 1:2].astype(bool)
+    t["_cand_shm"] = shm = cands[:, 2:3]
+    t["_cand_reg"] = reg = cands[:, 3:4]
+    t["_any_whole"] = bool(cands[:, 1].any())
+    t["_buffer_size"] = _table([s for _, s in d.buffers], (count, 1))
+    single = t["_single"] = len(cands) == count
+    if single:
+        t["_reg_planes"] = int(cands[:, 3].sum())
+    else:
+        ends = np.cumsum([len(c) for c, _ in d.buffers])
+        t["_cand_start"] = ends - [len(c) for c, _ in d.buffers]
+        t["_cand_end"] = ends.reshape(count, 1)
+        t["_cand_size"] = cands[:, 4:5]
+        t["_cand_buffer"] = cands[:, 5]
+        t["_cand_rank"] = cands[:, 6:7]
+    # Point terms: each stage's flops, then the shared-memory ones.
+    points = _table(d.points, (len(d.points), 2))
+    t["_point_coef"] = points[:, :1]
+    t["_point_stage"] = points[:, 1]
+    t["_shm_order"] = None  # the point terms, in order
+    if any(term < 0 for term in d.shm_order):
+        t["_shm_order"] = _table(
+            [term if term >= 0 else d.shm_points - 1 - term
+             for term in d.shm_order],
+            (len(d.shm_order),),
+        )
+    _read_tables(d, t, single, whole, shm, reg)
+    # Load rows, plus one of no load that pads the stage groups.
+    loads = d.loads + ((0.0, (1,) * ndim, (1,) * ndim),)
+    count = len(loads)
+    t["_load_loads"] = _table([r[0] for r in loads], (count, 1), _F8)
+    table = _table(
+        [
+            (counts, tuple(s - 1 for s in spans), tuple(c > 1 for c in counts))
+            for _, counts, spans in loads
+        ],
+        (count, 3, ndim, 1),
+    )
+    t["_load_count"] = table[:, 0]
+    t["_load_span"] = table[:, 1]
+    t["_load_active"] = table[:, 2].astype(bool)
+    depth = max(map(len, d.stage_loads), default=0)
+    t["_load_groups"] = None
+    if depth:
+        t["_load_groups"] = _table(
+            [group + (count - 1,) * (depth - len(group))
+             for group in d.stage_loads],
+            (d.stages, depth),
+        )
+    live = _table(d.live, (len(d.live), 2))
+    t["_live_row"] = live[:, 0] if len(live) else None
+    t["_live_esize"] = live[:, 1:]
+    axes = _table((d.pts_span, d.foot_span, d.domain), (3, ndim, 1))
+    t["_pts_span"], t["_foot_span"], t["_domain"] = axes
+    t["_span_bounds"] = (d.pts_span, d.foot_span)
+    t["_tiled_ix"] = tiled = _table(d.tiled, (len(d.tiled),))
+    t["_tiled_domain"] = axes[2].take(tiled, 0)
+    return t
+
+
+def _read_tables(d: _Description, t: Dict[str, Any], single: bool,
+                 whole, shm, reg) -> None:
+    """The read-term tables (see :meth:`FamilyStructure._counter_lanes`)."""
+    ndim = d.ndim
+    reads = d.reads
+    count = t["_reads_count"] = len(reads)
+    t["_has_gmem"] = any(r[4] for r in reads)
+    t["_has_buffered"] = has_buffered = any(not r[4] for r in reads)
+    if not count:
+        return
+    foot = _table([r[0] for r in reads], (count, 3, ndim, 1))
+    t["_foot_add"] = foot[:, 0]
+    t["_foot_cap"] = foot[:, 1]
+    t["_foot_mask"] = foot[:, 2].astype(bool)
+    nothing = len(d.loads)  # the row of no load
+    ints = _table(
+        [(r[1], r[2], r[4], r[5] if r[4] else nothing) for r in reads],
+        (count, 4),
+    )
+    t["_read_stage"] = ints[:, 0]
+    t["_read_esize"] = ints[:, 1:2]
+    t["_read_gmem"] = ints[:, 2:3].astype(bool)
+    t["_read_load"] = ints[:, 3]
+    floats = _table([(r[3], r[7]) for r in reads], (count, 2), _F8)
+    t["_read_unique"] = floats[:, :1]
+    t["_read_gcoal"] = floats[:, 1:]
+    if not has_buffered:
+        return
+    # Fill coalescing depends on the stage's x halo: one row per
+    # distinct halo width, gathered per read term when they differ.
+    widths = sorted({r[6] for r in reads if not r[4]})
+    t["_coal_halo"] = halo = _table(widths, (len(widths), 1))
+    t["_coal_wide"] = halo > 0
+    t["_coal_of"] = None
+    if len(widths) > 1:
+        t["_coal_of"] = _table(
+            [widths.index(r[6]) if not r[4] else 0 for r in reads], (count,)
+        )
+    buffered = [(i, r) for i, r in enumerate(reads) if not r[4]]
+    # With one candidate per buffer and no whole-tile buffer, each
+    # buffered read's shared and register planes are structural: so
+    # are its fill fraction, its served reads and whether it moves any
+    # shared-memory byte.
+    static = t["_buf_static"] = single and not any(
+        whole[r[5], 0] for _, r in buffered
+    )
+    columns = []
+    for i, r in buffered:
+        inplane, center, distinct = r[8]
+        if static:
+            planes, regs = int(shm[r[5], 0]), int(reg[r[5], 0])
+            if d.retime and d.streaming:
+                served = inplane
+            elif d.streaming and regs > 0:
+                served = center + 2
+            else:
+                served = distinct
+            columns.append((i, r[5], r[1], r[2], planes == 0, served,
+                            planes / max(planes + regs, 1)))
+        else:
+            columns.append((i, r[5], r[1], r[2], inplane, center + 2,
+                            distinct))
+    table = _table([c[:6] for c in columns], (len(columns), 6))
+    t["_buf_pos"] = table[:, 0]
+    t["_buf_row"] = table[:, 1]
+    t["_buf_stage"] = table[:, 2]
+    t["_buf_esize"] = table[:, 3:4]
+    last = [c[6] for c in columns]
+    if static:
+        zero = table[:, 4:5].astype(bool)
+        t["_buf_zero"] = zero if zero.any() else None
+        t["_buf_served"] = table[:, 5:6]
+        t["_buf_fraction"] = _table(last, (len(columns), 1), _F8)
+    else:
+        t["_buf_inplane"] = table[:, 4:5]
+        t["_buf_rotating"] = table[:, 5:6]
+        t["_buf_distinct"] = _table(last, (len(columns), 1))
+
+
+_PATHS: Dict[int, tuple] = {}
+
+
+def _path_constants(device: DeviceSpec) -> np.ndarray:
+    """Per memory path (dram, tex, shm rows): the sustained fraction,
+    the saturating occupancy and the bandwidth in bytes/s (kept per
+    device object, which the entry holds, so its id stays its own)."""
+    entry = _PATHS.get(id(device))
+    if entry is None or entry[0] is not device:
+        if len(_PATHS) > 64:
+            _PATHS.clear()
+        sustained = device.sustained_fraction
+        table = np.array([
+            [sustained, device.tex_sustained_fraction, sustained],
+            [
+                device.dram_saturation_occupancy,
+                device.tex_saturation_occupancy,
+                device.dram_saturation_occupancy / 2,
+            ],
+            [
+                device.dram_bw_gbs * 1e9,
+                device.tex_bw_gbs * 1e9,
+                device.shm_bw_gbs * 1e9,
+            ],
+        ]).reshape(3, 3, 1)
+        table.flags.writeable = False
+        entry = _PATHS[id(device)] = (device, table)
+    return entry[1]
+
+
+def _row_sum(rows: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``rows`` summed over ``axis`` one term at a time, in term order.
+
+    The float accumulators must round as the scalar model's, which adds
+    its terms in emission order.  ``np.sum`` does not: it sums a
+    contiguous axis pairwise (one lane lays its terms out contiguously),
+    so past 8 terms a one-lane pass would round differently from the
+    same lane priced in a family.  ``add.accumulate`` always adds in
+    order.  It starts from the first term rather than from ``0.0``,
+    which is the same sum because no term is ``-0.0``.
+    """
+    if rows.shape[axis] <= 1:
+        if rows.shape[axis]:
+            return rows.take(0, axis)
+        return np.zeros(rows.shape[:axis] + rows.shape[axis + 1:], _F8)
+    return np.add.accumulate(rows, axis=axis).take(-1, axis)
+
+
+def _table(values, shape: tuple, dtype=_I8) -> np.ndarray:
+    """A compiled term table: ``values`` as ``dtype``, in ``shape``."""
+    return np.asarray(values, dtype=dtype).reshape(shape)
+
+
+def _esize(ir: ProgramIR, array: str) -> int:
+    """Element size of ``array`` (a virtual array holds doubles)."""
+    info = ir.array_map.get(array)
+    return sizeof(info.dtype) if info is not None else 8
+
+
+@lru_cache(maxsize=256)
+def _knob_tables(blocks, unrolls, perspectives, ndim, tiled, halo) -> tuple:
+    """Per distinct knob value, what a lane gathers: block extents and
+    unroll factors per axis (1 where a tuple is short, and the block on
+    the stream axis), total unroll, ILP without and with prefetching,
+    threads per (perspective, block) and whether a perspective is the
+    output one.  Grids of one search space share these tables."""
+    block_tab = np.ones((ndim, len(blocks)), _I8)
+    for pos, axis in enumerate(tiled):
+        block_tab[axis] = [b[pos] if pos < len(b) else 1 for b in blocks]
+    unroll_tab = _table(
+        [[u[axis] if axis < len(u) else 1 for u in unrolls]
+         for axis in range(ndim)],
+        (ndim, len(unrolls)),
+    )
+    # exact int products of the full tuples (may exceed the tiled axis
+    # count; extra entries still count, as in the scalar code)
+    tunroll = [math.prod(u) for u in unrolls]
+    # math.log2 per distinct unroll: identical libm path to the scalar
+    # code (np.log2 could round differently on exotic platforms).
+    ilp = [1.0 + 0.4 * math.log2(max(1, t)) for t in tunroll]
+    ilp_tab = _table([ilp, [value + 0.3 for value in ilp]],
+                     (2, len(unrolls)), _F8)
+    innermost = tiled[-1] if tiled else ndim - 1
+    threads_tab = _table(
+        [[_block_threads(b, p, tiled, halo, innermost) for b in blocks]
+         for p in perspectives],
+        (len(perspectives), len(blocks)),
+    )
+    output_tab = np.asarray([p == PERSPECTIVE_OUTPUT for p in perspectives])
+    tables = (block_tab, unroll_tab, _table(tunroll, (len(unrolls),)),
+              ilp_tab, threads_tab, output_tab)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from ..codegen.plan import KernelPlan, REGISTER_LEVELS
 from ..gpu.device import DeviceSpec, P100
@@ -127,11 +127,15 @@ class KnobGrid:
     once, and a :class:`KernelPlan` exists only for a lane that is read
     (:meth:`plan`).  Each retime value is one structural family of
     lanes (:meth:`families`), priced from the columns alone.
+
+    The lanes are every block and unroll value with the base's retime
+    and, with ``retime_twins``, each unroll-free one retimed as well
+    (:func:`stage1_grid`).
     """
 
     __slots__ = (
         "base", "blocks", "unrolls", "block_ix", "unroll_ix", "retime",
-        "_lane_set",
+        "retime_twins",
     )
 
     def __init__(
@@ -139,9 +143,10 @@ class KnobGrid:
         base: KernelPlan,
         blocks: Sequence[Tuple[int, ...]],
         unrolls: Sequence[Tuple[int, ...]],
-        block_ix: List[int],
-        unroll_ix: List[int],
-        retime: List[bool],
+        block_ix: Sequence[int],
+        unroll_ix: Sequence[int],
+        retime: Sequence[bool],
+        retime_twins: bool = False,
     ):
         self.base = base
         self.blocks = tuple(blocks)
@@ -149,7 +154,7 @@ class KnobGrid:
         self.block_ix = block_ix
         self.unroll_ix = unroll_ix
         self.retime = retime
-        self._lane_set: Optional[set] = None
+        self.retime_twins = retime_twins
 
     def __len__(self) -> int:
         return len(self.block_ix)
@@ -193,12 +198,13 @@ class KnobGrid:
         from ..codegen.tiling import plan_mode, plan_structural_key
 
         base = self.base
-        if self._lane_set is None:
-            self._lane_set = {
-                (self.blocks[b], self.unrolls[u], r)
-                for b, u, r in zip(self.block_ix, self.unroll_ix, self.retime)
-            }
-        if (plan.block, plan.unroll, plan.retime) not in self._lane_set:
+        if plan.block not in self.blocks or plan.unroll not in self.unrolls:
+            return False
+        if plan.retime != base.retime and not (
+            self.retime_twins
+            and plan.retime
+            and SearchSpace._total(plan.unroll) == 1
+        ):
             return False
         proto = base if plan.retime == base.retime else base.replace(
             retime=plan.retime
@@ -218,22 +224,26 @@ def stage1_grid(
     """
     blocks = space.block_candidates()
     unrolls = space.unroll_candidates()
-    twins = [
-        retime_twins and SearchSpace._total(unroll) == 1 for unroll in unrolls
-    ]
-    block_ix: List[int] = []
+    # One block's lanes: every unroll, each unroll-free one followed by
+    # its retimed twin; every block repeats them.
     unroll_ix: List[int] = []
     retime: List[bool] = []
-    for b in range(len(blocks)):
-        for u, twin in enumerate(twins):
-            block_ix.append(b)
+    for u, unroll in enumerate(unrolls):
+        unroll_ix.append(u)
+        retime.append(plan.retime)
+        if retime_twins and SearchSpace._total(unroll) == 1:
             unroll_ix.append(u)
-            retime.append(plan.retime)
-            if twin:
-                block_ix.append(b)
-                unroll_ix.append(u)
-                retime.append(True)
-    return KnobGrid(plan, blocks, unrolls, block_ix, unroll_ix, retime)
+            retime.append(True)
+    width = len(unroll_ix)
+    block_ix = list(
+        itertools.chain.from_iterable(
+            itertools.repeat(b, width) for b in range(len(blocks))
+        )
+    )
+    return KnobGrid(
+        plan, blocks, unrolls, block_ix, unroll_ix * len(blocks),
+        retime * len(blocks), retime_twins,
+    )
 
 
 def seed_variants(

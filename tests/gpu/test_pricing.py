@@ -486,6 +486,45 @@ class TestSpillFreeResolution:
                 resolved = plan.replace(max_registers=levels[want])
                 assert_lane_parity(IR, resolved, lanes[i])
 
+    @pytest.mark.parametrize("case", ["all-spill", "all-refused"])
+    def test_pass_that_keeps_no_lane_runs_no_model(self, monkeypatch, case):
+        # Every lane spills at the only rung, or the certifier refused
+        # every lane: the pass prices none and runs no model arithmetic,
+        # yet answers demands and rungs, and still opens its span.
+        from repro.gpu.pricing import FamilyStructure, first_rungs
+        from repro.obs import configure_tracing, get_metrics
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("an empty pass ran the model")
+
+        monkeypatch.setattr(FamilyStructure, "_price", no_model)
+        proto = PROTOS["serial-shm"]
+        structure = family_structure(IR, proto)
+        plans = [proto.replace(block=b) for b in ((8, 8), (16, 16), (32, 8))]
+        levels, skip = [1], None
+        if case == "all-refused":
+            levels, skip = list(REGISTER_LEVELS), [True] * len(plans)
+        calls = get_metrics().counter("pricing.family_calls").value
+        before = priced_lane_count()
+        tracer = configure_tracing(True, clear=True)
+        try:
+            demands, positions, lanes = structure.price_spill_free(
+                plans, levels, skip=skip
+            )
+            spans = [s.name for s in tracer.finished()]
+        finally:
+            configure_tracing(False, clear=True)
+        assert spans.count("price_family") == 1
+        assert demands.tolist() == structure.demand(plans).tolist()
+        want, _ = first_rungs(demands, levels)
+        assert positions.tolist() == want.tolist()
+        assert (positions >= 0).all() == (case == "all-refused")
+        assert len(lanes) == len(plans)
+        assert [lanes[i] for i in range(len(plans))] == [None] * len(plans)
+        assert lanes.ok == []
+        assert priced_lane_count() == before
+        assert get_metrics().counter("pricing.family_calls").value == calls
+
     def test_lane_counter_advances(self):
         proto = PROTOS["serial-shm"]
         before = priced_lane_count()

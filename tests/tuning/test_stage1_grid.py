@@ -138,6 +138,28 @@ def test_grid_lanes_match_the_plans_they_stand_for():
             assert plan_family_key(plans[i])[0] == plan_family_key(proto)[0]
 
 
+@pytest.mark.parametrize("twins", [False, True])
+@pytest.mark.parametrize("retimed", [False, True])
+def test_contains_answers_like_the_lane_set(twins, retimed):
+    # contains() reads the block and unroll tables and the twin rule;
+    # it must agree with the set of the grid's own lanes.
+    base = PROTOS["serial-shm"].replace(retime=retimed)
+    space = SearchSpace(ndim=3, streaming=True, device=P100)
+    grid = stage1_grid(base, space, retime_twins=twins)
+    lanes = {(p.block, p.unroll, p.retime) for p in grid.plans()}
+    probes = [
+        base.replace(block=block, unroll=unroll, retime=retime)
+        for block in space.block_candidates()[::7] + ((3, 5), (512, 2))
+        for unroll in space.unroll_candidates()[::3] + ((1, 1, 3), (1,))
+        for retime in (False, True)
+    ]
+    assert any((p.block, p.unroll, p.retime) in lanes for p in probes)
+    for plan in probes:
+        assert grid.contains(plan) == (
+            (plan.block, plan.unroll, plan.retime) in lanes
+        ), plan.describe()
+
+
 def test_lane_times_are_the_results_times():
     base = PROTOS["serial-shm"]
     space = SearchSpace(ndim=3, streaming=True, device=V100)
