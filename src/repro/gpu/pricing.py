@@ -299,16 +299,12 @@ class _LaneArrays:
             timing["latency"],
         )
         total = ((bound + timing["sync"]) + timing["bubble"]) + timing["launch"]
-        if timing["launch"] > 0:
-            # Every time is >= 0, so each total is at least the launch.
-            tflops = counters["useful"] / total / 1e12
-        else:
-            positive = total > 0
-            tflops = np.where(
-                positive,
-                counters["useful"] / np.where(positive, total, 1.0) / 1e12,
-                0.0,
-            )
+        positive = total > 0
+        tflops = np.where(
+            positive,
+            counters["useful"] / np.where(positive, total, 1.0) / 1e12,
+            0.0,
+        )
         self.ok = (~occ["infeasible"]).tolist()
         self.time_s = total.tolist()
         self.tflops = tflops.tolist()
@@ -764,8 +760,7 @@ class FamilyStructure:
         # integer factor the counters multiply points or footprints by.
         self._pts_span = pts_span
         self._foot_span = foot_span
-        self.pts_factor = max(pts_factors)
-        self.foot_factor = max(foot_factors)
+        self._factors = (max(pts_factors), max(foot_factors))
         self._points = points
         self._reads = reads
         self._shm_order = shm_order
@@ -836,16 +831,8 @@ class FamilyStructure:
              tuple(a in axes for a in range(ndim)))
             for s, halo, axes in self._planes  # keys in row order
         ]
-        # A buffer whose first candidate has at least every other one's
-        # planes, widths and registers always picks it (the scan keeps
-        # the first of equal byte counts): its winner is structural.
-        buffers = [
-            (cands[:1] if all(
-                _dominates(cands[0], other, rows) for other in cands[1:]
-            ) else cands, size)
-            for cands, size in self._buffers
-        ]
         # Keep the geometry rows a term reads: the points, the candidates.
+        buffers = self._buffers
         used = sorted(
             set(range(len(stages)))
             | {row for cands, _ in buffers for row, _, _ in cands}
@@ -876,12 +863,14 @@ class FamilyStructure:
             live=self._live,
             pts_span=tuple(self._pts_span),
             foot_span=tuple(self._foot_span),
+            factors=self._factors,
         )
         for name in ("_planes", "_buffers", "_inter", "buffer_of", "buffered",
                      "_points", "_reads", "_load_rows", "_loads",
-                     "_stage_loads", "_live"):
+                     "_stage_loads", "_live", "_pts_span", "_foot_span",
+                     "_factors"):
             del self.__dict__[name]
-        # (the tables replace the compiled _shm_order and spans)
+        # (the tables replace the compiled _shm_order)
         self.__dict__.update(_frozen_tables(description))
 
     # ------------------------------------------------------------------
@@ -923,10 +912,7 @@ class FamilyStructure:
             )
             blocks = blocks * chunks
         lanes.blocks = blocks
-        if len(knobs.perspectives) == 1:
-            lanes.threads = threads_tab[0].take(block_ix)
-        else:
-            lanes.threads = threads_tab[knobs.persp_ix, block_ix]
+        lanes.threads = threads_tab[knobs.persp_ix, block_ix]
         lanes.output = output_tab.take(knobs.persp_ix)
         lanes.prefetch = prefetch = knobs.prefetch
         lanes.ublocked = knobs.ublocked
@@ -950,41 +936,36 @@ class FamilyStructure:
                 axis=1,
             )
         # Buffer winners: per buffer row the candidate with the most
-        # bytes, the first one on a tie (the scalar strict-greater
-        # scan).  Shared planes are a lane quantity only for whole-tile
-        # buffers.
+        # bytes, the first one on a tie.  This is the scalar
+        # strict-greater scan, one candidate slot at a time over every
+        # row and lane; a winner's shared planes, plane elements and
+        # register planes ride along.  Shared planes are a lane quantity
+        # only for whole-tile buffers.
+        width, count = self._cand_width, len(self._buffer_size)
         shm = self._cand_shm
         if self._any_whole:
             whole = span[:, self.depth_axis].take(self._cand_row, 0)
             shm = np.where(self._cand_whole, whole, shm)
-        plane = plane.take(self._cand_row, 0)
-        if self._single:
-            lanes.reg_w = None
-            reg_planes = self._reg_planes
-            lanes.shm_w = shm if self._any_whole else None
-        else:
-            # Per buffer row, its candidates' most bytes, then the first
-            # candidate that has them (the highest rank among them).
-            nbytes = shm * plane * self._cand_size + self._cand_reg
-            starts = self._cand_start
-            most = np.maximum.reduceat(nbytes, starts, axis=0)
-            tied = nbytes == most.take(self._cand_buffer, 0)
-            pick = self._cand_end - np.maximum.reduceat(
-                tied * self._cand_rank, starts, axis=0
-            )
-            if self._any_whole:
-                shm = shm.take(pick * n + np.arange(n))
-            else:
-                shm = self._cand_shm.take(pick)
-            plane = plane.take(pick * n + np.arange(n))
-            lanes.reg_w = self._cand_reg.take(pick)
-            reg_planes = lanes.reg_w.sum(axis=0)
-            lanes.shm_w = shm
-        lanes.plane_w = plane
-        lanes.shmem = (shm * plane * self._buffer_size).sum(axis=0)
+        shm = shm.reshape(width, count, shm.shape[-1])
+        plane = plane.take(self._cand_row, 0).reshape(width, count, n)
+        reg = self._cand_reg
+        shm_w, plane_w, reg_w = shm[0], plane[0], reg[0]
+        if width > 1:
+            nbytes = shm * plane * self._cand_size + reg
+            most = nbytes[0]
+            for k in range(1, width):
+                more = nbytes[k] > most
+                most = np.where(more, nbytes[k], most)
+                shm_w = np.where(more, shm[k], shm_w)
+                plane_w = np.where(more, plane[k], plane_w)
+                reg_w = np.where(more, reg[k], reg_w)
+        lanes.shm_w, lanes.plane_w, lanes.reg_w = shm_w, plane_w, reg_w
+        lanes.shmem = (shm_w * plane_w * self._buffer_size).sum(axis=0)
         # Register demand (registers.register_demand).
         tunroll = tunroll_tab.take(unroll_ix)
-        demand = (reg_planes + self.accumulators) * tunroll + self._base_regs
+        demand = (
+            (reg_w.sum(axis=0) + self.accumulators) * tunroll + self._base_regs
+        )
         demand = demand + prefetch * self.staging_regs
         lanes.loads = None
         blocked = (tunroll > 1) & knobs.ublocked
@@ -1141,33 +1122,14 @@ class FamilyStructure:
         halos of the stages after it, so on a large grid a fused plan
         can still pass it.  A refused lane is not checked: nothing reads
         its counts.
-
-        The same product over the widest lane (the most blocks, the
-        widest tile per axis) bounds every lane's, since rounding keeps
-        the order of nonnegative products: below 2**63 it clears them
-        all at once.
         """
-        if len(lanes.blocks):
-            pts = foot = float(lanes.blocks.max())
-            pts = pts * self.pts_factor
-            foot = foot * self.foot_factor
-            pts_span, foot_span = self._span_bounds
-            for axis, widest in enumerate(lanes.tile.max(axis=1).tolist()):
-                pts = pts * (widest + pts_span[axis])
-                foot = foot * (min(widest, self.domain[axis]) + foot_span[axis])
-            if pts < _I8_LIMIT and foot < _I8_LIMIT:
-                return
-        blocks = lanes.blocks.astype(_F8)
-        pts = blocks * self.pts_factor
-        foot = blocks * self.foot_factor
-        tile = lanes.tile
-        pts_growth = tile + self._pts_span
-        foot_growth = np.minimum(tile, self._domain) + self._foot_span
+        # Both bounds at once: (points, footprint) rows.
+        growth = np.minimum(lanes.tile, self._bound_cap) + self._bound_span
+        bound = lanes.blocks.astype(_F8) * self._bound_factor
         for axis in range(self.ndim):
-            pts = pts * pts_growth[axis]
-            foot = foot * foot_growth[axis]
-        wraps = ((pts >= _I8_LIMIT) | (foot >= _I8_LIMIT)) & ~infeasible
-        if wraps.any():
+            bound = bound * growth[:, axis]
+        over = bound >= _I8_LIMIT
+        if over.any() and (over.any(axis=0) & ~infeasible).any():
             raise OverflowError(
                 "the performance model's int64 counts of this plan on a "
                 f"{'x'.join(map(str, self.domain))} grid can pass 2**63"
@@ -1271,14 +1233,11 @@ class FamilyStructure:
         pts = lanes.pts
 
         active_blocks = np.maximum(1, occ["blocks_safe"] * device.sms)
-        if self._live_row is None:
-            working_set = active_blocks * 1.0
-        else:
-            live = _row_sum(
-                (lanes.plane_w.take(self._live_row, 0) * self._live_esize)
-                .astype(_F8)
-            )
-            working_set = active_blocks * np.maximum(live, 1.0)
+        live = _row_sum(
+            (lanes.plane_w.take(self._live_row, 0) * self._live_esize)
+            .astype(_F8)
+        )
+        working_set = active_blocks * np.maximum(live, 1.0)
         p_intra = np.minimum(1.0, device.l2_cache_bytes / working_set)
         p_inter = device.inter_block_l2_factor * p_intra
         # DRAM misses per re-touch: inter-block halo re-reads, and
@@ -1360,41 +1319,27 @@ class FamilyStructure:
 
     def _fill_coalescing(self, device: DeviceSpec,
                          lanes: "_Lanes") -> np.ndarray:
-        """The sector inflation of a buffered tile fill, per read term
-        (one row for all of them when their stages' x halos agree): a
-        warp fills a tile row plus the halo, and output-perspective
+        """The sector inflation of a buffered tile fill, per read term:
+        a warp fills a tile row plus the halo, and output-perspective
         lanes pay two extra sectors for a row that starts at a halo
         offset."""
         sector = device.dram_transaction_bytes
-        row_elems = lanes.tile[self.ndim - 1]
-        sectors = np.ceil(
-            ((row_elems + self._coal_halo) * 8).astype(_F8) / sector
-        ).astype(_I8)
+        row_bytes = lanes.tile[self.ndim - 1] * 8
+        # (integer ceil division: exact, like the scalar float ceil of
+        # a quotient far below 2**53)
+        sectors = (row_bytes + (self._coal_halo * 8 + sector - 1)) // sector
         sectors = sectors + (lanes.output & self._coal_wide) * 2
-        denom = np.maximum(
-            1, np.ceil((row_elems * 8).astype(_F8) / sector).astype(_I8)
-        )
-        coal = sectors / denom
-        return coal if self._coal_of is None else coal.take(self._coal_of, 0)
+        denom = np.maximum(1, (row_bytes + (sector - 1)) // sector)
+        return sectors / denom
 
     def _buffered_shm(self, lanes: "_Lanes", foot: np.ndarray,
                       blocks: np.ndarray, blocks_f: np.ndarray) -> np.ndarray:
         """Shared-memory bytes of each buffered read term."""
         pts = lanes.pts.take(self._buf_stage, 0)
         foot = foot.take(self._buf_pos, 0).astype(_F8)
-        if self._buf_static:
-            stores = foot * self._buf_fraction * blocks_f
-            served = self._buf_served * pts
-            traffic = (stores + (served * blocks).astype(_F8)) * self._buf_esize
-            if self._buf_zero is None:
-                return traffic
-            return np.where(self._buf_zero, 0.0, traffic)
         rows = self._buf_row
         shm_planes = lanes.shm_w.take(rows, 0)
-        if lanes.reg_w is None:
-            reg_planes = self._cand_reg.take(rows, 0)
-        else:
-            reg_planes = lanes.reg_w.take(rows, 0)
+        reg_planes = lanes.reg_w.take(rows, 0)
         fill_fraction = shm_planes / np.maximum(shm_planes + reg_planes, 1)
         stores = foot * fill_fraction * blocks_f
         if self.retime and self.streaming:
@@ -1480,9 +1425,10 @@ class FamilyStructure:
 
 class _Lanes:
     """The per-lane arrays of one pass (the lane axis last), as
-    :meth:`FamilyStructure._lanes` computes them.  ``reg_w`` is None
-    when every buffer row has one candidate (its register planes are
-    then structural), ``loads`` until a term needs them."""
+    :meth:`FamilyStructure._lanes` computes them.  ``loads`` is None
+    until a term needs them.  An array whose lane axis has length 1
+    holds one value for every lane: ``shm_w`` and ``reg_w`` when no
+    buffer row scans a second candidate and none is a whole tile."""
 
     __slots__ = (
         "n", "tile", "unroll", "blocks", "threads", "output", "prefetch",
@@ -1496,7 +1442,7 @@ class _Lanes:
         sub.n = len(kept)
         for name in _Lanes.__slots__[1:]:
             value = getattr(self, name, None)
-            if value is not None:
+            if value is not None and value.shape[-1] == self.n:
                 value = value.take(kept, -1)
             setattr(sub, name, value)
         return sub
@@ -1629,25 +1575,6 @@ def _center_plane_reads(ir, plan, stage, array) -> int:
     )
 
 
-def _dominates(first: tuple, other: tuple, rows: list) -> bool:
-    """Whether buffer candidate ``first`` has at least the bytes of
-    ``other`` on every lane: the same plane axes, each at least as wide,
-    at least as many shared planes of the same kind and at least as
-    many register planes.  (Tiles are positive, so a plane grows with
-    each width.)"""
-    (row, shm, reg), (other_row, other_shm, other_reg) = first, other
-    if (shm == _TILE_PLANES) != (other_shm == _TILE_PLANES):
-        return False
-    widths, axes = rows[row]
-    other_widths, other_axes = rows[other_row]
-    return (
-        axes == other_axes
-        and all(a >= b for a, b in zip(widths, other_widths))
-        and shm >= other_shm
-        and reg >= other_reg
-    )
-
-
 #: Offset statistics of a kernel's reads, kept with the kernel (no span
 #: or counter: they are cheap, and structures of every plan shape of the
 #: kernel ask for them).
@@ -1757,44 +1684,38 @@ class _Description(NamedTuple):
     live: tuple  # (buffer row, element size)
     pts_span: tuple
     foot_span: tuple
+    factors: tuple  # (points, footprint) integer factors
 
 
 @lru_cache(maxsize=512)
 def _frozen_tables(d: _Description) -> Dict[str, Any]:
     """The index tables of a pass, by attribute name: one array per kind
-    of term, its columns as views.  Nothing writes to them."""
+    of term, its columns as views, all read-only."""
     ndim = d.ndim
     t: Dict[str, Any] = {}
     planes = _table(d.planes, (len(d.planes), 2, ndim, 1))
     t["_plane_add"] = planes[:, 0]
     t["_plane_mask"] = planes[:, 1].astype(bool)
-    # Buffer candidates, one entry each, grouped by buffer row.
+    # Buffer candidates, slot-major: slot ``k`` of every buffer row,
+    # then slot ``k + 1``.  A row with fewer candidates pads its last
+    # slots with one that moves no byte and has -1 register planes, so
+    # it never has the most bytes.
     count = len(d.buffers)
-    cands = _table(
-        [
-            (row, planes == _TILE_PLANES, max(planes, 0), regs, size,
-             buffer, len(cands) - position)
-            for buffer, (cands, size) in enumerate(d.buffers)
-            for position, (row, planes, regs) in enumerate(cands)
-        ],
-        (-1, 7),
-    )
+    width = t["_cand_width"] = max((len(c) for c, _ in d.buffers), default=1)
+    pad = (0, False, 0, -1, 0)
+    rows = [
+        [(row, planes == _TILE_PLANES, max(planes, 0), regs, size)
+         for row, planes, regs in cands] + [pad] * (width - len(cands))
+        for cands, size in d.buffers
+    ]
+    cands = _table([row[k] for k in range(width) for row in rows], (-1, 5))
     t["_cand_row"] = cands[:, 0]
-    t["_cand_whole"] = whole = cands[:, 1:2].astype(bool)
-    t["_cand_shm"] = shm = cands[:, 2:3]
-    t["_cand_reg"] = reg = cands[:, 3:4]
+    t["_cand_whole"] = cands[:, 1:2].astype(bool)
+    t["_cand_shm"] = cands[:, 2:3]
+    t["_cand_reg"] = cands[:, 3].reshape(width, count, 1)
+    t["_cand_size"] = cands[:, 4].reshape(width, count, 1)
     t["_any_whole"] = bool(cands[:, 1].any())
     t["_buffer_size"] = _table([s for _, s in d.buffers], (count, 1))
-    single = t["_single"] = len(cands) == count
-    if single:
-        t["_reg_planes"] = int(cands[:, 3].sum())
-    else:
-        ends = np.cumsum([len(c) for c, _ in d.buffers])
-        t["_cand_start"] = ends - [len(c) for c, _ in d.buffers]
-        t["_cand_end"] = ends.reshape(count, 1)
-        t["_cand_size"] = cands[:, 4:5]
-        t["_cand_buffer"] = cands[:, 5]
-        t["_cand_rank"] = cands[:, 6:7]
     # Point terms: each stage's flops, then the shared-memory ones.
     points = _table(d.points, (len(d.points), 2))
     t["_point_coef"] = points[:, :1]
@@ -1806,7 +1727,7 @@ def _frozen_tables(d: _Description) -> Dict[str, Any]:
              for term in d.shm_order],
             (len(d.shm_order),),
         )
-    _read_tables(d, t, single, whole, shm, reg)
+    _read_tables(d, t)
     # Load rows, plus one of no load that pads the stage groups.
     loads = d.loads + ((0.0, (1,) * ndim, (1,) * ndim),)
     count = len(loads)
@@ -1830,18 +1751,22 @@ def _frozen_tables(d: _Description) -> Dict[str, Any]:
             (d.stages, depth),
         )
     live = _table(d.live, (len(d.live), 2))
-    t["_live_row"] = live[:, 0] if len(live) else None
+    t["_live_row"] = live[:, 0]
     t["_live_esize"] = live[:, 1:]
-    axes = _table((d.pts_span, d.foot_span, d.domain), (3, ndim, 1))
-    t["_pts_span"], t["_foot_span"], t["_domain"] = axes
-    t["_span_bounds"] = (d.pts_span, d.foot_span)
+    t["_bound_span"] = _table((d.pts_span, d.foot_span), (2, ndim, 1))
+    t["_bound_cap"] = _table(((_I8_MAX,) * ndim, d.domain), (2, ndim, 1))
+    t["_bound_factor"] = _table(d.factors, (2, 1))
+    domain = _table(d.domain, (ndim, 1))
     t["_tiled_ix"] = tiled = _table(d.tiled, (len(d.tiled),))
-    t["_tiled_domain"] = axes[2].take(tiled, 0)
+    t["_tiled_domain"] = domain.take(tiled, 0)
+    # Structures of every job and device share these arrays.
+    for value in t.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
     return t
 
 
-def _read_tables(d: _Description, t: Dict[str, Any], single: bool,
-                 whole, shm, reg) -> None:
+def _read_tables(d: _Description, t: Dict[str, Any]) -> None:
     """The read-term tables (see :meth:`FamilyStructure._counter_lanes`)."""
     ndim = d.ndim
     reads = d.reads
@@ -1868,55 +1793,24 @@ def _read_tables(d: _Description, t: Dict[str, Any], single: bool,
     t["_read_gcoal"] = floats[:, 1:]
     if not has_buffered:
         return
-    # Fill coalescing depends on the stage's x halo: one row per
-    # distinct halo width, gathered per read term when they differ.
-    widths = sorted({r[6] for r in reads if not r[4]})
-    t["_coal_halo"] = halo = _table(widths, (len(widths), 1))
-    t["_coal_wide"] = halo > 0
-    t["_coal_of"] = None
-    if len(widths) > 1:
-        t["_coal_of"] = _table(
-            [widths.index(r[6]) if not r[4] else 0 for r in reads], (count,)
-        )
-    buffered = [(i, r) for i, r in enumerate(reads) if not r[4]]
-    # With one candidate per buffer and no whole-tile buffer, each
-    # buffered read's shared and register planes are structural: so
-    # are its fill fraction, its served reads and whether it moves any
-    # shared-memory byte.
-    static = t["_buf_static"] = single and not any(
-        whole[r[5], 0] for _, r in buffered
+    # Fill coalescing depends on the stage's x halo (a direct read's
+    # row is never read).
+    t["_coal_halo"] = halo = _table(
+        [0 if r[4] else r[6] for r in reads], (count, 1)
     )
-    columns = []
-    for i, r in buffered:
-        inplane, center, distinct = r[8]
-        if static:
-            planes, regs = int(shm[r[5], 0]), int(reg[r[5], 0])
-            if d.retime and d.streaming:
-                served = inplane
-            elif d.streaming and regs > 0:
-                served = center + 2
-            else:
-                served = distinct
-            columns.append((i, r[5], r[1], r[2], planes == 0, served,
-                            planes / max(planes + regs, 1)))
-        else:
-            columns.append((i, r[5], r[1], r[2], inplane, center + 2,
-                            distinct))
-    table = _table([c[:6] for c in columns], (len(columns), 6))
+    t["_coal_wide"] = halo > 0
+    table = _table(
+        [(i, r[5], r[1], r[2], r[8][0], r[8][1] + 2, r[8][2])
+         for i, r in enumerate(reads) if not r[4]],
+        (-1, 7),
+    )
     t["_buf_pos"] = table[:, 0]
     t["_buf_row"] = table[:, 1]
     t["_buf_stage"] = table[:, 2]
     t["_buf_esize"] = table[:, 3:4]
-    last = [c[6] for c in columns]
-    if static:
-        zero = table[:, 4:5].astype(bool)
-        t["_buf_zero"] = zero if zero.any() else None
-        t["_buf_served"] = table[:, 5:6]
-        t["_buf_fraction"] = _table(last, (len(columns), 1), _F8)
-    else:
-        t["_buf_inplane"] = table[:, 4:5]
-        t["_buf_rotating"] = table[:, 5:6]
-        t["_buf_distinct"] = _table(last, (len(columns), 1))
+    t["_buf_inplane"] = table[:, 4:5]
+    t["_buf_rotating"] = table[:, 5:6]
+    t["_buf_distinct"] = table[:, 6:7]
 
 
 _PATHS: Dict[int, tuple] = {}
@@ -1960,9 +1854,7 @@ def _row_sum(rows: np.ndarray, axis: int = 0) -> np.ndarray:
     order.  It starts from the first term rather than from ``0.0``,
     which is the same sum because no term is ``-0.0``.
     """
-    if rows.shape[axis] <= 1:
-        if rows.shape[axis]:
-            return rows.take(0, axis)
+    if not rows.shape[axis]:
         return np.zeros(rows.shape[:axis] + rows.shape[axis + 1:], _F8)
     return np.add.accumulate(rows, axis=axis).take(-1, axis)
 

@@ -128,9 +128,11 @@ class KnobGrid:
     (:meth:`plan`).  Each retime value is one structural family of
     lanes (:meth:`families`), priced from the columns alone.
 
-    The lanes are every block and unroll value with the base's retime
-    and, with ``retime_twins``, each unroll-free one retimed as well
-    (:func:`stage1_grid`).
+    The lanes are every block x unroll pair, block-major, with the
+    base's retime; with ``retime_twins``, each unroll-free lane is
+    followed by its retimed twin, so a filter over the lanes keeps the
+    pairing.  The columns are built here from those values alone, so
+    :meth:`contains` reads the same rule.
     """
 
     __slots__ = (
@@ -143,18 +145,31 @@ class KnobGrid:
         base: KernelPlan,
         blocks: Sequence[Tuple[int, ...]],
         unrolls: Sequence[Tuple[int, ...]],
-        block_ix: Sequence[int],
-        unroll_ix: Sequence[int],
-        retime: Sequence[bool],
         retime_twins: bool = False,
     ):
         self.base = base
         self.blocks = tuple(blocks)
         self.unrolls = tuple(unrolls)
-        self.block_ix = block_ix
-        self.unroll_ix = unroll_ix
-        self.retime = retime
         self.retime_twins = retime_twins
+        # One block's lanes: every unroll, each unroll-free one followed
+        # by its retimed twin; every block repeats them.
+        unroll_ix: List[int] = []
+        retime: List[bool] = []
+        for u, unroll in enumerate(self.unrolls):
+            unroll_ix.append(u)
+            retime.append(base.retime)
+            if retime_twins and SearchSpace._total(unroll) == 1:
+                unroll_ix.append(u)
+                retime.append(True)
+        width = len(unroll_ix)
+        count = len(self.blocks)
+        self.block_ix = list(
+            itertools.chain.from_iterable(
+                itertools.repeat(b, width) for b in range(count)
+            )
+        )
+        self.unroll_ix = unroll_ix * count
+        self.retime = retime * count
 
     def __len__(self) -> int:
         return len(self.block_ix)
@@ -217,32 +232,10 @@ class KnobGrid:
 def stage1_grid(
     plan: KernelPlan, space: SearchSpace, retime_twins: bool = False
 ) -> KnobGrid:
-    """The block x unroll sweep over ``plan``, block-major.
-
-    With ``retime_twins``, every variant without unrolling is followed
-    by its retimed twin, so a filter over the lanes keeps the pairing.
-    """
-    blocks = space.block_candidates()
-    unrolls = space.unroll_candidates()
-    # One block's lanes: every unroll, each unroll-free one followed by
-    # its retimed twin; every block repeats them.
-    unroll_ix: List[int] = []
-    retime: List[bool] = []
-    for u, unroll in enumerate(unrolls):
-        unroll_ix.append(u)
-        retime.append(plan.retime)
-        if retime_twins and SearchSpace._total(unroll) == 1:
-            unroll_ix.append(u)
-            retime.append(True)
-    width = len(unroll_ix)
-    block_ix = list(
-        itertools.chain.from_iterable(
-            itertools.repeat(b, width) for b in range(len(blocks))
-        )
-    )
+    """The block x unroll sweep over ``plan`` (see :class:`KnobGrid`)."""
     return KnobGrid(
-        plan, blocks, unrolls, block_ix, unroll_ix * len(blocks),
-        retime * len(blocks), retime_twins,
+        plan, space.block_candidates(), space.unroll_candidates(),
+        retime_twins,
     )
 
 

@@ -275,6 +275,21 @@ class TestBitwiseParity:
         ):
             assert not hasattr(structure, name), name
 
+    def test_term_tables_are_read_only(self):
+        # Structures of every job and device share one set of term
+        # tables, so a pass must not be able to write into them.
+        import numpy as np
+
+        for proto in PROTOS.values():
+            structure = family_structure(IR, proto)
+            tables = [
+                value for value in vars(structure).values()
+                if isinstance(value, np.ndarray)
+            ]
+            assert tables
+            for table in tables:
+                assert not table.flags.writeable
+
     def test_rejection_lane_classifies_like_lint(self):
         # 2048 threads per block: the occupancy screen must reject this
         # lane with the same RL2xx code the scalar reference produces.

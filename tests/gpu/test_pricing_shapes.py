@@ -12,9 +12,10 @@ chunks, register cap) knobs of
 * every kernel's pinned P100 winner (``golden_model.json``: hypterm and
   rhs4sgcurv among them, time-tiled and DAG-fused ones too),
 * the 7pt-smoother winner re-tiled to 2..5 time steps,
-* two fused stencils that read one array with different halos, so no
-  stage's buffer candidate covers the other's, under streaming shared,
-  streaming register and whole-tile (unstreamed) shared buffers,
+* two fused stencils that read one array with different halos, with
+  it in streaming shared memory (two buffer candidates, neither
+  covering the other), streaming registers, a whole unstreamed tile
+  of shared memory and global memory,
 
 are priced in one pass and checked lane by lane, bit for bit, against
 the scalar reference (``reference_model.py``) on every device profile.
@@ -93,6 +94,9 @@ _FUSED = {
                      placements=(("in", "register"),)),
     "whole": dict(streaming="none",
                   placements=(("in", "shmem"), ("mid", "shmem"))),
+    # ``in`` left in global memory: its plane sets the L2 working set.
+    "gmem": dict(streaming="serial", stream_axis=0,
+                 placements=(("in", "gmem"), ("mid", "shmem"))),
 }
 
 
@@ -229,6 +233,7 @@ _FIXED = [
     "fused/shmem/0",
     "fused/register/0",
     "fused/whole/0",
+    "fused/gmem/0",
 ]
 
 
@@ -253,6 +258,22 @@ def test_fixed_families_on_every_device(key, name):
         for i in range(12)
     ]
     _check_family(ir, plans, 7, get_device(name))
+
+
+@pytest.mark.parametrize("name", ["P100", "V100"])
+def test_first_stage_plane_sets_the_working_set(name):
+    # ``in`` left in global memory buffers no byte, so its candidates
+    # tie at every lane, and the first stage's (the wider) plane must
+    # win: it is the L2 working set, which binds on the stage-1 lanes
+    # whose working set passes the L2.
+    ir, plan = _case("fused/gmem/0")
+    space = _space(ir, plan)
+    plans = [
+        plan.replace(block=block, unroll=unroll)
+        for block in space.block_candidates()
+        for unroll in space.unroll_candidates()
+    ]
+    _check_family(ir, plans, 0, get_device(name))
 
 
 def test_cases_cover_the_shapes():
