@@ -54,16 +54,20 @@ from .tuning import PlanEvaluator
 from .tuning.deeptuning import check_iterations
 
 
+def _unknown_spec(source: str) -> UsageError:
+    return UsageError(
+        f"{source!r} is neither a built-in benchmark "
+        f"({', '.join(BENCHMARKS)}) nor a file"
+    )
+
+
 def _load(source: str):
     """Resolve a positional argument: a benchmark name or a DSL file."""
     if source in BENCHMARKS:
         return get_benchmark(source).ir()
     path = Path(source)
     if not path.exists():
-        raise SystemExit(
-            f"error: {source!r} is neither a built-in benchmark "
-            f"({', '.join(BENCHMARKS)}) nor a file"
-        )
+        raise _unknown_spec(source)
     return lower(path.read_text())
 
 
@@ -375,7 +379,7 @@ def cmd_deep_tune(args) -> int:
     check_iterations(args.iterations)
     ir = _load(args.spec)
     if not ir.is_iterative:
-        raise SystemExit("error: deep tuning applies to iterative stencils")
+        raise UsageError("deep tuning applies to iterative stencils")
     if len(ir.kernels) > 1:
         from .tuning.fusion import maxfuse
 
@@ -435,10 +439,7 @@ def cmd_lint(args) -> int:
             continue
         path = Path(spec)
         if not path.exists():
-            raise UsageError(
-                f"{spec!r} is neither a built-in benchmark "
-                f"({', '.join(BENCHMARKS)}) nor a file"
-            )
+            raise _unknown_spec(spec)
         text = path.read_text()
         if path.suffix == ".py":
             blocks = extract_dsl_blocks(text)

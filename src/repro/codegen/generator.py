@@ -75,7 +75,7 @@ def generate_baseline(
     ir = lower(source_or_program)
     plans: List[KernelPlan] = []
     for instance in ir.kernels:
-        plan = seed_plan_from_pragma(ir, instance)
+        plan = seed_plan_from_pragma(ir, instance, device)
         if auto_resources:
             plan = auto_assign(ir, plan, device).plan
         validate_plan(ir, plan)

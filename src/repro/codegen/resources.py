@@ -252,12 +252,13 @@ def _least_accessed_shared(ir: ProgramIR, plan: KernelPlan) -> Optional[str]:
 
 
 def seed_plan_from_pragma(
-    ir: ProgramIR, instance: StencilInstance
+    ir: ProgramIR, instance: StencilInstance, device: DeviceSpec = P100
 ) -> KernelPlan:
     """Baseline plan from the stencil's ``#pragma`` (Section VII, step 1).
 
     Uses the pragma's streaming dimension, block size and unroll factors;
-    fills in conservative defaults when absent.
+    fills in conservative defaults when absent.  An ``occupancy`` clause
+    rations the shared buffers for ``device``.
     """
     pragma = instance.pragma
     ndim = ir.ndim
@@ -284,5 +285,7 @@ def seed_plan_from_pragma(
         placements=instance.placements,
     )
     if pragma is not None and pragma.occupancy is not None:
-        plan = apply_occupancy_target(ir, plan, pragma.occupancy).plan
+        plan = apply_occupancy_target(
+            ir, plan, pragma.occupancy, device
+        ).plan
     return plan

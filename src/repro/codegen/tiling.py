@@ -47,9 +47,7 @@ Halo = Tuple[Tuple[int, int], ...]  # per-axis (lo, hi)
 # escalation rungs of one candidate share the same *plan family* and the
 # same cached geometry.  Results are cached per IR (see ``repro.ir.memo``)
 # under the canonical register-independent plan key: a cache entry lives
-# as long as its IR, and a cached value must not reference the IR.  The
-# cache can be disabled wholesale (benchmarks compare against the
-# uncached seed path; tests verify cached == uncached).
+# as long as its IR, and a cached value must not reference the IR.
 # ---------------------------------------------------------------------------
 
 _PLAN_MEMO = OwnerMemo(

@@ -150,9 +150,11 @@ def max_block_for_occupancy(
 ) -> int:
     """Largest threads-per-block that still meets a target occupancy.
 
-    Supports the paper's ``occupancy t`` clause: the rationing algorithm
-    needs to know whether a configuration can reach the requested
-    occupancy at all.  Returns 0 when no block size qualifies.
+    Tells whether any block size reaches an ``occupancy t`` target at a
+    given register and shared-memory footprint.  Rationing does not use
+    it: :func:`~repro.codegen.resources.apply_occupancy_target` keeps
+    the plan's block and demotes shared buffers instead.  Returns 0 when
+    no block size qualifies.
     """
     best = 0
     size = device.warp_size

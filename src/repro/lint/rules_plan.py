@@ -1,12 +1,15 @@
 """Plan-level lint rules (``RL2xx``): kernel-plan legality prescreen.
 
-:func:`check_plan` is the full catalog pass used by ``repro lint`` and
-tests; :func:`plan_rejection` is the fast short-circuit path the
-evaluation engine runs before simulating a candidate (first error wins),
-and :func:`classify_occupancy_failure` maps the occupancy model's
-structured :class:`~repro.resilience.errors.InfeasiblePlanError` context
-onto stable rule codes so the simulator's prescreen rejections and the
-lint CLI speak the same language.
+:func:`check_plan` is the full catalog pass over one plan (``repro
+lint`` runs only the RL1xx program rules); :func:`plan_rejection` is
+its short-circuit error path (first error wins), kept as the reference
+for the evaluation engine's screen.  The engine itself runs
+:func:`fusion_rejection` once per plan family plus the lane model's
+occupancy screen.  :func:`classify_occupancy_failure` maps the
+occupancy model's structured
+:class:`~repro.resilience.errors.InfeasiblePlanError` context onto
+stable rule codes so the simulator's rejections and the catalog speak
+the same language.
 
 Resource feasibility (shmem capacity, register file, thread limits) is
 delegated to the same :func:`~repro.gpu.simulator.plan_occupancy`
@@ -329,10 +332,12 @@ def plan_rejection(
 ) -> Optional[Diagnostic]:
     """First error-severity finding for a plan, or None if launchable.
 
-    The evaluation engine's prescreen: cheap structural rules first,
-    then the memoized occupancy arithmetic.  Advisory (warning/info)
-    rules never reject — they cannot change which plan wins, only how
-    fast the search converges, so the tuners handle them separately.
+    Cheap structural rules first, then the memoized occupancy
+    arithmetic: the plan-at-a-time reference for what the evaluation
+    engine refuses (:func:`fusion_rejection` per family, then the lane
+    model's occupancy screen).  Advisory (warning/info) rules never
+    reject — they cannot change which plan wins, only how fast the
+    search converges, so the tuners handle them separately.
     """
     from ..gpu.device import P100
 

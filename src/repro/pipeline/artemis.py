@@ -18,7 +18,7 @@ Steps, mirroring the paper's summary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple, Union
 
 from ..codegen.generator import lower, schedule_tflops
@@ -43,6 +43,7 @@ from ..tuning.fission import (
     dedupe_candidates,
     generate_fission_candidates,
 )
+from ..tuning.fusion import maxfuse
 from ..tuning.hierarchical import HierarchicalTuner
 
 
@@ -66,7 +67,6 @@ def optimize(
     source_or_ir: Union[str, ProgramIR],
     device: DeviceSpec = P100,
     iterations: Optional[int] = None,
-    explore_fission: bool = True,
     top_k: int = 4,
     evaluator: Optional[PlanEvaluator] = None,
     journal: Optional[TuningJournal] = None,
@@ -90,11 +90,7 @@ def optimize(
             ir = lower(source_or_ir)
         engine = evaluator or PlanEvaluator(device=device)
         stats_before = engine.stats.snapshot()
-        outcome = _optimize(
-            ir, engine, iterations, explore_fission, top_k, journal
-        )
-    from dataclasses import replace
-
+        outcome = _optimize(ir, iterations, top_k, engine, journal)
     outcome = replace(outcome, eval_stats=engine.stats.since(stats_before))
     if engine.search_log is not None:
         engine.search_log.winner(outcome)
@@ -103,40 +99,30 @@ def optimize(
 
 def _optimize(
     ir: ProgramIR,
-    engine: PlanEvaluator,
     iterations: Optional[int],
-    explore_fission: bool,
     top_k: int,
-    journal: Optional[TuningJournal] = None,
+    engine: PlanEvaluator,
+    journal: Optional[TuningJournal],
 ) -> OptimizationOutcome:
-    device = engine.device
     if ir.is_iterative and len(ir.kernels) == 1:
-        return _optimize_iterative(
-            ir, device, iterations, top_k, engine, journal
-        )
+        return _optimize_iterative(ir, iterations, top_k, engine, journal)
     if ir.is_iterative:
         # Multi-statement iterative DAGs (e.g. denoise): fuse the DAG
         # into one kernel, deep-tune the time dimension, and keep the
         # per-step (unfused-time) schedule as the fallback.
-        from ..tuning.fusion import maxfuse
-
         fused = maxfuse(ir)
-        spatial = _optimize_spatial(
-            ir, device, explore_fission, top_k, engine, journal
-        )
+        spatial = _optimize_spatial(ir, top_k, engine, journal)
         if len(fused.kernels) == 1:
             try:
                 fused_outcome = _optimize_iterative(
-                    fused, device, iterations, top_k, engine, journal
+                    fused, iterations, top_k, engine, journal
                 )
             except (PlanInfeasible, ValueError):
                 return spatial
             if fused_outcome.tflops > spatial.tflops:
                 return fused_outcome
         return spatial
-    return _optimize_spatial(
-        ir, device, explore_fission, top_k, engine, journal
-    )
+    return _optimize_spatial(ir, top_k, engine, journal)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +132,12 @@ def _optimize(
 
 def _optimize_iterative(
     ir: ProgramIR,
-    device: DeviceSpec,
     iterations: Optional[int],
     top_k: int,
-    evaluator: Optional[PlanEvaluator] = None,
-    journal: Optional[TuningJournal] = None,
+    evaluator: PlanEvaluator,
+    journal: Optional[TuningJournal],
 ) -> OptimizationOutcome:
+    device = evaluator.device
     steps = iterations if iterations is not None else ir.time_iterations
     deep = deep_tune(
         ir, device=device, top_k=top_k, evaluator=evaluator, journal=journal
@@ -182,145 +168,105 @@ def _optimize_iterative(
 
 def _optimize_spatial(
     ir: ProgramIR,
-    device: DeviceSpec,
-    explore_fission: bool,
     top_k: int,
-    evaluator: Optional[PlanEvaluator] = None,
-    journal: Optional[TuningJournal] = None,
+    evaluator: PlanEvaluator,
+    journal: Optional[TuningJournal],
 ) -> OptimizationOutcome:
-    log = evaluator.search_log if evaluator is not None else None
-    with _log_context(log, variant="tuned"):
-        schedule, advice_list, evaluations = _tune_kernels(
-            ir, device, top_k, evaluator=evaluator, journal=journal
+    """Tune the program, then each alternative version; keep the fastest.
+
+    The alternatives run in a fixed order (the fused kernel DAG, each
+    fission candidate, the global-memory version): the memo, the search
+    log and the journal all see the calls in that order.
+    """
+    log = evaluator.search_log
+
+    def version(version_ir, variant, force_gmem=False):
+        with _log_context(log, variant=variant):
+            schedule, advice, evaluations = _tune_kernels(
+                version_ir, top_k, evaluator, journal, force_gmem
+            )
+        tflops = schedule_tflops(
+            version_ir, schedule, evaluator.device, evaluator
         )
-    best_tflops = schedule_tflops(ir, schedule, device, evaluator)
-    best = OptimizationOutcome(
-        ir=ir,
-        schedule=schedule,
-        tflops=best_tflops,
-        variant="tuned",
-        hints=tuple(h for a in advice_list for h in a.hints),
-        advice=tuple(advice_list),
-        evaluations=evaluations,
-    )
+        return OptimizationOutcome(
+            ir=version_ir, schedule=schedule, tflops=tflops, variant=variant,
+            hints=tuple(h for a in advice for h in a.hints), advice=advice,
+            evaluations=evaluations,
+        )
 
-    wants_fission = any(a.explore_fission for a in advice_list)
-    wants_global = any(a.generate_global_version for a in advice_list)
+    def faster(best, version_ir, variant, hint, force_gmem=False):
+        """``best``, or the version merged into it when strictly faster.
+
+        A fused or split program that cannot be tuned is skipped.  The
+        global version is the input program itself: its
+        ``PlanInfeasible`` ends the flow like the tuned version's, and
+        when it wins it keeps the advice of the version it beat.
+        """
+        try:
+            other = version(version_ir, variant, force_gmem)
+        except PlanInfeasible:
+            if force_gmem:
+                raise
+            return best
+        if not other.tflops > best.tflops:
+            return best
+        return replace(
+            other,
+            hints=best.hints + (hint,),
+            advice=best.advice if force_gmem else other.advice,
+            evaluations=best.evaluations + other.evaluations,
+        )
+
+    best = version(ir, "tuned")
+    wants_fission = any(a.explore_fission for a in best.advice)
+    wants_global = any(a.generate_global_version for a in best.advice)
     candidates: Tuple[FissionCandidate, ...] = ()
-
     # Multi-kernel spatial DAGs: fusing stages eliminates intermediate
     # arrays' global traffic (Section VI) — evaluate the fused form.
-    if len(ir.kernels) > 1:
-        from ..tuning.fusion import maxfuse
-
-        fused_ir = maxfuse(ir)
-        if len(fused_ir.kernels) < len(ir.kernels):
-            try:
-                with _log_context(log, variant="dag-fused"):
-                    f_schedule, f_advice, f_evals = _tune_kernels(
-                        fused_ir, device, top_k, evaluator=evaluator,
-                        journal=journal,
-                    )
-                f_tflops = schedule_tflops(
-                    fused_ir, f_schedule, device, evaluator
-                )
-                if f_tflops > best.tflops:
-                    best = OptimizationOutcome(
-                        ir=fused_ir,
-                        schedule=f_schedule,
-                        tflops=f_tflops,
-                        variant="dag-fused",
-                        hints=best.hints
-                        + ("fusing the kernel DAG eliminates intermediate "
-                           "array traffic",),
-                        advice=tuple(f_advice),
-                        evaluations=best.evaluations + f_evals,
-                    )
-            except PlanInfeasible:
-                pass
-
-    if explore_fission and wants_fission:
+    fused_ir = maxfuse(ir) if len(ir.kernels) > 1 else ir
+    if len(fused_ir.kernels) < len(ir.kernels):
+        best = faster(
+            best, fused_ir, "dag-fused",
+            "fusing the kernel DAG eliminates intermediate array traffic",
+        )
+    if wants_fission:
         candidates = generate_fission_candidates(ir, search_log=log)
         for candidate in dedupe_candidates(candidates):
             if candidate.label == "maxfuse" and len(candidate.ir.kernels) == len(
                 ir.kernels
             ):
                 continue  # identical to the input
-            try:
-                with _log_context(log, variant=candidate.label):
-                    cand_schedule, cand_advice, cand_evals = _tune_kernels(
-                        candidate.ir, device, top_k, evaluator=evaluator,
-                        journal=journal,
-                    )
-            except PlanInfeasible:
-                continue
-            cand_tflops = schedule_tflops(
-                candidate.ir, cand_schedule, device, evaluator
+            best = faster(
+                best, candidate.ir, candidate.label,
+                f"{candidate.label} outperforms the fused kernel",
             )
-            if cand_tflops > best.tflops:
-                best = OptimizationOutcome(
-                    ir=candidate.ir,
-                    schedule=cand_schedule,
-                    tflops=cand_tflops,
-                    variant=candidate.label,
-                    hints=best.hints
-                    + (f"{candidate.label} outperforms the fused kernel",),
-                    advice=tuple(cand_advice),
-                    fission_candidates=candidates,
-                    evaluations=best.evaluations + cand_evals,
-                )
-
     if wants_global:
-        with _log_context(log, variant="global"):
-            global_schedule, _, g_evals = _tune_kernels(
-                ir, device, top_k, force_gmem=True, evaluator=evaluator,
-                journal=journal,
-            )
-        g_tflops = schedule_tflops(
-            ir, global_schedule, device, evaluator
+        best = faster(
+            best, ir, "global",
+            "global-memory version outperforms shared memory", force_gmem=True,
         )
-        if g_tflops > best.tflops:
-            best = OptimizationOutcome(
-                ir=ir,
-                schedule=global_schedule,
-                tflops=g_tflops,
-                variant="global",
-                hints=best.hints
-                + ("global-memory version outperforms shared memory",),
-                advice=best.advice,
-                fission_candidates=candidates,
-                evaluations=best.evaluations + g_evals,
-            )
-    if candidates and best.variant == "tuned":
-        best = OptimizationOutcome(
-            ir=best.ir,
-            schedule=best.schedule,
-            tflops=best.tflops,
-            variant=best.variant,
-            hints=best.hints,
-            advice=best.advice,
-            fission_candidates=candidates,
-            evaluations=best.evaluations,
-        )
-    return best
+    # Every winner but the fused DAG carries the fission candidates.
+    return best if best.variant == "dag-fused" else replace(
+        best, fission_candidates=candidates
+    )
 
 
 def _tune_kernels(
     ir: ProgramIR,
-    device: DeviceSpec,
     top_k: int,
+    evaluator: PlanEvaluator,
+    journal: Optional[TuningJournal],
     force_gmem: bool = False,
-    evaluator: Optional[PlanEvaluator] = None,
-    journal: Optional[TuningJournal] = None,
-):
+) -> Tuple[ProgramPlan, Tuple[Advice, ...], int]:
     """Profile-advise-tune every kernel of a program."""
+    device = evaluator.device
     plans: List[KernelPlan] = []
     advice_list: List[Advice] = []
     evaluations = 0
-    log = evaluator.search_log if evaluator is not None else None
+    log = evaluator.search_log
     for instance in ir.kernels:
         with _span("planning", kernel=instance.name):
-            seed = seed_plan_from_pragma(ir, instance)
+            seed = seed_plan_from_pragma(ir, instance, device)
             if force_gmem:
                 # The global version tiles all three dimensions (§VIII-F:
                 # plain tiling beats streaming when nothing is buffered).
@@ -355,4 +301,4 @@ def _tune_kernels(
         result = tuner.tune(seed)
         evaluations += tuner.evaluations
         plans.append(result.best_plan)
-    return ProgramPlan(plans=tuple(plans)), advice_list, evaluations
+    return ProgramPlan(plans=tuple(plans)), tuple(advice_list), evaluations

@@ -158,9 +158,9 @@ def deep_tune(
                     slog, degree=degree
                 ):
                     with _span("planning", kernel=instance.name, degree=degree):
-                        base = seed_plan_from_pragma(ir, instance).replace(
-                            time_tile=degree
-                        )
+                        base = seed_plan_from_pragma(
+                            ir, instance, engine.device
+                        ).replace(time_tile=degree)
                         base = auto_assign(ir, base, engine.device).plan
                     try:
                         result = tuner.tune(base)

@@ -13,7 +13,7 @@ from repro.codegen import (
     validate_plan,
 )
 from repro.dsl import parse
-from repro.gpu import P100, occupancy
+from repro.gpu import P100, get_device, occupancy
 from repro.gpu.registers import compiled_registers
 from repro.codegen.tiling import launch_geometry
 from repro.ir import build_ir
@@ -33,6 +33,15 @@ stencil rhs (out, u0, u1, u2, mu, la, strx) {
 rhs (out, u0, u1, u2, mu, la, strx);
 copyout out;
 """
+
+
+def rationed_src(target):
+    """``MULTI_ARRAY_SRC`` with every 3-D input assigned to shared memory
+    at block (32, 32), asking for occupancy ``target``."""
+    return MULTI_ARRAY_SRC.replace(
+        "stencil rhs",
+        f"#pragma stream k block (32,32) occupancy {target}\nstencil rhs",
+    ).replace("{\n  r =", "{\n  #assign shmem (u0, u1, u2, mu, la)\n  r =")
 
 
 @pytest.fixture
@@ -205,3 +214,22 @@ class TestSeedPlan:
         ir = build_ir(parse(src))
         plan = seed_plan_from_pragma(ir, ir.kernels[0])
         assert plan.placement_map == {"A": "shmem", "C": "gmem"}
+
+    @pytest.mark.parametrize(
+        "target, device, demoted",
+        [
+            (0.75, "P100", ("la", "mu")),
+            (0.75, "V100", ()),
+            (0.75, "A100", ()),
+            (0.5, "MI100", ("la", "mu")),
+            (0.5, "P100", ()),
+        ],
+    )
+    def test_occupancy_pragma_rations_for_the_device(
+        self, target, device, demoted
+    ):
+        ir = build_ir(parse(rationed_src(target)))
+        plan = seed_plan_from_pragma(ir, ir.kernels[0], get_device(device))
+        gmem = tuple(sorted(a for a, s in plan.placements if s == "gmem"))
+        assert gmem == demoted
+        assert len(plan.placements) == 5

@@ -3,9 +3,14 @@
 import pytest
 
 from repro.baselines import run_global, run_ppcg, run_stencilgen
+from repro.codegen.generator import generate_baseline, lower
+from repro.gpu.device import get_device
+from repro.obs.search import SearchLog
 from repro.pipeline import format_report, optimize
 from repro.resilience import UsageError
 from repro.suite import load_ir
+from repro.tuning import PlanEvaluator, deep_tune
+from tests.codegen.test_resources import rationed_src
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +82,52 @@ class TestReport:
     def test_report_lists_launches(self, smoother_outcome):
         text = format_report(smoother_outcome)
         assert "ms/launch" in text
+
+
+class TestOccupancyPragma:
+    """An ``occupancy`` pragma rations the shared buffers for the job's
+    device: at 0.5, MI100 demotes ``la`` and ``mu`` (P100 would keep
+    all five); at 0.75, V100 keeps all five (P100 would demote two)."""
+
+    CASES = [
+        (0.5, "MI100", {"u0", "u1", "u2"}),
+        (0.75, "V100", {"u0", "u1", "u2", "mu", "la"}),
+    ]
+    ARRAYS = {"u0", "u1", "u2", "mu", "la"}
+
+    @pytest.mark.parametrize("target, device, shared", CASES)
+    def test_tuned_version(self, target, device, shared):
+        spec = get_device(device)
+        log = SearchLog()
+        optimize(
+            rationed_src(target),
+            device=spec,
+            evaluator=PlanEvaluator(device=spec, search_log=log),
+        )
+        buffered = {
+            array
+            for row in log.events()
+            if row["kind"] == "candidate"
+            and row["context"].get("variant") == "tuned"
+            for array in row["config"].get("shmem", ())
+        }
+        assert buffered & self.ARRAYS == shared
+
+    @pytest.mark.parametrize("target, device, shared", CASES)
+    def test_baseline(self, target, device, shared):
+        generated = generate_baseline(
+            rationed_src(target), device=get_device(device)
+        )
+        placements = generated.schedule.plans[0].placement_map
+        assert {a for a, s in placements.items() if s == "shmem"} == shared
+
+    @pytest.mark.parametrize("target, device, shared", CASES)
+    def test_deep_tuning(self, target, device, shared):
+        source = rationed_src(target).replace(
+            "copyout out;", "copyout out;\niterate 2;"
+        )
+        result = deep_tune(lower(source), device=get_device(device))
+        for entry in result.entries:
+            placements = entry.measurement.plan.placement_map
+            buffered = {a for a, s in placements.items() if s == "shmem"}
+            assert buffered & self.ARRAYS == shared

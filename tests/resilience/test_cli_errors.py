@@ -211,6 +211,25 @@ class TestExitCodes:
             main([command, "7pt-smoother", flag])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        ["optimize", "cuda", "profile", "characteristics", "deep-tune",
+         "certify"],
+    )
+    def test_unknown_spec_is_exit_2(self, command, capsys):
+        code = main([command, "no-such-benchmark"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: 'no-such-benchmark' is neither a "
+                              "built-in benchmark (7pt-smoother, ")
+        assert err.rstrip().endswith(") nor a file")
+
+    def test_deep_tune_of_a_spatial_stencil_is_exit_2(self, capsys):
+        code = main(["deep-tune", "hypterm"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: deep tuning applies to iterative stencils\n"
+
     def test_argparse_usage_is_exit_2(self):
         with pytest.raises(SystemExit) as info:
             main(["optimize"])  # missing spec positional

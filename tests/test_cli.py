@@ -44,9 +44,9 @@ class TestCharacteristics:
         out = capsys.readouterr().out
         assert "stencil order   : 1" in out
 
-    def test_missing_source(self):
-        with pytest.raises(SystemExit):
-            main(["characteristics", "no_such_thing"])
+    def test_missing_source(self, capsys):
+        assert main(["characteristics", "no_such_thing"]) == 2
+        assert "neither a built-in benchmark" in capsys.readouterr().err
 
 
 class TestSuite:
@@ -150,9 +150,9 @@ class TestDeepTune:
         assert "tipping point" in out
         assert "schedule for T=13" in out
 
-    def test_rejects_spatial(self):
-        with pytest.raises(SystemExit):
-            main(["deep-tune", "rhs4center"])
+    def test_rejects_spatial(self, capsys):
+        assert main(["deep-tune", "rhs4center"]) == 2
+        assert "applies to iterative stencils" in capsys.readouterr().err
 
 
 class TestSuiteOutput:
@@ -185,10 +185,9 @@ class TestCudaOutput:
         out = capsys.readouterr().out
         assert out.count("{") == out.count("}")
 
-    def test_missing_source_exits_nonzero(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["cuda", "no_such_benchmark"])
-        assert exc.value.code != 0
+    def test_missing_source_exits_nonzero(self, capsys):
+        assert main(["cuda", "no_such_benchmark"]) == 2
+        assert "neither a built-in benchmark" in capsys.readouterr().err
 
 
 class TestProfileOutput:
