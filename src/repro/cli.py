@@ -61,14 +61,58 @@ def _unknown_spec(source: str) -> UsageError:
     )
 
 
+def _spec_text(source: str) -> str:
+    """The text of the spec file ``source``; a missing, directory or
+    unreadable path is a :class:`UsageError`."""
+    path = Path(source)
+    if not path.exists():
+        raise _unknown_spec(source)
+    if path.is_dir():
+        raise UsageError(f"{source!r} is a directory, not a spec file")
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise UsageError(f"cannot read {source!r}: {reason}") from None
+
+
 def _load(source: str):
     """Resolve a positional argument: a benchmark name or a DSL file."""
     if source in BENCHMARKS:
         return get_benchmark(source).ir()
-    path = Path(source)
-    if not path.exists():
-        raise _unknown_spec(source)
-    return lower(path.read_text())
+    return lower(_spec_text(source))
+
+
+#: The flags that name a file a command writes, by ``args`` attribute.
+_OUTPUT_FLAGS = {
+    "json": "--json",
+    "search_log": "--search-log",
+    "trace": "--trace",
+    "checkpoint": "--checkpoint",
+    "sarif": "--sarif",
+    "output": "--output",
+}
+
+
+def _check_flags(args) -> None:
+    """Refuse, before any work, a flag the run could not honour: an
+    output path in a missing directory or naming a directory, or a
+    ``--metrics-port`` outside 0-65535."""
+    for attr, flag in _OUTPUT_FLAGS.items():
+        path = getattr(args, attr, None)
+        if not isinstance(path, str):
+            continue  # not given (or the devices --json switch)
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise UsageError(
+                f"{flag}: cannot write {path!r}: directory {directory!r} "
+                "does not exist"
+            )
+        if os.path.isdir(path):
+            raise UsageError(f"{flag}: {path!r} is a directory")
+    port = getattr(args, "metrics_port", None)
+    if port is not None and not 0 <= port <= 65535:
+        raise UsageError(f"--metrics-port must be in 0-65535, not {port}")
 
 
 def _device(name: str) -> DeviceSpec:
@@ -134,9 +178,14 @@ def _start_metrics_server(args, engine):
         return None
     from .obs import MetricsHTTPServer
 
-    server = MetricsHTTPServer(
-        collect=lambda: run_series(engine.stats), port=port
-    ).start()
+    try:
+        server = MetricsHTTPServer(
+            collect=lambda: run_series(engine.stats), port=port
+        ).start()
+    except OSError as exc:
+        raise UsageError(
+            f"--metrics-port {port}: cannot serve: {exc.strerror or exc}"
+        ) from None
     print(f"metrics: serving {server.url}", file=sys.stderr)
     return server
 
@@ -256,10 +305,11 @@ def cmd_optimize(args) -> int:
     engine = PlanEvaluator(device=device)
     # The run's EvalStats for --metrics and --trace, a failed run's too.
     args._eval_stats = engine.stats
-    journal = _open_journal(args, device)
     server = _start_metrics_server(args, engine=engine)
-    log = _open_search_log(args, engine, device)
+    journal = log = None
     try:
+        journal = _open_journal(args, device)
+        log = _open_search_log(args, engine, device)
         outcome = optimize(
             ir,
             device=device,
@@ -388,9 +438,10 @@ def cmd_deep_tune(args) -> int:
     engine = PlanEvaluator(device=device)
     # The run's EvalStats for --metrics and --trace, a failed run's too.
     args._eval_stats = engine.stats
-    journal = _open_journal(args, device)
     server = _start_metrics_server(args, engine=engine)
+    journal = None
     try:
+        journal = _open_journal(args, device)
         result = deep_tune(ir, evaluator=engine, journal=journal)
     finally:
         _stop_metrics_server(server)
@@ -438,9 +489,7 @@ def cmd_lint(args) -> int:
             targets.append((spec, get_benchmark(spec).dsl()))
             continue
         path = Path(spec)
-        if not path.exists():
-            raise _unknown_spec(spec)
-        text = path.read_text()
+        text = _spec_text(spec)
         if path.suffix == ".py":
             blocks = extract_dsl_blocks(text)
             if not blocks:
@@ -551,6 +600,8 @@ def cmd_certify(args) -> int:
         plan_path = Path(path)
         if not plan_path.exists():
             raise UsageError(f"--plan: {path!r} does not exist")
+        if plan_path.is_dir():
+            raise UsageError(f"--plan: {path!r} is a directory")
         data = _json.loads(plan_path.read_text())
         for entry in data if isinstance(data, list) else [data]:
             try:
@@ -562,6 +613,8 @@ def cmd_certify(args) -> int:
     for path in args.journal or []:
         if not Path(path).exists():
             raise UsageError(f"--journal: {path!r} does not exist")
+        if Path(path).is_dir():
+            raise UsageError(f"--journal: {path!r} is a directory")
         _, records = read_journal(path)
         explicit.extend(
             dict.fromkeys(plan_from_dict(record["plan"]) for record in records)
@@ -879,19 +932,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        _check_flags(args)
+    except ReproError as exc:
+        return _failed(args, exc)
     _obs_begin(args)
     try:
         return args.func(args)
     except ReproError as exc:
-        # Error hygiene: one line per failure, mapped to a stable exit
-        # status (2 usage, 3 infeasible input, 4 evaluation/checkpoint
-        # failure).  --debug restores the traceback.
-        if getattr(args, "debug", False):
-            raise
-        print(f"error: {exc.describe()}", file=sys.stderr)
-        return exc.exit_code
+        return _failed(args, exc)
     finally:
         _obs_finish(args)
+
+
+def _failed(args, exc: ReproError) -> int:
+    """Error hygiene: one line per failure, mapped to a stable exit
+    status (2 usage, 3 infeasible input, 4 evaluation/checkpoint
+    failure).  --debug restores the traceback."""
+    if getattr(args, "debug", False):
+        raise exc
+    print(f"error: {exc.describe()}", file=sys.stderr)
+    return exc.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

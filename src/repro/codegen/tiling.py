@@ -109,10 +109,17 @@ def knob_number(block: tuple, unroll: tuple, mode: tuple) -> int:
     return number
 
 
+#: The plan fields of a :func:`plan_mode` tuple, in its order.
+MODE_FIELDS = (
+    "streaming", "concurrent_chunks", "unroll_blocked", "prefetch",
+    "perspective",
+)
+
+
 def plan_mode(plan: KernelPlan) -> tuple:
     """The lane knobs of :func:`plan_family_key` other than block and
     unroll: streaming mode, chunk count, ``unroll_blocked``, prefetch
-    and perspective."""
+    and perspective (:data:`MODE_FIELDS`)."""
     return (
         plan.streaming,
         plan.concurrent_chunks,

@@ -22,6 +22,7 @@ from ..dsl.ast import (
     Num,
     UnaryOp,
 )
+from .memo import OwnerMemo
 from .stencil import Statement, StencilInstance
 
 #: Associative chain operators, plus binary subtraction (the SW4
@@ -56,13 +57,24 @@ class FoldedArray:
 # ---------------------------------------------------------------------------
 
 
+#: Each instance's fold groups (every tuning unit of a program asks).
+_FOLDS = OwnerMemo()
+
+
 def find_fold_groups(instance: StencilInstance) -> Tuple[FoldGroup, ...]:
     """Find maximal array groups eligible for folding in this kernel.
 
     A group is eligible when every read of each member array in the whole
     kernel occurs inside an associative ``op`` chain together with *all*
     other members at identical subscripts.  Written arrays are excluded.
+    Memoized per instance.
     """
+    return _FOLDS.get(
+        instance, "groups", "fold_groups", lambda: _fold_groups(instance)
+    )
+
+
+def _fold_groups(instance: StencilInstance) -> Tuple[FoldGroup, ...]:
     written = set(instance.arrays_written())
     occurrences: Dict[str, List[Optional[Tuple[Tuple[str, ...], str]]]] = {}
     for stmt in instance.statements:

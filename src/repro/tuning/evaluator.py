@@ -34,7 +34,7 @@ search-space size, so all search code routes measurements through one
   verdicts and dispositions written into the columns of a
   :class:`Resolution`.  The request counters are tallied from the
   disposition column once per batch, and the optional search log
-  records the batch as one block of rows.  A stage-1
+  records the batch as one block of rows.  A tuner stage's
   :class:`~repro.tuning.space.KnobGrid` is priced from its knob
   columns; the :class:`Resolution` builds plans and results only for
   the lanes that are read (``docs/performance_model.md``).
@@ -70,19 +70,20 @@ import hashlib
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields, replace
 from itertools import compress
-from operator import getitem
 from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
-from ..codegen.plan import MAX_REGISTERS, KernelPlan, REGISTER_LEVELS
+from ..codegen.plan import (
+    MAX_REGISTERS,
+    REGISTER_LEVELS,
+    STREAM_CONCURRENT,
+    KernelPlan,
+)
 from ..codegen.resources import InvalidPlan, validate_plan
 from ..codegen.tiling import (
-    knob_number,
     plan_family_key,
     plan_knob_number,
-    plan_mode,
     plan_structural_key,
 )
 from ..gpu.counters import SimulationResult
@@ -197,46 +198,23 @@ class EvalStats:
         return self.hits + self.rungs_skipped + self.screened
 
     def snapshot(self) -> "EvalStats":
-        return EvalStats(
-            requests=self.requests,
-            hits=self.hits,
-            misses=self.misses,
-            infeasible=self.infeasible,
-            rungs_skipped=self.rungs_skipped,
-            screened=self.screened,
-            lint_rejections=self.lint_rejections,
-            vectorized=self.vectorized,
-            wall_s=self.wall_s,
-        )
+        return replace(self)
 
     def since(self, before: "EvalStats") -> "EvalStats":
         """Difference of two snapshots: activity between them."""
-        return EvalStats(
-            requests=self.requests - before.requests,
-            hits=self.hits - before.hits,
-            misses=self.misses - before.misses,
-            infeasible=self.infeasible - before.infeasible,
-            rungs_skipped=self.rungs_skipped - before.rungs_skipped,
-            screened=self.screened - before.screened,
-            lint_rejections=self.lint_rejections - before.lint_rejections,
-            vectorized=self.vectorized - before.vectorized,
-            wall_s=self.wall_s - before.wall_s,
-        )
+        return EvalStats(**{
+            f.name: getattr(self, f.name) - getattr(before, f.name)
+            for f in fields(self)
+        })
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "requests": self.requests,
-            "hits": self.hits,
-            "misses": self.misses,
-            "infeasible": self.infeasible,
-            "rungs_skipped": self.rungs_skipped,
-            "screened": self.screened,
-            "lint_rejections": self.lint_rejections,
-            "vectorized": self.vectorized,
-            "simulations": self.simulations,
-            "simulations_avoided": self.simulations_avoided,
-            "wall_s": self.wall_s,
-        }
+        """Every counter, then the two derived counts, then ``wall_s``."""
+        counts = {f.name: getattr(self, f.name) for f in fields(self)}
+        wall_s = counts.pop("wall_s")
+        counts["simulations"] = self.simulations
+        counts["simulations_avoided"] = self.simulations_avoided
+        counts["wall_s"] = wall_s
+        return counts
 
     def describe(self) -> str:
         return (
@@ -447,9 +425,10 @@ class PlanEvaluator:
         """Batch variant of :meth:`evaluate_spill_free`, input-ordered.
 
         ``plans`` is a plan sequence, answered with one ``(plan, result)``
-        or None per plan, or a stage-1 :class:`~repro.tuning.space.KnobGrid`,
+        or None per plan, or a :class:`~repro.tuning.space.KnobGrid`,
         answered with its :class:`Resolution`: lane verdicts that build a
-        plan or a result only when one is read.
+        plan or a result only when one is read.  Only this entry point
+        takes a grid.
         """
         grid = plans if isinstance(plans, KnobGrid) else None
         if grid is None:
@@ -753,24 +732,29 @@ class PlanEvaluator:
 
         Within a family the certifier reads only the streaming mode and
         the chunk count (the concurrent-chunk race check), so it runs
-        once per distinct value of the two; a grid's lanes all stream
-        like its prototype.
+        once per distinct value of the two, on the first member that
+        has it.
         """
-        if family.plans is None:
-            refusal = _refusal(fusion_rejection(ir, family.proto))
-            if refusal is None:
-                return None
-            return [refusal] * len(family.members)
-        verdicts: Dict[tuple, Optional[Refusal]] = {}
-        modes = []
-        for plan in family.plans:
-            mode = (plan.streaming, plan.stream_chunks)
-            if mode not in verdicts:
-                verdicts[mode] = _refusal(fusion_rejection(ir, plan))
-            modes.append(mode)
+        plans, grid, members = family.plans, family.grid, family.members
+        if plans is not None:
+            modes = [(p.streaming, p.stream_chunks) for p in plans]
+        else:
+            stream = [(m[0], _stream_chunks(m)) for m in grid.modes]
+            modes = list(map(stream.__getitem__,
+                             map(grid.mode_ix.__getitem__, members)))
+        verdicts = {}
+        for mode in dict.fromkeys(modes):
+            j = modes.index(mode)
+            if j == 0:
+                plan = family.proto
+            elif plans is not None:
+                plan = plans[j]
+            else:
+                plan = grid.plan(members[j])
+            verdicts[mode] = _refusal(fusion_rejection(ir, plan))
         if all(refusal is None for refusal in verdicts.values()):
             return None
-        return [verdicts[mode] for mode in modes]
+        return list(map(verdicts.__getitem__, modes))
 
     def _fail_fast(self, plan, exc: Exception, index: int) -> NoReturn:
         """End the batch: raise ``exc`` as an :class:`EvaluationError`
@@ -859,15 +843,13 @@ class _Family:
 
     def knob_numbers(self) -> List[int]:
         """The members' knob numbers (their memo lane parts but the
-        register cap), looked up in a grid's table by block and unroll
-        index."""
+        register cap): a grid's knob column."""
         if self.plans is not None:
             return [plan_knob_number(plan) for plan in self.plans]
-        grid, members = self.grid, self.members
-        numbers = _knob_table(grid.blocks, grid.unrolls, plan_mode(self.proto))
-        block_ix, unroll_ix = grid.block_ix, grid.unroll_ix
-        rows = map(numbers.__getitem__, map(block_ix.__getitem__, members))
-        return list(map(getitem, rows, map(unroll_ix.__getitem__, members)))
+        knob = self.grid.knob
+        if len(self.members) == len(knob):
+            return knob
+        return list(map(knob.__getitem__, self.members))
 
     def knobs(self, js):
         """The pricing knob columns of members ``js``."""
@@ -877,27 +859,32 @@ class _Family:
             return pricing.knobs_of(list(map(self.plans.__getitem__, js)))
         grid, proto = self.grid, self.proto
         lanes = list(map(self.members.__getitem__, js))
+        if len(grid.modes) == 1:
+            ublocked, prefetch = proto.unroll_blocked, proto.prefetch
+            perspective, chunks = proto.perspective, proto.stream_chunks
+        else:
+            columns = [
+                (m[2], m[3], m[4], _stream_chunks(m)) for m in grid.modes
+            ]
+            ublocked, prefetch, perspective, chunks = zip(
+                *map(columns.__getitem__, map(grid.mode_ix.__getitem__, lanes))
+            )
         return pricing.LaneKnobs(
             grid.blocks,
             grid.unrolls,
             list(map(grid.block_ix.__getitem__, lanes)),
             list(map(grid.unroll_ix.__getitem__, lanes)),
-            proto.unroll_blocked,
+            ublocked,
             proto.max_registers,
-            proto.prefetch,
-            proto.perspective,
-            proto.stream_chunks,
+            prefetch,
+            perspective,
+            chunks,
         )
 
 
-@lru_cache(maxsize=64)
-def _knob_table(blocks: tuple, unrolls: tuple, mode: tuple) -> List[list]:
-    """``[block][unroll]`` -> knob number over a grid's knob values (the
-    sweeps of one search space share one table)."""
-    return [
-        [knob_number(block, unroll, mode) for unroll in unrolls]
-        for block in blocks
-    ]
+def _stream_chunks(mode: tuple) -> int:
+    """:attr:`KernelPlan.stream_chunks` of a lane mode (``plan_mode``)."""
+    return mode[1] if mode[0] == STREAM_CONCURRENT else 1
 
 
 class Resolution:
@@ -974,8 +961,10 @@ class Resolution:
             return self.submitted(i)
         plan = self._plans.get(i)
         if plan is None:
-            plan = self._plans[i] = self.submitted(i).replace(
-                max_registers=key % _REGISTER_SPAN
+            lanes, regs = self.lanes, key % _REGISTER_SPAN
+            plan = self._plans[i] = (
+                lanes.plan(i, regs) if isinstance(lanes, KnobGrid)
+                else lanes[i].replace(max_registers=regs)
             )
         return plan
 

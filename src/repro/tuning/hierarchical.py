@@ -12,8 +12,13 @@ Tuning runs in steps instead of searching the full cross-product:
   second-tier optimizations on them: prefetching, concurrent streaming,
   and thread-block load/compute adjustment (perspectives), plus retiming
   and folding when the profiling advice enables register-level
-  optimizations.  Variants whose plan family was already measured (in
-  stage 1 or for an earlier survivor) are deduplicated by fingerprint.
+  optimizations.  A variant whose plan family (as the ints structural
+  key and knob number) stage 1 or an earlier survivor already has is
+  dropped.
+
+Each stage is one :class:`~repro.tuning.space.KnobGrid`, resolved in one
+evaluator batch and ranked by its time column; a plan is built only for
+a lane that is read (a survivor, the winner, a search-log row).
 
 All measurement flows through a shared :class:`PlanEvaluator`
 (``repro.tuning.evaluator``), which memoizes simulation results,
@@ -33,14 +38,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from hashlib import sha256
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..codegen.plan import (
     KernelPlan,
     PERSPECTIVE_MIXED,
     STREAM_CONCURRENT,
+    STREAM_SERIAL,
 )
-from ..codegen.tiling import plan_family_key
+from ..codegen.tiling import knob_number, plan_mode, plan_structural_key
 from ..gpu.device import DeviceSpec, P100
 from ..gpu.simulator import PlanInfeasible
 from ..ir.folding import find_fold_groups
@@ -147,11 +153,8 @@ class HierarchicalTuner:
         self.journal = journal
         self._irfp = ir_fingerprint(ir) if journal is not None else None
         self.evaluations = 0
-        self._measured_families: Set[tuple] = set()
         #: the stage-1 grid of the current unit (its lanes were measured)
         self._stage1_grid: Optional[KnobGrid] = None
-        #: fold groups of each fused kernel-name tuple (stage 2)
-        self._folds: Dict[Tuple[str, ...], tuple] = {}
 
     # -- checkpoint journal ------------------------------------------------------
 
@@ -204,42 +207,14 @@ class HierarchicalTuner:
     # -- measurement -----------------------------------------------------------
 
     def measure(self, plan: KernelPlan) -> Optional[Measurement]:
-        """Evaluate a candidate; escalate registers past spills.
-
-        Implements the paper's dynamic register increment: if the
-        configuration spills at the current ``maxrregcount``, retry at
-        the next level; configurations that spill even at 255 registers
-        are discarded (only non-spill configurations are explored).  The
-        evaluator resolves the ladder from the register-independent
-        demand, so the spilling rungs cost nothing.
-
-        Counts exactly one evaluation per call, feasible or not.
-        """
-        return self._measure_batch([plan])[0]
-
-    def _measure_batch(
-        self, plans: Sequence[KernelPlan]
-    ) -> List[Optional[Measurement]]:
-        """Measure candidates as one evaluator batch, input-ordered.
-
-        Accounting is identical to calling :meth:`measure` serially on
-        each plan.  Every measurement goes through an evaluator batch,
-        so an unexpected error fails fast as an
-        :class:`~repro.resilience.EvaluationError` naming the plan.
-        """
-        self.evaluations += len(plans)
-        for plan in plans:
-            self._measured_families.add(plan_family_key(plan))
-        found = self.evaluator.evaluate_spill_free_batch(self.ir, plans)
-        return [self._record(item) for item in found]
-
-    def _record(self, found) -> Optional[Measurement]:
+        """Evaluate one candidate at its first spill-free register rung
+        (the paper's dynamic register increment; None when it spills
+        even at 255 or is infeasible).  Counts one evaluation."""
+        self.evaluations += 1
+        (found,) = self.evaluator.evaluate_spill_free_batch(self.ir, [plan])
         if found is None:
             return None
-        plan, result = found
-        return Measurement(
-            plan=plan, time_s=result.time_s, tflops=result.tflops
-        )
+        return Measurement(found[0], found[1].time_s, found[1].tflops)
 
     def measure_with_spills(self, plan: KernelPlan) -> Optional[Measurement]:
         """Measure at the maximum register level even if it spills.
@@ -248,7 +223,6 @@ class HierarchicalTuner:
         """
         self.evaluations += 1
         candidate = plan.replace(max_registers=255)
-        self._measured_families.add(plan_family_key(candidate))
         (result,) = self.evaluator.evaluate_batch(self.ir, [candidate])
         if result is None:
             return None
@@ -277,7 +251,6 @@ class HierarchicalTuner:
                 result = self._replay(record)
             else:
                 evaluations_before = self.evaluations
-                self._measured_families = set()
                 self._stage1_grid = None
                 result = self._tune_two_stage(base)
                 if key is not None:
@@ -354,59 +327,83 @@ class HierarchicalTuner:
         )
 
     def _stage2(self, survivors: List[Measurement]) -> Measurement:
-        # Different survivors (and stage 1 itself) can generate the same
-        # second-tier variant — e.g. retiming a survivor that stage 1
-        # already explored retimed.  Deduplicate by plan-family
-        # fingerprint so each distinct configuration is measured once.
         with _span("tuning.stage2", survivors=len(survivors)) as stage_span, \
                 _log_context(self._slog, stage="stage2"):
-            candidates: List[KernelPlan] = []
-            seen = set(self._measured_families)
-            grid = self._stage1_grid
-            for survivor in survivors:
-                for variant in self._stage2_variants(survivor.plan):
-                    family = plan_family_key(variant)
-                    if family in seen or (
-                        grid is not None and grid.contains(variant)
-                    ):
-                        continue
-                    seen.add(family)
-                    candidates.append(variant)
-            best = survivors[0]
-            for measurement in self._measure_batch(candidates):
-                if measurement is not None and measurement.time_s < best.time_s:
-                    best = measurement
-            _counter("tuner.stage2.candidates").add(len(candidates))
+            grid = self._stage2_grid(survivors)
+            self.evaluations += len(grid)
+            res = self.evaluator.evaluate_spill_free_batch(self.ir, grid)
+            # The first lane strictly faster than the best so far wins.
+            best, best_time = None, survivors[0].time_s
+            for i, time_s in enumerate(res.time_column()):
+                if time_s is not None and time_s < best_time:
+                    best, best_time = i, time_s
+            _counter("tuner.stage2.candidates").add(len(grid))
             if stage_span is not None:
-                stage_span.attributes["candidates"] = len(candidates)
-            return best
+                stage_span.attributes["candidates"] = len(grid)
+            return survivors[0] if best is None else res.measurement(best)
 
-    def _stage2_variants(self, plan: KernelPlan) -> Iterable[KernelPlan]:
-        yield plan.replace(prefetch=True)
-        yield plan.replace(perspective=PERSPECTIVE_MIXED)
-        yield plan.replace(prefetch=True, perspective=PERSPECTIVE_MIXED)
-        if plan.streaming == "serial":
-            for chunks in (2, 4):
-                yield plan.replace(
-                    streaming=STREAM_CONCURRENT, concurrent_chunks=chunks
+    def _stage2_grid(self, survivors: List[Measurement]) -> KnobGrid:
+        """Each survivor's variants, in order, as one :class:`KnobGrid`.
+
+        Survivors (and stage 1) can share a variant, e.g. a retimed
+        survivor that stage 1 swept retimed: a variant is kept only when
+        its family key, as the ints (structural key, knob number), is
+        neither a stage-1 lane's nor an earlier variant's.
+        """
+        # Retiming and folding read only what every survivor shares.
+        first = survivors[0].plan
+        retimable = folds = None
+        if self.use_register_opts and first.uses_streaming:
+            retimable = self._retimable(first)
+            kernels = map(self.ir.kernel, first.kernel_names)
+            folds = sum(map(find_fold_groups, kernels), ())
+        taken = self._stage1_grid.family_knobs()
+        shapes: List[KernelPlan] = []
+        blocks, unrolls, modes = {}, {}, {}  # value -> column index
+        lanes = []  # (shape, block, unroll, mode, knob) of each variant kept
+        for survivor in survivors:
+            plan = survivor.plan
+            b = blocks.setdefault(plan.block, len(blocks))
+            u = unrolls.setdefault(plan.unroll, len(unrolls))
+            shape = None
+            for variant, mode in self._stage2_variants(plan, retimable, folds):
+                if variant is not shape:
+                    shape, s = variant, None
+                    knobs = taken.setdefault(plan_structural_key(shape), set())
+                number = knob_number(plan.block, plan.unroll, mode)
+                if number not in knobs:
+                    knobs.add(number)
+                    if s is None:
+                        s = len(shapes)
+                        shapes.append(shape)
+                    m = modes.setdefault(mode, len(modes))
+                    lanes.append((s, b, u, m, number))
+        columns = map(list, zip(*lanes)) if lanes else ([],) * 5
+        return KnobGrid(shapes, blocks, unrolls, modes, *columns)
+
+    @staticmethod
+    def _stage2_variants(
+        plan: KernelPlan, retimable: Optional[bool], folds: Optional[tuple]
+    ) -> Iterator[Tuple[KernelPlan, tuple]]:
+        """A survivor's variants as ``(shape, mode)``: the survivor as it
+        is, retimed or folded (in a row per shape), in a
+        :func:`~repro.codegen.tiling.plan_mode`."""
+        mode = plan_mode(plan)
+        streaming, chunks, blocked, prefetch, perspective = mode
+        yield plan, (streaming, chunks, blocked, True, perspective)
+        yield plan, (streaming, chunks, blocked, prefetch, PERSPECTIVE_MIXED)
+        yield plan, (streaming, chunks, blocked, True, PERSPECTIVE_MIXED)
+        if streaming == STREAM_SERIAL:
+            for count in (2, 4):
+                yield plan, (
+                    STREAM_CONCURRENT, count, blocked, prefetch, perspective
                 )
-        if self.use_register_opts and plan.uses_streaming:
-            if self._retimable(plan):
-                yield plan.replace(retime=True)
-                yield plan.replace(retime=True, prefetch=True)
-            folds = self._fold_groups(plan.kernel_names)
-            if folds:
-                yield with_fold_groups(plan, folds)
-
-    def _fold_groups(self, kernel_names: Tuple[str, ...]) -> tuple:
-        """The fold groups of the fused kernels, found once per tuner."""
-        folds = self._folds.get(kernel_names)
-        if folds is None:
-            folds = ()
-            for name in kernel_names:
-                folds = folds + find_fold_groups(self.ir.kernel(name))
-            self._folds[kernel_names] = folds
-        return folds
+        if retimable:
+            retimed = plan.replace(retime=True)
+            yield retimed, mode
+            yield retimed, (streaming, chunks, blocked, True, perspective)
+        if folds:
+            yield with_fold_groups(plan, folds), mode
 
 
 def _unit_payload(result: TuningResult, evaluations_before: int) -> dict:

@@ -18,9 +18,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from functools import lru_cache
+from operator import getitem, itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..codegen.plan import KernelPlan, REGISTER_LEVELS
+from ..codegen.tiling import (
+    MODE_FIELDS,
+    knob_number,
+    plan_mode,
+    plan_structural_key,
+)
 from ..gpu.device import DeviceSpec, P100
 
 BLOCK_MIN = 4
@@ -97,9 +105,6 @@ class SearchSpace:
             total *= factor
         return total
 
-    def register_levels(self) -> Tuple[int, ...]:
-        return REGISTER_LEVELS
-
     def size(self) -> int:
         """Candidate count of the pruned (block x unroll) space."""
         return len(self.block_candidates()) * len(self.unroll_candidates())
@@ -119,123 +124,131 @@ def exhaustive_space_size(ndim: int, streaming: bool) -> int:
     return blocks * unrolls * len(REGISTER_LEVELS) * 2 * 3 * 3
 
 
+#: The plan fields of a :class:`KnobGrid` lane's columns, in order.
+_LANE_FIELDS = ("block", "unroll") + MODE_FIELDS + ("max_registers",)
+
+
 class KnobGrid:
-    """Stage-1 lanes as knob columns over one base plan.
+    """Search lanes as int columns over a few shape plans.
 
-    Lane ``i`` is ``base`` with block ``blocks[block_ix[i]]``, unroll
-    ``unrolls[unroll_ix[i]]`` and ``retime[i]``: the sweep is described
-    once, and a :class:`KernelPlan` exists only for a lane that is read
-    (:meth:`plan`).  Each retime value is one structural family of
-    lanes (:meth:`families`), priced from the columns alone.
-
-    The lanes are every block x unroll pair, block-major, with the
-    base's retime; with ``retime_twins``, each unroll-free lane is
-    followed by its retimed twin, so a filter over the lanes keeps the
-    pairing.  The columns are built here from those values alone, so
-    :meth:`contains` reads the same rule.
+    Lane ``i`` is ``shapes[shape_ix[i]]`` with block
+    ``blocks[block_ix[i]]``, unroll ``unrolls[unroll_ix[i]]`` and mode
+    ``modes[mode_ix[i]]`` (a :func:`~repro.codegen.tiling.plan_mode`);
+    ``knob[i]`` is its :func:`~repro.codegen.tiling.knob_number`.  A
+    shape holds the structure (retiming, folding) and the register cap,
+    and a mode never switches streaming on or off, so the shapes of one
+    structural key make one family of lanes (:meth:`families`), priced
+    from the columns alone.  A plan exists only for a lane that is read
+    (:meth:`plan`).  Stage 1 is :func:`stage1_grid`; stage 2's shapes
+    are the stage-1 survivors, as they are, retimed or folded.
     """
 
     __slots__ = (
-        "base", "blocks", "unrolls", "block_ix", "unroll_ix", "retime",
-        "retime_twins",
+        "shapes", "blocks", "unrolls", "modes", "shape_ix", "block_ix",
+        "unroll_ix", "mode_ix", "knob", "_families",
     )
 
-    def __init__(
-        self,
-        base: KernelPlan,
-        blocks: Sequence[Tuple[int, ...]],
-        unrolls: Sequence[Tuple[int, ...]],
-        retime_twins: bool = False,
-    ):
-        self.base = base
-        self.blocks = tuple(blocks)
-        self.unrolls = tuple(unrolls)
-        self.retime_twins = retime_twins
-        # One block's lanes: every unroll, each unroll-free one followed
-        # by its retimed twin; every block repeats them.
-        unroll_ix: List[int] = []
-        retime: List[bool] = []
-        for u, unroll in enumerate(self.unrolls):
-            unroll_ix.append(u)
-            retime.append(base.retime)
-            if retime_twins and SearchSpace._total(unroll) == 1:
-                unroll_ix.append(u)
-                retime.append(True)
-        width = len(unroll_ix)
-        count = len(self.blocks)
-        self.block_ix = list(
-            itertools.chain.from_iterable(
-                itertools.repeat(b, width) for b in range(count)
-            )
-        )
-        self.unroll_ix = unroll_ix * count
-        self.retime = retime * count
+    def __init__(self, shapes, blocks, unrolls, modes, shape_ix, block_ix,
+                 unroll_ix, mode_ix, knob):
+        self.shapes, self.blocks = tuple(shapes), tuple(blocks)
+        self.unrolls, self.modes = tuple(unrolls), tuple(modes)
+        self.shape_ix, self.block_ix = shape_ix, block_ix
+        self.unroll_ix, self.mode_ix, self.knob = unroll_ix, mode_ix, knob
+        self._families: Optional[List[Tuple[KernelPlan, List[int]]]] = None
 
     def __len__(self) -> int:
-        return len(self.block_ix)
+        return len(self.knob)
 
-    def plan(self, i: int) -> KernelPlan:
-        """Lane ``i`` as a plan."""
-        base = self.base
-        block = self.blocks[self.block_ix[i]]
-        unroll = self.unrolls[self.unroll_ix[i]]
-        if self.retime[i] == base.retime:
-            return base.replace(block=block, unroll=unroll)
-        return base.replace(block=block, unroll=unroll, retime=self.retime[i])
+    def plan(self, i: int, max_registers: Optional[int] = None) -> KernelPlan:
+        """Lane ``i`` as a plan (at ``max_registers``, if given); a lane
+        whose columns are its shape's own is the shape itself."""
+        shape = self.shapes[self.shape_ix[i]]
+        lane = zip(_LANE_FIELDS, (
+            self.blocks[self.block_ix[i]], self.unrolls[self.unroll_ix[i]],
+            *self.modes[self.mode_ix[i]], max_registers,
+        ))
+        changes = {
+            field: value for field, value in lane
+            if value is not None and value != getattr(shape, field)
+        }
+        return shape.replace(**changes) if changes else shape
 
     def plans(self) -> Iterator[KernelPlan]:
         return (self.plan(i) for i in range(len(self)))
 
     def families(self) -> List[Tuple[KernelPlan, List[int]]]:
-        """``(prototype, lanes)`` per retime value, in first-lane order.
-
-        Lanes of one family differ only in block and unroll, two of
-        the lane axes of ``repro.gpu.pricing``; the prototype is the
-        family's first lane.
-        """
-        retime = self.retime
-        values = dict.fromkeys(retime)
-        lanes = range(len(retime))
-        if len(values) == 1:
-            groups = [list(lanes)]
-        else:
-            groups = [
-                list(itertools.compress(lanes, map(value.__eq__, retime)))
-                for value in values
+        """``(prototype, lanes)`` per structural key, in first-lane
+        order (computed once); the prototype is the first lane."""
+        if self._families is None:
+            number: Dict[tuple, int] = {}
+            group = [
+                number.setdefault(plan_structural_key(shape), len(number))
+                for shape in self.shapes
             ]
-        return [(self.plan(members[0]), members) for members in groups]
+            lanes = range(len(self))
+            if len(number) == 1:
+                groups = [list(lanes)]
+            else:
+                lane_group = list(map(group.__getitem__, self.shape_ix))
+                groups = [
+                    list(itertools.compress(lanes, map(g.__eq__, lane_group)))
+                    for g in range(len(number))
+                ]
+            self._families = [
+                (self.plan(members[0]), members)
+                for members in sorted(filter(None, groups), key=itemgetter(0))
+            ]
+        return self._families
 
-    def contains(self, plan: KernelPlan) -> bool:
-        """Whether ``plan`` is a lane, register cap aside: its
-        :func:`~repro.codegen.tiling.plan_family_key` is a lane's (its
-        block, unroll and retime are a lane's, and its structural key
-        and lane mode are that lane's prototype's)."""
-        from ..codegen.tiling import plan_mode, plan_structural_key
+    def family_knobs(self) -> Dict[tuple, Set[int]]:
+        """Each family's structural key -> its lanes' knob numbers."""
+        knob = self.knob
+        return {
+            plan_structural_key(proto): set(map(knob.__getitem__, members))
+            for proto, members in self.families()
+        }
 
-        base = self.base
-        if plan.block not in self.blocks or plan.unroll not in self.unrolls:
-            return False
-        if plan.retime != base.retime and not (
-            self.retime_twins
-            and plan.retime
-            and SearchSpace._total(plan.unroll) == 1
-        ):
-            return False
-        proto = base if plan.retime == base.retime else base.replace(
-            retime=plan.retime
-        )
-        return plan_structural_key(plan) == plan_structural_key(
-            proto
-        ) and plan_mode(plan) == plan_mode(proto)
+
+@lru_cache(maxsize=64)
+def _knob_table(blocks: tuple, unrolls: tuple, mode: tuple) -> List[list]:
+    """``[block][unroll]`` -> knob number over a sweep's knob values (the
+    sweeps of one search space share one table)."""
+    return [
+        [knob_number(block, unroll, mode) for unroll in unrolls]
+        for block in blocks
+    ]
 
 
 def stage1_grid(
     plan: KernelPlan, space: SearchSpace, retime_twins: bool = False
 ) -> KnobGrid:
-    """The block x unroll sweep over ``plan`` (see :class:`KnobGrid`)."""
+    """The block x unroll sweep over ``plan``: every pair, block-major,
+    in ``plan``'s mode; with ``retime_twins``, each unroll-free lane is
+    followed by its retimed twin, so a filter over the lanes keeps the
+    pairing."""
+    blocks, unrolls = space.block_candidates(), space.unroll_candidates()
+    # One block's lanes: every unroll, each unroll-free one followed by
+    # its retimed twin (shape 1); every block repeats them.
+    unroll_ix, shape_ix = [], []
+    for u, unroll in enumerate(unrolls):
+        twin = retime_twins and SearchSpace._total(unroll) == 1
+        unroll_ix += (u, u) if twin else (u,)
+        shape_ix += (0, 1) if twin else (0,)
+    shapes = [plan]
+    if blocks and 1 in shape_ix:
+        # The twins' shape is their first lane.
+        first = unrolls[unroll_ix[shape_ix.index(1)]]
+        shapes.append(plan.replace(block=blocks[0], unroll=first, retime=True))
+    width, count = len(unroll_ix), len(blocks)
+    block_ix = list(itertools.chain.from_iterable(
+        map(itertools.repeat, range(count), [width] * count)
+    ))
+    unroll_ix *= count
+    table = _knob_table(blocks, unrolls, plan_mode(plan))
+    knob = list(map(getitem, map(table.__getitem__, block_ix), unroll_ix))
     return KnobGrid(
-        plan, space.block_candidates(), space.unroll_candidates(),
-        retime_twins,
+        shapes, blocks, unrolls, (plan_mode(plan),), shape_ix * count,
+        block_ix, unroll_ix, [0] * len(knob), knob,
     )
 
 

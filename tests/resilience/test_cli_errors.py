@@ -6,6 +6,8 @@ failure; ``--debug`` re-enables tracebacks.
 """
 
 import json
+import socket
+from pathlib import Path
 
 import pytest
 
@@ -355,3 +357,108 @@ class TestCheckpointFlags:
         assert "has version 1" in err
         assert "start a fresh --checkpoint" in err
         assert len(err.strip().splitlines()) == 1
+
+
+def _one_usage_error(code, capsys) -> str:
+    """Assert exit 2 with one ``error:`` line; return the line."""
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    return err
+
+
+class TestRefusedUpFront:
+    """Flags and specs a run could not honour end as exit 2 before any
+    tuning: the engine is never asked for a candidate."""
+
+    @pytest.fixture
+    def no_tuning(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tuning started")
+
+        monkeypatch.setattr(PlanEvaluator, "_price_lanes", refuse)
+
+    @pytest.mark.parametrize("port", ["99999", "-1", "65536"])
+    @pytest.mark.parametrize("command", ["optimize", "deep-tune"])
+    def test_metrics_port_out_of_range(self, no_tuning, capsys, command, port):
+        code = main([command, "7pt-smoother", "--metrics-port", port])
+        err = _one_usage_error(code, capsys)
+        assert f"--metrics-port must be in 0-65535, not {port}" in err
+
+    @pytest.mark.parametrize("command", ["optimize", "deep-tune"])
+    def test_metrics_port_in_use(self, no_tuning, capsys, tmp_path, command):
+        journal = tmp_path / "c.jsonl"
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            code = main([
+                command, "7pt-smoother", "--metrics-port", str(port),
+                "--checkpoint", str(journal),
+            ])
+        err = _one_usage_error(code, capsys)
+        assert f"--metrics-port {port}: cannot serve" in err
+        assert not journal.exists()  # refused before the journal opened
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "7pt-smoother", "--json", "{missing}/x.json"],
+            ["optimize", "7pt-smoother", "--search-log", "{missing}/x.jsonl"],
+            ["optimize", "7pt-smoother", "--trace", "{missing}/t.json"],
+            ["optimize", "7pt-smoother", "--checkpoint", "{missing}/c.jsonl"],
+            ["deep-tune", "7pt-smoother", "--checkpoint", "{missing}/c.jsonl"],
+            ["deep-tune", "7pt-smoother", "--trace", "{missing}/t.json"],
+            ["profile", "7pt-smoother", "--json", "{missing}/p.json"],
+            ["lint", "7pt-smoother", "--sarif", "{missing}/l.sarif"],
+            ["report", "{log}", "-o", "{missing}/r.html"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv if a.startswith("-")),
+    )
+    def test_output_in_a_missing_directory(
+        self, no_tuning, capsys, tmp_path, argv
+    ):
+        missing = tmp_path / "no" / "such" / "dir"
+        argv = [
+            a.format(missing=missing, log=tmp_path / "run.jsonl") for a in argv
+        ]
+        err = _one_usage_error(main(argv), capsys)
+        assert f"directory '{missing}' does not exist" in err
+        assert not missing.parent.exists()
+
+    def test_output_that_is_a_directory(self, no_tuning, capsys, tmp_path):
+        code = main(["optimize", "7pt-smoother", "--json", str(tmp_path)])
+        err = _one_usage_error(code, capsys)
+        assert err == f"error: --json: '{tmp_path}' is a directory\n"
+
+    @pytest.mark.parametrize("command", ["optimize", "lint", "cuda", "certify"])
+    def test_spec_that_is_a_directory(self, no_tuning, capsys, tmp_path,
+                                      command):
+        err = _one_usage_error(main([command, str(tmp_path)]), capsys)
+        assert err == f"error: '{tmp_path}' is a directory, not a spec file\n"
+
+    @pytest.mark.parametrize("flag", ["--plan", "--journal"])
+    def test_certify_input_that_is_a_directory(self, capsys, tmp_path, flag):
+        code = main(["certify", "7pt-smoother", flag, str(tmp_path)])
+        err = _one_usage_error(code, capsys)
+        assert err == f"error: {flag}: '{tmp_path}' is a directory\n"
+
+    @pytest.mark.parametrize("command", ["optimize", "lint", "cuda", "certify"])
+    def test_spec_that_is_not_text(self, no_tuning, capsys, tmp_path, command):
+        path = tmp_path / "binary.stencil"
+        path.write_bytes(b"\xff\xfe\x00stencil")
+        err = _one_usage_error(main([command, str(path)]), capsys)
+        assert err.startswith(f"error: cannot read '{path}': ")
+
+    @pytest.mark.parametrize("command", ["optimize", "lint"])
+    def test_spec_that_cannot_be_read(
+        self, no_tuning, capsys, monkeypatch, spec, command
+    ):
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        err = _one_usage_error(main([command, spec]), capsys)
+        assert err == f"error: cannot read '{spec}': Permission denied\n"

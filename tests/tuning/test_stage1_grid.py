@@ -12,7 +12,11 @@ many lanes it priced.
 import pytest
 
 from repro.codegen.plan import KernelPlan
-from repro.codegen.tiling import plan_family_key
+from repro.codegen.tiling import (
+    plan_family_key,
+    plan_knob_number,
+    plan_structural_key,
+)
 from repro.gpu.counters import SimulationResult
 from repro.gpu.device import P100, V100
 from repro.suite import load_ir
@@ -55,7 +59,9 @@ def census(monkeypatch):
     def grid_of(base, space, retime_twins=False):
         grid = real_grid(base, space, retime_twins=retime_twins)
         census.stages[-1][0] = len(grid)
-        census.stages[-1][1] = len(set(grid.retime))
+        census.stages[-1][1] = len(
+            {plan_structural_key(shape) for shape in grid.shapes}
+        )
         return grid
 
     monkeypatch.setattr(HierarchicalTuner, "_stage1", stage1)
@@ -121,16 +127,18 @@ def test_grid_lanes_match_the_plans_they_stand_for():
             if variant.total_unroll() == 1:
                 expected.append(variant.replace(retime=True))
     assert plans == expected
+    assert grid.knob == list(map(plan_knob_number, plans))
     for plan in plans[:40]:
-        assert grid.contains(plan)
-        assert grid.contains(plan.replace(max_registers=64))
+        assert is_lane(grid, plan)
+        assert is_lane(grid, plan.replace(max_registers=64))
         # Stage-2 variants share a lane's structural family but are
         # not lanes: stage 2 must still measure them.
-        assert not grid.contains(plan.replace(prefetch=True))
-        assert not grid.contains(plan.replace(perspective="mixed"))
+        assert not is_lane(grid, plan.replace(prefetch=True))
+        assert not is_lane(grid, plan.replace(perspective="mixed"))
         for chunks in (2, 4):
-            assert not grid.contains(
-                plan.replace(streaming="concurrent", concurrent_chunks=chunks)
+            assert not is_lane(
+                grid,
+                plan.replace(streaming="concurrent", concurrent_chunks=chunks),
             )
     for family in grid.families():
         proto, members = family
@@ -138,11 +146,18 @@ def test_grid_lanes_match_the_plans_they_stand_for():
             assert plan_family_key(plans[i])[0] == plan_family_key(proto)[0]
 
 
+def is_lane(grid, plan):
+    """Whether ``plan`` is a lane of ``grid``, register cap aside: the
+    ints of its family key are a lane's (``KnobGrid.family_knobs``)."""
+    knobs = grid.family_knobs().get(plan_structural_key(plan), ())
+    return plan_knob_number(plan) in knobs
+
+
 @pytest.mark.parametrize("twins", [False, True])
 @pytest.mark.parametrize("retimed", [False, True])
-def test_contains_answers_like_the_lane_set(twins, retimed):
-    # contains() reads the block and unroll tables and the twin rule;
-    # it must agree with the set of the grid's own lanes.
+def test_family_knobs_answer_like_the_lane_set(twins, retimed):
+    # family_knobs() holds each lane's family key as ints; membership
+    # must agree with the set of the grid's own lanes.
     base = PROTOS["serial-shm"].replace(retime=retimed)
     space = SearchSpace(ndim=3, streaming=True, device=P100)
     grid = stage1_grid(base, space, retime_twins=twins)
@@ -155,7 +170,7 @@ def test_contains_answers_like_the_lane_set(twins, retimed):
     ]
     assert any((p.block, p.unroll, p.retime) in lanes for p in probes)
     for plan in probes:
-        assert grid.contains(plan) == (
+        assert is_lane(grid, plan) == (
             (plan.block, plan.unroll, plan.retime) in lanes
         ), plan.describe()
 
